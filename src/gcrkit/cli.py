@@ -46,7 +46,7 @@ from .gcr import (
 
 __all__ = ["main", "canonical_json", "load_spec", "build_surface"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_SINGULAR = 3
@@ -336,7 +336,8 @@ def report_to_dict(
         "surface": echo,
         "grid": grid_doc,
         "tolerances": report.tolerances.as_dict(),
-        "engine": {"jet_order": 2, "seed": None},
+        # structural residuals on 3-dimensional charts evaluate order-3 jets
+        "engine": {"jet_order": 3 if report.structural_max and report.n == 3 else 2},
         "summary": summary,
         "skipped": [
             {"point": list(point), "reason": reason} for point, reason in report.skipped

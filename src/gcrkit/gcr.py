@@ -4,9 +4,11 @@ Splits the position vector of a hypersurface point into tangential and
 normal parts, tests whether the tangential part is a principal direction
 (the defining property of a position-principal, or "generalized constant
 ratio", surface), evaluates the first-order structural identities such
-surfaces must satisfy, and aggregates grid sweeps into a classification
-report (position-principal / isoparametric / constant mean curvature /
-spectral-split / vanishing top curvature).
+surfaces must satisfy in closed form from third-order jets (Weingarten's
+equation and first-order eigen-perturbation; no finite differences), and
+aggregates grid sweeps into a classification report (position-principal /
+isoparametric / constant mean curvature / spectral-split / vanishing top
+curvature).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import jet
 from .expr import ExprError
 from .geometry import (
     EPS_REG,
@@ -28,9 +29,8 @@ from .geometry import (
     PointGeometry,
     PrincipalData,
     SingularPointError,
+    _nabla_second_form,
     curvature_invariants,
-    default_step,
-    normal_jets,
     point_geometry,
     principal_data,
 )
@@ -71,7 +71,7 @@ class PositionAngles:
     mu is the distance to the origin, theta in [0, pi] the angle between the
     position and the unit normal (so the normal part is mu*cos(theta) and the
     tangential part has length mu*sin(theta)).  Chart gradients of theta and
-    mu come from exact jet evaluation and are None at degenerate points.
+    mu are exact and are None at degenerate points.
     """
 
     mu: float
@@ -91,7 +91,12 @@ def position_angles(
     pg: PointGeometry,
     eps_tan_rel: float = 1e-8,
 ) -> PositionAngles:
-    """Tangential/normal split of the position vector at a regular point."""
+    """Tangential/normal split of the position vector at a regular point.
+
+    Everything comes from ``pg`` (``m`` and ``p`` are not needed).  With
+    b = J^T x, the gradients are d mu = b / mu and, by Weingarten's
+    d<x, N> = -S^T b, d theta = (S^T b + cos(theta) d mu) / (mu sin(theta)).
+    """
     pos = pg.position
     mu = float(np.linalg.norm(pos))
     b = pg.jac.T @ pos
@@ -109,16 +114,7 @@ def position_angles(
     if degenerate:
         return PositionAngles(mu, cos_theta, theta, xT, xT_norm, True, None, None, None)
 
-    mu_sq = pg.jets[0] * pg.jets[0]
-    for component in pg.jets[1:]:
-        mu_sq = mu_sq + component * component
-    mu_jet = jet.sqrt(mu_sq)
-    njets = normal_jets(pg.jets)
-    dot = pg.jets[0].truncated(1) * njets[0]
-    for component, nj in zip(pg.jets[1:], njets[1:]):
-        dot = dot + component.truncated(1) * nj
-    cos_jet = dot * (1.0 / mu_jet.truncated(1))
-    theta_jet = jet.acos(cos_jet)
+    mu_grad = b / mu
     return PositionAngles(
         mu=mu,
         cos_theta=cos_theta,
@@ -127,8 +123,8 @@ def position_angles(
         xT_norm=xT_norm,
         degenerate=False,
         e1=xT / xT_norm,
-        theta_grad=theta_jet.grad.copy(),
-        mu_grad=mu_jet.grad.copy(),
+        theta_grad=(pg.shape.T @ b + cos_theta * mu_grad) / xT_norm,
+        mu_grad=mu_grad,
     )
 
 
@@ -248,18 +244,13 @@ def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-@dataclass
-class _StructuralFrame:
-    """Position-adapted frame: e1 along the tangential position, the rest
-    diagonalizing the shape operator on the g-complement of e1."""
-
-    frame: np.ndarray    # columns, g-orthonormal
-    values: np.ndarray   # values[0] = Rayleigh curvature of e1; rest ascending
-    pg: PointGeometry
-    pa: PositionAngles
-
-
-def _structural_frame(pg: PointGeometry, pa: PositionAngles) -> _StructuralFrame:
+def _structural_frame(
+    pg: PointGeometry, pa: PositionAngles
+) -> tuple[np.ndarray, np.ndarray]:
+    """Position-adapted frame and its complement curvatures: columns e1 along
+    the tangential position, then the g-orthonormal eigenvectors, ascending
+    by eigenvalue, of the shape operator restricted to the g-complement of
+    e1."""
     g = pg.metric
     e1 = pa.e1
     comp = g_complement_basis(g, e1)
@@ -271,47 +262,7 @@ def _structural_frame(pg: PointGeometry, pa: PositionAngles) -> _StructuralFrame
         lead = int(np.argmax(np.abs(cols[:, i])))
         if cols[lead, i] < 0:
             cols[:, i] = -cols[:, i]
-    k1 = float(e1 @ g @ pg.shape @ e1)
-    frame = np.column_stack([e1, cols])
-    values = np.concatenate([[k1], vals])
-    return _StructuralFrame(frame=frame, values=values, pg=pg, pa=pa)
-
-
-def _frame_sample(m: Immersion, q: np.ndarray, eps_reg: float) -> _StructuralFrame:
-    pg = point_geometry(m, q, eps_reg=eps_reg, check_domain=False)
-    pa = position_angles(m, q, pg)
-    if pa.degenerate:
-        raise DegeneratePointError(f"degenerate probe at {q.tolist()}")
-    return _structural_frame(pg, pa)
-
-
-def _match_complement(
-    ref: _StructuralFrame, sample: _StructuralFrame
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder/sign-align the complement columns of a nearby frame sample
-    against the reference, using reference-metric inner products."""
-    g = ref.pg.metric
-    ref_cols = ref.frame[:, 1:]
-    cand_cols = sample.frame[:, 1:]
-    overlap = ref_cols.T @ g @ cand_cols
-    ncols = ref_cols.shape[1]
-    taken: set[int] = set()
-    perm = []
-    for i in range(ncols):
-        best, best_j = -1.0, -1
-        for j in range(ncols):
-            if j in taken:
-                continue
-            if abs(overlap[i, j]) > best:
-                best, best_j = abs(overlap[i, j]), j
-        perm.append(best_j)
-        taken.add(best_j)
-    cols = cand_cols[:, perm].copy()
-    vals = sample.values[1:][perm].copy()
-    for i in range(ncols):
-        if overlap[i, perm[i]] < 0:
-            cols[:, i] = -cols[:, i]
-    return cols, vals
+    return np.column_stack([e1, cols]), vals
 
 
 def structural_residuals(
@@ -320,19 +271,28 @@ def structural_residuals(
     pg: PointGeometry | None = None,
     pd: PrincipalData | None = None,
     pa: PositionAngles | None = None,
-    step: float | None = None,
     tol_gap: float = 1e-4,
-    nested_factor: float = 20.0,
     eps_reg: float = EPS_REG,
 ) -> StructuralResiduals:
     """Residuals of the identities that hold along a position-principal
-    surface, estimated by sign-aligned central differencing of the
-    position-adapted frame.
+    surface, in closed form from one order-3 jet evaluation at ``p``.
+
+    In the position-adapted frame {e1, e2, e3}:
+
+    - Weingarten's equation gives nabla_Y x^T = Y + <x, N> S Y, so with
+      W_l = e_l + <x, N> S e_l, nabla_{e_l} e1 = (W_l - <W_l, e1> e1) / |x^T|
+      (geodesic, shape-coefficient and connection-form residuals);
+    - e_l(k1) = (nabla_{e_l} h)(e1, e1) + 2 h(nabla_{e_l} e1, e1) for the
+      Rayleigh curvature k1 = h(e1, e1);
+    - first-order perturbation of the complement eigenpairs gives
+      e_l(k_i) = (nabla_{e_l} h)(e_i, e_i) - 2 <e_i, nabla_{e_l} e1> h(e1, e_i)
+      and (k2 - k3) omega_23(e_l) = (nabla_{e_l} h)(e2, e3)
+      - <e2, nabla_{e_l} e1> h(e1, e3) - <e3, nabla_{e_l} e1> h(e1, e2).
 
     The e1 field is smooth wherever the point is nondegenerate, so the
     geodesic/shape/connection checks need no eigenvalue gap; the transport
-    checks that differentiate the complement eigenvectors are skipped when
-    the two complement curvatures are closer than tol_gap.
+    checks, which follow the complement eigenvectors, are skipped when the
+    two complement curvatures are closer than tol_gap.
     """
     q = np.asarray(p, dtype=float)
     if pg is None:
@@ -343,21 +303,18 @@ def structural_residuals(
         raise DegeneratePointError("structural identities are vacuous at this point")
     if pd is None:
         pd = principal_data(pg, tol_gap)
-    if step is None:
-        step = default_step(m)
 
     n = pg.n
     g = pg.metric
-    gamma = pg.christoffel
-    base = _structural_frame(pg, pa)
-    frame, values = base.frame, base.values
+    h = pg.second_form
+    frame, lams = _structural_frame(pg, pa)
     mu, cos_t = pa.mu, pa.cos_theta
     sin_t = pa.xT_norm / mu
 
     def gnorm(v: np.ndarray) -> float:
         return float(math.sqrt(max(v @ g @ v, 0.0)))
 
-    # identities that only need exact jet gradients of theta and mu
+    # identities that only need exact gradients of theta and mu
     k1_index = int(np.argmax(np.abs(frame[:, 0] @ g @ pd.directions)))
     k1 = float(pd.curvatures[k1_index])
     r_k1 = abs(k1 - frame[:, 0] @ pa.theta_grad + cos_t / mu)
@@ -369,21 +326,15 @@ def structural_residuals(
             abs(float(frame[:, i] @ pa.mu_grad)),
         )
 
-    # covariant derivatives of the e1 field along every frame direction
-    def e1_at(qq: np.ndarray) -> np.ndarray:
-        sample = _frame_sample(m, qq, eps_reg)
-        return sample.frame[:, 0]
-
-    cov_e1 = np.empty((n, n))
-    for l in range(n):
-        disp = step * frame[:, l]
-        diff = (e1_at(q + disp) - e1_at(q - disp)) / (2.0 * step)
-        cov_e1[l] = diff + np.einsum("kab,a,b->k", gamma, frame[:, l], frame[:, 0])
+    # cov_e1[l] = nabla_{e_l} e1, from second-order data
+    w = frame + mu * cos_t * (pg.shape @ frame)
+    w = w - np.outer(frame[:, 0], frame[:, 0] @ g @ w)
+    cov_e1 = (w / pa.xT_norm).T
 
     r_geodesic = gnorm(cov_e1[0])
     r_shape_coeff = 0.0
     for i in range(1, n):
-        coeff = (1.0 + mu * cos_t * values[i]) / (mu * sin_t)
+        coeff = (1.0 + mu * cos_t * lams[i - 1]) / (mu * sin_t)
         r_shape_coeff = max(r_shape_coeff, gnorm(cov_e1[i] - coeff * frame[:, i]))
 
     if n == 2:
@@ -403,33 +354,20 @@ def structural_residuals(
         abs(float(cov_e1[1] @ g @ frame[:, 2])),   # omega_13(e2)
     )
 
+    # dh_frame[l, a, b] = (nabla_{e_l} h)(e_a, e_b); cov_g[l, i] = <nabla_{e_l} e1, e_i>
+    dh_frame = np.einsum(
+        "xab,xl,ai,bj->lij", _nabla_second_form(m, q, pg), frame, frame, frame
+    )
+    cov_g = cov_e1 @ g @ frame
+    h1 = frame[:, 0] @ h @ frame
+
     details: dict[str, float] = {}
     skipped: list[str] = []
+    dk1 = dh_frame[:, 0, 0] + 2.0 * cov_g @ h1
+    details["k1-flat-2"] = abs(float(dk1[1]))
+    details["k1-flat-3"] = abs(float(dk1[2]))
 
-    # k1 as a smooth field: Rayleigh quotient of the shape operator on e1
-    def k1_at(qq: np.ndarray) -> float:
-        sample = _frame_sample(m, qq, eps_reg)
-        return float(sample.values[0])
-
-    def directional(fn, direction: np.ndarray, h: float):
-        return (fn(q + h * direction) - fn(q - h * direction)) / (2.0 * h)
-
-    details["k1-flat-2"] = abs(directional(k1_at, frame[:, 1], step))
-    details["k1-flat-3"] = abs(directional(k1_at, frame[:, 2], step))
-
-    # nested second-order check: the e1-derivative of k1 stays flat sideways
-    def e1_of_k1(qq: np.ndarray) -> float:
-        sample = _frame_sample(m, qq, eps_reg)
-        direction = sample.frame[:, 0]
-        return float(
-            (k1_at(qq + step * direction) - k1_at(qq - step * direction)) / (2.0 * step)
-        )
-
-    outer = nested_factor * step
-    details["k1-flat-nested-2"] = abs(directional(e1_of_k1, frame[:, 1], outer))
-    details["k1-flat-nested-3"] = abs(directional(e1_of_k1, frame[:, 2], outer))
-
-    gap23 = abs(values[2] - values[1])
+    gap23 = abs(lams[1] - lams[0])
     if gap23 < tol_gap:
         skipped.extend(
             [
@@ -441,38 +379,25 @@ def structural_residuals(
             ]
         )
     else:
-        lam2, lam3 = float(values[1]), float(values[2])
-
-        def complement_at(qq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return _match_complement(base, _frame_sample(m, qq, eps_reg))
-
-        dvals = np.empty((n, 2))
-        cov_e2 = np.empty((n, n))
-        for l in range(n):
-            disp = step * frame[:, l]
-            cols_p, vals_p = complement_at(q + disp)
-            cols_m, vals_m = complement_at(q - disp)
-            dvals[l] = (vals_p - vals_m) / (2.0 * step)
-            diff = (cols_p[:, 0] - cols_m[:, 0]) / (2.0 * step)
-            cov_e2[l] = diff + np.einsum("kab,a,b->k", gamma, frame[:, l], frame[:, 1])
-
-        omega23 = np.array([float(cov_e2[l] @ g @ frame[:, 2]) for l in range(n)])
+        lam2, lam3 = float(lams[0]), float(lams[1])
+        # dvals[l, i] = e_l(k_{i+2}); twist[l] = (k2 - k3) omega_23(e_l)
+        dvals = dh_frame[:, [1, 2], [1, 2]] - 2.0 * cov_g[:, 1:] * h1[1:]
+        twist = dh_frame[:, 1, 2] - cov_g[:, 1] * h1[2] - cov_g[:, 2] * h1[1]
         coeff2 = (1.0 + mu * cos_t * lam2) / (mu * sin_t)
         coeff3 = (1.0 + mu * cos_t * lam3) / (mu * sin_t)
-        details["k2-transport"] = abs(dvals[0, 0] - coeff2 * (k1 - lam2))
-        details["k3-transport"] = abs(dvals[0, 1] - coeff3 * (k1 - lam3))
-        details["frame-twist"] = abs(omega23[0] * (lam2 - lam3))
-        details["k3-cross"] = abs(dvals[1, 1] - omega23[2] * (lam2 - lam3))
-        details["k2-cross"] = abs(dvals[2, 0] - omega23[1] * (lam2 - lam3))
+        details["k2-transport"] = abs(float(dvals[0, 0] - coeff2 * (k1 - lam2)))
+        details["k3-transport"] = abs(float(dvals[0, 1] - coeff3 * (k1 - lam3)))
+        details["frame-twist"] = abs(float(twist[0]))
+        details["k3-cross"] = abs(float(dvals[1, 1] - twist[2]))
+        details["k2-cross"] = abs(float(dvals[2, 0] - twist[1]))
 
-    r_codazzi_system = max(details.values()) if details else 0.0
     return StructuralResiduals(
         r_geodesic=r_geodesic,
         r_k1=float(r_k1),
         r_theta_flat=r_theta_flat,
         r_shape_coeff=r_shape_coeff,
         r_omega=r_omega,
-        r_codazzi_system=r_codazzi_system,
+        r_codazzi_system=max(details.values()),
         details=details,
         skipped=tuple(skipped),
     )
@@ -517,7 +442,6 @@ class Tolerances:
     tol_gap: float = 1e-4
     eps_reg: float = EPS_REG
     eps_tan_rel: float = 1e-8
-    step_rel: float = 1e-4
 
     def as_dict(self) -> dict:
         return {
@@ -526,7 +450,6 @@ class Tolerances:
             "tol_gap": self.tol_gap,
             "eps_reg": self.eps_reg,
             "eps_tan_rel": self.eps_tan_rel,
-            "step_rel": self.step_rel,
         }
 
 
@@ -567,7 +490,7 @@ class SurfaceReport:
 
 
 def _classify_point(
-    m: Immersion, p: np.ndarray, tols: Tolerances, include_structural: bool, step: float
+    m: Immersion, p: np.ndarray, tols: Tolerances, include_structural: bool
 ):
     try:
         pg = point_geometry(m, p, eps_reg=tols.eps_reg, check_domain=False)
@@ -600,7 +523,7 @@ def _classify_point(
         else:
             try:
                 structural = structural_residuals(
-                    m, p, pg=pg, pd=pd, pa=pa, step=step,
+                    m, p, pg=pg, pd=pd, pa=pa,
                     tol_gap=tols.tol_gap, eps_reg=tols.eps_reg,
                 )
             except (GeometryError, DegeneratePointError, ExprError) as exc:
@@ -640,14 +563,13 @@ def classify_surface(
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
-    step = tols.step_rel * max(hi - lo for lo, hi in m.domain)
 
     if workers is None:
         workers = int(os.environ.get("GCRKIT_THREADS", "1") or "1")
     workers = max(1, workers)
 
     def job(p):
-        return _classify_point(m, p, tols, include_structural, step)
+        return _classify_point(m, p, tols, include_structural)
 
     if workers == 1:
         outcomes = [job(p) for p in points]

@@ -6,13 +6,16 @@ jet evaluations: first fundamental form, oriented unit normal, second
 fundamental form, Christoffel symbols, shape operator, principal
 curvatures/directions, mean-curvature ladder, and the residuals of the
 Gauss and Codazzi equations (which hold for every immersion and therefore
-double as an end-to-end self-test of the derivative pipeline).
+double as an end-to-end self-test of the derivative pipeline).  Derivatives
+of the principal frame come in closed form from the covariant derivative of
+the second fundamental form (first-order eigen-perturbation), so no frame is
+ever differenced across neighbouring points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -78,7 +81,8 @@ class EvaluationError(GeometryError):
 
 
 class NearUmbilicError(GeometryError):
-    """Principal directions are too ill-conditioned for frame differencing."""
+    """Principal curvatures are too close together for the eigen-perturbation
+    formulas, which divide by their differences."""
 
 
 # -- immersion ---------------------------------------------------------------------
@@ -292,7 +296,6 @@ class PointGeometry:
     second_form: np.ndarray    # h_ij = <x_ij, N>
     christoffel: np.ndarray    # [l, i, j] -> Gamma^l_ij
     shape: np.ndarray          # S = g^{-1} h
-    jets: list[Jet] = field(repr=False, default_factory=list)
 
     @property
     def n(self) -> int:
@@ -331,7 +334,6 @@ def _assemble_point_geometry(
         second_form=h,
         christoffel=gamma,
         shape=shape,
-        jets=jets,
     )
 
 
@@ -471,6 +473,27 @@ class DerivativeBundle:
         return num / (gu * gv - guv * guv)
 
 
+def _third_order(
+    pg: PointGeometry, jets: list[Jet], normal: np.ndarray, dn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Third partials of x and d_i h_jk at the point of ``pg``, given order-3
+    jets of the components there, the unit normal and dn[i] = d_i N."""
+    thr = np.stack([j.third for j in jets])
+    dh = np.einsum("cijk,c->ijk", thr, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
+    return thr, dh
+
+
+def _nabla_second_form(m: Immersion, p: np.ndarray, pg: PointGeometry) -> np.ndarray:
+    """[l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am,
+    from one order-3 evaluation at the point of ``pg``."""
+    jets = evaluate_jets(m, p, order=3, check_domain=False)
+    # Weingarten's d_i N = -S^k_i x_k; the self-test's independent normal
+    # jets stay in derivative_bundle, where Codazzi checks them.
+    _, dh = _third_order(pg, jets, pg.normal, -(pg.jac @ pg.shape).T)
+    gamma, h = pg.christoffel, pg.second_form
+    return dh - np.einsum("mla,mb->lab", gamma, h) - np.einsum("mlb,am->lab", gamma, h)
+
+
 def derivative_bundle(
     m: Immersion,
     p: Sequence[float],
@@ -480,21 +503,15 @@ def derivative_bundle(
     q = np.asarray(p, dtype=float)
     jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
     pg = _assemble_point_geometry(m, q, jets, eps_reg)
-    n = pg.n
-    jac, sec = pg.jac, pg.second
-    thr = np.stack([j.third for j in jets])
-    g, ginv = pg.metric, np.linalg.inv(pg.metric)
-    gamma = pg.christoffel
-
     njets = normal_jets(jets)
     normal = np.array([nj.value for nj in njets])
+    dn = np.stack([nj.grad for nj in njets], axis=1)
     if normal @ pg.normal < 0:  # defensive; construction fixes orientation
-        normal = -normal
-        dn = -np.stack([nj.grad for nj in njets], axis=1)
-    else:
-        dn = np.stack([nj.grad for nj in njets], axis=1)
-
-    dh = np.einsum("cijk,c->ijk", thr, normal) + np.einsum("cjk,ic->ijk", sec, dn)
+        normal, dn = -normal, -dn
+    thr, dh = _third_order(pg, jets, normal, dn)
+    jac, sec = pg.jac, pg.second
+    g, ginv = pg.metric, np.linalg.inv(pg.metric)
+    gamma = pg.christoffel
 
     dg = np.einsum("cki,cj->kij", sec, jac)
     dg = dg + dg.transpose(0, 2, 1)
@@ -569,93 +586,24 @@ def gauss_residual(m: Immersion, p: Sequence[float], **kwargs) -> float:
     return gauss_residual_from_bundle(derivative_bundle(m, p, **kwargs))
 
 
-# -- frame differencing ---------------------------------------------------------------
-
-
-def default_step(m: Immersion) -> float:
-    extent = max(hi - lo for lo, hi in m.domain)
-    return 1e-4 * extent
-
-
-def match_frames(
-    g: np.ndarray, ref: np.ndarray, cand: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Permute and sign-align candidate frame columns against a reference.
-
-    Matching maximizes |<ref_i, cand_j>_g| greedily, which tracks smooth
-    eigenvector fields across nearby points when eigenvalue gaps are open.
-    """
-    n = ref.shape[1]
-    overlap = ref.T @ g @ cand
-    taken: set[int] = set()
-    perm = np.empty(n, dtype=int)
-    for i in range(n):
-        best, best_j = -1.0, -1
-        for j in range(n):
-            if j in taken:
-                continue
-            mag = abs(overlap[i, j])
-            if mag > best:
-                best, best_j = mag, j
-        perm[i] = best_j
-        taken.add(best_j)
-    cols = cand[:, perm].copy()
-    vals = values[perm].copy()
-    for i in range(n):
-        if overlap[i, perm[i]] < 0:
-            cols[:, i] = -cols[:, i]
-    return cols, vals
-
-
-def frame_derivatives(
-    m: Immersion,
-    p: np.ndarray,
-    pg: PointGeometry,
-    frame: np.ndarray,
-    values: np.ndarray,
-    frame_at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    step: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences of a frame field along its own directions.
-
-    Returns ``omega[i, j, l]`` = <nabla_{e_l} e_i, e_j> (antisymmetrized in
-    i, j) and ``dvalues[l, i]`` = directional derivative e_l(values_i).
-    """
-    n = pg.n
-    g = pg.metric
-    gamma = pg.christoffel
-    domega = np.zeros((n, n, n))
-    dvalues = np.zeros((n, n))
-    for l in range(n):
-        disp = step * frame[:, l]
-        plus_frame, plus_vals = frame_at(p + disp)
-        minus_frame, minus_vals = frame_at(p - disp)
-        plus_frame, plus_vals = match_frames(g, frame, plus_frame, plus_vals)
-        minus_frame, minus_vals = match_frames(g, frame, minus_frame, minus_vals)
-        dframe = (plus_frame - minus_frame) / (2.0 * step)
-        dvalues[l] = (plus_vals - minus_vals) / (2.0 * step)
-        for i in range(n):
-            cov = dframe[:, i] + np.einsum(
-                "kab,a,b->k", gamma, frame[:, l], frame[:, i]
-            )
-            domega[i, :, l] = cov @ g @ frame
-    omega = 0.5 * (domega - domega.transpose(1, 0, 2))
-    return omega, dvalues
+# -- principal frame derivatives -------------------------------------------------------
 
 
 def frame_connection_forms(
     m: Immersion,
     p: Sequence[float],
     pd: PrincipalData | None = None,
-    step: float | None = None,
     tol_gap: float = 1e-4,
     check_gaps: bool = True,
 ) -> np.ndarray:
     """Connection forms omega[i, j, l] = <nabla_{e_l} e_i, e_j> of the
-    principal frame, estimated by sign-aligned central differencing.
+    principal frame, from first-order eigen-perturbation of h v = k g v:
+    (k_i - k_j) omega[i, j, l] = (nabla_{e_l} h)(e_i, e_j).
 
     Requires open eigenvalue gaps; points closer than ``tol_gap`` to an
-    umbilic raise :class:`NearUmbilicError` unless ``check_gaps`` is off.
+    umbilic raise :class:`NearUmbilicError` unless ``check_gaps`` is off, in
+    which case forms between nearly equal curvatures are meaningless (and
+    zero between exactly equal ones).
     """
     q = np.asarray(p, dtype=float)
     pg = point_geometry(m, q, check_domain=False)
@@ -665,15 +613,7 @@ def frame_connection_forms(
         raise NearUmbilicError(
             f"eigenvalue gap {pd.gaps:.3e} below {tol_gap:.1e} at {q.tolist()}"
         )
-    if step is None:
-        step = default_step(m)
-
-    def frame_at(qq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pgq = point_geometry(m, qq, check_domain=False)
-        pdq = principal_data(pgq, tol_gap)
-        return pdq.directions, pdq.curvatures
-
-    omega, _ = frame_derivatives(
-        m, q, pg, pd.directions, pd.curvatures, frame_at, step
-    )
-    return omega
+    e, k = pd.directions, pd.curvatures
+    rhs = np.einsum("xab,xl,ai,bj->ijl", _nabla_second_form(m, q, pg), e, e, e)
+    gap = (k[:, None] - k[None, :])[:, :, None]
+    return np.divide(rhs, gap, out=np.zeros_like(rhs), where=gap != 0.0)

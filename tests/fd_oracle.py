@@ -1,0 +1,189 @@
+"""Finite-difference oracles for the closed-form frame derivatives.
+
+The structural residuals and the principal connection forms are computed in
+closed form from third-order jets.  These oracles re-estimate them the
+independent way, the way ``finite_difference_jet`` checks jets: whole frames
+are evaluated at neighbouring chart points with ``point_geometry``, matched
+to the reference frame column by column, and central-differenced.
+"""
+
+import math
+
+import numpy as np
+
+from gcrkit.gcr import (
+    DegeneratePointError,
+    StructuralResiduals,
+    g_complement_basis,
+    position_angles,
+)
+from gcrkit.geometry import point_geometry, principal_data
+
+
+def default_step(m):
+    return 1e-4 * max(hi - lo for lo, hi in m.domain)
+
+
+def match_frames(g, ref, cand, values):
+    """Permute and sign-align candidate frame columns against a reference.
+
+    Matching maximizes |<ref_i, cand_j>_g| greedily, which tracks smooth
+    eigenvector fields across nearby points when eigenvalue gaps are open.
+    """
+    n = ref.shape[1]
+    overlap = ref.T @ g @ cand
+    taken = set()
+    perm = np.empty(n, dtype=int)
+    for i in range(n):
+        best, best_j = -1.0, -1
+        for j in range(n):
+            if j not in taken and abs(overlap[i, j]) > best:
+                best, best_j = abs(overlap[i, j]), j
+        perm[i] = best_j
+        taken.add(best_j)
+    cols = cand[:, perm].copy()
+    vals = values[perm].copy()
+    for i in range(n):
+        if overlap[i, perm[i]] < 0:
+            cols[:, i] = -cols[:, i]
+    return cols, vals
+
+
+class _Sample:
+    """Position-adapted frame at one chart point: e1 along the tangential
+    position, then the complement eigenvectors, ascending."""
+
+    def __init__(self, m, q):
+        self.pg = pg = point_geometry(m, q, check_domain=False)
+        self.pa = pa = position_angles(m, q, pg)
+        if pa.degenerate:
+            raise DegeneratePointError(f"degenerate probe at {q.tolist()}")
+        g = pg.metric
+        comp = g_complement_basis(g, pa.e1)
+        restricted = comp.T @ g @ pg.shape @ comp
+        self.lams, vecs = np.linalg.eigh(0.5 * (restricted + restricted.T))
+        self.frame = np.column_stack([pa.e1, comp @ vecs])
+        self.k1 = float(pa.e1 @ pg.second_form @ pa.e1)
+
+
+def structural_residuals_fd(m, p, tol_gap=1e-4, step=None):
+    """``gcr.structural_residuals`` by sign-matched central differencing of
+    the position-adapted frame, with the same keys and skip rules."""
+    q = np.asarray(p, dtype=float)
+    base = _Sample(m, q)
+    pg, pa, frame = base.pg, base.pa, base.frame
+    pd = principal_data(pg, tol_gap)
+    if step is None:
+        step = default_step(m)
+    n = pg.n
+    g = pg.metric
+    gamma = pg.christoffel
+    mu, cos_t = pa.mu, pa.cos_theta
+    sin_t = pa.xT_norm / mu
+
+    def gnorm(v):
+        return float(math.sqrt(max(v @ g @ v, 0.0)))
+
+    def probes(direction):
+        disp = step * direction
+        return _Sample(m, q + disp), _Sample(m, q - disp)
+
+    k1_index = int(np.argmax(np.abs(frame[:, 0] @ g @ pd.directions)))
+    k1 = float(pd.curvatures[k1_index])
+    r_k1 = abs(k1 - frame[:, 0] @ pa.theta_grad + cos_t / mu)
+    r_theta_flat = max(
+        max(abs(float(frame[:, i] @ pa.theta_grad)), abs(float(frame[:, i] @ pa.mu_grad)))
+        for i in range(1, n)
+    )
+
+    samples = [probes(frame[:, l]) for l in range(n)]
+    cov_e1 = np.empty((n, n))
+    for l, (plus, minus) in enumerate(samples):
+        diff = (plus.frame[:, 0] - minus.frame[:, 0]) / (2.0 * step)
+        cov_e1[l] = diff + np.einsum("kab,a,b->k", gamma, frame[:, l], frame[:, 0])
+
+    r_geodesic = gnorm(cov_e1[0])
+    r_shape_coeff = 0.0
+    for i in range(1, n):
+        coeff = (1.0 + mu * cos_t * base.lams[i - 1]) / (mu * sin_t)
+        r_shape_coeff = max(r_shape_coeff, gnorm(cov_e1[i] - coeff * frame[:, i]))
+
+    if n == 2:
+        return StructuralResiduals(
+            r_geodesic, float(r_k1), r_theta_flat, r_shape_coeff, 0.0, 0.0, {},
+            ("curvature transport system (3-dimensional charts only)",),
+        )
+
+    r_omega = max(
+        abs(float(cov_e1[2] @ g @ frame[:, 1])),
+        abs(float(cov_e1[1] @ g @ frame[:, 2])),
+    )
+    details = {
+        "k1-flat-2": abs(samples[1][0].k1 - samples[1][1].k1) / (2.0 * step),
+        "k1-flat-3": abs(samples[2][0].k1 - samples[2][1].k1) / (2.0 * step),
+    }
+    skipped = []
+    lam2, lam3 = float(base.lams[0]), float(base.lams[1])
+    if abs(lam3 - lam2) < tol_gap:
+        skipped = [
+            f"{name} (complement curvatures coincide)"
+            for name in (
+                "k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross"
+            )
+        ]
+    else:
+        dvals = np.empty((n, 2))
+        cov_e2 = np.empty((n, n))
+        for l, (plus, minus) in enumerate(samples):
+            cols_p, vals_p = match_frames(g, frame[:, 1:], plus.frame[:, 1:], plus.lams)
+            cols_m, vals_m = match_frames(g, frame[:, 1:], minus.frame[:, 1:], minus.lams)
+            dvals[l] = (vals_p - vals_m) / (2.0 * step)
+            diff = (cols_p[:, 0] - cols_m[:, 0]) / (2.0 * step)
+            cov_e2[l] = diff + np.einsum("kab,a,b->k", gamma, frame[:, l], frame[:, 1])
+        omega23 = cov_e2 @ g @ frame[:, 2]
+        coeff2 = (1.0 + mu * cos_t * lam2) / (mu * sin_t)
+        coeff3 = (1.0 + mu * cos_t * lam3) / (mu * sin_t)
+        details["k2-transport"] = abs(dvals[0, 0] - coeff2 * (k1 - lam2))
+        details["k3-transport"] = abs(dvals[0, 1] - coeff3 * (k1 - lam3))
+        details["frame-twist"] = abs(omega23[0] * (lam2 - lam3))
+        details["k3-cross"] = abs(dvals[1, 1] - omega23[2] * (lam2 - lam3))
+        details["k2-cross"] = abs(dvals[2, 0] - omega23[1] * (lam2 - lam3))
+
+    return StructuralResiduals(
+        r_geodesic=r_geodesic,
+        r_k1=float(r_k1),
+        r_theta_flat=r_theta_flat,
+        r_shape_coeff=r_shape_coeff,
+        r_omega=r_omega,
+        r_codazzi_system=max(details.values()),
+        details=details,
+        skipped=tuple(skipped),
+    )
+
+
+def frame_connection_forms_fd(m, p, tol_gap=1e-4, step=None):
+    """``geometry.frame_connection_forms`` by central differencing of the
+    matched principal frame along its own directions."""
+    q = np.asarray(p, dtype=float)
+    pg = point_geometry(m, q, check_domain=False)
+    pd = principal_data(pg, tol_gap)
+    frame = pd.directions
+    if step is None:
+        step = default_step(m)
+    n = pg.n
+    g = pg.metric
+
+    def frame_at(qq):
+        pdq = principal_data(point_geometry(m, qq, check_domain=False), tol_gap)
+        return match_frames(g, frame, pdq.directions, pdq.curvatures)[0]
+
+    domega = np.zeros((n, n, n))
+    for l in range(n):
+        disp = step * frame[:, l]
+        dframe = (frame_at(q + disp) - frame_at(q - disp)) / (2.0 * step)
+        for i in range(n):
+            cov = dframe[:, i] + np.einsum(
+                "kab,a,b->k", pg.christoffel, frame[:, l], frame[:, i]
+            )
+            domega[i, :, l] = cov @ g @ frame
+    return 0.5 * (domega - domega.transpose(1, 0, 2))

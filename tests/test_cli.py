@@ -48,12 +48,24 @@ def test_canonical_json_formatting():
 def test_check_bundled_spec(capsys):
     assert main(["check", "special_sqrt2.json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["surface"]["family"] == "special_sqrt2"
     assert doc["summary"]["flags"]["is_gcr"] is True
     assert doc["summary"]["flags"]["is_3_minimal"] is True
-    assert doc["engine"]["seed"] is None
+    assert doc["engine"] == {"jet_order": 2}
+    assert "step_rel" not in doc["tolerances"]
     assert "per_point" not in doc
+
+
+def test_check_full_records_order3_engine(capsys):
+    assert main(["check", "special_sqrt2.json", "--grid", "2", "--full"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["engine"] == {"jet_order": 3}
+    details = doc["per_point"][0]["structural"]["details"]
+    assert set(details) == {
+        "k1-flat-2", "k1-flat-3", "k2-transport", "k3-transport",
+        "frame-twist", "k3-cross", "k2-cross",
+    }
 
 
 def test_check_full_report_and_grid_override(tmp_path, capsys):
@@ -65,6 +77,7 @@ def test_check_full_report_and_grid_override(tmp_path, capsys):
     rec = doc["per_point"][0]
     assert set(rec) >= {"point", "mu", "theta", "k", "H", "gcr_primary", "delta2"}
     assert rec["delta2"] is None  # two-variable charts have no spectral split
+    assert doc["engine"] == {"jet_order": 2}  # no transport system, no order-3 jets
     assert doc["summary"]["flags"]["is_gcr"] is False
 
 
@@ -151,6 +164,7 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
              "domain": {"s": [1.0, 0.0], "t": [0, 1]}},
             "empty",
         ),
+        ({"family": "special_sqrt2", "tolerances": {"step_rel": 1e-4}}, "step_rel"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TWO_PI, random_family
+from conftest import TWO_PI, gcr_positive_surfaces, random_family, sample_points
+from fd_oracle import structural_residuals_fd
 from gcrkit.catalog import (
+    FAMILY_TAGS,
     hypercylinder_rotational,
     rotational,
     so2_x_so2,
@@ -28,7 +30,7 @@ from gcrkit.gcr import (
     position_angles,
     structural_residuals,
 )
-from gcrkit.geometry import Immersion, point_geometry, principal_data
+from gcrkit.geometry import Immersion, derivative_bundle, point_geometry, principal_data
 from gcrkit.jet import finite_difference_jet
 
 
@@ -56,23 +58,42 @@ def test_position_split_reconstructs_the_position():
 
 
 def test_angle_gradients_match_fd():
-    m = so2_x_so2()
-    p = (1.2, 0.8, 2.0)
-    pg = point_geometry(m, p)
-    pa = position_angles(m, p, pg)
+    rng = np.random.default_rng(32)
+    # catalog charts follow curvature lines; the graph's shape operator is not symmetric
+    graph = Immersion.from_exprs(
+        "graph", ("s", "t", "u", "0.5 + s*t + 0.3*u^2 + 0.2*sin(s + u)"),
+        ("s", "t", "u"), ((0.2, 1.2), (0.2, 1.2), (0.2, 1.2)),
+    )
+    cases = [(so2_x_so2(), [np.array([1.2, 0.8, 2.0])], 1e-8)]
+    for m in [random_family(tag, rng) for tag in FAMILY_TAGS] + [graph]:
+        cases.append((m, sample_points(m, rng, 2), 1e-6))
+    for m, points, atol in cases:
 
-    def theta_of(q):
-        pgq = point_geometry(m, tuple(q), check_domain=False)
-        return position_angles(m, tuple(q), pgq).theta
+        def angles(q):
+            return position_angles(m, q, point_geometry(m, q, check_domain=False))
 
-    def mu_of(q):
-        pgq = point_geometry(m, tuple(q), check_domain=False)
-        return position_angles(m, tuple(q), pgq).mu
+        for p in points:
+            pa = angles(p)
+            if pa.degenerate:
+                continue
+            fd_theta = finite_difference_jet(lambda q: angles(q).theta, p, order=1)
+            fd_mu = finite_difference_jet(lambda q: angles(q).mu, p, order=1)
+            assert np.max(np.abs(pa.theta_grad - fd_theta.grad)) < atol, m.name
+            assert np.max(np.abs(pa.mu_grad - fd_mu.grad)) < atol, m.name
 
-    fd_theta = finite_difference_jet(theta_of, p, order=1)
-    fd_mu = finite_difference_jet(mu_of, p, order=1)
-    assert np.allclose(pa.theta_grad, fd_theta.grad, atol=1e-8)
-    assert np.allclose(pa.mu_grad, fd_mu.grad, atol=1e-8)
+
+def test_position_angles_accept_order3_geometry():
+    rng = np.random.default_rng(31)
+    for tag in FAMILY_TAGS:
+        m = random_family(tag, rng)
+        for p in sample_points(m, rng, 2):
+            pa2 = position_angles(m, p, point_geometry(m, p))
+            pa3 = position_angles(m, p, derivative_bundle(m, p).pg)
+            assert pa3.degenerate == pa2.degenerate
+            assert math.isclose(pa3.theta, pa2.theta, rel_tol=1e-12, abs_tol=1e-12)
+            if not pa2.degenerate:
+                assert np.allclose(pa3.theta_grad, pa2.theta_grad, rtol=1e-9, atol=1e-12)
+                assert np.allclose(pa3.mu_grad, pa2.mu_grad, rtol=1e-9, atol=1e-12)
 
 
 def test_self_similar_family_position_facts():
@@ -194,6 +215,44 @@ def test_structural_residuals_small_on_positive():
     assert s.r_codazzi_system < 1e-5
     assert set(s.details) >= {"k1-flat-2", "k1-flat-3", "k2-transport"}
     assert s.skipped == ()
+
+
+STRUCTURAL_KEYS = (
+    "r_geodesic", "r_k1", "r_theta_flat", "r_shape_coeff", "r_omega", "r_codazzi_system",
+)
+
+
+def _structural_samples(surfaces, seed):
+    rng = np.random.default_rng(seed)
+    for label, m, _ in surfaces:
+        for p in sample_points(m, rng, 5):
+            try:
+                yield label, m, p, structural_residuals(m, p)
+            except DegeneratePointError:
+                continue
+
+
+def test_structural_residuals_match_fd_oracle():
+    surfaces = gcr_positive_surfaces() + [
+        ("hypercylinder_rotational", hypercylinder_rotational(), False)
+    ]
+    checked = set()
+    for label, m, p, exact in _structural_samples(surfaces, 41):
+        oracle = structural_residuals_fd(m, p)
+        assert exact.skipped == oracle.skipped, label
+        assert set(exact.details) == set(oracle.details), label
+        pairs = [(getattr(exact, k), getattr(oracle, k), k) for k in STRUCTURAL_KEYS]
+        pairs += [(exact.details[k], oracle.details[k], k) for k in oracle.details]
+        for value, reference, key in pairs:
+            assert abs(value - reference) <= 1e-4 * max(1.0, abs(reference)), (label, key, p)
+        checked.add(label)
+    assert checked == {label for label, _, _ in surfaces}
+
+
+def test_structural_residuals_vanish_on_gcr_surfaces():
+    for label, _, p, sr in _structural_samples(gcr_positive_surfaces(), 42):
+        values = [getattr(sr, k) for k in STRUCTURAL_KEYS] + list(sr.details.values())
+        assert max(values) < 1e-8, (label, p, sr)
 
 
 def test_structural_residuals_flag_violations_on_negative():

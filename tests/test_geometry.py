@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family, sample_points
+from fd_oracle import frame_connection_forms_fd
 from gcrkit.catalog import (
     hyperplane,
     hypercylinder_rotational,
@@ -319,6 +320,20 @@ def test_connection_forms_antisymmetric():
     omega = frame_connection_forms(m, p)
     assert omega.shape == (3, 3, 3)
     assert np.max(np.abs(omega + np.transpose(omega, (1, 0, 2)))) < 1e-6
+
+
+def test_connection_forms_match_fd_oracle():
+    rng = np.random.default_rng(19)
+    checked = 0
+    for tag in ("so2_x_so2", "tangent_cone", "curve_tube", "special_sqrt2", "product_cylinder"):
+        m = random_family(tag, rng)
+        for p in sample_points(m, rng, 3):
+            if principal_data(point_geometry(m, p)).gaps < 1e-2:
+                continue
+            omega = frame_connection_forms(m, p)
+            assert np.max(np.abs(omega - frame_connection_forms_fd(m, p))) < 1e-6, tag
+            checked += 1
+    assert checked >= 10
 
 
 def test_connection_forms_near_umbilic_guard():
