@@ -594,9 +594,7 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
         inv_norm = 1.0 / jet.sqrt(norm_sq)
         return [s * y_lo[k] + c * (raw[k] * inv_norm) for k in range(4)]
 
-    return Immersion.from_mapping(
-        "tangent_cone", mapping, ("s", "v", "w"), box, exact_order=2
-    )
+    return Immersion.from_mapping("tangent_cone", mapping, ("s", "v", "w"), box)
 
 
 _DEFAULT_TUBE_CURVE = ("cos(w)", "sin(w)", "0", "0")

@@ -444,7 +444,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     ci = curvature_invariants(pd.curvatures)
-    pa = position_angles(m, point, pg)
+    pa = position_angles(pg)
     if pa.degenerate:
         primary = secondary = None
     else:

@@ -324,6 +324,7 @@ def _is_constant_jet(x: Jet) -> bool:
         not x.grad.any()
         and not x.hess.any()
         and not x.third.any()
+        and not x.fourth.any()
     )
 
 

@@ -29,6 +29,7 @@ from .geometry import (
     PointGeometry,
     PrincipalData,
     SingularPointError,
+    _fix_direction_signs,
     _nabla_second_form,
     curvature_invariants,
     point_geometry,
@@ -85,17 +86,12 @@ class PositionAngles:
     mu_grad: np.ndarray | None
 
 
-def position_angles(
-    m: Immersion | None,
-    p: Sequence[float],
-    pg: PointGeometry,
-    eps_tan_rel: float = 1e-8,
-) -> PositionAngles:
+def position_angles(pg: PointGeometry, eps_tan_rel: float = 1e-8) -> PositionAngles:
     """Tangential/normal split of the position vector at a regular point.
 
-    Everything comes from ``pg`` (``m`` and ``p`` are not needed).  With
-    b = J^T x, the gradients are d mu = b / mu and, by Weingarten's
-    d<x, N> = -S^T b, d theta = (S^T b + cos(theta) d mu) / (mu sin(theta)).
+    Everything comes from ``pg``.  With b = J^T x, the gradients are
+    d mu = b / mu and, by Weingarten's d<x, N> = -S^T b,
+    d theta = (S^T b + cos(theta) d mu) / (mu sin(theta)).
     """
     pos = pg.position
     mu = float(np.linalg.norm(pos))
@@ -220,30 +216,6 @@ class StructuralResiduals:
     skipped: tuple[str, ...] = ()
 
 
-def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 2x2 (or 1x1) matrix, ascending."""
-    if a.shape == (1, 1):
-        return np.array([a[0, 0]]), np.eye(1)
-    half_diff = 0.5 * (a[1, 1] - a[0, 0])
-    b = a[0, 1]
-    disc = math.hypot(half_diff, b)
-    mean = 0.5 * (a[0, 0] + a[1, 1])
-    vals = np.array([mean - disc, mean + disc])
-    if disc < 1e-300:
-        return vals, np.eye(2)
-    # eigenvector for the smaller eigenvalue, stable choice of formula
-    if half_diff >= 0:
-        v0 = np.array([half_diff + disc, -b])
-    else:
-        v0 = np.array([b, half_diff - disc])
-    norm = np.linalg.norm(v0)
-    if norm == 0.0:
-        return vals, np.eye(2)
-    v0 /= norm
-    vecs = np.column_stack([v0, [-v0[1], v0[0]]])
-    return vals, vecs
-
-
 def _structural_frame(
     pg: PointGeometry, pa: PositionAngles
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +228,8 @@ def _structural_frame(
     comp = g_complement_basis(g, e1)
     restricted = comp.T @ g @ pg.shape @ comp
     restricted = 0.5 * (restricted + restricted.T)
-    vals, vecs = _eigh2(restricted)
-    cols = comp @ vecs
-    for i in range(cols.shape[1]):
-        lead = int(np.argmax(np.abs(cols[:, i])))
-        if cols[lead, i] < 0:
-            cols[:, i] = -cols[:, i]
-    return np.column_stack([e1, cols]), vals
+    vals, vecs = np.linalg.eigh(restricted)
+    return np.column_stack([e1, _fix_direction_signs(comp @ vecs)]), vals
 
 
 def structural_residuals(
@@ -298,7 +265,7 @@ def structural_residuals(
     if pg is None:
         pg = point_geometry(m, q, eps_reg=eps_reg, check_domain=False)
     if pa is None:
-        pa = position_angles(m, q, pg)
+        pa = position_angles(pg)
     if pa.degenerate:
         raise DegeneratePointError("structural identities are vacuous at this point")
     if pd is None:
@@ -495,7 +462,7 @@ def _classify_point(
     try:
         pg = point_geometry(m, p, eps_reg=tols.eps_reg, check_domain=False)
         pd = principal_data(pg, tols.tol_gap)
-        pa = position_angles(m, p, pg, eps_tan_rel=tols.eps_tan_rel)
+        pa = position_angles(pg, eps_tan_rel=tols.eps_tan_rel)
     except SingularPointError as exc:
         return ("skip", tuple(p), f"singular metric (det g = {exc.det_g:.3e})")
     except (GeometryError, ExprError) as exc:

@@ -94,9 +94,8 @@ class Immersion:
 
     Components are either expression trees over the chart variables or an
     opaque jet-to-jet mapping (used by catalog families whose normals or
-    frames have no closed form).  ``exact_order`` is the highest derivative
-    order the component evaluation delivers exactly; order-3 requests above
-    it are completed by differencing exact lower-order jets.
+    frames have no closed form).  Either way, the jets it returns are exact
+    at the order of the seeds it is given.
     """
 
     name: str
@@ -104,7 +103,6 @@ class Immersion:
     domain: tuple[tuple[float, float], ...]
     components: tuple[Expr, ...] | None = None
     mapping: Callable[[tuple[Jet, ...]], Sequence[Jet]] | None = None
-    exact_order: int = 3
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -121,8 +119,6 @@ class Immersion:
             raise ValueError(
                 f"need {n + 1} ambient components, got {len(self.components)}"
             )
-        if self.exact_order not in (2, 3):
-            raise ValueError("exact_order must be 2 or 3")
 
     @property
     def n(self) -> int:
@@ -154,12 +150,9 @@ class Immersion:
         mapping: Callable[[tuple[Jet, ...]], Sequence[Jet]],
         var_names: Sequence[str],
         domain: Sequence[Sequence[float]],
-        exact_order: int = 3,
     ) -> "Immersion":
         box = tuple((float(lo), float(hi)) for lo, hi in domain)
-        return cls(
-            name, tuple(var_names), box, mapping=mapping, exact_order=exact_order
-        )
+        return cls(name, tuple(var_names), box, mapping=mapping)
 
     def contains(self, p: Sequence[float], slack: float = 1e-12) -> bool:
         for value, (lo, hi) in zip(p, self.domain):
@@ -169,49 +162,11 @@ class Immersion:
         return True
 
 
-def _evaluate_at_order(m: Immersion, p: np.ndarray, order: int) -> list[Jet]:
-    n = m.n
-    seeds = tuple(jet_variable(i, p[i], n, order) for i in range(n))
-    try:
-        if m.components is not None:
-            env = dict(zip(m.var_names, seeds))
-            return [eval_expr(c, env) for c in m.components]
-        return list(m.mapping(seeds))
-    except (ExprError, ArithmeticError, ValueError) as exc:
-        raise EvaluationError(p, exc) from exc
-
-
-def _complete_third_order(m: Immersion, p: np.ndarray) -> list[Jet]:
-    """Order-3 jets for an immersion whose components are exact to order 2.
-
-    The third-derivative tensor is reconstructed by central-differencing the
-    exact Hessians at six shifted points and symmetrizing; with steps near
-    cbrt(eps) the slots are accurate to about 1e-10.
-    """
-    n = m.n
-    base = _evaluate_at_order(m, p, 2)
-    steps = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p))
-    dhess = np.zeros((m.ambient_dim, n, n, n))
-    for axis in range(n):
-        q = p.copy()
-        q[axis] += steps[axis]
-        plus = _evaluate_at_order(m, q, 2)
-        q[axis] = p[axis] - steps[axis]
-        minus = _evaluate_at_order(m, q, 2)
-        for c in range(m.ambient_dim):
-            dhess[c, axis] = (plus[c].hess - minus[c].hess) / (2.0 * steps[axis])
-    out = []
-    for c, jet2 in enumerate(base):
-        d = dhess[c]
-        third = (d + d.transpose(1, 0, 2) + d.transpose(2, 1, 0)) / 3.0
-        out.append(Jet(n, 3, jet2.value, jet2.grad, jet2.hess, third))
-    return out
-
-
 def evaluate_jets(
     m: Immersion, p: Sequence[float], order: int = 3, check_domain: bool = True
 ) -> list[Jet]:
-    """Jets of all ambient components of ``m`` at chart point ``p``."""
+    """Jets of all ambient components of ``m`` at chart point ``p``, from one
+    evaluation of its components at seeds of the requested order."""
     if order not in (1, 2, 3):
         raise ValueError(f"evaluation order must be 1, 2 or 3, got {order}")
     q = np.asarray(p, dtype=float)
@@ -219,9 +174,14 @@ def evaluate_jets(
         raise ValueError(f"expected a chart point with {m.n} coordinates")
     if check_domain and not m.contains(q):
         raise OutOfDomainError(q, m.domain)
-    if order <= m.exact_order:
-        return _evaluate_at_order(m, q, order)
-    return _complete_third_order(m, q)
+    seeds = tuple(jet_variable(i, q[i], m.n, order) for i in range(m.n))
+    try:
+        if m.mapping is not None:
+            return list(m.mapping(seeds))
+        env = dict(zip(m.var_names, seeds))
+        return [eval_expr(c, env) for c in m.components]
+    except (ExprError, ArithmeticError, ValueError) as exc:
+        raise EvaluationError(q, exc) from exc
 
 
 # -- generalized cross product -------------------------------------------------------
@@ -352,34 +312,6 @@ def point_geometry(
 # -- principal curvatures ---------------------------------------------------------------
 
 
-def _cyclic_jacobi(a: np.ndarray, sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi sweeps."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(sweeps):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
-
-
 @dataclass
 class PrincipalData:
     """Sorted principal curvatures with g-orthonormal direction columns."""
@@ -405,19 +337,15 @@ def _fix_direction_signs(directions: np.ndarray) -> np.ndarray:
 
 
 def principal_data(pg: PointGeometry, tol_gap: float = 1e-4) -> PrincipalData:
-    """Solve h v = k g v via Cholesky reduction plus cyclic Jacobi."""
+    """Solve h v = k g v via Cholesky reduction plus a symmetric eigensolver."""
     try:
         chol = np.linalg.cholesky(pg.metric)
     except np.linalg.LinAlgError as exc:
         raise SingularPointError(pg.point, pg.det_metric) from exc
     li = np.linalg.inv(chol)
     a = li @ pg.second_form @ li.T
-    a = 0.5 * (a + a.T)
-    w, y = _cyclic_jacobi(a)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vecs = np.linalg.solve(chol.T, y[:, order])
-    vecs = _fix_direction_signs(vecs)
+    w, y = np.linalg.eigh(0.5 * (a + a.T))
+    vecs = _fix_direction_signs(li.T @ y)
     n = w.size
     gaps = float(min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n)))
     distinct = 1 + int(np.sum(np.diff(w) > tol_gap))

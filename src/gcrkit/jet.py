@@ -1,10 +1,10 @@
-"""Forward-mode jet arithmetic: truncated Taylor data up to third order.
+"""Forward-mode jet arithmetic: truncated Taylor data up to fourth order.
 
 A Jet carries a scalar value together with its partial derivatives up to
-``order`` (at most 3) with respect to ``n`` chart variables (at most 3).
+``order`` (at most 4) with respect to ``n`` chart variables (at most 3).
 Arithmetic propagates derivatives exactly via the Leibniz and chain rules,
-so downstream curvature code never touches a finite difference.  Jets are
-treated as immutable values; no operation mutates its operands.
+so no production code path touches a finite difference.  Jets are treated
+as immutable values; no operation mutates its operands.
 
 ``finite_difference_jet`` is the independent test oracle.  It estimates the
 same derivative slots from central differences of plain evaluations and must
@@ -22,10 +22,8 @@ __all__ = [
     "Jet",
     "JetDomainError",
     "FiniteDifferenceError",
-    "ELEMENTARY_TAGS",
     "jet_variable",
     "jet_constant",
-    "jet_elementary",
     "finite_difference_jet",
     "sin",
     "cos",
@@ -33,13 +31,23 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "asin",
-    "acos",
     "atan",
-    "atan2",
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    z = np.zeros(shape)
+    z.flags.writeable = False
+    return z
+
+
+# _ZEROS[n] = read-only zero (grad, hess, third, fourth) for arity n; every
+# slot above a jet's order is one of these, and no arithmetic touches it
+_ZEROS = {
+    n: tuple(_frozen_zeros((n,) * rank) for rank in (1, 2, 3, 4)) for n in (1, 2, 3)
+}
 
 
 class JetDomainError(ValueError):
@@ -61,15 +69,26 @@ def _sym3(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return t + t.transpose(1, 0, 2) + t.transpose(2, 1, 0)
 
 
+def _sym4(t: np.ndarray) -> np.ndarray:
+    # t_ijkl + t_jikl + t_kijl + t_lijk for t symmetric in its last three
+    # indices: the four placements of a grad index against a third slot
+    return t + t.transpose(1, 0, 2, 3) + t.transpose(1, 2, 0, 3) + t.transpose(1, 2, 3, 0)
+
+
+def _pairings(w: np.ndarray) -> np.ndarray:
+    # w_ijkl + w_ikjl + w_iljk: the three splits of four indices into pairs
+    return w + w.transpose(0, 2, 1, 3) + w.transpose(0, 2, 3, 1)
+
+
 class Jet:
     """Truncated Taylor expansion of a scalar field at a chart point.
 
-    Derivative slots above ``order`` are kept identically zero.  ``hess`` is
-    symmetric and ``third`` is symmetric under every index permutation; all
-    operations preserve both properties.
+    Derivative slots above ``order`` are shared read-only zero arrays.
+    ``hess`` is symmetric and ``third`` and ``fourth`` are symmetric under
+    every index permutation; all operations preserve these properties.
     """
 
-    __slots__ = ("n", "order", "value", "grad", "hess", "third")
+    __slots__ = ("n", "order", "value", "grad", "hess", "third", "fourth")
 
     def __init__(
         self,
@@ -79,24 +98,27 @@ class Jet:
         grad: np.ndarray | None = None,
         hess: np.ndarray | None = None,
         third: np.ndarray | None = None,
+        fourth: np.ndarray | None = None,
     ):
         if n not in (1, 2, 3):
             raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"jet order must be between 0 and 3, got {order}")
+        if order not in (0, 1, 2, 3, 4):
+            raise ValueError(f"jet order must be between 0 and 4, got {order}")
         self.n = n
         self.order = order
         self.value = float(value)
-        self.grad = np.zeros(n) if grad is None else np.asarray(grad, dtype=float)
-        self.hess = np.zeros((n, n)) if hess is None else np.asarray(hess, dtype=float)
-        self.third = (
-            np.zeros((n, n, n)) if third is None else np.asarray(third, dtype=float)
+        zeros, given = _ZEROS[n], (grad, hess, third, fourth)
+        self.grad, self.hess, self.third, self.fourth = (
+            zeros[r] if r >= order or given[r] is None else np.asarray(given[r], dtype=float)
+            for r in range(4)
         )
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _raw(cls, n: int, order: int, value: float, grad, hess, third) -> "Jet":
+    def _raw(
+        cls, n: int, order: int, value: float, grad, hess, third, fourth
+    ) -> "Jet":
         out = object.__new__(cls)
         out.n = n
         out.order = order
@@ -104,13 +126,11 @@ class Jet:
         out.grad = grad
         out.hess = hess
         out.third = third
+        out.fourth = fourth
         return out
 
     def _zero_like(self, value: float = 0.0) -> "Jet":
-        n = self.n
-        return Jet._raw(
-            n, self.order, value, np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n))
-        )
+        return Jet._raw(self.n, self.order, value, *_ZEROS[self.n])
 
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
@@ -135,25 +155,32 @@ class Jet:
             raise ValueError(f"axis {axis} out of range for arity {self.n}")
         if self.order < 1:
             raise ValueError("cannot take a partial of an order-0 jet")
-        n = self.n
+        n, order = self.n, self.order - 1
+        z = _ZEROS[n]
         return Jet._raw(
             n,
-            self.order - 1,
+            order,
             float(self.grad[axis]),
-            self.hess[axis].copy(),
-            self.third[axis].copy(),
-            np.zeros((n, n, n)),
+            self.hess[axis].copy() if order >= 1 else z[0],
+            self.third[axis].copy() if order >= 2 else z[1],
+            self.fourth[axis].copy() if order >= 3 else z[2],
+            z[3],
         )
 
     def truncated(self, order: int) -> "Jet":
         """Copy of this jet with derivative data above ``order`` dropped."""
         if order > self.order:
             raise ValueError(f"cannot extend a jet of order {self.order} to {order}")
-        n = self.n
-        grad = self.grad.copy() if order >= 1 else np.zeros(n)
-        hess = self.hess.copy() if order >= 2 else np.zeros((n, n))
-        third = self.third.copy() if order >= 3 else np.zeros((n, n, n))
-        return Jet._raw(n, order, self.value, grad, hess, third)
+        z = _ZEROS[self.n]
+        return Jet._raw(
+            self.n,
+            order,
+            self.value,
+            self.grad.copy() if order >= 1 else z[0],
+            self.hess.copy() if order >= 2 else z[1],
+            self.third.copy() if order >= 3 else z[2],
+            self.fourth.copy() if order >= 4 else z[3],
+        )
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -161,13 +188,15 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        order = self.order
         return Jet._raw(
             self.n,
-            self.order,
+            order,
             self.value + o.value,
-            self.grad + o.grad,
-            self.hess + o.hess,
-            self.third + o.third,
+            self.grad + o.grad if order >= 1 else self.grad,
+            self.hess + o.hess if order >= 2 else self.hess,
+            self.third + o.third if order >= 3 else self.third,
+            self.fourth + o.fourth if order >= 4 else self.fourth,
         )
 
     __radd__ = __add__
@@ -176,13 +205,15 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        order = self.order
         return Jet._raw(
             self.n,
-            self.order,
+            order,
             self.value - o.value,
-            self.grad - o.grad,
-            self.hess - o.hess,
-            self.third - o.third,
+            self.grad - o.grad if order >= 1 else self.grad,
+            self.hess - o.hess if order >= 2 else self.hess,
+            self.third - o.third if order >= 3 else self.third,
+            self.fourth - o.fourth if order >= 4 else self.fourth,
         )
 
     def __rsub__(self, other):
@@ -192,41 +223,47 @@ class Jet:
         return o.__sub__(self)
 
     def __neg__(self):
-        return Jet._raw(
-            self.n, self.order, -self.value, -self.grad, -self.hess, -self.third
-        )
+        return self * -1.0
 
     def __mul__(self, other):
+        order = self.order
         if isinstance(other, (int, float, np.floating, np.integer)):
             c = float(other)
             return Jet._raw(
                 self.n,
-                self.order,
+                order,
                 self.value * c,
-                self.grad * c,
-                self.hess * c,
-                self.third * c,
+                self.grad * c if order >= 1 else self.grad,
+                self.hess * c if order >= 2 else self.hess,
+                self.third * c if order >= 3 else self.third,
+                self.fourth * c if order >= 4 else self.fourth,
             )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self, o
-        value = a.value * b.value
-        grad = a.grad if a.order < 1 else a.value * b.grad + b.value * a.grad
-        n = self.n
-        hess = np.zeros((n, n))
-        third = np.zeros((n, n, n))
-        if a.order >= 2:
+        grad, hess, third, fourth = _ZEROS[self.n]
+        if order >= 1:
+            grad = a.value * b.grad + b.value * a.grad
+        if order >= 2:
             cross = np.outer(a.grad, b.grad)
             hess = a.value * b.hess + b.value * a.hess + cross + cross.T
-        if a.order >= 3:
+        if order >= 3:
             third = (
                 a.value * b.third
                 + b.value * a.third
                 + _sym3(a.grad, b.hess)
                 + _sym3(b.grad, a.hess)
             )
-        return Jet._raw(n, a.order, value, grad, hess, third)
+        if order >= 4:
+            outer = np.multiply.outer
+            fourth = (
+                a.value * b.fourth
+                + b.value * a.fourth
+                + _sym4(outer(a.grad, b.third) + outer(b.grad, a.third))
+                + _pairings(outer(a.hess, b.hess) + outer(b.hess, a.hess))
+            )
+        return Jet._raw(self.n, order, a.value * b.value, grad, hess, third, fourth)
 
     __rmul__ = __mul__
 
@@ -249,7 +286,7 @@ class Jet:
         if v == 0.0:
             raise JetDomainError("reciprocal", v)
         iv = 1.0 / v
-        return _compose(self, iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4)
+        return _compose(self, iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4, 24.0 * iv**5)
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
@@ -277,13 +314,14 @@ def jet_variable(index: int, value: float, n: int, order: int) -> Jet:
     """
     if n not in (1, 2, 3):
         raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
-    if order not in (1, 2, 3):
-        raise ValueError(f"variable jets need order 1, 2 or 3, got {order}")
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"variable jets need order 1, 2, 3 or 4, got {order}")
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range for arity {n}")
     grad = np.zeros(n)
     grad[index] = 1.0
-    return Jet._raw(n, order, float(value), grad, np.zeros((n, n)), np.zeros((n, n, n)))
+    _, hess, third, fourth = _ZEROS[n]
+    return Jet._raw(n, order, float(value), grad, hess, third, fourth)
 
 
 def jet_constant(value: float, n: int, order: int) -> Jet:
@@ -291,23 +329,31 @@ def jet_constant(value: float, n: int, order: int) -> Jet:
     return Jet(n, order, float(value))
 
 
-def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
-    """Univariate chain rule: jet of f(g) from derivatives of f at g.value."""
-    n = g.n
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    third = np.zeros((n, n, n))
-    if g.order >= 1:
+def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> Jet:
+    """Univariate chain rule (Faa di Bruno): jet of f(g) from the derivatives
+    f0..f4 of f at g.value."""
+    n, order = g.n, g.order
+    grad, hess, third, fourth = _ZEROS[n]
+    if order >= 1:
         grad = f1 * g.grad
-    if g.order >= 2:
+    if order >= 2:
         hess = f1 * g.hess + f2 * np.outer(g.grad, g.grad)
-    if g.order >= 3:
+    if order >= 3:
         third = (
             f1 * g.third
             + f2 * _sym3(g.grad, g.hess)
             + f3 * np.einsum("i,j,k->ijk", g.grad, g.grad, g.grad)
         )
-    return Jet._raw(n, g.order, f0, grad, hess, third)
+    if order >= 4:
+        outer = np.multiply.outer
+        gg = np.outer(g.grad, g.grad)
+        fourth = (
+            f1 * g.fourth
+            + f2 * (_sym4(outer(g.grad, g.third)) + _pairings(outer(g.hess, g.hess)))
+            + f3 * _pairings(outer(gg, g.hess) + outer(g.hess, gg))
+            + f4 * outer(gg, gg)
+        )
+    return Jet._raw(n, order, f0, grad, hess, third, fourth)
 
 
 def _int_pow(x: Jet, p: int) -> Jet:
@@ -332,13 +378,13 @@ def _real_pow(x: Jet, p: float) -> Jet:
     v = x.value
     if v <= 0.0:
         raise JetDomainError("power", v)
-    f0 = v**p
     return _compose(
         x,
-        f0,
+        v**p,
         p * v ** (p - 1.0),
         p * (p - 1.0) * v ** (p - 2.0),
         p * (p - 1.0) * (p - 2.0) * v ** (p - 3.0),
+        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * v ** (p - 4.0),
     )
 
 
@@ -349,14 +395,14 @@ def sin(x: Jet | float):
     if not isinstance(x, Jet):
         return math.sin(x)
     s, c = math.sin(x.value), math.cos(x.value)
-    return _compose(x, s, c, -s, -c)
+    return _compose(x, s, c, -s, -c, s)
 
 
 def cos(x: Jet | float):
     if not isinstance(x, Jet):
         return math.cos(x)
     s, c = math.sin(x.value), math.cos(x.value)
-    return _compose(x, c, -s, -c, s)
+    return _compose(x, c, -s, -c, s, c)
 
 
 def tan(x: Jet | float):
@@ -364,14 +410,16 @@ def tan(x: Jet | float):
         return math.tan(x)
     t = math.tan(x.value)
     d = 1.0 + t * t
-    return _compose(x, t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t))
+    return _compose(
+        x, t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t), 8.0 * t * d * (2.0 + 3.0 * t * t)
+    )
 
 
 def exp(x: Jet | float):
     if not isinstance(x, Jet):
         return math.exp(x)
     e = math.exp(x.value)
-    return _compose(x, e, e, e, e)
+    return _compose(x, e, e, e, e, e)
 
 
 def log(x: Jet | float):
@@ -380,7 +428,7 @@ def log(x: Jet | float):
     v = x.value
     if v <= 0.0:
         raise JetDomainError("log", v)
-    return _compose(x, math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / v**3)
+    return _compose(x, math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / v**3, -6.0 / v**4)
 
 
 def sqrt(x: Jet | float):
@@ -390,30 +438,8 @@ def sqrt(x: Jet | float):
     if v <= 0.0:
         raise JetDomainError("sqrt", v)
     r = math.sqrt(v)
-    return _compose(x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
-
-
-def asin(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.asin(x)
-    v = x.value
-    if not -1.0 < v < 1.0:
-        raise JetDomainError("asin", v)
-    d = 1.0 - v * v
     return _compose(
-        x, math.asin(v), d**-0.5, v * d**-1.5, (1.0 + 2.0 * v * v) * d**-2.5
-    )
-
-
-def acos(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.acos(x)
-    v = x.value
-    if not -1.0 < v < 1.0:
-        raise JetDomainError("acos", v)
-    d = 1.0 - v * v
-    return _compose(
-        x, math.acos(v), -(d**-0.5), -v * d**-1.5, -(1.0 + 2.0 * v * v) * d**-2.5
+        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (v**3 * r)
     )
 
 
@@ -423,69 +449,13 @@ def atan(x: Jet | float):
     v = x.value
     d = 1.0 + v * v
     return _compose(
-        x, math.atan(v), 1.0 / d, -2.0 * v / (d * d), (6.0 * v * v - 2.0) / d**3
+        x,
+        math.atan(v),
+        1.0 / d,
+        -2.0 * v / (d * d),
+        (6.0 * v * v - 2.0) / d**3,
+        24.0 * v * (1.0 - v * v) / d**4,
     )
-
-
-def atan2(y: Jet | float, x: Jet | float):
-    """Two-argument arctangent.
-
-    Away from the origin the derivative slots agree with atan(y/x) (or
-    -atan(x/y)) up to a locally constant branch shift, so the chain rule for
-    atan applies after a branch-correct value fix-up.
-    """
-    if not isinstance(y, Jet) and not isinstance(x, Jet):
-        return math.atan2(y, x)
-    if not isinstance(y, Jet):
-        y = x._zero_like(float(y))
-    if not isinstance(x, Jet):
-        x = y._zero_like(float(x))
-    value = math.atan2(y.value, x.value)
-    if y.value == 0.0 and x.value == 0.0:
-        raise JetDomainError("atan2", 0.0)
-    if abs(x.value) >= abs(y.value):
-        base = atan(y / x)
-    else:
-        base = -atan(x / y)
-    return Jet._raw(base.n, base.order, value, base.grad, base.hess, base.third)
-
-
-def _abs_jet(x: Jet) -> Jet:
-    return abs(x)
-
-
-ELEMENTARY_TAGS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "abs": _abs_jet,
-    "asin": asin,
-    "acos": acos,
-    "atan": atan,
-    "atan2": atan2,
-    "power": _real_pow,
-}
-
-
-def jet_elementary(tag: str, x: Jet, y: "Jet | float | None" = None) -> Jet:
-    """Apply the elementary function named ``tag`` to a jet.
-
-    ``atan2`` and ``power`` take a second argument; every other tag is unary.
-    """
-    try:
-        fn = ELEMENTARY_TAGS[tag]
-    except KeyError:
-        raise ValueError(f"unknown elementary function tag {tag!r}") from None
-    if tag in ("atan2", "power"):
-        if y is None:
-            raise ValueError(f"{tag} requires a second argument")
-        return fn(x, y)
-    if y is not None:
-        raise ValueError(f"{tag} takes a single argument")
-    return fn(x)
 
 
 # -- finite-difference oracle ----------------------------------------------------
@@ -589,8 +559,4 @@ def finite_difference_jet(
                 2, 0, 1
             ] = third[2, 1, 0] = val / (8.0 * h3[0] * h3[1] * h3[2])
 
-    if order < 3:
-        third[:] = 0.0
-    if order < 2:
-        hess[:] = 0.0
-    return Jet._raw(n, order, f0, grad, hess, third)
+    return Jet(n, order, f0, grad, hess, third)

@@ -1,10 +1,12 @@
-"""Finite-difference oracles for the closed-form frame derivatives.
+"""Finite-difference oracles for the closed-form third-order data.
 
 The structural residuals and the principal connection forms are computed in
 closed form from third-order jets.  These oracles re-estimate them the
 independent way, the way ``finite_difference_jet`` checks jets: whole frames
 are evaluated at neighbouring chart points with ``point_geometry``, matched
-to the reference frame column by column, and central-differenced.
+to the reference frame column by column, and central-differenced.  The
+third-order jets themselves are re-estimated from exact second-order jets at
+neighbouring points.
 """
 
 import math
@@ -17,11 +19,37 @@ from gcrkit.gcr import (
     g_complement_basis,
     position_angles,
 )
-from gcrkit.geometry import point_geometry, principal_data
+from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
+from gcrkit.jet import Jet
 
 
 def default_step(m):
     return 1e-4 * max(hi - lo for lo, hi in m.domain)
+
+
+def complete_third_order_fd(m, p):
+    """Order-3 jets of the components of ``m`` at ``p``, with the third
+    slots central-differenced from exact Hessians at six shifted points and
+    symmetrized; with steps near cbrt(eps) they are accurate to about 1e-10.
+    """
+    q = np.asarray(p, dtype=float)
+    n = m.n
+    base = evaluate_jets(m, q, order=2, check_domain=False)
+    steps = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(q))
+    dhess = np.zeros((m.ambient_dim, n, n, n))
+    for axis in range(n):
+        shift = np.zeros(n)
+        shift[axis] = steps[axis]
+        plus = evaluate_jets(m, q + shift, order=2, check_domain=False)
+        minus = evaluate_jets(m, q - shift, order=2, check_domain=False)
+        for c in range(m.ambient_dim):
+            dhess[c, axis] = (plus[c].hess - minus[c].hess) / (2.0 * steps[axis])
+    out = []
+    for c, jet2 in enumerate(base):
+        d = dhess[c]
+        third = (d + d.transpose(1, 0, 2) + d.transpose(2, 1, 0)) / 3.0
+        out.append(Jet(n, 3, jet2.value, jet2.grad, jet2.hess, third))
+    return out
 
 
 def match_frames(g, ref, cand, values):
@@ -55,7 +83,7 @@ class _Sample:
 
     def __init__(self, m, q):
         self.pg = pg = point_geometry(m, q, check_domain=False)
-        self.pa = pa = position_angles(m, q, pg)
+        self.pa = pa = position_angles(pg)
         if pa.degenerate:
             raise DegeneratePointError(f"degenerate probe at {q.tolist()}")
         g = pg.metric

@@ -46,7 +46,7 @@ def test_position_split_reconstructs_the_position():
         for _ in range(6):
             p = tuple(lo + (hi - lo) * (0.15 + 0.7 * rng.random(3)))
             pg = point_geometry(m, p)
-            pa = position_angles(m, p, pg)
+            pa = position_angles(pg)
             assert math.isclose(pa.mu, np.linalg.norm(pg.position), rel_tol=1e-13)
             # x = (tangential part) + mu cos(theta) N
             rebuilt = pg.jac @ pa.xT + pa.mu * pa.cos_theta * pg.normal
@@ -70,7 +70,7 @@ def test_angle_gradients_match_fd():
     for m, points, atol in cases:
 
         def angles(q):
-            return position_angles(m, q, point_geometry(m, q, check_domain=False))
+            return position_angles(point_geometry(m, q, check_domain=False))
 
         for p in points:
             pa = angles(p)
@@ -87,8 +87,8 @@ def test_position_angles_accept_order3_geometry():
     for tag in FAMILY_TAGS:
         m = random_family(tag, rng)
         for p in sample_points(m, rng, 2):
-            pa2 = position_angles(m, p, point_geometry(m, p))
-            pa3 = position_angles(m, p, derivative_bundle(m, p).pg)
+            pa2 = position_angles(point_geometry(m, p))
+            pa3 = position_angles(derivative_bundle(m, p).pg)
             assert pa3.degenerate == pa2.degenerate
             assert math.isclose(pa3.theta, pa2.theta, rel_tol=1e-12, abs_tol=1e-12)
             if not pa2.degenerate:
@@ -102,7 +102,7 @@ def test_self_similar_family_position_facts():
     for s in (0.8, 1.7):
         p = (s, 1.1, 2.6)
         pg = point_geometry(m, p)
-        pa = position_angles(m, p, pg)
+        pa = position_angles(pg)
         assert math.isclose(pa.mu, 2.0 * s, rel_tol=1e-13)
         assert abs(pa.cos_theta) < 1e-13
         assert math.isclose(pa.theta, math.pi / 2.0, abs_tol=1e-13)
@@ -113,7 +113,7 @@ def test_self_similar_family_position_facts():
 def test_degenerate_at_origin_centered_sphere():
     m = rotational()  # unit sphere about the origin: x = N everywhere
     pg = point_geometry(m, (0.2, 1.2, 2.0))
-    pa = position_angles(m, (0.2, 1.2, 2.0), pg)
+    pa = position_angles(pg)
     assert pa.degenerate
     assert pa.e1 is None and pa.theta_grad is None
     with pytest.raises(DegeneratePointError):
@@ -141,13 +141,13 @@ def test_positive_and_negative_residuals():
     m_pos = so2_x_so2()
     p = (1.0, 0.7, 1.9)
     pg = point_geometry(m_pos, p)
-    res = gcr_residual(position_angles(m_pos, p, pg), principal_data(pg), pg)
+    res = gcr_residual(position_angles(pg), principal_data(pg), pg)
     assert res.primary < 1e-12 and res.secondary < 1e-10
 
     m_neg = hypercylinder_rotational()  # torus cross line: not position-principal
     q = (1.0, 0.7, 0.6)
     pg = point_geometry(m_neg, q)
-    res = gcr_residual(position_angles(m_neg, q, pg), principal_data(pg), pg)
+    res = gcr_residual(position_angles(pg), principal_data(pg), pg)
     assert res.primary > 1e-3 and res.secondary > 1e-3
 
 
@@ -161,7 +161,7 @@ def test_residual_scale_covariance():
     m2 = Immersion.from_exprs("doubled", doubled, ("s", "t", "u"), dom)
     for p in [(0.9, 1.2, 0.7), (2.1, 4.0, 0.4)]:
         pg1, pg2 = point_geometry(m1, p), point_geometry(m2, p)
-        pa1, pa2 = position_angles(m1, p, pg1), position_angles(m2, p, pg2)
+        pa1, pa2 = position_angles(pg1), position_angles(pg2)
         r1 = gcr_residual(pa1, principal_data(pg1), pg1)
         r2 = gcr_residual(pa2, principal_data(pg2), pg2)
         assert math.isclose(pa1.theta, pa2.theta, rel_tol=1e-12)

@@ -1,5 +1,6 @@
 """Metric/normal/shape pipeline against hand formulas and independent solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family, sample_points
-from fd_oracle import frame_connection_forms_fd
+from fd_oracle import complete_third_order_fd, frame_connection_forms_fd
 from gcrkit.catalog import (
+    curve_tube,
     hyperplane,
     hypercylinder_rotational,
     rotational,
     so2_x_so2,
     special_sqrt2,
     tangent_cone,
+    tangent_developable_cylinder,
 )
 from gcrkit.geometry import (
     Immersion,
@@ -265,11 +268,11 @@ def test_riemann_symmetries():
     assert np.max(np.abs(r - np.einsum("klij->ijkl", r))) < 1e-10
 
 
-# -- third-order completion for mapping-backed charts --------------------------------------
+# -- exact third order on mapping-backed charts ---------------------------------------------
 
 
 def test_order3_completion_close_to_fd():
-    m = tangent_cone()  # exact to second order; third order is completed
+    m = tangent_cone()  # re-seeds its base one order higher: order 3 is exact
     p = (1.2, 0.7, 1.0)
     jets = evaluate_jets(m, p, order=3)
 
@@ -279,6 +282,38 @@ def test_order3_completion_close_to_fd():
     for c in range(4):
         fd = finite_difference_jet(lambda q, c=c: comp(q, c), p, order=3)
         assert np.max(np.abs(jets[c].third - fd.third)) < 1e-5
+
+
+def test_tangent_cone_order3_jets_match_fd_oracle():
+    rng = np.random.default_rng(33)
+    for m in (tangent_cone(), random_family("tangent_cone", rng)):
+        for p in sample_points(m, rng, 4):
+            exact = evaluate_jets(m, p, order=3)
+            oracle = complete_third_order_fd(m, p)
+            for a, b in zip(exact, oracle):
+                assert a.value == b.value
+                assert np.array_equal(a.grad, b.grad)
+                assert np.array_equal(a.hess, b.hess)
+                scale = max(1.0, float(np.max(np.abs(b.third))))
+                assert np.max(np.abs(a.third - b.third)) <= 1e-7 * scale
+
+
+def test_order3_evaluation_calls_mapping_once_per_point():
+    # no stencil: one order-3 request is one evaluation at the point itself
+    rng = np.random.default_rng(34)
+    for base in (tangent_cone(), curve_tube(), tangent_developable_cylinder()):
+        seen = []
+
+        def counting(seeds, base=base, seen=seen):
+            seen.append((seeds[0].order, tuple(s.value for s in seeds)))
+            return base.mapping(seeds)
+
+        m = dataclasses.replace(base, mapping=counting)
+        points = sample_points(m, rng, 3)
+        for p in points:
+            evaluate_jets(m, p, order=3)
+            derivative_bundle(m, p)
+        assert seen == [(3, p) for p in points for _ in range(2)]
 
 
 # -- failure modes -------------------------------------------------------------------------
