@@ -323,17 +323,11 @@ def build_normal_frame(
     if samples < 2:
         raise CatalogError("need at least two frame samples")
 
-    def alpha_jets(w: float) -> list[jet.Jet]:
-        env = {"w": jet.jet_variable(0, w, 1, 3)}
-        return [eval_expr(e, env) for e in alpha_exprs]
-
     def alpha_data(w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        js = alpha_jets(w)
-        val = np.array([j.value for j in js])
-        d1 = np.array([j.grad[0] for j in js])
-        d2 = np.array([j.hess[0, 0] for j in js])
-        d3 = np.array([j.third[0, 0, 0] for j in js])
-        return val, d1, d2, d3
+        env = {"w": jet.jet_variable(0, w, 1, 3)}
+        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs])
+        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
+        return coeffs[:, 0], d1, d2, d3
 
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]

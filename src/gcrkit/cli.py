@@ -261,10 +261,20 @@ def _tolerances_from_spec(spec: dict, tol_gcr: float | None) -> Tolerances:
     unknown = set(doc) - set(allowed)
     if unknown:
         raise SpecError(f"unknown tolerance fields: {sorted(unknown)}")
-    merged = {**allowed, **{k: float(v) for k, v in doc.items()}}
+    merged = {**allowed, **doc}
     if tol_gcr is not None:
         merged["tol_gcr"] = tol_gcr
-    return Tolerances(**merged)
+    return Tolerances(**{k: _tolerance(k, v) for k, v in merged.items()})
+
+
+def _tolerance(name: str, value) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x >= 0.0):
+        raise SpecError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+    return x
 
 
 # -- report assembly ----------------------------------------------------------------------
@@ -336,8 +346,7 @@ def report_to_dict(
         "surface": echo,
         "grid": grid_doc,
         "tolerances": report.tolerances.as_dict(),
-        # structural residuals on 3-dimensional charts evaluate order-3 jets
-        "engine": {"jet_order": 3 if report.structural_max and report.n == 3 else 2},
+        "engine": {"jet_order": report.jet_order},
         "summary": summary,
         "skipped": [
             {"point": list(point), "reason": reason} for point, reason in report.skipped
@@ -400,6 +409,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, inside main
     else:
         _atomic_write(out_path, text if text.endswith("\n") else text + "\n")
 
@@ -520,6 +530,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # reader gone (`| head`): no traceback; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SpecError, CatalogError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

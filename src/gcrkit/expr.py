@@ -319,26 +319,32 @@ def _int_pow_real(base: float, p: int) -> float:
     return result
 
 
-def _is_constant_jet(x: Jet) -> bool:
-    return (
-        not x.grad.any()
-        and not x.hess.any()
-        and not x.third.any()
-        and not x.fourth.any()
-    )
+def _call_real(fn: str, v: float) -> float:
+    if fn == "log" and v <= 0.0:
+        raise ExprEvalError(f"log is undefined at {v!r}")
+    if fn == "sqrt" and v < 0.0:
+        raise ExprEvalError(f"sqrt is undefined at {v!r}")
+    return float(_REAL_FUNCTIONS[fn](v))
+
+
+def _div_real(a, b: float):
+    if b == 0.0:
+        raise ExprEvalError("division by zero")
+    # reciprocal-multiply, matching the jet code path bit for bit
+    return a * (1.0 / b)
 
 
 def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
-    """Evaluate over jets.  ``env`` must bind every variable of the chart."""
+    """Evaluate over jets.  ``env`` must bind every variable of the chart.
+    Subtrees free of variables evaluate to plain floats."""
     if not env:
         raise ExprEvalError("empty environment: jet arity and order are unknown")
     probe = next(iter(env.values()))
-    n, order = probe.n, probe.order
 
-    def rec(node: Expr) -> Jet:
+    def rec(node: Expr) -> Jet | float:
         match node:
             case Const(value):
-                return jet_constant(value, n, order)
+                return value
             case Var(name):
                 try:
                     return env[name]
@@ -347,23 +353,25 @@ def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
             case Neg(operand):
                 return -rec(operand)
             case BinOp("^", left, right):
-                b = rec(left)
-                e = rec(right)
-                if _is_constant_jet(e):
-                    if float(e.value).is_integer():
-                        return b ** int(e.value)
-                    if b.value <= 0.0:
+                b, e = rec(left), rec(right)
+                if isinstance(e, Jet) and not e.c[1:].any():
+                    e = e.value  # a jet exponent that is constant after all
+                if isinstance(e, Jet):
+                    base = b.value if isinstance(b, Jet) else b
+                    if base <= 0.0:
                         raise ExprEvalError(
-                            "'^' with non-integer exponent needs a positive base, "
-                            f"got {b.value!r}"
+                            "'^' with non-constant exponent needs a positive base, "
+                            f"got {base!r}"
                         )
-                    return b ** float(e.value)
-                if b.value <= 0.0:
+                    return _jet.exp(e * (_jet.log(b) if isinstance(b, Jet) else math.log(b)))
+                if not isinstance(b, Jet):
+                    return _pow_real(b, e)
+                if not float(e).is_integer() and b.value <= 0.0:
                     raise ExprEvalError(
-                        "'^' with non-constant exponent needs a positive base, "
+                        "'^' with non-integer exponent needs a positive base, "
                         f"got {b.value!r}"
                     )
-                return _jet.exp(e * _jet.log(b))
+                return b**e
             case BinOp(op, left, right):
                 a, b = rec(left), rec(right)
                 try:
@@ -373,17 +381,21 @@ def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
                         return a - b
                     if op == "*":
                         return a * b
-                    return a / b
+                    return a / b if isinstance(b, Jet) else _div_real(a, b)
                 except JetDomainError as exc:
                     raise ExprEvalError(str(exc)) from exc
             case Call(fn, arg):
+                x = rec(arg)
+                if not isinstance(x, Jet):
+                    return _call_real(fn, x)
                 try:
-                    return _JET_FUNCTIONS[fn](rec(arg))
+                    return _JET_FUNCTIONS[fn](x)
                 except JetDomainError as exc:
                     raise ExprEvalError(str(exc)) from exc
         raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(expr)
+    out = rec(expr)
+    return out if isinstance(out, Jet) else jet_constant(out, probe.n, probe.order)
 
 
 def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
@@ -410,17 +422,9 @@ def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
                     return a - b
                 if op == "*":
                     return a * b
-                if b == 0.0:
-                    raise ExprEvalError("division by zero")
-                # reciprocal-multiply, matching the jet code path bit for bit
-                return a * (1.0 / b)
+                return _div_real(a, b)
             case Call(fn, arg):
-                v = rec(arg)
-                if fn == "log" and v <= 0.0:
-                    raise ExprEvalError(f"log is undefined at {v!r}")
-                if fn == "sqrt" and v < 0.0:
-                    raise ExprEvalError(f"sqrt is undefined at {v!r}")
-                return float(_REAL_FUNCTIONS[fn](v))
+                return _call_real(fn, rec(arg))
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(expr)

@@ -31,6 +31,7 @@ from .geometry import (
     SingularPointError,
     _fix_direction_signs,
     _nabla_second_form,
+    _point_geometry3,
     curvature_invariants,
     point_geometry,
     principal_data,
@@ -262,8 +263,9 @@ def structural_residuals(
     two complement curvatures are closer than tol_gap.
     """
     q = np.asarray(p, dtype=float)
-    if pg is None:
-        pg = point_geometry(m, q, eps_reg=eps_reg, check_domain=False)
+    if pg is None or pg.third is None:
+        # order-3 geometry repeats order-2 figures bit for bit: pd, pa stay valid
+        pg = _point_geometry3(m, q, eps_reg)
     if pa is None:
         pa = position_angles(pg)
     if pa.degenerate:
@@ -323,7 +325,7 @@ def structural_residuals(
 
     # dh_frame[l, a, b] = (nabla_{e_l} h)(e_a, e_b); cov_g[l, i] = <nabla_{e_l} e1, e_i>
     dh_frame = np.einsum(
-        "xab,xl,ai,bj->lij", _nabla_second_form(m, q, pg), frame, frame, frame
+        "xab,xl,ai,bj->lij", _nabla_second_form(pg), frame, frame, frame
     )
     cov_g = cov_e1 @ g @ frame
     h1 = frame[:, 0] @ h @ frame
@@ -454,13 +456,16 @@ class SurfaceReport:
     max_gcr_secondary: float | None
     fraction_degenerate: float
     structural_max: dict[str, float]
+    jet_order: int  # highest jet order evaluated
 
 
 def _classify_point(
     m: Immersion, p: np.ndarray, tols: Tolerances, include_structural: bool
 ):
     try:
-        pg = point_geometry(m, p, eps_reg=tols.eps_reg, check_domain=False)
+        # 3-D transport checks read third partials: one order-3 evaluation serves both
+        structural3 = include_structural and m.n == 3
+        pg = (_point_geometry3 if structural3 else point_geometry)(m, p, tols.eps_reg, False)
         pd = principal_data(pg, tols.tol_gap)
         pa = position_angles(pg, eps_tan_rel=tols.eps_tan_rel)
     except SingularPointError as exc:
@@ -616,4 +621,5 @@ def classify_surface(
         max_gcr_secondary=max(secondaries) if secondaries else None,
         fraction_degenerate=1.0 - len(nondeg) / len(records),
         structural_max=structural_max,
+        jet_order=3 if include_structural and n == 3 else 2,
     )

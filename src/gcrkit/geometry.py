@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet, jet_variable, sqrt as jsqrt
+from .jet import Jet, derivative_tensor, jet_variable, sqrt as jsqrt
 from .expr import Expr, ExprError, eval_expr, parse_expr
 
 __all__ = [
@@ -65,10 +65,9 @@ class SingularPointError(GeometryError):
     """The first fundamental form is numerically degenerate."""
 
     def __init__(self, point, det_g: float):
-        super().__init__(
-            f"metric is singular at {list(point)} (det g = {det_g:.3e})"
-        )
-        self.point = tuple(point)
+        where = [float(v) for v in point]
+        super().__init__(f"metric is singular at {where} (det g = {det_g:.3e})")
+        self.point = tuple(where)
         self.det_g = det_g
 
 
@@ -76,8 +75,9 @@ class EvaluationError(GeometryError):
     """A component expression failed to evaluate at a chart point."""
 
     def __init__(self, point, cause: Exception):
-        super().__init__(f"component evaluation failed at {list(point)}: {cause}")
-        self.point = tuple(point)
+        where = [float(v) for v in point]
+        super().__init__(f"component evaluation failed at {where}: {cause}")
+        self.point = tuple(where)
 
 
 class NearUmbilicError(GeometryError):
@@ -256,6 +256,7 @@ class PointGeometry:
     second_form: np.ndarray    # h_ij = <x_ij, N>
     christoffel: np.ndarray    # [l, i, j] -> Gamma^l_ij
     shape: np.ndarray          # S = g^{-1} h
+    third: np.ndarray | None = None  # third partials of x, from order-3 jets
 
     @property
     def n(self) -> int:
@@ -263,11 +264,14 @@ class PointGeometry:
 
 
 def _assemble_point_geometry(
-    m: Immersion, p: np.ndarray, jets: list[Jet], eps_reg: float
+    p: np.ndarray, jets: list[Jet], eps_reg: float
 ) -> PointGeometry:
-    pos = np.array([j.value for j in jets])
-    jac = np.stack([j.grad for j in jets])
-    sec = np.stack([j.hess for j in jets])
+    """Geometry from the components' jets, gathered from their coefficients."""
+    n, order = jets[0].n, jets[0].order
+    coeffs = np.stack([j.c for j in jets])
+    pos = coeffs[:, 0].copy()  # a strided view would round differently in products
+    jac = derivative_tensor(coeffs, n, 1)
+    sec = derivative_tensor(coeffs, n, 2)
     g = jac.T @ jac
     det_g = float(np.linalg.det(g))
     if not det_g > eps_reg:
@@ -294,6 +298,7 @@ def _assemble_point_geometry(
         second_form=h,
         christoffel=gamma,
         shape=shape,
+        third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
     )
 
 
@@ -306,7 +311,13 @@ def point_geometry(
     """Fundamental forms, normal, Christoffel symbols and shape operator."""
     q = np.asarray(p, dtype=float)
     jets = evaluate_jets(m, q, order=2, check_domain=check_domain)
-    return _assemble_point_geometry(m, q, jets, eps_reg)
+    return _assemble_point_geometry(q, jets, eps_reg)
+
+
+def _point_geometry3(m: Immersion, q, eps_reg=EPS_REG, check_domain=False) -> PointGeometry:
+    """point_geometry from one order-3 evaluation, with ``third`` filled."""
+    jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
+    return _assemble_point_geometry(np.asarray(q, dtype=float), jets, eps_reg)
 
 
 # -- principal curvatures ---------------------------------------------------------------
@@ -386,7 +397,6 @@ class DerivativeBundle:
     """Everything needed for the Gauss/Codazzi identities at one point."""
 
     pg: PointGeometry
-    third: np.ndarray          # (n+1, n, n, n) third partials of x
     dnormal: np.ndarray        # [i, c] -> d_i N_c
     dsecond_form: np.ndarray   # [i, j, k] -> d_i h_jk
     dchristoffel: np.ndarray   # [k, l, i, j] -> d_k Gamma^l_ij
@@ -401,23 +411,18 @@ class DerivativeBundle:
         return num / (gu * gv - guv * guv)
 
 
-def _third_order(
-    pg: PointGeometry, jets: list[Jet], normal: np.ndarray, dn: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Third partials of x and d_i h_jk at the point of ``pg``, given order-3
-    jets of the components there, the unit normal and dn[i] = d_i N."""
-    thr = np.stack([j.third for j in jets])
-    dh = np.einsum("cijk,c->ijk", thr, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
-    return thr, dh
+def _dsecond_form(pg: PointGeometry, normal: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """d_i h_jk at the point of order-3 geometry ``pg``, given the unit normal
+    and dn[i] = d_i N."""
+    return np.einsum("cijk,c->ijk", pg.third, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
 
 
-def _nabla_second_form(m: Immersion, p: np.ndarray, pg: PointGeometry) -> np.ndarray:
+def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     """[l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am,
-    from one order-3 evaluation at the point of ``pg``."""
-    jets = evaluate_jets(m, p, order=3, check_domain=False)
+    from geometry assembled at order 3."""
     # Weingarten's d_i N = -S^k_i x_k; the self-test's independent normal
     # jets stay in derivative_bundle, where Codazzi checks them.
-    _, dh = _third_order(pg, jets, pg.normal, -(pg.jac @ pg.shape).T)
+    dh = _dsecond_form(pg, pg.normal, -(pg.jac @ pg.shape).T)
     gamma, h = pg.christoffel, pg.second_form
     return dh - np.einsum("mla,mb->lab", gamma, h) - np.einsum("mlb,am->lab", gamma, h)
 
@@ -430,14 +435,14 @@ def derivative_bundle(
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
     jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
-    pg = _assemble_point_geometry(m, q, jets, eps_reg)
-    njets = normal_jets(jets)
-    normal = np.array([nj.value for nj in njets])
-    dn = np.stack([nj.grad for nj in njets], axis=1)
+    pg = _assemble_point_geometry(q, jets, eps_reg)
+    ncoeffs = np.stack([nj.c for nj in normal_jets(jets)])
+    normal = ncoeffs[:, 0].copy()
+    dn = derivative_tensor(ncoeffs, pg.n, 1).T
     if normal @ pg.normal < 0:  # defensive; construction fixes orientation
         normal, dn = -normal, -dn
-    thr, dh = _third_order(pg, jets, normal, dn)
-    jac, sec = pg.jac, pg.second
+    dh = _dsecond_form(pg, normal, dn)
+    jac, sec, thr = pg.jac, pg.second, pg.third
     g, ginv = pg.metric, np.linalg.inv(pg.metric)
     gamma = pg.christoffel
 
@@ -470,7 +475,6 @@ def derivative_bundle(
 
     return DerivativeBundle(
         pg=pg,
-        third=thr,
         dnormal=dn,
         dsecond_form=dh,
         dchristoffel=dgamma,
@@ -534,7 +538,7 @@ def frame_connection_forms(
     zero between exactly equal ones).
     """
     q = np.asarray(p, dtype=float)
-    pg = point_geometry(m, q, check_domain=False)
+    pg = _point_geometry3(m, q)
     if pd is None:
         pd = principal_data(pg, tol_gap)
     if check_gaps and pd.gaps < tol_gap:
@@ -542,6 +546,6 @@ def frame_connection_forms(
             f"eigenvalue gap {pd.gaps:.3e} below {tol_gap:.1e} at {q.tolist()}"
         )
     e, k = pd.directions, pd.curvatures
-    rhs = np.einsum("xab,xl,ai,bj->ijl", _nabla_second_form(m, q, pg), e, e, e)
+    rhs = np.einsum("xab,xl,ai,bj->ijl", _nabla_second_form(pg), e, e, e)
     gap = (k[:, None] - k[None, :])[:, :, None]
     return np.divide(rhs, gap, out=np.zeros_like(rhs), where=gap != 0.0)

@@ -1,18 +1,38 @@
 """Forward-mode jet arithmetic: truncated Taylor data up to fourth order.
 
-A Jet carries a scalar value together with its partial derivatives up to
-``order`` (at most 4) with respect to ``n`` chart variables (at most 3).
-Arithmetic propagates derivatives exactly via the Leibniz and chain rules,
-so no production code path touches a finite difference.  Jets are treated
-as immutable values; no operation mutates its operands.
+A Jet carries the Taylor coefficients of a scalar field at a chart point, up
+to ``order`` (at most 4) in ``n`` chart variables (at most 3).  Arithmetic
+propagates them exactly, so no production code path touches a finite
+difference.  Jets are immutable values; no operation mutates its operands.
+
+Layout: ``Jet.c`` is one flat vector, c[a] = d^a f / a! for each monomial
+x^a of degree <= ``order`` (4, 10, 20 or 35 entries for n = 3).  Monomials
+are listed by degree, then by sorted variable-index tuple (1, x0, x1, x2,
+x0^2, x0 x1, ...), so c[0] is the value and c[1:n+1] the gradient.
+
+Tables, built once per (n, order) on first use, drive all arithmetic: the
+product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
+monomial k, in one ``np.bincount``; a composition f(g) is a polynomial in the
+nilpotent part g - g(p), in Horner form over the same product; ``partial``
+is one gather and ``truncated`` one prefix slice.  ``grad``, ``hess``,
+``third`` and ``fourth`` are derivative tensors gathered from ``c`` and
+scaled by a!, so they are exactly symmetric.
+
+Prefix rule: the order-k layout and tables are prefixes of the order-(k+1)
+ones, with pairs in row-major order, so every coefficient sums the same
+terms in the same sequence at every order.  The slots an order-4 jet shares
+with an order-3 jet are bit-identical to it, and a jet's value follows the
+float operations of a plain evaluation exactly.
 
 ``finite_difference_jet`` is the independent test oracle.  It estimates the
-same derivative slots from central differences of plain evaluations and must
+derivative slots from central differences of plain evaluations and must
 never be used in a production code path.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable, Sequence
 
@@ -24,6 +44,7 @@ __all__ = [
     "FiniteDifferenceError",
     "jet_variable",
     "jet_constant",
+    "derivative_tensor",
     "finite_difference_jet",
     "sin",
     "cos",
@@ -35,6 +56,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_SCALARS = (int, float, np.floating, np.integer)
 
 
 def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -44,7 +66,7 @@ def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 
 # _ZEROS[n] = read-only zero (grad, hess, third, fourth) for arity n; every
-# slot above a jet's order is one of these, and no arithmetic touches it
+# derivative slot above a jet's order is one of these
 _ZEROS = {
     n: tuple(_frozen_zeros((n,) * rank) for rank in (1, 2, 3, 4)) for n in (1, 2, 3)
 }
@@ -63,32 +85,87 @@ class FiniteDifferenceError(RuntimeError):
     """The finite-difference stencil could not be evaluated."""
 
 
-def _sym3(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    # symmetrized grad (x) hess contribution: g_i h_jk + g_j h_ik + g_k h_ij
-    t = np.einsum("i,jk->ijk", grad, hess)
-    return t + t.transpose(1, 0, 2) + t.transpose(2, 1, 0)
+# -- coefficient layout and tables -------------------------------------------------
 
 
-def _sym4(t: np.ndarray) -> np.ndarray:
-    # t_ijkl + t_jikl + t_kijl + t_lijk for t symmetric in its last three
-    # indices: the four placements of a grad index against a third slot
-    return t + t.transpose(1, 0, 2, 3) + t.transpose(1, 2, 0, 3) + t.transpose(1, 2, 3, 0)
+@functools.cache
+def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of the monomials of degree <= 4, in layout order."""
+    return tuple(
+        tuple(axes.count(i) for i in range(n))
+        for degree in range(5)
+        for axes in itertools.combinations_with_replacement(range(n), degree)
+    )
 
 
-def _pairings(w: np.ndarray) -> np.ndarray:
-    # w_ijkl + w_ikjl + w_iljk: the three splits of four indices into pairs
-    return w + w.transpose(0, 2, 1, 3) + w.transpose(0, 2, 3, 1)
+@functools.cache
+def _slot_gather(n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and a! of the rank-th derivative tensor's entries in ``c``."""
+    position = {a: i for i, a in enumerate(_monomials(n))}
+    idx = np.empty((n,) * rank, dtype=np.intp)
+    fac = np.empty((n,) * rank)
+    for axes in itertools.product(range(n), repeat=rank):
+        a = tuple(axes.count(i) for i in range(n))
+        idx[axes] = position[a]
+        fac[axes] = math.prod(map(math.factorial, a))
+    return idx, fac
+
+
+def derivative_tensor(coeffs: np.ndarray, n: int, rank: int) -> np.ndarray:
+    """Rank-``rank`` derivative tensors from Taylor coefficients: the last
+    axis of ``coeffs`` (one ``Jet.c``, or a stack of them) holds arity-``n``
+    jets of order >= ``rank`` and becomes ``rank`` axes of length ``n``."""
+    idx, fac = _slot_gather(n, rank)
+    return coeffs.take(idx, axis=-1) * fac
+
+
+class _Table:
+    """Product and partial-derivative tables for jets of one (n, order)."""
+
+    def __init__(self, n: int, order: int):
+        self.n, self.order = n, order
+        self.size = math.comb(n + order, n)
+        monos = _monomials(n)[: self.size]
+        position = {a: i for i, a in enumerate(monos)}
+        pairs = [
+            (position[tuple(map(sum, zip(a, b)))], i, j)
+            for i, a in enumerate(monos)
+            for j, b in enumerate(monos)
+            if sum(a) + sum(b) <= order
+        ]
+        self.target, self.left, self.right = map(np.array, zip(*pairs))
+        # coefficient a of the partial along an axis is (a_axis + 1) c[a + e_axis]
+        lower = monos[: math.comb(n + order - 1, n)] if order else ()
+        self.partials = [
+            (np.array([position[a[:k] + (a[k] + 1,) + a[k + 1 :]] for a in lower]),
+             np.array([a[k] + 1.0 for a in lower]))
+            for k in range(n)
+        ]
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.bincount(self.target, a[self.left] * b[self.right], self.size)
+
+
+_table = functools.cache(_Table)
+
+
+def _make(t: _Table, c: np.ndarray) -> "Jet":
+    out = object.__new__(Jet)
+    out.c, out._t = c, t
+    return out
 
 
 class Jet:
     """Truncated Taylor expansion of a scalar field at a chart point.
 
-    Derivative slots above ``order`` are shared read-only zero arrays.
-    ``hess`` is symmetric and ``third`` and ``fourth`` are symmetric under
-    every index permutation; all operations preserve these properties.
+    ``c`` holds the Taylor coefficients in the layout of the module
+    docstring.  The derivative tensors ``grad``, ``hess``, ``third`` and
+    ``fourth`` (symmetric under every index permutation) are fresh arrays
+    derived from ``c`` up to ``order`` and shared read-only zeros above it;
+    the constructor takes them, symmetric, in the same form.
     """
 
-    __slots__ = ("n", "order", "value", "grad", "hess", "third", "fourth")
+    __slots__ = ("c", "_t")
 
     def __init__(
         self,
@@ -104,182 +181,104 @@ class Jet:
             raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
         if order not in (0, 1, 2, 3, 4):
             raise ValueError(f"jet order must be between 0 and 4, got {order}")
-        self.n = n
-        self.order = order
-        self.value = float(value)
-        zeros, given = _ZEROS[n], (grad, hess, third, fourth)
-        self.grad, self.hess, self.third, self.fourth = (
-            zeros[r] if r >= order or given[r] is None else np.asarray(given[r], dtype=float)
-            for r in range(4)
-        )
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def _raw(
-        cls, n: int, order: int, value: float, grad, hess, third, fourth
-    ) -> "Jet":
-        out = object.__new__(cls)
-        out.n = n
-        out.order = order
-        out.value = value
-        out.grad = grad
-        out.hess = hess
-        out.third = third
-        out.fourth = fourth
-        return out
-
-    def _zero_like(self, value: float = 0.0) -> "Jet":
-        return Jet._raw(self.n, self.order, value, *_ZEROS[self.n])
-
-    def _coerce(self, other) -> "Jet | None":
-        if isinstance(other, Jet):
-            if other.n != self.n:
-                raise ValueError(
-                    f"jet arity mismatch: {self.n} versus {other.n}"
-                )
-            if other.order != self.order:
-                raise ValueError(
-                    f"jet order mismatch: {self.order} versus {other.order}"
-                )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self._zero_like(float(other))
-        return None
+        self._t = _table(n, order)
+        self.c = np.zeros(self._t.size)
+        self.c[0] = float(value)
+        for rank, tensor in enumerate((grad, hess, third, fourth)[:order], start=1):
+            if tensor is not None:
+                idx, fac = _slot_gather(n, rank)
+                self.c[idx] = np.asarray(tensor, dtype=float) / fac
 
     # -- derived views --------------------------------------------------------
 
+    n = property(lambda self: self._t.n)
+    order = property(lambda self: self._t.order)
+    value = property(lambda self: float(self.c[0]))
+    grad = property(lambda self: self._slot(1))
+    hess = property(lambda self: self._slot(2))
+    third = property(lambda self: self._slot(3))
+    fourth = property(lambda self: self._slot(4))
+
+    def _slot(self, rank: int) -> np.ndarray:
+        if rank > self._t.order:
+            return _ZEROS[self._t.n][rank - 1]
+        return derivative_tensor(self.c, self._t.n, rank)
+
     def partial(self, axis: int) -> "Jet":
         """Jet of the partial derivative along ``axis``, one order lower."""
-        if not 0 <= axis < self.n:
-            raise ValueError(f"axis {axis} out of range for arity {self.n}")
-        if self.order < 1:
+        t = self._t
+        if not 0 <= axis < t.n:
+            raise ValueError(f"axis {axis} out of range for arity {t.n}")
+        if t.order < 1:
             raise ValueError("cannot take a partial of an order-0 jet")
-        n, order = self.n, self.order - 1
-        z = _ZEROS[n]
-        return Jet._raw(
-            n,
-            order,
-            float(self.grad[axis]),
-            self.hess[axis].copy() if order >= 1 else z[0],
-            self.third[axis].copy() if order >= 2 else z[1],
-            self.fourth[axis].copy() if order >= 3 else z[2],
-            z[3],
-        )
+        src, fac = t.partials[axis]
+        return _make(_table(t.n, t.order - 1), self.c[src] * fac)
 
     def truncated(self, order: int) -> "Jet":
         """Copy of this jet with derivative data above ``order`` dropped."""
-        if order > self.order:
-            raise ValueError(f"cannot extend a jet of order {self.order} to {order}")
-        z = _ZEROS[self.n]
-        return Jet._raw(
-            self.n,
-            order,
-            self.value,
-            self.grad.copy() if order >= 1 else z[0],
-            self.hess.copy() if order >= 2 else z[1],
-            self.third.copy() if order >= 3 else z[2],
-            self.fourth.copy() if order >= 4 else z[3],
-        )
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a jet of order {self.order} to {order}")
+        t = _table(self.n, order)
+        return _make(t, self.c[: t.size].copy())
 
     # -- arithmetic ------------------------------------------------------------
 
+    def _same(self, other: "Jet") -> "Jet":
+        t, o = self._t, other._t
+        if o.n != t.n:
+            raise ValueError(f"jet arity mismatch: {t.n} versus {o.n}")
+        if o.order != t.order:
+            raise ValueError(f"jet order mismatch: {t.order} versus {o.order}")
+        return other
+
+    def _shifted(self, c: np.ndarray, value: float) -> "Jet":
+        c[0] += value
+        return _make(self._t, c)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        order = self.order
-        return Jet._raw(
-            self.n,
-            order,
-            self.value + o.value,
-            self.grad + o.grad if order >= 1 else self.grad,
-            self.hess + o.hess if order >= 2 else self.hess,
-            self.third + o.third if order >= 3 else self.third,
-            self.fourth + o.fourth if order >= 4 else self.fourth,
-        )
+        if isinstance(other, Jet):
+            return _make(self._t, self.c + self._same(other).c)
+        if isinstance(other, _SCALARS):
+            return self._shifted(self.c.copy(), other)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        order = self.order
-        return Jet._raw(
-            self.n,
-            order,
-            self.value - o.value,
-            self.grad - o.grad if order >= 1 else self.grad,
-            self.hess - o.hess if order >= 2 else self.hess,
-            self.third - o.third if order >= 3 else self.third,
-            self.fourth - o.fourth if order >= 4 else self.fourth,
-        )
+        if isinstance(other, Jet):
+            return _make(self._t, self.c - self._same(other).c)
+        if isinstance(other, _SCALARS):
+            return self._shifted(self.c.copy(), -other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+        if isinstance(other, _SCALARS):
+            return self._shifted(-self.c, other)  # -v + s is s - v exactly
+        return NotImplemented
 
     def __neg__(self):
-        return self * -1.0
+        return _make(self._t, -self.c)
 
     def __mul__(self, other):
-        order = self.order
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            c = float(other)
-            return Jet._raw(
-                self.n,
-                order,
-                self.value * c,
-                self.grad * c if order >= 1 else self.grad,
-                self.hess * c if order >= 2 else self.hess,
-                self.third * c if order >= 3 else self.third,
-                self.fourth * c if order >= 4 else self.fourth,
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self, o
-        grad, hess, third, fourth = _ZEROS[self.n]
-        if order >= 1:
-            grad = a.value * b.grad + b.value * a.grad
-        if order >= 2:
-            cross = np.outer(a.grad, b.grad)
-            hess = a.value * b.hess + b.value * a.hess + cross + cross.T
-        if order >= 3:
-            third = (
-                a.value * b.third
-                + b.value * a.third
-                + _sym3(a.grad, b.hess)
-                + _sym3(b.grad, a.hess)
-            )
-        if order >= 4:
-            outer = np.multiply.outer
-            fourth = (
-                a.value * b.fourth
-                + b.value * a.fourth
-                + _sym4(outer(a.grad, b.third) + outer(b.grad, a.third))
-                + _pairings(outer(a.hess, b.hess) + outer(b.hess, a.hess))
-            )
-        return Jet._raw(self.n, order, a.value * b.value, grad, hess, third, fourth)
+        if isinstance(other, Jet):
+            return _make(self._t, self._t.product(self.c, self._same(other).c))
+        if isinstance(other, _SCALARS):
+            return _make(self._t, self.c * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, Jet):
+            return self * self._same(other)._reciprocal()
+        if isinstance(other, _SCALARS):
             return self * (1.0 / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
+        if isinstance(other, _SCALARS):
+            return self._reciprocal() * other
+        return NotImplemented
 
     def _reciprocal(self) -> "Jet":
         v = self.value
@@ -318,10 +317,11 @@ def jet_variable(index: int, value: float, n: int, order: int) -> Jet:
         raise ValueError(f"variable jets need order 1, 2, 3 or 4, got {order}")
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range for arity {n}")
-    grad = np.zeros(n)
-    grad[index] = 1.0
-    _, hess, third, fourth = _ZEROS[n]
-    return Jet._raw(n, order, float(value), grad, hess, third, fourth)
+    t = _table(n, order)
+    c = np.zeros(t.size)
+    c[0] = value
+    c[1 + index] = 1.0
+    return _make(t, c)
 
 
 def jet_constant(value: float, n: int, order: int) -> Jet:
@@ -330,35 +330,27 @@ def jet_constant(value: float, n: int, order: int) -> Jet:
 
 
 def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> Jet:
-    """Univariate chain rule (Faa di Bruno): jet of f(g) from the derivatives
-    f0..f4 of f at g.value."""
-    n, order = g.n, g.order
-    grad, hess, third, fourth = _ZEROS[n]
-    if order >= 1:
-        grad = f1 * g.grad
-    if order >= 2:
-        hess = f1 * g.hess + f2 * np.outer(g.grad, g.grad)
-    if order >= 3:
-        third = (
-            f1 * g.third
-            + f2 * _sym3(g.grad, g.hess)
-            + f3 * np.einsum("i,j,k->ijk", g.grad, g.grad, g.grad)
-        )
-    if order >= 4:
-        outer = np.multiply.outer
-        gg = np.outer(g.grad, g.grad)
-        fourth = (
-            f1 * g.fourth
-            + f2 * (_sym4(outer(g.grad, g.third)) + _pairings(outer(g.hess, g.hess)))
-            + f3 * _pairings(outer(gg, g.hess) + outer(g.hess, gg))
-            + f4 * outer(gg, gg)
-        )
-    return Jet._raw(n, order, f0, grad, hess, third, fourth)
+    """Univariate chain rule: jet of f(g) from the derivatives f0..f4 of f at
+    g.value.  With the nilpotent part h = g - g.value and a_k = f_k / k!,
+    f(g) = a_0 + h (a_1 + h (a_2 + ...)) in Horner form; h^k has no terms
+    below degree k, so the series stops at the jet order."""
+    t = g._t
+    if t.order == 0:
+        return _make(t, np.array([f0]))
+    a = (f0, f1, 0.5 * f2, f3 / 6.0, f4 / 24.0)
+    h = g.c.copy()
+    h[0] = 0.0
+    out = h * a[t.order]
+    out[0] = a[t.order - 1]
+    for k in range(t.order - 2, -1, -1):
+        out = t.product(out, h)
+        out[0] = a[k]
+    return _make(t, out)
 
 
 def _int_pow(x: Jet, p: int) -> Jet:
     if p == 0:
-        return x._zero_like(1.0)
+        return jet_constant(1.0, x.n, x.order)
     if p < 0:
         return _int_pow(x, -p)._reciprocal()
     # square-and-multiply keeps the operation count small and deterministic
@@ -391,23 +383,17 @@ def _real_pow(x: Jet, p: float) -> Jet:
 # -- elementary functions ------------------------------------------------------
 
 
-def sin(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.sin(x)
+def sin(x: Jet) -> Jet:
     s, c = math.sin(x.value), math.cos(x.value)
     return _compose(x, s, c, -s, -c, s)
 
 
-def cos(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.cos(x)
+def cos(x: Jet) -> Jet:
     s, c = math.sin(x.value), math.cos(x.value)
     return _compose(x, c, -s, -c, s, c)
 
 
-def tan(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.tan(x)
+def tan(x: Jet) -> Jet:
     t = math.tan(x.value)
     d = 1.0 + t * t
     return _compose(
@@ -415,25 +401,19 @@ def tan(x: Jet | float):
     )
 
 
-def exp(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.exp(x)
+def exp(x: Jet) -> Jet:
     e = math.exp(x.value)
     return _compose(x, e, e, e, e, e)
 
 
-def log(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.log(x)
+def log(x: Jet) -> Jet:
     v = x.value
     if v <= 0.0:
         raise JetDomainError("log", v)
     return _compose(x, math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / v**3, -6.0 / v**4)
 
 
-def sqrt(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.sqrt(x)
+def sqrt(x: Jet) -> Jet:
     v = x.value
     if v <= 0.0:
         raise JetDomainError("sqrt", v)
@@ -443,9 +423,7 @@ def sqrt(x: Jet | float):
     )
 
 
-def atan(x: Jet | float):
-    if not isinstance(x, Jet):
-        return math.atan(x)
+def atan(x: Jet) -> Jet:
     v = x.value
     d = 1.0 + v * v
     return _compose(

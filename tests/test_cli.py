@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -165,12 +167,53 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
             "empty",
         ),
         ({"family": "special_sqrt2", "tolerances": {"step_rel": 1e-4}}, "step_rel"),
+        ({"family": "special_sqrt2", "tolerances": {"tol_gcr": "abc"}}, "'abc'"),
+        ({"family": "special_sqrt2", "tolerances": {"tol_gap": float("nan")}}, "got nan"),
+        ({"family": "special_sqrt2", "tolerances": {"eps_reg": -1}}, ">= 0, got -1"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
     spec = write_spec(tmp_path, "spec.json", doc)
     assert main(["check", spec]) == EXIT_SPEC
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_check_tol_gcr_flag_validated(capsys):
+    assert main(["check", "special_sqrt2.json", "--tol-gcr", "nan"]) == EXIT_SPEC
+    assert "finite" in capsys.readouterr().err
+
+
+def test_skip_reasons_print_plain_floats(tmp_path, capsys):
+    spec = write_spec(tmp_path, "log.json", {
+        "components": ["s", "t", "log(s)"],
+        "variables": ["s", "t"],
+        "domain": {"s": [-1.0, 1.0], "t": [0.0, 1.0]},
+        "grid": {"s": 3, "t": 2},
+    })
+    assert main(["check", spec]) == EXIT_OK
+    skipped = json.loads(capsys.readouterr().out)["skipped"]
+    assert len(skipped) == 4
+    assert "failed at [-1.0, 0.0]" in skipped[0]["reason"]
+    assert all("np." not in s["reason"] for s in skipped)
+
+
+def test_check_exits_quietly_when_stdout_closes():
+    # the report (about 400 kB) outgrows the pipe buffer, so the writer is
+    # still writing when the reader goes away, as with `| head -c 10`
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gcrkit", "check", "torus_so2_x_so2.json", "--full"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_check_missing_and_malformed_files(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Position decomposition, the position-principal test, and grid classification."""
 
+import dataclasses
 import itertools
 import math
 
@@ -13,10 +14,12 @@ from fd_oracle import structural_residuals_fd
 from gcrkit.catalog import (
     FAMILY_TAGS,
     hypercylinder_rotational,
+    make_family,
     rotational,
     so2_x_so2,
     special_sqrt2,
     spherical_hypercylinder,
+    tangent_cone,
 )
 from gcrkit.gcr import (
     DegeneratePointError,
@@ -348,6 +351,37 @@ def test_classify_workers_do_not_change_results():
         assert a.curvatures == b.curvatures
         assert a.gcr_primary == b.gcr_primary
     assert seq.structural_max == par.structural_max
+
+
+def test_structural_sweep_evaluates_each_point_once_at_order3():
+    base = tangent_cone()
+    orders = []
+
+    def counting(seeds):
+        orders.append(seeds[0].order)
+        return base.mapping(seeds)
+
+    m = dataclasses.replace(base, mapping=counting)
+    full = classify_surface(m, GridSpec((2, 2, 2)), include_structural=True)
+    assert orders == [3] * 8 and full.jet_order == 3
+    assert all(r.structural is not None for r in full.records)
+    orders.clear()
+    assert classify_surface(m, GridSpec((2, 2, 2))).jet_order == 2
+    assert orders == [2] * 8
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_order3_sweep_reads_order2_figures(tag):
+    # the lower slots of order-3 jets are the order-2 slots bit for bit, so
+    # assembling the geometry from order 3 changes no pointwise figure
+    m = make_family(tag)
+    grid = GridSpec((2,) * m.n)
+    full = classify_surface(m, grid, include_structural=True)
+    plain = classify_surface(m, grid)
+    assert full.jet_order == (3 if m.n == 3 else 2)
+    fields = ("point", "mu", "theta", "curvatures", "gcr_primary", "gcr_secondary")
+    for a, b in zip(full.records, plain.records, strict=True):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
 
 def test_classify_structural_notes():

@@ -1,5 +1,6 @@
 """Forward-mode jet arithmetic against hand derivatives and central differences."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensor_jet_oracle
 from gcrkit import jet
 from gcrkit.jet import (
     FiniteDifferenceError,
@@ -321,7 +323,22 @@ def test_slots_above_order_are_shared_read_only_zeros():
     assert out.fourth is zero4 and not zero4.flags.writeable and not zero4.any()
     assert out.truncated(2).third is jet_variable(0, 0.0, 2, 2).third
     assert out.partial(1).third is jet_variable(0, 0.0, 2, 1).third
-    assert jet_constant(1.0, 2, 4).fourth is zero4
+    # slots up to the order are fresh tensors derived from the coefficients:
+    # all zero on a constant, and writing one leaves the jet as it was
+    const = jet_constant(1.0, 2, 4)
+    slot = const.fourth
+    assert not slot.any()
+    slot[0, 0, 0, 0] = 5.0
+    assert not const.fourth.any()
+
+
+def test_tables_built_twice_are_interchangeable():
+    # two threads missing the table cache at once each build a table
+    x = jet_variable(0, 0.7, 2, 3)
+    twin = jet._make(jet._Table(2, 3), jet_variable(1, 0.4, 2, 3).c)
+    assert twin._t is not x._t
+    out = x * twin + twin - x / twin
+    assert math.isclose(out.value, 0.7 * 0.4 + 0.4 - 0.7 / 0.4, rel_tol=1e-15)
 
 
 def test_mixed_arity_rejected():
@@ -329,3 +346,92 @@ def test_mixed_arity_rejected():
     z = jet_variable(0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         x + z
+
+
+# -- coefficient jets against the tensor-slot oracle ----------------------------------------
+
+# unary nodes, each kept inside its domain and away from overflow so that
+# both routes see moderate magnitudes
+_UNARY = {
+    "neg": lambda ns, x: -x,
+    "sin": lambda ns, x: ns.sin(x),
+    "cos": lambda ns, x: ns.cos(x),
+    "atan": lambda ns, x: ns.atan(x),
+    "exp": lambda ns, x: ns.exp(ns.sin(x)),
+    "tan": lambda ns, x: ns.tan(ns.sin(x)),
+    "log": lambda ns, x: ns.log(1.0 + x * x),
+    "sqrt": lambda ns, x: ns.sqrt(1.0 + x * x),
+    "recip": lambda ns, x: 1.0 / (2.0 + ns.sin(x)),
+    "cube": lambda ns, x: x**3,
+    "inv-square": lambda ns, x: (1.0 + x * x) ** -2,
+    "real-pow": lambda ns, x: (1.0 + x * x) ** -0.7,
+}
+_BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / (1.5 + b * b),
+    "scale": lambda a, b: 0.75 * a - b * 1.25,
+}
+
+_trees = st.recursive(
+    st.one_of(
+        st.tuples(st.just("var"), st.integers(0, 2)),
+        st.tuples(st.just("const"), st.floats(-2.0, 2.0)),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(sorted(_UNARY)), inner),
+        st.tuples(st.sampled_from(sorted(_BINARY)), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _evaluate(tree, ns, seeds):
+    kind = tree[0]
+    if kind == "var":
+        return seeds[tree[1] % len(seeds)]
+    if kind == "const":
+        return seeds[0] * 0.0 + tree[1]
+    if kind in _UNARY:
+        return _UNARY[kind](ns, _evaluate(tree[1], ns, seeds))
+    return _BINARY[kind](_evaluate(tree[1], ns, seeds), _evaluate(tree[2], ns, seeds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=_trees,
+    n=st.integers(1, 3),
+    order=st.integers(1, 4),
+    point=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_coefficient_jets_match_tensor_oracle(tree, n, order, point):
+    out = _evaluate(tree, jet, [jet_variable(i, point[i], n, order) for i in range(n)])
+    ref = _evaluate(
+        tree, tensor_jet_oracle,
+        [tensor_jet_oracle.TensorJet.variable(i, point[i], n, order) for i in range(n)],
+    )
+    assert out.n == n and out.order == order
+    slots = ("value", "grad", "hess", "third", "fourth")
+    want = [np.asarray(getattr(ref, name)) for name in slots]
+    _assert_slots_close(out, want)
+    for rank, name in ((2, "hess"), (3, "third"), (4, "fourth")):
+        slot = getattr(out, name)
+        for perm in itertools.permutations(range(rank)):
+            assert np.array_equal(slot, slot.transpose(perm)), name
+    # partials read the oracle's slots one order up; truncation keeps a prefix
+    for axis in range(n):
+        part = out.partial(axis)
+        assert part.order == order - 1
+        _assert_slots_close(part, [w[axis] for w in want[1:order + 1]] + [0.0] * (5 - order))
+    low = out.truncated(order - 1)
+    for name in slots[:order]:
+        assert np.array_equal(getattr(low, name), getattr(out, name))
+    assert not np.asarray(getattr(low, slots[order])).any()
+
+
+def _assert_slots_close(out, want):
+    for name, w in zip(("value", "grad", "hess", "third", "fourth"), want):
+        got = np.asarray(getattr(out, name))
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert np.max(np.abs(got - w)) <= 1e-13 * scale, name
