@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -60,6 +61,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# Work caps for spec-supplied sizes.  Both integrators loop in Python and
+# hold arrays of this length, so a count far past what any accuracy needs
+# would only exhaust memory or time; the defaults use 801 samples and a few
+# thousand steps.
+_MAX_FRAME_SAMPLES = 100_000
+_MAX_PROFILE_STEPS = 1_000_000
 
 
 class CatalogError(ValueError):
@@ -219,8 +227,13 @@ def integrate_profile(
     lo, hi = float(s_range[0]), float(s_range[1])
     if not hi > lo:
         raise CatalogError(f"empty integration range [{lo}, {hi}]")
-    if not step > 0:
-        raise CatalogError("integration step must be positive")
+    if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
+        raise CatalogError(f"integration step must be a finite number > 0, got {step!r}")
+    if not (hi - lo) / step <= _MAX_PROFILE_STEPS:
+        raise CatalogError(
+            f"integration step {step!r} over [{lo}, {hi}] exceeds "
+            f"{_MAX_PROFILE_STEPS} steps"
+        )
     if len(init) != 3:
         raise CatalogError("init must be (f0, g0, angle0)")
     kfun, ktext = _kappa_callable(kappa)
@@ -320,8 +333,13 @@ def build_normal_frame(
     lo, hi = float(w_range[0]), float(w_range[1])
     if not hi > lo:
         raise CatalogError(f"empty frame range [{lo}, {hi}]")
-    if samples < 2:
-        raise CatalogError("need at least two frame samples")
+    if isinstance(samples, bool) or not (
+        isinstance(samples, Integral) and 2 <= samples <= _MAX_FRAME_SAMPLES
+    ):
+        raise CatalogError(
+            f"frame samples must be an integer from 2 to {_MAX_FRAME_SAMPLES}, "
+            f"got {samples!r}"
+        )
 
     def alpha_data(w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         env = {"w": jet.jet_variable(0, w, 1, 3)}
@@ -755,6 +773,12 @@ class _FamilyInfo:
     params_doc: dict
 
 
+_PROFILE_DOC = {
+    "kappa": "optional profile curvature; replaces f, g via ODE integration",
+    "init": "profile initial data (f0, g0, angle0) when kappa is given",
+    "step": "profile integration step when kappa is given",
+}
+
 _FAMILIES: dict[str, _FamilyInfo] = {
     "hypercylinder_rotational": _FamilyInfo(
         hypercylinder_rotational,
@@ -763,9 +787,7 @@ _FAMILIES: dict[str, _FamilyInfo] = {
         {
             "f": "radius profile, expression in s (default '2+cos(s)')",
             "g": "height profile, expression in s (default 'sin(s)')",
-            "kappa": "optional profile curvature; replaces f, g via ODE integration",
-            "init": "profile initial data (f0, g0, angle0) when kappa is given",
-            "step": "profile integration step when kappa is given",
+            **_PROFILE_DOC,
         },
     ),
     "conical_hypercylinder": _FamilyInfo(
@@ -781,9 +803,7 @@ _FAMILIES: dict[str, _FamilyInfo] = {
         {
             "f": "first radius profile, expression in s (default '2+cos(s)')",
             "g": "second radius profile, expression in s (default 'sin(s)')",
-            "kappa": "optional profile curvature; replaces f, g via ODE integration",
-            "init": "profile initial data (f0, g0, angle0) when kappa is given",
-            "step": "profile integration step when kappa is given",
+            **_PROFILE_DOC,
         },
     ),
     "rotational": _FamilyInfo(
@@ -793,9 +813,7 @@ _FAMILIES: dict[str, _FamilyInfo] = {
         {
             "f": "axis profile, expression in s (default 'sin(s)')",
             "g": "radius profile, expression in s (default 'cos(s)')",
-            "kappa": "optional profile curvature; replaces f, g via ODE integration",
-            "init": "profile initial data (f0, g0, angle0) when kappa is given",
-            "step": "profile integration step when kappa is given",
+            **_PROFILE_DOC,
         },
     ),
     "tangent_cone": _FamilyInfo(

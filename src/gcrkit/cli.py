@@ -4,8 +4,7 @@ Three verbs: ``check`` sweeps a grid and writes a JSON/CSV report, ``eval``
 dumps the full geometry of a single chart point, ``families`` lists the
 built-in surface catalog.  Reports are canonical: fixed key order, floats
 printed with 17 significant digits, no timestamps — identical inputs give
-byte-identical outputs.  GCRKIT_THREADS sets the evaluation worker count
-(it never changes report bytes).
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .geometry import (
     principal_data,
 )
 from .gcr import (
+    STRUCTURAL_KEYS,
     EmptyReportError,
     GridSpec,
     SurfaceReport,
@@ -284,16 +284,8 @@ def _structural_dict(record) -> dict | None:
     s = record.structural
     if s is None:
         return None
-    return {
-        "r_geodesic": s.r_geodesic,
-        "r_k1": s.r_k1,
-        "r_theta_flat": s.r_theta_flat,
-        "r_shape_coeff": s.r_shape_coeff,
-        "r_omega": s.r_omega,
-        "r_codazzi_system": s.r_codazzi_system,
-        "details": dict(s.details),
-        "skipped": list(s.skipped),
-    }
+    doc = {key: getattr(s, key) for key in STRUCTURAL_KEYS}
+    return {**doc, "details": dict(s.details), "skipped": list(s.skipped)}
 
 
 def _point_dict(record) -> dict:
@@ -369,11 +361,8 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
         + [f"H{i + 1}" for i in range(n)]
         + ["distinct_count", "degenerate", "gcr_primary", "gcr_secondary", "delta2"]
     )
-    structural_cols = [
-        "r_geodesic", "r_k1", "r_theta_flat", "r_shape_coeff", "r_omega", "r_codazzi_system",
-    ]
     if include_structural:
-        header += structural_cols
+        header += STRUCTURAL_KEYS
     writer.writerow(header)
 
     def fmt(x) -> str:
@@ -396,7 +385,7 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
         )
         if include_structural:
             s = r.structural
-            row += [fmt(getattr(s, c)) if s is not None else "" for c in structural_cols]
+            row += [fmt(getattr(s, c)) if s is not None else "" for c in STRUCTURAL_KEYS]
         writer.writerow(row)
     return out.getvalue()
 
@@ -419,11 +408,8 @@ def cmd_check(args) -> int:
     m, echo = build_surface(spec)
     grid = _grid_from_spec(spec, m, args.grid)
     tols = _tolerances_from_spec(spec, args.tol_gcr)
-    workers = int(os.environ.get("GCRKIT_THREADS", "1") or "1")
     try:
-        report = classify_surface(
-            m, grid, tols, include_structural=args.full, workers=workers
-        )
+        report = classify_surface(m, grid, tols, include_structural=args.full)
     except EmptyReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

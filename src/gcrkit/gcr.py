@@ -14,9 +14,7 @@ curvature).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -217,6 +215,12 @@ class StructuralResiduals:
     skipped: tuple[str, ...] = ()
 
 
+# the scalar residuals of StructuralResiduals, in report order
+STRUCTURAL_KEYS = (
+    "r_geodesic", "r_k1", "r_theta_flat", "r_shape_coeff", "r_omega", "r_codazzi_system",
+)
+
+
 def _structural_frame(
     pg: PointGeometry, pa: PositionAngles
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -413,13 +417,7 @@ class Tolerances:
     eps_tan_rel: float = 1e-8
 
     def as_dict(self) -> dict:
-        return {
-            "tol_gcr": self.tol_gcr,
-            "tol_const_rel": self.tol_const_rel,
-            "tol_gap": self.tol_gap,
-            "eps_reg": self.eps_reg,
-            "eps_tan_rel": self.eps_tan_rel,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -523,36 +521,17 @@ def classify_surface(
     grid: GridSpec,
     tols: Tolerances = Tolerances(),
     include_structural: bool = False,
-    workers: int | None = None,
 ) -> SurfaceReport:
-    """Sweep a grid and aggregate per-point geometry into classification flags.
-
-    Evaluation order never affects the result: points are keyed by grid
-    index and merged deterministically, so any worker count produces an
-    identical report.  Worker count defaults to the GCRKIT_THREADS
-    environment variable (1 if unset).
-    """
+    """Sweep a grid, in grid order, and aggregate per-point geometry into
+    classification flags."""
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
 
-    if workers is None:
-        workers = int(os.environ.get("GCRKIT_THREADS", "1") or "1")
-    workers = max(1, workers)
-
-    def job(p):
-        return _classify_point(m, p, tols, include_structural)
-
-    if workers == 1:
-        outcomes = [job(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, points))
-
     records: list[PointRecord] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
-    for outcome in outcomes:
-        kind, payload, reason = outcome
+    for p in points:
+        kind, payload, reason = _classify_point(m, p, tols, include_structural)
         if kind == "ok":
             records.append(payload)
         else:
@@ -593,14 +572,7 @@ def classify_surface(
     for r in records:
         if r.structural is None:
             continue
-        for key in (
-            "r_geodesic",
-            "r_k1",
-            "r_theta_flat",
-            "r_shape_coeff",
-            "r_omega",
-            "r_codazzi_system",
-        ):
+        for key in STRUCTURAL_KEYS:
             value = getattr(r.structural, key)
             structural_max[key] = max(structural_max.get(key, 0.0), value)
 

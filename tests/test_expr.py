@@ -222,7 +222,12 @@ def _expr_tree(depth):
 def test_print_parse_fixpoint(e, s, t):
     text = to_text(e)
     back = parse_expr(text, ("s", "t"))
-    v1 = eval_real(e, {"s": s, "t": t})
+    assert to_text(back) == text
+    try:
+        v1 = eval_real(e, {"s": s, "t": t})
+    except OverflowError:  # nested exp of a constant up to 4 can leave the float range
+        with pytest.raises(OverflowError):
+            eval_real(back, {"s": s, "t": t})
+        return
     v2 = eval_real(back, {"s": s, "t": t})
     assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
-    assert to_text(back) == text

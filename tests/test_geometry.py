@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_family, sample_points
 from fd_oracle import complete_third_order_fd, frame_connection_forms_fd
+from gcrkit import geometry
 from gcrkit.catalog import (
     curve_tube,
     hyperplane,
@@ -110,6 +111,45 @@ def test_cross_jets_orientation_identity():
         lhs = sum(crossed[r].value * w[r] for r in range(dim))
         rhs = np.linalg.det(np.column_stack([cols, w]))
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_order0_cross_product_is_the_determinant(k):
+    # plain numbers are the order-0 case: det[cols | w] = <cross, w>, and the
+    # float path (np.multiply) equals order-0 jets bit for bit
+    rng = np.random.default_rng(30 + k)
+    for _ in range(20):
+        cols = rng.standard_normal((k + 1, k))
+        w = rng.standard_normal(k + 1)
+        v = geometry._cross_rows(cols[:, :, None], np.multiply)[:, 0]
+        assert math.isclose(v @ w, np.linalg.det(np.column_stack([cols, w])),
+                            rel_tol=1e-12, abs_tol=1e-14)
+        jets = cross_jets([[jet_constant(x, 2, 0) for x in col] for col in cols.T])
+        assert [x.order for x in jets] == [0] * (k + 1)
+        assert np.array_equal([x.value for x in jets], v)
+
+
+def test_cross_jets_rejects_mixed_or_ragged_columns():
+    a, b = jet_variable(0, 0.5, 2, 2), jet_variable(1, 0.5, 2, 1)
+    with pytest.raises(ValueError):
+        cross_jets([[a, a, a], [a, a, b]])
+    with pytest.raises(ValueError):
+        cross_jets([[a, a, a], [a, a]])
+
+
+def test_normal_jets_follow_the_prefix_rule():
+    # the order-1 normal of order-2-truncated jets is the order-1 prefix of
+    # the order-2 normal of the order-3 jets, bit for bit
+    rng = np.random.default_rng(16)
+    for tag in ("so2_x_so2", "rotational", "curve_tube", "tangent_cone", "special_sqrt2"):
+        m = random_family(tag, rng)
+        for p in sample_points(m, rng, 3):
+            jets = evaluate_jets(m, p, order=3)
+            full = normal_jets(jets)
+            low = normal_jets([x.truncated(2) for x in jets])
+            assert [x.order for x in low] == [1] * (m.n + 1)
+            for a, b in zip(low, full):
+                assert np.array_equal(a.c, b.c[: a.c.size])
 
 
 def test_normal_jets_match_fd_of_normal():
@@ -237,6 +277,24 @@ def test_corrupted_second_form_breaks_codazzi():
     bad[0, 0] += 0.1
     assert clean < 1e-10
     assert codazzi_residual_from_bundle(b, second_form=bad) > 1e-3
+
+
+def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
+    # Codazzi checks the independent normal jets: one entry of dN off by 1%
+    # must show, so the self-test cannot pass on a wrong normal derivative
+    m, p = so2_x_so2(), (1.1, 0.9, 2.2)
+    assert codazzi_residual(m, p) < 1e-10
+    exact = geometry._unit_normal_rows
+
+    def corrupted(coeffs, t):
+        rows, low = exact(coeffs, t)
+        rows = rows.copy()
+        c, i = np.unravel_index(np.argmax(np.abs(rows[:, 1:])), rows[:, 1:].shape)
+        rows[c, 1 + i] *= 1.01
+        return rows, low
+
+    monkeypatch.setattr(geometry, "_unit_normal_rows", corrupted)
+    assert codazzi_residual(m, p) > 1e-6
 
 
 def test_sphere_sectional_curvature_sign_and_value():

@@ -341,6 +341,25 @@ def test_tables_built_twice_are_interchangeable():
     assert math.isclose(out.value, 0.7 * 0.4 + 0.4 - 0.7 / 0.4, rel_tol=1e-15)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    order=st.integers(0, 4),
+    rows=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    broadcast=st.booleans(),
+)
+def test_row_product_is_the_scalar_product_row_by_row(n, order, rows, seed, broadcast):
+    t = jet._table(n, order)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, t.size))
+    b = rng.standard_normal(t.size if broadcast else (rows, t.size))
+    out = t.product(a, b)
+    assert out.shape == (rows, t.size)
+    for r in range(rows):
+        assert np.array_equal(out[r], t.product(a[r], b if broadcast else b[r]))
+
+
 def test_mixed_arity_rejected():
     x = jet_variable(0, 1.0, 2, 2)
     z = jet_variable(0, 1.0, 3, 2)
