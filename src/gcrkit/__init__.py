@@ -5,111 +5,29 @@ arithmetic, assembles the induced metric, second fundamental form, shape
 operator and curvature tensor at chart points, and tests whether a surface
 is position-principal with constant-ratio tangential/normal decomposition,
 isoparametric, minimal in its top mean curvature, or curvature-ideal.
+
+The top level holds what a typical script needs (see README's "Python API
+sketch"); the jet algebra, the expression language, the geometry machinery
+and the catalog live in the submodules ``gcrkit.jet``, ``gcrkit.expr``,
+``gcrkit.geometry`` and ``gcrkit.catalog``.
 """
 
-from .catalog import (
-    CatalogError,
-    FamilySpec,
-    HermiteCurve,
-    NormalFrame,
-    PartialCurveError,
-    ProfileCurve,
-    build_normal_frame,
-    circular_hypercylinder,
-    conical_hypercylinder,
-    curve_tube,
-    family_catalog,
-    FAMILY_TAGS,
-    hypercylinder_rotational,
-    hyperplane,
-    integrate_profile,
-    make_family,
-    product_cylinder,
-    rotational,
-    so2_x_so2,
-    special_sqrt2,
-    spherical_hypercylinder,
-    tangent_cone,
-    tangent_developable_cylinder,
-)
-from .expr import (
-    Expr,
-    ExprError,
-    ExprEvalError,
-    ExprSyntaxError,
-    eval_expr,
-    eval_real,
-    parse_expr,
-    to_text,
-    variables_of,
-)
+from .catalog import make_family
 from .gcr import (
-    DegeneratePointError,
-    EmptyReportError,
-    GcrResidual,
     GridSpec,
-    PointRecord,
-    PositionAngles,
-    StructuralResiduals,
-    SurfaceReport,
     Tolerances,
     classify_surface,
-    delta2_ideal_test,
     gcr_residual,
     position_angles,
     structural_residuals,
 )
-from .geometry import (
-    CurvatureInvariants,
-    DerivativeBundle,
-    EvaluationError,
-    GeometryError,
-    Immersion,
-    NearUmbilicError,
-    OutOfDomainError,
-    PointGeometry,
-    PrincipalData,
-    SingularPointError,
-    codazzi_residual,
-    cross_jets,
-    curvature_invariants,
-    derivative_bundle,
-    evaluate_jets,
-    frame_connection_forms,
-    gauss_residual,
-    normal_jets,
-    point_geometry,
-    principal_data,
-)
-from .jet import Jet, finite_difference_jet, jet_constant, jet_variable
+from .geometry import Immersion, point_geometry, principal_data
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # jets
-    "Jet", "jet_variable", "jet_constant", "finite_difference_jet",
-    # expressions
-    "Expr", "parse_expr", "eval_expr", "eval_real", "to_text", "variables_of",
-    "ExprError", "ExprSyntaxError", "ExprEvalError",
-    # geometry
-    "Immersion", "PointGeometry", "PrincipalData", "CurvatureInvariants",
-    "DerivativeBundle", "evaluate_jets", "point_geometry", "principal_data",
-    "curvature_invariants", "derivative_bundle", "codazzi_residual",
-    "gauss_residual", "frame_connection_forms", "cross_jets", "normal_jets",
-    "GeometryError", "OutOfDomainError", "SingularPointError",
-    "EvaluationError", "NearUmbilicError",
-    # classification
-    "PositionAngles", "GcrResidual", "StructuralResiduals", "GridSpec",
-    "Tolerances", "PointRecord", "SurfaceReport", "position_angles",
-    "gcr_residual", "delta2_ideal_test", "structural_residuals",
-    "classify_surface", "DegeneratePointError", "EmptyReportError",
-    # catalog
-    "FamilySpec", "FAMILY_TAGS", "make_family", "family_catalog",
-    "hypercylinder_rotational", "conical_hypercylinder", "so2_x_so2",
-    "rotational", "tangent_cone", "curve_tube", "special_sqrt2",
-    "product_cylinder", "spherical_hypercylinder", "circular_hypercylinder",
-    "hyperplane", "tangent_developable_cylinder", "integrate_profile",
-    "build_normal_frame", "HermiteCurve", "ProfileCurve", "NormalFrame",
-    "CatalogError", "PartialCurveError",
+    "Immersion", "make_family", "point_geometry", "principal_data",
+    "position_angles", "gcr_residual", "structural_residuals",
+    "classify_surface", "GridSpec", "Tolerances",
 ]

@@ -865,18 +865,18 @@ def make_family(spec, /, **params) -> Immersion:
     info = _FAMILIES.get(tag)
     if info is None:
         raise CatalogError(f"unknown family {tag!r}; valid tags: {', '.join(FAMILY_TAGS)}")
-    if tag in _PROFILE_FAMILIES and "kappa" in params:
-        params = dict(params)
-        if "f" in params or "g" in params:
-            raise CatalogError("give either f/g expressions or kappa, not both")
-        kappa = params.pop("kappa")
-        init = params.pop("init", (0.0, 0.0, 0.0))
-        step = params.pop("step", 1e-3)
-        domain = params.get("domain")
-        if domain is None:
-            raise CatalogError("profile integration needs an explicit domain")
-        params["profile"] = integrate_profile(kappa, _padded(tuple(domain[0])), init, step)
-    try:
+    try:  # a TypeError here is a parameter of the wrong type or name
+        if tag in _PROFILE_FAMILIES and "kappa" in params:
+            params = dict(params)
+            if "f" in params or "g" in params:
+                raise CatalogError("give either f/g expressions or kappa, not both")
+            kappa = params.pop("kappa")
+            init = params.pop("init", (0.0, 0.0, 0.0))
+            step = params.pop("step", 1e-3)
+            domain = params.get("domain")
+            if domain is None:
+                raise CatalogError("profile integration needs an explicit domain")
+            params["profile"] = integrate_profile(kappa, _padded(tuple(domain[0])), init, step)
         return info.builder(**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for family {tag!r}: {exc}") from None

@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .gcr import (
     STRUCTURAL_KEYS,
+    DegeneratePointError,
     EmptyReportError,
     GridSpec,
     SurfaceReport,
@@ -52,6 +53,7 @@ EXIT_SPEC = 2
 EXIT_SINGULAR = 3
 
 _DEFAULT_GRID = 5
+_MAX_GRID_POINTS = 1_000_000  # a sweep of minutes already; GridSpec.points holds them all
 
 
 class SpecError(ValueError):
@@ -154,7 +156,9 @@ def _domain_list(domain: dict, var_names: tuple[str, ...]) -> list[list[float]]:
         iv = domain[name]
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
             raise SpecError(f"domain[{name!r}] must be a [lo, hi] pair")
-        lo, hi = float(iv[0]), float(iv[1])
+        lo, hi = map(_number, iv)
+        if not math.isfinite(hi - lo):
+            raise SpecError(f"domain[{name!r}] must be two numbers a finite width apart, got {iv!r}")
         if not lo < hi:
             raise SpecError(f"domain[{name!r}] is empty: [{lo}, {hi}]")
         out.append([lo, hi])
@@ -205,12 +209,12 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
             variables = spec.get("variables")
             if variables is None:
                 raise SpecError("raw-component surfaces must declare variables")
-            variables = tuple(str(v) for v in variables)
-            if len(variables) not in (2, 3):
-                raise SpecError("need 2 or 3 chart variables")
-            if not isinstance(components, (list, tuple)) or len(components) != len(variables) + 1:
+            if not _strings(variables) or len(variables) not in (2, 3):
+                raise SpecError("variables must be a list of 2 or 3 chart variable names")
+            variables = tuple(variables)
+            if not _strings(components) or len(components) != len(variables) + 1:
                 raise SpecError(
-                    f"need {len(variables) + 1} components for {len(variables)} variables"
+                    f"need {len(variables) + 1} component strings for {len(variables)} variables"
                 )
             if "domain" not in spec:
                 raise SpecError("raw-component surfaces must declare a domain")
@@ -230,25 +234,32 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
     return m, echo
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _grid_from_spec(spec: dict, m: Immersion, override: int | None) -> GridSpec:
+    grid = spec.get("grid")
     if override is not None:
         if override < 2:
             raise SpecError("--grid must be at least 2")
-        return GridSpec((override,) * m.n)
-    grid = spec.get("grid")
-    if grid is None:
-        return GridSpec((_DEFAULT_GRID,) * m.n)
-    if not isinstance(grid, dict):
+        counts = [override] * m.n
+    elif grid is None:
+        counts = [_DEFAULT_GRID] * m.n
+    elif not isinstance(grid, dict):
         raise SpecError("grid must map variable names to sample counts")
-    counts = []
-    for name in m.var_names:
-        count = grid.get(name, _DEFAULT_GRID)
-        if not isinstance(count, int) or count < 2:
-            raise SpecError(f"grid[{name!r}] must be an integer >= 2")
-        counts.append(count)
-    unknown = set(grid) - set(m.var_names)
-    if unknown:
-        raise SpecError(f"grid mentions unknown variables: {sorted(unknown)}")
+    else:
+        counts = [grid.get(name, _DEFAULT_GRID) for name in m.var_names]
+        for name, count in zip(m.var_names, counts):
+            if not isinstance(count, int) or count < 2:
+                raise SpecError(f"grid[{name!r}] must be an integer >= 2")
+        unknown = set(grid) - set(m.var_names)
+        if unknown:
+            raise SpecError(f"grid mentions unknown variables: {sorted(unknown)}")
+    if math.prod(counts) > _MAX_GRID_POINTS:
+        raise SpecError(
+            f"grid {'x'.join(map(str, counts))} exceeds {_MAX_GRID_POINTS} points"
+        )
     return GridSpec(tuple(counts))
 
 
@@ -268,13 +279,18 @@ def _tolerances_from_spec(spec: dict, tol_gcr: float | None) -> Tolerances:
 
 
 def _tolerance(name: str, value) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    x = _number(value)
     if not (math.isfinite(x) and x >= 0.0):
         raise SpecError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
     return x
+
+
+def _number(value) -> float:
+    """``value`` as a float, NaN if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 # -- report assembly ----------------------------------------------------------------------
@@ -515,7 +531,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="raise", under="ignore"):  # no silent inf or NaN
+            return args.func(args)
     except BrokenPipeError:
         # reader gone (`| head`): no traceback; devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -526,7 +543,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OutOfDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except GeometryError as exc:
+    except (GeometryError, DegeneratePointError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 

@@ -18,11 +18,10 @@ unary functions: sin, cos, tan, exp, log, sqrt, abs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .jet import Jet, JetDomainError, jet_constant
+from .jet import Jet, jet_constant
 from . import jet as _jet
 
 __all__ = [
@@ -43,19 +42,7 @@ __all__ = [
     "variables_of",
 ]
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
-
-_REAL_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
-_JET_FUNCTIONS = {
+_FUNCTIONS = {
     "sin": _jet.sin,
     "cos": _jet.cos,
     "tan": _jet.tan,
@@ -64,6 +51,7 @@ _JET_FUNCTIONS = {
     "sqrt": _jet.sqrt,
     "abs": abs,
 }
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 class ExprError(Exception):
@@ -287,61 +275,30 @@ def variables_of(expr: Expr) -> frozenset[str]:
 
 
 # -- evaluation -------------------------------------------------------------------
+#
+# One walker serves both routes: a plain float is the order-0 case of a jet,
+# so floats and jets meet the same power, division and error rules, and the
+# jet route's value follows the float route's operations bit for bit.
 
 
-def _pow_real(base: float, expo: float) -> float:
-    if float(expo).is_integer():
-        return _int_pow_real(base, int(expo))
+def _power(b: float | Jet, e: float | Jet) -> float | Jet:
+    if isinstance(e, Jet) and not e.c[1:].any():
+        e = e.value  # a jet exponent that is constant after all
+    if not isinstance(e, Jet) and float(e).is_integer():
+        return _jet._int_pow(b, int(e))
+    base = b.value if isinstance(b, Jet) else b
     if base <= 0.0:
-        raise ExprEvalError(
-            f"'^' with non-integer exponent needs a positive base, got {base!r}"
-        )
-    return base**expo
+        kind = "non-constant" if isinstance(e, Jet) else "non-integer"
+        raise ExprEvalError(f"'^' with {kind} exponent needs a positive base, got {base!r}")
+    return _jet.exp(e * _jet.log(b)) if isinstance(e, Jet) else b**e
 
 
-def _int_pow_real(base: float, p: int) -> float:
-    if p == 0:
-        return 1.0
-    invert = p < 0
-    k = abs(p)
-    result = None
-    acc = base
-    while k:
-        if k & 1:
-            result = acc if result is None else result * acc
-        k >>= 1
-        if k:
-            acc = acc * acc
-    if invert:
-        if result == 0.0:
-            raise ExprEvalError("division by zero in negative power")
-        return 1.0 / result
-    return result
+def _walk(expr: Expr, env: Mapping[str, float | Jet]) -> float | Jet:
+    """Evaluate over floats and jets; subtrees free of jets stay plain floats.
+    Domain and range failures (math's ValueError and ArithmeticError, and
+    JetDomainError) leave as ExprEvalError."""
 
-
-def _call_real(fn: str, v: float) -> float:
-    if fn == "log" and v <= 0.0:
-        raise ExprEvalError(f"log is undefined at {v!r}")
-    if fn == "sqrt" and v < 0.0:
-        raise ExprEvalError(f"sqrt is undefined at {v!r}")
-    return float(_REAL_FUNCTIONS[fn](v))
-
-
-def _div_real(a, b: float):
-    if b == 0.0:
-        raise ExprEvalError("division by zero")
-    # reciprocal-multiply, matching the jet code path bit for bit
-    return a * (1.0 / b)
-
-
-def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
-    """Evaluate over jets.  ``env`` must bind every variable of the chart.
-    Subtrees free of variables evaluate to plain floats."""
-    if not env:
-        raise ExprEvalError("empty environment: jet arity and order are unknown")
-    probe = next(iter(env.values()))
-
-    def rec(node: Expr) -> Jet | float:
+    def rec(node: Expr) -> float | Jet:
         match node:
             case Const(value):
                 return value
@@ -353,67 +310,7 @@ def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
             case Neg(operand):
                 return -rec(operand)
             case BinOp("^", left, right):
-                b, e = rec(left), rec(right)
-                if isinstance(e, Jet) and not e.c[1:].any():
-                    e = e.value  # a jet exponent that is constant after all
-                if isinstance(e, Jet):
-                    base = b.value if isinstance(b, Jet) else b
-                    if base <= 0.0:
-                        raise ExprEvalError(
-                            "'^' with non-constant exponent needs a positive base, "
-                            f"got {base!r}"
-                        )
-                    return _jet.exp(e * (_jet.log(b) if isinstance(b, Jet) else math.log(b)))
-                if not isinstance(b, Jet):
-                    return _pow_real(b, e)
-                if not float(e).is_integer() and b.value <= 0.0:
-                    raise ExprEvalError(
-                        "'^' with non-integer exponent needs a positive base, "
-                        f"got {b.value!r}"
-                    )
-                return b**e
-            case BinOp(op, left, right):
-                a, b = rec(left), rec(right)
-                try:
-                    if op == "+":
-                        return a + b
-                    if op == "-":
-                        return a - b
-                    if op == "*":
-                        return a * b
-                    return a / b if isinstance(b, Jet) else _div_real(a, b)
-                except JetDomainError as exc:
-                    raise ExprEvalError(str(exc)) from exc
-            case Call(fn, arg):
-                x = rec(arg)
-                if not isinstance(x, Jet):
-                    return _call_real(fn, x)
-                try:
-                    return _JET_FUNCTIONS[fn](x)
-                except JetDomainError as exc:
-                    raise ExprEvalError(str(exc)) from exc
-        raise TypeError(f"not an expression node: {node!r}")
-
-    out = rec(expr)
-    return out if isinstance(out, Jet) else jet_constant(out, probe.n, probe.order)
-
-
-def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
-    """Plain-float evaluation along the same operation sequence as eval_expr."""
-
-    def rec(node: Expr) -> float:
-        match node:
-            case Const(value):
-                return value
-            case Var(name):
-                try:
-                    return float(env[name])
-                except KeyError:
-                    raise ExprEvalError(f"unbound variable {name!r}") from None
-            case Neg(operand):
-                return -rec(operand)
-            case BinOp("^", left, right):
-                return _pow_real(rec(left), rec(right))
+                return _power(rec(left), rec(right))
             case BinOp(op, left, right):
                 a, b = rec(left), rec(right)
                 if op == "+":
@@ -422,12 +319,31 @@ def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
                     return a - b
                 if op == "*":
                     return a * b
-                return _div_real(a, b)
+                return a * (1.0 / b)  # reciprocal-multiply on both routes
             case Call(fn, arg):
-                return _call_real(fn, rec(arg))
+                return _FUNCTIONS[fn](rec(arg))
         raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(expr)
+    try:
+        return rec(expr)
+    except (ValueError, ArithmeticError) as exc:
+        raise ExprEvalError(str(exc)) from exc
+
+
+def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
+    """Evaluate over jets.  ``env`` must bind every variable of the chart."""
+    if not env:
+        raise ExprEvalError("empty environment: jet arity and order are unknown")
+    out = _walk(expr, env)
+    if isinstance(out, Jet):
+        return out
+    probe = next(iter(env.values()))
+    return jet_constant(out, probe.n, probe.order)
+
+
+def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
+    """Evaluate over plain floats: the value eval_expr gives at order 0."""
+    return _walk(expr, {name: float(v) for name, v in env.items()})
 
 
 # -- pretty printer ----------------------------------------------------------------

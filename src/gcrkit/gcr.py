@@ -29,7 +29,6 @@ from .geometry import (
     SingularPointError,
     _fix_direction_signs,
     _nabla_second_form,
-    _point_geometry3,
     curvature_invariants,
     point_geometry,
     principal_data,
@@ -155,6 +154,8 @@ def g_complement_basis(g: np.ndarray, v: np.ndarray) -> np.ndarray:
             cols.append(cand / norm)
         if len(cols) == n:
             break
+    if len(cols) < n:
+        raise DegeneratePointError("metric too degenerate for a complement basis")
     return np.column_stack(cols[1:])
 
 
@@ -170,7 +171,7 @@ def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> Gc
     tail = se1 - (se1 @ g @ e1) * e1
     primary = float(math.sqrt(max(tail @ g @ tail, 0.0)))
     comp = g_complement_basis(g, e1)
-    secondary = float(np.max(np.abs(comp.T @ pa.theta_grad))) if comp.size else 0.0
+    secondary = float(np.max(np.abs(comp.T @ pa.theta_grad)))
     return GcrResidual(primary=primary, secondary=secondary)
 
 
@@ -269,7 +270,7 @@ def structural_residuals(
     q = np.asarray(p, dtype=float)
     if pg is None or pg.third is None:
         # order-3 geometry repeats order-2 figures bit for bit: pd, pa stay valid
-        pg = _point_geometry3(m, q, eps_reg)
+        pg = point_geometry(m, q, eps_reg, check_domain=False, order=3)
     if pa is None:
         pa = position_angles(pg)
     if pa.degenerate:
@@ -462,8 +463,8 @@ def _classify_point(
 ):
     try:
         # 3-D transport checks read third partials: one order-3 evaluation serves both
-        structural3 = include_structural and m.n == 3
-        pg = (_point_geometry3 if structural3 else point_geometry)(m, p, tols.eps_reg, False)
+        order = 3 if include_structural and m.n == 3 else 2
+        pg = point_geometry(m, p, tols.eps_reg, check_domain=False, order=order)
         pd = principal_data(pg, tols.tol_gap)
         pa = position_angles(pg, eps_tan_rel=tols.eps_tan_rel)
     except SingularPointError as exc:
@@ -530,12 +531,19 @@ def classify_surface(
 
     records: list[PointRecord] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
-    for p in points:
-        kind, payload, reason = _classify_point(m, p, tols, include_structural)
-        if kind == "ok":
-            records.append(payload)
-        else:
-            skipped.append((payload, reason))
+    # numpy overflow or NaN in a point's figures, or a metric too degenerate
+    # for its complement basis, skips the point like a failed evaluation;
+    # assembly itself refuses non-finite jets and geometry
+    with np.errstate(all="raise", under="ignore"):
+        for p in points:
+            try:
+                kind, payload, reason = _classify_point(m, p, tols, include_structural)
+            except (FloatingPointError, DegeneratePointError) as exc:
+                kind, payload, reason = "skip", tuple(p), f"evaluation failed: {exc}"
+            if kind == "ok":
+                records.append(payload)
+            else:
+                skipped.append((payload, reason))
 
     if not records:
         first = skipped[0] if skipped else (tuple(points[0]), "no points")

@@ -6,10 +6,13 @@ jet evaluations: first fundamental form, oriented unit normal, second
 fundamental form, Christoffel symbols, shape operator, principal
 curvatures/directions, mean-curvature ladder, and the residuals of the
 Gauss and Codazzi equations (which hold for every immersion and therefore
-double as an end-to-end self-test of the derivative pipeline).  Derivatives
-of the principal frame come in closed form from the covariant derivative of
-the second fundamental form (first-order eigen-perturbation), so no frame is
-ever differenced across neighbouring points.  One generalized cross product
+double as an end-to-end self-test of the derivative pipeline).  The
+covariant derivative of the second fundamental form, from which
+``gcr.structural_residuals`` takes the principal frame's derivatives in
+closed form, comes from order-3 geometry (``point_geometry(order=3)``), so
+no frame is ever differenced across neighbouring points.  A point whose jets
+or geometry overflow the float range raises GeometryError instead of
+returning infinities.  One generalized cross product
 kernel, a few products of stacked jet coefficient rows, gives the float
 normal, ``cross_jets`` and the unit normal jets.
 """
@@ -33,7 +36,6 @@ __all__ = [
     "OutOfDomainError",
     "SingularPointError",
     "EvaluationError",
-    "NearUmbilicError",
     "Immersion",
     "evaluate_jets",
     "cross_jets",
@@ -46,9 +48,6 @@ __all__ = [
     "curvature_invariants",
     "DerivativeBundle",
     "derivative_bundle",
-    "codazzi_residual",
-    "gauss_residual",
-    "frame_connection_forms",
 ]
 
 EPS_REG = 1e-10
@@ -82,11 +81,6 @@ class EvaluationError(GeometryError):
         where = [float(v) for v in point]
         super().__init__(f"component evaluation failed at {where}: {cause}")
         self.point = tuple(where)
-
-
-class NearUmbilicError(GeometryError):
-    """Principal curvatures are too close together for the eigen-perturbation
-    formulas, which divide by their differences."""
 
 
 # -- immersion ---------------------------------------------------------------------
@@ -272,32 +266,41 @@ class PointGeometry:
         return self.metric.shape[0]
 
 
-def _assemble_point_geometry(
-    p: np.ndarray, coeffs: np.ndarray, order: int, eps_reg: float
-) -> tuple[PointGeometry, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry from the components' order-``order`` coefficient rows (n+1, D),
-    plus dg[k, i, j] = d_k g_ij, the Christoffel numerator and g^-1."""
-    n = coeffs.shape[0] - 1
-    pos = coeffs[:, 0].copy()  # a strided view would round differently in products
-    jac = derivative_tensor(coeffs, n, 1)
-    sec = derivative_tensor(coeffs, n, 2)
-    g = jac.T @ jac
-    det_g = float(np.linalg.det(g))
-    if not det_g > eps_reg:
-        raise SingularPointError(p, det_g)
-    normal = _cross_rows(jac[:, :, None], np.multiply)[:, 0]
-    normal = normal / np.linalg.norm(normal)
-    h = np.einsum("cij,c->ij", sec, normal)
-    h = 0.5 * (h + h.T)
-    dg = np.einsum("cki,cj->kij", sec, jac)
-    dg = dg + dg.transpose(0, 2, 1)
-    ginv = np.linalg.inv(g)
-    # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
-    a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
-    gamma = 0.5 * np.einsum("lm,mij->lij", ginv, a)
-    shape = np.linalg.solve(g, h)
+def _evaluate_geometry(
+    m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool
+) -> tuple[PointGeometry, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry from one order-``order`` evaluation of ``m`` at ``q``, plus the
+    components' coefficient rows (n+1, D), dg[k, i, j] = d_k g_ij, the
+    Christoffel numerator and g^-1.  Overflow and its NaNs are caught once,
+    here, instead of as numpy warnings: a point whose jets or assembled
+    geometry are not finite raises GeometryError."""
+    with np.errstate(all="ignore"):
+        jets = evaluate_jets(m, q, order=order, check_domain=check_domain)
+        coeffs = np.stack([x.c for x in jets])
+        n = m.n
+        pos = coeffs[:, 0].copy()  # a strided view would round differently in products
+        jac = derivative_tensor(coeffs, n, 1)
+        sec = derivative_tensor(coeffs, n, 2)
+        g = jac.T @ jac
+        det_g = float(np.linalg.det(g))
+        if det_g <= eps_reg:  # a NaN goes on to the finiteness check
+            raise SingularPointError(q, det_g)
+        normal = _cross_rows(jac[:, :, None], np.multiply)[:, 0]
+        normal = normal / np.linalg.norm(normal)
+        h = np.einsum("cij,c->ij", sec, normal)
+        h = 0.5 * (h + h.T)
+        dg = np.einsum("cki,cj->kij", sec, jac)
+        dg = dg + dg.transpose(0, 2, 1)
+        ginv = np.linalg.inv(g)
+        # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
+        a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
+        gamma = 0.5 * np.einsum("lm,mij->lij", ginv, a)
+        shape = np.linalg.solve(g, h)
+    checked = (coeffs, g, normal, dg, gamma, shape)
+    if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
+        raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
     pg = PointGeometry(
-        point=p.copy(),
+        point=q.copy(),
         position=pos,
         jac=jac,
         second=sec,
@@ -309,7 +312,7 @@ def _assemble_point_geometry(
         shape=shape,
         third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
     )
-    return pg, dg, a, ginv
+    return pg, coeffs, dg, a, ginv
 
 
 def point_geometry(
@@ -317,18 +320,11 @@ def point_geometry(
     p: Sequence[float],
     eps_reg: float = EPS_REG,
     check_domain: bool = True,
+    order: int = 2,
 ) -> PointGeometry:
-    """Fundamental forms, normal, Christoffel symbols and shape operator."""
-    q = np.asarray(p, dtype=float)
-    jets = evaluate_jets(m, q, order=2, check_domain=check_domain)
-    return _assemble_point_geometry(q, np.stack([x.c for x in jets]), 2, eps_reg)[0]
-
-
-def _point_geometry3(m: Immersion, q, eps_reg=EPS_REG, check_domain=False) -> PointGeometry:
-    """point_geometry from one order-3 evaluation, with ``third`` filled."""
-    q = np.asarray(q, dtype=float)
-    jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
-    return _assemble_point_geometry(q, np.stack([x.c for x in jets]), 3, eps_reg)[0]
+    """Fundamental forms, normal, Christoffel symbols and shape operator from
+    one evaluation at jet order 2, or at order 3 with ``third`` filled."""
+    return _evaluate_geometry(m, np.asarray(p, dtype=float), order, eps_reg, check_domain)[0]
 
 
 # -- principal curvatures ---------------------------------------------------------------
@@ -392,9 +388,11 @@ def curvature_invariants(curvatures: Sequence[float]) -> CurvatureInvariants:
     k = np.asarray(curvatures, dtype=float)
     n = k.size
     # Vieta: expanding prod (x + k_i) yields the elementary symmetric functions
-    coeffs = np.array([1.0])
-    for ki in k:
-        coeffs = np.convolve(coeffs, np.array([1.0, ki]))
+    # (plain products, unlike np.convolve, honour np.errstate on overflow)
+    coeffs = np.zeros(n + 1)
+    coeffs[0] = 1.0
+    for i, ki in enumerate(k, start=1):
+        coeffs[1 : i + 1] = coeffs[1 : i + 1] + ki * coeffs[:i]
     sym = coeffs[1:]
     binom = np.array([math.comb(n, j) for j in range(1, n + 1)], dtype=float)
     return CurvatureInvariants(sym=sym, mean=sym / binom)
@@ -445,9 +443,7 @@ def derivative_bundle(
     check_domain: bool = True,
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
-    jets = evaluate_jets(m, q, order=3, check_domain=check_domain)
-    coeffs = np.stack([x.c for x in jets])
-    pg, dg, a, ginv = _assemble_point_geometry(q, coeffs, 3, eps_reg)
+    pg, coeffs, dg, a, ginv = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
     # only N and dN are read: the order-1 normal of the order-2 prefix, which
     # by the prefix rule is the order-1 part of the order-2 normal bit for bit
     order2 = _table(m.n, 2)
@@ -514,46 +510,3 @@ def gauss_residual_from_bundle(bundle: DerivativeBundle) -> float:
     h = bundle.pg.second_form
     rhs = np.einsum("jk,il->ijkl", h, h) - np.einsum("ik,jl->ijkl", h, h)
     return float(np.max(np.abs(bundle.riemann - rhs)))
-
-
-def codazzi_residual(m: Immersion, p: Sequence[float], **kwargs) -> float:
-    """Residual of the Codazzi identity; near zero for any smooth immersion."""
-    return codazzi_residual_from_bundle(derivative_bundle(m, p, **kwargs))
-
-
-def gauss_residual(m: Immersion, p: Sequence[float], **kwargs) -> float:
-    """Residual of the Gauss identity; near zero for any smooth immersion."""
-    return gauss_residual_from_bundle(derivative_bundle(m, p, **kwargs))
-
-
-# -- principal frame derivatives -------------------------------------------------------
-
-
-def frame_connection_forms(
-    m: Immersion,
-    p: Sequence[float],
-    pd: PrincipalData | None = None,
-    tol_gap: float = 1e-4,
-    check_gaps: bool = True,
-) -> np.ndarray:
-    """Connection forms omega[i, j, l] = <nabla_{e_l} e_i, e_j> of the
-    principal frame, from first-order eigen-perturbation of h v = k g v:
-    (k_i - k_j) omega[i, j, l] = (nabla_{e_l} h)(e_i, e_j).
-
-    Requires open eigenvalue gaps; points closer than ``tol_gap`` to an
-    umbilic raise :class:`NearUmbilicError` unless ``check_gaps`` is off, in
-    which case forms between nearly equal curvatures are meaningless (and
-    zero between exactly equal ones).
-    """
-    q = np.asarray(p, dtype=float)
-    pg = _point_geometry3(m, q)
-    if pd is None:
-        pd = principal_data(pg, tol_gap)
-    if check_gaps and pd.gaps < tol_gap:
-        raise NearUmbilicError(
-            f"eigenvalue gap {pd.gaps:.3e} below {tol_gap:.1e} at {q.tolist()}"
-        )
-    e, k = pd.directions, pd.curvatures
-    rhs = np.einsum("xab,xl,ai,bj->ijl", _nabla_second_form(pg), e, e, e)
-    gap = (k[:, None] - k[None, :])[:, :, None]
-    return np.divide(rhs, gap, out=np.zeros_like(rhs), where=gap != 0.0)

@@ -364,12 +364,14 @@ def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> J
     return _make(t, out)
 
 
-def _int_pow(x: Jet, p: int) -> Jet:
+def _int_pow(x: float | Jet, p: int) -> float | Jet:
+    """x^p for a jet or a plain float, by one rule: square-and-multiply
+    keeps the operation count small and deterministic, and a negative power
+    is the reciprocal of the positive one."""
     if p == 0:
-        return jet_constant(1.0, x.n, x.order)
+        return jet_constant(1.0, x.n, x.order) if isinstance(x, Jet) else 1.0
     if p < 0:
-        return _int_pow(x, -p)._reciprocal()
-    # square-and-multiply keeps the operation count small and deterministic
+        return 1.0 / _int_pow(x, -p)
     result = None
     base = x
     k = p
@@ -397,19 +399,30 @@ def _real_pow(x: Jet, p: float) -> Jet:
 
 
 # -- elementary functions ------------------------------------------------------
+#
+# sin, cos, tan, exp, log and sqrt also take a plain float, the order-0 case:
+# it gets the float value alone, with no derivatives to carry.  A float
+# argument needs only to lie in the function's domain; a jet must be
+# differentiable there too, which excludes sqrt at 0.
 
 
-def sin(x: Jet) -> Jet:
+def sin(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        return math.sin(x)
     s, c = math.sin(x.value), math.cos(x.value)
     return _compose(x, s, c, -s, -c, s)
 
 
-def cos(x: Jet) -> Jet:
+def cos(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        return math.cos(x)
     s, c = math.sin(x.value), math.cos(x.value)
     return _compose(x, c, -s, -c, s, c)
 
 
-def tan(x: Jet) -> Jet:
+def tan(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        return math.tan(x)
     t = math.tan(x.value)
     d = 1.0 + t * t
     return _compose(
@@ -417,19 +430,27 @@ def tan(x: Jet) -> Jet:
     )
 
 
-def exp(x: Jet) -> Jet:
+def exp(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        return math.exp(x)
     e = math.exp(x.value)
     return _compose(x, e, e, e, e, e)
 
 
-def log(x: Jet) -> Jet:
-    v = x.value
+def log(x: float | Jet) -> float | Jet:
+    v = x.value if isinstance(x, Jet) else x
     if v <= 0.0:
         raise JetDomainError("log", v)
+    if not isinstance(x, Jet):
+        return math.log(v)
     return _compose(x, math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / v**3, -6.0 / v**4)
 
 
-def sqrt(x: Jet) -> Jet:
+def sqrt(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        if x < 0.0:
+            raise JetDomainError("sqrt", x)
+        return math.sqrt(x)
     v = x.value
     if v <= 0.0:
         raise JetDomainError("sqrt", v)

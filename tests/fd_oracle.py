@@ -1,7 +1,6 @@
 """Finite-difference oracles for the closed-form third-order data.
 
-The structural residuals and the principal connection forms are computed in
-closed form from third-order jets.  These oracles re-estimate them the
+The structural residuals are computed in closed form from third-order jets.  These oracles re-estimate them the
 independent way, the way ``finite_difference_jet`` checks jets: whole frames
 are evaluated at neighbouring chart points with ``point_geometry``, matched
 to the reference frame column by column, and central-differenced.  The
@@ -187,31 +186,3 @@ def structural_residuals_fd(m, p, tol_gap=1e-4, step=None):
         details=details,
         skipped=tuple(skipped),
     )
-
-
-def frame_connection_forms_fd(m, p, tol_gap=1e-4, step=None):
-    """``geometry.frame_connection_forms`` by central differencing of the
-    matched principal frame along its own directions."""
-    q = np.asarray(p, dtype=float)
-    pg = point_geometry(m, q, check_domain=False)
-    pd = principal_data(pg, tol_gap)
-    frame = pd.directions
-    if step is None:
-        step = default_step(m)
-    n = pg.n
-    g = pg.metric
-
-    def frame_at(qq):
-        pdq = principal_data(point_geometry(m, qq, check_domain=False), tol_gap)
-        return match_frames(g, frame, pdq.directions, pdq.curvatures)[0]
-
-    domega = np.zeros((n, n, n))
-    for l in range(n):
-        disp = step * frame[:, l]
-        dframe = (frame_at(q + disp) - frame_at(q - disp)) / (2.0 * step)
-        for i in range(n):
-            cov = dframe[:, i] + np.einsum(
-                "kab,a,b->k", pg.christoffel, frame[:, l], frame[:, i]
-            )
-            domega[i, :, l] = cov @ g @ frame
-    return 0.5 * (domega - domega.transpose(1, 0, 2))

@@ -1,14 +1,19 @@
 """Exit codes, report schema, determinism, and spec-file validation."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcrkit.catalog import FAMILY_TAGS
+from gcrkit.catalog import FAMILY_TAGS, family_catalog
 from gcrkit.cli import EXIT_OK, EXIT_SINGULAR, EXIT_SPEC, canonical_json, main
 
 
@@ -173,6 +178,21 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "exceeds 1000000 steps"),
         ({"family": "so2_x_so2", "parameters": {"kappa": "1", "step": "abc"},
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "got 'abc'"),
+        # a float-route overflow is an evaluation error, not a traceback
+        ({"family": "tangent_cone",
+          "parameters": {"y": ["exp(exp(exp(4)))", "0", "0", "0"]}}, "math range error"),
+        # junk field types and non-finite bounds
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [None, 1], "t": [0, 1]}}, "a finite width apart, got [None, 1]"),
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [-math.inf, math.inf], "t": [0, 1]}}, "got [-inf, inf]"),
+        ({"components": ["s", "t", "0"], "variables": 5,
+          "domain": {"s": [0, 1], "t": [0, 1]}}, "variables must be a list"),
+        ({"components": [1, 2, 3], "variables": ["s", "t"],
+          "domain": {"s": [0, 1], "t": [0, 1]}}, "component strings"),
+        # a grid too large to sweep is refused before any point is built
+        ({"family": "special_sqrt2", "grid": {"s": 1000, "t": 1000, "u": 1000}},
+         "exceeds 1000000 points"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -181,6 +201,112 @@ def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
     err = capsys.readouterr().err
     assert fragment in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_check_grid_flag_capped(capsys):
+    assert main(["check", "special_sqrt2.json", "--grid", "100000"]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err == "error: grid 100000x100000x100000 exceeds 1000000 points\n"
+
+
+def test_overflowing_components_skip_points_quietly(tmp_path, capfd):
+    # 2^(1000 s) and its derivatives leave the float range inside [0, 1]
+    spec = write_spec(tmp_path, "overflow.json", {
+        "components": ["s", "t", "2^(s*1000)"],
+        "variables": ["s", "t"],
+        "domain": {"s": [0, 1], "t": [0, 1]},
+    })
+    assert main(["check", spec]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["summary"]["points_regular"] == 10
+    reasons = {entry["point"][0]: entry["reason"] for entry in doc["skipped"]}
+    assert sorted(reasons) == [0.5, 0.75, 1.0]
+    assert reasons[1.0] == "evaluation failed: jets or geometry not finite at [1.0, 1.0]"
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+    st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=2),
+)
+_EXPRS = st.sampled_from([
+    "s", "t", "u", "0", "1", "2+cos(s)", "sin(s)", "s^2-t^2", "log(s)", "1/s", "sqrt(t)",
+    "s^0.5", "abs(t)", "1e200*(s^2+t^2)", "exp(exp(exp(4)))", "2^(s*1000)", "1e999", "(",
+])
+_SPHERE = st.sampled_from([
+    "cos(v)*cos(w)", "cos(v)*sin(w)", "sin(v)*cos(w)", "sin(v)*sin(w)", "cos(w)", "sin(w)",
+    "0", "1", "exp(exp(exp(4)))", "w^0.5",
+])
+_PARAMETERS = {
+    "f": _EXPRS, "g": _EXPRS, "kappa": st.one_of(_EXPRS, st.floats(-2, 2)),
+    "init": st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+    "c": st.floats(-1, 1), "c1": st.floats(-1, 1), "c2": st.floats(-1, 1),
+    "y": st.lists(_SPHERE, min_size=4, max_size=4),
+    "alpha": st.lists(_SPHERE, min_size=4, max_size=4),
+    "base": st.lists(_EXPRS, min_size=3, max_size=3),
+    # profile steps and frame samples are cheap or refused before any work
+    "step": st.sampled_from([0.1, 0.25, 1e-300, 0.0, -1.0]),
+    "samples": st.sampled_from([2, 5, 9, 10**9, 1e9]),
+}
+_FAMILIES = {f["tag"]: f for f in family_catalog()}
+_ONE_IN_TEN = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def _specs(draw):
+    """Spec documents built from the real vocabulary; each field may instead
+    be junk.  Grid counts stay at most 3 or go over the cap."""
+
+    def value(good):
+        return draw(_JUNK if draw(_ONE_IN_TEN) else good)
+
+    doc = {}
+    if draw(st.booleans()):
+        tag = doc["family"] = value(st.sampled_from(FAMILY_TAGS))
+        info = _FAMILIES.get(tag) if isinstance(tag, str) else None
+        names = info["variables"] if info else ["s", "t", "u"]
+        own = sorted(info["parameters"]) if info else []
+        pool = sorted(_PARAMETERS) if not own or draw(_ONE_IN_TEN) else own
+        keys = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        if tag == "curve_tube":
+            keys.append("samples")  # the default frame costs 0.3 s per build
+        if "kappa" in keys:
+            keys.append("step")
+        doc["parameters"] = value(st.just({k: value(_PARAMETERS[k]) for k in keys}))
+    else:
+        names = draw(st.sampled_from([["s", "t"], ["s", "t", "u"]]))
+        doc["variables"] = value(st.just(names))
+        doc["components"] = value(st.lists(_EXPRS, min_size=len(names) + 1,
+                                           max_size=len(names) + 1))
+    if draw(st.booleans()) or "variables" in doc:
+        interval = st.lists(st.floats(-2, 7), min_size=2, max_size=2).map(sorted)
+        doc["domain"] = value(st.just({v: value(interval) for v in names}))
+    count = st.sampled_from([2, 3] * 5 + [10**7])
+    doc["grid"] = value(st.just({v: value(count) for v in names}))
+    if draw(st.booleans()):
+        doc["tolerances"] = {
+            k: value(st.floats(0, 1e-3)) for k in draw(st.lists(
+                st.sampled_from(["tol_gcr", "tol_gap", "eps_reg", "nope"]), max_size=2))
+        }
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["name", "schema_version", "wat"]))] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_specs(), flags=st.sampled_from([[], ["--full"], ["--grid", "2"]]))
+def test_check_any_spec_exits_cleanly(doc, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", path, *flags])
+    assert code in (EXIT_OK, EXIT_SPEC, EXIT_SINGULAR)
+    assert err.getvalue().count("\n") == (code != EXIT_OK)
 
 
 def test_check_tol_gcr_flag_validated(capsys):
@@ -260,6 +386,17 @@ def test_eval_singular_point(tmp_path, capsys):
     })
     assert main(["eval", spec, "--point", "0,0.5"]) == EXIT_SINGULAR
     assert "singular" in capsys.readouterr().err.lower()
+
+
+def test_eval_overflow_exits_cleanly(tmp_path, capsys):
+    # finite geometry whose curvature product leaves the float range
+    spec = write_spec(tmp_path, "steep.json", {
+        "components": ["s", "t", "1e200*(s^2+t^2)"],
+        "variables": ["s", "t"],
+        "domain": {"s": [-1.0, 1.0], "t": [-1.0, 1.0]},
+    })
+    assert main(["eval", spec, "--point", "0,0"]) == EXIT_SINGULAR
+    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
 
 
 def test_eval_degenerate_point(tmp_path, capsys):

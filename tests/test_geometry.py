@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family, sample_points
-from fd_oracle import complete_third_order_fd, frame_connection_forms_fd
+from fd_oracle import complete_third_order_fd
 from gcrkit import geometry
 from gcrkit.catalog import (
     curve_tube,
@@ -23,17 +23,14 @@ from gcrkit.catalog import (
 )
 from gcrkit.geometry import (
     Immersion,
-    NearUmbilicError,
     OutOfDomainError,
     SingularPointError,
-    codazzi_residual,
     codazzi_residual_from_bundle,
     cross_jets,
     curvature_invariants,
     derivative_bundle,
     evaluate_jets,
-    frame_connection_forms,
-    gauss_residual,
+    gauss_residual_from_bundle,
     normal_jets,
     point_geometry,
     principal_data,
@@ -265,8 +262,9 @@ def test_identities_hold_on_random_families():
     for tag in ("so2_x_so2", "tangent_cone", "product_cylinder"):
         m = random_family(tag, rng)
         for p in sample_points(m, rng, 5):
-            assert codazzi_residual(m, p) < 1e-6
-            assert gauss_residual(m, p) < 1e-6
+            bundle = derivative_bundle(m, p)
+            assert codazzi_residual_from_bundle(bundle) < 1e-6
+            assert gauss_residual_from_bundle(bundle) < 1e-6
 
 
 def test_corrupted_second_form_breaks_codazzi():
@@ -283,7 +281,7 @@ def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
     # Codazzi checks the independent normal jets: one entry of dN off by 1%
     # must show, so the self-test cannot pass on a wrong normal derivative
     m, p = so2_x_so2(), (1.1, 0.9, 2.2)
-    assert codazzi_residual(m, p) < 1e-10
+    assert codazzi_residual_from_bundle(derivative_bundle(m, p)) < 1e-10
     exact = geometry._unit_normal_rows
 
     def corrupted(coeffs, t):
@@ -294,7 +292,7 @@ def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
         return rows, low
 
     monkeypatch.setattr(geometry, "_unit_normal_rows", corrupted)
-    assert codazzi_residual(m, p) > 1e-6
+    assert codazzi_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
 
 
 def test_sphere_sectional_curvature_sign_and_value():
@@ -402,39 +400,3 @@ def test_immersion_validation():
             "bad", ("s", "t", "0", "0", "0"), ("s", "t", "u"),
             ((0, 1), (0, 1), (0, 1)),
         )
-
-
-# -- frame connection forms ----------------------------------------------------------------
-
-
-def test_connection_forms_antisymmetric():
-    m = special_sqrt2()
-    p = (1.2, 0.7, 2.1)
-    omega = frame_connection_forms(m, p)
-    assert omega.shape == (3, 3, 3)
-    assert np.max(np.abs(omega + np.transpose(omega, (1, 0, 2)))) < 1e-6
-
-
-def test_connection_forms_match_fd_oracle():
-    rng = np.random.default_rng(19)
-    checked = 0
-    for tag in ("so2_x_so2", "tangent_cone", "curve_tube", "special_sqrt2", "product_cylinder"):
-        m = random_family(tag, rng)
-        for p in sample_points(m, rng, 3):
-            if principal_data(point_geometry(m, p)).gaps < 1e-2:
-                continue
-            omega = frame_connection_forms(m, p)
-            assert np.max(np.abs(omega - frame_connection_forms_fd(m, p))) < 1e-6, tag
-            checked += 1
-    assert checked >= 10
-
-
-def test_connection_forms_near_umbilic_guard():
-    m = rotational(
-        f="sin(s)", g="cos(s)",
-        domain=((-0.7, 0.7), (0.35, 2.79), (0.0, 6.283185307179586)),
-    )
-    with pytest.raises(NearUmbilicError):
-        frame_connection_forms(m, (0.2, 1.1, 2.0))
-    omega = frame_connection_forms(m, (0.2, 1.1, 2.0), check_gaps=False)
-    assert omega.shape == (3, 3, 3)
