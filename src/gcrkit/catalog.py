@@ -68,6 +68,9 @@ _TWO_PI = 2.0 * math.pi
 # thousand steps.
 _MAX_FRAME_SAMPLES = 100_000
 _MAX_PROFILE_STEPS = 1_000_000
+# Abscissae per stacked evaluation of a frame's curve: a long curve is
+# evaluated block by block, and jets keep product targets for stacks this tall.
+_FRAME_BLOCK = 4096
 
 
 class CatalogError(ValueError):
@@ -203,6 +206,8 @@ class ProfileCurve:
 
 
 def _kappa_callable(kappa) -> tuple[Callable[[float], float], str]:
+    if isinstance(kappa, bool):
+        raise CatalogError(f"curvature must be a number or an expression in s, got {kappa!r}")
     if isinstance(kappa, (int, float)):
         value = float(kappa)
         return (lambda s: value), repr(value)
@@ -234,27 +239,59 @@ def integrate_profile(
             f"integration step {step!r} over [{lo}, {hi}] exceeds "
             f"{_MAX_PROFILE_STEPS} steps"
         )
-    if len(init) != 3:
-        raise CatalogError("init must be (f0, g0, angle0)")
+    y0 = [float(v) for v in init if not isinstance(v, bool)] if len(init) == 3 else []
+    if len(y0) != 3 or not all(map(math.isfinite, y0)):
+        raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
     kfun, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
-
     s_arr = lo + h * np.arange(nsteps + 1)
-    f_arr = np.empty(nsteps + 1)
-    g_arr = np.empty(nsteps + 1)
-    a_arr = np.empty(nsteps + 1)
-    k_arr = np.empty(nsteps + 1)
-    f_arr[0], g_arr[0], a_arr[0] = (float(v) for v in init)
+    # kappa depends on s alone, so it is read once per distinct abscissa: the
+    # RK4 stages of step i read it at s_i, s_i + h/2 and s_i + h, and the
+    # profile at s_{i+1}.  The stages then run as array expressions.
+    s_step = np.column_stack([s_arr[:-1] + h / 2, s_arr[:-1] + h, s_arr[1:]])
+    s_distinct, where = np.unique(np.r_[s_arr[0], s_step.ravel()], return_inverse=True)
+    try:
+        k = np.array([kfun(s) for s in s_distinct.tolist()])[where]
+        with np.errstate(all="raise", under="ignore"):
+            k_arr, k_mid, k_end = k[0::3], k[1::3], k[2::3]
+
+            def integral(y, d1, d2, d3, d4):  # y plus the RK4 increments
+                return np.add.accumulate(np.r_[y, (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)])
+
+            a_arr = integral(y0[2], k_arr[:-1], k_mid, k_mid, k_end)
+            a = a_arr[:-1]
+            phases = (a, a + h / 2 * k_arr[:-1], a + h / 2 * k_mid, a + h * k_mid)
+            f_arr = integral(y0[0], *np.cos(phases))
+            g_arr = integral(y0[1], *np.sin(phases))
+    except (ExprError, ArithmeticError, ValueError):
+        # rerun stage by stage: it meets the failure where a per-step loop
+        # does and raises that loop's error
+        f_arr, g_arr, a_arr, k_arr = _rk4_stages(kfun, lo, s_arr, h, y0)
+
+    cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
+    values = np.column_stack([f_arr, g_arr])
+    d1 = np.column_stack([cos_a, sin_a])
+    d2 = np.column_stack([-sin_a * k_arr, cos_a * k_arr])
+    curve = HermiteCurve(s_arr, values, d1, d2)
+    return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
+
+
+def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float]):
+    """The profile RK4 one step and one stage at a time, calling kappa at
+    every stage; raises PartialCurveError at the first failing stage."""
+    n = s_arr.size
+    f_arr, g_arr, a_arr, k_arr = (np.empty(n) for _ in range(4))
+    f_arr[0], g_arr[0], a_arr[0] = y0
 
     def rhs(s: float, phi: float) -> np.ndarray:
         return np.array([math.cos(phi), math.sin(phi), kfun(s)])
 
-    state = np.array([f_arr[0], g_arr[0], a_arr[0]])
+    state = np.array(y0)
     last_good = lo
     try:
         k_arr[0] = kfun(float(s_arr[0]))
-        for i in range(nsteps):
+        for i in range(n - 1):
             s0 = float(s_arr[i])
             k1 = rhs(s0, state[2])
             k2 = rhs(s0 + h / 2, state[2] + h / 2 * k1[2])
@@ -270,13 +307,7 @@ def integrate_profile(
             f"curve is valid on [{lo}, {last_good}]",
             last_s=last_good,
         ) from exc
-
-    cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
-    values = np.column_stack([f_arr, g_arr])
-    d1 = np.column_stack([cos_a, sin_a])
-    d2 = np.column_stack([-sin_a * k_arr, cos_a * k_arr])
-    curve = HermiteCurve(s_arr, values, d1, d2)
-    return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
+    return f_arr, g_arr, a_arr, k_arr
 
 
 # -- orthonormal normal frames of spherical curves in E^4 ------------------------------
@@ -341,16 +372,36 @@ def build_normal_frame(
             f"got {samples!r}"
         )
 
-    def alpha_data(w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def alpha_data(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """alpha and its first three derivatives at w, a float or an array
+        of abscissae (then one row per abscissa)."""
         env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs])
-        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
-        return coeffs[:, 0], d1, d2, d3
+        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs], axis=-2)
+        shape = coeffs.shape[:-1]
+        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(shape) for r in (1, 2, 3))
+        return coeffs[..., 0], d1, d2, d3
 
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]
 
-    a0, d1_0, *_ = alpha_data(lo)
+    def alpha_blocks():
+        """alpha_data at every abscissa the transport loop reads, in its order
+        (lo, then w_i + h/2 and w_i + h per step), one stacked block at a time."""
+        w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
+        for j in range(0, w_all.size, _FRAME_BLOCK):
+            block = w_all[j : j + _FRAME_BLOCK]
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    rows = zip(*alpha_data(block))
+            except (ExprError, ArithmeticError):
+                # a row failed: evaluate one by one as the loop asks, so that
+                # the loop meets the error after the checks that come before it
+                rows = (alpha_data(wv) for wv in block)
+            yield from rows
+
+    alpha_rows = alpha_blocks()
+    node = next(alpha_rows)
+    a0, d1_0, *_ = node
     if abs(a0 @ a0 - 1.0) > 1e-8:
         raise CatalogError("curve must lie on the unit 3-sphere")
     speed0 = np.linalg.norm(d1_0)
@@ -391,7 +442,6 @@ def build_normal_frame(
     b_d2 = np.empty((samples, 4))
     gram_error = 0.0
 
-    node = alpha_data(lo)
     pair = np.stack([frame_a, frame_b])
     for i, wv in enumerate(w_arr):
         val, d1, d2, d3 = node
@@ -421,8 +471,8 @@ def build_normal_frame(
 
         if i == samples - 1:
             break
-        mid = alpha_data(wv + h / 2)
-        nxt = alpha_data(wv + h)
+        mid = next(alpha_rows)
+        nxt = next(alpha_rows)
         k1 = transport_rhs(pair, d1, d2)
         k2 = transport_rhs(pair + (h / 2) * k1, mid[1], mid[2])
         k3 = transport_rhs(pair + (h / 2) * k2, mid[1], mid[2])

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from .jet import Jet, jet_constant
 from . import jet as _jet
 
@@ -282,11 +284,17 @@ def variables_of(expr: Expr) -> frozenset[str]:
 
 
 def _power(b: float | Jet, e: float | Jet) -> float | Jet:
-    if isinstance(e, Jet) and not e.c[1:].any():
+    if isinstance(e, Jet) and not e.c[..., 1:].any():
         e = e.value  # a jet exponent that is constant after all
+        if isinstance(e, np.ndarray):  # a stack: one exponent for every row
+            if (e != e[0]).any():
+                raise ExprEvalError("'^' with a constant exponent that differs between rows")
+            e = float(e[0])
     if not isinstance(e, Jet) and float(e).is_integer():
         return _jet._int_pow(b, int(e))
     base = b.value if isinstance(b, Jet) else b
+    if isinstance(base, np.ndarray):  # a stack: the first row at fault, if any
+        base = float(base[(base <= 0.0).argmax()])
     if base <= 0.0:
         kind = "non-constant" if isinstance(e, Jet) else "non-integer"
         raise ExprEvalError(f"'^' with {kind} exponent needs a positive base, got {base!r}")
@@ -331,14 +339,17 @@ def _walk(expr: Expr, env: Mapping[str, float | Jet]) -> float | Jet:
 
 
 def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
-    """Evaluate over jets.  ``env`` must bind every variable of the chart."""
+    """Evaluate over jets.  ``env`` must bind every variable of the chart,
+    all to single jets or all to stacks of one row count; a constant result
+    is broadcast to that shape."""
     if not env:
         raise ExprEvalError("empty environment: jet arity and order are unknown")
     out = _walk(expr, env)
     if isinstance(out, Jet):
         return out
     probe = next(iter(env.values()))
-    return jet_constant(out, probe.n, probe.order)
+    value = out if probe.c.ndim == 1 else np.full(len(probe.c), out)
+    return jet_constant(value, probe.n, probe.order)
 
 
 def eval_real(expr: Expr, env: Mapping[str, float]) -> float:

@@ -10,6 +10,17 @@ x^a of degree <= ``order`` (4, 10, 20 or 35 entries for n = 3).  Monomials
 are listed by degree, then by sorted variable-index tuple (1, x0, x1, x2,
 x0^2, x0 x1, ...), so c[0] is the value and c[1:n+1] the gradient.
 
+Point axis: ``c`` may be a stack (P, D) instead, one row per point, seeded
+by ``jet_variable`` from an array of values; arithmetic and the domain checks
+then run row by row, and a failed check names the first bad row's value.  A
+single jet's elementary functions call ``math``, as plain floats do, so its
+value follows the float evaluation bit for bit and an overflow raises
+math's error; a stack's call numpy's ufuncs, and ``np.float_power`` for
+``**``, whose rounding matches.  numpy's ``sin``, ``cos`` and ``sqrt`` match
+``math`` bit for bit, its ``tan``, ``exp``, ``log`` and ``atan`` can differ
+in the last bit, and it overflows to inf (an error only under
+``np.errstate(over="raise")``).
+
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
 monomial k, in one ``np.bincount``; a composition f(g) is a polynomial in the
@@ -38,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -157,12 +169,22 @@ class _Table:
         rows = terms.shape[0]
         target = self._row_targets.get(rows)
         if target is None:
-            offsets = self.size * np.arange(rows)[:, None]
-            target = self._row_targets[rows] = (offsets + self.target).ravel()
+            target = (self.size * np.arange(rows)[:, None] + self.target).ravel()
+            if rows <= _CACHED_ROWS:
+                if len(self._row_targets) >= _CACHED_COUNTS:
+                    self._row_targets.clear()
+                self._row_targets[rows] = target
         return np.bincount(target, terms.ravel(), rows * self.size).reshape(rows, self.size)
 
 
 _table = functools.cache(_Table)
+
+
+# Product targets are kept for up to _CACHED_COUNTS row counts of at most
+# _CACHED_ROWS rows; a larger one-off stack builds them per call.
+_CACHED_ROWS, _CACHED_COUNTS = 4096, 16
+
+_COLUMN0 = (slice(None), 0)  # a stack's value column
 
 
 def _make(t: _Table, c: np.ndarray) -> "Jet":
@@ -178,7 +200,8 @@ class Jet:
     docstring.  The derivative tensors ``grad``, ``hess``, ``third`` and
     ``fourth`` (symmetric under every index permutation) are fresh arrays
     derived from ``c`` up to ``order`` and shared read-only zeros above it;
-    the constructor takes them, symmetric, in the same form.
+    the constructor takes them, symmetric, in the same form.  For a stack,
+    ``value`` and every tensor gain a leading axis of one entry per row.
     """
 
     __slots__ = ("c", "_t")
@@ -209,7 +232,7 @@ class Jet:
 
     n = property(lambda self: self._t.n)
     order = property(lambda self: self._t.order)
-    value = property(lambda self: float(self.c[0]))
+    value = property(lambda self: float(self.c[0]) if self.c.ndim == 1 else self.c[:, 0])
     grad = property(lambda self: self._slot(1))
     hess = property(lambda self: self._slot(2))
     third = property(lambda self: self._slot(3))
@@ -217,7 +240,8 @@ class Jet:
 
     def _slot(self, rank: int) -> np.ndarray:
         if rank > self._t.order:
-            return _ZEROS[self._t.n][rank - 1]
+            zero = _ZEROS[self._t.n][rank - 1]
+            return zero if self.c.ndim == 1 else np.broadcast_to(zero, (len(self.c),) + zero.shape)
         return derivative_tensor(self.c, self._t.n, rank)
 
     def partial(self, axis: int) -> "Jet":
@@ -228,14 +252,14 @@ class Jet:
         if t.order < 1:
             raise ValueError("cannot take a partial of an order-0 jet")
         src, fac = t.partial_src[axis], t.partial_fac[axis]
-        return _make(_table(t.n, t.order - 1), self.c[src] * fac)
+        return _make(_table(t.n, t.order - 1), self.c.take(src, axis=-1) * fac)
 
     def truncated(self, order: int) -> "Jet":
         """Copy of this jet with derivative data above ``order`` dropped."""
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate a jet of order {self.order} to {order}")
         t = _table(self.n, order)
-        return _make(t, self.c[: t.size].copy())
+        return _make(t, self.c[..., : t.size].copy())
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -248,7 +272,7 @@ class Jet:
         return other
 
     def _shifted(self, c: np.ndarray, value: float) -> "Jet":
-        c[0] += value
+        c[_COLUMN0 if c.ndim == 2 else 0] += value  # the value slot only
         return _make(self._t, c)
 
     def __add__(self, other):
@@ -298,10 +322,11 @@ class Jet:
 
     def _reciprocal(self) -> "Jet":
         v = self.value
-        if v == 0.0:
-            raise JetDomainError("reciprocal", v)
+        _guard("reciprocal", v, v == 0.0)
         iv = 1.0 / v
-        return _compose(self, iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4, 24.0 * iv**5)
+        return _compose(
+            self, iv, -iv * iv, 2.0 * _pow(iv, 3), -6.0 * _pow(iv, 4), 24.0 * _pow(iv, 5)
+        )
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
@@ -314,18 +339,20 @@ class Jet:
 
     def __abs__(self):
         v = self.value
-        if v == 0.0:
-            raise JetDomainError("abs", v)
+        _guard("abs", v, v == 0.0)
+        if self.c.ndim == 2:
+            return _make(self._t, np.where((v > 0)[:, None], self.c, -self.c))
         return self if v > 0 else -self
 
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
 
 
-def jet_variable(index: int, value: float, n: int, order: int) -> Jet:
+def jet_variable(index: int, value, n: int, order: int) -> Jet:
     """Seed jet for chart variable ``index`` at ``value``.
 
     The gradient is the ``index``-th unit vector; all higher slots are zero.
+    A 1-D array of values seeds a stack with one row per value.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
@@ -334,15 +361,62 @@ def jet_variable(index: int, value: float, n: int, order: int) -> Jet:
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range for arity {n}")
     t = _table(n, order)
-    c = np.zeros(t.size)
-    c[0] = value
-    c[1 + index] = 1.0
+    c = _seeded(value, t)
+    c[..., 1 + index] = 1.0
     return _make(t, c)
 
 
-def jet_constant(value: float, n: int, order: int) -> Jet:
-    """Constant jet: value with all derivative slots zero."""
-    return Jet(n, order, float(value))
+def jet_constant(value, n: int, order: int) -> Jet:
+    """Constant jet: value with all derivative slots zero; a 1-D array of
+    values gives a stack with one row per value."""
+    if isinstance(value, _SCALARS):
+        return Jet(n, order, float(value))
+    t = Jet(n, order, 0.0)._t  # validates n and order
+    return _make(t, _seeded(value, t))
+
+
+def _seeded(value, t: _Table) -> np.ndarray:
+    """Zero coefficients with ``value`` in the value slot: one vector for a
+    number, one row per entry of a 1-D array."""
+    if isinstance(value, _SCALARS):
+        c = np.zeros(t.size)
+        c[0] = value
+        return c
+    value = np.asarray(value, dtype=float)
+    if value.ndim != 1:
+        raise ValueError(f"jet values must be a number or a 1-D array, got {value!r}")
+    c = np.zeros((value.size, t.size))
+    c[_COLUMN0] = value
+    return c
+
+
+def _guard(tag: str, v, bad) -> None:
+    """Raise JetDomainError if ``bad`` holds: ``v`` and ``bad`` are a float
+    and a bool for one jet, the value column and a row mask for a stack, whose
+    first bad row is named."""
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise JetDomainError(tag, float(v[bad.argmax()]))
+    elif bad:
+        raise JetDomainError(tag, v)
+
+
+def _pow(v, p):
+    """v ** p for one jet's float value, or row by row for a stack's value
+    column with the same rounding (numpy's ** differs in the last bit)."""
+    return np.float_power(v, p) if isinstance(v, np.ndarray) else v**p
+
+
+# numpy's ufuncs under math's names, for the value column of a stack
+_ROWS = types.SimpleNamespace(
+    sin=np.sin, cos=np.cos, tan=np.tan, exp=np.exp, log=np.log, sqrt=np.sqrt, atan=np.arctan
+)
+
+
+def _arg(x: Jet):
+    """One jet's float value with ``math``, or a stack's value column with
+    the numpy ufuncs of the same names, which act row by row."""
+    return x.value, math if x.c.ndim == 1 else _ROWS
 
 
 def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> Jet:
@@ -351,16 +425,18 @@ def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> J
     f(g) = a_0 + h (a_1 + h (a_2 + ...)) in Horner form; h^k has no terms
     below degree k, so the series stops at the jet order."""
     t = g._t
+    stack = g.c.ndim == 2  # f0..f4 are then arrays with one entry per row
     if t.order == 0:
-        return _make(t, np.array([f0]))
+        return _make(t, f0[:, None].copy() if stack else np.array([f0]))
     a = (f0, f1, 0.5 * f2, f3 / 6.0, f4 / 24.0)
+    v0 = _COLUMN0 if stack else 0
     h = g.c.copy()
-    h[0] = 0.0
-    out = h * a[t.order]
-    out[0] = a[t.order - 1]
+    h[v0] = 0.0
+    out = h * (a[t.order][:, None] if stack else a[t.order])
+    out[v0] = a[t.order - 1]
     for k in range(t.order - 2, -1, -1):
         out = t.product(out, h)
-        out[0] = a[k]
+        out[v0] = a[k]
     return _make(t, out)
 
 
@@ -369,7 +445,9 @@ def _int_pow(x: float | Jet, p: int) -> float | Jet:
     keeps the operation count small and deterministic, and a negative power
     is the reciprocal of the positive one."""
     if p == 0:
-        return jet_constant(1.0, x.n, x.order) if isinstance(x, Jet) else 1.0
+        if not isinstance(x, Jet):
+            return 1.0
+        return jet_constant(1.0 if x.c.ndim == 1 else np.ones(len(x.c)), x.n, x.order)
     if p < 0:
         return 1.0 / _int_pow(x, -p)
     result = None
@@ -386,15 +464,14 @@ def _int_pow(x: float | Jet, p: int) -> float | Jet:
 
 def _real_pow(x: Jet, p: float) -> Jet:
     v = x.value
-    if v <= 0.0:
-        raise JetDomainError("power", v)
+    _guard("power", v, v <= 0.0)
     return _compose(
         x,
-        v**p,
-        p * v ** (p - 1.0),
-        p * (p - 1.0) * v ** (p - 2.0),
-        p * (p - 1.0) * (p - 2.0) * v ** (p - 3.0),
-        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * v ** (p - 4.0),
+        _pow(v, p),
+        p * _pow(v, p - 1.0),
+        p * (p - 1.0) * _pow(v, p - 2.0),
+        p * (p - 1.0) * (p - 2.0) * _pow(v, p - 3.0),
+        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * _pow(v, p - 4.0),
     )
 
 
@@ -409,21 +486,24 @@ def _real_pow(x: Jet, p: float) -> Jet:
 def sin(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         return math.sin(x)
-    s, c = math.sin(x.value), math.cos(x.value)
+    v, m = _arg(x)
+    s, c = m.sin(v), m.cos(v)
     return _compose(x, s, c, -s, -c, s)
 
 
 def cos(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         return math.cos(x)
-    s, c = math.sin(x.value), math.cos(x.value)
+    v, m = _arg(x)
+    s, c = m.sin(v), m.cos(v)
     return _compose(x, c, -s, -c, s, c)
 
 
 def tan(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         return math.tan(x)
-    t = math.tan(x.value)
+    v, m = _arg(x)
+    t = m.tan(v)
     d = 1.0 + t * t
     return _compose(
         x, t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t), 8.0 * t * d * (2.0 + 3.0 * t * t)
@@ -433,43 +513,44 @@ def tan(x: float | Jet) -> float | Jet:
 def exp(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         return math.exp(x)
-    e = math.exp(x.value)
+    v, m = _arg(x)
+    e = m.exp(v)
     return _compose(x, e, e, e, e, e)
 
 
 def log(x: float | Jet) -> float | Jet:
-    v = x.value if isinstance(x, Jet) else x
-    if v <= 0.0:
-        raise JetDomainError("log", v)
     if not isinstance(x, Jet):
-        return math.log(v)
-    return _compose(x, math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / v**3, -6.0 / v**4)
+        _guard("log", x, x <= 0.0)
+        return math.log(x)
+    v, m = _arg(x)
+    _guard("log", v, v <= 0.0)
+    return _compose(
+        x, m.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / _pow(v, 3), -6.0 / _pow(v, 4)
+    )
 
 
 def sqrt(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        if x < 0.0:
-            raise JetDomainError("sqrt", x)
+        _guard("sqrt", x, x < 0.0)
         return math.sqrt(x)
-    v = x.value
-    if v <= 0.0:
-        raise JetDomainError("sqrt", v)
-    r = math.sqrt(v)
+    v, m = _arg(x)
+    _guard("sqrt", v, v <= 0.0)
+    r = m.sqrt(v)
     return _compose(
-        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (v**3 * r)
+        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (_pow(v, 3) * r)
     )
 
 
 def atan(x: Jet) -> Jet:
-    v = x.value
+    v, m = _arg(x)
     d = 1.0 + v * v
     return _compose(
         x,
-        math.atan(v),
+        m.atan(v),
         1.0 / d,
         -2.0 * v / (d * d),
-        (6.0 * v * v - 2.0) / d**3,
-        24.0 * v * (1.0 - v * v) / d**4,
+        (6.0 * v * v - 2.0) / _pow(d, 3),
+        24.0 * v * (1.0 - v * v) / _pow(d, 4),
     )
 
 

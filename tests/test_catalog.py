@@ -134,6 +134,12 @@ def test_integrate_profile_validation():
             integrate_profile(1.0, (0.0, 1.0), step=step)
     with pytest.raises(CatalogError, match="exceeds"):
         integrate_profile(1.0, (0.0, math.inf), step=1.0)
+    # initial data must be three finite numbers, and a boolean is no curvature
+    for init in ((math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (True, 0.0, 0.0)):
+        with pytest.raises(CatalogError, match="init"):
+            integrate_profile(1.0, (0.0, 1.0), init=init)
+    with pytest.raises(CatalogError, match="curvature"):
+        integrate_profile(True, (0.0, 1.0))
     # string curvatures only know the arc-length variable
     from gcrkit.expr import ExprSyntaxError, parse_expr
 

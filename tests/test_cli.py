@@ -193,6 +193,11 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         # a grid too large to sweep is refused before any point is built
         ({"family": "special_sqrt2", "grid": {"s": 1000, "t": 1000, "u": 1000}},
          "exceeds 1000000 points"),
+        # profile data the integrator cannot use
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "init": [float("nan"), 0, 0]},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "init must be three finite"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": True},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "got True"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -21,7 +21,7 @@ from gcrkit.expr import (
     to_text,
     variables_of,
 )
-from gcrkit.jet import finite_difference_jet, jet_variable
+from gcrkit.jet import finite_difference_jet, jet_constant, jet_variable
 
 
 def ev(text, **env):
@@ -169,6 +169,27 @@ def test_both_routes_raise_one_error_type(text, s):
         eval_real(e, {"s": s})
     with pytest.raises(ExprEvalError):
         eval_expr(e, {"s": jet_variable(0, s, 1, 2)})
+
+
+def test_stacked_env_evaluates_row_by_row():
+    ws = np.array([0.3, 1.1, 2.0])
+    stack = {"w": jet_variable(0, ws, 1, 3)}
+    for text in ("sin(w)*w^2 - 1/(1+w)", "3", "w^0", "(w+1)^1.5 - w^(2+0*w)"):
+        e = parse_expr(text, ("w",))
+        out = eval_expr(e, stack)
+        assert out.c.shape == (3, 4)  # a constant is broadcast to the rows
+        for r, w in enumerate(ws):
+            assert np.array_equal(out.c[r], eval_expr(e, {"w": jet_variable(0, w, 1, 3)}).c)
+    # a non-integer power names the first row with a base <= 0, as one jet would
+    with pytest.raises(ExprEvalError, match="got -0.5"):
+        eval_expr(parse_expr("(w-0.8)^0.5", ("w",)), stack)
+    # an exponent jet that is constant in each row but differs between rows
+    e = parse_expr("w^k", ("w", "k"))
+    env = {"w": jet_variable(0, ws, 2, 2), "k": jet_constant(np.array([2.0, 2.0, 3.0]), 2, 2)}
+    with pytest.raises(ExprEvalError, match="differs between rows"):
+        eval_expr(e, env)
+    env["k"] = jet_constant(np.full(3, 2.0), 2, 2)
+    assert np.array_equal(eval_expr(e, env).value, ws * ws)
 
 
 def test_missing_variable_in_env():

@@ -454,3 +454,73 @@ def _assert_slots_close(out, want):
         got = np.asarray(getattr(out, name))
         scale = max(1.0, float(np.max(np.abs(w))))
         assert np.max(np.abs(got - w)) <= 1e-13 * scale, name
+
+
+# -- stacks: one coefficient row per point ---------------------------------------------------
+
+_ARITHMETIC = {"var", "const", "neg", "cube", "inv-square", "add", "sub", "mul", "div", "scale"}
+
+
+def _kinds(tree):
+    return {tree[0]}.union(*(_kinds(t) for t in tree[1:] if isinstance(t, tuple)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=_trees,
+    n=st.integers(1, 3),
+    order=st.integers(1, 4),
+    rows=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_rows_match_single_jets(tree, n, order, rows, seed):
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, n))
+    stack = _evaluate(tree, jet, [jet_variable(i, points[:, i], n, order) for i in range(n)])
+    assert stack.c.shape == (rows, jet._table(n, order).size)
+    exact = _kinds(tree) <= _ARITHMETIC  # elementary functions may differ in the last bit
+    for r, p in enumerate(points):
+        single = _evaluate(tree, jet, [jet_variable(i, p[i], n, order) for i in range(n)])
+        if exact:
+            assert np.array_equal(stack.c[r], single.c)
+            continue
+        for name in ("value", "grad", "hess", "third", "fourth"):
+            got, want = np.asarray(getattr(stack, name))[r], np.asarray(getattr(single, name))
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_stack_constant_shift_and_domain_errors():
+    x = jet_variable(1, np.array([0.5, -2.0, 3.0]), 2, 3)
+    for shifted in (x + 1.25, 1.25 + x, x - 1.25, 1.25 - x):
+        sign = -1.0 if shifted.c[0, 2] < 0 else 1.0
+        assert np.array_equal(shifted.c[:, 1:], sign * x.c[:, 1:])  # column 0 only
+        assert np.array_equal(shifted.c[:, 0], shifted.value)
+    assert np.array_equal((x + 1.25).value, [1.75, -0.75, 4.25])
+    # the first out-of-domain row is named, as a single jet at that point names it
+    cases = (jet.log, jet.sqrt, lambda j: 1.0 / (j - 3.0), lambda j: abs(j - 0.5),
+             lambda j: (j - 3.0) ** 0.5)
+    for fn in cases:
+        with pytest.raises(JetDomainError) as err:
+            fn(x)
+        for value in x.value:
+            try:
+                fn(jet_variable(1, value, 2, 3))
+            except JetDomainError as first:
+                assert (err.value.tag, err.value.value) == (first.tag, first.value)
+                assert str(err.value) == str(first)
+                break
+        else:
+            pytest.fail("no single row fails")
+    # a stack keeps a row per point in every derived view
+    assert abs(x).c.shape == x.c.shape and np.array_equal(abs(x).value, [0.5, 2.0, 3.0])
+    assert x.fourth.shape == (3, 2, 2, 2, 2) and not x.fourth.any()
+    assert jet_constant(np.array([1.0, 2.0]), 2, 3).c.shape == (2, 10)
+
+
+def test_row_targets_stay_bounded():
+    t = jet._Table(1, 3)
+    big = np.ones((200_001, t.size))
+    assert np.array_equal(t.product(big, big)[-1], t.product(big[0], big[0]))
+    assert 200_001 not in t._row_targets  # about 16 MiB, built per call
+    for rows in range(1, 40):
+        t.product(big[:rows], big[:rows])
+        assert len(t._row_targets) <= jet._CACHED_COUNTS
