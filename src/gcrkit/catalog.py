@@ -68,9 +68,6 @@ _TWO_PI = 2.0 * math.pi
 # thousand steps.
 _MAX_FRAME_SAMPLES = 100_000
 _MAX_PROFILE_STEPS = 1_000_000
-# Abscissae per stacked evaluation of a frame's curve: a long curve is
-# evaluated block by block, and jets keep product targets for stacks this tall.
-_FRAME_BLOCK = 4096
 
 
 class CatalogError(ValueError):
@@ -261,9 +258,10 @@ def integrate_profile(
 
             a_arr = integral(y0[2], k_arr[:-1], k_mid, k_mid, k_end)
             a = a_arr[:-1]
-            phases = (a, a + h / 2 * k_arr[:-1], a + h / 2 * k_mid, a + h * k_mid)
-            f_arr = integral(y0[0], *np.cos(phases))
-            g_arr = integral(y0[1], *np.sin(phases))
+            phases = np.array([a, a + h / 2 * k_arr[:-1], a + h / 2 * k_mid, a + h * k_mid])
+            p = phases.tolist()  # math's cos and sin, as the stage loop calls them
+            f_arr = integral(y0[0], *np.array([list(map(math.cos, q)) for q in p]))
+            g_arr = integral(y0[1], *np.array([list(map(math.sin, q)) for q in p]))
     except (ExprError, ArithmeticError, ValueError):
         # rerun stage by stage: it meets the failure where a per-step loop
         # does and raises that loop's error
@@ -384,22 +382,16 @@ def build_normal_frame(
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]
 
-    def alpha_blocks():
-        """alpha_data at every abscissa the transport loop reads, in its order
-        (lo, then w_i + h/2 and w_i + h per step), one stacked block at a time."""
-        w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
-        for j in range(0, w_all.size, _FRAME_BLOCK):
-            block = w_all[j : j + _FRAME_BLOCK]
-            try:
-                with np.errstate(all="raise", under="ignore"):
-                    rows = zip(*alpha_data(block))
-            except (ExprError, ArithmeticError):
-                # a row failed: evaluate one by one as the loop asks, so that
-                # the loop meets the error after the checks that come before it
-                rows = (alpha_data(wv) for wv in block)
-            yield from rows
-
-    alpha_rows = alpha_blocks()
+    # alpha at every abscissa the transport loop reads, in its order (lo, then
+    # w_i + h/2 and w_i + h per step), in one stacked evaluation
+    w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            alpha_rows = zip(*alpha_data(w_all))
+    except (ExprError, ArithmeticError):
+        # a row failed: evaluate one by one as the loop asks, so that the loop
+        # meets the error after the checks that come before it
+        alpha_rows = map(alpha_data, w_all)
     node = next(alpha_rows)
     a0, d1_0, *_ = node
     if abs(a0 @ a0 - 1.0) > 1e-8:

@@ -13,13 +13,10 @@ x0^2, x0 x1, ...), so c[0] is the value and c[1:n+1] the gradient.
 Point axis: ``c`` may be a stack (P, D) instead, one row per point, seeded
 by ``jet_variable`` from an array of values; arithmetic and the domain checks
 then run row by row, and a failed check names the first bad row's value.  A
-single jet's elementary functions call ``math``, as plain floats do, so its
-value follows the float evaluation bit for bit and an overflow raises
-math's error; a stack's call numpy's ufuncs, and ``np.float_power`` for
-``**``, whose rounding matches.  numpy's ``sin``, ``cos`` and ``sqrt`` match
-``math`` bit for bit, its ``tan``, ``exp``, ``log`` and ``atan`` can differ
-in the last bit, and it overflows to inf (an error only under
-``np.errstate(over="raise")``).
+single jet's elementary functions and real powers call ``math`` and ``**`` on
+its value, as plain floats do; a stack maps the same calls over its value
+column, so each row equals the single jet at its point bit for bit (numpy's
+ufuncs promise no match with ``math``) and an overflow raises math's error.
 
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
@@ -49,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import types
 from collections.abc import Callable, Sequence
 
@@ -171,8 +169,6 @@ class _Table:
         if target is None:
             target = (self.size * np.arange(rows)[:, None] + self.target).ravel()
             if rows <= _CACHED_ROWS:
-                if len(self._row_targets) >= _CACHED_COUNTS:
-                    self._row_targets.clear()
                 self._row_targets[rows] = target
         return np.bincount(target, terms.ravel(), rows * self.size).reshape(rows, self.size)
 
@@ -180,9 +176,9 @@ class _Table:
 _table = functools.cache(_Table)
 
 
-# Product targets are kept for up to _CACHED_COUNTS row counts of at most
-# _CACHED_ROWS rows; a larger one-off stack builds them per call.
-_CACHED_ROWS, _CACHED_COUNTS = 4096, 16
+# Product targets are kept for stacks of at most _CACHED_ROWS rows; a taller
+# one-off stack builds them per call.
+_CACHED_ROWS = 4096
 
 _COLUMN0 = (slice(None), 0)  # a stack's value column
 
@@ -232,7 +228,7 @@ class Jet:
 
     n = property(lambda self: self._t.n)
     order = property(lambda self: self._t.order)
-    value = property(lambda self: float(self.c[0]) if self.c.ndim == 1 else self.c[:, 0])
+    value = property(lambda self: float(c[0]) if (c := self.c).ndim == 1 else c[:, 0])
     grad = property(lambda self: self._slot(1))
     hess = property(lambda self: self._slot(2))
     third = property(lambda self: self._slot(3))
@@ -252,7 +248,8 @@ class Jet:
         if t.order < 1:
             raise ValueError("cannot take a partial of an order-0 jet")
         src, fac = t.partial_src[axis], t.partial_fac[axis]
-        return _make(_table(t.n, t.order - 1), self.c.take(src, axis=-1) * fac)
+        c = self.c[src] if self.c.ndim == 1 else self.c[:, src]
+        return _make(_table(t.n, t.order - 1), c * fac)
 
     def truncated(self, order: int) -> "Jet":
         """Copy of this jet with derivative data above ``order`` dropped."""
@@ -321,11 +318,11 @@ class Jet:
         return NotImplemented
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
+        v, m = _arg(self)
         _guard("reciprocal", v, v == 0.0)
         iv = 1.0 / v
         return _compose(
-            self, iv, -iv * iv, 2.0 * _pow(iv, 3), -6.0 * _pow(iv, 4), 24.0 * _pow(iv, 5)
+            self, iv, -iv * iv, 2.0 * m.pow(iv, 3), -6.0 * m.pow(iv, 4), 24.0 * m.pow(iv, 5)
         )
 
     def __pow__(self, p):
@@ -369,8 +366,6 @@ def jet_variable(index: int, value, n: int, order: int) -> Jet:
 def jet_constant(value, n: int, order: int) -> Jet:
     """Constant jet: value with all derivative slots zero; a 1-D array of
     values gives a stack with one row per value."""
-    if isinstance(value, _SCALARS):
-        return Jet(n, order, float(value))
     t = Jet(n, order, 0.0)._t  # validates n and order
     return _make(t, _seeded(value, t))
 
@@ -383,10 +378,10 @@ def _seeded(value, t: _Table) -> np.ndarray:
         c[0] = value
         return c
     value = np.asarray(value, dtype=float)
-    if value.ndim != 1:
+    if value.ndim > 1:
         raise ValueError(f"jet values must be a number or a 1-D array, got {value!r}")
-    c = np.zeros((value.size, t.size))
-    c[_COLUMN0] = value
+    c = np.zeros(value.shape + (t.size,))
+    c[..., 0] = value
     return c
 
 
@@ -401,22 +396,25 @@ def _guard(tag: str, v, bad) -> None:
         raise JetDomainError(tag, v)
 
 
-def _pow(v, p):
-    """v ** p for one jet's float value, or row by row for a stack's value
-    column with the same rounding (numpy's ** differs in the last bit)."""
-    return np.float_power(v, p) if isinstance(v, np.ndarray) else v**p
+def _rows(f: Callable) -> Callable:
+    """``f`` applied to each entry of a stack's value column, as a float."""
+    return lambda v, *args: np.array([f(x, *args) for x in v.tolist()])
 
 
-# numpy's ufuncs under math's names, for the value column of a stack
-_ROWS = types.SimpleNamespace(
-    sin=np.sin, cos=np.cos, tan=np.tan, exp=np.exp, log=np.log, sqrt=np.sqrt, atan=np.arctan
+# math's functions and ``**``: for one jet's value, and mapped over the value
+# column of a stack
+_ONE = types.SimpleNamespace(
+    **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")},
+    pow=operator.pow,
 )
+_ROWS = types.SimpleNamespace(**{name: _rows(f) for name, f in vars(_ONE).items()})
 
 
 def _arg(x: Jet):
-    """One jet's float value with ``math``, or a stack's value column with
-    the numpy ufuncs of the same names, which act row by row."""
-    return x.value, math if x.c.ndim == 1 else _ROWS
+    """A jet's value and the functions that act on it: one jet's float with
+    ``_ONE``, or a stack's value column with ``_ROWS``."""
+    c = x.c
+    return (float(c[0]), _ONE) if c.ndim == 1 else (c[:, 0], _ROWS)
 
 
 def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> Jet:
@@ -445,9 +443,7 @@ def _int_pow(x: float | Jet, p: int) -> float | Jet:
     keeps the operation count small and deterministic, and a negative power
     is the reciprocal of the positive one."""
     if p == 0:
-        if not isinstance(x, Jet):
-            return 1.0
-        return jet_constant(1.0 if x.c.ndim == 1 else np.ones(len(x.c)), x.n, x.order)
+        return jet_constant(np.ones(x.c.shape[:-1]), x.n, x.order) if isinstance(x, Jet) else 1.0
     if p < 0:
         return 1.0 / _int_pow(x, -p)
     result = None
@@ -463,15 +459,15 @@ def _int_pow(x: float | Jet, p: int) -> float | Jet:
 
 
 def _real_pow(x: Jet, p: float) -> Jet:
-    v = x.value
+    v, m = _arg(x)
     _guard("power", v, v <= 0.0)
     return _compose(
         x,
-        _pow(v, p),
-        p * _pow(v, p - 1.0),
-        p * (p - 1.0) * _pow(v, p - 2.0),
-        p * (p - 1.0) * (p - 2.0) * _pow(v, p - 3.0),
-        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * _pow(v, p - 4.0),
+        m.pow(v, p),
+        p * m.pow(v, p - 1.0),
+        p * (p - 1.0) * m.pow(v, p - 2.0),
+        p * (p - 1.0) * (p - 2.0) * m.pow(v, p - 3.0),
+        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * m.pow(v, p - 4.0),
     )
 
 
@@ -525,7 +521,7 @@ def log(x: float | Jet) -> float | Jet:
     v, m = _arg(x)
     _guard("log", v, v <= 0.0)
     return _compose(
-        x, m.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / _pow(v, 3), -6.0 / _pow(v, 4)
+        x, m.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / m.pow(v, 3), -6.0 / m.pow(v, 4)
     )
 
 
@@ -537,7 +533,7 @@ def sqrt(x: float | Jet) -> float | Jet:
     _guard("sqrt", v, v <= 0.0)
     r = m.sqrt(v)
     return _compose(
-        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (_pow(v, 3) * r)
+        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (m.pow(v, 3) * r)
     )
 
 
@@ -549,8 +545,8 @@ def atan(x: Jet) -> Jet:
         m.atan(v),
         1.0 / d,
         -2.0 * v / (d * d),
-        (6.0 * v * v - 2.0) / _pow(d, 3),
-        24.0 * v * (1.0 - v * v) / _pow(d, 4),
+        (6.0 * v * v - 2.0) / m.pow(d, 3),
+        24.0 * v * (1.0 - v * v) / m.pow(d, 4),
     )
 
 

@@ -1,16 +1,6 @@
-"""Shared helpers: randomized family instances and domain samplers.
-
-Under CI (GitHub Actions sets ``CI``), the hypothesis profile ``ci`` prints
-a failing draw's ``@reproduce_failure`` blob.  Recent hypothesis versions
-ship a ``ci`` profile of their own; it stays the parent, so example counts
-and deadlines are what they were.
-"""
-
-import os
+"""Shared helpers: randomized family instances and domain samplers."""
 
 import numpy as np
-from hypothesis import settings
-from hypothesis.errors import InvalidArgument
 
 from gcrkit.catalog import (
     circular_hypercylinder,
@@ -29,15 +19,6 @@ from gcrkit.catalog import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-try:
-    _CI_PARENT = settings.get_profile("ci")
-except InvalidArgument:
-    _CI_PARENT = None
-settings.register_profile("ci", parent=_CI_PARENT, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
-
 
 def sample_points(m, rng, count, margin=0.12):
     """Uniform random chart points, shrunk away from the domain edges."""

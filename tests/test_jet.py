@@ -458,12 +458,6 @@ def _assert_slots_close(out, want):
 
 # -- stacks: one coefficient row per point ---------------------------------------------------
 
-_ARITHMETIC = {"var", "const", "neg", "cube", "inv-square", "add", "sub", "mul", "div", "scale"}
-
-
-def _kinds(tree):
-    return {tree[0]}.union(*(_kinds(t) for t in tree[1:] if isinstance(t, tuple)))
-
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -477,15 +471,10 @@ def test_stack_rows_match_single_jets(tree, n, order, rows, seed):
     points = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, n))
     stack = _evaluate(tree, jet, [jet_variable(i, points[:, i], n, order) for i in range(n)])
     assert stack.c.shape == (rows, jet._table(n, order).size)
-    exact = _kinds(tree) <= _ARITHMETIC  # elementary functions may differ in the last bit
+    # bit for bit, elementary functions included: a stack's values come from math as well
     for r, p in enumerate(points):
         single = _evaluate(tree, jet, [jet_variable(i, p[i], n, order) for i in range(n)])
-        if exact:
-            assert np.array_equal(stack.c[r], single.c)
-            continue
-        for name in ("value", "grad", "hess", "third", "fourth"):
-            got, want = np.asarray(getattr(stack, name))[r], np.asarray(getattr(single, name))
-            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+        assert np.array_equal(stack.c[r], single.c)
 
 
 def test_stack_constant_shift_and_domain_errors():
@@ -521,6 +510,3 @@ def test_row_targets_stay_bounded():
     big = np.ones((200_001, t.size))
     assert np.array_equal(t.product(big, big)[-1], t.product(big[0], big[0]))
     assert 200_001 not in t._row_targets  # about 16 MiB, built per call
-    for rows in range(1, 40):
-        t.product(big[:rows], big[:rows])
-        assert len(t._row_targets) <= jet._CACHED_COUNTS

@@ -26,6 +26,8 @@ def _bench_alpha(seed):
     return (f"{cd!r}*cos(w)", f"{cd!r}*sin(w)", f"{sd!r}*cos(2*w)", f"{sd!r}*sin(2*w)")
 
 
+_PHASE = "2*w+0.3*tan(0.5*w)+log(2+w)+sqrt(1+w)-(1+w)^1.5"
+
 _CURVES = {
     "great circle": (("cos(w)", "sin(w)", "0", "0"), (-0.4, 6.7), 801),
     "torus knot": (
@@ -33,9 +35,11 @@ _CURVES = {
     ),
     "bench draw 1": (_bench_alpha(1), (-0.3, 6.6), 801),
     "bench draw 2": (_bench_alpha(2), (0.1, 3.0), 97),
-    # 4,999 abscissae: two stacked blocks
-    "torus knot, two blocks": (
-        ("0.8*cos(w)", "0.8*sin(w)", "0.6*cos(2*w)", "0.6*sin(2*w)"), (-0.4, 6.7), 2500
+    # every function of the language and a real power: a stack evaluates them with math too
+    "reparametrized knot": (
+        ("0.8*cos(exp(0.2*w))", "0.8*sin(exp(0.2*w))", f"0.6*cos({_PHASE})", f"0.6*sin({_PHASE})"),
+        (-0.4, 2.5),
+        801,
     ),
 }
 
@@ -49,7 +53,7 @@ def test_frame_matches_per_sample_oracle(label, monkeypatch):
         catalog, "eval_expr", lambda e, env: calls.append(e) or expr.eval_expr(e, env)
     )
     got = build_normal_frame(alpha, w_range, samples)
-    assert len(calls) == 4 * math.ceil((2 * samples - 1) / catalog._FRAME_BLOCK)
+    assert len(calls) == 4  # one stacked evaluation per component
     for name in ("w", "a", "b"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for name in ("a_curve", "b_curve"):
@@ -60,10 +64,6 @@ def test_frame_matches_per_sample_oracle(label, monkeypatch):
 _FAILING_CURVES = {
     # sqrt leaves its domain at w = 1.5, with the curve on the sphere before it
     "evaluation fails mid-range": (("cos(w)", "sin(w)", "0*sqrt(1.5-w)", "0"), (0.0, 3.0), 801),
-    # the same in the second stacked block, which the first block passes
-    "evaluation fails in block 2": (
-        ("cos(w)", "sin(w)", "0*sqrt(2.5-w)", "0"), (0.0, 3.0), 2500
-    ),
     # |alpha|^2 = 1 + 1e-4 w^8 leaves the 1e-8 band near w = 0.32
     "leaves the sphere mid-range": (("cos(w)", "sin(w)", "0.01*w^4", "0"), (0.0, 2.0), 801),
     # the sphere check fires first, though a later row fails to evaluate
