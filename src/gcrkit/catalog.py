@@ -207,12 +207,20 @@ def _kappa_callable(kappa) -> tuple[Callable[[float], float], str]:
         raise CatalogError(f"curvature must be a number or an expression in s, got {kappa!r}")
     if isinstance(kappa, (int, float)):
         value = float(kappa)
-        return (lambda s: value), repr(value)
-    expr = parse_expr(kappa, ("s",)) if isinstance(kappa, str) else kappa
-    extra = variables_of(expr) - {"s"}
-    if extra:
-        raise CatalogError(f"curvature must be a function of s only, found {sorted(extra)}")
-    return (lambda s: eval_real(expr, {"s": s})), to_text(expr)
+        curvature, text = (lambda s: value), repr(value)
+    else:
+        expr = parse_expr(kappa, ("s",)) if isinstance(kappa, str) else kappa
+        extra = variables_of(expr) - {"s"}
+        if extra:
+            raise CatalogError(f"curvature must be a function of s only, found {sorted(extra)}")
+        curvature, text = (lambda s: eval_real(expr, {"s": s})), to_text(expr)
+
+    def kfun(s: float) -> float:
+        if math.isnan(k := curvature(s)):  # float arithmetic gives 0*inf = NaN quietly
+            raise ValueError(f"curvature {text} is NaN at s = {s!r}")
+        return k
+
+    return kfun, text
 
 
 def integrate_profile(
@@ -394,10 +402,11 @@ def build_normal_frame(
         alpha_rows = map(alpha_data, w_all)
     node = next(alpha_rows)
     a0, d1_0, *_ = node
-    if abs(a0 @ a0 - 1.0) > 1e-8:
+    # written so that a NaN fails them: every comparison with NaN is false
+    if not abs(a0 @ a0 - 1.0) <= 1e-8:
         raise CatalogError("curve must lie on the unit 3-sphere")
     speed0 = np.linalg.norm(d1_0)
-    if speed0 < 1e-8:
+    if not speed0 >= 1e-8:
         raise CatalogError("curve is not regular at the left endpoint")
 
     t0 = d1_0 / speed0
@@ -471,9 +480,9 @@ def build_normal_frame(
         k4 = transport_rhs(pair + h * k3, nxt[1], nxt[2])
         pair = pair + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         node = nxt
-        if abs(nxt[0] @ nxt[0] - 1.0) > 1e-8:
+        if not abs(nxt[0] @ nxt[0] - 1.0) <= 1e-8:
             raise CatalogError(f"curve leaves the unit 3-sphere near w = {wv + h:.6g}")
-        if nxt[1] @ nxt[1] < 1e-16:
+        if not nxt[1] @ nxt[1] >= 1e-16:
             raise CatalogError(f"curve is not regular near w = {wv + h:.6g}")
 
     a_curve = HermiteCurve(w_arr, a_rows, a_d1, a_d2)

@@ -14,7 +14,7 @@ curvature).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Sequence
 
 import numpy as np
@@ -28,7 +28,11 @@ from .geometry import (
     PrincipalData,
     SingularPointError,
     _fix_direction_signs,
+    _mv,
     _nabla_second_form,
+    _principal_rows,
+    _row,
+    _sum,
     curvature_invariants,
     point_geometry,
     principal_data,
@@ -84,6 +88,31 @@ class PositionAngles:
     mu_grad: np.ndarray | None
 
 
+def _position_rows(x, jac, g, normal, shape, eps_tan_rel: float) -> PositionAngles:
+    """position_angles over a point axis.  Rows at the origin read cos(theta)
+    = 1, degenerate rows zero e1 and gradients: neither divides by 0."""
+    # an ulp of cos(theta) moves theta by 1e-8 near 0 and pi, so mu, x.N and theta
+    # keep np.linalg.norm's and x @ N's BLAS dot (one call per row) and math.acos
+    mu = np.sqrt((x[:, None] @ x[..., None])[:, 0, 0])
+    b = _mv(np.swapaxes(jac, -1, -2), x)
+    xT = np.linalg.solve(g, b[..., None])[..., 0]
+    xT_norm = np.sqrt(np.maximum(_sum(xT * _mv(g, xT)), 0.0))
+    eps_tan = eps_tan_rel * np.maximum(1.0, mu)
+    at_origin = mu < eps_tan
+    degenerate = at_origin | (xT_norm < eps_tan)
+    x_n = (x[:, None] @ normal[..., None])[:, 0, 0]
+    cos_theta = np.clip(x_n / np.where(at_origin, 1.0, mu), -1.0, 1.0)
+    cos_theta[at_origin] = 1.0
+    theta = np.array([math.acos(c) for c in cos_theta.tolist()])
+    ok = ~degenerate
+    e1, theta_grad, mu_grad = np.zeros((3,) + b.shape)
+    mu_grad[ok] = b[ok] / mu[ok, None]
+    e1[ok] = xT[ok] / xT_norm[ok, None]
+    st_b = _mv(np.swapaxes(shape[ok], -1, -2), b[ok])
+    theta_grad[ok] = (st_b + cos_theta[ok, None] * mu_grad[ok]) / xT_norm[ok, None]
+    return PositionAngles(mu, cos_theta, theta, xT, xT_norm, degenerate, e1, theta_grad, mu_grad)
+
+
 def position_angles(pg: PointGeometry, eps_tan_rel: float = 1e-8) -> PositionAngles:
     """Tangential/normal split of the position vector at a regular point.
 
@@ -91,35 +120,9 @@ def position_angles(pg: PointGeometry, eps_tan_rel: float = 1e-8) -> PositionAng
     d mu = b / mu and, by Weingarten's d<x, N> = -S^T b,
     d theta = (S^T b + cos(theta) d mu) / (mu sin(theta)).
     """
-    pos = pg.position
-    mu = float(np.linalg.norm(pos))
-    b = pg.jac.T @ pos
-    xT = np.linalg.solve(pg.metric, b)
-    xT_norm = float(math.sqrt(max(xT @ pg.metric @ xT, 0.0)))
-    eps_tan = eps_tan_rel * max(1.0, mu)
-    degenerate = xT_norm < eps_tan or mu < eps_tan
-
-    if mu < eps_tan:
-        # surface passes (numerically) through the origin: angles undefined
-        return PositionAngles(mu, 1.0, 0.0, xT, xT_norm, True, None, None, None)
-
-    cos_theta = float(np.clip(pos @ pg.normal / mu, -1.0, 1.0))
-    theta = math.acos(cos_theta)
-    if degenerate:
-        return PositionAngles(mu, cos_theta, theta, xT, xT_norm, True, None, None, None)
-
-    mu_grad = b / mu
-    return PositionAngles(
-        mu=mu,
-        cos_theta=cos_theta,
-        theta=theta,
-        xT=xT,
-        xT_norm=xT_norm,
-        degenerate=False,
-        e1=xT / xT_norm,
-        theta_grad=(pg.shape.T @ b + cos_theta * mu_grad) / xT_norm,
-        mu_grad=mu_grad,
-    )
+    fields = (pg.position, pg.jac, pg.metric, pg.normal, pg.shape)
+    pa = _row(_position_rows(*(f[None] for f in fields), eps_tan_rel), 0)
+    return replace(pa, e1=None, theta_grad=None, mu_grad=None) if pa.degenerate else pa
 
 
 # -- the position-principal test --------------------------------------------------------
@@ -137,26 +140,44 @@ class GcrResidual:
 
 
 def g_complement_basis(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Columns: a g-orthonormal basis of the g-orthogonal complement of v."""
-    n = g.shape[0]
-    vn = v / math.sqrt(v @ g @ v)
+    """Columns: a g-orthonormal basis of the g-orthogonal complement of v, row
+    by row over a point axis of g (P, n, n) and v (P, n) if they have one.
+    Gram-Schmidt seeds each row with the chart axes in its own stable order;
+    every row walks the same steps, and a slot not yet filled subtracts 0."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return g_complement_basis(g[None], v[None])[0]
+    rows, n = np.arange(v.shape[0]), v.shape[-1]
+    vn = v / np.sqrt(_sum(v * _mv(g, v)))[:, None]
     # seed with the chart axes least aligned with v, for determinism
-    overlaps = np.abs(g @ vn)
-    order = np.argsort(overlaps, kind="stable")
-    cols = [vn]
-    for axis in order:
-        cand = np.zeros(n)
-        cand[axis] = 1.0
-        for c in cols:
-            cand = cand - (cand @ g @ c) * c
-        norm = math.sqrt(max(cand @ g @ cand, 0.0))
-        if norm > 1e-10:
-            cols.append(cand / norm)
-        if len(cols) == n:
+    order = np.argsort(np.abs(_mv(g, vn)), axis=-1, kind="stable")
+    basis = np.zeros(v.shape[:1] + (n, n))  # basis[:, j]: the j-th accepted vector
+    basis[:, 0] = vn
+    filled = np.ones(v.shape[0], dtype=int)
+    for step in range(n):
+        if (filled == n).all():
             break
-    if len(cols) < n:
+        cand = (order[:, step, None] == np.arange(n)).astype(float)
+        for j in range(min(step + 1, n)):
+            c = basis[:, j]
+            cand = cand - _sum(cand * _mv(g, c))[:, None] * c
+        norm = np.sqrt(np.maximum(_sum(cand * _mv(g, cand)), 0.0))
+        take = (norm > 1e-10) & (filled < n)
+        basis[rows[take], filled[take]] = cand[take] / norm[take, None]
+        filled += take
+    if (filled < n).any():
         raise DegeneratePointError("metric too degenerate for a complement basis")
-    return np.column_stack(cols[1:])
+    return np.swapaxes(basis[:, 1:], -1, -2)
+
+
+def _gcr_rows(g, shape, e1, theta_grad) -> tuple[np.ndarray, np.ndarray]:
+    """Primary and secondary residuals over a point axis of nondegenerate rows."""
+    se1 = _mv(shape, e1)
+    tail = se1 - _sum(se1 * _mv(g, e1))[:, None] * e1
+    primary = np.sqrt(np.maximum(_sum(tail * _mv(g, tail)), 0.0))
+    comp = g_complement_basis(g, e1)
+    secondary = np.abs(_mv(np.swapaxes(comp, -1, -2), theta_grad)).max(axis=-1)
+    return primary, secondary
 
 
 def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> GcrResidual:
@@ -165,28 +186,23 @@ def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> Gc
         raise DegeneratePointError(
             "tangential position vanishes; the position-principal test is vacuous here"
         )
-    g = pg.metric
-    e1 = pa.e1
-    se1 = pg.shape @ e1
-    tail = se1 - (se1 @ g @ e1) * e1
-    primary = float(math.sqrt(max(tail @ g @ tail, 0.0)))
-    comp = g_complement_basis(g, e1)
-    secondary = float(np.max(np.abs(comp.T @ pa.theta_grad)))
-    return GcrResidual(primary=primary, secondary=secondary)
+    rows = _gcr_rows(pg.metric[None], pg.shape[None], pa.e1[None], pa.theta_grad[None])
+    return GcrResidual(*(r.item() for r in rows))
 
 
-def delta2_ideal_test(k: Sequence[float], tol: float) -> bool:
-    """True when one curvature equals the sum of the other two within tol.
+def delta2_ideal_test(k: Sequence[float], tol: float) -> bool | np.ndarray:
+    """True when one curvature equals the sum of the other two within tol;
+    one flag per row for curvatures (P, n) and tolerances (P,).
 
     This is the spectral form of the ideal split {a, b, a + b} that the
     classification flags report as is_delta2_ideal.
     """
     k = np.asarray(k, dtype=float)
-    if k.size < 3:
+    if k.ndim == 0 or k.shape[-1] < 3:
         raise ValueError("spectral split test needs at least three curvatures")
-    total = float(k.sum())
     # k_i = k_j + k_l  <=>  2 k_i = k_1 + k_2 + k_3
-    return bool(np.min(np.abs(2.0 * k - total)) <= tol)
+    split = np.abs(2.0 * k - _sum(k)[..., None]).min(axis=-1) <= tol
+    return split if split.ndim else bool(split)
 
 
 # -- structural identities ---------------------------------------------------------------
@@ -458,63 +474,39 @@ class SurfaceReport:
     jet_order: int  # highest jet order evaluated
 
 
-def _classify_point(
-    m: Immersion, p: np.ndarray, tols: Tolerances, include_structural: bool
-):
+# grid points classified together once their geometry is assembled: enough
+# rows that numpy's per-call cost fades, few enough to stay in cache
+_BLOCK = 1024
+
+
+def _classify_rows(rows: list[tuple], tols: Tolerances) -> list:
+    """Per (metric, second_form, shape, position, jac, normal, det_metric)
+    row: the stacked principal and position data, the row's index in them and
+    its PointRecord figures, or why it is skipped.  If the block raises, its
+    rows rerun one at a time, so that each failure keeps its own reason."""
+    g, h, shape, x, jac, normal, _ = (np.array(c) for c in zip(*rows))
     try:
-        # 3-D transport checks read third partials: one order-3 evaluation serves both
-        order = 3 if include_structural and m.n == 3 else 2
-        pg = point_geometry(m, p, tols.eps_reg, check_domain=False, order=order)
-        pd = principal_data(pg, tols.tol_gap)
-        pa = position_angles(pg, eps_tan_rel=tols.eps_tan_rel)
-    except SingularPointError as exc:
-        return ("skip", tuple(p), f"singular metric (det g = {exc.det_g:.3e})")
-    except (GeometryError, ExprError) as exc:
-        return ("skip", tuple(p), f"evaluation failed: {exc}")
-    ci = curvature_invariants(pd.curvatures)
-    n = pg.n
-
-    gcr_primary = gcr_secondary = None
-    if not pa.degenerate:
-        res = gcr_residual(pa, pd, pg)
-        gcr_primary, gcr_secondary = res.primary, res.secondary
-
-    delta2 = None
-    if n >= 3:
-        tol_d2 = tols.tol_const_rel * (1.0 + float(np.max(np.abs(pd.curvatures))))
-        delta2 = delta2_ideal_test(pd.curvatures, tol_d2)
-
-    structural = None
-    note = None
-    if include_structural:
-        if pa.degenerate:
-            note = "degenerate point: no tangential direction to adapt a frame to"
-        elif gcr_primary is not None and gcr_primary >= tols.tol_gcr:
-            note = "not position-principal here: structural identities not expected"
-        else:
-            try:
-                structural = structural_residuals(
-                    m, p, pg=pg, pd=pd, pa=pa,
-                    tol_gap=tols.tol_gap, eps_reg=tols.eps_reg,
-                )
-            except (GeometryError, DegeneratePointError, ExprError) as exc:
-                note = f"structural probe failed: {exc}"
-
-    record = PointRecord(
-        point=tuple(p),
-        mu=pa.mu,
-        theta=pa.theta,
-        curvatures=tuple(float(k) for k in pd.curvatures),
-        means=tuple(float(h) for h in ci.mean),
-        distinct_count=pd.distinct_count,
-        degenerate=pa.degenerate,
-        gcr_primary=gcr_primary,
-        gcr_secondary=gcr_secondary,
-        delta2=delta2,
-        structural=structural,
-        structural_note=note,
-    )
-    return ("ok", record, None)
+        pd = _principal_rows(g, h, tols.tol_gap)
+        pa = _position_rows(x, jac, g, normal, shape, tols.eps_tan_rel)
+        k = pd.curvatures
+        means = curvature_invariants(k).mean
+        ok = ~pa.degenerate
+        primary, secondary = np.zeros(len(k)), np.zeros(len(k))
+        primary[ok], secondary[ok] = _gcr_rows(g[ok], shape[ok], pa.e1[ok], pa.theta_grad[ok])
+        tol_d2 = tols.tol_const_rel * (1.0 + np.abs(k).max(axis=-1))
+        delta2 = delta2_ideal_test(k, tol_d2).tolist() if k.shape[-1] >= 3 else [None] * len(k)
+    except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
+        if len(rows) > 1:
+            return [out for row in rows for out in _classify_rows([row], tols)]
+        if isinstance(exc, np.linalg.LinAlgError):
+            return [f"singular metric (det g = {rows[0][-1]:.3e})"]
+        return [f"evaluation failed: {exc}"]
+    figures = zip(pa.mu.tolist(), pa.theta.tolist(), k.tolist(), means.tolist(),
+                  pd.distinct_count.tolist(), ok.tolist(), primary.tolist(),
+                  secondary.tolist(), delta2)
+    return [(pd, pa, i, (mu, th, tuple(kk), tuple(hh), d, not o,
+                         *((p, s) if o else (None, None)), d2))
+            for i, (mu, th, kk, hh, d, o, p, s, d2) in enumerate(figures)]
 
 
 def classify_surface(
@@ -524,10 +516,13 @@ def classify_surface(
     include_structural: bool = False,
 ) -> SurfaceReport:
     """Sweep a grid, in grid order, and aggregate per-point geometry into
-    classification flags."""
+    classification flags.  Each point's geometry is assembled on its own, the
+    figures after it in blocks, with the bits of the per-point functions."""
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
+    # 3-D transport checks read third partials: one order-3 evaluation serves both
+    order = 3 if include_structural and m.n == 3 else 2
 
     records: list[PointRecord] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
@@ -535,15 +530,46 @@ def classify_surface(
     # for its complement basis, skips the point like a failed evaluation;
     # assembly itself refuses non-finite jets and geometry
     with np.errstate(all="raise", under="ignore"):
-        for p in points:
-            try:
-                kind, payload, reason = _classify_point(m, p, tols, include_structural)
-            except (FloatingPointError, DegeneratePointError) as exc:
-                kind, payload, reason = "skip", tuple(p), f"evaluation failed: {exc}"
-            if kind == "ok":
-                records.append(payload)
-            else:
-                skipped.append((payload, reason))
+        for start in range(0, len(points), _BLOCK):
+            block = [tuple(p) for p in points[start : start + _BLOCK]]
+            outcomes, rows = [], []
+            for p in block:
+                try:
+                    pg = point_geometry(m, p, tols.eps_reg, check_domain=False, order=order)
+                except SingularPointError as exc:
+                    outcomes.append(f"singular metric (det g = {exc.det_g:.3e})")
+                except (GeometryError, ExprError, FloatingPointError) as exc:
+                    outcomes.append(f"evaluation failed: {exc}")
+                else:
+                    outcomes.append(pg if include_structural else None)
+                    rows.append((pg.metric, pg.second_form, pg.shape, pg.position, pg.jac,
+                                 pg.normal, pg.det_metric))
+            classified = iter(_classify_rows(rows, tols) if rows else [])
+            for p, held in zip(block, outcomes):
+                out = held if isinstance(held, str) else next(classified)
+                if isinstance(out, str):
+                    skipped.append((p, out))
+                    continue
+                pd, pa, i, (mu, theta, k, means, distinct, degenerate, *gcr) = out
+                structural = note = None
+                if include_structural:
+                    if degenerate:
+                        note = "degenerate point: no tangential direction to adapt a frame to"
+                    elif gcr[0] >= tols.tol_gcr:
+                        note = "not position-principal here: structural identities not expected"
+                    else:
+                        try:
+                            structural = structural_residuals(
+                                m, p, pg=held, pd=_row(pd, i), pa=_row(pa, i),
+                                tol_gap=tols.tol_gap, eps_reg=tols.eps_reg,
+                            )
+                        except (GeometryError, DegeneratePointError, ExprError) as exc:
+                            note = f"structural probe failed: {exc}"
+                        except FloatingPointError as exc:
+                            skipped.append((p, f"evaluation failed: {exc}"))
+                            continue
+                records.append(PointRecord(p, mu, theta, k, means, distinct, degenerate,
+                                           *gcr, structural, note))
 
     if not records:
         first = skipped[0] if skipped else (tuple(points[0]), "no points")

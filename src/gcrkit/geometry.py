@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -344,32 +344,55 @@ class PrincipalData:
         return self.curvatures.size
 
 
-def _fix_direction_signs(directions: np.ndarray) -> np.ndarray:
-    out = directions.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            out[:, i] = -col
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right.  Unlike np.sum or BLAS, it gives
+    each row of a point axis the same bits whatever rows sit beside it, so the
+    per-point functions are one-row calls of the kernels over grid blocks."""
+    out = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i]
     return out
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:  # a @ v over leading axes
+    return _sum(a * v[..., None, :])
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b over leading axes
+    return _sum(a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
+def _row(stack, i: int):
+    """Row i of a dataclass of stacked fields, numpy scalars as Python numbers."""
+    values = (getattr(stack, f.name)[i] for f in fields(stack))
+    return type(stack)(*(v.item() if np.ndim(v) == 0 else v for v in values))
+
+
+def _fix_direction_signs(directions: np.ndarray) -> np.ndarray:
+    """Flip each column so that its first largest entry is positive."""
+    lead = np.argmax(np.abs(directions), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(directions, lead, axis=-2) < 0, -directions, directions)
+
+
+def _principal_rows(g: np.ndarray, h: np.ndarray, tol_gap: float) -> PrincipalData:
+    """principal_data over a point axis; a metric with no Cholesky factor
+    raises LinAlgError."""
+    li = np.linalg.inv(np.linalg.cholesky(g))
+    a = _mm(_mm(li, h), np.swapaxes(li, -1, -2))
+    w, y = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    vecs = _fix_direction_signs(_mm(np.swapaxes(li, -1, -2), y))
+    i, j = np.triu_indices(w.shape[-1], 1)
+    gaps = np.abs(w[:, i] - w[:, j]).min(axis=-1)
+    distinct = 1 + np.count_nonzero(np.diff(w, axis=-1) > tol_gap, axis=-1)
+    return PrincipalData(curvatures=w, directions=vecs, gaps=gaps, distinct_count=distinct)
 
 
 def principal_data(pg: PointGeometry, tol_gap: float = 1e-4) -> PrincipalData:
     """Solve h v = k g v via Cholesky reduction plus a symmetric eigensolver."""
     try:
-        chol = np.linalg.cholesky(pg.metric)
+        return _row(_principal_rows(pg.metric[None], pg.second_form[None], tol_gap), 0)
     except np.linalg.LinAlgError as exc:
         raise SingularPointError(pg.point, pg.det_metric) from exc
-    li = np.linalg.inv(chol)
-    a = li @ pg.second_form @ li.T
-    w, y = np.linalg.eigh(0.5 * (a + a.T))
-    vecs = _fix_direction_signs(li.T @ y)
-    n = w.size
-    gaps = float(min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n)))
-    distinct = 1 + int(np.sum(np.diff(w) > tol_gap))
-    return PrincipalData(
-        curvatures=w, directions=vecs, gaps=gaps, distinct_count=distinct
-    )
 
 
 @dataclass
@@ -385,15 +408,16 @@ class CurvatureInvariants:
 
 
 def curvature_invariants(curvatures: Sequence[float]) -> CurvatureInvariants:
+    """Invariants of the curvatures (..., n), over any leading point axes."""
     k = np.asarray(curvatures, dtype=float)
-    n = k.size
+    n = k.shape[-1]
     # Vieta: expanding prod (x + k_i) yields the elementary symmetric functions
     # (plain products, unlike np.convolve, honour np.errstate on overflow)
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    for i, ki in enumerate(k, start=1):
-        coeffs[1 : i + 1] = coeffs[1 : i + 1] + ki * coeffs[:i]
-    sym = coeffs[1:]
+    coeffs = np.zeros(k.shape[:-1] + (n + 1,))
+    coeffs[..., 0] = 1.0
+    for i in range(1, n + 1):
+        coeffs[..., 1 : i + 1] = coeffs[..., 1 : i + 1] + k[..., i - 1 : i] * coeffs[..., :i]
+    sym = coeffs[..., 1:]
     binom = np.array([math.comb(n, j) for j in range(1, n + 1)], dtype=float)
     return CurvatureInvariants(sym=sym, mean=sym / binom)
 

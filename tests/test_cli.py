@@ -198,6 +198,13 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "init must be three finite"),
         ({"family": "so2_x_so2", "parameters": {"kappa": True},
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}}, "got True"),
+        # float arithmetic that gives NaN quietly
+        ({"family": "so2_x_so2", "parameters": {"kappa": "0*(1e200*1e200)"},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "curvature 0.0*(1e+200*1e+200) is NaN"),
+        ({"family": "curve_tube",
+          "parameters": {"alpha": ["cos(w)+0*(1e200*1e200)", "sin(w)", "0", "0"]}},
+         "curve must lie on the unit 3-sphere"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import TWO_PI, gcr_positive_surfaces, random_family, sample_points
 from fd_oracle import structural_residuals_fd
+from gcrkit import cli, gcr
 from gcrkit.catalog import (
     FAMILY_TAGS,
     hypercylinder_rotational,
@@ -400,3 +401,124 @@ def test_classify_isoparametric_product():
     rep = classify_surface(m, GridSpec((4, 5, 3)))
     assert rep.is_gcr and rep.is_isoparametric and rep.is_cmc
     assert rep.distinct_curvature_count == 2
+
+
+# -- block classification ---------------------------------------------------------------------
+
+
+def _spec_surface(name):
+    spec = cli.load_spec(name)
+    m, _ = cli.build_surface(spec)
+    return m, cli._grid_from_spec(spec, m, None)
+
+
+def _marked_saddle():
+    """The saddle (s, t, s t) on a 3 x 3 grid over [-1, 1]^2: degenerate at
+    the origin, singular at (-1, 1), and lifted by 1e160 at (1, 1), where
+    the position split overflows only after point_geometry succeeded."""
+
+    def mapping(seeds):
+        s, t = seeds
+        at = (float(s.c[0]), float(t.c[0]))
+        if at == (-1.0, 1.0):
+            return [0.0 * s, t, 0.0 * s]
+        return [s, t, s * t + (1e160 if at == (1.0, 1.0) else 0.0)]
+
+    m = Immersion.from_mapping("marked saddle", mapping, ("s", "t"), ((-1.0, 1.0),) * 2)
+    return m, GridSpec((3, 3))
+
+
+def _bits(report):
+    # repr prints every float to its last bit
+    return [repr(r) for r in report.records] + [repr(s) for s in report.skipped]
+
+
+def _counting_point_geometry(monkeypatch):
+    calls = []
+    original = gcr.point_geometry
+    monkeypatch.setattr(
+        gcr, "point_geometry", lambda *a, **k: calls.append(a[1]) or original(*a, **k)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case,full",
+    [("so2_x_so2", False), ("saddle_raw.json", False), ("tangent_cone", True),
+     ("marked saddle", False)],
+)
+def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
+    if case == "saddle_raw.json":
+        m, grid = _spec_surface(case)
+    elif case == "marked saddle":
+        m, grid = _marked_saddle()  # its block falls back to one row at a time
+    else:
+        m, grid = make_family(case), GridSpec((3,) * 3)
+    calls = _counting_point_geometry(monkeypatch)
+    rep = classify_surface(m, grid, include_structural=full)
+    points = [tuple(p) for p in grid.points(m.domain)]
+    assert [tuple(p) for p in calls] == points
+    assert len(rep.records) + len(rep.skipped) == len(points)
+    if full:
+        assert rep.jet_order == 3 and any(r.structural is not None for r in rep.records)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize(
+    "name", ["so2_x_so2", "saddle_raw.json", "rotational_sphere.json", "torus_hypercylinder.json"]
+)
+def test_records_do_not_depend_on_the_block_size(monkeypatch, name, full):
+    if name == "so2_x_so2":
+        m, grid = make_family(name), GridSpec((5,) * 3)
+    else:
+        m, grid = _spec_surface(name)
+    reports = []
+    for block in (1, 7, gcr._BLOCK):
+        monkeypatch.setattr(gcr, "_BLOCK", block)
+        reports.append(classify_surface(m, grid, include_structural=full))
+    assert _bits(reports[0]) == _bits(reports[1]) == _bits(reports[2])
+    if not full:
+        # the per-point functions are the one-row calls of the block kernels
+        for r in reports[2].records[::7]:
+            pg = point_geometry(m, r.point, check_domain=False)
+            pd, pa = principal_data(pg), position_angles(pg)
+            assert (pa.mu, pa.theta, pa.degenerate) == (r.mu, r.theta, r.degenerate)
+            assert tuple(pd.curvatures.tolist()) == r.curvatures
+            if not r.degenerate:
+                res = gcr_residual(pa, pd, pg)
+                assert (res.primary, res.secondary) == (r.gcr_primary, r.gcr_secondary)
+
+
+def test_block_fallback_keeps_each_points_skip_reason(monkeypatch):
+    m, grid = _marked_saddle()
+    rep = classify_surface(m, grid)
+    monkeypatch.setattr(gcr, "_BLOCK", 1)
+    single = classify_surface(m, grid)
+    assert _bits(rep) == _bits(single)
+    assert rep.skipped == [
+        ((-1.0, 1.0), "singular metric (det g = 0.000e+00)"),
+        ((1.0, 1.0), "evaluation failed: overflow encountered in matmul"),
+    ]
+    origin = [r for r in rep.records if r.point == (0.0, 0.0)]
+    assert len(rep.records) == 7 and origin[0].degenerate and origin[0].gcr_primary is None
+
+
+def test_block_kernels_fall_back_row_by_row():
+    # a metric with no Cholesky factor and one too thin for a complement basis,
+    # which point_geometry never hands over, and an overflowing position
+    pg = point_geometry(so2_x_so2(), [0.6, 0.4, 1.1])
+    good = (pg.metric, pg.second_form, pg.shape, pg.position, pg.jac, pg.normal, pg.det_metric)
+    not_pd = (np.diag([1.0, -1.0, 1.0]),) + good[1:6] + (-1.0,)
+    thin = (np.diag([1.0, 1e-24, 1e-24]),) + good[1:]
+    overflow = good[:3] + (pg.position * 1e160,) + good[4:]
+    rows = [good, not_pd, thin, overflow, good]
+    tols = Tolerances()
+    with np.errstate(all="raise", under="ignore"):
+        block = gcr._classify_rows(rows, tols)
+        single = [gcr._classify_rows([row], tols)[0] for row in rows]
+    assert block[1:4] == single[1:4] == [
+        "singular metric (det g = -1.000e+00)",
+        "evaluation failed: metric too degenerate for a complement basis",
+        "evaluation failed: overflow encountered in matmul",
+    ]
+    assert repr(block[0][3]) == repr(block[4][3]) == repr(single[0][3])
