@@ -28,6 +28,7 @@ from .geometry import (
     PrincipalData,
     SingularPointError,
     _fix_direction_signs,
+    _mm,
     _mv,
     _nabla_second_form,
     _principal_rows,
@@ -35,7 +36,6 @@ from .geometry import (
     _sum,
     curvature_invariants,
     point_geometry,
-    principal_data,
 )
 
 __all__ = [
@@ -88,6 +88,11 @@ class PositionAngles:
     mu_grad: np.ndarray | None
 
 
+def _gnorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g-norms of the vectors v (..., n) over a point axis of metrics g."""
+    return np.sqrt(np.maximum(_sum(v * _mv(g, v)), 0.0))
+
+
 def _position_rows(x, jac, g, normal, shape, eps_tan_rel: float) -> PositionAngles:
     """position_angles over a point axis.  Rows at the origin read cos(theta)
     = 1, degenerate rows zero e1 and gradients: neither divides by 0."""
@@ -96,7 +101,7 @@ def _position_rows(x, jac, g, normal, shape, eps_tan_rel: float) -> PositionAngl
     mu = np.sqrt((x[:, None] @ x[..., None])[:, 0, 0])
     b = _mv(np.swapaxes(jac, -1, -2), x)
     xT = np.linalg.solve(g, b[..., None])[..., 0]
-    xT_norm = np.sqrt(np.maximum(_sum(xT * _mv(g, xT)), 0.0))
+    xT_norm = _gnorm(g, xT)
     eps_tan = eps_tan_rel * np.maximum(1.0, mu)
     at_origin = mu < eps_tan
     degenerate = at_origin | (xT_norm < eps_tan)
@@ -161,7 +166,7 @@ def g_complement_basis(g: np.ndarray, v: np.ndarray) -> np.ndarray:
         for j in range(min(step + 1, n)):
             c = basis[:, j]
             cand = cand - _sum(cand * _mv(g, c))[:, None] * c
-        norm = np.sqrt(np.maximum(_sum(cand * _mv(g, cand)), 0.0))
+        norm = _gnorm(g, cand)
         take = (norm > 1e-10) & (filled < n)
         basis[rows[take], filled[take]] = cand[take] / norm[take, None]
         filled += take
@@ -170,14 +175,15 @@ def g_complement_basis(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.swapaxes(basis[:, 1:], -1, -2)
 
 
-def _gcr_rows(g, shape, e1, theta_grad) -> tuple[np.ndarray, np.ndarray]:
-    """Primary and secondary residuals over a point axis of nondegenerate rows."""
+def _gcr_rows(g, shape, e1, theta_grad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primary and secondary residuals over a point axis of nondegenerate rows,
+    and the complement basis of e1 that the secondary one reads."""
     se1 = _mv(shape, e1)
     tail = se1 - _sum(se1 * _mv(g, e1))[:, None] * e1
-    primary = np.sqrt(np.maximum(_sum(tail * _mv(g, tail)), 0.0))
+    primary = _gnorm(g, tail)
     comp = g_complement_basis(g, e1)
     secondary = np.abs(_mv(np.swapaxes(comp, -1, -2), theta_grad)).max(axis=-1)
-    return primary, secondary
+    return primary, secondary, comp
 
 
 def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> GcrResidual:
@@ -187,7 +193,7 @@ def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> Gc
             "tangential position vanishes; the position-principal test is vacuous here"
         )
     rows = _gcr_rows(pg.metric[None], pg.shape[None], pa.e1[None], pa.theta_grad[None])
-    return GcrResidual(*(r.item() for r in rows))
+    return GcrResidual(rows[0].item(), rows[1].item())
 
 
 def delta2_ideal_test(k: Sequence[float], tol: float) -> bool | np.ndarray:
@@ -238,33 +244,88 @@ STRUCTURAL_KEYS = (
 )
 
 
-def _structural_frame(
-    pg: PointGeometry, pa: PositionAngles
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position-adapted frame and its complement curvatures: columns e1 along
-    the tangential position, then the g-orthonormal eigenvectors, ascending
-    by eigenvalue, of the shape operator restricted to the g-complement of
-    e1."""
-    g = pg.metric
-    e1 = pa.e1
-    comp = g_complement_basis(g, e1)
-    restricted = comp.T @ g @ pg.shape @ comp
-    restricted = 0.5 * (restricted + restricted.T)
-    vals, vecs = np.linalg.eigh(restricted)
-    return np.column_stack([e1, _fix_direction_signs(comp @ vecs)]), vals
+# the transport checks that follow the complement eigenvectors, in report order
+_TRANSPORT_KEYS = ("k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross")
+
+
+def _structural_rows(g, h, shape, pd, pa, comp, nabla_h, tol_gap: float) -> list:
+    """structural_residuals over a point axis of nondegenerate rows, from the
+    metric, second form and shape operator, their principal and position
+    data, the complement basis of e1 and, on 3-dimensional charts, nabla h
+    (None on 2-dimensional ones)."""
+    n = g.shape[-1]
+    e1, mu, cos_t = pa.e1, pa.mu, pa.cos_theta
+    sin_t = pa.xT_norm / mu
+    # the position-adapted frame: e1, then the g-orthonormal eigenvectors,
+    # ascending by eigenvalue lams, of S restricted to the g-complement of e1
+    restricted = _mm(_mm(_mm(np.swapaxes(comp, -1, -2), g), shape), comp)
+    lams, vecs = np.linalg.eigh(0.5 * (restricted + np.swapaxes(restricted, -1, -2)))
+    frame = np.concatenate([e1[..., None], _fix_direction_signs(_mm(comp, vecs))], axis=-1)
+    ft = np.swapaxes(frame, -1, -2)  # ft[:, i] is frame column i
+
+    # identities that only need exact gradients of theta and mu
+    ge1 = _mv(g, e1)
+    k1_index = np.abs(_mv(np.swapaxes(pd.directions, -1, -2), ge1)).argmax(axis=-1)
+    k1 = np.take_along_axis(pd.curvatures, k1_index[:, None], axis=-1)[:, 0]
+    r_k1 = np.abs(k1 - _sum(e1 * pa.theta_grad) + cos_t / mu)
+    flat = np.concatenate([_mv(ft[:, 1:], pa.theta_grad), _mv(ft[:, 1:], pa.mu_grad)], axis=-1)
+
+    # cov[:, l] = nabla_{e_l} e1, from second-order data
+    w = frame + (mu * cos_t)[:, None, None] * _mm(shape, frame)
+    w = w - e1[..., None] * _mv(np.swapaxes(w, -1, -2), ge1)[:, None, :]
+    cov = np.swapaxes(w, -1, -2) / pa.xT_norm[:, None, None]
+    coeff = (1.0 + (mu * cos_t)[:, None] * lams) / (mu * sin_t)[:, None]
+    scalars = [
+        _gnorm(g, cov[:, 0]),
+        r_k1,
+        np.abs(flat).max(axis=-1),
+        _gnorm(g[:, None], cov[:, 1:] - coeff[..., None] * ft[:, 1:]).max(axis=-1),
+    ]
+    if n == 2:
+        skipped = ("curvature transport system (3-dimensional charts only)",)
+        return [StructuralResiduals(*row, 0.0, 0.0, {}, skipped)
+                for row in zip(*(v.tolist() for v in scalars))]
+
+    cov_g = _mm(_mm(cov, g), frame)  # cov_g[:, l, i] = <nabla_{e_l} e1, e_i>
+    # omega_12(e3) and omega_13(e2)
+    scalars.append(np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2])))
+    # dh[:, l, a, b] = (nabla_{e_l} h)(e_a, e_b); h1[:, i] = h(e1, e_i)
+    dh = _mm(ft, nabla_h.reshape(-1, n, n * n)).reshape(-1, n, n, n)
+    dh = _mm(_mm(ft[:, None], dh), frame[:, None])
+    h1 = _mv(ft, _mv(h, e1))
+    dk1 = dh[:, :, 0, 0] + 2.0 * _mv(cov_g, h1)
+    # dvals[:, l, i] = e_l(k_{i+2}); twist[:, l] = (k2 - k3) omega_23(e_l)
+    dvals = dh[:, :, [1, 2], [1, 2]] - 2.0 * cov_g[:, :, 1:] * h1[:, None, 1:]
+    twist = dh[:, :, 1, 2] - cov_g[:, :, 1] * h1[:, 2, None] - cov_g[:, :, 2] * h1[:, 1, None]
+    transport = np.abs(np.stack([
+        dvals[:, 0, 0] - coeff[:, 0] * (k1 - lams[:, 0]),
+        dvals[:, 0, 1] - coeff[:, 1] * (k1 - lams[:, 1]),
+        twist[:, 0],
+        dvals[:, 1, 1] - twist[:, 2],
+        dvals[:, 2, 0] - twist[:, 1],
+    ], axis=-1))
+    coincide = np.abs(lams[:, 1] - lams[:, 0]) < tol_gap
+    skipped = tuple(f"{key} (complement curvatures coincide)" for key in _TRANSPORT_KEYS)
+    out = []
+    for row, dk, tr, skip in zip(zip(*(v.tolist() for v in scalars)), np.abs(dk1).tolist(),
+                                 transport.tolist(), coincide.tolist()):
+        details = {"k1-flat-2": dk[1], "k1-flat-3": dk[2]}
+        details.update(() if skip else zip(_TRANSPORT_KEYS, tr))
+        out.append(StructuralResiduals(*row, max(details.values()), details,
+                                       skipped if skip else ()))
+    return out
 
 
 def structural_residuals(
     m: Immersion,
     p: Sequence[float],
-    pg: PointGeometry | None = None,
-    pd: PrincipalData | None = None,
-    pa: PositionAngles | None = None,
     tol_gap: float = 1e-4,
     eps_reg: float = EPS_REG,
 ) -> StructuralResiduals:
     """Residuals of the identities that hold along a position-principal
-    surface, in closed form from one order-3 jet evaluation at ``p``.
+    surface, in closed form from one jet evaluation at ``p`` (order 3 on a
+    3-dimensional chart): the one-row call of the kernel that
+    classify_surface runs over grid blocks when it includes them.
 
     In the position-adapted frame {e1, e2, e3}:
 
@@ -281,116 +342,21 @@ def structural_residuals(
     The e1 field is smooth wherever the point is nondegenerate, so the
     geodesic/shape/connection checks need no eigenvalue gap; the transport
     checks, which follow the complement eigenvectors, are skipped when the
-    two complement curvatures are closer than tol_gap.
+    two complement curvatures are closer than tol_gap.  A point outside the
+    chart box raises OutOfDomainError.
     """
-    q = np.asarray(p, dtype=float)
-    if pg is None or pg.third is None:
-        # order-3 geometry repeats order-2 figures bit for bit: pd, pa stay valid
-        pg = point_geometry(m, q, eps_reg, check_domain=False, order=3)
-    if pa is None:
-        pa = position_angles(pg)
-    if pa.degenerate:
+    pg = point_geometry(m, p, eps_reg, order=3 if m.n == 3 else 2)
+    g, h, shape, jac, normal = (
+        f[None] for f in (pg.metric, pg.second_form, pg.shape, pg.jac, pg.normal)
+    )
+    pa = _position_rows(pg.position[None], jac, g, normal, shape, Tolerances.eps_tan_rel)
+    if pa.degenerate[0]:
         raise DegeneratePointError("structural identities are vacuous at this point")
-    if pd is None:
-        pd = principal_data(pg, tol_gap)
-
-    n = pg.n
-    g = pg.metric
-    h = pg.second_form
-    frame, lams = _structural_frame(pg, pa)
-    mu, cos_t = pa.mu, pa.cos_theta
-    sin_t = pa.xT_norm / mu
-
-    def gnorm(v: np.ndarray) -> float:
-        return float(math.sqrt(max(v @ g @ v, 0.0)))
-
-    # identities that only need exact gradients of theta and mu
-    k1_index = int(np.argmax(np.abs(frame[:, 0] @ g @ pd.directions)))
-    k1 = float(pd.curvatures[k1_index])
-    r_k1 = abs(k1 - frame[:, 0] @ pa.theta_grad + cos_t / mu)
-    r_theta_flat = 0.0
-    for i in range(1, n):
-        r_theta_flat = max(
-            r_theta_flat,
-            abs(float(frame[:, i] @ pa.theta_grad)),
-            abs(float(frame[:, i] @ pa.mu_grad)),
-        )
-
-    # cov_e1[l] = nabla_{e_l} e1, from second-order data
-    w = frame + mu * cos_t * (pg.shape @ frame)
-    w = w - np.outer(frame[:, 0], frame[:, 0] @ g @ w)
-    cov_e1 = (w / pa.xT_norm).T
-
-    r_geodesic = gnorm(cov_e1[0])
-    r_shape_coeff = 0.0
-    for i in range(1, n):
-        coeff = (1.0 + mu * cos_t * lams[i - 1]) / (mu * sin_t)
-        r_shape_coeff = max(r_shape_coeff, gnorm(cov_e1[i] - coeff * frame[:, i]))
-
-    if n == 2:
-        return StructuralResiduals(
-            r_geodesic=r_geodesic,
-            r_k1=float(r_k1),
-            r_theta_flat=r_theta_flat,
-            r_shape_coeff=r_shape_coeff,
-            r_omega=0.0,
-            r_codazzi_system=0.0,
-            details={},
-            skipped=("curvature transport system (3-dimensional charts only)",),
-        )
-
-    r_omega = max(
-        abs(float(cov_e1[2] @ g @ frame[:, 1])),   # omega_12(e3)
-        abs(float(cov_e1[1] @ g @ frame[:, 2])),   # omega_13(e2)
+    nabla_h = None if pg.third is None else _nabla_second_form(
+        h, shape, jac, normal, *(f[None] for f in (pg.second, pg.christoffel, pg.third))
     )
-
-    # dh_frame[l, a, b] = (nabla_{e_l} h)(e_a, e_b); cov_g[l, i] = <nabla_{e_l} e1, e_i>
-    dh_frame = np.einsum(
-        "xab,xl,ai,bj->lij", _nabla_second_form(pg), frame, frame, frame
-    )
-    cov_g = cov_e1 @ g @ frame
-    h1 = frame[:, 0] @ h @ frame
-
-    details: dict[str, float] = {}
-    skipped: list[str] = []
-    dk1 = dh_frame[:, 0, 0] + 2.0 * cov_g @ h1
-    details["k1-flat-2"] = abs(float(dk1[1]))
-    details["k1-flat-3"] = abs(float(dk1[2]))
-
-    gap23 = abs(lams[1] - lams[0])
-    if gap23 < tol_gap:
-        skipped.extend(
-            [
-                "k2-transport (complement curvatures coincide)",
-                "k3-transport (complement curvatures coincide)",
-                "frame-twist (complement curvatures coincide)",
-                "k3-cross (complement curvatures coincide)",
-                "k2-cross (complement curvatures coincide)",
-            ]
-        )
-    else:
-        lam2, lam3 = float(lams[0]), float(lams[1])
-        # dvals[l, i] = e_l(k_{i+2}); twist[l] = (k2 - k3) omega_23(e_l)
-        dvals = dh_frame[:, [1, 2], [1, 2]] - 2.0 * cov_g[:, 1:] * h1[1:]
-        twist = dh_frame[:, 1, 2] - cov_g[:, 1] * h1[2] - cov_g[:, 2] * h1[1]
-        coeff2 = (1.0 + mu * cos_t * lam2) / (mu * sin_t)
-        coeff3 = (1.0 + mu * cos_t * lam3) / (mu * sin_t)
-        details["k2-transport"] = abs(float(dvals[0, 0] - coeff2 * (k1 - lam2)))
-        details["k3-transport"] = abs(float(dvals[0, 1] - coeff3 * (k1 - lam3)))
-        details["frame-twist"] = abs(float(twist[0]))
-        details["k3-cross"] = abs(float(dvals[1, 1] - twist[2]))
-        details["k2-cross"] = abs(float(dvals[2, 0] - twist[1]))
-
-    return StructuralResiduals(
-        r_geodesic=r_geodesic,
-        r_k1=float(r_k1),
-        r_theta_flat=r_theta_flat,
-        r_shape_coeff=r_shape_coeff,
-        r_omega=r_omega,
-        r_codazzi_system=max(details.values()),
-        details=details,
-        skipped=tuple(skipped),
-    )
+    pd = _principal_rows(g, h, tol_gap)
+    return _structural_rows(g, h, shape, pd, pa, g_complement_basis(g, pa.e1), nabla_h, tol_gap)[0]
 
 
 # -- grid classification ---------------------------------------------------------------
@@ -479,12 +445,15 @@ class SurfaceReport:
 _BLOCK = 1024
 
 
-def _classify_rows(rows: list[tuple], tols: Tolerances) -> list:
-    """Per (metric, second_form, shape, position, jac, normal, det_metric)
-    row: the stacked principal and position data, the row's index in them and
-    its PointRecord figures, or why it is skipped.  If the block raises, its
-    rows rerun one at a time, so that each failure keeps its own reason."""
-    g, h, shape, x, jac, normal, _ = (np.array(c) for c in zip(*rows))
+def _classify_rows(rows: list[tuple], tols: Tolerances, include_structural: bool = False) -> list:
+    """Per (metric, second_form, shape, position, jac, normal, det_metric) row,
+    on order-3 rows followed by (second, christoffel, third): the row's
+    PointRecord figures after its point, or why it is skipped.  With
+    include_structural, rows that pass the primary test get their structural
+    residuals, the others a note.  If the block raises, its rows rerun one at
+    a time, so that each failure keeps its own reason."""
+    g, h, shape, x, jac, normal, _, *order3 = (np.array(c) for c in zip(*rows))
+    residuals = [None] * len(rows)
     try:
         pd = _principal_rows(g, h, tols.tol_gap)
         pa = _position_rows(x, jac, g, normal, shape, tols.eps_tan_rel)
@@ -492,21 +461,41 @@ def _classify_rows(rows: list[tuple], tols: Tolerances) -> list:
         means = curvature_invariants(k).mean
         ok = ~pa.degenerate
         primary, secondary = np.zeros(len(k)), np.zeros(len(k))
-        primary[ok], secondary[ok] = _gcr_rows(g[ok], shape[ok], pa.e1[ok], pa.theta_grad[ok])
+        primary[ok], secondary[ok], comp = _gcr_rows(
+            g[ok], shape[ok], pa.e1[ok], pa.theta_grad[ok]
+        )
         tol_d2 = tols.tol_const_rel * (1.0 + np.abs(k).max(axis=-1))
         delta2 = delta2_ideal_test(k, tol_d2).tolist() if k.shape[-1] >= 3 else [None] * len(k)
+        if include_structural:
+            passed = primary < tols.tol_gcr
+            sel = np.flatnonzero(ok & passed)
+            nabla_h = _nabla_second_form(
+                *(c[sel] for c in (h, shape, jac, normal, *order3))
+            ) if order3 else None
+            found = _structural_rows(g[sel], h[sel], shape[sel], _row(pd, sel), _row(pa, sel),
+                                     comp[passed[ok]], nabla_h, tols.tol_gap)
+            for i, sr in zip(sel.tolist(), found):
+                residuals[i] = sr
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
         if len(rows) > 1:
-            return [out for row in rows for out in _classify_rows([row], tols)]
+            return [out for row in rows for out in _classify_rows([row], tols, include_structural)]
         if isinstance(exc, np.linalg.LinAlgError):
-            return [f"singular metric (det g = {rows[0][-1]:.3e})"]
+            return [f"singular metric (det g = {rows[0][6]:.3e})"]
         return [f"evaluation failed: {exc}"]
+    notes = [None] * len(rows)
+    if include_structural:
+        notes = [
+            "degenerate point: no tangential direction to adapt a frame to" if not o
+            else "not position-principal here: structural identities not expected" if sr is None
+            else None
+            for o, sr in zip(ok.tolist(), residuals)
+        ]
     figures = zip(pa.mu.tolist(), pa.theta.tolist(), k.tolist(), means.tolist(),
                   pd.distinct_count.tolist(), ok.tolist(), primary.tolist(),
-                  secondary.tolist(), delta2)
-    return [(pd, pa, i, (mu, th, tuple(kk), tuple(hh), d, not o,
-                         *((p, s) if o else (None, None)), d2))
-            for i, (mu, th, kk, hh, d, o, p, s, d2) in enumerate(figures)]
+                  secondary.tolist(), delta2, residuals, notes)
+    return [(mu, th, tuple(kk), tuple(hh), d, not o, *((p, s) if o else (None, None)),
+             d2, sr, note)
+            for mu, th, kk, hh, d, o, p, s, d2, sr, note in figures]
 
 
 def classify_surface(
@@ -541,35 +530,17 @@ def classify_surface(
                 except (GeometryError, ExprError, FloatingPointError) as exc:
                     outcomes.append(f"evaluation failed: {exc}")
                 else:
-                    outcomes.append(pg if include_structural else None)
+                    outcomes.append(None)
                     rows.append((pg.metric, pg.second_form, pg.shape, pg.position, pg.jac,
-                                 pg.normal, pg.det_metric))
-            classified = iter(_classify_rows(rows, tols) if rows else [])
+                                 pg.normal, pg.det_metric)
+                                + ((pg.second, pg.christoffel, pg.third) if order == 3 else ()))
+            classified = iter(_classify_rows(rows, tols, include_structural) if rows else [])
             for p, held in zip(block, outcomes):
-                out = held if isinstance(held, str) else next(classified)
+                out = held or next(classified)
                 if isinstance(out, str):
                     skipped.append((p, out))
-                    continue
-                pd, pa, i, (mu, theta, k, means, distinct, degenerate, *gcr) = out
-                structural = note = None
-                if include_structural:
-                    if degenerate:
-                        note = "degenerate point: no tangential direction to adapt a frame to"
-                    elif gcr[0] >= tols.tol_gcr:
-                        note = "not position-principal here: structural identities not expected"
-                    else:
-                        try:
-                            structural = structural_residuals(
-                                m, p, pg=held, pd=_row(pd, i), pa=_row(pa, i),
-                                tol_gap=tols.tol_gap, eps_reg=tols.eps_reg,
-                            )
-                        except (GeometryError, DegeneratePointError, ExprError) as exc:
-                            note = f"structural probe failed: {exc}"
-                        except FloatingPointError as exc:
-                            skipped.append((p, f"evaluation failed: {exc}"))
-                            continue
-                records.append(PointRecord(p, mu, theta, k, means, distinct, degenerate,
-                                           *gcr, structural, note))
+                else:
+                    records.append(PointRecord(p, *out))
 
     if not records:
         first = skipped[0] if skipped else (tuple(points[0]), "no points")
@@ -627,5 +598,5 @@ def classify_surface(
         max_gcr_secondary=max(secondaries) if secondaries else None,
         fraction_degenerate=1.0 - len(nondeg) / len(records),
         structural_max=structural_max,
-        jet_order=3 if include_structural and n == 3 else 2,
+        jet_order=order,
     )

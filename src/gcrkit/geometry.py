@@ -362,8 +362,9 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b over leading axes
     return _sum(a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :])
 
 
-def _row(stack, i: int):
-    """Row i of a dataclass of stacked fields, numpy scalars as Python numbers."""
+def _row(stack, i):
+    """Row i of a dataclass of stacked fields, numpy scalars as Python numbers;
+    an index array ``i`` takes the stack of those rows."""
     values = (getattr(stack, f.name)[i] for f in fields(stack))
     return type(stack)(*(v.item() if np.ndim(v) == 0 else v for v in values))
 
@@ -450,14 +451,20 @@ def _dsecond_form(pg: PointGeometry, normal: np.ndarray, dn: np.ndarray) -> np.n
     return np.einsum("cijk,c->ijk", pg.third, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
 
 
-def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
-    """[l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am,
-    from geometry assembled at order 3."""
-    # Weingarten's d_i N = -S^k_i x_k; the self-test's independent normal
-    # jets stay in derivative_bundle, where Codazzi checks them.
-    dh = _dsecond_form(pg, pg.normal, -(pg.jac @ pg.shape).T)
-    gamma, h = pg.christoffel, pg.second_form
-    return dh - np.einsum("mla,mb->lab", gamma, h) - np.einsum("mlb,am->lab", gamma, h)
+def _nabla_second_form(h, shape, jac, normal, second, christoffel, third) -> np.ndarray:
+    """[..., l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am
+    over leading point axes, from geometry assembled at order 3.  Unlike
+    _dsecond_form's einsum, its sums give each row the same bits whatever
+    rows sit beside it."""
+    # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
+    # the self-test's independent normal jets stay in derivative_bundle, where
+    # Codazzi checks them.
+    dn = -np.swapaxes(_mm(jac, shape), -1, -2)
+    dh = (_sum(np.moveaxis(third, -4, -1) * normal[..., None, None, None, :])
+          + _sum(np.moveaxis(second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
+    # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
+    gamma_h = _mm(np.moveaxis(christoffel, -3, -1), h[..., None, :, :])
+    return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
 def derivative_bundle(

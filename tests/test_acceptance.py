@@ -182,12 +182,11 @@ def test_05_structural_identities(announce):
                 if value >= plain_tol:
                     failures.append(f"{label} {what} {value:.3e}")
             for key, value in sr.details.items():
-                relaxed = interpolated or "nested" in key
-                if relaxed:
+                if interpolated:
                     worst_relaxed = max(worst_relaxed, value)
                 else:
                     worst_plain = max(worst_plain, value)
-                if value >= (1e-3 if relaxed else 1e-4):
+                if value >= plain_tol:
                     failures.append(f"{label} {key} {value:.3e}")
         if checked == 0:
             failures.append(f"{label}: no usable sample points")

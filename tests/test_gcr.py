@@ -34,7 +34,9 @@ from gcrkit.gcr import (
     position_angles,
     structural_residuals,
 )
-from gcrkit.geometry import Immersion, derivative_bundle, point_geometry, principal_data
+from gcrkit.geometry import (
+    Immersion, OutOfDomainError, derivative_bundle, point_geometry, principal_data,
+)
 from gcrkit.jet import finite_difference_jet
 
 
@@ -273,6 +275,15 @@ def test_structural_skips_on_coincident_complement_spectrum():
     assert max(s.r_geodesic, s.r_k1, s.r_theta_flat, s.r_shape_coeff, s.r_omega) < 1e-6
 
 
+def test_structural_residuals_check_the_domain_box():
+    # outside its box curve_tube would extrapolate its interpolated frame
+    for m, p in [(so2_x_so2(), (5.0, 0.7, 2.1)), (make_family("curve_tube"), (2.5, 0.3, 0.1))]:
+        with pytest.raises(OutOfDomainError):
+            point_geometry(m, p)
+        with pytest.raises(OutOfDomainError):
+            structural_residuals(m, p)
+
+
 def test_structural_two_variable_charts_skip_transport():
     m = Immersion.from_exprs(
         "plane", ("s", "t", "1"), ("s", "t"), ((0.2, 1.2), (0.3, 1.5))
@@ -444,8 +455,8 @@ def _counting_point_geometry(monkeypatch):
 
 @pytest.mark.parametrize(
     "case,full",
-    [("so2_x_so2", False), ("saddle_raw.json", False), ("tangent_cone", True),
-     ("marked saddle", False)],
+    [("so2_x_so2", False), ("saddle_raw.json", False), ("saddle_raw.json", True),
+     ("tangent_cone", True), ("marked saddle", False)],
 )
 def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     if case == "saddle_raw.json":
@@ -460,7 +471,8 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     assert [tuple(p) for p in calls] == points
     assert len(rep.records) + len(rep.skipped) == len(points)
     if full:
-        assert rep.jet_order == 3 and any(r.structural is not None for r in rep.records)
+        assert rep.jet_order == (3 if m.n == 3 else 2)
+        assert any(r.structural is not None for r in rep.records)
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -477,7 +489,12 @@ def test_records_do_not_depend_on_the_block_size(monkeypatch, name, full):
         monkeypatch.setattr(gcr, "_BLOCK", block)
         reports.append(classify_surface(m, grid, include_structural=full))
     assert _bits(reports[0]) == _bits(reports[1]) == _bits(reports[2])
-    if not full:
+    if full:
+        # the structural residuals are the one-row call of their block kernel
+        for r in reports[2].records:
+            if r.structural is not None:
+                assert repr(r.structural) == repr(structural_residuals(m, r.point))
+    else:
         # the per-point functions are the one-row calls of the block kernels
         for r in reports[2].records[::7]:
             pg = point_geometry(m, r.point, check_domain=False)
@@ -521,4 +538,4 @@ def test_block_kernels_fall_back_row_by_row():
         "evaluation failed: metric too degenerate for a complement basis",
         "evaluation failed: overflow encountered in matmul",
     ]
-    assert repr(block[0][3]) == repr(block[4][3]) == repr(single[0][3])
+    assert repr(block[0]) == repr(block[4]) == repr(single[0])
