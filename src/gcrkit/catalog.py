@@ -25,9 +25,8 @@ from .expr import (
     Const,
     Expr,
     ExprError,
+    Program,
     Var,
-    eval_expr,
-    eval_real,
     parse_expr,
     to_text,
     variables_of,
@@ -213,7 +212,8 @@ def _kappa_callable(kappa) -> tuple[Callable[[float], float], str]:
         extra = variables_of(expr) - {"s"}
         if extra:
             raise CatalogError(f"curvature must be a function of s only, found {sorted(extra)}")
-        curvature, text = (lambda s: eval_real(expr, {"s": s})), to_text(expr)
+        program = Program((expr,))
+        curvature, text = (lambda s: program({"s": float(s)})[0]), to_text(expr)
 
     def kfun(s: float) -> float:
         if math.isnan(k := curvature(s)):  # float arithmetic gives 0*inf = NaN quietly
@@ -378,11 +378,12 @@ def build_normal_frame(
             f"got {samples!r}"
         )
 
+    curve = Program(alpha_exprs)
+
     def alpha_data(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """alpha and its first three derivatives at w, a float or an array
         of abscissae (then one row per abscissa)."""
-        env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs], axis=-2)
+        coeffs = np.stack([a.c for a in curve({"w": jet.jet_variable(0, w, 1, 3)})], axis=-2)
         shape = coeffs.shape[:-1]
         d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(shape) for r in (1, 2, 3))
         return coeffs[..., 0], d1, d2, d3
@@ -636,6 +637,7 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
     )
     box = _box(domain, ((0.75, 2.25), (0.0, _TWO_PI), (0.0, _TWO_PI)))
     _validate_unit_sphere(y_exprs, ("v", "w"), box[1:], what="base surface")
+    base = Program(y_exprs)
 
     def mapping(seeds):
         s, v, w = seeds
@@ -646,7 +648,7 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
             "v": jet.jet_variable(1, v.value, 3, order + 1),
             "w": jet.jet_variable(2, w.value, 3, order + 1),
         }
-        y_hi = [eval_expr(e, env) for e in y_exprs]
+        y_hi = base(env)
         y_lo = [comp.truncated(order) for comp in y_hi]
         y_v = [comp.partial(1) for comp in y_hi]
         y_w = [comp.partial(2) for comp in y_hi]
@@ -676,11 +678,11 @@ def curve_tube(
     )
     box = _box(domain, ((0.5, 2.0), (0.0, math.pi), (0.0, _TWO_PI)))
     frame = build_normal_frame(alpha_exprs, _padded(box[2]), samples=samples)
+    curve = Program(alpha_exprs)
 
     def mapping(seeds):
         s, v, w = seeds
-        env = {"w": w}
-        a_of_w = [eval_expr(e, env) for e in alpha_exprs]
+        a_of_w = curve({"w": w})
         frame_a = frame.a_curve.evaluate(w)
         frame_b = frame.b_curve.evaluate(w)
         phase = v * (1.0 / c)
@@ -724,9 +726,10 @@ def product_cylinder(base: Sequence | None = None, domain=None) -> Immersion:
 
 def _validate_unit_sphere(exprs, var_names, box, what: str, samples: int = 7) -> None:
     grids = [np.linspace(lo, hi, samples) for lo, hi in box]
+    programs = [Program((e,)) for e in exprs]  # each squared before the next runs
     for point in itertools.product(*grids):
-        env = dict(zip(var_names, point))
-        norm_sq = sum(eval_real(e, env) ** 2 for e in exprs)
+        env = {name: float(v) for name, v in zip(var_names, point)}
+        norm_sq = sum(run(env)[0] ** 2 for run in programs)
         if abs(norm_sq - 1.0) > 1e-8:
             raise CatalogError(f"{what} must lie on the unit 3-sphere")
 

@@ -13,11 +13,14 @@ Grammar (EBNF, whitespace insignificant):
 "^" binds tighter than unary minus, which binds tighter than "*" and "/",
 so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication.
 Identifiers must either be declared chart variables or one of the built-in
-unary functions: sin, cos, tan, exp, log, sqrt, abs.
+unary functions: sin, cos, tan, exp, log, sqrt, abs.  Text nesting deeper
+than _MAX_DEPTH levels is a syntax error.
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -38,6 +41,7 @@ __all__ = [
     "ExprEvalError",
     "FUNCTIONS",
     "parse_expr",
+    "Program",
     "eval_expr",
     "eval_real",
     "to_text",
@@ -160,8 +164,13 @@ _PREC_POW = 4
 _BINARY_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL,
                 "^": _PREC_POW}
 
+_MAX_DEPTH = 200  # nesting levels a parsed tree may have
+
 
 class _Parser:
+    """Returns each subtree with its depth: a node and a pair of parentheses
+    count one level each."""
+
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
         self.tokens = _tokenize(text)
@@ -192,14 +201,19 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        node = self.parse_expression(0)
+        node, _ = self.parse_expression(0, 0)
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {text!r}", offset)
         return node
 
-    def parse_expression(self, min_prec: int) -> Expr:
-        node = self.parse_atom()
+    def nest(self, level: int, offset: int) -> None:
+        if level > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", offset)
+
+    def parse_expression(self, min_prec: int, level: int) -> tuple[Expr, int]:
+        self.nest(level, self.peek()[2])  # ``level`` levels below the root
+        node, depth = self.parse_atom(level)
         while True:
             kind, text, offset = self.peek()
             if kind != "op" or text not in _BINARY_PREC:
@@ -208,36 +222,38 @@ class _Parser:
             if prec < min_prec:
                 break
             self.advance()
-            if text == "^":
-                right = self.parse_expression(_PREC_POW)  # right associative
-            else:
-                right = self.parse_expression(prec + 1)
-            node = BinOp(text, node, right)
-        return node
+            # "^" is right associative
+            right, right_depth = self.parse_expression(
+                _PREC_POW if text == "^" else prec + 1, level + 1
+            )
+            node, depth = BinOp(text, node, right), 1 + max(depth, right_depth)
+            self.nest(level + depth, offset)
+        return node, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, level: int) -> tuple[Expr, int]:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Const(float(text))
+            return Const(float(text)), 0
         if kind == "op" and text == "-":
             # unary minus: tighter than * and /, looser than ^
-            return Neg(self.parse_expression(_PREC_POW))
+            node, depth = self.parse_expression(_PREC_POW, level + 1)
+            return Neg(node), depth + 1
         if kind == "op" and text == "(":
-            node = self.parse_expression(0)
+            node, depth = self.parse_expression(0, level + 1)
             self.expect_op(")")
-            return node
+            return node, depth + 1
         if kind == "ident":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
                 if text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {text!r}", offset)
                 self.advance()
-                args = [self.parse_expression(0)]
+                args = [self.parse_expression(0, level + 1)]
                 while True:
                     kind2, text2, offset2 = self.peek()
                     if kind2 == "op" and text2 == ",":
                         self.advance()
-                        args.append(self.parse_expression(0))
+                        args.append(self.parse_expression(0, level + 1))
                         continue
                     break
                 self.expect_op(")")
@@ -246,17 +262,20 @@ class _Parser:
                         f"function {text!r} expects 1 argument, got {len(args)}",
                         offset,
                     )
-                return Call(text, args[0])
+                node, depth = args[0]
+                return Call(text, node), depth + 1
             if text not in self.variables:
                 raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
-            return Var(text)
+            return Var(text), 0
         if kind == "end":
             raise ExprSyntaxError("unexpected end of input", offset)
         raise ExprSyntaxError(f"unexpected token {text!r}", offset)
 
 
 def parse_expr(text: str, variables: Sequence[str]) -> Expr:
-    """Parse ``text`` into an expression tree over the declared variables."""
+    """Parse ``text`` into an expression tree over the declared variables.
+    Trees nest at most _MAX_DEPTH levels, so the recursive printer, the
+    dataclass repr, equality and hash stay well inside Python's stack."""
     return _Parser(text, variables).parse()
 
 
@@ -278,7 +297,7 @@ def variables_of(expr: Expr) -> frozenset[str]:
 
 # -- evaluation -------------------------------------------------------------------
 #
-# One walker serves both routes: a plain float is the order-0 case of a jet,
+# One Program serves both routes: a plain float is the order-0 case of a jet,
 # so floats and jets meet the same power, division and error rules, and the
 # jet route's value follows the float route's operations bit for bit.
 
@@ -301,41 +320,74 @@ def _power(b: float | Jet, e: float | Jet) -> float | Jet:
     return _jet.exp(e * _jet.log(b)) if isinstance(e, Jet) else b**e
 
 
-def _walk(expr: Expr, env: Mapping[str, float | Jet]) -> float | Jet:
-    """Evaluate over floats and jets; subtrees free of jets stay plain floats.
-    Domain and range failures (math's ValueError and ArithmeticError, and
-    JetDomainError) leave as ExprEvalError."""
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _power}
 
-    def rec(node: Expr) -> float | Jet:
-        match node:
-            case Const(value):
-                return value
-            case Var(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise ExprEvalError(f"unbound variable {name!r}") from None
-            case Neg(operand):
-                return -rec(operand)
-            case BinOp("^", left, right):
-                return _power(rec(left), rec(right))
-            case BinOp(op, left, right):
-                a, b = rec(left), rec(right)
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                return a * (1.0 / b)  # reciprocal-multiply on both routes
-            case Call(fn, arg):
-                return _FUNCTIONS[fn](rec(arg))
-        raise TypeError(f"not an expression node: {node!r}")
 
+def _load(env: Mapping[str, float | Jet], name: str) -> float | Jet:
     try:
-        return rec(expr)
-    except (ValueError, ArithmeticError) as exc:
-        raise ExprEvalError(str(exc)) from exc
+        return env[name]
+    except KeyError:
+        raise ExprEvalError(f"unbound variable {name!r}") from None
+
+
+class Program:
+    """The trees ``roots`` as one straight-line program.  Its steps, each a
+    function and the slots of its operands, are those of a walk of the trees,
+    left operand first, except that a repeated subtree runs once (constants
+    match by float bits); so the first step to fail is the walk's.  Called
+    with an environment, it returns one value per root, a constant broadcast
+    to the first bound jet's shape.  Domain and range failures (math's
+    ValueError and ArithmeticError, and JetDomainError) leave as
+    ExprEvalError."""
+
+    def __init__(self, roots: Sequence[Expr]):
+        index: dict = {}  # float bits, a name or a step (fn, i, j) -> its slot
+        self._slots: list = [None]  # slot 0 holds the environment
+        self._code: list[tuple] = []  # (slot, fn, operand, operand or None)
+
+        def slot(key, value=None) -> int:
+            if key not in index:
+                index[key] = len(self._slots)
+                self._slots.append(value)
+                if isinstance(key, tuple):
+                    self._code.append((index[key], *key))
+            return index[key]
+
+        def emit(node: Expr) -> int:  # as deep as the tree, which the parser caps
+            match node:
+                case Const(value):
+                    return slot(struct.pack("<d", value), value)
+                case Var(name):
+                    return slot((_load, 0, slot(name, name)))
+                case Neg(arg):
+                    return slot((operator.neg, emit(arg), None))
+                case BinOp("/", left, right):  # reciprocal-multiply on both routes
+                    a, one = emit(left), slot(struct.pack("<d", 1.0), 1.0)
+                    return slot((operator.mul, a, slot((operator.truediv, one, emit(right)))))
+                case BinOp(op, left, right):
+                    return slot((_BINARY[op], emit(left), emit(right)))
+                case Call(fn, arg):
+                    return slot((_FUNCTIONS[fn], emit(arg), None))
+            raise TypeError(f"not an expression node: {node!r}")
+
+        self._outputs = [emit(root) for root in roots]
+
+    def __call__(self, env: Mapping[str, float | Jet]) -> list[float | Jet]:
+        slots = self._slots.copy()
+        slots[0] = env
+        try:
+            for k, fn, i, j in self._code:
+                slots[k] = fn(slots[i]) if j is None else fn(slots[i], slots[j])
+        except (ValueError, ArithmeticError) as exc:
+            raise ExprEvalError(str(exc)) from exc
+        out = [slots[k] for k in self._outputs]
+        probe = next(iter(env.values()), None)
+        if isinstance(probe, Jet):
+            rows = probe.c.shape[:-1]
+            out = [v if isinstance(v, Jet) else
+                   jet_constant(np.full(rows, v) if rows else v, probe.n, probe.order)
+                   for v in out]
+        return out
 
 
 def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
@@ -344,24 +396,22 @@ def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
     is broadcast to that shape."""
     if not env:
         raise ExprEvalError("empty environment: jet arity and order are unknown")
-    out = _walk(expr, env)
-    if isinstance(out, Jet):
-        return out
-    probe = next(iter(env.values()))
-    value = out if probe.c.ndim == 1 else np.full(len(probe.c), out)
-    return jet_constant(value, probe.n, probe.order)
+    return Program((expr,))(env)[0]
 
 
 def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate over plain floats: the value eval_expr gives at order 0."""
-    return _walk(expr, {name: float(v) for name, v in env.items()})
+    values = {name: float(v) for name, v in env.items()}
+    return Program((expr,))(values)[0]
 
 
 # -- pretty printer ----------------------------------------------------------------
 
 
 def to_text(expr: Expr) -> str:
-    """Render an expression; parse_expr(to_text(e)) reproduces ``e``."""
+    """Render an expression; parse_expr(to_text(e)) reproduces ``e`` while
+    the text stays within the nesting limit, which counts the parentheses the
+    printer adds."""
 
     def rec(node: Expr, parent_prec: int) -> str:
         match node:

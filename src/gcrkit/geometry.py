@@ -22,13 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .jet import Jet, _make, _table, derivative_tensor, jet_variable
-from .expr import Expr, ExprError, eval_expr, parse_expr
+from .expr import Expr, ExprError, Program, parse_expr
 
 __all__ = [
     "EPS_REG",
@@ -93,7 +93,8 @@ class Immersion:
     Components are either expression trees over the chart variables or an
     opaque jet-to-jet mapping (used by catalog families whose normals or
     frames have no closed form).  Either way, the jets it returns are exact
-    at the order of the seeds it is given.
+    at the order of the seeds it is given.  Components are compiled once,
+    into ``program``.
     """
 
     name: str
@@ -101,6 +102,7 @@ class Immersion:
     domain: tuple[tuple[float, float], ...]
     components: tuple[Expr, ...] | None = None
     mapping: Callable[[tuple[Jet, ...]], Sequence[Jet]] | None = None
+    program: Program | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -117,6 +119,8 @@ class Immersion:
             raise ValueError(
                 f"need {n + 1} ambient components, got {len(self.components)}"
             )
+        if self.components is not None:
+            object.__setattr__(self, "program", Program(self.components))
 
     @property
     def n(self) -> int:
@@ -176,8 +180,7 @@ def evaluate_jets(
     try:
         if m.mapping is not None:
             return list(m.mapping(seeds))
-        env = dict(zip(m.var_names, seeds))
-        return [eval_expr(c, env) for c in m.components]
+        return m.program(dict(zip(m.var_names, seeds)))
     except (ExprError, ArithmeticError, ValueError) as exc:
         raise EvaluationError(q, exc) from exc
 

@@ -205,6 +205,18 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "curve_tube",
           "parameters": {"alpha": ["cos(w)+0*(1e200*1e200)", "sin(w)", "0", "0"]}},
          "curve must lie on the unit 3-sphere"),
+        # components nested past the parser's depth limit, each of which once
+        # overflowed Python's stack in the parser, the evaluator or the printer
+        *(
+            ({"components": ["s", "t", deep], "variables": ["s", "t"],
+              "domain": {"s": [0.5, 1], "t": [0, 1]}}, f"nests deeper than 200 levels at {at}")
+            for deep, at in [
+                ("(" * 900 + "s" + ")" * 900, "offset 201"),
+                ("-" * 900 + "s", "offset 201"),
+                ("+".join(["s"] * 3000), "offset 401"),
+                ("^".join(["s"] * 1000), "offset 402"),
+            ]
+        ),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -88,6 +88,31 @@ def test_syntax_errors_carry_offsets(text, offset):
     assert err.value.offset == offset
 
 
+_DEEP = {  # nesting depth k -> text; parentheses and calls count one level each
+    "parentheses": lambda k: "(" * k + "s" + ")" * k,
+    "unary minus": lambda k: "-" * k + "s",
+    "sum": lambda k: "+".join(["s"] * (k + 1)),
+    "power tower": lambda k: "^".join(["s"] * (k + 1)),
+    "calls": lambda k: "sin(" * k + "s" + ")" * k,
+    "mixed": lambda k: "-(" * (k // 2) + "-" * (k % 2) + "s" + ")" * (k // 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_nesting_depth_is_capped(shape):
+    # at the limit, the tree still goes through every recursive routine
+    e = parse_expr(_DEEP[shape](200), ("s",))
+    assert to_text(e) and variables_of(e) == frozenset({"s"})
+    assert hash(e) == hash(parse_expr(_DEEP[shape](200), ("s",))) and repr(e)
+    assert ev(_DEEP[shape](200), s=0.5) == eval_expr(e, {"s": jet_variable(0, 0.5, 1, 2)}).value
+    for k in (201, 3000):
+        with pytest.raises(ExprSyntaxError, match="nests deeper than 200 levels"):
+            parse_expr(_DEEP[shape](k), ("s",))
+    # the printer's parentheses count too: "-(-s)" nests 3 levels where "--s" nests 2
+    half = parse_expr(_DEEP[shape](100), ("s",))
+    assert parse_expr(to_text(half), ("s",)) == half
+
+
 def test_undeclared_variable_rejected_at_parse_time():
     parse_expr("s*t", ("s", "t"))
     with pytest.raises(ExprSyntaxError):
