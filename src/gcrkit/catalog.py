@@ -31,7 +31,7 @@ from .expr import (
     to_text,
     variables_of,
 )
-from .geometry import Immersion, cross_jets
+from .geometry import Immersion, _cross_rows
 
 __all__ = [
     "CatalogError",
@@ -149,18 +149,22 @@ class HermiteCurve:
     def span(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
 
-    def _locate(self, x: float) -> int:
-        i = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(i, 0), self.knots.size - 2)
+    def _locate(self, x):
+        """Interval index of x, or of each entry of an array x, clamped to the ends."""
+        i = np.searchsorted(self.knots, x, side="right") - 1
+        if isinstance(x, np.ndarray):
+            return np.clip(i, 0, self.knots.size - 2)
+        return min(max(int(i), 0), self.knots.size - 2)
 
     def component(self, c: int, x):
-        """Evaluate component c at x, which may be a float or a Jet."""
-        xv = x.value if isinstance(x, jet.Jet) else float(x)
+        """Evaluate component c at x, a float or a Jet, or row by row at a
+        1-D array of floats or a stack of jets."""
+        xv = x.value if isinstance(x, jet.Jet) else x
         i = self._locate(xv)
         tau = (x - self.knots[i]) * (1.0 / self._h[i])
-        poly = self._coeffs[i, :, c]
-        acc = poly[5]
-        for k in (4, 3, 2, 1, 0):
+        poly = self._coeffs[i, :, c].T  # poly[k]: tau^k's coefficient, per row of a stack
+        acc = tau * poly[5] + poly[4]
+        for k in (3, 2, 1, 0):
             acc = acc * tau + poly[k]
         return acc
 
@@ -652,7 +656,9 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
         y_lo = [comp.truncated(order) for comp in y_hi]
         y_v = [comp.partial(1) for comp in y_hi]
         y_w = [comp.partial(2) for comp in y_hi]
-        raw = cross_jets([y_lo, y_v, y_w])
+        t = y_lo[0]._t
+        columns = np.array([[x.c for x in col] for col in (y_lo, y_v, y_w)]).swapaxes(0, 1)
+        raw = [jet._make(t, row) for row in _cross_rows(columns, t.product)]
         norm_sq = raw[0] * raw[0]
         for comp in raw[1:]:
             norm_sq = norm_sq + comp * comp

@@ -158,8 +158,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _PREC_ADD = 1
 _PREC_MUL = 2
-_PREC_UNARY = 3
-_PREC_POW = 4
+_PREC_POW = 4  # unary minus binds between "*" and "^"
 
 _BINARY_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL,
                 "^": _PREC_POW}
@@ -409,9 +408,9 @@ def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
 
 
 def to_text(expr: Expr) -> str:
-    """Render an expression; parse_expr(to_text(e)) reproduces ``e`` while
-    the text stays within the nesting limit, which counts the parentheses the
-    printer adds."""
+    """Render an expression; parse_expr(to_text(e)) reproduces ``e``.  The
+    printer adds only the parentheses that precedence needs, which any text
+    that parses to ``e`` has too, so printing never deepens the nesting."""
 
     def rec(node: Expr, parent_prec: int) -> str:
         match node:
@@ -419,9 +418,9 @@ def to_text(expr: Expr) -> str:
                 return repr(value)
             case Var(name):
                 return name
-            case Neg(operand):
+            case Neg(operand):  # parses as an operand anywhere but left of "^": "--s", "s^-t"
                 body = f"-{rec(operand, _PREC_POW)}"
-                return f"({body})" if parent_prec > _PREC_UNARY else body
+                return f"({body})" if parent_prec > _PREC_POW else body
             case BinOp(op, left, right):
                 prec = _BINARY_PREC[op]
                 if op == "^":

@@ -27,6 +27,7 @@ from .geometry import (
     PointGeometry,
     PrincipalData,
     SingularPointError,
+    _evaluate_geometry,
     _fix_direction_signs,
     _mm,
     _mv,
@@ -498,6 +499,38 @@ def _classify_rows(rows: list[tuple], tols: Tolerances, include_structural: bool
             for mu, th, kk, hh, d, o, p, s, d2, sr, note in figures]
 
 
+def _geometry_fields(pg: PointGeometry, order: int) -> tuple:
+    """The fields of ``pg`` that _classify_rows reads, in its row order."""
+    return ((pg.metric, pg.second_form, pg.shape, pg.position, pg.jac, pg.normal, pg.det_metric)
+            + ((pg.second, pg.christoffel, pg.third) if order == 3 else ()))
+
+
+def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
+                   stacked: bool) -> list:
+    """Per point of ``block`` (P, n): its geometry row for _classify_rows, or
+    why it is skipped.  Stacked, the block is assembled from one evaluation;
+    if that raises, it reruns point by point, where each point meets its own
+    error with its own text."""
+    if stacked:
+        try:
+            return list(zip(*_geometry_fields(
+                _evaluate_geometry(m, block, order, eps_reg, False)[0], order)))
+        # a mapping written for one point may fail on a stack in any way
+        except Exception:  # noqa: BLE001
+            pass
+    out = []
+    for p in block:
+        try:
+            pg = point_geometry(m, p, eps_reg, check_domain=False, order=order)
+        except SingularPointError as exc:
+            out.append(f"singular metric (det g = {exc.det_g:.3e})")
+        except (GeometryError, ExprError, FloatingPointError) as exc:
+            out.append(f"evaluation failed: {exc}")
+        else:
+            out.append(_geometry_fields(pg, order))
+    return out
+
+
 def classify_surface(
     m: Immersion,
     grid: GridSpec,
@@ -505,8 +538,10 @@ def classify_surface(
     include_structural: bool = False,
 ) -> SurfaceReport:
     """Sweep a grid, in grid order, and aggregate per-point geometry into
-    classification flags.  Each point's geometry is assembled on its own, the
-    figures after it in blocks, with the bits of the per-point functions."""
+    classification flags.  With include_structural, each block's geometry is
+    assembled from one stacked evaluation, otherwise point by point; the
+    figures after it run in blocks.  Either way every row has the bits of the
+    per-point functions."""
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
@@ -520,23 +555,15 @@ def classify_surface(
     # assembly itself refuses non-finite jets and geometry
     with np.errstate(all="raise", under="ignore"):
         for start in range(0, len(points), _BLOCK):
-            block = [tuple(p) for p in points[start : start + _BLOCK]]
-            outcomes, rows = [], []
-            for p in block:
-                try:
-                    pg = point_geometry(m, p, tols.eps_reg, check_domain=False, order=order)
-                except SingularPointError as exc:
-                    outcomes.append(f"singular metric (det g = {exc.det_g:.3e})")
-                except (GeometryError, ExprError, FloatingPointError) as exc:
-                    outcomes.append(f"evaluation failed: {exc}")
-                else:
-                    outcomes.append(None)
-                    rows.append((pg.metric, pg.second_form, pg.shape, pg.position, pg.jac,
-                                 pg.normal, pg.det_metric)
-                                + ((pg.second, pg.christoffel, pg.third) if order == 3 else ()))
+            block = points[start : start + _BLOCK]
+            # the plain sweep still assembles point by point, as bench/run.py
+            # asserts one point_geometry call per point there; once it counts
+            # evaluated rows, stacked=True stacks the plain sweep too
+            found = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
+            rows = [row for row in found if not isinstance(row, str)]
             classified = iter(_classify_rows(rows, tols, include_structural) if rows else [])
-            for p, held in zip(block, outcomes):
-                out = held or next(classified)
+            for p, row in zip(map(tuple, block), found):
+                out = row if isinstance(row, str) else next(classified)
                 if isinstance(out, str):
                     skipped.append((p, out))
                 else:

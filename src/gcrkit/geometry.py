@@ -1,8 +1,9 @@
-"""Per-point differential geometry of parametrized hypersurfaces.
+"""Differential geometry of parametrized hypersurfaces, point by point.
 
 An :class:`Immersion` maps an n-dimensional chart (n = 2 or 3) into
-Euclidean (n+1)-space.  Everything here is computed pointwise from exact
-jet evaluations: first fundamental form, oriented unit normal, second
+Euclidean (n+1)-space.  Everything here comes from exact jet evaluations at
+a point, or at a stack of points in one evaluation whose rows each carry the
+bits of their point alone: first fundamental form, oriented unit normal, second
 fundamental form, Christoffel symbols, shape operator, principal
 curvatures/directions, mean-curvature ladder, and the residuals of the
 Gauss and Codazzi equations (which hold for every immersion and therefore
@@ -14,7 +15,7 @@ no frame is ever differenced across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
 returning infinities.  One generalized cross product
 kernel, a few products of stacked jet coefficient rows, gives the float
-normal, ``cross_jets`` and the unit normal jets.
+normal, the unit normal jets and ``catalog.tangent_cone``'s spherical normal.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "EvaluationError",
     "Immersion",
     "evaluate_jets",
-    "cross_jets",
-    "normal_jets",
     "PointGeometry",
     "point_geometry",
     "PrincipalData",
@@ -78,7 +77,7 @@ class EvaluationError(GeometryError):
     """A component expression failed to evaluate at a chart point."""
 
     def __init__(self, point, cause: Exception):
-        where = [float(v) for v in point]
+        where = np.asarray(point, dtype=float).tolist()  # one point or a stack
         super().__init__(f"component evaluation failed at {where}: {cause}")
         self.point = tuple(where)
 
@@ -167,16 +166,19 @@ class Immersion:
 def evaluate_jets(
     m: Immersion, p: Sequence[float], order: int = 3, check_domain: bool = True
 ) -> list[Jet]:
-    """Jets of all ambient components of ``m`` at chart point ``p``, from one
-    evaluation of its components at seeds of the requested order."""
+    """Jets of all ambient components of ``m`` at chart point ``p``, or stacked
+    jets at each row of a stack ``p`` (P, n), from one evaluation of its
+    components at seeds of the requested order."""
     if order not in (1, 2, 3):
         raise ValueError(f"evaluation order must be 1, 2 or 3, got {order}")
     q = np.asarray(p, dtype=float)
-    if q.shape != (m.n,):
-        raise ValueError(f"expected a chart point with {m.n} coordinates")
-    if check_domain and not m.contains(q):
-        raise OutOfDomainError(q, m.domain)
-    seeds = tuple(jet_variable(i, q[i], m.n, order) for i in range(m.n))
+    if q.shape[-1:] != (m.n,) or q.ndim > 2:
+        raise ValueError(f"expected a chart point with {m.n} coordinates, or a stack of them")
+    if check_domain:
+        for row in q.reshape(-1, m.n):
+            if not m.contains(row):
+                raise OutOfDomainError(row, m.domain)
+    seeds = tuple(jet_variable(i, q.T[i], m.n, order) for i in range(m.n))
     try:
         if m.mapping is not None:
             return list(m.mapping(seeds))
@@ -200,18 +202,20 @@ def _cross_terms(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cross_rows(matrix: np.ndarray, product: Callable) -> np.ndarray:
-    """Generalized cross product of the k columns of ``matrix`` (k+1, k, D),
-    whose entries are coefficient rows multiplied by ``product`` (a jet
-    table's, or ``np.multiply`` for plain numbers, D = 1): the (k+1)·k!
-    Leibniz terms take k - 1 row products.  Row a of the result is v_a, with
-    <v, w> = det[columns | w], so (columns..., v) is positively oriented."""
-    amb, k, size = matrix.shape
+    """Generalized cross product of the k columns of ``matrix`` (k+1, k, ..., D),
+    whose entries are coefficient rows, over any point axes, multiplied by
+    ``product`` (a jet table's, or ``np.multiply`` for plain numbers, with the
+    points on the last axis): the (k+1)·k! Leibniz terms take k - 1 row
+    products.  Entry a of the result is v_a, with <v, w> = det[columns | w],
+    so (columns..., v) is positively oriented."""
+    amb, k, *points, size = matrix.shape
     gather, sign = _cross_terms(k)
-    factors = matrix.reshape(amb * k, size)[gather]
+    factors = matrix.reshape(amb * k, -1)[gather].reshape(k, -1, size)
     terms = factors[0]
     for f in factors[1:]:
         terms = product(terms, f)
-    return (terms.reshape(amb, -1, size) * sign).sum(axis=1)
+    terms = terms.reshape(amb, sign.shape[1], -1) * sign  # points and D share the last axis
+    return terms.sum(axis=1).reshape(amb, *points, size)
 
 
 def _unit_normal_rows(coeffs: np.ndarray, t) -> tuple:
@@ -224,33 +228,13 @@ def _unit_normal_rows(coeffs: np.ndarray, t) -> tuple:
     return low.product(v, inv_norm.c), low
 
 
-def cross_jets(columns: list[list[Jet]]) -> list[Jet]:
-    """Generalized cross product with Jet entries; columns[c] is one vector.
-
-    The result v satisfies <v, w> = det[columns | w], so the frame
-    (columns..., v) is always positively oriented.
-    """
-    k, t = len(columns), columns[0][0]._t
-    if {len(col) for col in columns} != {k + 1} or any(
-        (x.n, x.order) != (t.n, t.order) for col in columns for x in col
-    ):
-        raise ValueError(f"need {k} columns of {k + 1} jets of one arity and order")
-    matrix = np.array([[x.c for x in col] for col in columns]).transpose(1, 0, 2)
-    return [_make(t, row) for row in _cross_rows(matrix, t.product)]
-
-
-def normal_jets(jets: list[Jet]) -> list[Jet]:
-    """Unit normal as jets, one order below the position jets."""
-    rows, low = _unit_normal_rows(np.stack([x.c for x in jets]), jets[0]._t)
-    return [_make(low, row) for row in rows]
-
-
 # -- first/second order data ----------------------------------------------------------
 
 
 @dataclass
 class PointGeometry:
-    """First- and second-order surface data at one chart point."""
+    """First- and second-order surface data at one chart point, or at each
+    of a stack of points along every field's leading axis."""
 
     point: np.ndarray
     position: np.ndarray       # ambient position x
@@ -266,7 +250,7 @@ class PointGeometry:
 
     @property
     def n(self) -> int:
-        return self.metric.shape[0]
+        return self.metric.shape[-1]
 
 
 def _evaluate_geometry(
@@ -274,30 +258,38 @@ def _evaluate_geometry(
 ) -> tuple[PointGeometry, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Geometry from one order-``order`` evaluation of ``m`` at ``q``, plus the
     components' coefficient rows (n+1, D), dg[k, i, j] = d_k g_ij, the
-    Christoffel numerator and g^-1.  Overflow and its NaNs are caught once,
-    here, instead of as numpy warnings: a point whose jets or assembled
-    geometry are not finite raises GeometryError."""
+    Christoffel numerator and g^-1.  A stack ``q`` (P, n) gives each of them
+    a leading point axis, and each row the bits of its point alone.  Overflow
+    and its NaNs are caught once, here, instead of as numpy warnings: a point
+    whose jets or assembled geometry are not finite raises GeometryError, as
+    does a stack with one such row."""
     with np.errstate(all="ignore"):
         jets = evaluate_jets(m, q, order=order, check_domain=check_domain)
-        coeffs = np.stack([x.c for x in jets])
+        coeffs = np.stack([x.c for x in jets], axis=-2)
         n = m.n
-        pos = coeffs[:, 0].copy()  # a strided view would round differently in products
+        pos = coeffs[..., 0].copy()  # a strided view would round differently in products
         jac = derivative_tensor(coeffs, n, 1)
         sec = derivative_tensor(coeffs, n, 2)
-        g = jac.T @ jac
-        det_g = float(np.linalg.det(g))
-        if det_g <= eps_reg:  # a NaN goes on to the finiteness check
-            raise SingularPointError(q, det_g)
-        normal = _cross_rows(jac[:, :, None], np.multiply)[:, 0]
-        normal = normal / np.linalg.norm(normal)
-        h = np.einsum("cij,c->ij", sec, normal)
-        h = 0.5 * (h + h.T)
-        dg = np.einsum("cki,cj->kij", sec, jac)
-        dg = dg + dg.transpose(0, 2, 1)
+        g = jac.swapaxes(-1, -2) @ jac
+        det_g = np.linalg.det(g)
+        singular = det_g <= eps_reg  # a NaN goes on to the finiteness check
+        if singular.any() if q.ndim == 2 else singular:
+            i = np.argmax(singular)
+            raise SingularPointError(q.reshape(-1, n)[i], float(np.ravel(det_g)[i]))
+        # the points go on the cross product's last axis, and the normals come
+        # out contiguous: the length is np.linalg.norm's BLAS dot, row by row,
+        # which a strided row would round differently
+        v = _cross_rows(jac.reshape(-1, n + 1, n).transpose(1, 2, 0), np.multiply)
+        v = np.ascontiguousarray(v.T).reshape(pos.shape)
+        normal = v / np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
+        h = np.einsum("...cij,...c->...ij", sec, normal)
+        h = 0.5 * (h + h.swapaxes(-1, -2))
+        dg = np.einsum("...cki,...cj->...kij", sec, jac)
+        dg = dg + dg.swapaxes(-1, -2)
         ginv = np.linalg.inv(g)
         # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
-        a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
-        gamma = 0.5 * np.einsum("lm,mij->lij", ginv, a)
+        a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
+        gamma = 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
         shape = np.linalg.solve(g, h)
     checked = (coeffs, g, normal, dg, gamma, shape)
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
@@ -308,7 +300,7 @@ def _evaluate_geometry(
         jac=jac,
         second=sec,
         metric=g,
-        det_metric=det_g,
+        det_metric=det_g if q.ndim == 2 else float(det_g),
         normal=normal,
         second_form=h,
         christoffel=gamma,

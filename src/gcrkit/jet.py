@@ -17,6 +17,8 @@ single jet's elementary functions and real powers call ``math`` and ``**`` on
 its value, as plain floats do; a stack maps the same calls over its value
 column, so each row equals the single jet at its point bit for bit (numpy's
 ufuncs promise no match with ``math``) and an overflow raises math's error.
+Where a single jet adds, subtracts or multiplies by a number on its right, a
+stack takes a 1-D array instead, one number per row.
 
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
@@ -71,6 +73,7 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _SCALARS = (int, float, np.floating, np.integer)
+_NUMBERS = _SCALARS + (np.ndarray,)  # a stack's +, - and * take one number per row
 
 
 def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -275,7 +278,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return _make(self._t, self.c + self._same(other).c)
-        if isinstance(other, _SCALARS):
+        if isinstance(other, _NUMBERS):
             return self._shifted(self.c.copy(), other)
         return NotImplemented
 
@@ -284,7 +287,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return _make(self._t, self.c - self._same(other).c)
-        if isinstance(other, _SCALARS):
+        if isinstance(other, _NUMBERS):
             return self._shifted(self.c.copy(), -other)
         return NotImplemented
 
@@ -301,6 +304,8 @@ class Jet:
             return _make(self._t, self._t.product(self.c, self._same(other).c))
         if isinstance(other, _SCALARS):
             return _make(self._t, self.c * other)
+        if isinstance(other, np.ndarray):  # one number per row of a stack
+            return _make(self._t, self.c * other[:, None])
         return NotImplemented
 
     __rmul__ = __mul__

@@ -85,6 +85,26 @@ def test_hermite_multidimensional_and_span():
     assert math.isclose(out[1], 0.37**3, abs_tol=1e-13)
 
 
+def test_stacked_hermite_rows_match_scalar_calls():
+    # each row of a stacked call is the scalar call at its abscissa, bit for
+    # bit and sign of zero included: on knots, inside intervals, and below the
+    # first or above the last knot, where the end polynomials extrapolate
+    rng = np.random.default_rng(41)
+    x = np.linspace(-1.0, 2.0, 7)
+    data = rng.standard_normal((3, 7, 2))
+    data[:, :3, 1] = 0.0  # zero polynomials, whose products carry signed zeros
+    curve = HermiteCurve(x, *data)
+    at = np.r_[x, -0.0, -1.5, -1.0 - 1e-12, 2.0 + 1e-12, 2.5, rng.uniform(-1.0, 2.0, 9)]
+    for n, order in ((1, 1), (1, 3), (3, 2), (3, 3)):
+        stack = jet_variable(0, at, n, order)
+        for c in range(curve.dim):
+            rows = curve.component(c, stack).c
+            for row, v in zip(rows, at.tolist()):
+                assert row.tobytes() == curve.component(c, jet_variable(0, v, n, order)).c.tobytes()
+            singles = [curve.component(c, v) for v in at.tolist()]
+            assert curve.component(c, at).tobytes() == np.array(singles).tobytes()
+
+
 # -- profile integration ---------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import TWO_PI, gcr_positive_surfaces, random_family, sample_points
 from fd_oracle import structural_residuals_fd
-from gcrkit import cli, gcr
+from gcrkit import cli, gcr, geometry
 from gcrkit.catalog import (
     FAMILY_TAGS,
     hypercylinder_rotational,
@@ -367,20 +367,22 @@ def test_classify_workers_do_not_change_results():
 
 
 def test_structural_sweep_evaluates_each_point_once_at_order3():
+    # (jet order, rows) per mapping call: with --full, the block's 8 points
+    # are 8 rows of one stacked call; the plain sweep calls once per point
     base = tangent_cone()
-    orders = []
+    calls = []
 
     def counting(seeds):
-        orders.append(seeds[0].order)
+        calls.append((seeds[0].order, len(np.atleast_2d(seeds[0].c))))
         return base.mapping(seeds)
 
     m = dataclasses.replace(base, mapping=counting)
     full = classify_surface(m, GridSpec((2, 2, 2)), include_structural=True)
-    assert orders == [3] * 8 and full.jet_order == 3
+    assert calls == [(3, 8)] and full.jet_order == 3
     assert all(r.structural is not None for r in full.records)
-    orders.clear()
+    calls.clear()
     assert classify_surface(m, GridSpec((2, 2, 2))).jet_order == 2
-    assert orders == [2] * 8
+    assert calls == [(2, 1)] * 8
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
@@ -453,10 +455,24 @@ def _counting_point_geometry(monkeypatch):
     return calls
 
 
+def _counting_rows(monkeypatch):
+    """(jet order, point) for each row of every evaluate_jets call that returns."""
+    rows = []
+    original = geometry.evaluate_jets
+
+    def counting(m, p, order=3, check_domain=True):
+        jets = original(m, p, order, check_domain)
+        rows.extend((order, tuple(q)) for q in np.reshape(p, (-1, m.n)))
+        return jets
+
+    monkeypatch.setattr(geometry, "evaluate_jets", counting)
+    return rows
+
+
 @pytest.mark.parametrize(
     "case,full",
     [("so2_x_so2", False), ("saddle_raw.json", False), ("saddle_raw.json", True),
-     ("tangent_cone", True), ("marked saddle", False)],
+     ("tangent_cone", True), ("marked saddle", False), ("marked saddle", True)],
 )
 def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     if case == "saddle_raw.json":
@@ -466,9 +482,16 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     else:
         m, grid = make_family(case), GridSpec((3,) * 3)
     calls = _counting_point_geometry(monkeypatch)
+    evaluated = _counting_rows(monkeypatch)
     rep = classify_surface(m, grid, include_structural=full)
     points = [tuple(p) for p in grid.points(m.domain)]
-    assert [tuple(p) for p in calls] == points
+    # one evaluated row per point at the sweep's order: the plain sweep calls
+    # point_geometry per point, --full evaluates each block as one stack (the
+    # marked saddle's mapping takes one point at a time, so its block reruns
+    # point by point)
+    assert evaluated == [(rep.jet_order, p) for p in points]
+    if not full:
+        assert [tuple(p) for p in calls] == points
     assert len(rep.records) + len(rep.skipped) == len(points)
     if full:
         assert rep.jet_order == (3 if m.n == 3 else 2)
@@ -477,11 +500,12 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
 
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize(
-    "name", ["so2_x_so2", "saddle_raw.json", "rotational_sphere.json", "torus_hypercylinder.json"]
+    "name", ["so2_x_so2", "tangent_cone", "curve_tube", "saddle_raw.json",
+             "rotational_sphere.json", "torus_hypercylinder.json"]
 )
 def test_records_do_not_depend_on_the_block_size(monkeypatch, name, full):
-    if name == "so2_x_so2":
-        m, grid = make_family(name), GridSpec((5,) * 3)
+    if name in FAMILY_TAGS:
+        m, grid = make_family(name), GridSpec((5 if name == "so2_x_so2" else 3,) * 3)
     else:
         m, grid = _spec_surface(name)
     reports = []
@@ -508,16 +532,35 @@ def test_records_do_not_depend_on_the_block_size(monkeypatch, name, full):
 
 def test_block_fallback_keeps_each_points_skip_reason(monkeypatch):
     m, grid = _marked_saddle()
-    rep = classify_surface(m, grid)
+    default = gcr._BLOCK
+    for full in (False, True):
+        monkeypatch.setattr(gcr, "_BLOCK", default)
+        rep = classify_surface(m, grid, include_structural=full)
+        monkeypatch.setattr(gcr, "_BLOCK", 1)
+        single = classify_surface(m, grid, include_structural=full)
+        assert _bits(rep) == _bits(single)
+        assert rep.skipped == [
+            ((-1.0, 1.0), "singular metric (det g = 0.000e+00)"),
+            ((1.0, 1.0), "evaluation failed: overflow encountered in matmul"),
+        ]
+        origin = [r for r in rep.records if r.point == (0.0, 0.0)]
+        assert len(rep.records) == 7 and origin[0].degenerate and origin[0].gcr_primary is None
+
+
+def test_a_singular_row_reruns_the_stacked_block_point_by_point(monkeypatch):
+    # the cone (s cos t, s sin t, s) is singular along s = 0: the stacked
+    # assembly refuses the block, and each point then meets its own outcome
+    m = Immersion.from_exprs(
+        "cone", ("s*cos(t)", "s*sin(t)", "s"), ("s", "t"), ((-1.0, 1.0), (0.0, 1.0))
+    )
+    grid = GridSpec((3, 3))
+    calls = _counting_point_geometry(monkeypatch)
+    rep = classify_surface(m, grid, include_structural=True)
+    assert [tuple(p) for p in calls] == [tuple(p) for p in grid.points(m.domain)]
     monkeypatch.setattr(gcr, "_BLOCK", 1)
-    single = classify_surface(m, grid)
-    assert _bits(rep) == _bits(single)
-    assert rep.skipped == [
-        ((-1.0, 1.0), "singular metric (det g = 0.000e+00)"),
-        ((1.0, 1.0), "evaluation failed: overflow encountered in matmul"),
-    ]
-    origin = [r for r in rep.records if r.point == (0.0, 0.0)]
-    assert len(rep.records) == 7 and origin[0].degenerate and origin[0].gcr_primary is None
+    assert _bits(rep) == _bits(classify_surface(m, grid, include_structural=True))
+    assert [p for p, _ in rep.skipped] == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
+    assert {why for _, why in rep.skipped} == {"singular metric (det g = 0.000e+00)"}
 
 
 def test_block_kernels_fall_back_row_by_row():

@@ -12,9 +12,11 @@ from conftest import random_family, sample_points
 from fd_oracle import complete_third_order_fd
 from gcrkit import geometry
 from gcrkit.catalog import (
+    FAMILY_TAGS,
     curve_tube,
     hyperplane,
     hypercylinder_rotational,
+    make_family,
     rotational,
     so2_x_so2,
     special_sqrt2,
@@ -26,16 +28,14 @@ from gcrkit.geometry import (
     OutOfDomainError,
     SingularPointError,
     codazzi_residual_from_bundle,
-    cross_jets,
     curvature_invariants,
     derivative_bundle,
     evaluate_jets,
     gauss_residual_from_bundle,
-    normal_jets,
     point_geometry,
     principal_data,
 )
-from gcrkit.jet import finite_difference_jet, jet_constant, jet_variable
+from gcrkit.jet import _table, finite_difference_jet
 
 
 def unit_sphere():
@@ -94,18 +94,22 @@ def test_orientation_convention():
         assert np.linalg.det(frame) > 0
 
 
+def _normal_jet_rows(jets):
+    """Coefficient rows (n+1, D') of the unit normal jets, one order below ``jets``."""
+    return geometry._unit_normal_rows(np.stack([x.c for x in jets]), jets[0]._t)[0]
+
+
 def test_cross_jets_orientation_identity():
     # <cross(v_1..v_n), w> = det[v_1 ... v_n w] for jets reduced to floats
     rng = np.random.default_rng(2)
     for dim in (3, 4):
         cols = rng.standard_normal((dim, dim - 1))
         w = rng.standard_normal(dim)
-        jcols = [
-            [jet_constant(cols[r, c], 2, 1) for r in range(dim)]
-            for c in range(dim - 1)
-        ]
-        crossed = cross_jets(jcols)
-        lhs = sum(crossed[r].value * w[r] for r in range(dim))
+        t = _table(2, 1)  # constant order-1 jets in two variables
+        coeffs = np.zeros((dim, dim - 1, t.size))
+        coeffs[..., 0] = cols
+        crossed = geometry._cross_rows(coeffs, t.product)
+        lhs = sum(crossed[r, 0] * w[r] for r in range(dim))
         rhs = np.linalg.det(np.column_stack([cols, w]))
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
@@ -121,17 +125,10 @@ def test_order0_cross_product_is_the_determinant(k):
         v = geometry._cross_rows(cols[:, :, None], np.multiply)[:, 0]
         assert math.isclose(v @ w, np.linalg.det(np.column_stack([cols, w])),
                             rel_tol=1e-12, abs_tol=1e-14)
-        jets = cross_jets([[jet_constant(x, 2, 0) for x in col] for col in cols.T])
-        assert [x.order for x in jets] == [0] * (k + 1)
-        assert np.array_equal([x.value for x in jets], v)
-
-
-def test_cross_jets_rejects_mixed_or_ragged_columns():
-    a, b = jet_variable(0, 0.5, 2, 2), jet_variable(1, 0.5, 2, 1)
-    with pytest.raises(ValueError):
-        cross_jets([[a, a, a], [a, a, b]])
-    with pytest.raises(ValueError):
-        cross_jets([[a, a, a], [a, a]])
+        t = _table(2, 0)
+        jets = geometry._cross_rows(cols[:, :, None], t.product)
+        assert jets.shape == (k + 1, t.size) == (k + 1, 1)
+        assert np.array_equal(jets[:, 0], v)
 
 
 def test_normal_jets_follow_the_prefix_rule():
@@ -142,18 +139,18 @@ def test_normal_jets_follow_the_prefix_rule():
         m = random_family(tag, rng)
         for p in sample_points(m, rng, 3):
             jets = evaluate_jets(m, p, order=3)
-            full = normal_jets(jets)
-            low = normal_jets([x.truncated(2) for x in jets])
-            assert [x.order for x in low] == [1] * (m.n + 1)
+            full = _normal_jet_rows(jets)
+            low = _normal_jet_rows([x.truncated(2) for x in jets])
+            assert low.shape == (m.n + 1, _table(m.n, 1).size)
             for a, b in zip(low, full):
-                assert np.array_equal(a.c, b.c[: a.c.size])
+                assert np.array_equal(a, b[: a.size])
 
 
 def test_normal_jets_match_fd_of_normal():
     m = so2_x_so2()
     p = (1.0, 0.9, 1.7)
     jets = evaluate_jets(m, p, order=2)
-    njets = normal_jets(jets)
+    grads = _normal_jet_rows(jets)[:, 1 : m.n + 1]  # order-1 rows: value, gradient
 
     def normal_component(q, c):
         pg = point_geometry(m, tuple(q), check_domain=False)
@@ -161,7 +158,7 @@ def test_normal_jets_match_fd_of_normal():
 
     for c in range(4):
         fd = finite_difference_jet(lambda q, c=c: normal_component(q, c), p, order=1)
-        assert np.allclose(njets[c].grad, fd.grad, atol=1e-8)
+        assert np.allclose(grads[c], fd.grad, atol=1e-8)
 
 
 # -- second fundamental form, shape operator, eigensolver ----------------------------------
@@ -370,6 +367,46 @@ def test_order3_evaluation_calls_mapping_once_per_point():
             evaluate_jets(m, p, order=3)
             derivative_bundle(m, p)
         assert seen == [(3, p) for p in points for _ in range(2)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("tag", [*FAMILY_TAGS, "so2_x_so2 ODE profile"])
+def test_stacked_jets_and_geometry_match_each_point(tag, order):
+    # one evaluation at a stack of points gives every row the jets and the
+    # assembled geometry of its point alone, bit for bit
+    if tag in FAMILY_TAGS:
+        m = make_family(tag)
+    else:
+        m = make_family("so2_x_so2", kappa="0.4+0.1*s", init=(1.5, 0.4, 0.15),
+                        domain=((0.0, 1.6), (0.0, 2 * math.pi), (0.0, 2 * math.pi)))
+    points = np.array(sample_points(m, np.random.default_rng(35), 9, margin=0.0))
+    stacked = evaluate_jets(m, points, order=order)
+    pg = geometry._evaluate_geometry(m, points, order, geometry.EPS_REG, True)[0]
+    for i, p in enumerate(points):
+        single = evaluate_jets(m, p, order=order)
+        assert [x.c[i].tobytes() for x in stacked] == [x.c.tobytes() for x in single]
+        alone = point_geometry(m, p, order=order)
+        for f in dataclasses.fields(alone):
+            if f.name != "third" or order == 3:
+                got, want = getattr(pg, f.name)[i], np.asarray(getattr(alone, f.name))
+                assert got.tobytes() == want.tobytes(), f.name
+
+
+def test_stacked_evaluation_checks_each_row():
+    m = so2_x_so2()
+    inside, outside = (1.0, 0.5, 0.5), (9.0, 0.5, 0.5)
+    with pytest.raises(OutOfDomainError, match=r"point \[9\.0, 0\.5, 0\.5\]"):
+        evaluate_jets(m, np.array([inside, outside, inside]))
+    with pytest.raises(ValueError, match="chart point"):
+        evaluate_jets(m, np.zeros((2, 2)))
+    # the cone (s cos t, s sin t, s) is singular at s = 0 only: the stack
+    # names its first singular row
+    cone = Immersion.from_exprs("cone", ("s*cos(t)", "s*sin(t)", "s"), ("s", "t"),
+                                ((-1.0, 1.0), (0.0, 1.0)))
+    rows = np.array([[0.5, 0.5], [0.0, 0.25], [0.0, 0.5], [0.7, 0.2]])
+    with pytest.raises(SingularPointError) as err:
+        geometry._evaluate_geometry(cone, rows, 2, geometry.EPS_REG, True)
+    assert err.value.point == (0.0, 0.25) and err.value.det_g == 0.0
 
 
 # -- failure modes -------------------------------------------------------------------------
