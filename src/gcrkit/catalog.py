@@ -61,10 +61,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# Work caps for spec-supplied sizes.  Both integrators loop in Python and
-# hold arrays of this length, so a count far past what any accuracy needs
-# would only exhaust memory or time; the defaults use 801 samples and a few
-# thousand steps.
+# Work caps for spec-supplied sizes.  Both integrators hold arrays of this
+# length, and the frame transport still loops in Python once per sample, so
+# a count far past what any accuracy needs would only exhaust memory or
+# time; the defaults use 801 samples and a few thousand steps.
 _MAX_FRAME_SAMPLES = 100_000
 _MAX_PROFILE_STEPS = 1_000_000
 
@@ -205,26 +205,34 @@ class ProfileCurve:
         return float(np.max(np.abs(np.cos(self.angle) ** 2 + np.sin(self.angle) ** 2 - 1.0)))
 
 
-def _kappa_callable(kappa) -> tuple[Callable[[float], float], str]:
+def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
+    """kappa at one abscissa, at each entry of an array of abscissae (one
+    program run on a stack of order-1 seeds, whose value column has each
+    entry's float bits), and as text.  Both raise ValueError at the first
+    NaN abscissa: float arithmetic gives 0*inf = NaN quietly."""
     if isinstance(kappa, bool):
         raise CatalogError(f"curvature must be a number or an expression in s, got {kappa!r}")
     if isinstance(kappa, (int, float)):
-        value = float(kappa)
-        curvature, text = (lambda s: value), repr(value)
+        expr = Const(float(kappa))
     else:
         expr = parse_expr(kappa, ("s",)) if isinstance(kappa, str) else kappa
         extra = variables_of(expr) - {"s"}
         if extra:
             raise CatalogError(f"curvature must be a function of s only, found {sorted(extra)}")
-        program = Program((expr,))
-        curvature, text = (lambda s: program({"s": float(s)})[0]), to_text(expr)
+    program, text = Program((expr,)), to_text(expr)
 
-    def kfun(s: float) -> float:
-        if math.isnan(k := curvature(s)):  # float arithmetic gives 0*inf = NaN quietly
-            raise ValueError(f"curvature {text} is NaN at s = {s!r}")
+    def no_nan(k, s: list):
+        if (nan := np.isnan(k)).any():
+            raise ValueError(f"curvature {text} is NaN at s = {s[int(np.argmax(nan))]!r}")
         return k
 
-    return kfun, text
+    def kfun(s: float) -> float:
+        return no_nan(program({"s": float(s)})[0], [float(s)])
+
+    def krows(s: np.ndarray) -> np.ndarray:
+        return no_nan(program({"s": jet.jet_variable(0, s, 1, 1)})[0].value, s.tolist())
+
+    return kfun, krows, text
 
 
 def integrate_profile(
@@ -237,6 +245,9 @@ def integrate_profile(
 
     ``kappa`` is a number, an expression string in s, or a parsed expression.
     The classical fixed-step scheme keeps the global error at O(step^4).
+    kappa is read at every distinct abscissa the stages need in one stacked
+    run, and the stages run as array expressions; any failure reruns them
+    one stage at a time, which raises the per-step loop's PartialCurveError.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not hi > lo:
@@ -251,18 +262,19 @@ def integrate_profile(
     y0 = [float(v) for v in init if not isinstance(v, bool)] if len(init) == 3 else []
     if len(y0) != 3 or not all(map(math.isfinite, y0)):
         raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
-    kfun, ktext = _kappa_callable(kappa)
+    kfun, krows, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
     s_arr = lo + h * np.arange(nsteps + 1)
-    # kappa depends on s alone, so it is read once per distinct abscissa: the
-    # RK4 stages of step i read it at s_i, s_i + h/2 and s_i + h, and the
-    # profile at s_{i+1}.  The stages then run as array expressions.
+    # kappa depends on s alone, so it is read at each distinct abscissa, in
+    # one stacked run: the RK4 stages of step i read it at s_i, s_i + h/2 and
+    # s_i + h, and the profile at s_{i+1}.  The stages then run as array
+    # expressions.
     s_step = np.column_stack([s_arr[:-1] + h / 2, s_arr[:-1] + h, s_arr[1:]])
     s_distinct, where = np.unique(np.r_[s_arr[0], s_step.ravel()], return_inverse=True)
     try:
-        k = np.array([kfun(s) for s in s_distinct.tolist()])[where]
         with np.errstate(all="raise", under="ignore"):
+            k = krows(s_distinct)[where]
             k_arr, k_mid, k_end = k[0::3], k[1::3], k[2::3]
 
             def integral(y, d1, d2, d3, d4):  # y plus the RK4 increments
@@ -358,6 +370,92 @@ def _parse_curve_exprs(
 
 _SEED_PAIRS = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
+# The frame's step matrices and knot data are built this many samples at a
+# time, so that no set-up temporary outgrows the stacked curve evaluation.
+_FRAME_CHUNK = 256
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis (length 4) as elementwise sums, so a
+    row of a stack gets the same bits as the row alone."""
+    return (
+        x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3]
+    )
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def _transport_steps(node: tuple, mid: tuple, nxt: tuple, h: float) -> np.ndarray:
+    """The 4x4 matrix M of one transport step, or a stack of them: a pair of
+    rows y becomes ``y @ M`` by one RK4 step of y' = (y.u) alpha' with
+    u = -alpha''/|alpha'|^2, then the projection onto the normal space
+    {alpha, alpha'}^perp at the step's end.  Each RK4 stage has rank one, so
+    the step is y + (h/6)[(y.u0) b0 + 2 (y.(c2 + c3)) bm + (y.c4) b1] with
+    b = alpha' at the start, midpoint and end and the c's below.  ``node``,
+    ``mid`` and ``nxt`` hold alpha and its first three derivatives there."""
+    (_, b0, e0, _), (_, bm, em, _), (val1, b1, e1, _) = node, mid, nxt
+    u0, um, u1 = (-e / _dots(b, b)[..., None] for b, e in ((b0, e0), (bm, em), (b1, e1)))
+    c2 = um + ((h / 2) * _dots(b0, um))[..., None] * u0
+    c3 = um + ((h / 2) * _dots(bm, um))[..., None] * c2
+    c4 = u1 + (h * _dots(bm, u1))[..., None] * c3
+    step = np.eye(4) + (h / 6.0) * (_outer(u0, b0) + 2.0 * _outer(c2 + c3, bm) + _outer(c4, b1))
+    return _project_out(step, val1, b1)
+
+
+def _project_out(rows: np.ndarray, val: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """``rows`` minus their components along alpha and along the unit tangent
+    (one set of rows per node, or rows at one node)."""
+    for n in (val, d1 / np.sqrt(_dots(d1, d1))[..., None]):
+        rows = rows - _outer(_dots(rows, n[..., None, :]), n)
+    return rows
+
+
+def _knot_data(node: tuple, pair: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Largest Gram error of {alpha, T, A, B}, and the first and second
+    derivatives of the pair from the transport rule, at one node or a stack
+    of nodes (``node`` holds alpha and its first three derivatives there,
+    ``pair`` the rows A and B)."""
+    val, d1, d2, d3 = node
+    speed_sq = _dots(d1, d1)[..., None]
+    basis = np.stack([val, d1 / np.sqrt(speed_sq), pair[..., 0, :], pair[..., 1, :]], axis=-2)
+    gram = _dots(basis[..., :, None, :], basis[..., None, :, :]) - np.eye(4)
+    d1, d2, d3 = d1[..., None, :], d2[..., None, :], d3[..., None, :]
+    along = _dots(pair, d2)
+    lam = -along / speed_sq
+    first = lam[..., None] * d1
+    dlam = (
+        -_dots(first, d2) / speed_sq
+        - _dots(pair, d3) / speed_sq
+        + 2.0 * along * _dots(d1, d2) / speed_sq**2
+    )
+    second = dlam[..., None] * d1 + lam[..., None] * d2
+    return float(np.max(np.abs(gram))), first, second
+
+
+def _seed_pair(a0: np.ndarray, d1_0: np.ndarray) -> np.ndarray:
+    """The first canonical pair that stays well clear of span{alpha, alpha'}
+    at the left endpoint, projected off it and orthonormalized (twice)."""
+    for ij in _SEED_PAIRS:
+        a, b = pair = _project_out(np.eye(4)[list(ij)], a0, d1_0)
+        if a @ a >= 0.01 and b @ b - (a @ b) ** 2 / (a @ a) >= 0.01:
+            _orthonormalize(pair)
+            # twice is enough: a second pass from an orthonormal pair leaves
+            # rounding-level residues, as every transport step does
+            pair = _project_out(pair, a0, d1_0)
+            _orthonormalize(pair)
+            return pair
+    raise CatalogError("could not seed the normal frame")  # pragma: no cover - impossible in E^4
+
+
+def _orthonormalize(pair: np.ndarray) -> None:
+    """Gram-Schmidt of the two rows of ``pair``, in place."""
+    a, b = pair
+    a /= math.sqrt(a @ a)
+    b -= (b @ a) * a
+    b /= math.sqrt(b @ b)
+
 
 def build_normal_frame(
     alpha: Sequence, w_range: Sequence[float], samples: int = 801
@@ -365,10 +463,18 @@ def build_normal_frame(
     """Orthonormal (A, B) spanning the normal space of a spherical curve.
 
     The pair is seeded at the left endpoint by Gram-Schmidt of canonical
-    basis vectors against span{alpha, alpha'} and continued by integrating
-    the drift-minimizing transport A' = -(<A, alpha''>/|alpha'|^2) alpha'
-    (RK4 predictor) with a projection/re-orthonormalization corrector, so
-    the six orthogonality constraints hold to ~1e-12 at every sample.
+    basis vectors against span{alpha, alpha'} and carried along Bishop's
+    parallel transport A' = -(<A, alpha''>/|alpha'|^2) alpha' by RK4, each
+    step followed by a projection onto span{alpha, alpha'}^perp and
+    re-orthonormalization (the projection method), so the six
+    orthogonality constraints hold to ~1e-15 at every sample.
+
+    The curve is evaluated at every abscissa the transport reads in one
+    stacked jet evaluation.  The transport is linear with rank-one stages, so
+    each step and its projection fold into one 4x4 matrix, built from those
+    rows as array expressions; the sequential part is a matrix product and a
+    Gram-Schmidt per sample.  The knot data of the Hermite interpolants
+    comes from the transport rule, also as array expressions.
     """
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
     lo, hi = float(w_range[0]), float(w_range[1])
@@ -392,108 +498,85 @@ def build_normal_frame(
         d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(shape) for r in (1, 2, 3))
         return coeffs[..., 0], d1, d2, d3
 
+    def check_left(a0: np.ndarray, d1_0: np.ndarray) -> None:
+        # written so that a NaN fails them: every comparison with NaN is false
+        if not abs(a0 @ a0 - 1.0) <= 1e-8:
+            raise CatalogError("curve must lie on the unit 3-sphere")
+        if not np.linalg.norm(d1_0) >= 1e-8:
+            raise CatalogError("curve is not regular at the left endpoint")
+
+    def check_nodes(vals: np.ndarray, d1: np.ndarray, step: int) -> None:
+        """Raise at the first node off the unit 3-sphere or not regular; the
+        rows are the nodes that steps ``step``, ``step + 1``, ... reach.
+        Written so that a NaN fails: every comparison with NaN is false."""
+        off_sphere = ~(np.abs(_dots(vals, vals) - 1.0) <= 1e-8)
+        if (bad := off_sphere | ~(_dots(d1, d1) >= 1e-16)).any():
+            i = int(bad.argmax())
+            what = "leaves the unit 3-sphere" if off_sphere[i] else "is not regular"
+            raise CatalogError(f"curve {what} near w = {w_arr[step + i] + h:.6g}")
+
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]
 
-    # alpha at every abscissa the transport loop reads, in its order (lo, then
-    # w_i + h/2 and w_i + h per step), in one stacked evaluation
+    # alpha at every abscissa the transport reads, in its order: lo, then
+    # w_i + h/2 and w_i + h per step.  The checks read these rows alone, in
+    # the order a per-step loop meets them: at each step the midpoint and the
+    # next node are evaluated, then the node is checked.
     w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
     try:
         with np.errstate(all="raise", under="ignore"):
-            alpha_rows = zip(*alpha_data(w_all))
+            rows = alpha_data(w_all)
     except (ExprError, ArithmeticError):
-        # a row failed: evaluate one by one as the loop asks, so that the loop
-        # meets the error after the checks that come before it
-        alpha_rows = map(alpha_data, w_all)
-    node = next(alpha_rows)
-    a0, d1_0, *_ = node
-    # written so that a NaN fails them: every comparison with NaN is false
-    if not abs(a0 @ a0 - 1.0) <= 1e-8:
-        raise CatalogError("curve must lie on the unit 3-sphere")
-    speed0 = np.linalg.norm(d1_0)
-    if not speed0 >= 1e-8:
-        raise CatalogError("curve is not regular at the left endpoint")
+        rows = None
+    if rows is None:
+        # a row failed: evaluate one by one, so that the error surfaces after
+        # the checks that come before it
+        by_row = []
+        for j, wv in enumerate(w_all):
+            by_row.append(row := alpha_data(wv))
+            if j == 0:
+                check_left(row[0], row[1])
+            elif j % 2 == 0:
+                check_nodes(row[0][None], row[1][None], j // 2 - 1)
+        rows = tuple(np.array(col) for col in zip(*by_row))
+    else:
+        check_left(rows[0][0], rows[1][0])
+        check_nodes(rows[0][2::2], rows[1][2::2], 0)
+    nodes = tuple(r[0::2] for r in rows)
+    mids = tuple(r[1::2] for r in rows)
 
-    t0 = d1_0 / speed0
-    frame_a = frame_b = None
-    for ia, ib in _SEED_PAIRS:
-        cand = np.zeros(4)
-        cand[ia] = 1.0
-        cand = cand - (cand @ a0) * a0 - (cand @ t0) * t0
-        na = np.linalg.norm(cand)
-        if na < 0.1:
-            continue
-        cand_a = cand / na
-        cand = np.zeros(4)
-        cand[ib] = 1.0
-        cand = cand - (cand @ a0) * a0 - (cand @ t0) * t0 - (cand @ cand_a) * cand_a
-        nb = np.linalg.norm(cand)
-        if nb < 0.1:
-            continue
-        frame_a, frame_b = cand_a, cand / nb
-        break
-    if frame_a is None:  # pragma: no cover - impossible in E^4
-        raise CatalogError("could not seed the normal frame")
+    def rows_at(data: tuple, start: int, stop: int) -> tuple:
+        return tuple(x[start:stop] for x in data)
 
-    def transport_rhs(vecs: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        speed_sq = d1 @ d1
-        lam = -(vecs @ d2) / speed_sq
-        return lam[:, None] * d1[None, :]
-
-    a_rows = np.empty((samples, 4))
-    b_rows = np.empty((samples, 4))
-    a_d1 = np.empty((samples, 4))
-    b_d1 = np.empty((samples, 4))
-    a_d2 = np.empty((samples, 4))
-    b_d2 = np.empty((samples, 4))
+    pairs = np.empty((samples, 2, 4))
+    first = np.empty((samples, 2, 4))
+    second = np.empty((samples, 2, 4))
+    pairs[0] = _seed_pair(nodes[0][0], nodes[1][0])
     gram_error = 0.0
-
-    pair = np.stack([frame_a, frame_b])
-    for i, wv in enumerate(w_arr):
-        val, d1, d2, d3 = node
-        speed_sq = d1 @ d1
-        that = d1 / math.sqrt(speed_sq)
-        # corrector: project onto the normal space and re-orthonormalize
-        pair = pair - np.outer(pair @ val, val) - np.outer(pair @ that, that)
-        pair[0] /= np.linalg.norm(pair[0])
-        pair[1] -= (pair[1] @ pair[0]) * pair[0]
-        pair[1] /= np.linalg.norm(pair[1])
-
-        basis = np.vstack([val, that, pair])
-        gram_error = max(gram_error, float(np.max(np.abs(basis @ basis.T - np.eye(4)))))
-
-        a_rows[i], b_rows[i] = pair
-        deriv = transport_rhs(pair, d1, d2)
-        a_d1[i], b_d1[i] = deriv
-        # second derivative from differentiating the transport rule
-        lam = -(pair @ d2) / speed_sq
-        dlam = (
-            -(deriv @ d2) / speed_sq
-            - (pair @ d3) / speed_sq
-            + 2.0 * (pair @ d2) * (d1 @ d2) / speed_sq**2
+    for start in range(0, samples, _FRAME_CHUNK):
+        stop = min(start + _FRAME_CHUNK, samples)
+        s0 = max(start, 1) - 1  # steps s0 .. stop-2 reach samples s0+1 .. stop-1
+        steps = _transport_steps(
+            rows_at(nodes, s0, stop - 1), rows_at(mids, s0, stop - 1),
+            rows_at(nodes, s0 + 1, stop), h,
         )
-        second = dlam[:, None] * d1[None, :] + lam[:, None] * d2[None, :]
-        a_d2[i], b_d2[i] = second
+        for i, step in enumerate(steps, s0 + 1):
+            np.matmul(pairs[i - 1], step, out=pairs[i])
+            _orthonormalize(pairs[i])
+        err, first[start:stop], second[start:stop] = _knot_data(
+            rows_at(nodes, start, stop), pairs[start:stop]
+        )
+        gram_error = max(gram_error, err)
 
-        if i == samples - 1:
-            break
-        mid = next(alpha_rows)
-        nxt = next(alpha_rows)
-        k1 = transport_rhs(pair, d1, d2)
-        k2 = transport_rhs(pair + (h / 2) * k1, mid[1], mid[2])
-        k3 = transport_rhs(pair + (h / 2) * k2, mid[1], mid[2])
-        k4 = transport_rhs(pair + h * k3, nxt[1], nxt[2])
-        pair = pair + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        node = nxt
-        if not abs(nxt[0] @ nxt[0] - 1.0) <= 1e-8:
-            raise CatalogError(f"curve leaves the unit 3-sphere near w = {wv + h:.6g}")
-        if not nxt[1] @ nxt[1] >= 1e-16:
-            raise CatalogError(f"curve is not regular near w = {wv + h:.6g}")
-
-    a_curve = HermiteCurve(w_arr, a_rows, a_d1, a_d2)
-    b_curve = HermiteCurve(w_arr, b_rows, b_d1, b_d2)
+    a_curve = HermiteCurve(w_arr, pairs[:, 0], first[:, 0], second[:, 0])
+    b_curve = HermiteCurve(w_arr, pairs[:, 1], first[:, 1], second[:, 1])
     return NormalFrame(
-        w=w_arr, a=a_rows, b=b_rows, a_curve=a_curve, b_curve=b_curve, gram_error=gram_error
+        w=w_arr,
+        a=pairs[:, 0],
+        b=pairs[:, 1],
+        a_curve=a_curve,
+        b_curve=b_curve,
+        gram_error=gram_error,
     )
 
 

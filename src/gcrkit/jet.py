@@ -17,8 +17,11 @@ single jet's elementary functions and real powers call ``math`` and ``**`` on
 its value, as plain floats do; a stack maps the same calls over its value
 column, so each row equals the single jet at its point bit for bit (numpy's
 ufuncs promise no match with ``math``) and an overflow raises math's error.
-Where a single jet adds, subtracts or multiplies by a number on its right, a
-stack takes a 1-D array instead, one number per row.
+Where a single jet adds, subtracts or multiplies by a number, a stack takes
+a 1-D array instead, one number per row: on either side of + and *, on the
+right of -.  numpy defers to the jet, so ``arr * stack`` is ``stack * arr``
+bit for bit, and an array operand a jet does not take (``arr - stack``,
+``arr / stack``, ``stack / arr``) raises TypeError.
 
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
@@ -38,9 +41,9 @@ terms in the same sequence at every order.  The slots an order-4 jet shares
 with an order-3 jet are bit-identical to it, and a jet's value follows the
 float operations of a plain evaluation exactly.
 
-``finite_difference_jet`` is the independent test oracle.  It estimates the
-derivative slots from central differences of plain evaluations and must
-never be used in a production code path.
+The independent test oracle, ``finite_difference_jet``, lives with the
+tests (``tests/fd_oracle.py``): it estimates the derivative slots from
+central differences of plain evaluations.
 """
 
 from __future__ import annotations
@@ -50,18 +53,16 @@ import itertools
 import math
 import operator
 import types
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
 __all__ = [
     "Jet",
     "JetDomainError",
-    "FiniteDifferenceError",
     "jet_variable",
     "jet_constant",
     "derivative_tensor",
-    "finite_difference_jet",
     "sin",
     "cos",
     "tan",
@@ -71,7 +72,6 @@ __all__ = [
     "atan",
 ]
 
-_EPS = float(np.finfo(float).eps)
 _SCALARS = (int, float, np.floating, np.integer)
 _NUMBERS = _SCALARS + (np.ndarray,)  # a stack's +, - and * take one number per row
 
@@ -96,10 +96,6 @@ class JetDomainError(ValueError):
         super().__init__(f"{tag} is undefined or not differentiable at {value!r}")
         self.tag = tag
         self.value = value
-
-
-class FiniteDifferenceError(RuntimeError):
-    """The finite-difference stencil could not be evaluated."""
 
 
 # -- coefficient layout and tables -------------------------------------------------
@@ -204,6 +200,7 @@ class Jet:
     """
 
     __slots__ = ("c", "_t")
+    __array_ufunc__ = None  # an array operand defers to the jet's own operators
 
     def __init__(
         self,
@@ -553,107 +550,3 @@ def atan(x: Jet) -> Jet:
         (6.0 * v * v - 2.0) / m.pow(d, 3),
         24.0 * v * (1.0 - v * v) / m.pow(d, 4),
     )
-
-
-# -- finite-difference oracle ----------------------------------------------------
-
-
-def _fd_steps(p: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    scale = np.maximum(1.0, np.abs(p))
-    if h is not None:
-        base = np.broadcast_to(np.asarray(h, dtype=float), p.shape).copy()
-        return base, base, base
-    # Truncation/round-off balance differs per derivative order: the classic
-    # cbrt(eps) step is right for first derivatives, but second and third
-    # derivatives divide by h^2 and h^3, so they need wider stencils.
-    return (
-        _EPS ** (1.0 / 3.0) * scale,
-        _EPS ** (1.0 / 4.0) * scale,
-        _EPS ** (1.0 / 5.0) * scale,
-    )
-
-
-def finite_difference_jet(
-    f: Callable[[np.ndarray], float],
-    p: Sequence[float],
-    h: float | Sequence[float] | None = None,
-    order: int = 3,
-) -> Jet:
-    """Estimate a jet of ``f`` at ``p`` from central differences.
-
-    Test oracle only: O(h^2) truncation error per slot, far too slow and too
-    noisy for production use.  ``f`` must be evaluable on the full stencil
-    (radius two steps along every axis).
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    if order not in (1, 2, 3):
-        raise ValueError(f"finite-difference order must be 1, 2 or 3, got {order}")
-    h1, h2, h3 = _fd_steps(p, h)
-
-    def ev(*shifts: tuple[int, float]) -> float:
-        q = p.copy()
-        for axis, delta in shifts:
-            q[axis] += delta
-        try:
-            return float(f(q))
-        except Exception as exc:  # noqa: BLE001 - oracle boundary
-            raise FiniteDifferenceError(
-                f"stencil evaluation failed at {q.tolist()}"
-            ) from exc
-
-    f0 = ev()
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    third = np.zeros((n, n, n))
-
-    for i in range(n):
-        grad[i] = (ev((i, h1[i])) - ev((i, -h1[i]))) / (2.0 * h1[i])
-
-    if order >= 2:
-        for i in range(n):
-            hess[i, i] = (ev((i, h2[i])) - 2.0 * f0 + ev((i, -h2[i]))) / h2[i] ** 2
-            for j in range(i + 1, n):
-                val = (
-                    ev((i, h2[i]), (j, h2[j]))
-                    - ev((i, h2[i]), (j, -h2[j]))
-                    - ev((i, -h2[i]), (j, h2[j]))
-                    + ev((i, -h2[i]), (j, -h2[j]))
-                ) / (4.0 * h2[i] * h2[j])
-                hess[i, j] = hess[j, i] = val
-
-    if order >= 3:
-        for i in range(n):
-            third[i, i, i] = (
-                ev((i, 2.0 * h3[i]))
-                - 2.0 * ev((i, h3[i]))
-                + 2.0 * ev((i, -h3[i]))
-                - ev((i, -2.0 * h3[i]))
-            ) / (2.0 * h3[i] ** 3)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                # d^2/di^2 d/dj stencil for the iij slot
-                val = (
-                    ev((i, h3[i]), (j, h3[j]))
-                    - 2.0 * ev((j, h3[j]))
-                    + ev((i, -h3[i]), (j, h3[j]))
-                    - ev((i, h3[i]), (j, -h3[j]))
-                    + 2.0 * ev((j, -h3[j]))
-                    - ev((i, -h3[i]), (j, -h3[j]))
-                ) / (2.0 * h3[i] ** 2 * h3[j])
-                third[i, i, j] = third[i, j, i] = third[j, i, i] = val
-        if n == 3:
-            val = 0.0
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    for sk in (1.0, -1.0):
-                        val += si * sj * sk * ev(
-                            (0, si * h3[0]), (1, sj * h3[1]), (2, sk * h3[2])
-                        )
-            third[0, 1, 2] = third[0, 2, 1] = third[1, 0, 2] = third[1, 2, 0] = third[
-                2, 0, 1
-            ] = third[2, 1, 0] = val / (8.0 * h3[0] * h3[1] * h3[2])
-
-    return Jet(n, order, f0, grad, hess, third)

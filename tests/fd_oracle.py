@@ -1,14 +1,19 @@
-"""Finite-difference oracles for the closed-form third-order data.
+"""Finite-difference oracles for jets and the closed-form third-order data.
 
-The structural residuals are computed in closed form from third-order jets.  These oracles re-estimate them the
-independent way, the way ``finite_difference_jet`` checks jets: whole frames
-are evaluated at neighbouring chart points with ``point_geometry``, matched
-to the reference frame column by column, and central-differenced.  The
-third-order jets themselves are re-estimated from exact second-order jets at
-neighbouring points.
+``finite_difference_jet`` estimates a jet's derivative slots from central
+differences of plain evaluations, independently of the jet arithmetic.
+
+The structural residuals are computed in closed form from third-order jets.
+The other oracles re-estimate them the independent way, the way
+``finite_difference_jet`` checks jets: whole frames are evaluated at
+neighbouring chart points with ``point_geometry``, matched to the reference
+frame column by column, and central-differenced.  The third-order jets
+themselves are re-estimated from exact second-order jets at neighbouring
+points.
 """
 
 import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -20,6 +25,113 @@ from gcrkit.gcr import (
 )
 from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
 from gcrkit.jet import Jet
+
+_EPS = float(np.finfo(float).eps)
+
+
+class FiniteDifferenceError(RuntimeError):
+    """The finite-difference stencil could not be evaluated."""
+
+
+def _fd_steps(p: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    scale = np.maximum(1.0, np.abs(p))
+    if h is not None:
+        base = np.broadcast_to(np.asarray(h, dtype=float), p.shape).copy()
+        return base, base, base
+    # Truncation/round-off balance differs per derivative order: the classic
+    # cbrt(eps) step is right for first derivatives, but second and third
+    # derivatives divide by h^2 and h^3, so they need wider stencils.
+    return (
+        _EPS ** (1.0 / 3.0) * scale,
+        _EPS ** (1.0 / 4.0) * scale,
+        _EPS ** (1.0 / 5.0) * scale,
+    )
+
+
+def finite_difference_jet(
+    f: Callable[[np.ndarray], float],
+    p: Sequence[float],
+    h: float | Sequence[float] | None = None,
+    order: int = 3,
+) -> Jet:
+    """Estimate a jet of ``f`` at ``p`` from central differences.
+
+    O(h^2) truncation error per slot, far too slow and too noisy for
+    anything but a check.  ``f`` must be evaluable on the full stencil
+    (radius two steps along every axis).
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    if order not in (1, 2, 3):
+        raise ValueError(f"finite-difference order must be 1, 2 or 3, got {order}")
+    h1, h2, h3 = _fd_steps(p, h)
+
+    def ev(*shifts: tuple[int, float]) -> float:
+        q = p.copy()
+        for axis, delta in shifts:
+            q[axis] += delta
+        try:
+            return float(f(q))
+        except Exception as exc:  # noqa: BLE001 - oracle boundary
+            raise FiniteDifferenceError(
+                f"stencil evaluation failed at {q.tolist()}"
+            ) from exc
+
+    f0 = ev()
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    third = np.zeros((n, n, n))
+
+    for i in range(n):
+        grad[i] = (ev((i, h1[i])) - ev((i, -h1[i]))) / (2.0 * h1[i])
+
+    if order >= 2:
+        for i in range(n):
+            hess[i, i] = (ev((i, h2[i])) - 2.0 * f0 + ev((i, -h2[i]))) / h2[i] ** 2
+            for j in range(i + 1, n):
+                val = (
+                    ev((i, h2[i]), (j, h2[j]))
+                    - ev((i, h2[i]), (j, -h2[j]))
+                    - ev((i, -h2[i]), (j, h2[j]))
+                    + ev((i, -h2[i]), (j, -h2[j]))
+                ) / (4.0 * h2[i] * h2[j])
+                hess[i, j] = hess[j, i] = val
+
+    if order >= 3:
+        for i in range(n):
+            third[i, i, i] = (
+                ev((i, 2.0 * h3[i]))
+                - 2.0 * ev((i, h3[i]))
+                + 2.0 * ev((i, -h3[i]))
+                - ev((i, -2.0 * h3[i]))
+            ) / (2.0 * h3[i] ** 3)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                # d^2/di^2 d/dj stencil for the iij slot
+                val = (
+                    ev((i, h3[i]), (j, h3[j]))
+                    - 2.0 * ev((j, h3[j]))
+                    + ev((i, -h3[i]), (j, h3[j]))
+                    - ev((i, h3[i]), (j, -h3[j]))
+                    + 2.0 * ev((j, -h3[j]))
+                    - ev((i, -h3[i]), (j, -h3[j]))
+                ) / (2.0 * h3[i] ** 2 * h3[j])
+                third[i, i, j] = third[i, j, i] = third[j, i, i] = val
+        if n == 3:
+            val = 0.0
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    for sk in (1.0, -1.0):
+                        val += si * sj * sk * ev(
+                            (0, si * h3[0]), (1, sj * h3[1]), (2, sk * h3[2])
+                        )
+            third[0, 1, 2] = third[0, 2, 1] = third[1, 0, 2] = third[1, 2, 0] = third[
+                2, 0, 1
+            ] = third[2, 1, 0] = val / (8.0 * h3[0] * h3[1] * h3[2])
+
+    return Jet(n, order, f0, grad, hess, third)
 
 
 def default_step(m):

@@ -1,11 +1,18 @@
 """Per-sample reference implementations of the set-up integrators.
 
 ``build_normal_frame`` below evaluates the spherical curve one abscissa at a
-time, and ``integrate_profile`` steps its RK4 one stage at a time, calling
-the curvature at every stage.  Production evaluates the curve in one stacked
-jet evaluation and the curvature once per distinct abscissa, with the RK4
-stages as array expressions; ``test_setup_oracle.py`` requires the two to
-agree bit for bit, failures included.
+time and builds each transport step's matrix as it reaches it, and
+``integrate_profile`` steps its RK4 one stage at a time, calling the
+curvature at every stage.  Production evaluates the curve in one stacked
+jet evaluation and builds the step matrices as array expressions, and reads
+the curvature in one stacked run with the RK4 stages as array expressions;
+``test_setup_oracle.py`` requires the two to agree bit for bit, failures
+included.
+
+``build_normal_frame_by_stages`` is the transport loop as it was first
+written: one RK4 stage at a time from the transport rule, with the
+projection as a separate step.  It checks the step matrices' arithmetic to
+rounding.
 """
 
 import math
@@ -21,7 +28,11 @@ from gcrkit.catalog import (
     PartialCurveError,
     ProfileCurve,
     _kappa_callable,
+    _knot_data,
+    _orthonormalize,
     _parse_curve_exprs,
+    _seed_pair,
+    _transport_steps,
 )
 from gcrkit.expr import ExprError, eval_expr
 
@@ -30,7 +41,7 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     """RK4 for angle' = kappa(s), f' = cos(angle), g' = sin(angle), stage by
     stage; input validation is left to production."""
     lo, hi = float(s_range[0]), float(s_range[1])
-    kfun, ktext = _kappa_callable(kappa)
+    kfun, _, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
 
@@ -75,8 +86,63 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
 
 def build_normal_frame(alpha, w_range, samples=801):
     """Normal frame of a spherical curve by RK4 transport, evaluating the
-    curve's order-3 jet at each abscissa as the loop reaches it; input
-    validation is left to production."""
+    curve's order-3 jet at each abscissa as the loop reaches it and building
+    each step's matrix from those rows; input validation is left to
+    production."""
+    alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
+    lo, hi = float(w_range[0]), float(w_range[1])
+
+    def alpha_data(w):
+        env = {"w": jet.jet_variable(0, w, 1, 3)}
+        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs])
+        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
+        return coeffs[:, 0], d1, d2, d3
+
+    w_arr = np.linspace(lo, hi, samples)
+    h = w_arr[1] - w_arr[0]
+
+    node = alpha_data(lo)
+    a0, d1_0, *_ = node
+    # written so that a NaN fails them, as production's are
+    if not abs(a0 @ a0 - 1.0) <= 1e-8:
+        raise CatalogError("curve must lie on the unit 3-sphere")
+    if not np.linalg.norm(d1_0) >= 1e-8:
+        raise CatalogError("curve is not regular at the left endpoint")
+
+    pairs = np.empty((samples, 2, 4))
+    first = np.empty((samples, 2, 4))
+    second = np.empty((samples, 2, 4))
+    gram_error = 0.0
+    pair = _seed_pair(a0, d1_0)
+    for i, wv in enumerate(w_arr):
+        pairs[i] = pair
+        err, first[i], second[i] = _knot_data(node, pair)
+        gram_error = max(gram_error, err)
+        if i == samples - 1:
+            break
+        mid = alpha_data(wv + h / 2)
+        nxt = alpha_data(wv + h)
+        if not abs(nxt[0] @ nxt[0] - 1.0) <= 1e-8:
+            raise CatalogError(f"curve leaves the unit 3-sphere near w = {wv + h:.6g}")
+        if not nxt[1] @ nxt[1] >= 1e-16:
+            raise CatalogError(f"curve is not regular near w = {wv + h:.6g}")
+        pair = pair @ _transport_steps(node, mid, nxt, h)
+        _orthonormalize(pair)
+        node = nxt
+
+    a_curve = HermiteCurve(w_arr, pairs[:, 0], first[:, 0], second[:, 0])
+    b_curve = HermiteCurve(w_arr, pairs[:, 1], first[:, 1], second[:, 1])
+    return NormalFrame(
+        w=w_arr, a=pairs[:, 0], b=pairs[:, 1], a_curve=a_curve, b_curve=b_curve,
+        gram_error=gram_error,
+    )
+
+
+def build_normal_frame_by_stages(alpha, w_range, samples=801):
+    """Normal frame of a spherical curve by RK4 transport, one stage at a
+    time from the transport rule, then a projection onto the normal space
+    and re-orthonormalization per sample; input validation is left to
+    production."""
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
     lo, hi = float(w_range[0]), float(w_range[1])
 

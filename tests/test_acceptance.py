@@ -39,7 +39,7 @@ from gcrkit.geometry import (
     point_geometry,
     principal_data,
 )
-from gcrkit.jet import finite_difference_jet
+from fd_oracle import finite_difference_jet
 
 from conftest import TWO_PI, gcr_positive_surfaces, random_family, sample_points
 

@@ -21,7 +21,8 @@ from gcrkit.expr import (
     to_text,
     variables_of,
 )
-from gcrkit.jet import finite_difference_jet, jet_constant, jet_variable
+from fd_oracle import finite_difference_jet
+from gcrkit.jet import jet_constant, jet_variable
 
 
 def ev(text, **env):

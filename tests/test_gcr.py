@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TWO_PI, gcr_positive_surfaces, random_family, sample_points
-from fd_oracle import structural_residuals_fd
+from fd_oracle import finite_difference_jet, structural_residuals_fd
 from gcrkit import cli, gcr, geometry
 from gcrkit.catalog import (
     FAMILY_TAGS,
@@ -37,7 +37,6 @@ from gcrkit.gcr import (
 from gcrkit.geometry import (
     Immersion, OutOfDomainError, derivative_bundle, point_geometry, principal_data,
 )
-from gcrkit.jet import finite_difference_jet
 
 
 # -- position decomposition -----------------------------------------------------------------

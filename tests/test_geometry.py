@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family, sample_points
-from fd_oracle import complete_third_order_fd
+from fd_oracle import complete_third_order_fd, finite_difference_jet
 from gcrkit import geometry
 from gcrkit.catalog import (
     FAMILY_TAGS,
@@ -35,7 +35,7 @@ from gcrkit.geometry import (
     point_geometry,
     principal_data,
 )
-from gcrkit.jet import _table, finite_difference_jet
+from gcrkit.jet import _table
 
 
 def unit_sphere():

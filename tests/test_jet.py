@@ -9,15 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensor_jet_oracle
+from fd_oracle import FiniteDifferenceError, finite_difference_jet
 from gcrkit import jet
-from gcrkit.jet import (
-    FiniteDifferenceError,
-    Jet,
-    JetDomainError,
-    finite_difference_jet,
-    jet_constant,
-    jet_variable,
-)
+from gcrkit.jet import Jet, JetDomainError, jet_constant, jet_variable
 
 
 def test_variable_seed_structure():
@@ -503,6 +497,19 @@ def test_stack_constant_shift_and_domain_errors():
     assert abs(x).c.shape == x.c.shape and np.array_equal(abs(x).value, [0.5, 2.0, 3.0])
     assert x.fourth.shape == (3, 2, 2, 2, 2) and not x.fourth.any()
     assert jet_constant(np.array([1.0, 2.0]), 2, 3).c.shape == (2, 10)
+
+
+def test_array_operand_on_either_side_of_a_stack():
+    x = jet_variable(0, np.array([0.5, -2.0, 3.0]), 2, 3)
+    per_row = np.array([2.0, 3.0, -0.25])
+    # numpy defers to the jet: the left-hand forms are the right-hand ones, bit for bit
+    for left, right in ((per_row * x, x * per_row), (per_row + x, x + per_row)):
+        assert isinstance(left, Jet) and left.c.dtype == float
+        assert np.array_equal(left.c, right.c)
+    # what a jet does not define with an array raises, on either side
+    for op in (lambda: per_row - x, lambda: per_row / x, lambda: x / per_row):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_row_targets_stay_bounded():

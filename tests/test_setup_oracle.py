@@ -1,10 +1,12 @@
 """Stacked set-up integrators against their per-sample references.
 
 ``build_normal_frame`` evaluates the spherical curve at every abscissa in one
-stacked jet evaluation, and ``integrate_profile`` reads the curvature once
-per distinct abscissa and runs the RK4 stages as array expressions.  Both
-must reproduce the per-sample loops of ``setup_oracle`` bit for bit, and fail
-with the same error, text and abscissa.
+stacked jet evaluation and builds the transport's step matrices as array
+expressions, and ``integrate_profile`` reads the curvature in one stacked run
+and runs the RK4 stages as array expressions.  Both must reproduce the
+per-sample loops of ``setup_oracle`` bit for bit, and fail with the same
+error, text and abscissa.  The frame must also agree to rounding with the
+stage-by-stage transport loop.
 """
 
 import math
@@ -75,6 +77,19 @@ def test_frame_matches_per_sample_oracle(label, monkeypatch):
     assert got.gram_error == want.gram_error
 
 
+@pytest.mark.parametrize("label", sorted(_CURVES))
+def test_frame_matches_stage_by_stage_transport(label):
+    alpha, w_range, samples = _CURVES[label]
+    want = setup_oracle.build_normal_frame_by_stages(alpha, w_range, samples)
+    got = build_normal_frame(alpha, w_range, samples)
+    for name in ("a", "b"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13, name
+    for name in ("a_curve", "b_curve"):
+        diff = getattr(got, name)._coeffs - getattr(want, name)._coeffs
+        assert np.max(np.abs(diff)) <= 1e-13, name
+    assert got.gram_error <= 1e-14
+
+
 _FAILING_CURVES = {
     # sqrt leaves its domain at w = 1.5, with the curve on the sphere before it
     "evaluation fails mid-range": (("cos(w)", "sin(w)", "0*sqrt(1.5-w)", "0"), (0.0, 3.0), 801),
@@ -85,6 +100,10 @@ _FAILING_CURVES = {
         ("cos(w)", "sin(w)", "0.01*w^4", "0*log(1.5-w)"), (0.0, 3.0), 801
     ),
     "fails at the left endpoint": (("cos(w)", "sin(w)", "0", "log(w)"), (-1.0, 1.0), 801),
+    # alpha' = 3 w^2 (-sin(w^3), cos(w^3), 0, 0) vanishes at the node w = 0
+    "not regular mid-range": (("cos(w^3)", "sin(w^3)", "0", "0"), (-1.0, 1.0), 801),
+    # the regularity check fires first, though a later row fails to evaluate
+    "not regular, then fails": (("cos(w^3)", "sin(w^3)", "0", "0*log(0.5-w)"), (-1.0, 1.0), 801),
 }
 
 
@@ -112,9 +131,10 @@ def test_profile_matches_stage_by_stage_oracle(kappa, s_range, init, step, monke
     want = setup_oracle.integrate_profile(kappa, s_range, init, step)
     runs = _record_runs(monkeypatch)
     got = integrate_profile(kappa, s_range, init, step)
-    calls = [env["s"] for env, _ in runs]
-    if isinstance(kappa, str):  # once per distinct abscissa, at most 3 per step plus s_0
-        assert 0 < len(calls) == len(set(calls)) <= 3 * (got.s.size - 1) + 1
+    # one stacked run, one row per distinct abscissa: at most 3 per step plus s_0
+    [(env, _)] = runs
+    rows = env["s"].value
+    assert 0 < rows.size == np.unique(rows).size <= 3 * (got.s.size - 1) + 1
     for name in ("s", "f", "g", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.curve._coeffs, want.curve._coeffs)
@@ -127,6 +147,8 @@ _FAILING_PROFILES = {
     "at s_i + h": ("1/(1-s)", (0.0, 2.0), 0.01),
     # an infinite curvature fails in cos(angle), not in the curvature
     "non-finite curvature": ("1e200*1e200", (0.0, 1.0), 0.01),
+    # inf * 0 is NaN at s = 0, quietly in float arithmetic
+    "NaN curvature": ("1e200*1e200*s", (0.0, 1.0), 0.01),
 }
 
 
