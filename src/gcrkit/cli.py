@@ -286,11 +286,11 @@ def _tolerance(name: str, value) -> float:
 
 
 def _number(value) -> float:
-    """``value`` as a float, NaN if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
+    """``value`` as a float, NaN unless it is an int or a float (not a bool
+    or a numeric string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return math.nan
+    return float(value)
 
 
 # -- report assembly ----------------------------------------------------------------------

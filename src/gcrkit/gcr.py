@@ -34,6 +34,7 @@ from .geometry import (
     _nabla_second_form,
     _principal_rows,
     _row,
+    _stack,
     _sum,
     curvature_invariants,
     point_geometry,
@@ -94,19 +95,21 @@ def _gnorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(_sum(v * _mv(g, v)), 0.0))
 
 
-def _position_rows(x, jac, g, normal, shape, eps_tan_rel: float) -> PositionAngles:
-    """position_angles over a point axis.  Rows at the origin read cos(theta)
-    = 1, degenerate rows zero e1 and gradients: neither divides by 0."""
+def _position_rows(pg: PointGeometry, eps_tan_rel: float) -> PositionAngles:
+    """position_angles over the point axis of a geometry block.  Rows at the
+    origin read cos(theta) = 1, degenerate rows zero e1 and gradients: neither
+    divides by 0."""
+    x, g = pg.position, pg.metric
     # an ulp of cos(theta) moves theta by 1e-8 near 0 and pi, so mu, x.N and theta
     # keep np.linalg.norm's and x @ N's BLAS dot (one call per row) and math.acos
     mu = np.sqrt((x[:, None] @ x[..., None])[:, 0, 0])
-    b = _mv(np.swapaxes(jac, -1, -2), x)
+    b = _mv(np.swapaxes(pg.jac, -1, -2), x)
     xT = np.linalg.solve(g, b[..., None])[..., 0]
     xT_norm = _gnorm(g, xT)
     eps_tan = eps_tan_rel * np.maximum(1.0, mu)
     at_origin = mu < eps_tan
     degenerate = at_origin | (xT_norm < eps_tan)
-    x_n = (x[:, None] @ normal[..., None])[:, 0, 0]
+    x_n = (x[:, None] @ pg.normal[..., None])[:, 0, 0]
     cos_theta = np.clip(x_n / np.where(at_origin, 1.0, mu), -1.0, 1.0)
     cos_theta[at_origin] = 1.0
     theta = np.array([math.acos(c) for c in cos_theta.tolist()])
@@ -114,7 +117,7 @@ def _position_rows(x, jac, g, normal, shape, eps_tan_rel: float) -> PositionAngl
     e1, theta_grad, mu_grad = np.zeros((3,) + b.shape)
     mu_grad[ok] = b[ok] / mu[ok, None]
     e1[ok] = xT[ok] / xT_norm[ok, None]
-    st_b = _mv(np.swapaxes(shape[ok], -1, -2), b[ok])
+    st_b = _mv(np.swapaxes(pg.shape[ok], -1, -2), b[ok])
     theta_grad[ok] = (st_b + cos_theta[ok, None] * mu_grad[ok]) / xT_norm[ok, None]
     return PositionAngles(mu, cos_theta, theta, xT, xT_norm, degenerate, e1, theta_grad, mu_grad)
 
@@ -126,8 +129,7 @@ def position_angles(pg: PointGeometry, eps_tan_rel: float = 1e-8) -> PositionAng
     d mu = b / mu and, by Weingarten's d<x, N> = -S^T b,
     d theta = (S^T b + cos(theta) d mu) / (mu sin(theta)).
     """
-    fields = (pg.position, pg.jac, pg.metric, pg.normal, pg.shape)
-    pa = _row(_position_rows(*(f[None] for f in fields), eps_tan_rel), 0)
+    pa = _row(_position_rows(_stack([pg]), eps_tan_rel), 0)
     return replace(pa, e1=None, theta_grad=None, mu_grad=None) if pa.degenerate else pa
 
 
@@ -249,11 +251,11 @@ STRUCTURAL_KEYS = (
 _TRANSPORT_KEYS = ("k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross")
 
 
-def _structural_rows(g, h, shape, pd, pa, comp, nabla_h, tol_gap: float) -> list:
-    """structural_residuals over a point axis of nondegenerate rows, from the
-    metric, second form and shape operator, their principal and position
-    data, the complement basis of e1 and, on 3-dimensional charts, nabla h
-    (None on 2-dimensional ones)."""
+def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
+    """structural_residuals over the point axis of a block of nondegenerate
+    rows (of order-3 geometry on 3-dimensional charts), from the block, its
+    principal and position data and the complement basis of e1."""
+    g, h, shape = pg.metric, pg.second_form, pg.shape
     n = g.shape[-1]
     e1, mu, cos_t = pa.e1, pa.mu, pa.cos_theta
     sin_t = pa.xT_norm / mu
@@ -291,7 +293,7 @@ def _structural_rows(g, h, shape, pd, pa, comp, nabla_h, tol_gap: float) -> list
     # omega_12(e3) and omega_13(e2)
     scalars.append(np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2])))
     # dh[:, l, a, b] = (nabla_{e_l} h)(e_a, e_b); h1[:, i] = h(e1, e_i)
-    dh = _mm(ft, nabla_h.reshape(-1, n, n * n)).reshape(-1, n, n, n)
+    dh = _mm(ft, _nabla_second_form(pg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
     dh = _mm(_mm(ft[:, None], dh), frame[:, None])
     h1 = _mv(ft, _mv(h, e1))
     dk1 = dh[:, :, 0, 0] + 2.0 * _mv(cov_g, h1)
@@ -346,18 +348,12 @@ def structural_residuals(
     two complement curvatures are closer than tol_gap.  A point outside the
     chart box raises OutOfDomainError.
     """
-    pg = point_geometry(m, p, eps_reg, order=3 if m.n == 3 else 2)
-    g, h, shape, jac, normal = (
-        f[None] for f in (pg.metric, pg.second_form, pg.shape, pg.jac, pg.normal)
-    )
-    pa = _position_rows(pg.position[None], jac, g, normal, shape, Tolerances.eps_tan_rel)
+    pg = _stack([point_geometry(m, p, eps_reg, order=3 if m.n == 3 else 2)])
+    pa = _position_rows(pg, Tolerances.eps_tan_rel)
     if pa.degenerate[0]:
         raise DegeneratePointError("structural identities are vacuous at this point")
-    nabla_h = None if pg.third is None else _nabla_second_form(
-        h, shape, jac, normal, *(f[None] for f in (pg.second, pg.christoffel, pg.third))
-    )
-    pd = _principal_rows(g, h, tol_gap)
-    return _structural_rows(g, h, shape, pd, pa, g_complement_basis(g, pa.e1), nabla_h, tol_gap)[0]
+    pd = _principal_rows(pg.metric, pg.second_form, tol_gap)
+    return _structural_rows(pg, pd, pa, g_complement_basis(pg.metric, pa.e1), tol_gap)[0]
 
 
 # -- grid classification ---------------------------------------------------------------
@@ -446,44 +442,43 @@ class SurfaceReport:
 _BLOCK = 1024
 
 
-def _classify_rows(rows: list[tuple], tols: Tolerances, include_structural: bool = False) -> list:
-    """Per (metric, second_form, shape, position, jac, normal, det_metric) row,
-    on order-3 rows followed by (second, christoffel, third): the row's
-    PointRecord figures after its point, or why it is skipped.  With
-    include_structural, rows that pass the primary test get their structural
-    residuals, the others a note.  If the block raises, its rows rerun one at
-    a time, so that each failure keeps its own reason."""
-    g, h, shape, x, jac, normal, _, *order3 = (np.array(c) for c in zip(*rows))
-    residuals = [None] * len(rows)
+def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool = False) -> list:
+    """Per row of the geometry block ``pg`` (of order 3 if include_structural
+    on a 3-dimensional chart): the row's PointRecord figures after its point,
+    or why it is skipped.  With include_structural, rows that pass the primary
+    test get their structural residuals, the others a note.  If the block
+    raises, its rows rerun one at a time, so that each failure keeps its own
+    reason."""
+    g, h, shape = pg.metric, pg.second_form, pg.shape
+    rows = len(g)
+    residuals = [None] * rows
     try:
         pd = _principal_rows(g, h, tols.tol_gap)
-        pa = _position_rows(x, jac, g, normal, shape, tols.eps_tan_rel)
+        pa = _position_rows(pg, tols.eps_tan_rel)
         k = pd.curvatures
         means = curvature_invariants(k).mean
         ok = ~pa.degenerate
-        primary, secondary = np.zeros(len(k)), np.zeros(len(k))
+        primary, secondary = np.zeros(rows), np.zeros(rows)
         primary[ok], secondary[ok], comp = _gcr_rows(
             g[ok], shape[ok], pa.e1[ok], pa.theta_grad[ok]
         )
         tol_d2 = tols.tol_const_rel * (1.0 + np.abs(k).max(axis=-1))
-        delta2 = delta2_ideal_test(k, tol_d2).tolist() if k.shape[-1] >= 3 else [None] * len(k)
+        delta2 = delta2_ideal_test(k, tol_d2).tolist() if k.shape[-1] >= 3 else [None] * rows
         if include_structural:
             passed = primary < tols.tol_gcr
             sel = np.flatnonzero(ok & passed)
-            nabla_h = _nabla_second_form(
-                *(c[sel] for c in (h, shape, jac, normal, *order3))
-            ) if order3 else None
-            found = _structural_rows(g[sel], h[sel], shape[sel], _row(pd, sel), _row(pa, sel),
-                                     comp[passed[ok]], nabla_h, tols.tol_gap)
+            found = _structural_rows(_row(pg, sel), _row(pd, sel), _row(pa, sel),
+                                     comp[passed[ok]], tols.tol_gap)
             for i, sr in zip(sel.tolist(), found):
                 residuals[i] = sr
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
-        if len(rows) > 1:
-            return [out for row in rows for out in _classify_rows([row], tols, include_structural)]
+        if rows > 1:
+            return [out for i in range(rows)
+                    for out in _classify_rows(_row(pg, [i]), tols, include_structural)]
         if isinstance(exc, np.linalg.LinAlgError):
-            return [f"singular metric (det g = {rows[0][6]:.3e})"]
+            return [f"singular metric (det g = {pg.det_metric[0]:.3e})"]
         return [f"evaluation failed: {exc}"]
-    notes = [None] * len(rows)
+    notes = [None] * rows
     if include_structural:
         notes = [
             "degenerate point: no tangential direction to adapt a frame to" if not o
@@ -499,36 +494,30 @@ def _classify_rows(rows: list[tuple], tols: Tolerances, include_structural: bool
             for mu, th, kk, hh, d, o, p, s, d2, sr, note in figures]
 
 
-def _geometry_fields(pg: PointGeometry, order: int) -> tuple:
-    """The fields of ``pg`` that _classify_rows reads, in its row order."""
-    return ((pg.metric, pg.second_form, pg.shape, pg.position, pg.jac, pg.normal, pg.det_metric)
-            + ((pg.second, pg.christoffel, pg.third) if order == 3 else ()))
-
-
 def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
-                   stacked: bool) -> list:
-    """Per point of ``block`` (P, n): its geometry row for _classify_rows, or
-    why it is skipped.  Stacked, the block is assembled from one evaluation;
-    if that raises, it reruns point by point, where each point meets its own
-    error with its own text."""
+                   stacked: bool) -> tuple[PointGeometry | None, list]:
+    """The geometry of the points of ``block`` (P, n) that assemble, as one
+    block (None if no point does), and per point None or why it is skipped.
+    Stacked, the block is the one evaluation of all points; if that raises,
+    or unstacked, each point is assembled on its own and meets its own error
+    with its own text, and the assembled ones are stacked once."""
     if stacked:
         try:
-            return list(zip(*_geometry_fields(
-                _evaluate_geometry(m, block, order, eps_reg, False)[0], order)))
+            return _evaluate_geometry(m, block, order, eps_reg, False)[0], [None] * len(block)
         # a mapping written for one point may fail on a stack in any way
         except Exception:  # noqa: BLE001
             pass
-    out = []
+    found, reasons = [], []
     for p in block:
+        reason = None
         try:
-            pg = point_geometry(m, p, eps_reg, check_domain=False, order=order)
+            found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order))
         except SingularPointError as exc:
-            out.append(f"singular metric (det g = {exc.det_g:.3e})")
+            reason = f"singular metric (det g = {exc.det_g:.3e})"
         except (GeometryError, ExprError, FloatingPointError) as exc:
-            out.append(f"evaluation failed: {exc}")
-        else:
-            out.append(_geometry_fields(pg, order))
-    return out
+            reason = f"evaluation failed: {exc}"
+        reasons.append(reason)
+    return (_stack(found) if found else None), reasons
 
 
 def classify_surface(
@@ -559,11 +548,10 @@ def classify_surface(
             # the plain sweep still assembles point by point, as bench/run.py
             # asserts one point_geometry call per point there; once it counts
             # evaluated rows, stacked=True stacks the plain sweep too
-            found = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
-            rows = [row for row in found if not isinstance(row, str)]
-            classified = iter(_classify_rows(rows, tols, include_structural) if rows else [])
-            for p, row in zip(map(tuple, block), found):
-                out = row if isinstance(row, str) else next(classified)
+            pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
+            classified = iter([] if pg is None else _classify_rows(pg, tols, include_structural))
+            for p, reason in zip(map(tuple, block), reasons):
+                out = reason or next(classified)
                 if isinstance(out, str):
                     skipped.append((p, out))
                 else:

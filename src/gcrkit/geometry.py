@@ -1,4 +1,5 @@
-"""Differential geometry of parametrized hypersurfaces, point by point.
+"""Differential geometry of parametrized hypersurfaces, at a point or over a
+stack of points.
 
 An :class:`Immersion` maps an n-dimensional chart (n = 2 or 3) into
 Euclidean (n+1)-space.  Everything here comes from exact jet evaluations at
@@ -241,7 +242,7 @@ class PointGeometry:
     jac: np.ndarray            # (n+1, n) tangent vectors x_i as columns
     second: np.ndarray         # (n+1, n, n) second partials of x
     metric: np.ndarray         # g_ij
-    det_metric: float
+    det_metric: float | np.ndarray  # det g, (P,) over a stack
     normal: np.ndarray         # oriented unit normal
     second_form: np.ndarray    # h_ij = <x_ij, N>
     christoffel: np.ndarray    # [l, i, j] -> Gamma^l_ij
@@ -359,9 +360,18 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b over leading axes
 
 def _row(stack, i):
     """Row i of a dataclass of stacked fields, numpy scalars as Python numbers;
-    an index array ``i`` takes the stack of those rows."""
-    values = (getattr(stack, f.name)[i] for f in fields(stack))
-    return type(stack)(*(v.item() if np.ndim(v) == 0 else v for v in values))
+    an index array ``i`` takes the stack of those rows.  A None field stays None."""
+    values = (getattr(stack, f.name) for f in fields(stack))
+    rows = (v if v is None else v[i] for v in values)
+    return type(stack)(*(v.item() if isinstance(v, np.generic) else v for v in rows))
+
+
+def _stack(rows: Sequence):
+    """The dataclasses ``rows`` as one of stacked fields, the inverse of _row;
+    a field that is None in the first row stays None."""
+    names = [f.name for f in fields(rows[0])]
+    values = ([getattr(r, name) for r in rows] for name in names)
+    return type(rows[0])(*(None if v[0] is None else np.array(v) for v in values))
 
 
 def _fix_direction_signs(directions: np.ndarray) -> np.ndarray:
@@ -446,19 +456,19 @@ def _dsecond_form(pg: PointGeometry, normal: np.ndarray, dn: np.ndarray) -> np.n
     return np.einsum("cijk,c->ijk", pg.third, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
 
 
-def _nabla_second_form(h, shape, jac, normal, second, christoffel, third) -> np.ndarray:
+def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     """[..., l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am
-    over leading point axes, from geometry assembled at order 3.  Unlike
+    over the leading point axes of order-3 geometry ``pg``.  Unlike
     _dsecond_form's einsum, its sums give each row the same bits whatever
     rows sit beside it."""
     # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
     # the self-test's independent normal jets stay in derivative_bundle, where
     # Codazzi checks them.
-    dn = -np.swapaxes(_mm(jac, shape), -1, -2)
-    dh = (_sum(np.moveaxis(third, -4, -1) * normal[..., None, None, None, :])
-          + _sum(np.moveaxis(second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
+    dn = -np.swapaxes(_mm(pg.jac, pg.shape), -1, -2)
+    dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
+          + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
     # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
-    gamma_h = _mm(np.moveaxis(christoffel, -3, -1), h[..., None, :, :])
+    gamma_h = _mm(np.moveaxis(pg.christoffel, -3, -1), pg.second_form[..., None, :, :])
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 

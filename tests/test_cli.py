@@ -217,6 +217,10 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
                 ("^".join(["s"] * 1000), "offset 402"),
             ]
         ),
+        # a bool or a numeric string is not a number
+        ({"family": "special_sqrt2", "tolerances": {"tol_gcr": True}}, "got True"),
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": ["-1", "1"], "t": [0, 1]}}, "got ['-1', '1']"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

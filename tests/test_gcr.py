@@ -565,19 +565,46 @@ def test_a_singular_row_reruns_the_stacked_block_point_by_point(monkeypatch):
 def test_block_kernels_fall_back_row_by_row():
     # a metric with no Cholesky factor and one too thin for a complement basis,
     # which point_geometry never hands over, and an overflowing position
-    pg = point_geometry(so2_x_so2(), [0.6, 0.4, 1.1])
-    good = (pg.metric, pg.second_form, pg.shape, pg.position, pg.jac, pg.normal, pg.det_metric)
-    not_pd = (np.diag([1.0, -1.0, 1.0]),) + good[1:6] + (-1.0,)
-    thin = (np.diag([1.0, 1e-24, 1e-24]),) + good[1:]
-    overflow = good[:3] + (pg.position * 1e160,) + good[4:]
-    rows = [good, not_pd, thin, overflow, good]
+    pg = geometry._stack([point_geometry(so2_x_so2(), [0.6, 0.4, 1.1])] * 5)
+    pg.metric[1], pg.det_metric[1] = np.diag([1.0, -1.0, 1.0]), -1.0
+    pg.metric[2] = np.diag([1.0, 1e-24, 1e-24])
+    pg.position[3] *= 1e160
     tols = Tolerances()
     with np.errstate(all="raise", under="ignore"):
-        block = gcr._classify_rows(rows, tols)
-        single = [gcr._classify_rows([row], tols)[0] for row in rows]
+        block = gcr._classify_rows(pg, tols)
+        single = [gcr._classify_rows(geometry._row(pg, [i]), tols)[0] for i in range(5)]
     assert block[1:4] == single[1:4] == [
         "singular metric (det g = -1.000e+00)",
         "evaluation failed: metric too degenerate for a complement basis",
         "evaluation failed: overflow encountered in matmul",
     ]
     assert repr(block[0]) == repr(block[4]) == repr(single[0])
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", ["so2_x_so2", "saddle_raw.json"])
+def test_block_rows_are_the_per_point_geometry(name, order):
+    # _row(block, i) is point_geometry at point i bit for bit, with no third
+    # partials at order 2; an index array keeps the block's None fields
+    if name in FAMILY_TAGS:
+        m, grid = make_family(name), GridSpec((3,) * 3)
+    else:
+        m, grid = _spec_surface(name)
+    points = grid.points(m.domain)[:9]
+    block = geometry._evaluate_geometry(m, points, order, geometry.EPS_REG, False)[0]
+    for i, p in enumerate(points):
+        row = geometry._row(block, i)
+        alone = point_geometry(m, p, check_domain=False, order=order)
+        assert (row.third is None) == (alone.third is None) == (order == 2)
+        for f in dataclasses.fields(alone):
+            got, want = getattr(row, f.name), getattr(alone, f.name)
+            assert type(got) is type(want), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+    some = geometry._row(block, np.array([0, 4, 8]))
+    assert (some.third is None) == (order == 2)
+    assert some.metric.tobytes() == block.metric[[0, 4, 8]].tobytes()
+    # stacking the rows again gives back the block
+    again = geometry._stack([geometry._row(block, i) for i in range(len(points))])
+    for f in dataclasses.fields(block):
+        got, want = getattr(again, f.name), getattr(block, f.name)
+        assert (got is None and want is None) or got.tobytes() == want.tobytes(), f.name
