@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral, Real
 from collections.abc import Callable, Sequence
 
@@ -31,13 +33,12 @@ from .expr import (
     to_text,
     variables_of,
 )
-from .geometry import Immersion, _cross_rows
+from .geometry import Immersion, _cross_rows, _sum
 
 __all__ = [
     "CatalogError",
     "PartialCurveError",
     "FAMILY_TAGS",
-    "FamilySpec",
     "make_family",
     "family_catalog",
     "HermiteCurve",
@@ -79,6 +80,36 @@ class PartialCurveError(CatalogError):
     def __init__(self, message: str, last_s: float):
         super().__init__(message)
         self.last_s = last_s
+
+
+def _parse_curve_exprs(
+    exprs, var_names: tuple[str, ...], count: int, what: str
+) -> tuple[Expr, ...]:
+    """``count`` expressions, strings parsed, in the variables ``var_names``
+    only: every expression parameter of a family is read here."""
+    if len(exprs) != count:
+        raise CatalogError(
+            f"{what} needs {count} component expressions, got {len(exprs)}"
+        )
+    allowed = set(var_names)
+    out = []
+    for e in exprs:
+        parsed = parse_expr(e, var_names) if isinstance(e, str) else e
+        extra = variables_of(parsed) - allowed
+        if extra:
+            raise CatalogError(
+                f"{what} must depend on {', '.join(var_names)} only, found {sorted(extra)}"
+            )
+        out.append(parsed)
+    return tuple(out)
+
+
+def _number(value, what: str) -> float:
+    """A family parameter as a float: a finite int or float, not a bool or a
+    numeric string."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
+        raise CatalogError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 # -- piecewise-quintic Hermite interpolation -------------------------------------------
@@ -215,10 +246,7 @@ def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
     if isinstance(kappa, (int, float)):
         expr = Const(float(kappa))
     else:
-        expr = parse_expr(kappa, ("s",)) if isinstance(kappa, str) else kappa
-        extra = variables_of(expr) - {"s"}
-        if extra:
-            raise CatalogError(f"curvature must be a function of s only, found {sorted(extra)}")
+        (expr,) = _parse_curve_exprs((kappa,), ("s",), 1, "curvature")
     program, text = Program((expr,)), to_text(expr)
 
     def no_nan(k, s: list):
@@ -259,8 +287,8 @@ def integrate_profile(
             f"integration step {step!r} over [{lo}, {hi}] exceeds "
             f"{_MAX_PROFILE_STEPS} steps"
         )
-    y0 = [float(v) for v in init if not isinstance(v, bool)] if len(init) == 3 else []
-    if len(y0) != 3 or not all(map(math.isfinite, y0)):
+    y0 = [float(v) for v in init if isinstance(v, Real) and not isinstance(v, bool)]
+    if len(init) != 3 or len(y0) != 3 or not all(map(math.isfinite, y0)):
         raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
     kfun, krows, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
@@ -348,39 +376,11 @@ class NormalFrame:
     gram_error: float = 0.0
 
 
-def _parse_curve_exprs(
-    exprs, var_names: tuple[str, ...], count: int, what: str
-) -> tuple[Expr, ...]:
-    if len(exprs) != count:
-        raise CatalogError(
-            f"{what} needs {count} component expressions, got {len(exprs)}"
-        )
-    allowed = set(var_names)
-    out = []
-    for e in exprs:
-        parsed = parse_expr(e, var_names) if isinstance(e, str) else e
-        extra = variables_of(parsed) - allowed
-        if extra:
-            raise CatalogError(
-                f"{what} must depend on {', '.join(var_names)} only, found {sorted(extra)}"
-            )
-        out.append(parsed)
-    return tuple(out)
-
-
 _SEED_PAIRS = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
 # The frame's step matrices and knot data are built this many samples at a
 # time, so that no set-up temporary outgrows the stacked curve evaluation.
 _FRAME_CHUNK = 256
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis (length 4) as elementwise sums, so a
-    row of a stack gets the same bits as the row alone."""
-    return (
-        x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3]
-    )
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -396,10 +396,10 @@ def _transport_steps(node: tuple, mid: tuple, nxt: tuple, h: float) -> np.ndarra
     b = alpha' at the start, midpoint and end and the c's below.  ``node``,
     ``mid`` and ``nxt`` hold alpha and its first three derivatives there."""
     (_, b0, e0, _), (_, bm, em, _), (val1, b1, e1, _) = node, mid, nxt
-    u0, um, u1 = (-e / _dots(b, b)[..., None] for b, e in ((b0, e0), (bm, em), (b1, e1)))
-    c2 = um + ((h / 2) * _dots(b0, um))[..., None] * u0
-    c3 = um + ((h / 2) * _dots(bm, um))[..., None] * c2
-    c4 = u1 + (h * _dots(bm, u1))[..., None] * c3
+    u0, um, u1 = (-e / _sum(b * b)[..., None] for b, e in ((b0, e0), (bm, em), (b1, e1)))
+    c2 = um + ((h / 2) * _sum(b0 * um))[..., None] * u0
+    c3 = um + ((h / 2) * _sum(bm * um))[..., None] * c2
+    c4 = u1 + (h * _sum(bm * u1))[..., None] * c3
     step = np.eye(4) + (h / 6.0) * (_outer(u0, b0) + 2.0 * _outer(c2 + c3, bm) + _outer(c4, b1))
     return _project_out(step, val1, b1)
 
@@ -407,8 +407,8 @@ def _transport_steps(node: tuple, mid: tuple, nxt: tuple, h: float) -> np.ndarra
 def _project_out(rows: np.ndarray, val: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """``rows`` minus their components along alpha and along the unit tangent
     (one set of rows per node, or rows at one node)."""
-    for n in (val, d1 / np.sqrt(_dots(d1, d1))[..., None]):
-        rows = rows - _outer(_dots(rows, n[..., None, :]), n)
+    for n in (val, d1 / np.sqrt(_sum(d1 * d1))[..., None]):
+        rows = rows - _outer(_sum(rows * n[..., None, :]), n)
     return rows
 
 
@@ -418,17 +418,17 @@ def _knot_data(node: tuple, pair: np.ndarray) -> tuple[float, np.ndarray, np.nda
     of nodes (``node`` holds alpha and its first three derivatives there,
     ``pair`` the rows A and B)."""
     val, d1, d2, d3 = node
-    speed_sq = _dots(d1, d1)[..., None]
+    speed_sq = _sum(d1 * d1)[..., None]
     basis = np.stack([val, d1 / np.sqrt(speed_sq), pair[..., 0, :], pair[..., 1, :]], axis=-2)
-    gram = _dots(basis[..., :, None, :], basis[..., None, :, :]) - np.eye(4)
+    gram = _sum(basis[..., :, None, :] * basis[..., None, :, :]) - np.eye(4)
     d1, d2, d3 = d1[..., None, :], d2[..., None, :], d3[..., None, :]
-    along = _dots(pair, d2)
+    along = _sum(pair * d2)
     lam = -along / speed_sq
     first = lam[..., None] * d1
     dlam = (
-        -_dots(first, d2) / speed_sq
-        - _dots(pair, d3) / speed_sq
-        + 2.0 * along * _dots(d1, d2) / speed_sq**2
+        -_sum(first * d2) / speed_sq
+        - _sum(pair * d3) / speed_sq
+        + 2.0 * along * _sum(d1 * d2) / speed_sq**2
     )
     second = dlam[..., None] * d1 + lam[..., None] * d2
     return float(np.max(np.abs(gram))), first, second
@@ -509,8 +509,8 @@ def build_normal_frame(
         """Raise at the first node off the unit 3-sphere or not regular; the
         rows are the nodes that steps ``step``, ``step + 1``, ... reach.
         Written so that a NaN fails: every comparison with NaN is false."""
-        off_sphere = ~(np.abs(_dots(vals, vals) - 1.0) <= 1e-8)
-        if (bad := off_sphere | ~(_dots(d1, d1) >= 1e-16)).any():
+        off_sphere = ~(np.abs(_sum(vals * vals) - 1.0) <= 1e-8)
+        if (bad := off_sphere | ~(_sum(d1 * d1) >= 1e-16)).any():
             i = int(bad.argmax())
             what = "leaves the unit 3-sphere" if off_sphere[i] else "is not regular"
             raise CatalogError(f"curve {what} near w = {w_arr[step + i] + h:.6g}")
@@ -580,27 +580,29 @@ def build_normal_frame(
     )
 
 
-# -- small AST builders ----------------------------------------------------------------
+# -- chart helpers ---------------------------------------------------------------------
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    return BinOp("*", a, b)
+# (mul, cos, sin) on expression trees and on jets: a profile family's chart
+# formula builds closed-form components with the first and evaluates an
+# integrated profile with the second
+_EXPR_OPS = (partial(BinOp, "*"), partial(Call, "cos"), partial(Call, "sin"))
+_JET_OPS = (operator.mul, jet.cos, jet.sin)
 
 
-def _fn(name: str, arg: Expr) -> Expr:
-    return Call(name, arg)
+def _profile_chart(name: str, chart: Callable, f, g, profile, box) -> Immersion:
+    """The immersion (s, t, u) -> ``chart(f(s), g(s), t, u, ops)``: from
+    expression trees for closed-form f and g, or a jet mapping that reads an
+    integrated ``profile``."""
+    if profile is not None:
+        def mapping(seeds):
+            s, t, u = seeds
+            return chart(profile.f_at(s), profile.g_at(s), t, u, _JET_OPS)
 
-
-def _parse_profile(f, g) -> tuple[Expr, Expr]:
-    fe = parse_expr(f, ("s",)) if isinstance(f, str) else f
-    ge = parse_expr(g, ("s",)) if isinstance(g, str) else g
-    for label, e in (("f", fe), ("g", ge)):
-        extra = variables_of(e) - {"s"}
-        if extra:
-            raise CatalogError(
-                f"profile component {label} must depend on s only, found {sorted(extra)}"
-            )
-    return fe, ge
+        return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
+    fe, ge = _parse_curve_exprs((f, g), ("s",), 2, "profile")
+    return Immersion.from_exprs(name, chart(fe, ge, Var("t"), Var("u"), _EXPR_OPS),
+                                ("s", "t", "u"), box)
 
 
 def _box(domain, defaults) -> tuple[tuple[float, float], ...]:
@@ -625,27 +627,17 @@ def hypercylinder_rotational(
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s), u): cylinder over a rotational surface."""
     box = _box(domain, ((0.0, _TWO_PI), (0.0, _TWO_PI), (-1.0, 1.0)))
-    name = "hypercylinder_rotational"
-    if profile is not None:
-        def mapping(seeds):
-            s, t, u = seeds
-            fs, gs = profile.f_at(s), profile.g_at(s)
-            return [fs * jet.cos(t), fs * jet.sin(t), gs, u]
 
-        return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
-    fe, ge = _parse_profile(f, g)
-    comps = (
-        _mul(fe, _fn("cos", Var("t"))),
-        _mul(fe, _fn("sin", Var("t"))),
-        ge,
-        Var("u"),
-    )
-    return Immersion.from_exprs(name, comps, ("s", "t", "u"), box)
+    def chart(f, g, t, u, ops):
+        mul, cos, sin = ops
+        return [mul(f, cos(t)), mul(f, sin(t)), g, u]
+
+    return _profile_chart("hypercylinder_rotational", chart, f, g, profile, box)
 
 
 def conical_hypercylinder(c1=0.6, c2=0.8, domain=None) -> Immersion:
     """((c1 s + c2) cos t, (c1 s + c2) sin t, c2 s, u): cylinder over a cone."""
-    c1, c2 = float(c1), float(c2)
+    c1, c2 = _number(c1, "c1"), _number(c2, "c2")
     if c1 == 0.0 and c2 == 0.0:
         raise CatalogError("c1 and c2 cannot both vanish")
     box = _box(domain, ((0.5, 2.5), (0.0, _TWO_PI), (-1.0, 1.0)))
@@ -659,22 +651,12 @@ def so2_x_so2(
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s) cos u, g(s) sin u): doubly rotational."""
     box = _box(domain, ((0.3, 2.8), (0.0, _TWO_PI), (0.0, _TWO_PI)))
-    name = "so2_x_so2"
-    if profile is not None:
-        def mapping(seeds):
-            s, t, u = seeds
-            fs, gs = profile.f_at(s), profile.g_at(s)
-            return [fs * jet.cos(t), fs * jet.sin(t), gs * jet.cos(u), gs * jet.sin(u)]
 
-        return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
-    fe, ge = _parse_profile(f, g)
-    comps = (
-        _mul(fe, _fn("cos", Var("t"))),
-        _mul(fe, _fn("sin", Var("t"))),
-        _mul(ge, _fn("cos", Var("u"))),
-        _mul(ge, _fn("sin", Var("u"))),
-    )
-    return Immersion.from_exprs(name, comps, ("s", "t", "u"), box)
+    def chart(f, g, t, u, ops):
+        mul, cos, sin = ops
+        return [mul(f, cos(t)), mul(f, sin(t)), mul(g, cos(u)), mul(g, sin(u))]
+
+    return _profile_chart("so2_x_so2", chart, f, g, profile, box)
 
 
 def rotational(
@@ -682,28 +664,13 @@ def rotational(
 ) -> Immersion:
     """(f(s), g(s) cos t, g(s) sin t sin u, g(s) sin t cos u): rotational."""
     box = _box(domain, ((-0.7, 0.7), (0.35, 2.79), (0.0, _TWO_PI)))
-    name = "rotational"
-    if profile is not None:
-        def mapping(seeds):
-            s, t, u = seeds
-            fs, gs = profile.f_at(s), profile.g_at(s)
-            sin_t = jet.sin(t)
-            return [
-                fs,
-                gs * jet.cos(t),
-                gs * sin_t * jet.sin(u),
-                gs * sin_t * jet.cos(u),
-            ]
 
-        return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
-    fe, ge = _parse_profile(f, g)
-    comps = (
-        fe,
-        _mul(ge, _fn("cos", Var("t"))),
-        _mul(_mul(ge, _fn("sin", Var("t"))), _fn("sin", Var("u"))),
-        _mul(_mul(ge, _fn("sin", Var("t"))), _fn("cos", Var("u"))),
-    )
-    return Immersion.from_exprs(name, comps, ("s", "t", "u"), box)
+    def chart(f, g, t, u, ops):
+        mul, cos, sin = ops
+        g_sin_t = mul(g, sin(t))
+        return [f, mul(g, cos(t)), mul(g_sin_t, sin(u)), mul(g_sin_t, cos(u))]
+
+    return _profile_chart("rotational", chart, f, g, profile, box)
 
 
 _DEFAULT_CONE_BASE = (
@@ -718,7 +685,7 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
     """s y(v,w) + c n(v,w): cone over a surface of the unit 3-sphere, offset
     along its spherical normal n (sign fixed so {y, y_v, y_w, n} is positive).
     """
-    c = float(c)
+    c = _number(c, "c")
     y_exprs = _parse_curve_exprs(
         y if y is not None else _DEFAULT_CONE_BASE, ("v", "w"), 4, "base surface"
     )
@@ -759,7 +726,7 @@ def curve_tube(
 ) -> Immersion:
     """s a(w) + c (cos(v/c) A(w) + sin(v/c) B(w)) for a curve a on the unit
     3-sphere with normal frame (A, B); c must be positive."""
-    c = float(c)
+    c = _number(c, "c")
     if not c > 0:
         raise CatalogError("curve_tube requires c > 0")
     alpha_exprs = _parse_curve_exprs(
@@ -828,7 +795,7 @@ def _validate_unit_sphere(exprs, var_names, box, what: str, samples: int = 7) ->
 
 def spherical_hypercylinder(r=1.0, domain=None) -> Immersion:
     """Sphere of radius r times a line, as a rotational-cylinder instance."""
-    r = float(r)
+    r = _number(r, "r")
     if not r > 0:
         raise CatalogError("radius must be positive")
     box = ((-1.1 * r, 1.1 * r), (0.0, _TWO_PI), (-1.0, 1.0)) if domain is None else domain
@@ -839,7 +806,7 @@ def spherical_hypercylinder(r=1.0, domain=None) -> Immersion:
 
 def circular_hypercylinder(r=1.0, domain=None) -> Immersion:
     """Circle of radius r times a plane, as a rotational-cylinder instance."""
-    r = float(r)
+    r = _number(r, "r")
     if not r > 0:
         raise CatalogError("radius must be positive")
     box = ((-1.5, 1.5), (0.0, _TWO_PI), (-1.0, 1.0)) if domain is None else domain
@@ -850,7 +817,7 @@ def hyperplane(offset=1.0, domain=None) -> Immersion:
     """Flat hyperplane (s, t, u, offset)."""
     box = ((0.5, 2.0), (0.5, 2.0), (0.5, 2.0)) if domain is None else domain
     return Immersion.from_exprs(
-        "hyperplane", ("s", "t", "u", repr(float(offset))), ("s", "t", "u"), box
+        "hyperplane", ("s", "t", "u", repr(_number(offset, "offset"))), ("s", "t", "u"), box
     )
 
 
@@ -863,7 +830,7 @@ def tangent_developable_cylinder(r=1.0, a=0.8, domain=None) -> Immersion:
     developable (and hence this product) position-principal at every regular
     point.  Not expressible in the spec-file language (needs arctan).
     """
-    r, a = float(r), float(a)
+    r, a = _number(r, "r"), _number(a, "a")
     if not r > 0 or not 0 < a < 1:
         raise CatalogError("need r > 0 and 0 < a < 1")
     height = math.sqrt(1.0 - a * a)
@@ -898,14 +865,6 @@ def tangent_developable_cylinder(r=1.0, a=0.8, domain=None) -> Immersion:
 
 
 # -- registry --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A catalog tag plus its construction parameters."""
-
-    tag: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -997,14 +956,9 @@ FAMILY_TAGS: tuple[str, ...] = tuple(_FAMILIES)
 _PROFILE_FAMILIES = {"hypercylinder_rotational", "so2_x_so2", "rotational"}
 
 
-def make_family(spec, /, **params) -> Immersion:
-    """Construct a catalog family from a tag or a FamilySpec."""
-    if isinstance(spec, FamilySpec):
-        if params:
-            raise CatalogError("pass parameters inside the FamilySpec")
-        tag, params = spec.tag, dict(spec.params)
-    else:
-        tag = str(spec)
+def make_family(tag, /, **params) -> Immersion:
+    """Construct the catalog family ``tag`` from its parameters."""
+    tag = str(tag)
     info = _FAMILIES.get(tag)
     if info is None:
         raise CatalogError(f"unknown family {tag!r}; valid tags: {', '.join(FAMILY_TAGS)}")

@@ -444,11 +444,11 @@ _BLOCK = 1024
 
 def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool = False) -> list:
     """Per row of the geometry block ``pg`` (of order 3 if include_structural
-    on a 3-dimensional chart): the row's PointRecord figures after its point,
-    or why it is skipped.  With include_structural, rows that pass the primary
-    test get their structural residuals, the others a note.  If the block
-    raises, its rows rerun one at a time, so that each failure keeps its own
-    reason."""
+    on a 3-dimensional chart): the row's PointRecord fields after its point,
+    by name, or why it is skipped.  With include_structural, rows that pass
+    the primary test get their structural residuals, the others a note.  If
+    the block raises, its rows rerun one at a time, so that each failure keeps
+    its own reason."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     rows = len(g)
     residuals = [None] * rows
@@ -489,8 +489,10 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool
     figures = zip(pa.mu.tolist(), pa.theta.tolist(), k.tolist(), means.tolist(),
                   pd.distinct_count.tolist(), ok.tolist(), primary.tolist(),
                   secondary.tolist(), delta2, residuals, notes)
-    return [(mu, th, tuple(kk), tuple(hh), d, not o, *((p, s) if o else (None, None)),
-             d2, sr, note)
+    return [dict(mu=mu, theta=th, curvatures=tuple(kk), means=tuple(hh), distinct_count=d,
+                 degenerate=not o, gcr_primary=p if o else None,
+                 gcr_secondary=s if o else None, delta2=d2, structural=sr,
+                 structural_note=note)
             for mu, th, kk, hh, d, o, p, s, d2, sr, note in figures]
 
 
@@ -555,7 +557,7 @@ def classify_surface(
                 if isinstance(out, str):
                     skipped.append((p, out))
                 else:
-                    records.append(PointRecord(p, *out))
+                    records.append(PointRecord(p, **out))
 
     if not records:
         first = skipped[0] if skipped else (tuple(points[0]), "no points")

@@ -8,7 +8,6 @@ import pytest
 from conftest import TWO_PI
 from gcrkit.catalog import (
     CatalogError,
-    FamilySpec,
     HermiteCurve,
     PartialCurveError,
     build_normal_frame,
@@ -29,6 +28,7 @@ from gcrkit.catalog import (
     tangent_cone,
     tangent_developable_cylinder,
 )
+from gcrkit.expr import to_text
 from gcrkit.geometry import point_geometry, principal_data
 from gcrkit.gcr import gcr_residual, position_angles
 from gcrkit.jet import jet_variable
@@ -127,9 +127,13 @@ def test_variable_curvature_against_quadrature():
     # kappa(s) = s: angle = s^2/2, so f = int cos(u^2/2) du (a Fresnel-type
     # integral); dense trapezoid quadrature is the independent oracle
     prof = integrate_profile("s", (0.0, 1.5), step=5e-4)
-    u = np.linspace(0.0, 1.5, 3001)
-    f_ref = np.trapezoid(np.cos(u**2 / 2.0), u)
-    g_ref = np.trapezoid(np.sin(u**2 / 2.0), u)
+    u, du = np.linspace(0.0, 1.5, 3001, retstep=True)
+
+    def trapezoid(y):  # composite rule on the uniform grid u
+        return du * (y.sum() - (y[0] + y[-1]) / 2.0)
+
+    f_ref = trapezoid(np.cos(u**2 / 2.0))
+    g_ref = trapezoid(np.sin(u**2 / 2.0))
     assert abs(prof.f_at(1.5) - f_ref) < 1e-6
     assert abs(prof.g_at(1.5) - g_ref) < 1e-6
 
@@ -252,16 +256,16 @@ def test_make_family_errors():
             domain=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
         )
     with pytest.raises(CatalogError):
-        make_family(FamilySpec("special_sqrt2"), extra=2.0)
+        make_family("special_sqrt2", extra=2.0)
 
 
 def test_make_family_with_spec_and_kappa_profile():
-    spec = FamilySpec("so2_x_so2", {
-        "kappa": 0.4,
-        "init": (1.5, 0.4, 0.1),
-        "domain": ((0.0, 1.5), (0.0, TWO_PI), (0.0, TWO_PI)),
-    })
-    m = make_family(spec)
+    m = make_family(
+        "so2_x_so2",
+        kappa=0.4,
+        init=(1.5, 0.4, 0.1),
+        domain=((0.0, 1.5), (0.0, TWO_PI), (0.0, TWO_PI)),
+    )
     pg = point_geometry(m, (0.7, 1.0, 2.0))
     pd = principal_data(pg)
     pa = position_angles(pg)
@@ -308,6 +312,8 @@ def test_tangent_cone_has_flat_ruling():
 def test_cone_constructor_validation():
     with pytest.raises(CatalogError):
         conical_hypercylinder(0.0, 0.0)
+    with pytest.raises(CatalogError, match="c1 must be a finite number, got True"):
+        conical_hypercylinder(c1=True)
 
 
 def test_spherical_and_circular_products():
@@ -338,25 +344,55 @@ def test_tangent_developable_cylinder_is_position_principal():
         tangent_developable_cylinder(a=1.2)
 
 
-def test_profile_backed_families_match_expression_route():
-    # same circle profile by ODE and in closed form: geometry should agree
+_PROFILE_CHARTS = {
+    "hypercylinder_rotational": (hypercylinder_rotational, ((0.0, TWO_PI), (-1.0, 1.0))),
+    "so2_x_so2": (so2_x_so2, ((0.0, TWO_PI), (0.0, TWO_PI))),
+    "rotational": (rotational, ((0.35, 2.79), (0.0, TWO_PI))),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROFILE_CHARTS))
+def test_profile_backed_families_match_expression_route(name):
+    # same circle profile by ODE and in closed form: geometry should agree;
+    # s stays clear of 0, where g = sin(s) makes the last two charts singular
+    family, tu_box = _PROFILE_CHARTS[name]
+    domain = ((0.3, 1.5), *tu_box)
     s0 = -0.2
     prof = integrate_profile(
         1.0, (s0, 1.8),
         init=(math.cos(s0), math.sin(s0), s0 + math.pi / 2),
         step=1e-3,
     )
-    m_ode = hypercylinder_rotational(
-        profile=prof, domain=((0.0, 1.5), (0.0, TWO_PI), (-1.0, 1.0))
-    )
-    m_expr = hypercylinder_rotational(
-        f="cos(s)", g="sin(s)", domain=((0.0, 1.5), (0.0, TWO_PI), (-1.0, 1.0))
-    )
-    for p in [(0.3, 1.0, 0.2), (1.1, 4.0, -0.5)]:
+    m_ode = family(profile=prof, domain=domain)
+    m_expr = family(f="cos(s)", g="sin(s)", domain=domain)
+    assert m_ode.components is None and m_expr.mapping is None
+    for p in [(0.5, 1.0, 0.2), (1.1, 2.0, 0.7)]:
         a = point_geometry(m_ode, p)
         b = point_geometry(m_expr, p)
         assert np.allclose(a.position, b.position, atol=1e-9)
         assert np.allclose(a.second_form, b.second_form, atol=1e-7)
+
+
+def test_closed_form_profile_charts_are_pinned():
+    # the expression trees the chart formulas build for closed-form f and g
+    texts = {
+        name: [to_text(c) for c in family().components]
+        for name, (family, _) in _PROFILE_CHARTS.items()
+    }
+    assert texts == {
+        "hypercylinder_rotational": [
+            "(2.0+cos(s))*cos(t)", "(2.0+cos(s))*sin(t)", "sin(s)", "u",
+        ],
+        "so2_x_so2": [
+            "(2.0+cos(s))*cos(t)", "(2.0+cos(s))*sin(t)", "sin(s)*cos(u)", "sin(s)*sin(u)",
+        ],
+        "rotational": [
+            "sin(s)", "cos(s)*cos(t)", "cos(s)*sin(t)*sin(u)", "cos(s)*sin(t)*cos(u)",
+        ],
+    }
+    assert [to_text(c) for c in rotational(f="1+s^2", g="exp(s)/2").components] == [
+        "1.0+s^2.0", "exp(s)/2.0*cos(t)", "exp(s)/2.0*sin(t)*sin(u)", "exp(s)/2.0*sin(t)*cos(u)",
+    ]
 
 
 def test_product_cylinder_base_validation():

@@ -221,6 +221,25 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "special_sqrt2", "tolerances": {"tol_gcr": True}}, "got True"),
         ({"components": ["s", "t", "0"], "variables": ["s", "t"],
           "domain": {"s": ["-1", "1"], "t": [0, 1]}}, "got ['-1', '1']"),
+        # family numbers too: no bool, no numeric string, nothing non-finite
+        ({"family": "conical_hypercylinder", "parameters": {"c1": True, "c2": "0.8"}},
+         "c1 must be a finite number, got True"),
+        ({"family": "conical_hypercylinder", "parameters": {"c2": "0.8"}},
+         "c2 must be a finite number, got '0.8'"),
+        ({"family": "conical_hypercylinder", "parameters": {"c1": math.inf}},
+         "c1 must be a finite number, got inf"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "init": "123"},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "init must be three finite numbers (f0, g0, angle0), got '123'"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "init": ["1.5", "0.4", "0.1"]},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "got ['1.5', '0.4', '0.1']"),
+        ({"family": "curve_tube", "parameters": {"c": "0.5"}},
+         "c must be a finite number, got '0.5'"),
+        ({"family": "tangent_cone", "parameters": {"c": False}},
+         "c must be a finite number, got False"),
+        ({"family": "tangent_cone", "parameters": {"c": math.nan}},
+         "c must be a finite number, got nan"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
