@@ -112,6 +112,14 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _bounds(interval, what: str) -> tuple[float, float]:
+    """A (lo, hi) pair of family numbers a finite width apart."""
+    lo, hi = (_number(v, what) for v in interval)
+    if not math.isfinite(hi - lo):
+        raise CatalogError(f"{what}s {lo!r}, {hi!r} are not a finite width apart")
+    return lo, hi
+
+
 # -- piecewise-quintic Hermite interpolation -------------------------------------------
 
 # Maps (p0, h*d0, h^2*q0, p1, h*d1, h^2*q1) to monomial coefficients in the
@@ -277,7 +285,7 @@ def integrate_profile(
     run, and the stages run as array expressions; any failure reruns them
     one stage at a time, which raises the per-step loop's PartialCurveError.
     """
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = _bounds(s_range, "integration bound")
     if not hi > lo:
         raise CatalogError(f"empty integration range [{lo}, {hi}]")
     if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
@@ -477,7 +485,7 @@ def build_normal_frame(
     comes from the transport rule, also as array expressions.
     """
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
-    lo, hi = float(w_range[0]), float(w_range[1])
+    lo, hi = _bounds(w_range, "frame bound")
     if not hi > lo:
         raise CatalogError(f"empty frame range [{lo}, {hi}]")
     if isinstance(samples, bool) or not (
@@ -610,7 +618,7 @@ def _box(domain, defaults) -> tuple[tuple[float, float], ...]:
         return tuple(defaults)
     if len(domain) != len(defaults):
         raise CatalogError(f"domain needs {len(defaults)} intervals")
-    return tuple((float(lo), float(hi)) for lo, hi in domain)
+    return tuple(_bounds(interval, "domain bound") for interval in domain)
 
 
 def _padded(interval: tuple[float, float], rel: float = 0.06) -> tuple[float, float]:
@@ -973,7 +981,8 @@ def make_family(tag, /, **params) -> Immersion:
             domain = params.get("domain")
             if domain is None:
                 raise CatalogError("profile integration needs an explicit domain")
-            params["profile"] = integrate_profile(kappa, _padded(tuple(domain[0])), init, step)
+            s_range = _bounds(domain[0], "domain bound")
+            params["profile"] = integrate_profile(kappa, _padded(s_range), init, step)
         return info.builder(**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for family {tag!r}: {exc}") from None

@@ -63,41 +63,64 @@ class SpecError(ValueError):
 # -- canonical serialization -------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in report: {x}")
-    return f"{x:.17g}"
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_INF = math.inf
 
 
-def canonical_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats."""
-    pad = "  " * indent
+def canonical_json(value) -> str:
+    """Deterministic JSON text: equal documents give equal bytes.
+
+    Keys keep insertion order, one per line, indented two spaces per level.
+    A list goes on one line, items joined by ", ", if every item's text is at
+    most 24 characters and has no newline, else one item per line.  Floats
+    are written at ``%.17g``, NaN and +-inf raise ValueError.  Strings and
+    keys are ASCII-escaped as by ``json.dumps``.  Numpy scalars count as the
+    values they hold; any other type raises TypeError.
+    """
+    return _encode(value, "", {})
+
+
+def _encode(value, pad: str, keys: dict) -> str:
+    """``value`` at indentation ``pad``.  ``keys`` maps a dict's indentation
+    and key names to its quoted line prefixes, so each is quoted once."""
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {canonical_json(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        inner = pad + "  "
+        names = (inner, *map(str, value))
+        prefixes = keys.get(names)
+        if prefixes is None:
+            prefixes = keys[names] = [inner + _quote(k) + ": " for k in names[1:]]
+        lines = [p + ("%.17g" % v if type(v) is float and -_INF < v < _INF
+                      else _encode(v, inner, keys)) for p, v in zip(prefixes, value.values())]
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        parts = [canonical_json(v, indent + 1) for v in value]
-        if all(len(p) <= 24 and "\n" not in p for p in parts):
-            return "[" + ", ".join(parts) + "]"
-        inner = ",\n".join(f"{pad}  {p}" for p in parts)
-        return "[\n" + inner + "\n" + pad + "]"
+        inner = pad + "  "
+        parts = ["%.17g" % v if type(v) is float and -_INF < v < _INF else _encode(v, inner, keys)
+                 for v in value]
+        if max(map(len, parts), default=0) <= 24 and "\n" not in (line := ", ".join(parts)):
+            return "[" + line + "]"
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    """A float, bool, None, integer or string as JSON text."""
+    if type(value) is float and -_INF < value < _INF:
+        return "%.17g" % value
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isfinite(x):
+            return "%.17g" % x
+        raise ValueError(f"non-finite value in report: {x}")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -366,44 +389,24 @@ def report_to_dict(
 
 
 def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    variables = echo["variables"]
     n = report.n
-    header = (
-        list(variables)
-        + ["mu", "theta"]
-        + [f"k{i + 1}" for i in range(n)]
-        + [f"H{i + 1}" for i in range(n)]
-        + ["distinct_count", "degenerate", "gcr_primary", "gcr_secondary", "delta2"]
-    )
+    header = [*echo["variables"], "mu", "theta", *[f"k{i + 1}" for i in range(n)],
+              *[f"H{i + 1}" for i in range(n)], "distinct_count", "degenerate",
+              "gcr_primary", "gcr_secondary", "delta2"]
     if include_structural:
         header += STRUCTURAL_KEYS
-    writer.writerow(header)
-
-    def fmt(x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, (bool, np.bool_)):
-            return "true" if x else "false"
-        if isinstance(x, (float, np.floating)):
-            return _format_float(float(x))
-        return str(x)
-
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(header)
+    # formatted cells hold no comma, quote or newline, so rows need no quoting
+    lines = [out.getvalue()]
     for r in report.records:
-        row = (
-            [fmt(v) for v in r.point]
-            + [fmt(r.mu), fmt(r.theta)]
-            + [fmt(v) for v in r.curvatures]
-            + [fmt(v) for v in r.means]
-            + [fmt(r.distinct_count), fmt(r.degenerate), fmt(r.gcr_primary),
-               fmt(r.gcr_secondary), fmt(r.delta2)]
-        )
+        row = [*r.point, r.mu, r.theta, *r.curvatures, *r.means, r.distinct_count,
+               r.degenerate, r.gcr_primary, r.gcr_secondary, r.delta2]
         if include_structural:
             s = r.structural
-            row += [fmt(getattr(s, c)) if s is not None else "" for c in STRUCTURAL_KEYS]
-        writer.writerow(row)
-    return out.getvalue()
+            row += [None if s is None else getattr(s, c) for c in STRUCTURAL_KEYS]
+        lines.append(",".join(["" if x is None else _scalar(x) for x in row]) + "\n")
+    return "".join(lines)
 
 
 # -- verbs --------------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_integrate_profile_validation():
         with pytest.raises(CatalogError, match="step"):
             integrate_profile(1.0, (0.0, 1.0), step=step)
     with pytest.raises(CatalogError, match="exceeds"):
-        integrate_profile(1.0, (0.0, math.inf), step=1.0)
+        integrate_profile(1.0, (0.0, 2e6), step=1.0)
     # initial data must be three finite numbers, and a boolean is no curvature
     for init in ((math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (True, 0.0, 0.0)):
         with pytest.raises(CatalogError, match="init"):
@@ -171,6 +171,49 @@ def test_integrate_profile_validation():
         integrate_profile("s*t", (0.0, 1.0))
     with pytest.raises(CatalogError):
         integrate_profile(parse_expr("s*t", ("s", "t")), (0.0, 1.0))
+
+
+# Interval bounds given to the API, as opposed to a spec file, are family
+# numbers too: a bool or a numeric string is no bound, and the bounds must lie
+# a finite width apart.
+BAD_BOUNDS = [
+    ((True, 2.0), "must be a finite number, got True"),
+    (("0", 1.0), "must be a finite number, got '0'"),
+    ((0.0, "1"), "must be a finite number, got '1'"),
+    ((0.0, math.inf), "must be a finite number, got inf"),
+    ((math.nan, 1.0), "must be a finite number, got nan"),
+    ((-1e308, 1e308), r"-1e\+308, 1e\+308 are not a finite width apart"),
+]
+
+
+@pytest.mark.parametrize("bounds, message", BAD_BOUNDS)
+def test_integration_bounds_are_finite_numbers(bounds, message):
+    with pytest.raises(CatalogError, match=f"^integration bounds? {message}"):
+        integrate_profile(1.0, bounds)
+
+
+@pytest.mark.parametrize("bounds, message", BAD_BOUNDS)
+def test_frame_bounds_are_finite_numbers(bounds, message):
+    with pytest.raises(CatalogError, match=f"^frame bounds? {message}"):
+        build_normal_frame(GREAT_CIRCLE, bounds)
+
+
+@pytest.mark.parametrize("bounds, message", BAD_BOUNDS)
+def test_domain_bounds_are_finite_numbers(bounds, message):
+    box = ((0.3, 2.8), (0.0, TWO_PI), (0.0, TWO_PI))
+    for axis in range(3):
+        domain = box[:axis] + (bounds,) + box[axis + 1:]
+        with pytest.raises(CatalogError, match=f"^domain bounds? {message}"):
+            so2_x_so2(domain=domain)
+        with pytest.raises(CatalogError, match=f"^domain bounds? {message}"):
+            make_family("so2_x_so2", domain=domain)
+        # an integrated profile reads the first interval before the chart does
+        with pytest.raises(CatalogError, match=f"^domain bounds? {message}"):
+            make_family("so2_x_so2", kappa=1.0, domain=domain)
+    # integers and numpy numbers are numbers
+    m = so2_x_so2(domain=((np.float64(0.5), 2), (0, 6), (np.int64(0), 6.0)))
+    assert m.domain == ((0.5, 2.0), (0.0, 6.0), (0.0, 6.0))
+    assert all(type(v) is float for interval in m.domain for v in interval)
 
 
 # -- normal frames of spherical curves -------------------------------------------------------
