@@ -85,8 +85,12 @@ class PartialCurveError(CatalogError):
 def _parse_curve_exprs(
     exprs, var_names: tuple[str, ...], count: int, what: str
 ) -> tuple[Expr, ...]:
-    """``count`` expressions, strings parsed, in the variables ``var_names``
-    only: every expression parameter of a family is read here."""
+    """``count`` expressions, a list or tuple of strings (parsed here) or
+    parsed trees, in the variables ``var_names`` only: every expression
+    parameter of a family is read here."""
+    if not isinstance(exprs, (list, tuple)):
+        raise CatalogError(f"{what} needs a list of {count} component expressions, "
+                           f"got {exprs!r}")
     if len(exprs) != count:
         raise CatalogError(
             f"{what} needs {count} component expressions, got {len(exprs)}"
@@ -94,6 +98,8 @@ def _parse_curve_exprs(
     allowed = set(var_names)
     out = []
     for e in exprs:
+        if not isinstance(e, str | Expr):
+            raise CatalogError(f"{what} expressions must be strings, got {e!r}")
         parsed = parse_expr(e, var_names) if isinstance(e, str) else e
         extra = variables_of(parsed) - allowed
         if extra:
@@ -598,7 +604,17 @@ _EXPR_OPS = (partial(BinOp, "*"), partial(Call, "cos"), partial(Call, "sin"))
 _JET_OPS = (operator.mul, jet.cos, jet.sin)
 
 
-def _profile_chart(name: str, chart: Callable, f, g, profile, box) -> Immersion:
+def _cylinder_chart(f, g, t, u, ops):
+    mul, cos, sin = ops
+    return [mul(f, cos(t)), mul(f, sin(t)), g, u]
+
+
+def _so2_chart(f, g, t, u, ops):
+    mul, cos, sin = ops
+    return [mul(f, cos(t)), mul(f, sin(t)), mul(g, cos(u)), mul(g, sin(u))]
+
+
+def _profile_chart(name: str, chart: Callable, f, g, box, profile=None) -> Immersion:
     """The immersion (s, t, u) -> ``chart(f(s), g(s), t, u, ops)``: from
     expression trees for closed-form f and g, or a jet mapping that reads an
     integrated ``profile``."""
@@ -635,12 +651,7 @@ def hypercylinder_rotational(
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s), u): cylinder over a rotational surface."""
     box = _box(domain, ((0.0, _TWO_PI), (0.0, _TWO_PI), (-1.0, 1.0)))
-
-    def chart(f, g, t, u, ops):
-        mul, cos, sin = ops
-        return [mul(f, cos(t)), mul(f, sin(t)), g, u]
-
-    return _profile_chart("hypercylinder_rotational", chart, f, g, profile, box)
+    return _profile_chart("hypercylinder_rotational", _cylinder_chart, f, g, box, profile)
 
 
 def conical_hypercylinder(c1=0.6, c2=0.8, domain=None) -> Immersion:
@@ -649,9 +660,8 @@ def conical_hypercylinder(c1=0.6, c2=0.8, domain=None) -> Immersion:
     if c1 == 0.0 and c2 == 0.0:
         raise CatalogError("c1 and c2 cannot both vanish")
     box = _box(domain, ((0.5, 2.5), (0.0, _TWO_PI), (-1.0, 1.0)))
-    radius = f"({c1!r}*s+{c2!r})"
-    comps = (f"{radius}*cos(t)", f"{radius}*sin(t)", f"{c2!r}*s", "u")
-    return Immersion.from_exprs("conical_hypercylinder", comps, ("s", "t", "u"), box)
+    return _profile_chart("conical_hypercylinder", _cylinder_chart, f"{c1!r}*s+{c2!r}",
+                          f"{c2!r}*s", box)
 
 
 def so2_x_so2(
@@ -659,12 +669,7 @@ def so2_x_so2(
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s) cos u, g(s) sin u): doubly rotational."""
     box = _box(domain, ((0.3, 2.8), (0.0, _TWO_PI), (0.0, _TWO_PI)))
-
-    def chart(f, g, t, u, ops):
-        mul, cos, sin = ops
-        return [mul(f, cos(t)), mul(f, sin(t)), mul(g, cos(u)), mul(g, sin(u))]
-
-    return _profile_chart("so2_x_so2", chart, f, g, profile, box)
+    return _profile_chart("so2_x_so2", _so2_chart, f, g, box, profile)
 
 
 def rotational(
@@ -678,7 +683,7 @@ def rotational(
         g_sin_t = mul(g, sin(t))
         return [f, mul(g, cos(t)), mul(g_sin_t, sin(u)), mul(g_sin_t, cos(u))]
 
-    return _profile_chart("rotational", chart, f, g, profile, box)
+    return _profile_chart("rotational", chart, f, g, box, profile)
 
 
 _DEFAULT_CONE_BASE = (
@@ -762,13 +767,7 @@ def curve_tube(
 def special_sqrt2(domain=None) -> Immersion:
     """(sqrt(2) s cos t, sqrt(2) s sin t, sqrt(2) s cos u, sqrt(2) s sin u)."""
     box = _box(domain, ((0.5, 2.5), (0.0, _TWO_PI), (0.0, _TWO_PI)))
-    comps = (
-        "sqrt(2)*s*cos(t)",
-        "sqrt(2)*s*sin(t)",
-        "sqrt(2)*s*cos(u)",
-        "sqrt(2)*s*sin(u)",
-    )
-    return Immersion.from_exprs("special_sqrt2", comps, ("s", "t", "u"), box)
+    return _profile_chart("special_sqrt2", _so2_chart, "sqrt(2)*s", "sqrt(2)*s", box)
 
 
 _DEFAULT_PRODUCT_BASE = (
@@ -836,40 +835,25 @@ def tangent_developable_cylinder(r=1.0, a=0.8, domain=None) -> Immersion:
 
     The generating curve satisfies <curve, curve''> = 0, which makes the
     developable (and hence this product) position-principal at every regular
-    point.  Not expressible in the spec-file language (needs arctan).
+    point.
     """
     r, a = _number(r, "r"), _number(a, "a")
     if not r > 0 or not 0 < a < 1:
         raise CatalogError("need r > 0 and 0 < a < 1")
-    height = math.sqrt(1.0 - a * a)
     box = _box(domain, ((-1.0, 1.0), (0.2, 1.2), (-1.0, 1.0)))
-
-    def mapping(seeds):
-        s, t, u = seeds
-        rho = jet.sqrt(s * s + r * r)
-        inv_rho = 1.0 / rho
-        ang = jet.atan(s * (1.0 / r)) * (1.0 / a)
-        cos_a, sin_a = jet.cos(ang), jet.sin(ang)
-        circle = (cos_a * a, sin_a * a)
-        circle_d = (-sin_a, cos_a)
-        radial = s * inv_rho
-        swirl = r * inv_rho
-        gamma = (rho * circle[0], rho * circle[1], rho * height)
-        gamma_d = (
-            radial * circle[0] + swirl * circle_d[0],
-            radial * circle[1] + swirl * circle_d[1],
-            radial * height,
-        )
-        return [
-            gamma[0] + t * gamma_d[0],
-            gamma[1] + t * gamma_d[1],
-            gamma[2] + t * gamma_d[2],
-            u,
-        ]
-
-    return Immersion.from_mapping(
-        "tangent_developable_cylinder", mapping, ("s", "t", "u"), box
+    # gamma = rho (a cos ang, a sin ang, height) and its s-derivative
+    # gamma' = (s/rho) (a cos ang, a sin ang, height) + (r/rho) (-sin ang, cos ang, 0)
+    rho = f"sqrt(s*s+{r!r}*{r!r})"
+    ang, height = f"atan(s/{r!r})/{a!r}", f"sqrt(1-{a!r}*{a!r})"
+    cos_a, sin_a = f"cos({ang})", f"sin({ang})"
+    radial, swirl = f"s/{rho}", f"{r!r}/{rho}"
+    comps = (
+        f"{rho}*({cos_a}*{a!r})+t*({radial}*({cos_a}*{a!r})+{swirl}*(-{sin_a}))",
+        f"{rho}*({sin_a}*{a!r})+t*({radial}*({sin_a}*{a!r})+{swirl}*{cos_a})",
+        f"{rho}*{height}+t*({radial}*{height})",
+        "u",
     )
+    return Immersion.from_exprs("tangent_developable_cylinder", comps, ("s", "t", "u"), box)
 
 
 # -- registry --------------------------------------------------------------------------

@@ -13,8 +13,8 @@ Grammar (EBNF, whitespace insignificant):
 "^" binds tighter than unary minus, which binds tighter than "*" and "/",
 so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication.
 Identifiers must either be declared chart variables or one of the built-in
-unary functions: sin, cos, tan, exp, log, sqrt, abs.  Text nesting deeper
-than _MAX_DEPTH levels is a syntax error.
+unary functions: sin, cos, tan, exp, log, sqrt, abs, atan.  Text nesting
+deeper than _MAX_DEPTH levels is a syntax error.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _FUNCTIONS = {
     "log": _jet.log,
     "sqrt": _jet.sqrt,
     "abs": abs,
+    "atan": _jet.atan,
 }
 FUNCTIONS = tuple(_FUNCTIONS)
 

@@ -552,7 +552,7 @@ def classify_surface(
             # evaluated rows, stacked=True stacks the plain sweep too
             pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
             classified = iter([] if pg is None else _classify_rows(pg, tols, include_structural))
-            for p, reason in zip(map(tuple, block), reasons):
+            for p, reason in zip(map(tuple, block.tolist()), reasons):
                 out = reason or next(classified)
                 if isinstance(out, str):
                     skipped.append((p, out))
@@ -560,11 +560,8 @@ def classify_surface(
                     records.append(PointRecord(p, **out))
 
     if not records:
-        first = skipped[0] if skipped else (tuple(points[0]), "no points")
-        where = [float(v) for v in first[0]]
-        raise EmptyReportError(
-            f"no regular grid point: first failure at {where} ({first[1]})"
-        )
+        where, reason = skipped[0] if skipped else (tuple(points[0].tolist()), "no points")
+        raise EmptyReportError(f"no regular grid point: first failure at {list(where)} ({reason})")
 
     n = m.n
     nondeg = [r for r in records if not r.degenerate]

@@ -475,8 +475,8 @@ def _real_pow(x: Jet, p: float) -> Jet:
 
 # -- elementary functions ------------------------------------------------------
 #
-# sin, cos, tan, exp, log and sqrt also take a plain float, the order-0 case:
-# it gets the float value alone, with no derivatives to carry.  A float
+# sin, cos, tan, exp, log, sqrt and atan also take a plain float, the order-0
+# case: it gets the float value alone, with no derivatives to carry.  A float
 # argument needs only to lie in the function's domain; a jet must be
 # differentiable there too, which excludes sqrt at 0.
 
@@ -539,7 +539,9 @@ def sqrt(x: float | Jet) -> float | Jet:
     )
 
 
-def atan(x: Jet) -> Jet:
+def atan(x: float | Jet) -> float | Jet:
+    if not isinstance(x, Jet):
+        return math.atan(x)
     v, m = _arg(x)
     d = 1.0 + v * v
     return _compose(

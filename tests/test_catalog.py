@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PI
+from conftest import TWO_PI, sample_points
 from gcrkit.catalog import (
     CatalogError,
     HermiteCurve,
@@ -28,8 +28,9 @@ from gcrkit.catalog import (
     tangent_cone,
     tangent_developable_cylinder,
 )
-from gcrkit.expr import to_text
-from gcrkit.geometry import point_geometry, principal_data
+from gcrkit import jet
+from gcrkit.expr import parse_expr, to_text
+from gcrkit.geometry import Immersion, evaluate_jets, point_geometry, principal_data
 from gcrkit.gcr import gcr_residual, position_angles
 from gcrkit.jet import jet_variable
 
@@ -436,6 +437,68 @@ def test_closed_form_profile_charts_are_pinned():
     assert [to_text(c) for c in rotational(f="1+s^2", g="exp(s)/2").components] == [
         "1.0+s^2.0", "exp(s)/2.0*cos(t)", "exp(s)/2.0*sin(t)*sin(u)", "exp(s)/2.0*sin(t)*cos(u)",
     ]
+
+
+def test_conical_and_sqrt2_charts_are_their_component_strings():
+    # the trees these charts parsed from component strings before they went
+    # through the cylinder and so2 x so2 chart formulas; repr also tells
+    # 0.0 from -0.0, which tree equality does not
+    names = ("s", "t", "u")
+    for c1, c2 in ((0.6, 0.8), (-1.5, 2e-7), (0.25, -0.0)):
+        radius = f"({c1!r}*s+{c2!r})"
+        want = (f"{radius}*cos(t)", f"{radius}*sin(t)", f"{c2!r}*s", "u")
+        got = conical_hypercylinder(c1, c2).components
+        assert repr(got) == repr(tuple(parse_expr(c, names) for c in want))
+    want = [f"sqrt(2)*s*{fn}({v})" for v in "tu" for fn in ("cos", "sin")]
+    assert repr(special_sqrt2().components) == repr(tuple(parse_expr(c, names) for c in want))
+
+
+def _tangent_developable_mapping(r, a):
+    """The jet mapping that built tangent_developable_cylinder before its
+    components were expressions, kept as the reference for them."""
+    height = math.sqrt(1.0 - a * a)
+
+    def mapping(seeds):
+        s, t, u = seeds
+        rho = jet.sqrt(s * s + r * r)
+        inv_rho = 1.0 / rho
+        ang = jet.atan(s * (1.0 / r)) * (1.0 / a)
+        cos_a, sin_a = jet.cos(ang), jet.sin(ang)
+        circle = (cos_a * a, sin_a * a)
+        circle_d = (-sin_a, cos_a)
+        radial = s * inv_rho
+        swirl = r * inv_rho
+        gamma = (rho * circle[0], rho * circle[1], rho * height)
+        gamma_d = (
+            radial * circle[0] + swirl * circle_d[0],
+            radial * circle[1] + swirl * circle_d[1],
+            radial * height,
+        )
+        return [
+            gamma[0] + t * gamma_d[0],
+            gamma[1] + t * gamma_d[1],
+            gamma[2] + t * gamma_d[2],
+            u,
+        ]
+
+    return mapping
+
+
+def test_tangent_developable_cylinder_matches_its_jet_mapping():
+    # the compiled components run the mapping's operations in its order, so
+    # every jet coefficient agrees bit for bit, at one point and on a stack
+    rng = np.random.default_rng(36)
+    for r, a in ((1.0, 0.8), (0.7, 0.35), (2.5, 0.95)):
+        m = tangent_developable_cylinder(r=r, a=a)
+        assert m.mapping is None
+        ref = Immersion.from_mapping(
+            m.name, _tangent_developable_mapping(r, a), m.var_names, m.domain
+        )
+        points = np.array(sample_points(m, rng, 20, margin=0.0))
+        for order in (1, 2, 3):
+            for p in [*points, points]:
+                got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
+                assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
 
 
 def test_product_cylinder_base_validation():

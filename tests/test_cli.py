@@ -14,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrkit.catalog import FAMILY_TAGS, family_catalog
-from gcrkit.cli import EXIT_OK, EXIT_SINGULAR, EXIT_SPEC, canonical_json, main
+from gcrkit.cli import (
+    EXIT_OK,
+    EXIT_SINGULAR,
+    EXIT_SPEC,
+    build_surface,
+    canonical_json,
+    load_spec,
+    main,
+    report_to_dict,
+)
+from gcrkit.gcr import GridSpec, classify_surface
 
 
 def write_spec(tmp_path, name, doc):
@@ -240,6 +250,23 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
          "c must be a finite number, got False"),
         ({"family": "tangent_cone", "parameters": {"c": math.nan}},
          "c must be a finite number, got nan"),
+        # an expression list is a list, not a string split into characters,
+        # and each expression is a string
+        ({"family": "product_cylinder", "parameters": {"base": "stt"}},
+         "base surface needs a list of 3 component expressions, got 'stt'"),
+        ({"family": "tangent_cone", "parameters": {"y": "vwvw"}},
+         "base surface needs a list of 4 component expressions, got 'vwvw'"),
+        ({"family": "curve_tube", "parameters": {"alpha": "wwww"}},
+         "spherical curve needs a list of 4 component expressions, got 'wwww'"),
+        ({"family": "curve_tube", "parameters": {"alpha": {"w": 1}}},
+         "spherical curve needs a list of 4 component expressions, got {'w': 1}"),
+        ({"family": "so2_x_so2", "parameters": {"f": 5}},
+         "profile expressions must be strings, got 5"),
+        ({"family": "product_cylinder", "parameters": {"base": ["s", None, "t"]}},
+         "base surface expressions must be strings, got None"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": ["1"]},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "curvature expressions must be strings, got ['1']"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -373,6 +400,30 @@ def test_skip_reasons_print_plain_floats(tmp_path, capsys):
     assert len(skipped) == 4
     assert "failed at [-1.0, 0.0]" in skipped[0]["reason"]
     assert all("np." not in s["reason"] for s in skipped)
+
+
+def _leaf_types(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return set().union(*map(_leaf_types, value))
+    return {type(value)}
+
+
+def test_full_report_leaves_are_exact_python_types():
+    # grid points reach records and skips as Python floats, not numpy
+    # scalars, like every other figure of the document
+    skipping = {
+        "components": ["s", "t", "u", "log(s)"],
+        "variables": ["s", "t", "u"],
+        "domain": {"s": [-1.0, 1.0], "t": [0.0, 1.0], "u": [0.0, 1.0]},
+    }
+    for spec in (load_spec("torus_so2_x_so2.json"), skipping):
+        m, echo = build_surface(spec)
+        report = classify_surface(m, GridSpec((3,) * m.n), include_structural=True)
+        assert report.records and (report.skipped or spec is not skipping)
+        doc = report_to_dict(report, echo, include_points=True)
+        assert _leaf_types(doc) <= {float, int, str, bool, type(None)}
 
 
 def test_check_exits_quietly_when_stdout_closes():

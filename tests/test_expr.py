@@ -64,6 +64,7 @@ def test_functions():
     assert math.isclose(ev("sqrt(abs(s))", s=-4.0), 2.0)
     assert math.isclose(ev("exp(log(s))", s=2.7), 2.7, rel_tol=1e-15)
     assert math.isclose(ev("tan(s)", s=0.5), math.tan(0.5))
+    assert ev("atan(s)", s=0.5) == math.atan(0.5)
 
 
 # -- rejected inputs, with byte offsets ----------------------------------------------------
@@ -215,6 +216,28 @@ def test_stacked_env_evaluates_row_by_row():
         eval_expr(e, env)
     env["k"] = jet_constant(np.full(3, 2.0), 2, 2)
     assert np.array_equal(eval_expr(e, env).value, ws * ws)
+
+
+def test_atan_on_every_route():
+    # printed and parsed back unchanged; the float route gives the jet
+    # route's value bit for bit, and each stacked row is the single jet
+    e = parse_expr("atan(s/t)-2*atan(-s^2)", ("s", "t"))
+    assert e.left == Call("atan", BinOp("/", Var("s"), Var("t")))
+    assert to_text(e) == "atan(s/t)-2.0*atan(-s^2.0)"
+    assert parse_expr(to_text(e), ("s", "t")) == e
+    rows = np.random.default_rng(11).uniform(0.2, 2.0, (7, 2)) * [[-1.0, 1.0]]
+    stack = {"s": jet_variable(0, rows[:, 0], 2, 3), "t": jet_variable(1, rows[:, 1], 2, 3)}
+    stacked = eval_expr(e, stack)
+    for i, (s, t) in enumerate(rows.tolist()):
+        one = eval_expr(e, {"s": jet_variable(0, s, 2, 3), "t": jet_variable(1, t, 2, 3)})
+        assert one.c.tobytes() == stacked.c[i].tobytes()
+        assert np.float64(eval_real(e, {"s": s, "t": t})).tobytes() == one.c[0].tobytes()
+
+
+def test_function_names_are_not_variable_names():
+    for name in ("atan", "sin", "abs"):
+        with pytest.raises(ValueError, match="shadows a function"):
+            parse_expr("s", ("s", name))
 
 
 def test_missing_variable_in_env():

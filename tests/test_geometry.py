@@ -21,7 +21,6 @@ from gcrkit.catalog import (
     so2_x_so2,
     special_sqrt2,
     tangent_cone,
-    tangent_developable_cylinder,
 )
 from gcrkit.geometry import (
     Immersion,
@@ -354,7 +353,7 @@ def test_tangent_cone_order3_jets_match_fd_oracle():
 def test_order3_evaluation_calls_mapping_once_per_point():
     # no stencil: one order-3 request is one evaluation at the point itself
     rng = np.random.default_rng(34)
-    for base in (tangent_cone(), curve_tube(), tangent_developable_cylinder()):
+    for base in (tangent_cone(), curve_tube()):
         seen = []
 
         def counting(seeds, base=base, seen=seen):
