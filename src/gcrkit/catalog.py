@@ -202,19 +202,27 @@ class HermiteCurve:
         return min(max(int(i), 0), self.knots.size - 2)
 
     def component(self, c: int, x):
-        """Evaluate component c at x, a float or a Jet, or row by row at a
-        1-D array of floats or a stack of jets."""
-        xv = x.value if isinstance(x, jet.Jet) else x
-        i = self._locate(xv)
-        tau = (x - self.knots[i]) * (1.0 / self._h[i])
-        poly = self._coeffs[i, :, c].T  # poly[k]: tau^k's coefficient, per row of a stack
-        acc = tau * poly[5] + poly[4]
-        for k in (3, 2, 1, 0):
-            acc = acc * tau + poly[k]
-        return acc
+        """Component c of ``evaluate(x)``."""
+        return self.evaluate(x)[c]
 
     def evaluate(self, x) -> list:
-        return [self.component(c, x) for c in range(self.dim)]
+        """Every component at x, a float or a Jet, or row by row at a 1-D
+        array of floats or a stack of jets, from one Horner pass over a stack
+        with one row per component (and per point).  A float goes through it
+        as a jet with its value slot alone, multiplied by ``np.multiply``."""
+        is_jet = isinstance(x, jet.Jet)
+        i = self._locate(x.value if is_jet else x)
+        tau = (x - self.knots[i]) * (1.0 / self._h[i])
+        z, product = ((tau.c, tau._t.product) if is_jet
+                      else (np.asarray(tau)[..., None], np.multiply))
+        # poly[k, c]: tau^k's coefficient in component c, per point of a stack
+        poly = np.moveaxis(self._coeffs[i], (-2, -1), (0, 1))
+        acc = z * poly[5][..., None]
+        acc[..., 0] += poly[4]
+        for k in (3, 2, 1, 0):
+            acc = product(acc, z)
+            acc[..., 0] += poly[k]
+        return [jet._make(tau._t, row) for row in acc] if is_jet else list(acc[..., 0])
 
 
 # -- unit-speed profile curves ---------------------------------------------------------
@@ -621,7 +629,8 @@ def _profile_chart(name: str, chart: Callable, f, g, box, profile=None) -> Immer
     if profile is not None:
         def mapping(seeds):
             s, t, u = seeds
-            return chart(profile.f_at(s), profile.g_at(s), t, u, _JET_OPS)
+            f_s, g_s = profile.curve.evaluate(s)
+            return chart(f_s, g_s, t, u, _JET_OPS)
 
         return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
     fe, ge = _parse_curve_exprs((f, g), ("s",), 2, "profile")
@@ -708,25 +717,22 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
 
     def mapping(seeds):
         s, v, w = seeds
-        order = s.order
+        t = s._t
         # the spherical normal consumes one derivative order, so the base
         # surface is re-seeded one order higher to keep the output exact
-        env = {
-            "v": jet.jet_variable(1, v.value, 3, order + 1),
-            "w": jet.jet_variable(2, w.value, 3, order + 1),
-        }
-        y_hi = base(env)
-        y_lo = [comp.truncated(order) for comp in y_hi]
-        y_v = [comp.partial(1) for comp in y_hi]
-        y_w = [comp.partial(2) for comp in y_hi]
-        t = y_lo[0]._t
-        columns = np.array([[x.c for x in col] for col in (y_lo, y_v, y_w)]).swapaxes(0, 1)
-        raw = [jet._make(t, row) for row in _cross_rows(columns, t.product)]
-        norm_sq = raw[0] * raw[0]
-        for comp in raw[1:]:
-            norm_sq = norm_sq + comp * comp
-        inv_norm = 1.0 / jet.sqrt(norm_sq)
-        return [s * y_lo[k] + c * (raw[k] * inv_norm) for k in range(4)]
+        hi = jet._table(3, t.order + 1)
+        env = {"v": jet.jet_variable(1, v.value, 3, hi.order),
+               "w": jet.jet_variable(2, w.value, 3, hi.order)}
+        y = np.stack([comp.c for comp in base(env)])
+        # y, y_v and y_w at the output order, as the columns of a (4, 3, ..., D) matrix
+        columns = np.stack([y[..., : t.size]] + [
+            y[..., hi.partial_src[k]] * hi.partial_fac[k] for k in (1, 2)
+        ], axis=1)
+        raw = _cross_rows(columns, t.product)
+        sq = t.product(raw, raw)
+        inv_norm = 1.0 / jet.sqrt(jet._make(t, sq[0] + sq[1] + sq[2] + sq[3]))
+        out = t.product(s.c, columns[:, 0]) + c * t.product(raw, inv_norm.c)
+        return [jet._make(t, row) for row in out]
 
     return Immersion.from_mapping("tangent_cone", mapping, ("s", "v", "w"), box)
 
@@ -751,15 +757,14 @@ def curve_tube(
 
     def mapping(seeds):
         s, v, w = seeds
-        a_of_w = curve({"w": w})
-        frame_a = frame.a_curve.evaluate(w)
-        frame_b = frame.b_curve.evaluate(w)
+        t = s._t
+        alpha, frame_a, frame_b = (np.stack([x.c for x in comps]) for comps in (
+            curve({"w": w}), frame.a_curve.evaluate(w), frame.b_curve.evaluate(w)))
         phase = v * (1.0 / c)
         cos_p, sin_p = jet.cos(phase), jet.sin(phase)
-        return [
-            s * a_of_w[k] + c * (cos_p * frame_a[k] + sin_p * frame_b[k])
-            for k in range(4)
-        ]
+        out = t.product(s.c, alpha) + c * (
+            t.product(cos_p.c, frame_a) + t.product(sin_p.c, frame_b))
+        return [jet._make(t, row) for row in out]
 
     return Immersion.from_mapping("curve_tube", mapping, ("s", "v", "w"), box)
 
@@ -822,7 +827,7 @@ def circular_hypercylinder(r=1.0, domain=None) -> Immersion:
 
 def hyperplane(offset=1.0, domain=None) -> Immersion:
     """Flat hyperplane (s, t, u, offset)."""
-    box = ((0.5, 2.0), (0.5, 2.0), (0.5, 2.0)) if domain is None else domain
+    box = _box(domain, ((0.5, 2.0), (0.5, 2.0), (0.5, 2.0)))
     return Immersion.from_exprs(
         "hyperplane", ("s", "t", "u", repr(_number(offset, "offset"))), ("s", "t", "u"), box
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from collections.abc import Sequence
 
 import numpy as np
@@ -366,8 +367,11 @@ class GridSpec:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 1 for c in self.counts):
-            raise ValueError("grid counts must be at least 1")
+        counts = self.counts
+        if not isinstance(counts, tuple | list) or not all(
+            isinstance(c, Integral) and not isinstance(c, bool) and c >= 1 for c in counts
+        ):
+            raise ValueError(f"grid counts must be integers of at least 1, got {counts!r}")
 
     def axes(self, domain: Sequence[Sequence[float]]) -> list[np.ndarray]:
         if len(self.counts) != len(domain):

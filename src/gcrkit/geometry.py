@@ -5,10 +5,12 @@ An :class:`Immersion` maps an n-dimensional chart (n = 2 or 3) into
 Euclidean (n+1)-space.  Everything here comes from exact jet evaluations at
 a point, or at a stack of points in one evaluation whose rows each carry the
 bits of their point alone: first fundamental form, oriented unit normal, second
-fundamental form, Christoffel symbols, shape operator, principal
-curvatures/directions, mean-curvature ladder, and the residuals of the
-Gauss and Codazzi equations (which hold for every immersion and therefore
-double as an end-to-end self-test of the derivative pipeline).  The
+fundamental form, shape operator, principal curvatures/directions,
+mean-curvature ladder, and the residuals of the Gauss and Codazzi equations
+(which hold for every immersion and therefore double as an end-to-end
+self-test of the derivative pipeline).  ``PointGeometry`` holds no
+Christoffel symbols: ``_christoffel`` computes them from it for the two
+callers that read them, the covariant derivative of h and the self-test.  The
 covariant derivative of the second fundamental form, from which
 ``gcr.structural_residuals`` takes the principal frame's derivatives in
 closed form, comes from order-3 geometry (``point_geometry(order=3)``), so
@@ -245,7 +247,6 @@ class PointGeometry:
     det_metric: float | np.ndarray  # det g, (P,) over a stack
     normal: np.ndarray         # oriented unit normal
     second_form: np.ndarray    # h_ij = <x_ij, N>
-    christoffel: np.ndarray    # [l, i, j] -> Gamma^l_ij
     shape: np.ndarray          # S = g^{-1} h
     third: np.ndarray | None = None  # third partials of x, from order-3 jets
 
@@ -254,16 +255,32 @@ class PointGeometry:
         return self.metric.shape[-1]
 
 
+def _dmetric(jac: np.ndarray, sec: np.ndarray) -> np.ndarray:
+    """dg[..., k, i, j] = d_k g_ij = <x_ki, x_j> + <x_i, x_kj>."""
+    dg = np.einsum("...cki,...cj->...kij", sec, jac)
+    return dg + dg.swapaxes(-1, -2)
+
+
+def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """dg[k, i, j] = d_k g_ij, the Christoffel numerator A, g^-1 and
+    gamma[l, i, j] = Gamma^l_ij of ``pg``, over any leading point axes: only
+    the covariant derivative of h and the self-test read them."""
+    dg = _dmetric(pg.jac, pg.second)
+    ginv = np.linalg.inv(pg.metric)
+    # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
+    a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
+    return dg, a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
+
+
 def _evaluate_geometry(
     m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool
-) -> tuple[PointGeometry, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[PointGeometry, np.ndarray]:
     """Geometry from one order-``order`` evaluation of ``m`` at ``q``, plus the
-    components' coefficient rows (n+1, D), dg[k, i, j] = d_k g_ij, the
-    Christoffel numerator and g^-1.  A stack ``q`` (P, n) gives each of them
-    a leading point axis, and each row the bits of its point alone.  Overflow
-    and its NaNs are caught once, here, instead of as numpy warnings: a point
-    whose jets or assembled geometry are not finite raises GeometryError, as
-    does a stack with one such row."""
+    components' coefficient rows (n+1, D).  A stack ``q`` (P, n) gives each
+    of them a leading point axis, and each row the bits of its point alone.
+    Overflow and its NaNs are caught once, here, instead of as numpy
+    warnings: a point whose jets, assembled geometry or d_k g_ij are not
+    finite raises GeometryError, as does a stack with one such row."""
     with np.errstate(all="ignore"):
         jets = evaluate_jets(m, q, order=order, check_domain=check_domain)
         coeffs = np.stack([x.c for x in jets], axis=-2)
@@ -285,14 +302,8 @@ def _evaluate_geometry(
         normal = v / np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
         h = np.einsum("...cij,...c->...ij", sec, normal)
         h = 0.5 * (h + h.swapaxes(-1, -2))
-        dg = np.einsum("...cki,...cj->...kij", sec, jac)
-        dg = dg + dg.swapaxes(-1, -2)
-        ginv = np.linalg.inv(g)
-        # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
-        a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
-        gamma = 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
         shape = np.linalg.solve(g, h)
-    checked = (coeffs, g, normal, dg, gamma, shape)
+        checked = (coeffs, g, normal, _dmetric(jac, sec), shape)
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
         raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
     pg = PointGeometry(
@@ -304,11 +315,10 @@ def _evaluate_geometry(
         det_metric=det_g if q.ndim == 2 else float(det_g),
         normal=normal,
         second_form=h,
-        christoffel=gamma,
         shape=shape,
         third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
     )
-    return pg, coeffs, dg, a, ginv
+    return pg, coeffs
 
 
 def point_geometry(
@@ -318,8 +328,9 @@ def point_geometry(
     check_domain: bool = True,
     order: int = 2,
 ) -> PointGeometry:
-    """Fundamental forms, normal, Christoffel symbols and shape operator from
-    one evaluation at jet order 2, or at order 3 with ``third`` filled."""
+    """Fundamental forms, normal and shape operator from one evaluation at
+    jet order 2, or at order 3 with ``third`` filled.  The Christoffel
+    symbols are left to the callers that read them (``_christoffel``)."""
     return _evaluate_geometry(m, np.asarray(p, dtype=float), order, eps_reg, check_domain)[0]
 
 
@@ -436,6 +447,7 @@ class DerivativeBundle:
     """Everything needed for the Gauss/Codazzi identities at one point."""
 
     pg: PointGeometry
+    christoffel: np.ndarray    # [l, i, j] -> Gamma^l_ij
     dnormal: np.ndarray        # [i, c] -> d_i N_c
     dsecond_form: np.ndarray   # [i, j, k] -> d_i h_jk
     dchristoffel: np.ndarray   # [k, l, i, j] -> d_k Gamma^l_ij
@@ -450,17 +462,11 @@ class DerivativeBundle:
         return num / (gu * gv - guv * guv)
 
 
-def _dsecond_form(pg: PointGeometry, normal: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """d_i h_jk at the point of order-3 geometry ``pg``, given the unit normal
-    and dn[i] = d_i N."""
-    return np.einsum("cijk,c->ijk", pg.third, normal) + np.einsum("cjk,ic->ijk", pg.second, dn)
-
-
 def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     """[..., l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am
     over the leading point axes of order-3 geometry ``pg``.  Unlike
-    _dsecond_form's einsum, its sums give each row the same bits whatever
-    rows sit beside it."""
+    derivative_bundle's matmuls, its sums give each row the same bits
+    whatever rows sit beside it."""
     # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
     # the self-test's independent normal jets stay in derivative_bundle, where
     # Codazzi checks them.
@@ -468,7 +474,7 @@ def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
           + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
     # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
-    gamma_h = _mm(np.moveaxis(pg.christoffel, -3, -1), pg.second_form[..., None, :, :])
+    gamma_h = _mm(np.moveaxis(_christoffel(pg)[3], -3, -1), pg.second_form[..., None, :, :])
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
@@ -479,46 +485,41 @@ def derivative_bundle(
     check_domain: bool = True,
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
-    pg, coeffs, dg, a, ginv = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
+    pg, coeffs = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
     # only N and dN are read: the order-1 normal of the order-2 prefix, which
     # by the prefix rule is the order-1 part of the order-2 normal bit for bit
-    order2 = _table(m.n, 2)
+    n, jac, sec, thr = m.n, pg.jac, pg.second, pg.third
+    order2 = _table(n, 2)
     nrows = _unit_normal_rows(coeffs[:, : order2.size], order2)[0]
-    dn = derivative_tensor(nrows, m.n, 1).T
-    dh = _dsecond_form(pg, nrows[:, 0].copy(), dn)
-    jac, sec, thr = pg.jac, pg.second, pg.third
-    g, gamma = pg.metric, pg.christoffel
+    dn = derivative_tensor(nrows, n, 1).T
 
-    d2g = (
-        np.einsum("ckli,cj->klij", thr, jac)
-        + np.einsum("cli,ckj->klij", sec, sec)
-        + np.einsum("cki,clj->klij", sec, sec)
-        + np.einsum("ci,cklj->klij", jac, thr)
-    )
-    da = (
-        np.einsum("kimj->kmij", d2g)
-        + np.einsum("kjmi->kmij", d2g)
-        - d2g
-    )
-    dginv = -np.einsum("la,kab,bm->klm", ginv, dg, ginv)
-    dgamma = 0.5 * (
-        np.einsum("klm,mij->klij", dginv, a) + np.einsum("lm,kmij->klij", ginv, da)
-    )
-
-    rup = (
-        np.einsum("iljk->ijkl", dgamma)
-        - np.einsum("jlik->ijkl", dgamma)
-        + np.einsum("mjk,lim->ijkl", gamma, gamma)
-        - np.einsum("mik,ljm->ijkl", gamma, gamma)
-    )
-    riemann = np.einsum("ijkm,ml->ijkl", rup, g)
+    # the tensor algebra below is matmuls over flattened index groups, and
+    # transposes that put the indices in place
+    # dh[i, j, k] = d_i h_jk = <x_ijk, N> + <x_jk, d_i N>
+    dh = (nrows[:, 0] @ thr.reshape(n + 1, -1)
+          + (dn @ sec.reshape(n + 1, -1)).ravel()).reshape((n,) * 3)
+    dg, a, ginv, gamma = _christoffel(pg)
+    # d2g[k, l, i, j] = <x_kli, x_j> + <x_li, x_kj> + <x_ki, x_lj> + <x_i, x_klj>
+    t1 = (thr.reshape(n + 1, -1).T @ jac).reshape((n,) * 4)
+    ss = (sec.reshape(n + 1, -1).T @ sec.reshape(n + 1, -1)).reshape((n,) * 4)
+    d2g = t1 + ss.transpose(2, 0, 1, 3) + ss.transpose(0, 2, 1, 3) + t1.swapaxes(-1, -2)
+    # dA[k, m, i, j] = d2g[k, i, m, j] + d2g[k, j, m, i] - d2g[k, m, i, j]
+    da = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
+    dginv = -(ginv @ dg @ ginv)
+    dgamma = 0.5 * ((dginv.reshape(n * n, n) @ a.reshape(n, -1)).reshape((n,) * 4)
+                    + (ginv @ da.reshape(n, n, -1)).reshape((n,) * 4))
+    # gg[l, i, j, k] = Gamma^l_im Gamma^m_jk
+    gg = (gamma.reshape(n * n, n) @ gamma.reshape(n, -1)).reshape((n,) * 4)
+    rup = (dgamma.transpose(0, 2, 3, 1) - dgamma.transpose(2, 0, 3, 1)
+           + gg.transpose(1, 2, 3, 0) - gg.transpose(2, 1, 3, 0))
 
     return DerivativeBundle(
         pg=pg,
+        christoffel=gamma,
         dnormal=dn,
         dsecond_form=dh,
         dchristoffel=dgamma,
-        riemann=riemann,
+        riemann=rup @ pg.metric,
     )
 
 
@@ -531,18 +532,15 @@ def codazzi_residual_from_bundle(
     verify the residual reacts to a corrupted second fundamental form.
     """
     h = bundle.pg.second_form if second_form is None else second_form
-    gamma = bundle.pg.christoffel
-    dh = bundle.dsecond_form
-    c = (
-        dh
-        - np.einsum("jik->ijk", dh)
-        - np.einsum("mik,jm->ijk", gamma, h)
-        + np.einsum("mjk,im->ijk", gamma, h)
-    )
+    gamma, dh = bundle.christoffel, bundle.dsecond_form
+    # hg[j, i, k] = h_jm Gamma^m_ik
+    hg = (h @ gamma.reshape(len(h), -1)).reshape(dh.shape)
+    c = dh - dh.transpose(1, 0, 2) - hg.transpose(1, 0, 2) + hg
     return float(np.max(np.abs(c)))
 
 
 def gauss_residual_from_bundle(bundle: DerivativeBundle) -> float:
     h = bundle.pg.second_form
-    rhs = np.einsum("jk,il->ijkl", h, h) - np.einsum("ik,jl->ijkl", h, h)
+    hh = np.multiply.outer(h, h)  # hh[a, b, c, d] = h_ab h_cd
+    rhs = hh.transpose(2, 0, 1, 3) - hh.transpose(0, 2, 1, 3)
     return float(np.max(np.abs(bundle.riemann - rhs)))

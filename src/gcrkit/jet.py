@@ -30,10 +30,10 @@ nilpotent part g - g(p), in Horner form over the same product; ``partial``
 is one gather and ``truncated`` one prefix slice.  ``grad``, ``hess``,
 ``third`` and ``fourth`` are derivative tensors gathered from ``c`` and
 scaled by a!, so they are exactly symmetric.  The product also multiplies
-stacks of coefficient rows (R, D) row by row, in one ``bincount`` over
-row-offset targets; each row sums the same terms in the same order as a
-single product, so it equals it bit for bit.  Two 1-D vectors take the
-plain single-jet call.
+stacks of coefficient rows (..., D) row by row, over any leading axes that
+broadcast, in one ``bincount`` over row-offset targets; each row sums the
+same terms in the same order as a single product, so it equals it bit for
+bit.  Two 1-D vectors take the plain single-jet call.
 
 Prefix rule: the order-k layout and tables are prefixes of the order-(k+1)
 ones, with pairs in row-major order, so every coefficient sums the same
@@ -159,17 +159,19 @@ class _Table:
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of the product of two jets ``(D,)``, or row by row of
-        two stacks ``(R, D)`` (one side may be a single jet, broadcast)."""
+        two stacks ``(..., D)`` over any leading axes, broadcast against each
+        other (so one side may be a single jet)."""
         if a.ndim == 1 and b.ndim == 1:
             return np.bincount(self.target, a[self.left] * b[self.right], self.size)
         terms = a[..., self.left] * b[..., self.right]
-        rows = terms.shape[0]
+        *lead, _ = terms.shape
+        rows = math.prod(lead)
         target = self._row_targets.get(rows)
         if target is None:
             target = (self.size * np.arange(rows)[:, None] + self.target).ravel()
             if rows <= _CACHED_ROWS:
                 self._row_targets[rows] = target
-        return np.bincount(target, terms.ravel(), rows * self.size).reshape(rows, self.size)
+        return np.bincount(target, terms.ravel(), rows * self.size).reshape(*lead, self.size)
 
 
 _table = functools.cache(_Table)

@@ -23,6 +23,7 @@ from gcrkit.gcr import (
     g_complement_basis,
     position_angles,
 )
+from gcrkit import geometry
 from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
 from gcrkit.jet import Jet
 
@@ -216,7 +217,7 @@ def structural_residuals_fd(m, p, tol_gap=1e-4, step=None):
         step = default_step(m)
     n = pg.n
     g = pg.metric
-    gamma = pg.christoffel
+    gamma = geometry._christoffel(pg)[3]
     mu, cos_t = pa.mu, pa.cos_theta
     sin_t = pa.xT_norm / mu
 

@@ -28,9 +28,11 @@ from gcrkit.catalog import (
     tangent_cone,
     tangent_developable_cylinder,
 )
-from gcrkit import jet
-from gcrkit.expr import parse_expr, to_text
-from gcrkit.geometry import Immersion, evaluate_jets, point_geometry, principal_data
+from gcrkit import catalog, jet
+from gcrkit.expr import Program, parse_expr, to_text
+from gcrkit.geometry import (
+    Immersion, _cross_rows, evaluate_jets, point_geometry, principal_data,
+)
 from gcrkit.gcr import gcr_residual, position_angles
 from gcrkit.jet import jet_variable
 
@@ -211,6 +213,9 @@ def test_domain_bounds_are_finite_numbers(bounds, message):
         # an integrated profile reads the first interval before the chart does
         with pytest.raises(CatalogError, match=f"^domain bounds? {message}"):
             make_family("so2_x_so2", kappa=1.0, domain=domain)
+        # hyperplane is no catalog tag, but takes a domain like the families
+        with pytest.raises(CatalogError, match=f"^domain bounds? {message}"):
+            hyperplane(domain=domain)
     # integers and numpy numbers are numbers
     m = so2_x_so2(domain=((np.float64(0.5), 2), (0, 6), (np.int64(0), 6.0)))
     assert m.domain == ((0.5, 2.0), (0.0, 6.0), (0.0, 6.0))
@@ -499,6 +504,145 @@ def test_tangent_developable_cylinder_matches_its_jet_mapping():
             for p in [*points, points]:
                 got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
                 assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
+
+
+def _hermite_component(curve, c, x):
+    """HermiteCurve's Horner loop for one component, as it ran once per
+    component before ``evaluate`` ran all of them in one pass; kept as the
+    reference for it."""
+    xv = x.value if isinstance(x, jet.Jet) else x
+    i = curve._locate(xv)
+    tau = (x - curve.knots[i]) * (1.0 / curve._h[i])
+    poly = curve._coeffs[i, :, c].T
+    acc = tau * poly[5] + poly[4]
+    for k in (3, 2, 1, 0):
+        acc = acc * tau + poly[k]
+    return acc
+
+
+def _tangent_cone_mapping(c, y_exprs):
+    """tangent_cone's mapping as it was written on twelve separate jets,
+    kept as the reference for the stacked one."""
+    base = Program(tuple(parse_expr(e, ("v", "w")) for e in y_exprs))
+
+    def mapping(seeds):
+        s, v, w = seeds
+        order = s.order
+        env = {
+            "v": jet.jet_variable(1, v.value, 3, order + 1),
+            "w": jet.jet_variable(2, w.value, 3, order + 1),
+        }
+        y_hi = base(env)
+        y_lo = [comp.truncated(order) for comp in y_hi]
+        y_v = [comp.partial(1) for comp in y_hi]
+        y_w = [comp.partial(2) for comp in y_hi]
+        t = y_lo[0]._t
+        columns = np.array([[x.c for x in col] for col in (y_lo, y_v, y_w)]).swapaxes(0, 1)
+        raw = [jet._make(t, row) for row in _cross_rows(columns, t.product)]
+        norm_sq = raw[0] * raw[0]
+        for comp in raw[1:]:
+            norm_sq = norm_sq + comp * comp
+        inv_norm = 1.0 / jet.sqrt(norm_sq)
+        return [s * y_lo[k] + c * (raw[k] * inv_norm) for k in range(4)]
+
+    return mapping
+
+
+def _curve_tube_mapping(c, alpha_exprs, frame):
+    """curve_tube's mapping as it was written component by component."""
+    curve = Program(tuple(parse_expr(e, ("w",)) for e in alpha_exprs))
+
+    def mapping(seeds):
+        s, v, w = seeds
+        a_of_w = curve({"w": w})
+        frame_a = [_hermite_component(frame.a_curve, k, w) for k in range(4)]
+        frame_b = [_hermite_component(frame.b_curve, k, w) for k in range(4)]
+        phase = v * (1.0 / c)
+        cos_p, sin_p = jet.cos(phase), jet.sin(phase)
+        return [
+            s * a_of_w[k] + c * (cos_p * frame_a[k] + sin_p * frame_b[k])
+            for k in range(4)
+        ]
+
+    return mapping
+
+
+def _profile_mapping(chart, profile):
+    """An integrated profile's chart with f and g read one component at a time."""
+
+    def mapping(seeds):
+        s, t, u = seeds
+        f = _hermite_component(profile.curve, 0, s)
+        g = _hermite_component(profile.curve, 1, s)
+        return chart(f, g, t, u, catalog._JET_OPS)
+
+    return mapping
+
+
+def test_hermite_evaluate_matches_the_per_component_loop():
+    # one pass over all components gives each component the bits of its own
+    # Horner loop: at floats, arrays of floats, single jets and stacks
+    rng = np.random.default_rng(43)
+    x = np.linspace(-1.0, 2.0, 7)
+    data = rng.standard_normal((3, 7, 4))
+    data[:, :3, 1] = 0.0  # signed zeros in the products
+    curve = HermiteCurve(x, *data)
+    at = np.r_[x, -0.0, -1.5, 2.5, rng.uniform(-1.0, 2.0, 9)]
+    inputs = [*at.tolist(), at]
+    for n, order in ((1, 1), (1, 3), (3, 2), (3, 3)):
+        inputs += [jet_variable(0, at, n, order), jet_variable(n - 1, 0.37, n, order)]
+    for arg in inputs:
+        got = curve.evaluate(arg)
+        assert len(got) == curve.dim
+        for c, value in enumerate(got):
+            want = _hermite_component(curve, c, arg)
+            assert type(value) is type(want)
+            if isinstance(want, jet.Jet):
+                assert (value.order, value.c.shape) == (want.order, want.c.shape)
+                value, want = value.c, want.c
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+            one = curve.component(c, arg)
+            assert np.asarray(getattr(one, "c", one)).tobytes() == np.asarray(want).tobytes()
+
+
+def _mapping_case(name):
+    """A jet-mapping chart and its per-component reference mapping."""
+    if name.startswith("tangent_cone"):
+        c = 0.25 if name == "tangent_cone" else -0.4
+        m = tangent_cone(c=c)
+        return m, _tangent_cone_mapping(c, catalog._DEFAULT_CONE_BASE)
+    if name.startswith("curve_tube"):
+        cd, sd = math.cos(0.5), math.sin(0.5)
+        alpha = (("cos(w)", "sin(w)", "0", "0") if name == "curve_tube" else
+                 (f"{cd}*cos(w)", f"{cd}*sin(w)", f"{sd}*cos(2*w)", f"{sd}*sin(2*w)"))
+        m = curve_tube(c=0.5, alpha=alpha, samples=201)
+        frame = build_normal_frame(alpha, catalog._padded(m.domain[2]), samples=201)
+        return m, _curve_tube_mapping(0.5, alpha, frame)
+    tag = name.removesuffix(" ODE")
+    chart, tu_box = {
+        "so2_x_so2": (catalog._so2_chart, ((0.0, TWO_PI), (0.0, TWO_PI))),
+        "hypercylinder_rotational": (catalog._cylinder_chart, ((0.0, TWO_PI), (-1.0, 1.0))),
+    }[tag]
+    domain = ((0.2, 1.4), *tu_box)
+    kappa, init = "0.4+0.1*s", (1.5, 0.4, 0.15)
+    m = make_family(tag, kappa=kappa, init=init, domain=domain)
+    profile = integrate_profile(kappa, catalog._padded(domain[0]), init, 1e-3)
+    return m, _profile_mapping(chart, profile)
+
+
+@pytest.mark.parametrize("name", ["tangent_cone", "tangent_cone c<0", "curve_tube",
+                                  "curve_tube knot", "so2_x_so2 ODE",
+                                  "hypercylinder_rotational ODE"])
+def test_stacked_mapping_charts_match_their_per_component_mappings(name):
+    # the stacked charts keep every operation and operand order, so each jet
+    # coefficient agrees bit for bit at orders 1-3, at one point and on a stack
+    m, reference = _mapping_case(name)
+    ref = Immersion.from_mapping(m.name, reference, m.var_names, m.domain)
+    points = np.array(sample_points(m, np.random.default_rng(44), 12, margin=0.0))
+    for order in (1, 2, 3):
+        for p in [*points, points]:
+            got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
+            assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
 
 
 def test_product_cylinder_base_validation():

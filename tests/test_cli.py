@@ -300,6 +300,26 @@ def test_overflowing_components_skip_points_quietly(tmp_path, capfd):
     assert reasons[1.0] == "evaluation failed: jets or geometry not finite at [1.0, 1.0]"
 
 
+def test_only_christoffel_symbols_overflowing_is_no_plain_skip(tmp_path, capfd):
+    # at s = 0, d_s g_ss = 1.6e308 is finite but the Christoffel numerator
+    # 2 d_s g_ss is not: a plain check never computes Gamma and classifies the
+    # points, --full needs it for the covariant derivative of h and skips them
+    spec = write_spec(tmp_path, "gamma.json", {
+        "components": ["s", "t", "u", "1e8*s+4e299*s^2"],
+        "variables": ["s", "t", "u"],
+        "domain": {"s": [0, 1], "t": [0.5, 1], "u": [0.5, 1]},
+    })
+    assert main(["check", spec, "--grid", "3"]) == EXIT_OK
+    doc = json.loads(capfd.readouterr().out)
+    assert doc["summary"]["points_regular"] == 9
+    assert {entry["point"][0] for entry in doc["skipped"]} == {0.5, 1.0}
+    assert main(["check", spec, "--grid", "3", "--full"]) == EXIT_SINGULAR
+    assert capfd.readouterr().err == (
+        "error: no regular grid point: first failure at [0.0, 0.5, 0.5] "
+        "(evaluation failed: overflow encountered in multiply)\n"
+    )
+
+
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
     st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),

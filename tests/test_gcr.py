@@ -310,6 +310,17 @@ def test_grid_spec_points():
         GridSpec((3,)).points(dom)
 
 
+@pytest.mark.parametrize("counts", [(True, 2, 2), (2, False), (2.5, 2, 2), (2.0, 2),
+                                    (2, "3"), (0, 2), (-1,), 3, None])
+def test_grid_counts_must_be_integers_of_at_least_one(counts):
+    # a bool is no count (True would sample one point), nor is a float
+    with pytest.raises(ValueError) as err:
+        GridSpec(counts)
+    assert str(err.value) == f"grid counts must be integers of at least 1, got {counts!r}"
+    grid = GridSpec((np.int64(2), 1))  # numpy integers are integers
+    assert grid.points(((0.0, 1.0), (0.0, 2.0))).tolist() == [[0.0, 1.0], [1.0, 1.0]]
+
+
 def test_tolerances_dict_round_trip():
     t = Tolerances(tol_gcr=1e-6)
     d = t.as_dict()
@@ -495,6 +506,30 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     if full:
         assert rep.jet_order == (3 if m.n == 3 else 2)
         assert any(r.structural is not None for r in rep.records)
+
+
+def test_christoffel_symbols_are_computed_only_where_read(monkeypatch):
+    # the plain sweep never reads them; --full computes them once per block,
+    # for the rows that passed the primary test, and the self-test once
+    rows = []
+    exact = geometry._christoffel
+
+    def counting(pg):
+        rows.append(len(pg.metric) if pg.metric.ndim == 3 else None)
+        return exact(pg)
+
+    monkeypatch.setattr(geometry, "_christoffel", counting)
+    monkeypatch.setattr(gcr, "_BLOCK", 10)
+    m, grid = make_family("so2_x_so2"), GridSpec((3, 3, 3))
+    classify_surface(m, grid)
+    assert rows == []
+    rep = classify_surface(m, grid, include_structural=True)
+    checked = [r.structural is not None for r in rep.records]
+    assert rows == [sum(checked[i : i + 10]) for i in range(0, 27, 10)]
+    assert sum(rows) == 27 - sum(r.degenerate for r in rep.records) > 0
+    rows.clear()
+    derivative_bundle(m, (1.0, 0.7, 0.6))
+    assert rows == [None]
 
 
 @pytest.mark.parametrize("full", [False, True])

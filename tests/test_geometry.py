@@ -291,6 +291,69 @@ def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
     assert codazzi_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
 
 
+def _einsum_tail(bundle):
+    """Gamma^l_ij, d_i h_jk, d_k Gamma^l_ij, the Riemann tensor and both
+    residuals of ``bundle`` by the einsums derivative_bundle ran before its
+    tensor algebra became matmuls and transposes, kept as the reference for
+    them."""
+    pg = bundle.pg
+    dg, a, ginv, gamma = geometry._christoffel(pg)
+    jac, sec, thr, g, h = pg.jac, pg.second, pg.third, pg.metric, pg.second_form
+    d2g = (
+        np.einsum("ckli,cj->klij", thr, jac)
+        + np.einsum("cli,ckj->klij", sec, sec)
+        + np.einsum("cki,clj->klij", sec, sec)
+        + np.einsum("ci,cklj->klij", jac, thr)
+    )
+    da = np.einsum("kimj->kmij", d2g) + np.einsum("kjmi->kmij", d2g) - d2g
+    dginv = -np.einsum("la,kab,bm->klm", ginv, dg, ginv)
+    dgamma = 0.5 * (
+        np.einsum("klm,mij->klij", dginv, a) + np.einsum("lm,kmij->klij", ginv, da)
+    )
+    rup = (
+        np.einsum("iljk->ijkl", dgamma)
+        - np.einsum("jlik->ijkl", dgamma)
+        + np.einsum("mjk,lim->ijkl", gamma, gamma)
+        - np.einsum("mik,ljm->ijkl", gamma, gamma)
+    )
+    riemann = np.einsum("ijkm,ml->ijkl", rup, g)
+    dh = np.einsum("cijk,c->ijk", thr, pg.normal) + np.einsum("cjk,ic->ijk", sec, bundle.dnormal)
+    codazzi = (
+        dh
+        - np.einsum("jik->ijk", dh)
+        - np.einsum("mik,jm->ijk", gamma, h)
+        + np.einsum("mjk,im->ijk", gamma, h)
+    )
+    rhs = np.einsum("jk,il->ijkl", h, h) - np.einsum("ik,jl->ijkl", h, h)
+    return gamma, dh, dgamma, riemann, float(np.max(np.abs(codazzi))), float(
+        np.max(np.abs(riemann - rhs)))
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_self_test_tail_matches_its_einsum_reference(tag):
+    # the matmul tail sums in another order than einsum, so each figure
+    # agrees to 1e-13 of the largest term that enters it: a flat chart's
+    # Riemann tensor is rounding alone, and so is every residual
+    def biggest(x):
+        return float(np.max(np.abs(x)))
+
+    m = make_family(tag)
+    for p in sample_points(m, np.random.default_rng(45), 6):
+        b = derivative_bundle(m, p)
+        gamma, dh, dgamma, riemann, codazzi, gauss = _einsum_tail(b)
+        assert b.christoffel.tobytes() == gamma.tobytes()
+        h_size = biggest(b.pg.second_form)
+        # the reference takes the float normal, the bundle the unit normal jets' value
+        assert biggest(b.dsecond_form - dh) <= 1e-13 * (
+            biggest(b.pg.third) + biggest(b.pg.second) * biggest(b.dnormal))
+        assert biggest(b.dchristoffel - dgamma) <= 1e-13 * biggest(dgamma)
+        r_size = (biggest(dgamma) + biggest(gamma) ** 2) * biggest(b.pg.metric)
+        assert biggest(b.riemann - riemann) <= 1e-13 * r_size
+        c_size = biggest(dh) + biggest(gamma) * h_size
+        assert abs(codazzi_residual_from_bundle(b) - codazzi) <= 1e-13 * c_size
+        assert abs(gauss_residual_from_bundle(b) - gauss) <= 1e-13 * (r_size + h_size**2)
+
+
 def test_sphere_sectional_curvature_sign_and_value():
     for r in (1.0, 2.0):
         m = rotational(
