@@ -3,10 +3,10 @@
 # the gcrkit sources and bundled specs of the checkout at ROOT:
 #   .github/scripts/reports.sh ROOT OUT_DIR
 # That is each bundled spec plus bench/specs/so2_x_so2_ode.json, plain,
-# --full and --full --format csv, on its own grid and at --grid 3 (66 reports
-# with the ten bundled specs), then `families --json` and `eval --point 1,1,1`
-# on special_sqrt2.json and curve_tube.json.  A numpy RuntimeWarning fails the
-# run: it is a silent inf or NaN.
+# --format csv, --full and --full --format csv, on its own grid and at
+# --grid 3 (88 reports with the ten bundled specs), then `families --json`
+# and `eval --point 1,1,1` on special_sqrt2.json and curve_tube.json.  A numpy
+# RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -18,7 +18,7 @@ run() {
 for spec in "$root"/src/gcrkit/specs/*.json "$root"/bench/specs/so2_x_so2_ode.json; do
   name=$(basename "$spec" .json)
   for grid in "" "--grid 3"; do
-    for flags in "" "--full" "--full --format csv"; do
+    for flags in "" "--format csv" "--full" "--full --format csv"; do
       tag=$(echo $name $grid $flags | tr ' ' '_' | tr -d '-')
       run check "$spec" $grid $flags > "$out/$tag.out"
     done

@@ -388,13 +388,12 @@ def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float
 @dataclass
 class NormalFrame:
     """Sampled orthonormal frame (A, B) of the normal space of a curve on the
-    unit 3-sphere, with Hermite interpolants for exact-jet evaluation."""
+    unit 3-sphere, and one Hermite interpolant of A then B for exact jets."""
 
     w: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    a_curve: HermiteCurve = field(repr=False)
-    b_curve: HermiteCurve = field(repr=False)
+    curve: HermiteCurve = field(repr=False)
     gram_error: float = 0.0
 
 
@@ -495,8 +494,9 @@ def build_normal_frame(
     stacked jet evaluation.  The transport is linear with rank-one stages, so
     each step and its projection fold into one 4x4 matrix, built from those
     rows as array expressions; the sequential part is a matrix product and a
-    Gram-Schmidt per sample.  The knot data of the Hermite interpolants
-    comes from the transport rule, also as array expressions.
+    Gram-Schmidt per sample.  The knot data of the frame's Hermite
+    interpolant, A and B side by side, comes from the transport rule, also
+    as array expressions.
     """
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
     lo, hi = _bounds(w_range, "frame bound")
@@ -590,15 +590,9 @@ def build_normal_frame(
         )
         gram_error = max(gram_error, err)
 
-    a_curve = HermiteCurve(w_arr, pairs[:, 0], first[:, 0], second[:, 0])
-    b_curve = HermiteCurve(w_arr, pairs[:, 1], first[:, 1], second[:, 1])
+    curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
     return NormalFrame(
-        w=w_arr,
-        a=pairs[:, 0],
-        b=pairs[:, 1],
-        a_curve=a_curve,
-        b_curve=b_curve,
-        gram_error=gram_error,
+        w=w_arr, a=pairs[:, 0], b=pairs[:, 1], curve=curve, gram_error=gram_error
     )
 
 
@@ -758,12 +752,12 @@ def curve_tube(
     def mapping(seeds):
         s, v, w = seeds
         t = s._t
-        alpha, frame_a, frame_b = (np.stack([x.c for x in comps]) for comps in (
-            curve({"w": w}), frame.a_curve.evaluate(w), frame.b_curve.evaluate(w)))
+        alpha = np.stack([x.c for x in curve({"w": w})])
+        frame_ab = np.stack([x.c for x in frame.curve.evaluate(w)])  # A, then B
         phase = v * (1.0 / c)
         cos_p, sin_p = jet.cos(phase), jet.sin(phase)
         out = t.product(s.c, alpha) + c * (
-            t.product(cos_p.c, frame_a) + t.product(sin_p.c, frame_b))
+            t.product(cos_p.c, frame_ab[:4]) + t.product(sin_p.c, frame_ab[4:]))
         return [jet._make(t, row) for row in out]
 
     return Immersion.from_mapping("curve_tube", mapping, ("s", "v", "w"), box)

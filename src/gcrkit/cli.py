@@ -298,14 +298,10 @@ def _tolerances_from_spec(spec: dict, tol_gcr: float | None) -> Tolerances:
     merged = {**allowed, **doc}
     if tol_gcr is not None:
         merged["tol_gcr"] = tol_gcr
-    return Tolerances(**{k: _tolerance(k, v) for k, v in merged.items()})
-
-
-def _tolerance(name: str, value) -> float:
-    x = _number(value)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise SpecError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
-    return x
+    try:
+        return Tolerances(**merged)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def _number(value) -> float:
@@ -540,10 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # reader gone (`| head`): no traceback; devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SpecError, CatalogError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except OutOfDomainError as exc:
+    except (SpecError, CatalogError, ExprError, OutOfDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (GeometryError, DegeneratePointError, FloatingPointError) as exc:

@@ -14,7 +14,8 @@ curvature).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
 from collections.abc import Sequence
 
@@ -399,6 +400,17 @@ class Tolerances:
     tol_gap: float = 1e-4
     eps_reg: float = EPS_REG
     eps_tan_rel: float = 1e-8
+
+    def __post_init__(self):
+        # each field a finite int or float >= 0, not a bool or a numeric
+        # string; compared as it is, so an int beyond float range fails too
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if isinstance(x, bool) or not (
+                isinstance(x, (int, float)) and 0 <= x <= sys.float_info.max
+            ):
+                raise ValueError(f"tolerance {f.name!r} must be a finite number >= 0, got {x!r}")
+            object.__setattr__(self, f.name, float(x))
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -1,7 +1,8 @@
 """Per-sample reference implementations of the set-up integrators.
 
-``build_normal_frame`` below evaluates the spherical curve one abscissa at a
-time and builds each transport step's matrix as it reaches it, and
+``frame_knot_data`` below evaluates the spherical curve one abscissa at a
+time and builds each transport step's matrix as it reaches it (and
+``build_normal_frame`` interpolates its knot data), and
 ``integrate_profile`` steps its RK4 one stage at a time, calling the
 curvature at every stage.  Production evaluates the curve in one stacked
 jet evaluation and builds the step matrices as array expressions, and reads
@@ -13,6 +14,10 @@ included.
 written: one RK4 stage at a time from the transport rule, with the
 projection as a separate step.  It checks the step matrices' arithmetic to
 rounding.
+
+``pair_curves`` keeps A and B as two interpolants on the same knots, as the
+frame did before one interpolant carried both; production's joint
+interpolant must equal them side by side, bit for bit.
 """
 
 import math
@@ -84,11 +89,12 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
 
 
-def build_normal_frame(alpha, w_range, samples=801):
-    """Normal frame of a spherical curve by RK4 transport, evaluating the
-    curve's order-3 jet at each abscissa as the loop reaches it and building
-    each step's matrix from those rows; input validation is left to
-    production."""
+def frame_knot_data(alpha, w_range, samples=801):
+    """Knots, frame pairs (A, B), their first and second derivatives and the
+    largest Gram error of a spherical curve's normal frame by RK4 transport,
+    evaluating the curve's order-3 jet at each abscissa as the loop reaches
+    it and building each step's matrix from those rows; input validation is
+    left to production."""
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
     lo, hi = float(w_range[0]), float(w_range[1])
 
@@ -130,12 +136,23 @@ def build_normal_frame(alpha, w_range, samples=801):
         _orthonormalize(pair)
         node = nxt
 
-    a_curve = HermiteCurve(w_arr, pairs[:, 0], first[:, 0], second[:, 0])
-    b_curve = HermiteCurve(w_arr, pairs[:, 1], first[:, 1], second[:, 1])
-    return NormalFrame(
-        w=w_arr, a=pairs[:, 0], b=pairs[:, 1], a_curve=a_curve, b_curve=b_curve,
-        gram_error=gram_error,
-    )
+    return w_arr, pairs, first, second, gram_error
+
+
+def build_normal_frame(alpha, w_range, samples=801):
+    """The frame of ``frame_knot_data``, with A and B read from one
+    eight-component interpolant, A's four components first."""
+    w_arr, pairs, first, second, gram_error = frame_knot_data(alpha, w_range, samples)
+    curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
+    return NormalFrame(w=w_arr, a=pairs[:, 0], b=pairs[:, 1], curve=curve, gram_error=gram_error)
+
+
+def pair_curves(alpha, w_range, samples=801):
+    """A and B as two four-component interpolants on the same knots, the way
+    the frame kept them before it kept one; the reference for the joint
+    interpolant."""
+    w_arr, pairs, first, second, _ = frame_knot_data(alpha, w_range, samples)
+    return tuple(HermiteCurve(w_arr, pairs[:, k], first[:, k], second[:, k]) for k in (0, 1))
 
 
 def build_normal_frame_by_stages(alpha, w_range, samples=801):
@@ -235,8 +252,6 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
         if nxt[1] @ nxt[1] < 1e-16:
             raise CatalogError(f"curve is not regular near w = {wv + h:.6g}")
 
-    a_curve = HermiteCurve(w_arr, a_rows, a_d1, a_d2)
-    b_curve = HermiteCurve(w_arr, b_rows, b_d1, b_d2)
-    return NormalFrame(
-        w=w_arr, a=a_rows, b=b_rows, a_curve=a_curve, b_curve=b_curve, gram_error=gram_error
-    )
+    curve = HermiteCurve(w_arr, *(np.hstack(x) for x in (
+        (a_rows, b_rows), (a_d1, b_d1), (a_d2, b_d2))))
+    return NormalFrame(w=w_arr, a=a_rows, b=b_rows, curve=curve, gram_error=gram_error)

@@ -232,8 +232,7 @@ def test_great_circle_frame_is_constant():
     frame = build_normal_frame(GREAT_CIRCLE, (0.0, TWO_PI), samples=201)
     assert frame.gram_error < 1e-9
     for w in np.linspace(0.1, TWO_PI - 0.1, 9):
-        a = np.array(frame.a_curve.evaluate(float(w)))
-        b = np.array(frame.b_curve.evaluate(float(w)))
+        a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
         assert np.allclose(a, [0, 0, 1, 0], atol=1e-9)
         assert np.allclose(b, [0, 0, 0, 1], atol=1e-9)
 
@@ -250,8 +249,7 @@ def test_torus_knot_frame_constraints():
         js = [eval_expr(parse_expr(e, ("w",)), env) for e in alpha]
         av = np.array([j.value for j in js])
         dv = np.array([j.grad[0] for j in js])
-        a = np.array(frame.a_curve.evaluate(float(w)))
-        b = np.array(frame.b_curve.evaluate(float(w)))
+        a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
         for vec in (a, b):
             assert abs(vec @ vec - 1.0) < 1e-8
             assert abs(vec @ av) < 1e-8
@@ -555,8 +553,8 @@ def _curve_tube_mapping(c, alpha_exprs, frame):
     def mapping(seeds):
         s, v, w = seeds
         a_of_w = curve({"w": w})
-        frame_a = [_hermite_component(frame.a_curve, k, w) for k in range(4)]
-        frame_b = [_hermite_component(frame.b_curve, k, w) for k in range(4)]
+        frame_a = [_hermite_component(frame.curve, k, w) for k in range(4)]
+        frame_b = [_hermite_component(frame.curve, k, w) for k in range(4, 8)]
         phase = v * (1.0 / c)
         cos_p, sin_p = jet.cos(phase), jet.sin(phase)
         return [
@@ -643,6 +641,27 @@ def test_stacked_mapping_charts_match_their_per_component_mappings(name):
         for p in [*points, points]:
             got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
             assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
+
+
+def test_curve_tube_reads_its_frame_once_per_mapping_call(monkeypatch):
+    # A and B come from one eight-component interpolant, read once per call
+    # at a single point and on a stack
+    dims = []
+    evaluate = HermiteCurve.evaluate
+
+    def counted(curve, x):
+        dims.append(curve.dim)
+        return evaluate(curve, x)
+
+    monkeypatch.setattr(HermiteCurve, "evaluate", counted)
+    m = curve_tube(samples=201)
+    points = np.array(sample_points(m, np.random.default_rng(45), 6, margin=0.0))
+    for order in (1, 2, 3):
+        for p in [points[0], points]:
+            dims.clear()
+            out = m.mapping([jet_variable(i, p[..., i], 3, order) for i in range(3)])
+            assert len(out) == 4
+            assert dims == [8]
 
 
 def test_product_cylinder_base_validation():

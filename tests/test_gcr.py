@@ -328,6 +328,29 @@ def test_tolerances_dict_round_trip():
     assert Tolerances(**d) == t
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol_gcr", math.nan), ("tol_const_rel", math.inf), ("tol_gap", "1e-4"),
+    ("eps_reg", True), ("eps_tan_rel", -1e-9), ("tol_gcr", None),
+    ("tol_gcr", np.float32(1e-7)),  # numpy's float32 is no Python float
+])
+def test_tolerances_must_be_finite_numbers_of_at_least_zero(name, value):
+    # the Python API refuses what the CLI refuses, with the CLI's message
+    with pytest.raises(ValueError) as err:
+        Tolerances(**{name: value})
+    assert str(err.value) == f"tolerance {name!r} must be a finite number >= 0, got {value!r}"
+
+
+def test_tolerances_name_the_first_bad_field_and_hold_floats():
+    with pytest.raises(ValueError, match="^tolerance 'tol_const_rel' "):
+        Tolerances(eps_tan_rel=-1.0, tol_gap=math.nan, tol_const_rel=math.inf)
+    with pytest.raises(ValueError, match="^tolerance 'tol_gap' .* got 1000+$"):
+        Tolerances(tol_gap=10**400)  # an int beyond float range
+    t = Tolerances(tol_gcr=1, tol_gap=np.float64(0.5), eps_reg=0)
+    assert t.as_dict() == {"tol_gcr": 1.0, "tol_const_rel": 1e-6, "tol_gap": 0.5,
+                           "eps_reg": 0.0, "eps_tan_rel": 1e-8}
+    assert all(type(v) is float for v in t.as_dict().values())
+
+
 def test_classify_flags_on_self_similar_family():
     rep = classify_surface(special_sqrt2(), GridSpec((4, 4, 4)))
     assert rep.is_gcr and rep.is_cmc and rep.is_3_minimal and rep.is_delta2_ideal

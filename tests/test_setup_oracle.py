@@ -17,6 +17,7 @@ import pytest
 import gcrkit.catalog as catalog
 import gcrkit.expr as expr
 import setup_oracle
+from gcrkit import jet
 from gcrkit.catalog import CatalogError, PartialCurveError, build_normal_frame, integrate_profile
 from gcrkit.expr import ExprEvalError
 
@@ -72,8 +73,7 @@ def test_frame_matches_per_sample_oracle(label, monkeypatch):
     assert len(out) == 4 and all(a.c.shape[0] == env["w"].c.shape[0] > 1 for a in out)
     for name in ("w", "a", "b"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("a_curve", "b_curve"):
-        assert np.array_equal(getattr(got, name)._coeffs, getattr(want, name)._coeffs), name
+    assert np.array_equal(got.curve._coeffs, want.curve._coeffs)
     assert got.gram_error == want.gram_error
 
 
@@ -84,10 +84,31 @@ def test_frame_matches_stage_by_stage_transport(label):
     got = build_normal_frame(alpha, w_range, samples)
     for name in ("a", "b"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13, name
-    for name in ("a_curve", "b_curve"):
-        diff = getattr(got, name)._coeffs - getattr(want, name)._coeffs
-        assert np.max(np.abs(diff)) <= 1e-13, name
+    assert np.max(np.abs(got.curve._coeffs - want.curve._coeffs)) <= 1e-13
     assert got.gram_error <= 1e-14
+
+
+@pytest.mark.parametrize("label", sorted(_CURVES))
+def test_joint_frame_curve_is_the_two_pair_curves_side_by_side(label):
+    # one eight-component interpolant holds A's and B's coefficients side by
+    # side, and every jet it gives at orders 1-3 has the bits of the per-pair
+    # interpolants', at single points and on stacks, knots and ends included
+    alpha, w_range, samples = _CURVES[label]
+    joint = build_normal_frame(alpha, w_range, samples).curve
+    a_curve, b_curve = setup_oracle.pair_curves(alpha, w_range, samples)
+    assert joint.dim == 8
+    want = np.concatenate([a_curve._coeffs, b_curve._coeffs], axis=-1)
+    assert joint._coeffs.tobytes() == want.tobytes()
+    lo, hi = w_range
+    at = np.r_[joint.knots[[0, 1, samples // 2, -1]], lo - 0.05, hi + 0.05,
+               np.random.default_rng(18).uniform(lo, hi, 31)]
+    for order in (1, 2, 3):
+        for w in [*(jet.jet_variable(0, v, 1, order) for v in at[:6].tolist()),
+                  jet.jet_variable(0, at, 1, order),
+                  jet.jet_variable(2, at, 3, order)]:
+            got = [x.c.tobytes() for x in joint.evaluate(w)]
+            ref = [x.c.tobytes() for x in a_curve.evaluate(w) + b_curve.evaluate(w)]
+            assert got == ref
 
 
 _FAILING_CURVES = {
@@ -164,3 +185,15 @@ def test_profile_failures_match_stage_by_stage_oracle(label, trap):
     assert str(got.value) == str(want.value)
     assert got.value.last_s == want.value.last_s
     assert type(got.value.__cause__) is type(want.value.__cause__)
+
+
+def test_profile_through_a_float_only_root_matches_stage_by_stage_oracle():
+    # sqrt(s) at s = 0 is a float but no jet: the stacked read seeds order-1
+    # jets, and a jet's sqrt refuses 0 for its derivative, so the curvature
+    # must then be read as floats.  The result is the per-stage loop's, bit
+    # for bit, however the stacked read is replaced.
+    want = setup_oracle.integrate_profile("sqrt(s)", (0.0, 1.0))
+    got = integrate_profile("sqrt(s)", (0.0, 1.0))
+    for name in ("s", "f", "g", "angle"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.curve._coeffs.tobytes() == want.curve._coeffs.tobytes()
