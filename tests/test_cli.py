@@ -229,9 +229,6 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ),
         # a bool or a numeric string is not a number
         ({"family": "special_sqrt2", "tolerances": {"tol_gcr": True}}, "got True"),
-        # an integer beyond float range is no finite number either
-        ({"family": "special_sqrt2", "tolerances": {"tol_gap": 10**400}},
-         "tolerance 'tol_gap' must be a finite number >= 0, got 1000"),
         ({"components": ["s", "t", "0"], "variables": ["s", "t"],
           "domain": {"s": ["-1", "1"], "t": [0, 1]}}, "got ['-1', '1']"),
         # family numbers too: no bool, no numeric string, nothing non-finite
@@ -270,6 +267,9 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "so2_x_so2", "parameters": {"kappa": ["1"]},
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
          "curvature expressions must be strings, got ['1']"),
+        # an integer beyond float range is no finite number either
+        ({"family": "special_sqrt2", "tolerances": {"tol_gap": 10**400}},
+         "tolerance 'tol_gap' must be a finite number >= 0, got 1000"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
