@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral, Real
@@ -110,10 +111,18 @@ def _parse_curve_exprs(
     return tuple(out)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number (not a bool) inside the float
+    range, compared as it is: an int beyond it is not, and float() of it
+    would overflow."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def _number(value, what: str) -> float:
     """A family parameter as a float: a finite int or float, not a bool or a
     numeric string."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
+    if not _finite(value):
         raise CatalogError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -263,9 +272,11 @@ def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
     program run on a stack of order-1 seeds, whose value column has each
     entry's float bits), and as text.  Both raise ValueError at the first
     NaN abscissa: float arithmetic gives 0*inf = NaN quietly."""
-    if isinstance(kappa, bool):
-        raise CatalogError(f"curvature must be a number or an expression in s, got {kappa!r}")
-    if isinstance(kappa, (int, float)):
+    if isinstance(kappa, (int, float)):  # a bool too, which _finite refuses
+        if not _finite(kappa):
+            raise CatalogError(
+                f"curvature must be a finite number or an expression in s, got {kappa!r}"
+            )
         expr = Const(float(kappa))
     else:
         (expr,) = _parse_curve_exprs((kappa,), ("s",), 1, "curvature")
@@ -302,15 +313,15 @@ def integrate_profile(
     lo, hi = _bounds(s_range, "integration bound")
     if not hi > lo:
         raise CatalogError(f"empty integration range [{lo}, {hi}]")
-    if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
+    if not (_finite(step) and step > 0):
         raise CatalogError(f"integration step must be a finite number > 0, got {step!r}")
     if not (hi - lo) / step <= _MAX_PROFILE_STEPS:
         raise CatalogError(
             f"integration step {step!r} over [{lo}, {hi}] exceeds "
             f"{_MAX_PROFILE_STEPS} steps"
         )
-    y0 = [float(v) for v in init if isinstance(v, Real) and not isinstance(v, bool)]
-    if len(init) != 3 or len(y0) != 3 or not all(map(math.isfinite, y0)):
+    y0 = [float(v) for v in init if _finite(v)]
+    if len(init) != 3 or len(y0) != 3:
         raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
     kfun, krows, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .catalog import FAMILY_TAGS, CatalogError, family_catalog, make_family
+from .catalog import FAMILY_TAGS, CatalogError, _finite, family_catalog, make_family
 from .expr import ExprError
 from .geometry import (
     GeometryError,
@@ -305,11 +305,9 @@ def _tolerances_from_spec(spec: dict, tol_gcr: float | None) -> Tolerances:
 
 
 def _number(value) -> float:
-    """``value`` as a float, NaN unless it is an int or a float (not a bool
-    or a numeric string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return math.nan
-    return float(value)
+    """``value`` as a float, NaN unless it is a number in the float range
+    (not a bool or a numeric string)."""
+    return float(value) if _finite(value) else math.nan
 
 
 # -- report assembly ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ curvature).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -560,7 +561,10 @@ def classify_surface(
     # numpy overflow or NaN in a point's figures, or a metric too degenerate
     # for its complement basis, skips the point like a failed evaluation;
     # assembly itself refuses non-finite jets and geometry
-    with np.errstate(all="raise", under="ignore"):
+    # an expression chart's program reuses, from one point to the next, the
+    # steps whose variables kept their values
+    sweep = m.program._sweep() if m.program is not None else contextlib.nullcontext()
+    with np.errstate(all="raise", under="ignore"), sweep:
         for start in range(0, len(points), _BLOCK):
             block = points[start : start + _BLOCK]
             # the plain sweep still assembles point by point, as bench/run.py

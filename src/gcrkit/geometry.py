@@ -283,7 +283,9 @@ def _evaluate_geometry(
     finite raises GeometryError, as does a stack with one such row."""
     with np.errstate(all="ignore"):
         jets = evaluate_jets(m, q, order=order, check_domain=check_domain)
-        coeffs = np.stack([x.c for x in jets], axis=-2)
+        coeffs = np.array([x.c for x in jets])
+        if q.ndim == 2:
+            coeffs = coeffs.swapaxes(0, -2)
         n = m.n
         pos = coeffs[..., 0].copy()  # a strided view would round differently in products
         jac = derivative_tensor(coeffs, n, 1)

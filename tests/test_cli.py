@@ -270,6 +270,21 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         # an integer beyond float range is no finite number either
         ({"family": "special_sqrt2", "tolerances": {"tol_gap": 10**400}},
          "tolerance 'tol_gap' must be a finite number >= 0, got 1000"),
+        # nor anywhere else a spec takes a number
+        ({"family": "tangent_cone", "parameters": {"c": 10**400}},
+         "c must be a finite number, got 1000"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "step": 10**400},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "integration step must be a finite number > 0, got 1000"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1", "init": [0, 10**400, 0]},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "init must be three finite numbers (f0, g0, angle0), got [0, 1000"),
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [0, 10**400], "t": [0, 1]}},
+         "domain['s'] must be two numbers a finite width apart, got [0, 1000"),
+        ({"family": "so2_x_so2", "parameters": {"kappa": 10**400},
+          "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
+         "curvature must be a finite number or an expression in s, got 1000"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -325,7 +340,7 @@ def test_only_christoffel_symbols_overflowing_is_no_plain_skip(tmp_path, capfd):
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
-    st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 10**400]),
     st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=2),
 )
 _EXPRS = st.sampled_from([
