@@ -201,6 +201,10 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
     unknown = set(spec) - known
     if unknown:
         raise SpecError(f"unknown spec fields: {sorted(unknown)}")
+    # every spec so far is version 1; a bool, float or string is no version
+    version = spec.get("schema_version", 1)
+    if type(version) is not int or version != 1:
+        raise SpecError(f"schema_version must be the integer 1, got {version!r}")
 
     has_family = "family" in spec
     has_raw = "components" in spec

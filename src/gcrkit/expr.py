@@ -19,10 +19,8 @@ deeper than _MAX_DEPTH levels is a syntax error.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 import struct
-import threading
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -340,23 +338,12 @@ class Program:
     with an environment, it returns one value per root, a constant broadcast
     to the first bound jet's shape.  Domain and range failures (math's
     ValueError and ArithmeticError, and JetDomainError) leave as
-    ExprEvalError.
-
-    Each step records the variables it reads: a load its own, any other step
-    those of its operands.  Within one sweep (``_sweep``), a call on single
-    jets compares each variable's jet (its table, so arity and order, and its
-    coefficient bytes) with the previous successful call's in that sweep,
-    reruns in walk order only the steps that read a changed variable, and
-    takes every other slot from that call.  Steps are pure and jets
-    immutable, and a sweep's calls share one numpy error state, so the
-    values, and the first step to fail, are those of a full run.  Floats,
-    stacks and calls outside a sweep run every step."""
+    ExprEvalError."""
 
     def __init__(self, roots: Sequence[Expr]):
         index: dict = {}  # float bits, a name or a step (fn, i, j) -> its slot
         self._slots: list = [None]  # slot 0 holds the environment
         self._code: list[tuple] = []  # (slot, fn, operand, operand or None)
-        self._state = None  # in a sweep: (thread, variable keys, slots) of its last call
 
         def slot(key, value=None) -> int:
             if key not in index:
@@ -384,65 +371,15 @@ class Program:
             raise TypeError(f"not an expression node: {node!r}")
 
         self._outputs = [emit(root) for root in roots]
-        # the loaded variables in walk order, and per step the bit mask
-        # (bit b for variable b) of those it reads
-        self._vars = tuple(self._slots[j] for _, fn, _, j in self._code if fn is _load)
-        reads: dict = {}
-        for k, fn, i, j in self._code:
-            reads[k] = (1 << self._vars.index(self._slots[j]) if fn is _load
-                        else reads.get(i, 0) | reads.get(j, 0))
-        self._reads = [reads[k] for k, *_ in self._code]
-        self._plans: dict[int, list[tuple]] = {}  # changed variables' mask -> steps to rerun
-
-    @contextlib.contextmanager
-    def _sweep(self):
-        """One sweep in the calling thread: its calls on single jets may
-        reuse the previous successful one's steps.  The state starts empty
-        and is dropped on exit."""
-        self._state = (threading.get_ident(), None, None)
-        try:
-            yield
-        finally:
-            self._state = None
-
-    def _keys(self, env: Mapping) -> list | None:
-        """Per loaded variable, its single jet's table and coefficient bytes;
-        None unless each is bound to a single jet."""
-        keys = []
-        for name in self._vars:
-            v = env.get(name)
-            if not isinstance(v, Jet) or v.c.ndim != 1:
-                return None
-            keys.append((v._t, v.c.tobytes()))
-        return keys
-
-    def _plan(self, changed: int) -> list[tuple]:
-        code = self._plans.get(changed)
-        if code is None:
-            code = self._plans[changed] = [
-                step for step, reads in zip(self._code, self._reads) if reads & changed
-            ]
-        return code
 
     def __call__(self, env: Mapping[str, float | Jet]) -> list[float | Jet]:
-        slots, code, keys, state = self._slots, self._code, None, self._state
-        if state is not None and state[0] == threading.get_ident():
-            keys = self._keys(env)
-            if keys is not None and state[1] is not None:
-                changed = 0
-                for b, (key, last) in enumerate(zip(keys, state[1])):
-                    if key != last:
-                        changed |= 1 << b
-                slots, code = state[2], self._plan(changed)
-        slots = slots.copy()
+        slots = self._slots.copy()
         slots[0] = env
         try:
-            for k, fn, i, j in code:
+            for k, fn, i, j in self._code:
                 slots[k] = fn(slots[i]) if j is None else fn(slots[i], slots[j])
         except (ValueError, ArithmeticError) as exc:
             raise ExprEvalError(str(exc)) from exc
-        if keys is not None:
-            self._state = (state[0], keys, slots)
         out = [slots[k] for k in self._outputs]
         probe = next(iter(env.values()), None)
         if isinstance(probe, Jet):

@@ -13,7 +13,6 @@ curvature).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -32,6 +31,8 @@ from .geometry import (
     SingularPointError,
     _evaluate_geometry,
     _fix_direction_signs,
+    _handing_over,
+    _jet_rows,
     _mm,
     _mv,
     _nabla_second_form,
@@ -517,25 +518,33 @@ def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
                    stacked: bool) -> tuple[PointGeometry | None, list]:
     """The geometry of the points of ``block`` (P, n) that assemble, as one
     block (None if no point does), and per point None or why it is skipped.
-    Stacked, the block is the one evaluation of all points; if that raises,
-    or unstacked, each point is assembled on its own and meets its own error
-    with its own text, and the assembled ones are stacked once."""
-    if stacked:
-        try:
-            return _evaluate_geometry(m, block, order, eps_reg, False)[0], [None] * len(block)
-        # a mapping written for one point may fail on a stack in any way
-        except Exception:  # noqa: BLE001
-            pass
+    The block's jets come from one stacked evaluation.  Stacked, the block is
+    assembled from it at once; if that raises, or unstacked, each point is
+    assembled by point_geometry from its rows of it, or, if the stacked
+    evaluation raised, from its own evaluation, and meets its own error with
+    its own text; the assembled ones are stacked once."""
+    coeffs = None
+    try:
+        with np.errstate(all="ignore"):
+            coeffs = _jet_rows(m, block, order, False)
+        if stacked:
+            pg = _evaluate_geometry(m, block, order, eps_reg, False, coeffs)[0]
+            return pg, [None] * len(block)
+    # a mapping written for one point may fail on a stack in any way, and a
+    # stacked assembly fails on any bad row
+    except Exception:  # noqa: BLE001
+        pass
     found, reasons = [], []
-    for p in block:
-        reason = None
-        try:
-            found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order))
-        except SingularPointError as exc:
-            reason = f"singular metric (det g = {exc.det_g:.3e})"
-        except (GeometryError, ExprError, FloatingPointError) as exc:
-            reason = f"evaluation failed: {exc}"
-        reasons.append(reason)
+    with _handing_over(m, order, block, coeffs):
+        for p in block:
+            reason = None
+            try:
+                found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order))
+            except SingularPointError as exc:
+                reason = f"singular metric (det g = {exc.det_g:.3e})"
+            except (GeometryError, ExprError, FloatingPointError) as exc:
+                reason = f"evaluation failed: {exc}"
+            reasons.append(reason)
     return (_stack(found) if found else None), reasons
 
 
@@ -546,10 +555,10 @@ def classify_surface(
     include_structural: bool = False,
 ) -> SurfaceReport:
     """Sweep a grid, in grid order, and aggregate per-point geometry into
-    classification flags.  With include_structural, each block's geometry is
-    assembled from one stacked evaluation, otherwise point by point; the
-    figures after it run in blocks.  Either way every row has the bits of the
-    per-point functions."""
+    classification flags.  Each block's jets come from one stacked
+    evaluation; with include_structural its geometry is assembled from them
+    at once, otherwise point by point; the figures after it run in blocks.
+    Either way every row has the bits of the per-point functions."""
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
@@ -561,15 +570,12 @@ def classify_surface(
     # numpy overflow or NaN in a point's figures, or a metric too degenerate
     # for its complement basis, skips the point like a failed evaluation;
     # assembly itself refuses non-finite jets and geometry
-    # an expression chart's program reuses, from one point to the next, the
-    # steps whose variables kept their values
-    sweep = m.program._sweep() if m.program is not None else contextlib.nullcontext()
-    with np.errstate(all="raise", under="ignore"), sweep:
+    with np.errstate(all="raise", under="ignore"):
         for start in range(0, len(points), _BLOCK):
             block = points[start : start + _BLOCK]
             # the plain sweep still assembles point by point, as bench/run.py
             # asserts one point_geometry call per point there; once it counts
-            # evaluated rows, stacked=True stacks the plain sweep too
+            # evaluated rows, stacked=True stacks its assembly too
             pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
             classified = iter([] if pg is None else _classify_rows(pg, tols, include_structural))
             for p, reason in zip(map(tuple, block.tolist()), reasons):

@@ -23,9 +23,11 @@ normal, the unit normal jets and ``catalog.tangent_cone``'s spherical normal.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Sequence
 
@@ -272,20 +274,28 @@ def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return dg, a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
 
 
+def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np.ndarray:
+    """The components' coefficient rows (n+1, D) from one order-``order``
+    evaluation of ``m`` at ``q``, or (P, n+1, D) at a stack ``q`` (P, n),
+    under the caller's numpy error state."""
+    coeffs = np.array([x.c for x in evaluate_jets(m, q, order=order, check_domain=check_domain)])
+    return coeffs.swapaxes(0, -2) if q.ndim == 2 else coeffs
+
+
 def _evaluate_geometry(
-    m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool
+    m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool,
+    coeffs: np.ndarray | None = None,
 ) -> tuple[PointGeometry, np.ndarray]:
-    """Geometry from one order-``order`` evaluation of ``m`` at ``q``, plus the
-    components' coefficient rows (n+1, D).  A stack ``q`` (P, n) gives each
-    of them a leading point axis, and each row the bits of its point alone.
-    Overflow and its NaNs are caught once, here, instead of as numpy
-    warnings: a point whose jets, assembled geometry or d_k g_ij are not
-    finite raises GeometryError, as does a stack with one such row."""
+    """Geometry from one order-``order`` evaluation of ``m`` at ``q``, or from
+    the coefficient rows ``coeffs`` of one (``_jet_rows``), plus those rows.
+    A stack ``q`` (P, n) gives each of them a leading point axis, and each
+    row the bits of its point alone.  Overflow and its NaNs are caught once,
+    here, instead of as numpy warnings: a point whose jets, assembled
+    geometry or d_k g_ij are not finite raises GeometryError, as does a stack
+    with one such row."""
     with np.errstate(all="ignore"):
-        jets = evaluate_jets(m, q, order=order, check_domain=check_domain)
-        coeffs = np.array([x.c for x in jets])
-        if q.ndim == 2:
-            coeffs = coeffs.swapaxes(0, -2)
+        if coeffs is None:
+            coeffs = _jet_rows(m, q, order, check_domain)
         n = m.n
         pos = coeffs[..., 0].copy()  # a strided view would round differently in products
         jac = derivative_tensor(coeffs, n, 1)
@@ -323,6 +333,26 @@ def _evaluate_geometry(
     return pg, coeffs
 
 
+# A block's coefficient rows, handed by classify_surface from its one stacked
+# evaluation to its per-point point_geometry calls: (immersion, jet order,
+# rows by point bytes) while the block runs, in the thread that runs it.
+_handoff = threading.local()
+
+
+@contextlib.contextmanager
+def _handing_over(m: Immersion, order: int, points: np.ndarray, coeffs: np.ndarray | None):
+    """While the block runs, point_geometry of ``m`` at order ``order`` at a
+    row of ``points`` (P, n), in this thread, reads that row of ``coeffs``
+    (P, n+1, D) instead of evaluating ``m``; with coeffs None it evaluates."""
+    _handoff.rows = None if coeffs is None else (
+        m, order, dict(zip((p.tobytes() for p in points), coeffs))
+    )
+    try:
+        yield
+    finally:
+        _handoff.rows = None
+
+
 def point_geometry(
     m: Immersion,
     p: Sequence[float],
@@ -332,8 +362,17 @@ def point_geometry(
 ) -> PointGeometry:
     """Fundamental forms, normal and shape operator from one evaluation at
     jet order 2, or at order 3 with ``third`` filled.  The Christoffel
-    symbols are left to the callers that read them (``_christoffel``)."""
-    return _evaluate_geometry(m, np.asarray(p, dtype=float), order, eps_reg, check_domain)[0]
+    symbols are left to the callers that read them (``_christoffel``).  In a
+    classification block the evaluation is the point's rows of the block's
+    stacked one, which equal its own bit for bit."""
+    q = np.asarray(p, dtype=float)
+    coeffs = None
+    held = getattr(_handoff, "rows", None)
+    if held is not None and held[0] is m and held[1] == order and q.shape == (m.n,):
+        coeffs = held[2].get(q.tobytes())
+        if coeffs is not None and check_domain and not m.contains(q):
+            raise OutOfDomainError(q, m.domain)
+    return _evaluate_geometry(m, q, order, eps_reg, check_domain, coeffs)[0]
 
 
 # -- principal curvatures ---------------------------------------------------------------

@@ -33,7 +33,9 @@ scaled by a!, so they are exactly symmetric.  The product also multiplies
 stacks of coefficient rows (..., D) row by row, over any leading axes that
 broadcast, in one ``bincount`` over row-offset targets; each row sums the
 same terms in the same order as a single product, so it equals it bit for
-bit.  Two 1-D vectors take the plain single-jet call.
+bit.  An operand of more than ``_ROW_CHUNK`` rows is multiplied that many
+rows at a time, with the same bits.  Two 1-D vectors take the plain
+single-jet call.
 
 Prefix rule: the order-k layout and tables are prefixes of the order-(k+1)
 ones, with pairs in row-major order, so every coefficient sums the same
@@ -163,23 +165,33 @@ class _Table:
         other (so one side may be a single jet)."""
         if a.ndim == 1 and b.ndim == 1:
             return np.bincount(self.target, a[self.left] * b[self.right], self.size)
+        if max(a.size // a.shape[-1], b.size // b.shape[-1]) > _ROW_CHUNK:
+            # the terms take len(self.target) floats a row: multiply a tall
+            # stack a chunk of rows at a time
+            lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+            rows = math.prod(lead)
+            a, b = (np.broadcast_to(x, (*lead, x.shape[-1])).reshape(rows, -1) for x in (a, b))
+            out = np.empty((rows, self.size))
+            for i in range(0, rows, _ROW_CHUNK):
+                chunk = slice(i, i + _ROW_CHUNK)
+                out[chunk] = self.product(a[chunk], b[chunk])
+            return out.reshape(*lead, self.size)
         terms = a[..., self.left] * b[..., self.right]
         *lead, _ = terms.shape
         rows = math.prod(lead)
         target = self._row_targets.get(rows)
         if target is None:
             target = (self.size * np.arange(rows)[:, None] + self.target).ravel()
-            if rows <= _CACHED_ROWS:
-                self._row_targets[rows] = target
+            self._row_targets[rows] = target
         return np.bincount(target, terms.ravel(), rows * self.size).reshape(*lead, self.size)
 
 
 _table = functools.cache(_Table)
 
 
-# Product targets are kept for stacks of at most _CACHED_ROWS rows; a taller
-# one-off stack builds them per call.
-_CACHED_ROWS = 4096
+# Operands of more rows are multiplied this many rows at a time, which bounds
+# the product's transient terms and the row targets a table keeps.
+_ROW_CHUNK = 256
 
 _COLUMN0 = (slice(None), 0)  # a stack's value column
 

@@ -285,6 +285,17 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "so2_x_so2", "parameters": {"kappa": 10**400},
           "domain": {"s": [0.2, 1.2], "t": [0, 6], "u": [0, 6]}},
          "curvature must be a finite number or an expression in s, got 1000"),
+        # a spec's schema_version, when given, is the integer 1
+        ({"family": "special_sqrt2", "schema_version": 7},
+         "schema_version must be the integer 1, got 7"),
+        ({"family": "special_sqrt2", "schema_version": True},
+         "schema_version must be the integer 1, got True"),
+        ({"family": "special_sqrt2", "schema_version": 1.0},
+         "schema_version must be the integer 1, got 1.0"),
+        ({"family": "special_sqrt2", "schema_version": "1"},
+         "schema_version must be the integer 1, got '1'"),
+        ({"family": "special_sqrt2", "schema_version": None},
+         "schema_version must be the integer 1, got None"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -458,7 +458,8 @@ def _assert_slots_close(out, want):
     tree=_trees,
     n=st.integers(1, 3),
     order=st.integers(1, 4),
-    rows=st.integers(1, 30),
+    # or more rows than the product multiplies at once, in chunks and a rest
+    rows=st.one_of(st.integers(1, 30), st.just(2 * jet._ROW_CHUNK + 3)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stack_rows_match_single_jets(tree, n, order, rows, seed):
@@ -517,3 +518,4 @@ def test_row_targets_stay_bounded():
     big = np.ones((200_001, t.size))
     assert np.array_equal(t.product(big, big)[-1], t.product(big[0], big[0]))
     assert 200_001 not in t._row_targets  # about 16 MiB, built per call
+    assert max(t._row_targets) <= jet._ROW_CHUNK  # tall stacks go a chunk at a time

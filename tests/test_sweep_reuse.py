@@ -1,10 +1,13 @@
-"""Step reuse inside one grid sweep: an expression chart's Program reruns only
-the steps that read a variable whose jet changed since the previous successful
-call of the same sweep, and the jets, records and errors stay those of a full
-run."""
+"""Reuse within one grid sweep: each block's jets come from one stacked
+evaluation, and the block's per-point point_geometry calls read their rows of
+it instead of evaluating the chart again.  The hand-off is private to the
+block and to the thread that runs it, and every row, record, skip text and
+error stays that of a point evaluated on its own."""
 
 import contextlib
+import dataclasses
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -12,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrkit import catalog, cli, expr, gcr
-from gcrkit.expr import ExprError, parse_expr
+from gcrkit import catalog, cli, gcr, geometry
+from gcrkit.expr import ExprError
 from gcrkit.gcr import EmptyReportError, GridSpec, classify_surface
 from gcrkit.geometry import (
-    EvaluationError, Immersion, derivative_bundle, evaluate_jets, point_geometry,
+    EPS_REG, EvaluationError, GeometryError, Immersion, OutOfDomainError, SingularPointError,
+    derivative_bundle, evaluate_jets, point_geometry,
 )
-from gcrkit.jet import jet_variable
 
 # every catalog builder whose default chart is compiled from expressions
 EXPRESSION_FAMILIES = [
@@ -27,7 +30,19 @@ EXPRESSION_FAMILIES = [
     catalog.rotational, catalog.so2_x_so2, catalog.special_sqrt2,
     catalog.spherical_hypercylinder, catalog.tangent_developable_cylinder,
 ]
-# log(t) fails at t <= 0 after s*s has run; its steps read s or t alone
+
+
+def so2_x_so2_ode() -> Immersion:
+    """so2_x_so2 with an integrated profile: a jet mapping over Hermite data."""
+    return catalog.make_family(
+        "so2_x_so2", kappa="0.4+0.1*s", init=(1.5, 0.4, 0.15),
+        domain=((0.0, 1.6), (0.0, 2 * math.pi), (0.0, 2 * math.pi)))
+
+
+# the charts that evaluate a jet mapping instead of a program
+MAPPING_CHARTS = [catalog.tangent_cone, catalog.curve_tube, so2_x_so2_ode]
+
+# log(t) fails at t <= 0 after s*s has run
 LOG_CHART = Immersion.from_exprs("log", ["s", "t", "log(t)+s*s"], ["s", "t"],
                                  [(0.5, 1.5), (-1.0, 1.0)])
 
@@ -37,26 +52,45 @@ def sweep_chart() -> Immersion:
     return catalog.so2_x_so2(f="2.0+cos(s)", g="1.5+0.3*sin(s)")
 
 
-def same_jets(a, b) -> bool:
-    return len(a) == len(b) and all(
-        x.n == y.n and x.order == y.order and x.c.tobytes() == y.c.tobytes()
-        for x, y in zip(a, b)
-    )
+def held():
+    return getattr(geometry._handoff, "rows", None)
 
 
-def outcome(m, p, order):
-    """The jets of ``m`` at ``p``, or the text of the error they raise."""
+def bits(pg) -> list:
+    """Every field of a PointGeometry, or a row of a block, as type and bytes."""
+    return [(type(v), None if v is None else np.asarray(v).tobytes())
+            for v in (getattr(pg, f.name) for f in dataclasses.fields(pg))]
+
+
+def cold(m, p, order):
+    """The geometry of ``m`` at ``p`` evaluated on its own, or the skip text
+    a sweep gives it."""
     try:
-        return evaluate_jets(m, p, order=order, check_domain=False)
-    except EvaluationError as exc:
-        return str(exc)
+        return point_geometry(m, p, check_domain=False, order=order)
+    except SingularPointError as exc:
+        return f"singular metric (det g = {exc.det_g:.3e})"
+    except (GeometryError, ExprError, FloatingPointError) as exc:
+        return f"evaluation failed: {exc}"
 
 
-def assert_same(warm, cold):
-    if isinstance(cold, str):
-        assert warm == cold
+def assert_same(warm, want):
+    if isinstance(want, str):
+        assert warm == want
     else:
-        assert same_jets(warm, cold)
+        assert bits(warm) == bits(want)
+
+
+def counting_evaluations(monkeypatch) -> list:
+    """(jet order, rows) of every evaluate_jets call."""
+    calls = []
+    original = geometry.evaluate_jets
+
+    def counting(m, p, order=3, check_domain=True):
+        calls.append((order, len(np.reshape(p, (-1, m.n)))))
+        return original(m, p, order, check_domain)
+
+    monkeypatch.setattr(geometry, "evaluate_jets", counting)
+    return calls
 
 
 def steps_run(program):
@@ -73,224 +107,259 @@ def steps_run(program):
     return log
 
 
-def reads(program) -> dict:
-    """Per step slot, the variables its value depends on, from the operand
-    graph."""
-    out = {}
-    for k, fn, i, j in program._code:
-        out[k] = ({program._slots[j]} if fn is expr._load
-                  else out.get(i, set()) | out.get(j, set()))
-    return out
-
-
-@pytest.mark.parametrize("family", EXPRESSION_FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("family", EXPRESSION_FAMILIES + MAPPING_CHARTS,
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_warm_jets_equal_cold_jets_bit_for_bit(family, order):
+def test_warm_jets_equal_cold_jets_bit_for_bit(monkeypatch, family, order):
+    # the rows a block hands over are each point's own evaluation bit for bit,
+    # and so is the geometry point_geometry assembles from them
     m = family()
     lo, hi = np.array(m.domain).T
     base = lo + 0.37 * (hi - lo)
     moved = lo + 0.71 * (hi - lo)
-    # the next point differs from the last in one, two or all coordinates,
-    # and comes back to the base point in between
-    walk = [base]
-    for size in range(1, m.n + 1):
-        for axes in itertools.combinations(range(m.n), size):
-            q = base.copy()
-            q[list(axes)] = moved[list(axes)]
-            walk += [q, base]
-    cold = [outcome(m, p, order) for p in walk]
-    with m.program._sweep():
-        warm = [outcome(m, p, order) for p in walk]
-    for w, c in zip(warm, cold):
+    # points that differ from the last in one, two or all coordinates
+    block = [base]
+    for axis in range(m.n):
+        q = block[-1].copy()
+        q[axis] = moved[axis]
+        block += [q, base]
+    block = np.array(block)
+    rows = geometry._jet_rows(m, block, order, False)
+    for p, row in zip(block, rows):
+        assert row.tobytes() == geometry._jet_rows(m, p, order, False).tobytes()
+    if order == 1:
+        return  # geometry needs second partials
+    want = [cold(m, p, order) for p in block]
+    evaluated = counting_evaluations(monkeypatch)
+    with geometry._handing_over(m, order, block, rows):
+        warm = [point_geometry(m, p, check_domain=False, order=order) for p in block]
+    assert evaluated == []
+    for w, c in zip(warm, want):
         assert_same(w, c)
 
 
-def test_orders_and_arities_are_told_apart():
-    # one program seen at orders 1-3, and at arity 3 and 2: the same values
-    # with other tables share no step; (n=3, order 2) and (n=2, order 3) have
-    # ten coefficients each
-    program = expr.Program([parse_expr("s*s+sin(t)", ["s", "t", "u"])])
-    envs = [
-        {name: jet_variable(i, v, n, order) for i, (name, v) in
-         enumerate(zip(["s", "t", "u"][:n], [0.4, 0.9, 0.1]))}
-        for n, order in [(3, 2), (2, 3), (3, 1), (3, 2), (2, 3), (3, 3), (2, 1)]
-    ]
-    cold = [program(env) for env in envs]
-    with program._sweep():
-        warm = [program(env) for env in envs]
-    for w, c in zip(warm, cold):
-        assert same_jets(w, c)
-
-
-def test_a_call_that_raised_partway_publishes_nothing():
-    # (1.2, -0.5) fails at log(t) before s*s reruns for s = 1.2; the next
-    # point differs from the last successful one in s alone, so it must
-    # rerun s*s instead of keeping a slot of the failed call
-    walk = [(1.0, 0.5), (1.2, -0.5), (1.2, 0.5), (1.2, 0.0), (1.0, 0.0), (1.0, 0.5)]
-    cold = [outcome(LOG_CHART, p, 2) for p in walk]
-    assert "log is undefined" in cold[1]
-    with LOG_CHART.program._sweep():
-        warm = [outcome(LOG_CHART, p, 2) for p in walk]
-    for w, c in zip(warm, cold):
+def test_orders_and_arities_are_told_apart(monkeypatch):
+    # a hand-off serves its own chart at its own jet order: the same point at
+    # another order, of an equal chart or of a 2-variable chart evaluates anew
+    m, twin = sweep_chart(), sweep_chart()
+    flat = Immersion.from_exprs("flat", ["s", "t", "s*t"], ["s", "t"], [(0, 2), (0, 2)])
+    block = np.array([(1.0, 0.5, 0.5), (1.2, 0.5, 0.5)])
+    want = [cold(m, block[0], 3), cold(twin, block[0], 2), cold(flat, block[0][:2], 2),
+            cold(m, block[1], 2)]
+    rows = geometry._jet_rows(m, block, 2, False)
+    evaluated = counting_evaluations(monkeypatch)
+    with geometry._handing_over(m, 2, block, rows):
+        warm = [point_geometry(m, block[0], order=3), point_geometry(twin, block[0]),
+                point_geometry(flat, block[0][:2]), point_geometry(m, block[1])]
+    assert evaluated == [(3, 1), (2, 1), (2, 1)]
+    for w, c in zip(warm, want):
         assert_same(w, c)
+
+
+def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
+    # the block's stacked evaluation fails at log(t) after s*s ran: nothing is
+    # handed over, and each point is evaluated on its own, with its own text
+    block = np.array([(1.0, 0.5), (1.2, -0.5), (1.2, 0.5), (1.2, 0.0), (1.0, 0.5)])
+    with pytest.raises(EvaluationError, match="log is undefined"):
+        evaluate_jets(LOG_CHART, block, order=2, check_domain=False)
+    seen = []
+    original = gcr.point_geometry
+    monkeypatch.setattr(gcr, "point_geometry",
+                        lambda *a, **k: seen.append(held()) or original(*a, **k))
+    with np.errstate(all="raise", under="ignore"):
+        pg, reasons = gcr._geometry_rows(LOG_CHART, block, 2, EPS_REG, stacked=False)
+    assert seen == [None] * 5
+    assert reasons[1] == ("evaluation failed: component evaluation failed at [1.2, -0.5]: "
+                          "log is undefined or not differentiable at -0.5")
+    want = [cold(LOG_CHART, p, 2) for p in block]
+    assert reasons == [w if isinstance(w, str) else None for w in want]
+    kept = [w for w in want if not isinstance(w, str)]
+    for i, w in enumerate(kept):
+        assert bits(geometry._row(pg, i)) == bits(w)
 
 
 @settings(max_examples=60, deadline=None)
 @given(walk=st.lists(st.tuples(st.sampled_from([0.5, 0.75, 1.5]),
                                st.sampled_from([-1.0, 0.0, 0.25, 1.0])),
                      min_size=1, max_size=12),
-       order=st.integers(1, 3))
-def test_any_walk_with_failures_matches_cold_calls(walk, order):
-    cold = [outcome(LOG_CHART, p, order) for p in walk]
-    with LOG_CHART.program._sweep():
-        warm = [outcome(LOG_CHART, p, order) for p in walk]
-    for w, c in zip(warm, cold):
-        assert_same(w, c)
+       order=st.integers(2, 3), stacked=st.booleans())
+def test_any_walk_with_failures_matches_cold_calls(walk, order, stacked):
+    block = np.array(walk)
+    with np.errstate(all="raise", under="ignore"):
+        pg, reasons = gcr._geometry_rows(LOG_CHART, block, order, EPS_REG, stacked)
+    want = [cold(LOG_CHART, p, order) for p in block]
+    assert reasons == [w if isinstance(w, str) else None for w in want]
+    kept = [w for w in want if not isinstance(w, str)]
+    assert (pg is None) == (not kept)
+    for i, w in enumerate(kept):
+        assert bits(geometry._row(pg, i)) == bits(w)
+    assert held() is None
 
 
-def test_sweep_reruns_only_the_steps_of_changed_variables(monkeypatch):
-    m = sweep_chart()
-    program = m.program
-    depends = reads(program)
-    order = [k for k, *_ in program._code]
-    log = steps_run(program)
-    calls = []  # (point, slots of the steps it ran)
+def test_sweep_evaluates_each_block_once(monkeypatch):
+    # the plain sweep runs every program step once per block, on the stack,
+    # and calls point_geometry once per point, each reading the block's rows
+    reading = []
+    original = gcr.point_geometry
 
     def traced(m, p, *args, **kwargs):
-        start = len(log)
-        pg = point_geometry(m, p, *args, **kwargs)
-        calls.append((tuple(p), log[start:]))
-        return pg
+        rows = held()
+        reading.append(rows is not None and rows[0] is m and p.tobytes() in rows[2])
+        return original(m, p, *args, **kwargs)
 
     monkeypatch.setattr(gcr, "point_geometry", traced)
-    report = classify_surface(m, GridSpec((8, 8, 8)))
-    assert not report.skipped and len(calls) == 512
-    assert calls[0][1] == order
-    only_u = 0
-    for (last, _), (p, ran) in zip(calls, calls[1:]):
-        changed = {name for name, a, b in zip(m.var_names, last, p) if a != b}
-        assert ran == [k for k in order if depends[k] & changed]
-        if changed == {"u"}:
-            only_u += 1
-            assert len(ran) == sum("u" in depends[k] for k in order) < len(order)
-    assert only_u == 8 * 8 * 7
-    assert program._state is None
+    for block_size in (gcr._BLOCK, 100):
+        monkeypatch.setattr(gcr, "_BLOCK", block_size)
+        m = sweep_chart()
+        log = steps_run(m.program)
+        evaluated = counting_evaluations(monkeypatch)
+        reading.clear()
+        report = classify_surface(m, GridSpec((8, 8, 8)))
+        assert not report.skipped and len(report.records) == 512
+        assert evaluated == [(2, min(block_size, 512 - i)) for i in range(0, 512, block_size)]
+        assert len(log) == len(evaluated) * len(m.program._code)
+        assert reading == [True] * 512
+        assert held() is None
 
 
-def test_state_is_dropped_and_each_sweep_starts_cold():
+def test_state_is_dropped_and_each_sweep_starts_cold(monkeypatch):
     m = sweep_chart()
-    program = m.program
     first = classify_surface(m, GridSpec((3, 3, 3)))
-    assert program._state is None
-    log = steps_run(program)
+    assert held() is None
+    evaluated = counting_evaluations(monkeypatch)
     second = classify_surface(m, GridSpec((3, 3, 3)))
-    assert program._state is None
-    assert log[: len(program._code)] == [k for k, *_ in program._code]
+    assert held() is None
+    assert evaluated == [(2, 27)]
     assert first.records == second.records
 
 
 def test_a_sweep_that_raises_drops_its_state(monkeypatch):
     m = sweep_chart()
+    original = gcr.point_geometry
+    calls = []
 
-    def interrupted(pg, tols, include_structural=False):
-        assert m.program._state[1] is not None  # the sweep has a state to drop
-        raise KeyboardInterrupt
+    def interrupted(*args, **kwargs):
+        assert held()[0] is m  # the block has a hand-off to drop
+        calls.append(args[1])
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(gcr, "_classify_rows", interrupted)
+    monkeypatch.setattr(gcr, "point_geometry", interrupted)
     with pytest.raises(KeyboardInterrupt):
         classify_surface(m, GridSpec((3, 3, 3)))
-    assert m.program._state is None
+    assert held() is None and len(calls) == 5
     # so does one whose every point fails
+    monkeypatch.undo()
     broken = Immersion.from_exprs("broken", ["s", "t", "log(-1-t*t)"], ["s", "t"],
                                   [(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(EmptyReportError):
         classify_surface(broken, GridSpec((3, 3)))
-    assert broken.program._state is None
+    assert held() is None
 
 
-def test_no_reuse_outside_a_sweep_or_for_stacks():
+def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
     m = sweep_chart()
-    program = m.program
-    log = steps_run(program)
-    size = len(program._code)
     p = (1.0, 0.5, 0.5)
+    evaluated = counting_evaluations(monkeypatch)
 
     def runs(call) -> int:
-        start = len(log)
+        start = len(evaluated)
         call()
-        return len(log) - start
+        return len(evaluated) - start
 
-    # outside a sweep every call runs every step
-    assert runs(lambda: evaluate_jets(m, p, order=2)) == size
-    assert runs(lambda: evaluate_jets(m, p, order=2)) == size
-    assert runs(lambda: point_geometry(m, p)) == size
-    assert runs(lambda: derivative_bundle(m, p)) == size
-    assert program._state is None
-    with program._sweep():
-        assert runs(lambda: evaluate_jets(m, p, order=2)) == size
-        assert runs(lambda: evaluate_jets(m, p, order=2)) == 0
-        state = program._state
-        # a stack neither reads nor keeps the state
-        stack = np.array([p, p])
-        assert runs(lambda: evaluate_jets(m, stack, order=2)) == size
-        assert program._state is state
-        # nor does a call from another thread
-        counts = []
-        thread = threading.Thread(target=lambda: counts.append(
-            runs(lambda: evaluate_jets(m, p, order=2))))
-        thread.start()
-        thread.join()
-        assert counts == [size] and program._state is state
-        assert runs(lambda: evaluate_jets(m, p, order=2)) == 0
-    assert program._state is None
-    assert runs(lambda: evaluate_jets(m, p, order=2)) == size
+    # outside a block every call evaluates
+    assert runs(lambda: geometry.evaluate_jets(m, p, order=2)) == 1
+    assert runs(lambda: point_geometry(m, p)) == 1
+    assert runs(lambda: point_geometry(m, p)) == 1
+    assert runs(lambda: derivative_bundle(m, p)) == 1
+    block = np.array([p, (1.2, 0.5, 0.5)])
+    for order in (2, 3):
+        with geometry._handing_over(m, order, block, geometry._jet_rows(m, block, order, True)):
+            assert runs(lambda: point_geometry(m, p, order=order)) == 0
+            # evaluate_jets, derivative_bundle and a one-row stack evaluate
+            assert runs(lambda: geometry.evaluate_jets(m, p, order=order)) == 1
+            assert runs(lambda: derivative_bundle(m, p)) == 1
+            assert runs(lambda: point_geometry(m, np.array([p]), order=order)) == 1
+            # as does a call from another thread
+            counts = []
+            thread = threading.Thread(target=lambda: counts.append(
+                runs(lambda: point_geometry(m, p, order=order))))
+            thread.start()
+            thread.join()
+            assert counts == [1]
+            assert runs(lambda: point_geometry(m, p, order=order)) == 0
+        assert held() is None
+        assert runs(lambda: point_geometry(m, p, order=order)) == 1
+    # a handed-over point outside the box is still refused where it is checked
+    outside = np.array([(9.0, 0.5, 0.5)])
+    with geometry._handing_over(m, 2, outside, geometry._jet_rows(m, outside, 2, False)):
+        with pytest.raises(OutOfDomainError, match=r"point \[9\.0, 0\.5, 0\.5\]"):
+            point_geometry(m, outside[0])
+        assert runs(lambda: point_geometry(m, outside[0], check_domain=False)) == 0
 
 
-def test_stacked_sweep_keeps_no_state():
-    # --full assembles each block from one stacked evaluation: no state
-    m = sweep_chart()
-    seen = []
-    real = m.program._keys
+def test_stacked_sweep_keeps_no_state(monkeypatch):
+    # --full assembles a block from its stacked evaluation and hands nothing
+    # over; a block whose stacked assembly fails hands over its rows
+    opened = []
+    original = gcr._handing_over
 
-    def keys(env):
-        seen.append(m.program._state)
-        return real(env)
+    def recording(m, order, points, coeffs):
+        opened.append((m.name, order, len(points), coeffs is not None))
+        return original(m, order, points, coeffs)
 
-    m.program._keys = keys
-    classify_surface(m, GridSpec((2, 2, 2)), include_structural=True)
-    assert seen and all(s[1] is None for s in seen)
-    assert m.program._state is None
+    monkeypatch.setattr(gcr, "_handing_over", recording)
+    classify_surface(sweep_chart(), GridSpec((2, 2, 2)), include_structural=True)
+    assert opened == [] and held() is None
+    # the cone (s cos t, s sin t, s) is singular along s = 0
+    cone = Immersion.from_exprs("cone", ("s*cos(t)", "s*sin(t)", "s"), ("s", "t"),
+                                ((-1.0, 1.0), (0.0, 1.0)))
+    evaluated = counting_evaluations(monkeypatch)
+    rep = classify_surface(cone, GridSpec((3, 3)), include_structural=True)
+    assert opened == [("cone", 2, 9, True)] and evaluated == [(2, 9)]
+    assert len(rep.skipped) == 3 and held() is None
 
 
 def test_reuse_keeps_reports_identical(monkeypatch):
-    # classification over a chart whose rows fail partway equals the one a
-    # program that never reuses gives
-    m = Immersion.from_exprs("log", LOG_CHART.components, LOG_CHART.var_names,
-                             LOG_CHART.domain)
-    for grid in (GridSpec((5, 5)), GridSpec((3, 3)), GridSpec((4, 7))):
-        warm = classify_surface(m, grid)
+    # classification equals that of a sweep that hands nothing over, on charts
+    # whose stacks evaluate and on one whose rows fail partway
+    @contextlib.contextmanager
+    def nothing(m, order, points, coeffs):
+        yield
+
+    log = Immersion.from_exprs("log", LOG_CHART.components, LOG_CHART.var_names,
+                               LOG_CHART.domain)
+    cases = [(log, GridSpec((5, 5))), (log, GridSpec((4, 7))),
+             (sweep_chart(), GridSpec((4, 3, 3))), (catalog.tangent_cone(), GridSpec((3,) * 3))]
+    for (m, grid), full in itertools.product(cases, (False, True)):
+        warm = classify_surface(m, grid, include_structural=full)
         with monkeypatch.context() as patch:
-            patch.setattr(m.program, "_sweep", contextlib.nullcontext)
-            cold = classify_surface(m, grid)
-        assert warm.skipped and warm.records
-        assert warm.records == cold.records and warm.skipped == cold.skipped
+            patch.setattr(gcr, "_handing_over", nothing)
+            plain = classify_surface(m, grid, include_structural=full)
+        assert warm.records
+        assert [repr(r) for r in warm.records] == [repr(r) for r in plain.records]
+        assert warm.skipped == plain.skipped
+        assert bool(warm.skipped) == (m is log) and held() is None
 
 
 def test_cli_eval_never_reuses(monkeypatch, capsys):
-    def refuse(self, changed):
-        raise AssertionError("a step was reused")
+    def refuse(*args):
+        raise AssertionError("a block's rows were handed over")
 
-    monkeypatch.setattr(expr.Program, "_plan", refuse)
+    monkeypatch.setattr(gcr, "_handing_over", refuse)
+    monkeypatch.setattr(geometry, "_handing_over", refuse)
     for _ in range(2):
         assert cli.main(["eval", "special_sqrt2.json", "--point", "1,1,1"]) == 0
     assert capsys.readouterr().out
 
 
 def test_errors_leave_as_expr_errors_in_a_sweep():
-    program = LOG_CHART.program
-    with program._sweep():
-        env = {"s": jet_variable(0, 1.0, 2, 2), "t": jet_variable(1, 0.5, 2, 2)}
-        program(env)
-        env["t"] = jet_variable(1, -0.5, 2, 2)
-        with pytest.raises(ExprError, match="log is undefined"):
-            program(env)
+    # a point outside the block evaluates on its own and fails as it would alone
+    block = np.array([(1.0, 0.5), (1.2, 0.5)])
+    with geometry._handing_over(LOG_CHART, 2, block,
+                                geometry._jet_rows(LOG_CHART, block, 2, False)):
+        with pytest.raises(EvaluationError, match="log is undefined") as err:
+            point_geometry(LOG_CHART, (1.2, -0.5))
+    assert isinstance(err.value.__cause__, ExprError)
+    assert f"evaluation failed: {err.value}" == cold(LOG_CHART, (1.2, -0.5), 2)
