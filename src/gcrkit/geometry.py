@@ -343,10 +343,13 @@ _handoff = threading.local()
 def _handing_over(m: Immersion, order: int, points: np.ndarray, coeffs: np.ndarray | None):
     """While the block runs, point_geometry of ``m`` at order ``order`` at a
     row of ``points`` (P, n), in this thread, reads that row of ``coeffs``
-    (P, n+1, D) instead of evaluating ``m``; with coeffs None it evaluates."""
-    _handoff.rows = None if coeffs is None else (
-        m, order, dict(zip((p.tobytes() for p in points), coeffs))
-    )
+    (P, n+1, D) instead of evaluating ``m``; with coeffs None it evaluates.
+    A row that is not finite evaluates too: alone, its point may fail by a
+    division by zero that the stack carried on as inf or NaN."""
+    _handoff.rows = None if coeffs is None else (m, order, {
+        p.tobytes(): c for p, c, ok in zip(points, coeffs, np.isfinite(coeffs).all(axis=(1, 2)))
+        if ok
+    })
     try:
         yield
     finally:
