@@ -5,11 +5,12 @@
 # That is each bundled spec, bench/specs/so2_x_so2_ode.json and the spec
 # log_t.json that it writes into OUT_DIR, plain, --format csv, --full and
 # --full --format csv, on its own grid and at --grid 3 (96 reports with the
-# ten bundled specs), plain and --full on tangent_cone.json and
+# ten bundled specs), the same four on tangent_cone.json and
 # torus_so2_x_so2.json at --grid 11 (1,331 points, more than one
-# classification block: 4 reports), then `families --json` and
-# `eval --point 1,1,1` on special_sqrt2.json and curve_tube.json.  A numpy
-# RuntimeWarning fails the run: it is a silent inf or NaN.
+# classification block: 8 reports), then `families --json` and
+# `eval --point 1,1,1` on special_sqrt2.json and curve_tube.json: 108 files
+# with log_t.json.  A numpy RuntimeWarning fails the run: it is a silent
+# inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -38,7 +39,7 @@ for spec in "$root"/src/gcrkit/specs/*.json "$root"/bench/specs/so2_x_so2_ode.js
 done
 # a mapping chart and an expression chart across a block boundary
 for name in tangent_cone torus_so2_x_so2; do
-  for flags in "" "--full"; do
+  for flags in "" "--format csv" "--full" "--full --format csv"; do
     tag=$(echo $name --grid 11 $flags | tr ' ' '_' | tr -d '-')
     run check "$root/src/gcrkit/specs/$name.json" --grid 11 $flags > "$out/$tag.out"
   done

@@ -53,7 +53,9 @@ EXIT_SPEC = 2
 EXIT_SINGULAR = 3
 
 _DEFAULT_GRID = 5
-_MAX_GRID_POINTS = 1_000_000  # a sweep of minutes already; GridSpec.points holds them all
+# a sweep of minutes already; GridSpec.points holds them all, and a plain check
+# peaks about 290 bytes a point higher (torus_so2_x_so2, measured 10^3 to 40^3)
+_MAX_GRID_POINTS = 1_000_000
 
 
 class SpecError(ValueError):
@@ -317,49 +319,30 @@ def _number(value) -> float:
 # -- report assembly ----------------------------------------------------------------------
 
 
-def _structural_dict(record) -> dict | None:
-    s = record.structural
+def _structural_dict(s) -> dict | None:
     if s is None:
         return None
     doc = {key: getattr(s, key) for key in STRUCTURAL_KEYS}
     return {**doc, "details": dict(s.details), "skipped": list(s.skipped)}
 
 
-def _point_dict(record) -> dict:
-    return {
-        "point": list(record.point),
-        "degenerate": record.degenerate,
-        "mu": record.mu,
-        "theta": record.theta,
-        "k": list(record.curvatures),
-        "H": list(record.means),
-        "distinct_count": record.distinct_count,
-        "gcr_primary": record.gcr_primary,
-        "gcr_secondary": record.gcr_secondary,
-        "delta2": record.delta2,
-        "structural": _structural_dict(record),
-        "structural_note": record.structural_note,
-    }
-
-
 def report_to_dict(
     report: SurfaceReport, echo: dict, include_points: bool
 ) -> dict:
-    records = report.records
-    k_matrix = np.array([r.curvatures for r in records])
-    h_matrix = np.array([r.means for r in records])
+    columns = report.columns
+    k, means = columns["curvatures"], columns["means"]
     grid_doc = {v: c for v, c in zip(echo["variables"], report.grid.counts)}
     summary = {
-        "points_total": len(records) + len(report.skipped),
-        "points_regular": len(records),
-        "points_degenerate": sum(1 for r in records if r.degenerate),
+        "points_total": len(k) + len(report.skipped),
+        "points_regular": len(k),
+        "points_degenerate": int(np.count_nonzero(columns["degenerate"])),
         "points_skipped": len(report.skipped),
         "max_gcr_primary": report.max_gcr_primary,
         "max_gcr_secondary": report.max_gcr_secondary,
-        "k_min": [float(v) for v in k_matrix.min(axis=0)],
-        "k_max": [float(v) for v in k_matrix.max(axis=0)],
-        "h1_range": [float(h_matrix[:, 0].min()), float(h_matrix[:, 0].max())],
-        "max_abs_top_mean": float(np.max(np.abs(h_matrix[:, -1]))),
+        "k_min": k.min(axis=0).tolist(),
+        "k_max": k.max(axis=0).tolist(),
+        "h1_range": [float(means[:, 0].min()), float(means[:, 0].max())],
+        "max_abs_top_mean": float(np.max(np.abs(means[:, -1]))),
         "distinct_curvature_count": report.distinct_curvature_count,
         "structural_max": dict(report.structural_max),
         "flags": {
@@ -382,7 +365,12 @@ def report_to_dict(
         ],
     }
     if include_points:
-        doc["per_point"] = [_point_dict(r) for r in records]
+        doc["per_point"] = [
+            {"point": p, "degenerate": deg, "mu": mu, "theta": th, "k": kk, "H": hh,
+             "distinct_count": d, "gcr_primary": p1, "gcr_secondary": p2, "delta2": d2,
+             "structural": _structural_dict(s), "structural_note": note}
+            for p, mu, th, kk, hh, d, deg, p1, p2, d2, s, note in report._rows()
+        ]
     return doc
 
 
@@ -397,11 +385,9 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
     csv.writer(out, lineterminator="\n").writerow(header)
     # formatted cells hold no comma, quote or newline, so rows need no quoting
     lines = [out.getvalue()]
-    for r in report.records:
-        row = [*r.point, r.mu, r.theta, *r.curvatures, *r.means, r.distinct_count,
-               r.degenerate, r.gcr_primary, r.gcr_secondary, r.delta2]
+    for p, mu, th, k, h, d, deg, p1, p2, d2, s, _ in report._rows():
+        row = [*p, mu, th, *k, *h, d, deg, p1, p2, d2]
         if include_structural:
-            s = r.structural
             row += [None if s is None else getattr(s, c) for c in STRUCTURAL_KEYS]
         lines.append(",".join(["" if x is None else _scalar(x) for x in row]) + "\n")
     return "".join(lines)

@@ -375,6 +375,8 @@ class GridSpec:
             isinstance(c, Integral) and not isinstance(c, bool) and c >= 1 for c in counts
         ):
             raise ValueError(f"grid counts must be integers of at least 1, got {counts!r}")
+        # a tuple of Python ints, so that equal grids hash and compare equal
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
 
     def axes(self, domain: Sequence[Sequence[float]]) -> list[np.ndarray]:
         if len(self.counts) != len(domain):
@@ -440,7 +442,11 @@ class SurfaceReport:
     n: int
     grid: GridSpec
     tolerances: Tolerances
-    records: list[PointRecord]
+    # by PointRecord field, one array over the classified points in grid order
+    # (residuals NaN where degenerate; object arrays for the structural fields),
+    # or None where every record holds None: delta2 on 2-D charts, and the
+    # structural fields unless included
+    columns: dict[str, np.ndarray | None]
     skipped: list[tuple[tuple[float, ...], str]]
     is_gcr: bool
     is_isoparametric: bool
@@ -454,64 +460,83 @@ class SurfaceReport:
     structural_max: dict[str, float]
     jet_order: int  # highest jet order evaluated
 
+    def _rows(self):
+        """Per classified point, its PointRecord fields as Python values in
+        field order, with lists for the point, curvatures and means."""
+        size = len(self.columns["mu"])
+        out = {name: [None] * size if column is None else column.tolist()
+               for name, column in self.columns.items()}
+        for name in ("gcr_primary", "gcr_secondary"):
+            out[name] = [None if d else v for d, v in zip(out["degenerate"], out[name])]
+        return zip(*(out[f.name] for f in fields(PointRecord)))
+
+    @property
+    def records(self) -> list[PointRecord]:
+        """One PointRecord per classified point, built from the columns on
+        each access."""
+        return [PointRecord(tuple(p), mu, th, tuple(k), tuple(h), *rest)
+                for p, mu, th, k, h, *rest in self._rows()]
+
 
 # grid points classified together once their geometry is assembled: enough
 # rows that numpy's per-call cost fades, few enough to stay in cache
 _BLOCK = 1024
 
 
-def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool = False) -> list:
-    """Per row of the geometry block ``pg`` (of order 3 if include_structural
-    on a 3-dimensional chart): the row's PointRecord fields after its point,
-    by name, or why it is skipped.  With include_structural, rows that pass
-    the primary test get their structural residuals, the others a note.  If
-    the block raises, its rows rerun one at a time, so that each failure keeps
-    its own reason."""
+def _concat(parts: list[dict | None]) -> dict | None:
+    """The columns of consecutive rows as one, None parts left out (None if
+    every part is); a None column stays None."""
+    parts = [p for p in parts if p is not None]
+    return {name: None if column is None else np.concatenate([p[name] for p in parts])
+            for name, column in parts[0].items()} if parts else None
+
+
+def _classify_rows(pg: PointGeometry, tols: Tolerances,
+                   include_structural: bool = False) -> tuple[dict | None, list]:
+    """The PointRecord columns of the rows of the geometry block ``pg`` (order
+    3 if include_structural on a 3-dimensional chart) that classify, None if
+    none does, and per row None or why it is skipped.  With include_structural,
+    rows that pass the primary test get structural residuals, the others a
+    note.  If the block raises, its rows rerun one at a time and keep their own
+    reasons."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     rows = len(g)
-    residuals = [None] * rows
     try:
         pd = _principal_rows(g, h, tols.tol_gap)
         pa = _position_rows(pg, tols.eps_tan_rel)
         k = pd.curvatures
         means = curvature_invariants(k).mean
         ok = ~pa.degenerate
-        primary, secondary = np.zeros(rows), np.zeros(rows)
+        primary, secondary = np.full((2, rows), np.nan)
         primary[ok], secondary[ok], comp = _gcr_rows(
             g[ok], shape[ok], pa.e1[ok], pa.theta_grad[ok]
         )
         tol_d2 = tols.tol_const_rel * (1.0 + np.abs(k).max(axis=-1))
-        delta2 = delta2_ideal_test(k, tol_d2).tolist() if k.shape[-1] >= 3 else [None] * rows
+        columns = dict(
+            point=pg.point, mu=pa.mu, theta=pa.theta, curvatures=k, means=means,
+            distinct_count=pd.distinct_count, degenerate=pa.degenerate,
+            gcr_primary=primary, gcr_secondary=secondary,
+            delta2=delta2_ideal_test(k, tol_d2) if k.shape[-1] >= 3 else None,
+            structural=None, structural_note=None,
+        )
         if include_structural:
-            passed = primary < tols.tol_gcr
-            sel = np.flatnonzero(ok & passed)
+            passed = primary[ok] < tols.tol_gcr
+            sel = np.flatnonzero(ok)[passed]
             found = _structural_rows(_row(pg, sel), _row(pd, sel), _row(pa, sel),
-                                     comp[passed[ok]], tols.tol_gap)
-            for i, sr in zip(sel.tolist(), found):
-                residuals[i] = sr
+                                     comp[passed], tols.tol_gap)
+            structural, notes = np.full((2, rows), None)
+            notes[:] = "not position-principal here: structural identities not expected"
+            structural[sel], notes[sel] = found, None
+            notes[~ok] = "degenerate point: no tangential direction to adapt a frame to"
+            columns.update(structural=structural, structural_note=notes)
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
         if rows > 1:
-            return [out for i in range(rows)
-                    for out in _classify_rows(_row(pg, [i]), tols, include_structural)]
+            outs = [_classify_rows(_row(pg, [i]), tols, include_structural) for i in range(rows)]
+            return _concat([c for c, _ in outs]), [why for _, (why,) in outs]
         if isinstance(exc, np.linalg.LinAlgError):
-            return [f"singular metric (det g = {pg.det_metric[0]:.3e})"]
-        return [f"evaluation failed: {exc}"]
-    notes = [None] * rows
-    if include_structural:
-        notes = [
-            "degenerate point: no tangential direction to adapt a frame to" if not o
-            else "not position-principal here: structural identities not expected" if sr is None
-            else None
-            for o, sr in zip(ok.tolist(), residuals)
-        ]
-    figures = zip(pa.mu.tolist(), pa.theta.tolist(), k.tolist(), means.tolist(),
-                  pd.distinct_count.tolist(), ok.tolist(), primary.tolist(),
-                  secondary.tolist(), delta2, residuals, notes)
-    return [dict(mu=mu, theta=th, curvatures=tuple(kk), means=tuple(hh), distinct_count=d,
-                 degenerate=not o, gcr_primary=p if o else None,
-                 gcr_secondary=s if o else None, delta2=d2, structural=sr,
-                 structural_note=note)
-            for mu, th, kk, hh, d, o, p, s, d2, sr, note in figures]
+            return None, [f"singular metric (det g = {pg.det_metric[0]:.3e})"]
+        return None, [f"evaluation failed: {exc}"]
+    return columns, [None] * rows
 
 
 def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
@@ -565,7 +590,7 @@ def classify_surface(
     # 3-D transport checks read third partials: one order-3 evaluation serves both
     order = 3 if include_structural and m.n == 3 else 2
 
-    records: list[PointRecord] = []
+    parts: list[dict | None] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     # numpy overflow or NaN in a point's figures, or a metric too degenerate
     # for its complement basis, skips the point like a failed evaluation;
@@ -577,66 +602,49 @@ def classify_surface(
             # asserts one point_geometry call per point there; once it counts
             # evaluated rows, stacked=True stacks its assembly too
             pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
-            classified = iter([] if pg is None else _classify_rows(pg, tols, include_structural))
-            for p, reason in zip(map(tuple, block.tolist()), reasons):
-                out = reason or next(classified)
-                if isinstance(out, str):
-                    skipped.append((p, out))
-                else:
-                    records.append(PointRecord(p, **out))
+            if pg is not None:
+                columns, why = _classify_rows(pg, tols, include_structural)
+                parts.append(columns)
+                why = iter(why)
+                reasons = [r or next(why) for r in reasons]
+            skipped += [(tuple(block[i].tolist()), r) for i, r in enumerate(reasons) if r]
 
-    if not records:
+    columns = _concat(parts)
+    if columns is None:
         where, reason = skipped[0] if skipped else (tuple(points[0].tolist()), "no points")
         raise EmptyReportError(f"no regular grid point: first failure at {list(where)} ({reason})")
 
     n = m.n
-    nondeg = [r for r in records if not r.degenerate]
-    primaries = [r.gcr_primary for r in nondeg]
-    secondaries = [r.gcr_secondary for r in nondeg]
-    is_gcr = bool(nondeg) and all(v < tols.tol_gcr for v in primaries)
-
-    k_matrix = np.array([r.curvatures for r in records])
-    h_matrix = np.array([r.means for r in records])
+    k, means = columns["curvatures"], columns["means"]
+    nondeg = ~columns["degenerate"]
+    primaries, secondaries = columns["gcr_primary"][nondeg], columns["gcr_secondary"][nondeg]
+    structural = [s for s in columns["structural"] if s is not None] if include_structural else []
 
     def nearly_constant(column: np.ndarray) -> bool:
         tol = tols.tol_const_rel * (1.0 + abs(float(np.mean(column))))
         return float(np.ptp(column)) < tol
 
-    is_isoparametric = all(nearly_constant(k_matrix[:, i]) for i in range(n))
-    is_cmc = nearly_constant(h_matrix[:, 0])
-    is_3_minimal = None
-    is_delta2 = None
-    if n >= 3:
-        is_3_minimal = bool(np.max(np.abs(h_matrix[:, 2])) < tols.tol_gcr)
-        is_delta2 = all(r.delta2 for r in records)
-
-    counts = np.bincount([r.distinct_count for r in records])
-    distinct_modal = int(np.argmax(counts))
-
-    structural_max: dict[str, float] = {}
-    for r in records:
-        if r.structural is None:
-            continue
-        for key in STRUCTURAL_KEYS:
-            value = getattr(r.structural, key)
-            structural_max[key] = max(structural_max.get(key, 0.0), value)
+    def largest(column: np.ndarray) -> float | None:
+        # the first of equal maxima, as max() takes it: -0.0 and 0.0 keep their order
+        return column[np.argmax(column)].item() if column.size else None
 
     return SurfaceReport(
         name=m.name,
         n=n,
         grid=grid,
         tolerances=tols,
-        records=records,
+        columns=columns,
         skipped=skipped,
-        is_gcr=is_gcr,
-        is_isoparametric=is_isoparametric,
-        is_cmc=is_cmc,
-        is_3_minimal=is_3_minimal,
-        is_delta2_ideal=is_delta2,
-        distinct_curvature_count=distinct_modal,
-        max_gcr_primary=max(primaries) if primaries else None,
-        max_gcr_secondary=max(secondaries) if secondaries else None,
-        fraction_degenerate=1.0 - len(nondeg) / len(records),
-        structural_max=structural_max,
+        is_gcr=bool(primaries.size) and bool((primaries < tols.tol_gcr).all()),
+        is_isoparametric=all(nearly_constant(k[:, i]) for i in range(n)),
+        is_cmc=nearly_constant(means[:, 0]),
+        is_3_minimal=bool(np.max(np.abs(means[:, 2])) < tols.tol_gcr) if n >= 3 else None,
+        is_delta2_ideal=bool(columns["delta2"].all()) if n >= 3 else None,
+        distinct_curvature_count=int(np.argmax(np.bincount(columns["distinct_count"]))),
+        max_gcr_primary=largest(primaries),
+        max_gcr_secondary=largest(secondaries),
+        fraction_degenerate=1.0 - primaries.size / len(k),
+        structural_max={key: max(0.0, *(getattr(s, key) for s in structural))
+                        for key in STRUCTURAL_KEYS} if structural else {},
         jet_order=order,
     )

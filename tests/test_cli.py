@@ -22,9 +22,12 @@ from gcrkit.cli import (
     canonical_json,
     load_spec,
     main,
+    report_to_csv,
     report_to_dict,
 )
+from gcrkit import gcr
 from gcrkit.gcr import GridSpec, classify_surface
+from test_gcr import _marked_saddle
 
 
 def write_spec(tmp_path, name, doc):
@@ -473,6 +476,48 @@ def test_full_report_leaves_are_exact_python_types():
         assert report.records and (report.skipped or spec is not skipping)
         doc = report_to_dict(report, echo, include_points=True)
         assert _leaf_types(doc) <= {float, int, str, bool, type(None)}
+
+
+def _log_t():
+    # log(t) fails at t <= 0: the first points of each grid row are skipped
+    spec = {"components": ["s", "t", "s*s+log(t)"], "variables": ["s", "t"],
+            "domain": {"s": [0.5, 1.5], "t": [-1, 1]}}
+    m, echo = build_surface(spec)
+    return m, echo, GridSpec((5, 5))
+
+
+def _torus():
+    m, echo = build_surface(load_spec("torus_so2_x_so2.json"))
+    return m, echo, GridSpec((4, 4, 4))
+
+
+def _saddle():
+    # its block's figures fail and rerun one row at a time
+    m, grid = _marked_saddle()
+    return m, {"name": m.name, "variables": list(m.var_names)}, grid
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["plain", "full"])
+@pytest.mark.parametrize("surface", [_torus, _log_t, _saddle], ids=lambda f: f.__name__[1:])
+def test_the_write_path_builds_no_point_records(monkeypatch, surface, full):
+    made = []
+
+    class Counting(gcr.PointRecord):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gcr, "PointRecord", Counting)
+    m, echo, grid = surface()
+    report = classify_surface(m, grid, include_structural=full)
+    doc = report_to_dict(report, echo, include_points=full)
+    canonical_json(doc)
+    report_to_csv(report, echo, full)
+    assert made == []
+    # the records are built on access, one per classified point
+    records = report.records
+    assert made == records and len(records) == doc["summary"]["points_regular"] > 0
+    assert report.skipped or m.n == 3
 
 
 def test_check_exits_quietly_when_stdout_closes():

@@ -309,6 +309,10 @@ def test_grid_spec_points():
         GridSpec((0, 2))
     with pytest.raises(ValueError):
         GridSpec((3,)).points(dom)
+    # a list of counts is held as a tuple: equal to it and hashable
+    assert GridSpec([2, 2, 2]) == GridSpec((2, 2, 2))
+    assert hash(GridSpec([2, 2, 2])) == hash(GridSpec((2, 2, 2)))
+    assert GridSpec([3, 2]).counts == (3, 2)
 
 
 @pytest.mark.parametrize("counts", [(True, 2, 2), (2, False), (2.5, 2, 2), (2.0, 2),
@@ -318,8 +322,9 @@ def test_grid_counts_must_be_integers_of_at_least_one(counts):
     with pytest.raises(ValueError) as err:
         GridSpec(counts)
     assert str(err.value) == f"grid counts must be integers of at least 1, got {counts!r}"
-    grid = GridSpec((np.int64(2), 1))  # numpy integers are integers
+    grid = GridSpec((np.int64(2), 1))  # numpy integers are integers, held as ints
     assert grid.points(((0.0, 1.0), (0.0, 2.0))).tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    assert grid.counts == (2, 1) and [type(c) for c in grid.counts] == [int, int]
 
 
 def test_tolerances_dict_round_trip():
@@ -630,14 +635,21 @@ def test_block_kernels_fall_back_row_by_row():
     pg.position[3] *= 1e160
     tols = Tolerances()
     with np.errstate(all="raise", under="ignore"):
-        block = gcr._classify_rows(pg, tols)
-        single = [gcr._classify_rows(geometry._row(pg, [i]), tols)[0] for i in range(5)]
-    assert block[1:4] == single[1:4] == [
+        block, why = gcr._classify_rows(pg, tols)
+        single = [gcr._classify_rows(geometry._row(pg, [i]), tols) for i in range(5)]
+    assert why[1:4] == [w for _, (w,) in single[1:4]] == [
         "singular metric (det g = -1.000e+00)",
         "evaluation failed: metric too degenerate for a complement basis",
         "evaluation failed: overflow encountered in matmul",
     ]
-    assert repr(block[0]) == repr(block[4]) == repr(single[0])
+    assert why[0] is why[4] is None and all(c is None for c, _ in single[1:4])
+
+    def row(columns, i):  # repr prints every float to its last bit
+        return repr({name: None if c is None else c[i].tolist() for name, c in columns.items()})
+
+    # the block's columns hold the two rows that classify, rows 0 and 4
+    assert len(block["mu"]) == 2
+    assert row(block, 0) == row(block, 1) == row(single[0][0], 0)
 
 
 @pytest.mark.parametrize("order", [2, 3])
