@@ -7,10 +7,11 @@
 # --full --format csv, on its own grid and at --grid 3 (96 reports with the
 # ten bundled specs), the same four on tangent_cone.json and
 # torus_so2_x_so2.json at --grid 11 (1,331 points, more than one
-# classification block: 8 reports), then `families --json` and
-# `eval --point 1,1,1` on special_sqrt2.json and curve_tube.json: 108 files
-# with log_t.json.  A numpy RuntimeWarning fails the run: it is a silent
-# inf or NaN.
+# classification block: 8 reports), plain and --full on log_t.json at
+# --grid 33 (1,089 points in two blocks, each with skipped points: 2
+# reports), then `families --json` and `eval --point 1,1,1` on
+# special_sqrt2.json and curve_tube.json: 110 files with log_t.json.  A numpy
+# RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -43,6 +44,11 @@ for name in tangent_cone torus_so2_x_so2; do
     tag=$(echo $name --grid 11 $flags | tr ' ' '_' | tr -d '-')
     run check "$root/src/gcrkit/specs/$name.json" --grid 11 $flags > "$out/$tag.out"
   done
+done
+# skipped points on both sides of a block boundary
+for flags in "" "--full"; do
+  tag=$(echo log_t --grid 33 $flags | tr ' ' '_' | tr -d '-')
+  run check "$out/log_t.json" --grid 33 $flags > "$out/$tag.out"
 done
 run families --json > "$out/families.out"
 for spec in special_sqrt2 curve_tube; do

@@ -160,7 +160,8 @@ def load_spec(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # also not UTF-8, an integer past the digit limit or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec file must contain a JSON object")
@@ -403,7 +404,10 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe raises here, inside main
     else:
-        _atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        try:
+            _atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        except OSError as exc:  # the temp file's name is not the user's
+            raise SpecError(f"cannot write report to {out_path}: {exc.strerror or exc}") from exc
 
 
 def cmd_check(args) -> int:

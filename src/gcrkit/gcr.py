@@ -31,7 +31,6 @@ from .geometry import (
     SingularPointError,
     _evaluate_geometry,
     _fix_direction_signs,
-    _handing_over,
     _jet_rows,
     _mm,
     _mv,
@@ -544,10 +543,11 @@ def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
     """The geometry of the points of ``block`` (P, n) that assemble, as one
     block (None if no point does), and per point None or why it is skipped.
     The block's jets come from one stacked evaluation.  Stacked, the block is
-    assembled from it at once; if that raises, or unstacked, each point is
-    assembled by point_geometry from its rows of it, or, if the stacked
-    evaluation raised, from its own evaluation, and meets its own error with
-    its own text; the assembled ones are stacked once."""
+    assembled from it at once; if that raises, or unstacked, point_geometry
+    assembles each point from its row of it (``_rows``), or from its own
+    evaluation if the stacked one raised or the row is not finite, where a
+    division by zero that the stack carried on as inf or NaN fails with its
+    own text; the assembled ones are stacked once."""
     coeffs = None
     try:
         with np.errstate(all="ignore"):
@@ -559,17 +559,18 @@ def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
     # stacked assembly fails on any bad row
     except Exception:  # noqa: BLE001
         pass
+    finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
     found, reasons = [], []
-    with _handing_over(m, order, block, coeffs):
-        for p in block:
-            reason = None
-            try:
-                found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order))
-            except SingularPointError as exc:
-                reason = f"singular metric (det g = {exc.det_g:.3e})"
-            except (GeometryError, ExprError, FloatingPointError) as exc:
-                reason = f"evaluation failed: {exc}"
-            reasons.append(reason)
+    for i, p in enumerate(block):
+        reason = None
+        try:
+            found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order,
+                                        _rows=coeffs[i] if finite[i] else None))
+        except SingularPointError as exc:
+            reason = f"singular metric (det g = {exc.det_g:.3e})"
+        except (GeometryError, ExprError, FloatingPointError) as exc:
+            reason = f"evaluation failed: {exc}"
+        reasons.append(reason)
     return (_stack(found) if found else None), reasons
 
 
@@ -598,7 +599,7 @@ def classify_surface(
     with np.errstate(all="raise", under="ignore"):
         for start in range(0, len(points), _BLOCK):
             block = points[start : start + _BLOCK]
-            # the plain sweep still assembles point by point, as bench/run.py
+            # the plain sweep still assembles each point from its row, as bench/run.py
             # asserts one point_geometry call per point there; once it counts
             # evaluated rows, stacked=True stacks its assembly too
             pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)

@@ -19,15 +19,14 @@ or geometry overflow the float range raises GeometryError instead of
 returning infinities.  One generalized cross product
 kernel, a few products of stacked jet coefficient rows, gives the float
 normal, the unit normal jets and ``catalog.tangent_cone``'s spherical normal.
+A grid sweep passes ``point_geometry`` each point's row of its block's stack.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Sequence
 
@@ -333,49 +332,24 @@ def _evaluate_geometry(
     return pg, coeffs
 
 
-# A block's coefficient rows, handed by classify_surface from its one stacked
-# evaluation to its per-point point_geometry calls: (immersion, jet order,
-# rows by point bytes) while the block runs, in the thread that runs it.
-_handoff = threading.local()
-
-
-@contextlib.contextmanager
-def _handing_over(m: Immersion, order: int, points: np.ndarray, coeffs: np.ndarray | None):
-    """While the block runs, point_geometry of ``m`` at order ``order`` at a
-    row of ``points`` (P, n), in this thread, reads that row of ``coeffs``
-    (P, n+1, D) instead of evaluating ``m``; with coeffs None it evaluates.
-    A row that is not finite evaluates too: alone, its point may fail by a
-    division by zero that the stack carried on as inf or NaN."""
-    _handoff.rows = None if coeffs is None else (m, order, {
-        p.tobytes(): c for p, c, ok in zip(points, coeffs, np.isfinite(coeffs).all(axis=(1, 2)))
-        if ok
-    })
-    try:
-        yield
-    finally:
-        _handoff.rows = None
-
-
 def point_geometry(
     m: Immersion,
     p: Sequence[float],
     eps_reg: float = EPS_REG,
     check_domain: bool = True,
     order: int = 2,
+    *,
+    _rows: np.ndarray | None = None,
 ) -> PointGeometry:
     """Fundamental forms, normal and shape operator from one evaluation at
     jet order 2, or at order 3 with ``third`` filled.  The Christoffel
-    symbols are left to the callers that read them (``_christoffel``).  In a
-    classification block the evaluation is the point's rows of the block's
-    stacked one, which equal its own bit for bit."""
+    symbols are left to the callers that read them (``_christoffel``).
+    ``_rows``, a point's rows (n+1, D) of a block's stacked evaluation at this
+    order, which equal its own bit for bit, stands in for its evaluation."""
     q = np.asarray(p, dtype=float)
-    coeffs = None
-    held = getattr(_handoff, "rows", None)
-    if held is not None and held[0] is m and held[1] == order and q.shape == (m.n,):
-        coeffs = held[2].get(q.tobytes())
-        if coeffs is not None and check_domain and not m.contains(q):
-            raise OutOfDomainError(q, m.domain)
-    return _evaluate_geometry(m, q, order, eps_reg, check_domain, coeffs)[0]
+    if _rows is not None and check_domain and not m.contains(q):
+        raise OutOfDomainError(q, m.domain)
+    return _evaluate_geometry(m, q, order, eps_reg, check_domain, _rows)[0]
 
 
 # -- principal curvatures ---------------------------------------------------------------

@@ -546,6 +546,36 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     arr.write_text("[1, 2]")
     assert main(["check", str(arr)]) == EXIT_SPEC
     capsys.readouterr()
+    # bytes that are not UTF-8, an integer past the digit limit in a domain
+    # bound (refused as a bound where there is no limit) and arrays nested
+    # past the recursion limit: one line each, no traceback
+    undecodable = {
+        "latin1.json": '{"family": "special_sqrt2", "name": "caf\xe9"}'.encode("latin-1"),
+        "digits.json": ('{"components": ["s", "t", "0"], "variables": ["s", "t"], '
+                        '"domain": {"s": [0, 1' + "0" * 5000 + '], "t": [0, 1]}}').encode(),
+        "deep.json": b"[" * 100_000,
+    }
+    for name, data in undecodable.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == EXIT_SPEC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_check_out_to_an_unwritable_path(tmp_path, capsys, where):
+    out = tmp_path / ("absent/x.json" if where == "missing" else "report")
+    if where == "directory":
+        out.mkdir()
+    assert main(["check", "special_sqrt2.json", "--grid", "2", "--out", str(out)]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    assert captured.err == f"error: cannot write report to {out}: {reason}\n"
+    assert captured.out == ""
+    # no temp file is left beside the report
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ([] if where == "missing" else ["report"])
 
 
 # -- eval -------------------------------------------------------------------------------------

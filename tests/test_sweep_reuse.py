@@ -1,21 +1,20 @@
 """Reuse within one grid sweep: each block's jets come from one stacked
-evaluation, and the block's per-point point_geometry calls read their rows of
-it instead of evaluating the chart again.  The hand-off is private to the
-block and to the thread that runs it, and every row, record, skip text and
-error stays that of a point evaluated on its own."""
+evaluation, and each of the block's per-point point_geometry calls is given
+its row of it (``_rows``) instead of evaluating the chart again.  A point
+whose row is not finite, or whose block's stacked evaluation raised, is given
+None and evaluates alone; every row, record, skip text and error stays that
+of a point evaluated on its own."""
 
-import contextlib
 import dataclasses
 import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrkit import catalog, cli, gcr, geometry
+from gcrkit import catalog, gcr, geometry
 from gcrkit.expr import ExprError
 from gcrkit.gcr import EmptyReportError, GridSpec, classify_surface
 from gcrkit.geometry import (
@@ -50,10 +49,6 @@ LOG_CHART = Immersion.from_exprs("log", ["s", "t", "log(t)+s*s"], ["s", "t"],
 def sweep_chart() -> Immersion:
     """A fresh seeded so2_x_so2 chart, whose program a test may instrument."""
     return catalog.so2_x_so2(f="2.0+cos(s)", g="1.5+0.3*sin(s)")
-
-
-def held():
-    return getattr(geometry._handoff, "rows", None)
 
 
 def bits(pg) -> list:
@@ -93,6 +88,20 @@ def counting_evaluations(monkeypatch) -> list:
     return calls
 
 
+def given_rows(patch) -> list:
+    """The ``_rows`` of every point_geometry call of a sweep, on ``patch``
+    (a MonkeyPatch), as (point, rows) copies."""
+    given = []
+    original = gcr.point_geometry
+
+    def recording(m, p, *args, _rows=None, **kwargs):
+        given.append((p.copy(), None if _rows is None else _rows.copy()))
+        return original(m, p, *args, _rows=_rows, **kwargs)
+
+    patch.setattr(gcr, "point_geometry", recording)
+    return given
+
+
 def steps_run(program):
     """Wrap every step of ``program`` so that it logs its slot when it runs."""
     log = []
@@ -111,8 +120,8 @@ def steps_run(program):
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_warm_jets_equal_cold_jets_bit_for_bit(monkeypatch, family, order):
-    # the rows a block hands over are each point's own evaluation bit for bit,
-    # and so is the geometry point_geometry assembles from them
+    # a block's stacked rows are each point's own evaluation bit for bit, and
+    # so is the geometry point_geometry assembles from them, given as _rows
     m = family()
     lo, hi = np.array(m.domain).T
     base = lo + 0.37 * (hi - lo)
@@ -131,44 +140,23 @@ def test_warm_jets_equal_cold_jets_bit_for_bit(monkeypatch, family, order):
         return  # geometry needs second partials
     want = [cold(m, p, order) for p in block]
     evaluated = counting_evaluations(monkeypatch)
-    with geometry._handing_over(m, order, block, rows):
-        warm = [point_geometry(m, p, check_domain=False, order=order) for p in block]
+    warm = [point_geometry(m, p, check_domain=False, order=order, _rows=row)
+            for p, row in zip(block, rows)]
     assert evaluated == []
     for w, c in zip(warm, want):
         assert_same(w, c)
 
 
-def test_orders_and_arities_are_told_apart(monkeypatch):
-    # a hand-off serves its own chart at its own jet order: the same point at
-    # another order, of an equal chart or of a 2-variable chart evaluates anew
-    m, twin = sweep_chart(), sweep_chart()
-    flat = Immersion.from_exprs("flat", ["s", "t", "s*t"], ["s", "t"], [(0, 2), (0, 2)])
-    block = np.array([(1.0, 0.5, 0.5), (1.2, 0.5, 0.5)])
-    want = [cold(m, block[0], 3), cold(twin, block[0], 2), cold(flat, block[0][:2], 2),
-            cold(m, block[1], 2)]
-    rows = geometry._jet_rows(m, block, 2, False)
-    evaluated = counting_evaluations(monkeypatch)
-    with geometry._handing_over(m, 2, block, rows):
-        warm = [point_geometry(m, block[0], order=3), point_geometry(twin, block[0]),
-                point_geometry(flat, block[0][:2]), point_geometry(m, block[1])]
-    assert evaluated == [(3, 1), (2, 1), (2, 1)]
-    for w, c in zip(warm, want):
-        assert_same(w, c)
-
-
 def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
-    # the block's stacked evaluation fails at log(t) after s*s ran: nothing is
-    # handed over, and each point is evaluated on its own, with its own text
+    # the block's stacked evaluation fails at log(t) after s*s ran: every
+    # point is given None and evaluated on its own, with its own text
     block = np.array([(1.0, 0.5), (1.2, -0.5), (1.2, 0.5), (1.2, 0.0), (1.0, 0.5)])
     with pytest.raises(EvaluationError, match="log is undefined"):
         evaluate_jets(LOG_CHART, block, order=2, check_domain=False)
-    seen = []
-    original = gcr.point_geometry
-    monkeypatch.setattr(gcr, "point_geometry",
-                        lambda *a, **k: seen.append(held()) or original(*a, **k))
+    given = given_rows(monkeypatch)
     with np.errstate(all="raise", under="ignore"):
         pg, reasons = gcr._geometry_rows(LOG_CHART, block, 2, EPS_REG, stacked=False)
-    assert seen == [None] * 5
+    assert [rows for _, rows in given] == [None] * 5
     assert reasons[1] == ("evaluation failed: component evaluation failed at [1.2, -0.5]: "
                           "log is undefined or not differentiable at -0.5")
     want = [cold(LOG_CHART, p, 2) for p in block]
@@ -176,6 +164,13 @@ def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
     kept = [w for w in want if not isinstance(w, str)]
     for i, w in enumerate(kept):
         assert bits(geometry._row(pg, i)) == bits(w)
+    # a chart whose every point fails leaves no report
+    given.clear()
+    broken = Immersion.from_exprs("broken", ["s", "t", "log(-1-t*t)"], ["s", "t"],
+                                  [(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(EmptyReportError, match=r"first failure at \[0\.0, 0\.0\] \(evaluation"):
+        classify_surface(broken, GridSpec((3, 3)))
+    assert [rows for _, rows in given] == [None] * 9
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,77 +180,46 @@ def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
        order=st.integers(2, 3), stacked=st.booleans())
 def test_any_walk_with_failures_matches_cold_calls(walk, order, stacked):
     block = np.array(walk)
-    with np.errstate(all="raise", under="ignore"):
-        pg, reasons = gcr._geometry_rows(LOG_CHART, block, order, EPS_REG, stacked)
+    with pytest.MonkeyPatch.context() as patch:
+        given = given_rows(patch)
+        with np.errstate(all="raise", under="ignore"):
+            pg, reasons = gcr._geometry_rows(LOG_CHART, block, order, EPS_REG, stacked)
+    # log(t) at t <= 0 raises in the stack: every point is given None;
+    # otherwise the plain path gives each its row and --full assembles at once
+    if (block[:, 1] <= 0).any():
+        assert [rows for _, rows in given] == [None] * len(block)
+    elif stacked:
+        assert given == []
+    else:
+        assert [rows.tobytes() for _, rows in given] == [
+            geometry._jet_rows(LOG_CHART, p, order, False).tobytes() for p in block]
     want = [cold(LOG_CHART, p, order) for p in block]
     assert reasons == [w if isinstance(w, str) else None for w in want]
     kept = [w for w in want if not isinstance(w, str)]
     assert (pg is None) == (not kept)
     for i, w in enumerate(kept):
         assert bits(geometry._row(pg, i)) == bits(w)
-    assert held() is None
 
 
 def test_sweep_evaluates_each_block_once(monkeypatch):
     # the plain sweep runs every program step once per block, on the stack,
-    # and calls point_geometry once per point, each reading the block's rows
-    reading = []
-    original = gcr.point_geometry
-
-    def traced(m, p, *args, **kwargs):
-        rows = held()
-        reading.append(rows is not None and rows[0] is m and p.tobytes() in rows[2])
-        return original(m, p, *args, **kwargs)
-
-    monkeypatch.setattr(gcr, "point_geometry", traced)
+    # and calls point_geometry once per point, each given its row of the stack
+    given = given_rows(monkeypatch)
+    grid = GridSpec((8, 8, 8))
     for block_size in (gcr._BLOCK, 100):
         monkeypatch.setattr(gcr, "_BLOCK", block_size)
         m = sweep_chart()
         log = steps_run(m.program)
         evaluated = counting_evaluations(monkeypatch)
-        reading.clear()
-        report = classify_surface(m, GridSpec((8, 8, 8)))
+        given.clear()
+        report = classify_surface(m, grid)
         assert not report.skipped and len(report.records) == 512
         assert evaluated == [(2, min(block_size, 512 - i)) for i in range(0, 512, block_size)]
         assert len(log) == len(evaluated) * len(m.program._code)
-        assert reading == [True] * 512
-        assert held() is None
-
-
-def test_state_is_dropped_and_each_sweep_starts_cold(monkeypatch):
-    m = sweep_chart()
-    first = classify_surface(m, GridSpec((3, 3, 3)))
-    assert held() is None
-    evaluated = counting_evaluations(monkeypatch)
-    second = classify_surface(m, GridSpec((3, 3, 3)))
-    assert held() is None
-    assert evaluated == [(2, 27)]
-    assert first.records == second.records
-
-
-def test_a_sweep_that_raises_drops_its_state(monkeypatch):
-    m = sweep_chart()
-    original = gcr.point_geometry
-    calls = []
-
-    def interrupted(*args, **kwargs):
-        assert held()[0] is m  # the block has a hand-off to drop
-        calls.append(args[1])
-        if len(calls) == 5:
-            raise KeyboardInterrupt
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(gcr, "point_geometry", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        classify_surface(m, GridSpec((3, 3, 3)))
-    assert held() is None and len(calls) == 5
-    # so does one whose every point fails
-    monkeypatch.undo()
-    broken = Immersion.from_exprs("broken", ["s", "t", "log(-1-t*t)"], ["s", "t"],
-                                  [(0.0, 1.0), (0.0, 1.0)])
-    with pytest.raises(EmptyReportError):
-        classify_surface(broken, GridSpec((3, 3)))
-    assert held() is None
+        points = grid.points(m.domain)
+        assert [p.tobytes() for p, _ in given] == [p.tobytes() for p in points]
+        assert [rows.tobytes() for _, rows in given] == [
+            geometry._jet_rows(m, p, 2, False).tobytes() for p in points]
 
 
 def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
@@ -268,65 +232,60 @@ def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
         call()
         return len(evaluated) - start
 
-    # outside a block every call evaluates
+    # outside a sweep every call evaluates
     assert runs(lambda: geometry.evaluate_jets(m, p, order=2)) == 1
     assert runs(lambda: point_geometry(m, p)) == 1
     assert runs(lambda: point_geometry(m, p)) == 1
     assert runs(lambda: derivative_bundle(m, p)) == 1
     block = np.array([p, (1.2, 0.5, 0.5)])
     for order in (2, 3):
-        with geometry._handing_over(m, order, block, geometry._jet_rows(m, block, order, True)):
-            assert runs(lambda: point_geometry(m, p, order=order)) == 0
-            # evaluate_jets, derivative_bundle and a one-row stack evaluate
-            assert runs(lambda: geometry.evaluate_jets(m, p, order=order)) == 1
-            assert runs(lambda: derivative_bundle(m, p)) == 1
-            assert runs(lambda: point_geometry(m, np.array([p]), order=order)) == 1
-            # as does a call from another thread
-            counts = []
-            thread = threading.Thread(target=lambda: counts.append(
-                runs(lambda: point_geometry(m, p, order=order))))
-            thread.start()
-            thread.join()
-            assert counts == [1]
-            assert runs(lambda: point_geometry(m, p, order=order)) == 0
-        assert held() is None
+        rows = geometry._jet_rows(m, block, order, True)
+        # only a call given its rows does not
+        assert runs(lambda: point_geometry(m, p, order=order, _rows=rows[0])) == 0
+        assert runs(lambda: point_geometry(m, p, order=order, _rows=None)) == 1
         assert runs(lambda: point_geometry(m, p, order=order)) == 1
-    # a handed-over point outside the box is still refused where it is checked
+        assert runs(lambda: derivative_bundle(m, p)) == 1
+
+
+def test_given_rows_still_refuse_a_point_outside_the_box(monkeypatch):
+    m = sweep_chart()
     outside = np.array([(9.0, 0.5, 0.5)])
-    with geometry._handing_over(m, 2, outside, geometry._jet_rows(m, outside, 2, False)):
-        with pytest.raises(OutOfDomainError, match=r"point \[9\.0, 0\.5, 0\.5\]"):
-            point_geometry(m, outside[0])
-        assert runs(lambda: point_geometry(m, outside[0], check_domain=False)) == 0
+    row = geometry._jet_rows(m, outside, 2, False)[0]
+    evaluated = counting_evaluations(monkeypatch)
+    with pytest.raises(OutOfDomainError, match=r"point \[9\.0, 0\.5, 0\.5\]"):
+        point_geometry(m, outside[0], _rows=row)
+    pg = point_geometry(m, outside[0], check_domain=False, _rows=row)
+    assert evaluated == []
+    assert bits(pg) == bits(point_geometry(m, outside[0], check_domain=False))
 
 
 def test_stacked_sweep_keeps_no_state(monkeypatch):
-    # --full assembles a block from its stacked evaluation and hands nothing
-    # over; a block whose stacked assembly fails hands over its rows
-    opened = []
-    original = gcr._handing_over
-
-    def recording(m, order, points, coeffs):
-        opened.append((m.name, order, len(points), coeffs is not None))
-        return original(m, order, points, coeffs)
-
-    monkeypatch.setattr(gcr, "_handing_over", recording)
+    # --full assembles a block from its stacked evaluation and calls no
+    # point_geometry; a block whose stacked assembly fails gives each point
+    # its rows
+    given = given_rows(monkeypatch)
     classify_surface(sweep_chart(), GridSpec((2, 2, 2)), include_structural=True)
-    assert opened == [] and held() is None
+    assert given == []
     # the cone (s cos t, s sin t, s) is singular along s = 0
     cone = Immersion.from_exprs("cone", ("s*cos(t)", "s*sin(t)", "s"), ("s", "t"),
                                 ((-1.0, 1.0), (0.0, 1.0)))
     evaluated = counting_evaluations(monkeypatch)
     rep = classify_surface(cone, GridSpec((3, 3)), include_structural=True)
-    assert opened == [("cone", 2, 9, True)] and evaluated == [(2, 9)]
-    assert len(rep.skipped) == 3 and held() is None
+    assert evaluated == [(2, 9)] and len(rep.skipped) == 3
+    points = GridSpec((3, 3)).points(cone.domain)
+    assert [p.tobytes() for p, _ in given] == [p.tobytes() for p in points]
+    assert [rows.tobytes() for _, rows in given] == [
+        geometry._jet_rows(cone, p, 2, False).tobytes() for p in points]
 
 
 def test_reuse_keeps_reports_identical(monkeypatch):
-    # classification equals that of a sweep that hands nothing over, on charts
-    # whose stacks evaluate and on one whose rows fail partway
-    @contextlib.contextmanager
-    def nothing(m, order, points, coeffs):
-        yield
+    # classification equals that of a sweep whose point_geometry calls each
+    # evaluate alone, on charts whose stacks evaluate and on one whose rows
+    # fail partway
+    original = gcr.point_geometry
+
+    def alone(*args, _rows=None, **kwargs):
+        return original(*args, **kwargs)
 
     log = Immersion.from_exprs("log", LOG_CHART.components, LOG_CHART.var_names,
                                LOG_CHART.domain)
@@ -335,31 +294,31 @@ def test_reuse_keeps_reports_identical(monkeypatch):
     for (m, grid), full in itertools.product(cases, (False, True)):
         warm = classify_surface(m, grid, include_structural=full)
         with monkeypatch.context() as patch:
-            patch.setattr(gcr, "_handing_over", nothing)
+            patch.setattr(gcr, "point_geometry", alone)
             plain = classify_surface(m, grid, include_structural=full)
         assert warm.records
         assert [repr(r) for r in warm.records] == [repr(r) for r in plain.records]
         assert warm.skipped == plain.skipped
-        assert bool(warm.skipped) == (m is log) and held() is None
+        assert bool(warm.skipped) == (m is log)
 
 
-def test_cli_eval_never_reuses(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("a block's rows were handed over")
+def test_errors_leave_as_expr_errors_in_a_sweep(monkeypatch):
+    # a point given None evaluates on its own and fails as it would alone
+    block = np.array([(1.0, 0.5), (1.2, -0.5)])
+    raised = []
+    original = gcr.point_geometry
 
-    monkeypatch.setattr(gcr, "_handing_over", refuse)
-    monkeypatch.setattr(geometry, "_handing_over", refuse)
-    for _ in range(2):
-        assert cli.main(["eval", "special_sqrt2.json", "--point", "1,1,1"]) == 0
-    assert capsys.readouterr().out
+    def recording(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except GeometryError as exc:
+            raised.append((kwargs["_rows"], exc))
+            raise
 
-
-def test_errors_leave_as_expr_errors_in_a_sweep():
-    # a point outside the block evaluates on its own and fails as it would alone
-    block = np.array([(1.0, 0.5), (1.2, 0.5)])
-    with geometry._handing_over(LOG_CHART, 2, block,
-                                geometry._jet_rows(LOG_CHART, block, 2, False)):
-        with pytest.raises(EvaluationError, match="log is undefined") as err:
-            point_geometry(LOG_CHART, (1.2, -0.5))
-    assert isinstance(err.value.__cause__, ExprError)
-    assert f"evaluation failed: {err.value}" == cold(LOG_CHART, (1.2, -0.5), 2)
+    monkeypatch.setattr(gcr, "point_geometry", recording)
+    with np.errstate(all="raise", under="ignore"):
+        _, reasons = gcr._geometry_rows(LOG_CHART, block, 2, EPS_REG, stacked=False)
+    [(rows, err)] = raised
+    assert rows is None and isinstance(err, EvaluationError)
+    assert isinstance(err.__cause__, ExprError)
+    assert reasons[1] == f"evaluation failed: {err}" == cold(LOG_CHART, (1.2, -0.5), 2)
