@@ -9,9 +9,13 @@
 # torus_so2_x_so2.json at --grid 11 (1,331 points, more than one
 # classification block: 8 reports), plain and --full on log_t.json at
 # --grid 33 (1,089 points in two blocks, each with skipped points: 2
-# reports), then `families --json` and `eval --point 1,1,1` on
-# special_sqrt2.json and curve_tube.json: 110 files with log_t.json.  A numpy
-# RuntimeWarning fails the run: it is a silent inf or NaN.
+# reports), plain and --full on the 3-D chart steep_3d.json at --grid 3
+# (d_k g_ij overflows at s = 0.5, where only --full reads it: 2 reports),
+# --full on sqrt_kappa.json (a profile whose padded integration range starts
+# at the root s = 0 of its curvature sqrt(s): 1 report), then
+# `families --json` and `eval --point 1,1,1` on special_sqrt2.json and
+# curve_tube.json: 115 files with the three specs written into OUT_DIR.  A
+# numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -50,6 +54,26 @@ for flags in "" "--full"; do
   tag=$(echo log_t --grid 33 $flags | tr ' ' '_' | tr -d '-')
   run check "$out/log_t.json" --grid 33 $flags > "$out/$tag.out"
 done
+# at s = 0.5, g_ss = 5e306 is finite but d_s g_ss is not
+cat > "$out/steep_3d.json" <<'EOF'
+{
+  "components": ["s", "t", "u", "2^(s*1000)"],
+  "variables": ["s", "t", "u"],
+  "domain": {"s": [0, 1], "t": [0, 1], "u": [0, 1]}
+}
+EOF
+for flags in "" "--full"; do
+  tag=$(echo steep_3d --grid 3 $flags | tr ' ' '_' | tr -d '-')
+  run check "$out/steep_3d.json" --grid 3 $flags > "$out/$tag.out"
+done
+cat > "$out/sqrt_kappa.json" <<'EOF'
+{
+  "family": "hypercylinder_rotational",
+  "parameters": {"kappa": "sqrt(s)"},
+  "domain": {"s": [0.06, 1.06], "t": [0.0, 6.283185307179586], "u": [-1.0, 1.0]}
+}
+EOF
+run check "$out/sqrt_kappa.json" --full > "$out/sqrt_kappa_full.out"
 run families --json > "$out/families.out"
 for spec in special_sqrt2 curve_tube; do
   run eval "$root/src/gcrkit/specs/$spec.json" --point 1,1,1 > "$out/eval_$spec.out"

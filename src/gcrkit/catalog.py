@@ -269,9 +269,9 @@ class ProfileCurve:
 
 def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
     """kappa at one abscissa, at each entry of an array of abscissae (one
-    program run on a stack of order-1 seeds, whose value column has each
-    entry's float bits), and as text.  Both raise ValueError at the first
-    NaN abscissa: float arithmetic gives 0*inf = NaN quietly."""
+    program run on the array, whose entries take each float's bits), and as
+    text.  Both raise ValueError at the first NaN abscissa: float arithmetic
+    gives 0*inf = NaN quietly."""
     if isinstance(kappa, (int, float)):  # a bool too, which _finite refuses
         if not _finite(kappa):
             raise CatalogError(
@@ -291,7 +291,7 @@ def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
         return no_nan(program({"s": float(s)})[0], [float(s)])
 
     def krows(s: np.ndarray) -> np.ndarray:
-        return no_nan(program({"s": jet.jet_variable(0, s, 1, 1)})[0].value, s.tolist())
+        return no_nan(program({"s": s})[0], s.tolist())
 
     return kfun, krows, text
 

@@ -208,6 +208,8 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
     version = spec.get("schema_version", 1)
     if type(version) is not int or version != 1:
         raise SpecError(f"schema_version must be the integer 1, got {version!r}")
+    if not isinstance(spec.get("name", ""), str):
+        raise SpecError(f"name must be a string, got {spec['name']!r}")
 
     has_family = "family" in spec
     has_raw = "components" in spec
@@ -249,15 +251,14 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
             if "domain" not in spec:
                 raise SpecError("raw-component surfaces must declare a domain")
             domain = _domain_list(spec["domain"], variables)
-            name = spec.get("name", "surface")
-            m = Immersion.from_exprs(str(name), components, variables, domain)
+            m = Immersion.from_exprs(spec.get("name", "surface"), components, variables, domain)
             construction = {"components": [str(c) for c in components]}
     except (CatalogError, ExprError, ValueError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(str(exc)) from exc
 
-    echo = {"name": str(spec.get("name", m.name))}
+    echo = {"name": spec.get("name", m.name)}
     echo.update(construction)
     echo["variables"] = list(m.var_names)
     echo["domain"] = {v: [lo, hi] for v, (lo, hi) in zip(m.var_names, m.domain)}

@@ -299,10 +299,15 @@ def variables_of(expr: Expr) -> frozenset[str]:
 #
 # One Program serves both routes: a plain float is the order-0 case of a jet,
 # so floats and jets meet the same power, division and error rules, and the
-# jet route's value follows the float route's operations bit for bit.
+# jet route's value follows the float route's operations bit for bit.  A 1-D
+# float array takes the float route entry by entry, each entry's bits those
+# of its float; a division by zero follows numpy's error state there.
 
 
 def _power(b: float | Jet, e: float | Jet) -> float | Jet:
+    if isinstance(e, np.ndarray):  # a float array exponent: entry by entry
+        pairs = zip(*(v.tolist() for v in np.broadcast_arrays(b, e)))
+        return np.array([_power(x, y) for x, y in pairs])
     if isinstance(e, Jet) and not e.c[..., 1:].any():
         e = e.value  # a jet exponent that is constant after all
         if isinstance(e, np.ndarray):  # a stack: one exponent for every row
@@ -317,7 +322,7 @@ def _power(b: float | Jet, e: float | Jet) -> float | Jet:
     if base <= 0.0:
         kind = "non-constant" if isinstance(e, Jet) else "non-integer"
         raise ExprEvalError(f"'^' with {kind} exponent needs a positive base, got {base!r}")
-    return _jet.exp(e * _jet.log(b)) if isinstance(e, Jet) else b**e
+    return _jet.exp(e * _jet.log(b)) if isinstance(e, Jet) else _jet._plain(b).pow(b, e)
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _power}
@@ -335,8 +340,9 @@ class Program:
     function and the slots of its operands, are those of a walk of the trees,
     left operand first, except that a repeated subtree runs once (constants
     match by float bits); so the first step to fail is the walk's.  Called
-    with an environment, it returns one value per root, a constant broadcast
-    to the first bound jet's shape.  Domain and range failures (math's
+    with an environment of floats, 1-D float arrays, single jets or stacks,
+    it returns one value per root, a constant broadcast to the first bound
+    array's or jet's shape.  Domain and range failures (math's
     ValueError and ArithmeticError, and JetDomainError) leave as
     ExprEvalError."""
 
@@ -387,6 +393,8 @@ class Program:
             out = [v if isinstance(v, Jet) else
                    jet_constant(np.full(rows, v) if rows else v, probe.n, probe.order)
                    for v in out]
+        elif isinstance(probe, np.ndarray):
+            out = [v if isinstance(v, np.ndarray) else np.full(probe.shape, v) for v in out]
         return out
 
 

@@ -16,7 +16,8 @@ covariant derivative of the second fundamental form, from which
 closed form, comes from order-3 geometry (``point_geometry(order=3)``), so
 no frame is ever differenced across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
-returning infinities.  One generalized cross product
+returning infinities: order 2 checks the figures its callers read, and
+order 3 adds d_k g_ij.  One generalized cross product
 kernel, a few products of stacked jet coefficient rows, gives the float
 normal, the unit normal jets and ``catalog.tangent_cone``'s spherical normal.
 A grid sweep passes ``point_geometry`` each point's row of its block's stack.
@@ -289,9 +290,10 @@ def _evaluate_geometry(
     the coefficient rows ``coeffs`` of one (``_jet_rows``), plus those rows.
     A stack ``q`` (P, n) gives each of them a leading point axis, and each
     row the bits of its point alone.  Overflow and its NaNs are caught once,
-    here, instead of as numpy warnings: a point whose jets, assembled
-    geometry or d_k g_ij are not finite raises GeometryError, as does a stack
-    with one such row."""
+    here, instead of as numpy warnings: a point whose jets or assembled
+    geometry are not finite raises GeometryError, as does a stack with one
+    such row.  Order 2 checks what its callers read (the rows, g, N and S);
+    order 3 adds d_k g_ij, which only its callers read."""
     with np.errstate(all="ignore"):
         if coeffs is None:
             coeffs = _jet_rows(m, q, order, check_domain)
@@ -314,7 +316,7 @@ def _evaluate_geometry(
         h = np.einsum("...cij,...c->...ij", sec, normal)
         h = 0.5 * (h + h.swapaxes(-1, -2))
         shape = np.linalg.solve(g, h)
-        checked = (coeffs, g, normal, _dmetric(jac, sec), shape)
+        checked = (coeffs, g, normal, shape) + ((_dmetric(jac, sec),) if order >= 3 else ())
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
         raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
     pg = PointGeometry(

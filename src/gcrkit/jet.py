@@ -17,6 +17,9 @@ single jet's elementary functions and real powers call ``math`` and ``**`` on
 its value, as plain floats do; a stack maps the same calls over its value
 column, so each row equals the single jet at its point bit for bit (numpy's
 ufuncs promise no match with ``math``) and an overflow raises math's error.
+The elementary functions also take a plain float, and a 1-D float array,
+whose entries they map the same calls over: the order-0 case, with no
+derivatives to carry.
 Where a single jet adds, subtracts or multiplies by a number, a stack takes
 a 1-D array instead, one number per row: on either side of + and *, on the
 right of -.  numpy defers to the jet, so ``arr * stack`` is ``stack * arr``
@@ -426,6 +429,12 @@ _ONE = types.SimpleNamespace(
 _ROWS = types.SimpleNamespace(**{name: _rows(f) for name, f in vars(_ONE).items()})
 
 
+def _plain(x):
+    """The functions for a plain float, ``_ONE``, or mapped over the entries
+    of a 1-D float array, ``_ROWS``."""
+    return _ROWS if isinstance(x, np.ndarray) else _ONE
+
+
 def _arg(x: Jet):
     """A jet's value and the functions that act on it: one jet's float with
     ``_ONE``, or a stack's value column with ``_ROWS``."""
@@ -490,14 +499,15 @@ def _real_pow(x: Jet, p: float) -> Jet:
 # -- elementary functions ------------------------------------------------------
 #
 # sin, cos, tan, exp, log, sqrt and atan also take a plain float, the order-0
-# case: it gets the float value alone, with no derivatives to carry.  A float
-# argument needs only to lie in the function's domain; a jet must be
-# differentiable there too, which excludes sqrt at 0.
+# case: it gets the float value alone, with no derivatives to carry, and a 1-D
+# float array gets each entry's float value.  A float argument needs only to
+# lie in the function's domain; a jet must be differentiable there too, which
+# excludes sqrt at 0.
 
 
 def sin(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        return math.sin(x)
+        return _plain(x).sin(x)
     v, m = _arg(x)
     s, c = m.sin(v), m.cos(v)
     return _compose(x, s, c, -s, -c, s)
@@ -505,7 +515,7 @@ def sin(x: float | Jet) -> float | Jet:
 
 def cos(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        return math.cos(x)
+        return _plain(x).cos(x)
     v, m = _arg(x)
     s, c = m.sin(v), m.cos(v)
     return _compose(x, c, -s, -c, s, c)
@@ -513,7 +523,7 @@ def cos(x: float | Jet) -> float | Jet:
 
 def tan(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        return math.tan(x)
+        return _plain(x).tan(x)
     v, m = _arg(x)
     t = m.tan(v)
     d = 1.0 + t * t
@@ -524,7 +534,7 @@ def tan(x: float | Jet) -> float | Jet:
 
 def exp(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        return math.exp(x)
+        return _plain(x).exp(x)
     v, m = _arg(x)
     e = m.exp(v)
     return _compose(x, e, e, e, e, e)
@@ -533,7 +543,7 @@ def exp(x: float | Jet) -> float | Jet:
 def log(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         _guard("log", x, x <= 0.0)
-        return math.log(x)
+        return _plain(x).log(x)
     v, m = _arg(x)
     _guard("log", v, v <= 0.0)
     return _compose(
@@ -544,7 +554,7 @@ def log(x: float | Jet) -> float | Jet:
 def sqrt(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
         _guard("sqrt", x, x < 0.0)
-        return math.sqrt(x)
+        return _plain(x).sqrt(x)
     v, m = _arg(x)
     _guard("sqrt", v, v <= 0.0)
     r = m.sqrt(v)
@@ -555,7 +565,7 @@ def sqrt(x: float | Jet) -> float | Jet:
 
 def atan(x: float | Jet) -> float | Jet:
     if not isinstance(x, Jet):
-        return math.atan(x)
+        return _plain(x).atan(x)
     v, m = _arg(x)
     d = 1.0 + v * v
     return _compose(

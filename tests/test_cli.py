@@ -299,6 +299,11 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
          "schema_version must be the integer 1, got '1'"),
         ({"family": "special_sqrt2", "schema_version": None},
          "schema_version must be the integer 1, got None"),
+        # a spec's name, when given, is a string
+        ({"family": "special_sqrt2", "name": ["x"]}, "name must be a string, got ['x']"),
+        ({"family": "special_sqrt2", "name": {"a": 1}}, "name must be a string, got {'a': 1}"),
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"], "name": 123,
+          "domain": {"s": [0, 1], "t": [0, 1]}}, "name must be a string, got 123"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -315,8 +320,11 @@ def test_check_grid_flag_capped(capsys):
     assert err == "error: grid 100000x100000x100000 exceeds 1000000 points\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_components_skip_points_quietly(tmp_path, capfd):
-    # 2^(1000 s) and its derivatives leave the float range inside [0, 1]
+    # 2^(1000 s) and its derivatives leave the float range inside [0, 1].  At
+    # s = 0.5, g_ss = 5e306 is finite but d_s g_ss is not: order-2 geometry
+    # never reads d_k g_ij, so a plain check classifies those points
     spec = write_spec(tmp_path, "overflow.json", {
         "components": ["s", "t", "2^(s*1000)"],
         "variables": ["s", "t"],
@@ -326,10 +334,33 @@ def test_overflowing_components_skip_points_quietly(tmp_path, capfd):
     out, err = capfd.readouterr()
     assert err == ""
     doc = json.loads(out)
-    assert doc["summary"]["points_regular"] == 10
+    assert doc["summary"]["points_regular"] == 15
     reasons = {entry["point"][0]: entry["reason"] for entry in doc["skipped"]}
-    assert sorted(reasons) == [0.5, 0.75, 1.0]
+    assert sorted(reasons) == [0.75, 1.0]
     assert reasons[1.0] == "evaluation failed: jets or geometry not finite at [1.0, 1.0]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_only_dmetric_overflowing_is_no_plain_skip_in_3d(tmp_path, capfd):
+    # the 3-D companion: a plain check classifies the s = 0.5 points, and
+    # --full, whose order-3 geometry reads d_k g_ij, still skips them
+    spec = write_spec(tmp_path, "overflow3.json", {
+        "components": ["s", "t", "u", "2^(s*1000)"],
+        "variables": ["s", "t", "u"],
+        "domain": {"s": [0, 1], "t": [0, 1], "u": [0, 1]},
+    })
+    for flags, regular, skipped in (([], 18, [1.0]), (["--full"], 9, [0.5, 1.0])):
+        assert main(["check", spec, "--grid", "3", *flags]) == EXIT_OK
+        out, err = capfd.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["summary"]["points_regular"] == regular
+        reasons = {tuple(entry["point"]): entry["reason"] for entry in doc["skipped"]}
+        assert sorted({p[0] for p in reasons}) == skipped
+        assert len(reasons) == 9 * len(skipped)
+        for p, reason in reasons.items():
+            where = [float(v) for v in p]
+            assert reason == f"evaluation failed: jets or geometry not finite at {where}"
 
 
 def test_only_christoffel_symbols_overflowing_is_no_plain_skip(tmp_path, capfd):

@@ -4,7 +4,8 @@
 shared subtrees.  ``expr_oracle`` walks each tree recursively, one after
 another, evaluating every occurrence again.  On floats, single jets of every
 order and stacks, the two must agree bit for bit, and where the walker fails
-the program must fail with the same error type and text.
+the program must fail with the same error type and text.  On a 1-D float
+array, the program must give each entry its own float's bits.
 """
 
 import math
@@ -85,9 +86,8 @@ def _charts(draw):
     return tuple(draw(st.lists(root, min_size=1, max_size=4)))
 
 
-_ROWS = st.lists(
-    st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=3, max_size=3
-)
+_ROW = st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
+_ROWS = st.lists(_ROW, min_size=3, max_size=3)
 
 
 @settings(max_examples=400, deadline=None)
@@ -100,6 +100,29 @@ _ROWS = st.lists(
 def test_program_matches_walker_on_random_trees(roots, rows, order, errors):
     with np.errstate(all=errors):
         _assert_matches(roots, _envs(_NAMES, rows, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=_charts(), rows=st.lists(_ROW, min_size=1, max_size=8))
+def test_program_on_float_arrays_matches_each_float(roots, rows):
+    # a 1-D float array takes the float route entry by entry: each entry that
+    # evaluates as a float gives that float's bits, signed zeros included
+    program = Program(roots)
+    fine, want = [], []
+    for row in rows:
+        try:
+            want.append(program(dict(zip(_NAMES, row))))
+        except expr.ExprEvalError:
+            continue
+        fine.append(row)
+    if not fine:
+        return
+    with np.errstate(all="ignore"):  # floats overflow to inf quietly too
+        got = program(dict(zip(_NAMES, np.array(fine).T)))
+    assert len(got) == len(roots)
+    for k, values in enumerate(got):
+        assert type(values) is np.ndarray and values.shape == (len(fine),)
+        assert values.tobytes() == np.array([w[k] for w in want]).tobytes()
 
 
 # the trees that families built without components compile for their mappings

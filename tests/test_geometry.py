@@ -483,6 +483,25 @@ def test_singular_point_raises_with_diagnostics():
     assert err.value.det_g < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_only_order_3_refuses_a_metric_derivative_that_overflows():
+    # at s = 0.5, g_ss = 5e306 is finite but d_s g_ss = 2 <x_ss, x_s> is not:
+    # order-2 geometry reads no d_k g_ij, order-3 geometry and the bundle do
+    m = Immersion.from_exprs("steep", ("s", "t", "u", "2^(s*1000)"), ("s", "t", "u"),
+                             ((0.0, 1.0),) * 3)
+    p = (0.5, 0.25, 0.75)
+    pg = point_geometry(m, p)
+    assert math.isfinite(pg.metric[0, 0]) and pg.metric[0, 0] > 1e306
+    assert np.isfinite(pg.shape).all() and pg.third is None
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(geometry._dmetric(pg.jac, pg.second)).all()
+    text = "jets or geometry not finite at [0.5, 0.25, 0.75]"
+    for call in (lambda: point_geometry(m, p, order=3), lambda: derivative_bundle(m, p)):
+        with pytest.raises(geometry.GeometryError) as err:
+            call()
+        assert str(err.value) == text
+
+
 def test_out_of_domain_check_and_escape():
     m = unit_sphere()
     with pytest.raises(OutOfDomainError):

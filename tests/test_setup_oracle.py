@@ -154,7 +154,7 @@ def test_profile_matches_stage_by_stage_oracle(kappa, s_range, init, step, monke
     got = integrate_profile(kappa, s_range, init, step)
     # one stacked run, one row per distinct abscissa: at most 3 per step plus s_0
     [(env, _)] = runs
-    rows = env["s"].value
+    rows = env["s"]
     assert 0 < rows.size == np.unique(rows).size <= 3 * (got.s.size - 1) + 1
     for name in ("s", "f", "g", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -188,12 +188,25 @@ def test_profile_failures_match_stage_by_stage_oracle(label, trap):
 
 
 def test_profile_through_a_float_only_root_matches_stage_by_stage_oracle():
-    # sqrt(s) at s = 0 is a float but no jet: the stacked read seeds order-1
-    # jets, and a jet's sqrt refuses 0 for its derivative, so the curvature
-    # must then be read as floats.  The result is the per-stage loop's, bit
-    # for bit, however the stacked read is replaced.
+    # sqrt(s) at s = 0 is a float but no jet: a jet's sqrt refuses 0 for its
+    # derivative, so the curvature must be read as floats.  The result is the
+    # per-stage loop's, bit for bit, however the stacked read is done.
     want = setup_oracle.integrate_profile("sqrt(s)", (0.0, 1.0))
     got = integrate_profile("sqrt(s)", (0.0, 1.0))
     for name in ("s", "f", "g", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.curve._coeffs.tobytes() == want.curve._coeffs.tobytes()
+
+
+def test_a_float_only_root_needs_no_stage_by_stage_rerun(monkeypatch):
+    # the stacked read runs the program on the abscissae as floats, so sqrt(0)
+    # is 0 there too and the stages never rerun one at a time
+    reruns = []
+    stages = catalog._rk4_stages
+    monkeypatch.setattr(catalog, "_rk4_stages", lambda *a: reruns.append(a) or stages(*a))
+    runs = _record_runs(monkeypatch)
+    got = integrate_profile("sqrt(s)", (0.0, 1.0))
+    assert reruns == []
+    [(env, (k,))] = runs
+    assert env["s"][0] == 0.0 and k.dtype == float and k[0] == 0.0
+    assert got.s[0] == 0.0 and np.isfinite(got.angle).all()
