@@ -13,9 +13,11 @@
 # (d_k g_ij overflows at s = 0.5, where only --full reads it: 2 reports),
 # --full on sqrt_kappa.json (a profile whose padded integration range starts
 # at the root s = 0 of its curvature sqrt(s): 1 report), then
-# `families --json` and `eval --point 1,1,1` on special_sqrt2.json and
-# curve_tube.json: 115 files with the three specs written into OUT_DIR.  A
-# numpy RuntimeWarning fails the run: it is a silent inf or NaN.
+# `families --json`, `eval --point 1,1,1` on special_sqrt2.json and
+# curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json
+# and `eval --point 0.2,1.2,2.0` at a degenerate point of
+# rotational_sphere.json: 117 files with the three specs written into
+# OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -78,3 +80,6 @@ run families --json > "$out/families.out"
 for spec in special_sqrt2 curve_tube; do
   run eval "$root/src/gcrkit/specs/$spec.json" --point 1,1,1 > "$out/eval_$spec.out"
 done
+run eval "$root/src/gcrkit/specs/saddle_raw.json" --point 0.3,-0.2 > "$out/eval_saddle_raw.out"
+run eval "$root/src/gcrkit/specs/rotational_sphere.json" --point 0.2,1.2,2.0 \
+  > "$out/eval_rotational_sphere.out"

@@ -10,7 +10,6 @@ a C^2 piecewise-quintic Hermite interpolant, whose jets are exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -481,6 +480,14 @@ def _seed_pair(a0: np.ndarray, d1_0: np.ndarray) -> np.ndarray:
     raise CatalogError("could not seed the normal frame")  # pragma: no cover - impossible in E^4
 
 
+def _on_sphere(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows`` (..., 4), whether it lies within 1e-8 of the unit
+    3-sphere.  A row with an inf or NaN entry does not, and overflow in its
+    square is no error."""
+    with np.errstate(all="ignore"):
+        return np.abs(_sum(rows * rows) - 1.0) <= 1e-8
+
+
 def _orthonormalize(pair: np.ndarray) -> None:
     """Gram-Schmidt of the two rows of ``pair``, in place."""
     a, b = pair
@@ -533,7 +540,7 @@ def build_normal_frame(
 
     def check_left(a0: np.ndarray, d1_0: np.ndarray) -> None:
         # written so that a NaN fails them: every comparison with NaN is false
-        if not abs(a0 @ a0 - 1.0) <= 1e-8:
+        if not _on_sphere(a0):
             raise CatalogError("curve must lie on the unit 3-sphere")
         if not np.linalg.norm(d1_0) >= 1e-8:
             raise CatalogError("curve is not regular at the left endpoint")
@@ -542,7 +549,7 @@ def build_normal_frame(
         """Raise at the first node off the unit 3-sphere or not regular; the
         rows are the nodes that steps ``step``, ``step + 1``, ... reach.
         Written so that a NaN fails: every comparison with NaN is false."""
-        off_sphere = ~(np.abs(_sum(vals * vals) - 1.0) <= 1e-8)
+        off_sphere = ~_on_sphere(vals)
         if (bad := off_sphere | ~(_sum(d1 * d1) >= 1e-16)).any():
             i = int(bad.argmax())
             what = "leaves the unit 3-sphere" if off_sphere[i] else "is not regular"
@@ -717,8 +724,11 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
         y if y is not None else _DEFAULT_CONE_BASE, ("v", "w"), 4, "base surface"
     )
     box = _box(domain, ((0.75, 2.25), (0.0, _TWO_PI), (0.0, _TWO_PI)))
-    _validate_unit_sphere(y_exprs, ("v", "w"), box[1:], what="base surface")
     base = Program(y_exprs)
+    v, w = (x.ravel() for x in np.meshgrid(*(np.linspace(lo, hi, 7) for lo, hi in box[1:]),
+                                           indexing="ij"))
+    if not _on_sphere(np.stack(base({"v": v, "w": w}), axis=-1)).all():
+        raise CatalogError("base surface must lie on the unit 3-sphere")
 
     def mapping(seeds):
         s, v, w = seeds
@@ -795,16 +805,6 @@ def product_cylinder(base: Sequence | None = None, domain=None) -> Immersion:
     box = _box(domain, ((0.0, _TWO_PI), (0.0, _TWO_PI), (-1.0, 1.0)))
     comps = base_exprs + (Var("u"),)
     return Immersion.from_exprs("product_cylinder", comps, ("s", "t", "u"), box)
-
-
-def _validate_unit_sphere(exprs, var_names, box, what: str, samples: int = 7) -> None:
-    grids = [np.linspace(lo, hi, samples) for lo, hi in box]
-    programs = [Program((e,)) for e in exprs]  # each squared before the next runs
-    for point in itertools.product(*grids):
-        env = {name: float(v) for name, v in zip(var_names, point)}
-        norm_sq = sum(run(env)[0] ** 2 for run in programs)
-        if abs(norm_sq - 1.0) > 1e-8:
-            raise CatalogError(f"{what} must lie on the unit 3-sphere")
 
 
 # -- convenience constructors (not separate catalog tags) ------------------------------

@@ -24,15 +24,7 @@ import numpy as np
 
 from .catalog import FAMILY_TAGS, CatalogError, _finite, family_catalog, make_family
 from .expr import ExprError
-from .geometry import (
-    GeometryError,
-    Immersion,
-    OutOfDomainError,
-    SingularPointError,
-    curvature_invariants,
-    point_geometry,
-    principal_data,
-)
+from .geometry import GeometryError, Immersion, OutOfDomainError, _stack, point_geometry
 from .gcr import (
     STRUCTURAL_KEYS,
     DegeneratePointError,
@@ -40,9 +32,8 @@ from .gcr import (
     GridSpec,
     SurfaceReport,
     Tolerances,
+    _classify_rows,
     classify_surface,
-    gcr_residual,
-    position_angles,
 )
 
 __all__ = ["main", "canonical_json", "load_spec", "build_surface"]
@@ -371,7 +362,7 @@ def report_to_dict(
             {"point": p, "degenerate": deg, "mu": mu, "theta": th, "k": kk, "H": hh,
              "distinct_count": d, "gcr_primary": p1, "gcr_secondary": p2, "delta2": d2,
              "structural": _structural_dict(s), "structural_note": note}
-            for p, mu, th, kk, hh, d, deg, p1, p2, d2, s, note in report._rows()
+            for p, mu, th, kk, hh, d, deg, p1, p2, d2, s, note in report._rows(report.columns)
         ]
     return doc
 
@@ -387,7 +378,7 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
     csv.writer(out, lineterminator="\n").writerow(header)
     # formatted cells hold no comma, quote or newline, so rows need no quoting
     lines = [out.getvalue()]
-    for p, mu, th, k, h, d, deg, p1, p2, d2, s, _ in report._rows():
+    for p, mu, th, k, h, d, deg, p1, p2, d2, s, _ in report._rows(report.columns):
         row = [*p, mu, th, *k, *h, d, deg, p1, p2, d2]
         if include_structural:
             row += [None if s is None else getattr(s, c) for c in STRUCTURAL_KEYS]
@@ -430,8 +421,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """``check`` at one point: the same tolerances, kernel and skip reasons."""
     spec = load_spec(args.spec)
     m, echo = build_surface(spec)
+    tols = _tolerances_from_spec(spec, None)
     try:
         point = [float(v) for v in args.point.split(",")]
     except ValueError as exc:
@@ -441,19 +434,12 @@ def cmd_eval(args) -> int:
     if not m.contains(point):
         print(f"error: point {point} outside domain box", file=sys.stderr)
         return EXIT_SPEC
-    try:
-        pg = point_geometry(m, point)
-        pd = principal_data(pg)
-    except SingularPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    pg = point_geometry(m, point, tols.eps_reg)
+    columns, (why,) = _classify_rows(_stack([pg]), tols)
+    if why is not None:
+        print(f"error: {why}", file=sys.stderr)
         return EXIT_SINGULAR
-    ci = curvature_invariants(pd.curvatures)
-    pa = position_angles(pg)
-    if pa.degenerate:
-        primary = secondary = None
-    else:
-        res = gcr_residual(pa, pd, pg)
-        primary, secondary = res.primary, res.secondary
+    [(_, mu, theta, k, h, _, degenerate, primary, secondary, *_)] = SurfaceReport._rows(columns)
     doc = {
         "surface": echo["name"],
         "point": point,
@@ -461,11 +447,11 @@ def cmd_eval(args) -> int:
         "metric": [[float(v) for v in row] for row in pg.metric],
         "normal": [float(v) for v in pg.normal],
         "second_form": [[float(v) for v in row] for row in pg.second_form],
-        "k": [float(v) for v in pd.curvatures],
-        "H": [float(v) for v in ci.mean],
-        "mu": pa.mu,
-        "theta": pa.theta,
-        "degenerate": pa.degenerate,
+        "k": k,
+        "H": h,
+        "mu": mu,
+        "theta": theta,
+        "degenerate": degenerate,
         "gcr_primary": primary,
         "gcr_secondary": secondary,
     }

@@ -459,12 +459,13 @@ class SurfaceReport:
     structural_max: dict[str, float]
     jet_order: int  # highest jet order evaluated
 
-    def _rows(self):
-        """Per classified point, its PointRecord fields as Python values in
-        field order, with lists for the point, curvatures and means."""
-        size = len(self.columns["mu"])
+    @staticmethod
+    def _rows(columns: dict):
+        """Per row of the PointRecord ``columns``, its fields as Python values
+        in field order, with lists for the point, curvatures and means."""
+        size = len(columns["mu"])
         out = {name: [None] * size if column is None else column.tolist()
-               for name, column in self.columns.items()}
+               for name, column in columns.items()}
         for name in ("gcr_primary", "gcr_secondary"):
             out[name] = [None if d else v for d, v in zip(out["degenerate"], out[name])]
         return zip(*(out[f.name] for f in fields(PointRecord)))
@@ -474,7 +475,7 @@ class SurfaceReport:
         """One PointRecord per classified point, built from the columns on
         each access."""
         return [PointRecord(tuple(p), mu, th, tuple(k), tuple(h), *rest)
-                for p, mu, th, k, h, *rest in self._rows()]
+                for p, mu, th, k, h, *rest in self._rows(self.columns)]
 
 
 # grid points classified together once their geometry is assembled: enough

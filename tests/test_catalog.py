@@ -262,6 +262,9 @@ def test_frame_rejects_off_sphere_and_irregular_curves():
         build_normal_frame(("2*cos(w)", "2*sin(w)", "0", "0"), (0.0, 1.0))
     with pytest.raises(CatalogError):
         build_normal_frame(("1", "0", "0", "0"), (0.0, 1.0))
+    # a squared norm that overflows is off the sphere, not a numpy error
+    with np.errstate(all="raise"), pytest.raises(CatalogError, match="curve must lie on"):
+        build_normal_frame(("1e200*cos(w)", "sin(w)", "0", "0"), (0.0, 1.0))
     # sample counts must be integers within the cap, checked before allocation
     for samples in (1, True, 801.0, 1e9, 10**9, 100_001):
         with pytest.raises(CatalogError, match="samples"):
@@ -354,6 +357,25 @@ def test_tangent_cone_has_flat_ruling():
     assert min(abs(pd.curvatures)) < 1e-12
     with pytest.raises(CatalogError):
         tangent_cone(y=("v", "w", "0", "1"))  # not on the unit sphere
+
+
+def test_on_sphere_fails_non_finite_rows_quietly():
+    rows = np.array([[0.6, 0.8, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0],
+                     [math.inf, 0.0, 0.0, 0.0], [1.0 + 1e-8, 0.0, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        assert catalog._on_sphere(rows).tolist() == [True, False, False, False, False]
+        assert catalog._on_sphere(rows[0]) and not catalog._on_sphere(rows[1])
+
+
+@pytest.mark.parametrize("y", [
+    ("1e200*cos(v)", "sin(v)", "0", "0"),  # the squared norm overflows
+    ("cos(v)*cos(w)+0*(1e200*1e200)", "cos(v)*sin(w)", "sin(v)*cos(w)", "sin(v)*sin(w)"),  # NaN
+])
+@pytest.mark.parametrize("trap", [False, True])
+def test_tangent_cone_refuses_a_non_finite_base(y, trap):
+    with np.errstate(all="raise" if trap else "warn"):
+        with pytest.raises(CatalogError, match="base surface must lie on the unit 3-sphere"):
+            tangent_cone(y=y)
 
 
 def test_cone_constructor_validation():

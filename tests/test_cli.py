@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,14 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "special_sqrt2", "name": {"a": 1}}, "name must be a string, got {'a': 1}"),
         ({"components": ["s", "t", "0"], "variables": ["s", "t"], "name": 123,
           "domain": {"s": [0, 1], "t": [0, 1]}}, "name must be a string, got 123"),
+        # a base or curve whose squared norm overflows, or is NaN, is off the sphere
+        ({"family": "tangent_cone", "parameters": {"y": ["1e200*cos(v)", "sin(v)", "0", "0"]}},
+         "base surface must lie on the unit 3-sphere"),
+        ({"family": "tangent_cone", "parameters": {"y": [
+            "cos(v)*cos(w)+0*(1e200*1e200)", "cos(v)*sin(w)", "sin(v)*cos(w)", "sin(v)*sin(w)"]}},
+         "base surface must lie on the unit 3-sphere"),
+        ({"family": "curve_tube", "parameters": {"alpha": ["1e200*cos(w)", "sin(w)", "0", "0"]}},
+         "curve must lie on the unit 3-sphere"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -649,7 +658,8 @@ def test_eval_overflow_exits_cleanly(tmp_path, capsys):
         "domain": {"s": [-1.0, 1.0], "t": [-1.0, 1.0]},
     })
     assert main(["eval", spec, "--point", "0,0"]) == EXIT_SINGULAR
-    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+    # the kernel skips the point with check's reason
+    assert capsys.readouterr().err == "error: evaluation failed: overflow encountered in multiply\n"
 
 
 def test_eval_degenerate_point(tmp_path, capsys):
@@ -658,6 +668,59 @@ def test_eval_degenerate_point(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["degenerate"] is True
     assert doc["gcr_primary"] is None and doc["gcr_secondary"] is None
+
+
+def test_eval_honours_spec_eps_tan_rel(tmp_path, capsys):
+    # a tangential part shorter than 10 mu counts as vanishing: every point is
+    # degenerate, for eval as for check
+    spec = write_spec(tmp_path, "wide.json", {"family": "special_sqrt2",
+                                              "tolerances": {"eps_tan_rel": 10}})
+    assert main(["check", spec, "--grid", "2"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["points_degenerate"] == summary["points_total"] == 8
+    assert main(["eval", spec, "--point", "1,1,1"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["degenerate"] is True
+    assert doc["gcr_primary"] is None and doc["gcr_secondary"] is None
+
+
+def test_eval_honours_spec_eps_reg(tmp_path, capsys):
+    # det g = 16 at (1, 1, 1) is below eps_reg = 1e6
+    spec = write_spec(tmp_path, "reg.json", {"family": "special_sqrt2",
+                                             "tolerances": {"eps_reg": 1e6}})
+    assert main(["eval", spec, "--point", "1,1,1"]) == EXIT_SINGULAR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: metric is singular at [1.0, 1.0, 1.0] (det g = 1.600e+01)\n"
+
+
+@pytest.mark.parametrize("tolerances", [{"eps_tan_rel": -1}, {"tol_huge": 1.0}])
+def test_eval_refuses_tolerances_that_check_refuses(tmp_path, capsys, tolerances):
+    spec = write_spec(tmp_path, "bad.json", {"family": "special_sqrt2",
+                                             "tolerances": tolerances})
+    assert main(["check", spec]) == EXIT_SPEC
+    want = capsys.readouterr().err
+    assert main(["eval", spec, "--point", "1,1,1"]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == want
+    assert want.count("\n") == 1 and want.startswith("error: ")
+
+
+_EVAL_KEYS = ("k", "H", "mu", "theta", "degenerate", "gcr_primary", "gcr_secondary")
+
+
+@pytest.mark.parametrize("spec", sorted(
+    p.name for p in resources.files("gcrkit").joinpath("specs").iterdir() if p.name.endswith(".json")))
+def test_eval_prints_what_check_reports_at_each_point(spec, capsys):
+    # eval is check at one point: the same text for every figure they share
+    assert main(["check", spec, "--full", "--grid", "3"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["per_point"] and not doc["skipped"]  # every grid point is compared
+    for entry in doc["per_point"]:
+        assert main(["eval", spec, "--point=" + ",".join(map(repr, entry["point"]))]) == EXIT_OK
+        got = json.loads(capsys.readouterr().out)
+        assert canonical_json({key: got[key] for key in _EVAL_KEYS}) == canonical_json(
+            {key: entry[key] for key in _EVAL_KEYS}), entry["point"]
 
 
 # -- families ---------------------------------------------------------------------------------
