@@ -14,9 +14,10 @@
 # --full on sqrt_kappa.json (a profile whose padded integration range starts
 # at the root s = 0 of its curvature sqrt(s): 1 report), then
 # `families --json`, `eval --point 1,1,1` on special_sqrt2.json and
-# curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json
-# and `eval --point 0.2,1.2,2.0` at a degenerate point of
-# rotational_sphere.json: 117 files with the three specs written into
+# curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json,
+# `eval --point 0.2,1.2,2.0` at a degenerate point of rotational_sphere.json
+# and `eval --point 1,-0.5` at a point of log_t.json that check skips (its
+# stderr and exit status): 118 files with the three specs written into
 # OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
@@ -83,3 +84,7 @@ done
 run eval "$root/src/gcrkit/specs/saddle_raw.json" --point 0.3,-0.2 > "$out/eval_saddle_raw.out"
 run eval "$root/src/gcrkit/specs/rotational_sphere.json" --point 0.2,1.2,2.0 \
   > "$out/eval_rotational_sphere.out"
+# eval fails where check skips, with check's reason and exit 3
+status=0
+run eval "$out/log_t.json" --point 1,-0.5 > "$out/eval_log_t.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/eval_log_t.out"

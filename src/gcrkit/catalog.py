@@ -252,18 +252,11 @@ class ProfileCurve:
     kappa_text: str
     curve: HermiteCurve = field(repr=False)
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.s[0]), float(self.s[-1])
-
     def f_at(self, x):
         return self.curve.component(0, x)
 
     def g_at(self, x):
         return self.curve.component(1, x)
-
-    def unit_speed_error(self) -> float:
-        return float(np.max(np.abs(np.cos(self.angle) ** 2 + np.sin(self.angle) ** 2 - 1.0)))
 
 
 def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
@@ -332,8 +325,10 @@ def integrate_profile(
     # expressions.
     s_step = np.column_stack([s_arr[:-1] + h / 2, s_arr[:-1] + h, s_arr[1:]])
     s_distinct, where = np.unique(np.r_[s_arr[0], s_step.ravel()], return_inverse=True)
-    try:
-        with np.errstate(all="raise", under="ignore"):
+    # the rerun too runs under "raise", so that a failure does not depend on
+    # the caller's numpy error state
+    with np.errstate(all="raise", under="ignore"):
+        try:
             k = krows(s_distinct)[where]
             k_arr, k_mid, k_end = k[0::3], k[1::3], k[2::3]
 
@@ -346,10 +341,10 @@ def integrate_profile(
             p = phases.tolist()  # math's cos and sin, as the stage loop calls them
             f_arr = integral(y0[0], *np.array([list(map(math.cos, q)) for q in p]))
             g_arr = integral(y0[1], *np.array([list(map(math.sin, q)) for q in p]))
-    except (ExprError, ArithmeticError, ValueError):
-        # rerun stage by stage: it meets the failure where a per-step loop
-        # does and raises that loop's error
-        f_arr, g_arr, a_arr, k_arr = _rk4_stages(kfun, lo, s_arr, h, y0)
+        except (ExprError, ArithmeticError, ValueError):
+            # rerun stage by stage: it meets the failure where a per-step loop
+            # does and raises that loop's error
+            f_arr, g_arr, a_arr, k_arr = _rk4_stages(kfun, lo, s_arr, h, y0)
 
     cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
     values = np.column_stack([f_arr, g_arr])
@@ -563,25 +558,25 @@ def build_normal_frame(
     # the order a per-step loop meets them: at each step the midpoint and the
     # next node are evaluated, then the node is checked.
     w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
-    try:
-        with np.errstate(all="raise", under="ignore"):
+    # the row-by-row rerun too runs under "raise", so that a failure does not
+    # depend on the caller's numpy error state
+    with np.errstate(all="raise", under="ignore"):
+        try:
             rows = alpha_data(w_all)
-    except (ExprError, ArithmeticError):
-        rows = None
-    if rows is None:
-        # a row failed: evaluate one by one, so that the error surfaces after
-        # the checks that come before it
-        by_row = []
-        for j, wv in enumerate(w_all):
-            by_row.append(row := alpha_data(wv))
-            if j == 0:
-                check_left(row[0], row[1])
-            elif j % 2 == 0:
-                check_nodes(row[0][None], row[1][None], j // 2 - 1)
-        rows = tuple(np.array(col) for col in zip(*by_row))
-    else:
-        check_left(rows[0][0], rows[1][0])
-        check_nodes(rows[0][2::2], rows[1][2::2], 0)
+        except (ExprError, ArithmeticError):
+            # a row failed: evaluate one by one, so that the error surfaces
+            # after the checks that come before it
+            by_row = []
+            for j, wv in enumerate(w_all):
+                by_row.append(row := alpha_data(wv))
+                if j == 0:
+                    check_left(row[0], row[1])
+                elif j % 2 == 0:
+                    check_nodes(row[0][None], row[1][None], j // 2 - 1)
+            rows = tuple(np.array(col) for col in zip(*by_row))
+        else:
+            check_left(rows[0][0], rows[1][0])
+            check_nodes(rows[0][2::2], rows[1][2::2], 0)
     nodes = tuple(r[0::2] for r in rows)
     mids = tuple(r[1::2] for r in rows)
 
@@ -727,7 +722,10 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
     base = Program(y_exprs)
     v, w = (x.ravel() for x in np.meshgrid(*(np.linspace(lo, hi, 7) for lo, hi in box[1:]),
                                            indexing="ij"))
-    if not _on_sphere(np.stack(base({"v": v, "w": w}), axis=-1)).all():
+    # under "raise", so that a failure does not depend on the caller's numpy error state
+    with np.errstate(all="raise", under="ignore"):
+        sampled = np.stack(base({"v": v, "w": w}), axis=-1)
+    if not _on_sphere(sampled).all():
         raise CatalogError("base surface must lie on the unit 3-sphere")
 
     def mapping(seeds):

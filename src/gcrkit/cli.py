@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import FAMILY_TAGS, CatalogError, _finite, family_catalog, make_family
 from .expr import ExprError
-from .geometry import GeometryError, Immersion, OutOfDomainError, _stack, point_geometry
+from .geometry import GeometryError, Immersion, OutOfDomainError
 from .gcr import (
     STRUCTURAL_KEYS,
     DegeneratePointError,
@@ -33,6 +33,7 @@ from .gcr import (
     SurfaceReport,
     Tolerances,
     _classify_rows,
+    _geometry_rows,
     classify_surface,
 )
 
@@ -407,11 +408,7 @@ def cmd_check(args) -> int:
     m, echo = build_surface(spec)
     grid = _grid_from_spec(spec, m, args.grid)
     tols = _tolerances_from_spec(spec, args.tol_gcr)
-    try:
-        report = classify_surface(m, grid, tols, include_structural=args.full)
-    except EmptyReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    report = classify_surface(m, grid, tols, include_structural=args.full)
     if args.format == "csv":
         text = report_to_csv(report, echo, include_structural=args.full)
     else:
@@ -421,7 +418,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """``check`` at one point: the same tolerances, kernel and skip reasons."""
+    """``check`` at one point, a one-row block: a point it skips fails with its reason."""
     spec = load_spec(args.spec)
     m, echo = build_surface(spec)
     tols = _tolerances_from_spec(spec, None)
@@ -432,21 +429,20 @@ def cmd_eval(args) -> int:
     if len(point) != m.n:
         raise SpecError(f"--point needs {m.n} coordinates for this surface")
     if not m.contains(point):
-        print(f"error: point {point} outside domain box", file=sys.stderr)
-        return EXIT_SPEC
-    pg = point_geometry(m, point, tols.eps_reg)
-    columns, (why,) = _classify_rows(_stack([pg]), tols)
+        raise OutOfDomainError(point, m.domain)
+    pg, (why,) = _geometry_rows(m, np.array([point]), 2, tols.eps_reg, stacked=False)
+    if pg is not None:
+        columns, (why,) = _classify_rows(pg, tols)
     if why is not None:
-        print(f"error: {why}", file=sys.stderr)
-        return EXIT_SINGULAR
+        raise GeometryError(why)
     [(_, mu, theta, k, h, _, degenerate, primary, secondary, *_)] = SurfaceReport._rows(columns)
     doc = {
         "surface": echo["name"],
         "point": point,
-        "position": [float(v) for v in pg.position],
-        "metric": [[float(v) for v in row] for row in pg.metric],
-        "normal": [float(v) for v in pg.normal],
-        "second_form": [[float(v) for v in row] for row in pg.second_form],
+        "position": pg.position[0].tolist(),
+        "metric": pg.metric[0].tolist(),
+        "normal": pg.normal[0].tolist(),
+        "second_form": pg.second_form[0].tolist(),
         "k": k,
         "H": h,
         "mu": mu,
@@ -518,7 +514,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SpecError, CatalogError, ExprError, OutOfDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (GeometryError, DegeneratePointError, FloatingPointError) as exc:
+    except (GeometryError, DegeneratePointError, FloatingPointError, EmptyReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 

@@ -366,10 +366,6 @@ class PrincipalData:
     gaps: float                # smallest pairwise eigenvalue separation
     distinct_count: int
 
-    @property
-    def n(self) -> int:
-        return self.curvatures.size
-
 
 def _sum(a: np.ndarray) -> np.ndarray:
     """Sum over the last axis, left to right.  Unlike np.sum or BLAS, it gives

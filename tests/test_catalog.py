@@ -1,6 +1,7 @@
 """Surface families: interpolants, profile/frame integration, and constructors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gcrkit.catalog import (
     tangent_developable_cylinder,
 )
 from gcrkit import catalog, jet
-from gcrkit.expr import Program, parse_expr, to_text
+from gcrkit.expr import ExprError, Program, parse_expr, to_text
 from gcrkit.geometry import (
     Immersion, _cross_rows, evaluate_jets, point_geometry, principal_data,
 )
@@ -116,7 +117,19 @@ def test_zero_curvature_is_a_straight_line():
     for s in (0.1, 0.9, 1.7):
         assert math.isclose(prof.f_at(s), 0.3 + s * math.cos(0.6), abs_tol=1e-12)
         assert math.isclose(prof.g_at(s), 0.4 + s * math.sin(0.6), abs_tol=1e-12)
-    assert prof.unit_speed_error() < 1e-14
+
+
+def test_interpolant_speed_error_shrinks_with_the_step():
+    # the knots hold exact unit tangents, so the speed error of the quintic
+    # interpolant shows between them: ||c'| - 1| at interval midpoints
+    def midpoint_speed_error(step):
+        prof = integrate_profile("sin(s)+0.3*cos(2*s)", (0.0, 3.0), step=step)
+        mids = 0.5 * (prof.s[:-1] + prof.s[1:])
+        f, g = prof.curve.evaluate(jet_variable(0, mids, 1, 1))
+        return float(np.max(np.abs(np.hypot(f.grad[:, 0], g.grad[:, 0]) - 1.0)))
+
+    assert midpoint_speed_error(1e-3) <= 1e-10
+    assert midpoint_speed_error(0.5) >= 1e-5
 
 
 def test_unit_circle_profile():
@@ -376,6 +389,32 @@ def test_tangent_cone_refuses_a_non_finite_base(y, trap):
     with np.errstate(all="raise" if trap else "warn"):
         with pytest.raises(CatalogError, match="base surface must lie on the unit 3-sphere"):
             tangent_cone(y=y)
+
+
+# set-up inputs that fail only in numpy's arithmetic, which carries on as inf
+# or NaN unless its error state is "raise"
+_SETUP_FAILURES = {
+    "profile": lambda: integrate_profile("1e308", (0.0, 1.0)),
+    "curve": lambda: build_normal_frame(["cos(w)", "sin(w)", "w*1e200*1e200*0", "0"], (0.0, 1.0)),
+    "cone base": lambda: tangent_cone(y=["cos(v)*cos(w)+v*1e200*1e200*0", "cos(v)*sin(w)",
+                                         "sin(v)*cos(w)", "sin(v)*sin(w)"]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SETUP_FAILURES))
+def test_set_up_failures_do_not_depend_on_the_numpy_error_state(label):
+    outcomes = []
+    for state in ("ignore", "warn", "raise", "error"):
+        with warnings.catch_warnings(record=True) as seen, \
+                np.errstate(all="warn" if state == "error" else state):
+            warnings.simplefilter("error" if state == "error" else "always", RuntimeWarning)
+            with pytest.raises(Exception) as caught:
+                _SETUP_FAILURES[label]()
+        assert not seen, (state, [str(w.message) for w in seen])
+        exc = caught.value
+        outcomes.append((type(exc), str(exc), getattr(exc, "last_s", None)))
+    assert isinstance(exc, (CatalogError, ExprError)), outcomes
+    assert outcomes == [outcomes[0]] * 4
 
 
 def test_cone_constructor_validation():

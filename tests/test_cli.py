@@ -640,6 +640,13 @@ def test_eval_out_of_domain_and_bad_point(capsys):
     capsys.readouterr()
 
 
+def test_eval_out_of_domain_line_names_the_box(capsys):
+    assert main(["eval", "special_sqrt2.json", "--point", "99,0,0"]) == EXIT_SPEC
+    assert capsys.readouterr().err == (
+        "error: point [99.0, 0.0, 0.0] outside domain box "
+        "((0.5, 2.5), (0.0, 6.283185307179586), (0.0, 6.283185307179586))\n")
+
+
 def test_eval_singular_point(tmp_path, capsys):
     spec = write_spec(tmp_path, "pinch.json", {
         "components": ["s^2", "t", "0"],
@@ -691,7 +698,7 @@ def test_eval_honours_spec_eps_reg(tmp_path, capsys):
     assert main(["eval", spec, "--point", "1,1,1"]) == EXIT_SINGULAR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: metric is singular at [1.0, 1.0, 1.0] (det g = 1.600e+01)\n"
+    assert captured.err == "error: singular metric (det g = 1.600e+01)\n"
 
 
 @pytest.mark.parametrize("tolerances", [{"eps_tan_rel": -1}, {"tol_huge": 1.0}])
@@ -721,6 +728,29 @@ def test_eval_prints_what_check_reports_at_each_point(spec, capsys):
         got = json.loads(capsys.readouterr().out)
         assert canonical_json({key: got[key] for key in _EVAL_KEYS}) == canonical_json(
             {key: entry[key] for key in _EVAL_KEYS}), entry["point"]
+
+
+_SKIPPING_CHARTS = {
+    # log(t) fails to evaluate at t <= 0
+    "log_t": {"components": ["s", "t", "s*s+log(t)"], "variables": ["s", "t"],
+              "domain": {"s": [0.5, 1.5], "t": [-1, 1]}},
+    # the metric is singular along s = 0
+    "pinched": {"components": ["s^2", "t", "0"], "variables": ["s", "t"],
+                "domain": {"s": [-1.0, 1.0], "t": [0.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("chart", sorted(_SKIPPING_CHARTS))
+def test_eval_fails_with_checks_reason_at_each_skipped_point(tmp_path, capsys, chart):
+    spec = write_spec(tmp_path, f"{chart}.json", _SKIPPING_CHARTS[chart])
+    assert main(["check", spec, "--grid", "3"]) == EXIT_OK
+    skipped = json.loads(capsys.readouterr().out)["skipped"]
+    assert skipped
+    for entry in skipped:
+        assert main(["eval", spec, "--point=" + ",".join(map(repr, entry["point"]))]) == EXIT_SINGULAR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {entry['reason']}\n", entry["point"]
 
 
 # -- families ---------------------------------------------------------------------------------
