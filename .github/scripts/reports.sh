@@ -12,12 +12,15 @@
 # reports), plain and --full on the 3-D chart steep_3d.json at --grid 3
 # (d_k g_ij overflows at s = 0.5, where only --full reads it: 2 reports),
 # --full on sqrt_kappa.json (a profile whose padded integration range starts
-# at the root s = 0 of its curvature sqrt(s): 1 report), then
+# at the root s = 0 of its curvature sqrt(s): 1 report), --full on
+# cone_ab.json (a tangent_cone over a torus of radii 0.6 and 0.8 with a phase
+# in w, as the self-test draws its bases) and tube_knot.json (a curve_tube
+# over a curve that is not a great circle): 2 reports, then
 # `families --json`, `eval --point 1,1,1` on special_sqrt2.json and
 # curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json,
 # `eval --point 0.2,1.2,2.0` at a degenerate point of rotational_sphere.json
 # and `eval --point 1,-0.5` at a point of log_t.json that check skips (its
-# stderr and exit status): 118 files with the three specs written into
+# stderr and exit status): 122 files with the five specs written into
 # OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
@@ -77,6 +80,25 @@ cat > "$out/sqrt_kappa.json" <<'EOF'
 }
 EOF
 run check "$out/sqrt_kappa.json" --full > "$out/sqrt_kappa_full.out"
+# the cone and the tube away from their default charts
+cat > "$out/cone_ab.json" <<'EOF'
+{
+  "family": "tangent_cone",
+  "parameters": {"c": 0.2, "y": ["0.6*cos(v/0.6)", "0.6*sin(v/0.6)",
+                                 "0.8*cos(w/0.8+1.3)", "0.8*sin(w/0.8+1.3)"]},
+  "domain": {"s": [0.75, 2.25], "v": [0.0, 3.7699111843077517],
+             "w": [0.0, 5.026548245743669]}
+}
+EOF
+run check "$out/cone_ab.json" --full > "$out/cone_ab_full.out"
+cat > "$out/tube_knot.json" <<'EOF'
+{
+  "family": "curve_tube",
+  "parameters": {"c": 0.4, "alpha": ["cos(0.5)*cos(w)", "cos(0.5)*sin(w)",
+                                     "sin(0.5)*cos(2*w)", "sin(0.5)*sin(2*w)"]}
+}
+EOF
+run check "$out/tube_knot.json" --full > "$out/tube_knot_full.out"
 run families --json > "$out/families.out"
 for spec in special_sqrt2 curve_tube; do
   run eval "$root/src/gcrkit/specs/$spec.json" --point 1,1,1 > "$out/eval_$spec.out"

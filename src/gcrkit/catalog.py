@@ -11,10 +11,8 @@ a C^2 piecewise-quintic Hermite interpolant, whose jets are exact.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from numbers import Integral, Real
 from collections.abc import Callable, Sequence
 
@@ -27,13 +25,16 @@ from .expr import (
     Const,
     Expr,
     ExprError,
+    Neg,
     Program,
     Var,
+    _CurveAt,
+    _derivative,
     parse_expr,
     to_text,
     variables_of,
 )
-from .geometry import Immersion, _cross_rows, _sum
+from .geometry import Immersion, _sum
 
 __all__ = [
     "CatalogError",
@@ -345,12 +346,18 @@ def integrate_profile(
             # rerun stage by stage: it meets the failure where a per-step loop
             # does and raises that loop's error
             f_arr, g_arr, a_arr, k_arr = _rk4_stages(kfun, lo, s_arr, h, y0)
-
-    cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
-    values = np.column_stack([f_arr, g_arr])
-    d1 = np.column_stack([cos_a, sin_a])
-    d2 = np.column_stack([-sin_a * k_arr, cos_a * k_arr])
-    curve = HermiteCurve(s_arr, values, d1, d2)
+        # the knot data too: an overflow raises, and an inf or NaN that came in
+        # quietly fails the finiteness check
+        try:
+            cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
+            curve = HermiteCurve(s_arr, np.column_stack([f_arr, g_arr]), np.column_stack(
+                [cos_a, sin_a]), np.column_stack([-sin_a * k_arr, cos_a * k_arr]))
+            finite = np.isfinite(curve._coeffs).all()
+        except FloatingPointError:
+            finite = False
+    if not finite:
+        raise CatalogError(f"curvature {ktext} gives knot data outside the float range "
+                           f"on [{lo}, {hi}]")
     return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
 
 
@@ -612,37 +619,27 @@ def build_normal_frame(
 # -- chart helpers ---------------------------------------------------------------------
 
 
-# (mul, cos, sin) on expression trees and on jets: a profile family's chart
-# formula builds closed-form components with the first and evaluates an
-# integrated profile with the second
-_EXPR_OPS = (partial(BinOp, "*"), partial(Call, "cos"), partial(Call, "sin"))
-_JET_OPS = (operator.mul, jet.cos, jet.sin)
+def _times(f: Expr, fn: str, x: Expr) -> Expr:  # f*fn(x)
+    return BinOp("*", f, Call(fn, x))
 
 
-def _cylinder_chart(f, g, t, u, ops):
-    mul, cos, sin = ops
-    return [mul(f, cos(t)), mul(f, sin(t)), g, u]
+def _cylinder_chart(f, g, t, u):
+    return [_times(f, "cos", t), _times(f, "sin", t), g, u]
 
 
-def _so2_chart(f, g, t, u, ops):
-    mul, cos, sin = ops
-    return [mul(f, cos(t)), mul(f, sin(t)), mul(g, cos(u)), mul(g, sin(u))]
+def _so2_chart(f, g, t, u):
+    return [_times(f, "cos", t), _times(f, "sin", t), _times(g, "cos", u), _times(g, "sin", u)]
 
 
 def _profile_chart(name: str, chart: Callable, f, g, box, profile=None) -> Immersion:
-    """The immersion (s, t, u) -> ``chart(f(s), g(s), t, u, ops)``: from
-    expression trees for closed-form f and g, or a jet mapping that reads an
-    integrated ``profile``."""
-    if profile is not None:
-        def mapping(seeds):
-            s, t, u = seeds
-            f_s, g_s = profile.curve.evaluate(s)
-            return chart(f_s, g_s, t, u, _JET_OPS)
-
-        return Immersion.from_mapping(name, mapping, ("s", "t", "u"), box)
-    fe, ge = _parse_curve_exprs((f, g), ("s",), 2, "profile")
-    return Immersion.from_exprs(name, chart(fe, ge, Var("t"), Var("u"), _EXPR_OPS),
-                                ("s", "t", "u"), box)
+    """The immersion (s, t, u) -> ``chart(f(s), g(s), t, u)``, over the trees
+    of closed-form f and g or over the two components of an integrated
+    ``profile``."""
+    if profile is None:
+        f, g = _parse_curve_exprs((f, g), ("s",), 2, "profile")
+    else:
+        f, g = (_CurveAt(profile.curve, "s", k) for k in (0, 1))
+    return Immersion.from_exprs(name, chart(f, g, Var("t"), Var("u")), ("s", "t", "u"), box)
 
 
 def _box(domain, defaults) -> tuple[tuple[float, float], ...]:
@@ -694,10 +691,9 @@ def rotational(
     """(f(s), g(s) cos t, g(s) sin t sin u, g(s) sin t cos u): rotational."""
     box = _box(domain, ((-0.7, 0.7), (0.35, 2.79), (0.0, _TWO_PI)))
 
-    def chart(f, g, t, u, ops):
-        mul, cos, sin = ops
-        g_sin_t = mul(g, sin(t))
-        return [f, mul(g, cos(t)), mul(g_sin_t, sin(u)), mul(g_sin_t, cos(u))]
+    def chart(f, g, t, u):
+        g_sin_t = _times(g, "sin", t)
+        return [f, _times(g, "cos", t), _times(g_sin_t, "sin", u), _times(g_sin_t, "cos", u)]
 
     return _profile_chart("rotational", chart, f, g, box, profile)
 
@@ -728,26 +724,26 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
     if not _on_sphere(sampled).all():
         raise CatalogError("base surface must lie on the unit 3-sphere")
 
-    def mapping(seeds):
-        s, v, w = seeds
-        t = s._t
-        # the spherical normal consumes one derivative order, so the base
-        # surface is re-seeded one order higher to keep the output exact
-        hi = jet._table(3, t.order + 1)
-        env = {"v": jet.jet_variable(1, v.value, 3, hi.order),
-               "w": jet.jet_variable(2, w.value, 3, hi.order)}
-        y = np.stack([comp.c for comp in base(env)])
-        # y, y_v and y_w at the output order, as the columns of a (4, 3, ..., D) matrix
-        columns = np.stack([y[..., : t.size]] + [
-            y[..., hi.partial_src[k]] * hi.partial_fac[k] for k in (1, 2)
-        ], axis=1)
-        raw = _cross_rows(columns, t.product)
-        sq = t.product(raw, raw)
-        inv_norm = 1.0 / jet.sqrt(jet._make(t, sq[0] + sq[1] + sq[2] + sq[3]))
-        out = t.product(s.c, columns[:, 0]) + c * t.product(raw, inv_norm.c)
-        return [jet._make(t, row) for row in out]
-
-    return Immersion.from_mapping("tangent_cone", mapping, ("s", "v", "w"), box)
+    # n_a = det[y, y_v, y_w, e_a], so that {y, y_v, y_w, n} is positively
+    # oriented: the 3x3 cofactors of (y, y_v, y_w), each expanded along y over
+    # the 2x2 minors of (y_v, y_w), which the program runs once
+    y_v, y_w = ([_derivative(e, x) for e in y_exprs] for x in ("v", "w"))
+    minor = {(i, j): BinOp("-", BinOp("*", y_v[i], y_w[j]), BinOp("*", y_v[j], y_w[i]))
+             for i in range(4) for j in range(i + 1, 4)}
+    normal = []
+    for a in range(4):
+        i, j, k = (r for r in range(4) if r != a)
+        det = BinOp("+", BinOp("-", BinOp("*", y_exprs[i], minor[j, k]),
+                               BinOp("*", y_exprs[j], minor[i, k])),
+                    BinOp("*", y_exprs[k], minor[i, j]))
+        normal.append(Neg(det) if a % 2 == 0 else det)
+    norm_sq = BinOp("*", normal[0], normal[0])
+    for x in normal[1:]:
+        norm_sq = BinOp("+", norm_sq, BinOp("*", x, x))
+    length = Call("sqrt", norm_sq)
+    comps = [BinOp("+", BinOp("*", Var("s"), e), BinOp("*", Const(c), BinOp("/", x, length)))
+             for e, x in zip(y_exprs, normal)]
+    return Immersion.from_exprs("tangent_cone", comps, ("s", "v", "w"), box)
 
 
 _DEFAULT_TUBE_CURVE = ("cos(w)", "sin(w)", "0", "0")
@@ -766,20 +762,12 @@ def curve_tube(
     )
     box = _box(domain, ((0.5, 2.0), (0.0, math.pi), (0.0, _TWO_PI)))
     frame = build_normal_frame(alpha_exprs, _padded(box[2]), samples=samples)
-    curve = Program(alpha_exprs)
-
-    def mapping(seeds):
-        s, v, w = seeds
-        t = s._t
-        alpha = np.stack([x.c for x in curve({"w": w})])
-        frame_ab = np.stack([x.c for x in frame.curve.evaluate(w)])  # A, then B
-        phase = v * (1.0 / c)
-        cos_p, sin_p = jet.cos(phase), jet.sin(phase)
-        out = t.product(s.c, alpha) + c * (
-            t.product(cos_p.c, frame_ab[:4]) + t.product(sin_p.c, frame_ab[4:]))
-        return [jet._make(t, row) for row in out]
-
-    return Immersion.from_mapping("curve_tube", mapping, ("s", "v", "w"), box)
+    ab = [_CurveAt(frame.curve, "w", k) for k in range(8)]  # A, then B
+    phase = BinOp("*", Var("v"), Const(1.0 / c))
+    cos_p, sin_p = Call("cos", phase), Call("sin", phase)
+    comps = [BinOp("+", BinOp("*", Var("s"), alpha_exprs[k]), BinOp("*", Const(c), BinOp(
+        "+", BinOp("*", cos_p, ab[k]), BinOp("*", sin_p, ab[k + 4])))) for k in range(4)]
+    return Immersion.from_exprs("curve_tube", comps, ("s", "v", "w"), box)
 
 
 def special_sqrt2(domain=None) -> Immersion:

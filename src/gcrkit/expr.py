@@ -19,6 +19,7 @@ deeper than _MAX_DEPTH levels is a syntax error.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 from dataclasses import dataclass
@@ -106,6 +107,17 @@ class Call:
 
 
 Expr = Const | Var | Neg | BinOp | Call
+
+
+@dataclass(frozen=True)
+class _CurveAt:
+    """Component ``index`` of ``curve.evaluate`` (a catalog HermiteCurve) at
+    ``var``: not in the spec grammar.  A Program evaluates each curve once
+    per variable."""
+
+    curve: object
+    var: str
+    index: int
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -359,22 +371,34 @@ class Program:
                     self._code.append((index[key], *key))
             return index[key]
 
-        def emit(node: Expr) -> int:  # as deep as the tree, which the parser caps
+        done: dict[int, int] = {}  # id of a node of the roots -> its slot
+
+        # one frame per level of the tree: a derivative tree (catalog.tangent_cone)
+        # nests up to about three times deeper than the parser's cap
+        def emit(node: Expr) -> int:
+            if id(node) in done:  # a node the trees share is walked once
+                return done[id(node)]
             match node:
                 case Const(value):
-                    return slot(struct.pack("<d", value), value)
+                    k = slot(struct.pack("<d", value), value)
                 case Var(name):
-                    return slot((_load, 0, slot(name, name)))
+                    k = slot((_load, 0, slot(name, name)))
                 case Neg(arg):
-                    return slot((operator.neg, emit(arg), None))
+                    k = slot((operator.neg, emit(arg), None))
                 case BinOp("/", left, right):  # reciprocal-multiply on both routes
                     a, one = emit(left), slot(struct.pack("<d", 1.0), 1.0)
-                    return slot((operator.mul, a, slot((operator.truediv, one, emit(right)))))
+                    k = slot((operator.mul, a, slot((operator.truediv, one, emit(right)))))
                 case BinOp(op, left, right):
-                    return slot((_BINARY[op], emit(left), emit(right)))
+                    k = slot((_BINARY[op], emit(left), emit(right)))
                 case Call(fn, arg):
-                    return slot((_FUNCTIONS[fn], emit(arg), None))
-            raise TypeError(f"not an expression node: {node!r}")
+                    k = slot((_FUNCTIONS[fn], emit(arg), None))
+                case _CurveAt(curve, name, index):
+                    at = slot((curve.evaluate, slot((_load, 0, slot(name, name))), None))
+                    k = slot((operator.getitem, at, slot(index, index)))
+                case _:
+                    raise TypeError(f"not an expression node: {node!r}")
+            done[id(node)] = k
+            return k
 
         self._outputs = [emit(root) for root in roots]
 
@@ -411,6 +435,59 @@ def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate over plain floats: the value eval_expr gives at order 0."""
     values = {name: float(v) for name, v in env.items()}
     return Program((expr,))(values)[0]
+
+
+# -- symbolic derivative -----------------------------------------------------------------
+
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    """a + b or a * b, with the terms 0 and the factors 0 and 1 folded away."""
+    if op == "*" and _ZERO in (a, b):
+        return _ZERO
+    unit = _ZERO if op == "+" else _ONE
+    return b if a == unit else a if b == unit else BinOp(op, a, b)
+
+
+_CHAIN = {  # f'(a) for each function f
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: Neg(Call("sin", a)),
+    "tan": lambda a: BinOp("+", _ONE, BinOp("*", Call("tan", a), Call("tan", a))),
+    "exp": lambda a: Call("exp", a),
+    "log": lambda a: BinOp("/", _ONE, a),
+    "sqrt": lambda a: BinOp("/", Const(0.5), Call("sqrt", a)),
+    "abs": lambda a: BinOp("/", a, Call("abs", a)),
+    "atan": lambda a: BinOp("/", _ONE, BinOp("+", _ONE, BinOp("*", a, a))),
+}
+
+
+def _derivative(node: Expr, var: str) -> Expr:
+    """The tree of d(node)/d(var): one rule per operator and per function,
+    folding 0 and 1, so that a factor free of ``var`` adds no terms."""
+    d = functools.partial(_derivative, var=var)
+    match node:
+        case Const() | Var():
+            return _ONE if node == Var(var) else _ZERO
+        case Neg(a):
+            return _ZERO if (da := d(a)) == _ZERO else Neg(da)
+        case BinOp("+", a, b):
+            return _fold("+", d(a), d(b))
+        case BinOp("-", a, b):
+            return _fold("+", d(a), d(Neg(b)))
+        case BinOp("*", a, b):
+            return _fold("+", _fold("*", d(a), b), _fold("*", a, d(b)))
+        case BinOp("/", a, b):  # (a' - (a/b) b') (1/b)
+            return _fold("*", _fold("+", d(a), _fold("*", Neg(node), d(b))), BinOp("/", _ONE, b))
+        case BinOp("^", a, b):
+            if (db := d(b)) == _ZERO:  # b a^(b-1) a'
+                return _fold("*", _fold("*", b, BinOp("^", a, BinOp("-", b, _ONE))), d(a))
+            # a^b (b' log a + b a' (1/a))
+            rate = _fold("*", _fold("*", b, d(a)), BinOp("/", _ONE, a))
+            return _fold("*", node, _fold("+", _fold("*", db, Call("log", a)), rate))
+        case Call(fn, a):
+            return _fold("*", _CHAIN[fn](a), d(a))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- pretty printer ----------------------------------------------------------------

@@ -556,9 +556,9 @@ def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
         if stacked:
             pg = _evaluate_geometry(m, block, order, eps_reg, False, coeffs)[0]
             return pg, [None] * len(block)
-    # a mapping written for one point may fail on a stack in any way, and a
-    # stacked assembly fails on any bad row
-    except Exception:  # noqa: BLE001
+    # a domain error in any row fails the stacked evaluation, and a singular or
+    # overflowing row the stacked assembly
+    except (GeometryError, FloatingPointError):
         pass
     finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
     found, reasons = [], []

@@ -18,8 +18,8 @@ no frame is ever differenced across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
 returning infinities: order 2 checks the figures its callers read, and
 order 3 adds d_k g_ij.  One generalized cross product
-kernel, a few products of stacked jet coefficient rows, gives the float
-normal, the unit normal jets and ``catalog.tangent_cone``'s spherical normal.
+kernel, a few products of stacked coefficient rows, gives the float normal
+and the self-test's unit normal jets.
 A grid sweep passes ``point_geometry`` each point's row of its block's stack.
 """
 
@@ -94,19 +94,17 @@ class EvaluationError(GeometryError):
 class Immersion:
     """Parametrized hypersurface patch x: chart box -> E^(n+1).
 
-    Components are either expression trees over the chart variables or an
-    opaque jet-to-jet mapping (used by catalog families whose normals or
-    frames have no closed form).  Either way, the jets it returns are exact
-    at the order of the seeds it is given.  Components are compiled once,
-    into ``program``.
+    Its components are expression trees over the chart variables, compiled
+    once into ``program``; a catalog frame with no closed form enters them
+    as interpolant nodes (``expr._CurveAt``).  The jets it returns are exact
+    at the order of the seeds it is given.
     """
 
     name: str
     var_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
-    components: tuple[Expr, ...] | None = None
-    mapping: Callable[[tuple[Jet, ...]], Sequence[Jet]] | None = None
-    program: Program | None = field(default=None, init=False, repr=False, compare=False)
+    components: tuple[Expr, ...]
+    program: Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -117,14 +115,11 @@ class Immersion:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError(f"empty domain interval [{lo}, {hi}]")
-        if (self.components is None) == (self.mapping is None):
-            raise ValueError("exactly one of components/mapping must be given")
-        if self.components is not None and len(self.components) != n + 1:
+        if len(self.components) != n + 1:
             raise ValueError(
                 f"need {n + 1} ambient components, got {len(self.components)}"
             )
-        if self.components is not None:
-            object.__setattr__(self, "program", Program(self.components))
+        object.__setattr__(self, "program", Program(self.components))
 
     @property
     def n(self) -> int:
@@ -148,17 +143,6 @@ class Immersion:
         )
         box = tuple((float(lo), float(hi)) for lo, hi in domain)
         return cls(name, names, box, components=parsed)
-
-    @classmethod
-    def from_mapping(
-        cls,
-        name: str,
-        mapping: Callable[[tuple[Jet, ...]], Sequence[Jet]],
-        var_names: Sequence[str],
-        domain: Sequence[Sequence[float]],
-    ) -> "Immersion":
-        box = tuple((float(lo), float(hi)) for lo, hi in domain)
-        return cls(name, tuple(var_names), box, mapping=mapping)
 
     def contains(self, p: Sequence[float], slack: float = 1e-12) -> bool:
         for value, (lo, hi) in zip(p, self.domain):
@@ -185,10 +169,8 @@ def evaluate_jets(
                 raise OutOfDomainError(row, m.domain)
     seeds = tuple(jet_variable(i, q.T[i], m.n, order) for i in range(m.n))
     try:
-        if m.mapping is not None:
-            return list(m.mapping(seeds))
         return m.program(dict(zip(m.var_names, seeds)))
-    except (ExprError, ArithmeticError, ValueError) as exc:
+    except ExprError as exc:
         raise EvaluationError(q, exc) from exc
 
 

@@ -2,7 +2,8 @@
 compiled, kept as the reference for ``gcrkit.expr.Program``.
 
 ``_walk`` is the walker as it was: one recursive ``match`` over the tree
-that evaluates every occurrence of a subtree again.  ``eval_expr`` and
+that evaluates every occurrence of a subtree again, and reads an
+interpolant node (``_CurveAt``) once per occurrence too.  ``eval_expr`` and
 ``eval_real`` are its two routes, and ``eval_components`` evaluates a chart's
 components one tree after another.  ``test_expr_oracle.py`` requires the
 compiled program to agree with them bit for bit, and to fail with the same
@@ -23,6 +24,7 @@ from gcrkit.expr import (
     ExprEvalError,
     Neg,
     Var,
+    _CurveAt,
     _power,
 )
 from gcrkit.jet import Jet, jet_constant
@@ -57,6 +59,8 @@ def _walk(expr: Expr, env: Mapping[str, float | Jet]) -> float | Jet:
                 return a * (1.0 / b)  # reciprocal-multiply on both routes
             case Call(fn, arg):
                 return _FUNCTIONS[fn](rec(arg))
+            case _CurveAt(curve, name, index):
+                return curve.evaluate(rec(Var(name)))[index]
         raise TypeError(f"not an expression node: {node!r}")
 
     try:

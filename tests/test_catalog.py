@@ -32,7 +32,7 @@ from gcrkit.catalog import (
 from gcrkit import catalog, jet
 from gcrkit.expr import ExprError, Program, parse_expr, to_text
 from gcrkit.geometry import (
-    Immersion, _cross_rows, evaluate_jets, point_geometry, principal_data,
+    _cross_rows, evaluate_jets, point_geometry, principal_data,
 )
 from gcrkit.gcr import gcr_residual, position_angles
 from gcrkit.jet import jet_variable
@@ -395,6 +395,8 @@ def test_tangent_cone_refuses_a_non_finite_base(y, trap):
 # or NaN unless its error state is "raise"
 _SETUP_FAILURES = {
     "profile": lambda: integrate_profile("1e308", (0.0, 1.0)),
+    # the integration succeeds, and the knot data h^2 kappa overflows
+    "profile knots": lambda: integrate_profile("1e302", (0.0, 1e5), step=1e4),
     "curve": lambda: build_normal_frame(["cos(w)", "sin(w)", "w*1e200*1e200*0", "0"], (0.0, 1.0)),
     "cone base": lambda: tangent_cone(y=["cos(v)*cos(w)+v*1e200*1e200*0", "cos(v)*sin(w)",
                                          "sin(v)*cos(w)", "sin(v)*sin(w)"]),
@@ -415,6 +417,15 @@ def test_set_up_failures_do_not_depend_on_the_numpy_error_state(label):
         outcomes.append((type(exc), str(exc), getattr(exc, "last_s", None)))
     assert isinstance(exc, (CatalogError, ExprError)), outcomes
     assert outcomes == [outcomes[0]] * 4
+
+
+def test_tangent_cone_differentiates_a_base_at_the_depth_cap():
+    # the parser caps a base at 200 levels; a power chain's derivative trees
+    # nest about three times deeper, and the cone still compiles and runs
+    chain = "^".join(["(1+0.1*cos(v))"] * 195)
+    m = tangent_cone(y=[f"cos(v)*cos(w)+1e-30*{chain}", "cos(v)*sin(w)", "sin(v)*cos(w)",
+                        "sin(v)*sin(w)"])
+    assert all(np.isfinite(x.c).all() for x in evaluate_jets(m, (1.0, 0.5, 0.5), 3))
 
 
 def test_cone_constructor_validation():
@@ -473,7 +484,6 @@ def test_profile_backed_families_match_expression_route(name):
     )
     m_ode = family(profile=prof, domain=domain)
     m_expr = family(f="cos(s)", g="sin(s)", domain=domain)
-    assert m_ode.components is None and m_expr.mapping is None
     for p in [(0.5, 1.0, 0.2), (1.1, 2.0, 0.7)]:
         a = point_geometry(m_ode, p)
         b = point_geometry(m_expr, p)
@@ -517,6 +527,13 @@ def test_conical_and_sqrt2_charts_are_their_component_strings():
     assert repr(special_sqrt2().components) == repr(tuple(parse_expr(c, names) for c in want))
 
 
+def _on_seeds(mapping, p, order):
+    """A reference jet mapping of three chart variables, evaluated on the
+    seeds of ``p``: a point, or a stack of points (P, 3)."""
+    q = np.asarray(p, dtype=float)
+    return mapping([jet_variable(i, q.T[i], 3, order) for i in range(3)])
+
+
 def _tangent_developable_mapping(r, a):
     """The jet mapping that built tangent_developable_cylinder before its
     components were expressions, kept as the reference for them."""
@@ -554,14 +571,11 @@ def test_tangent_developable_cylinder_matches_its_jet_mapping():
     rng = np.random.default_rng(36)
     for r, a in ((1.0, 0.8), (0.7, 0.35), (2.5, 0.95)):
         m = tangent_developable_cylinder(r=r, a=a)
-        assert m.mapping is None
-        ref = Immersion.from_mapping(
-            m.name, _tangent_developable_mapping(r, a), m.var_names, m.domain
-        )
+        ref = _tangent_developable_mapping(r, a)
         points = np.array(sample_points(m, rng, 20, margin=0.0))
         for order in (1, 2, 3):
             for p in [*points, points]:
-                got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
+                got, want = evaluate_jets(m, p, order), _on_seeds(ref, p, order)
                 assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
 
 
@@ -626,6 +640,14 @@ def _curve_tube_mapping(c, alpha_exprs, frame):
     return mapping
 
 
+# the cylinder and so2 x so2 chart formulas on jets
+_JET_CHARTS = {
+    "hypercylinder_rotational": lambda f, g, t, u: [f * jet.cos(t), f * jet.sin(t), g, u],
+    "so2_x_so2": lambda f, g, t, u: [f * jet.cos(t), f * jet.sin(t),
+                                     g * jet.cos(u), g * jet.sin(u)],
+}
+
+
 def _profile_mapping(chart, profile):
     """An integrated profile's chart with f and g read one component at a time."""
 
@@ -633,7 +655,7 @@ def _profile_mapping(chart, profile):
         s, t, u = seeds
         f = _hermite_component(profile.curve, 0, s)
         g = _hermite_component(profile.curve, 1, s)
-        return chart(f, g, t, u, catalog._JET_OPS)
+        return chart(f, g, t, u)
 
     return mapping
 
@@ -664,12 +686,17 @@ def test_hermite_evaluate_matches_the_per_component_loop():
             assert np.asarray(getattr(one, "c", one)).tobytes() == np.asarray(want).tobytes()
 
 
+# a cone base with radii cos(0.3) and sin(0.3) and a phase in w
+_CONE_BASE_AB = ("cos(0.3)*cos(v)", "cos(0.3)*sin(v)", "sin(0.3)*cos(w+0.5)",
+                 "sin(0.3)*sin(w+0.5)")
+
+
 def _mapping_case(name):
-    """A jet-mapping chart and its per-component reference mapping."""
+    """A chart that was a jet mapping and its per-component reference mapping."""
     if name.startswith("tangent_cone"):
-        c = 0.25 if name == "tangent_cone" else -0.4
-        m = tangent_cone(c=c)
-        return m, _tangent_cone_mapping(c, catalog._DEFAULT_CONE_BASE)
+        c = -0.4 if name == "tangent_cone c<0" else 0.25
+        base = _CONE_BASE_AB if name == "tangent_cone ab" else catalog._DEFAULT_CONE_BASE
+        return tangent_cone(c=c, y=list(base)), _tangent_cone_mapping(c, base)
     if name.startswith("curve_tube"):
         cd, sd = math.cos(0.5), math.sin(0.5)
         alpha = (("cos(w)", "sin(w)", "0", "0") if name == "curve_tube" else
@@ -678,35 +705,43 @@ def _mapping_case(name):
         frame = build_normal_frame(alpha, catalog._padded(m.domain[2]), samples=201)
         return m, _curve_tube_mapping(0.5, alpha, frame)
     tag = name.removesuffix(" ODE")
-    chart, tu_box = {
-        "so2_x_so2": (catalog._so2_chart, ((0.0, TWO_PI), (0.0, TWO_PI))),
-        "hypercylinder_rotational": (catalog._cylinder_chart, ((0.0, TWO_PI), (-1.0, 1.0))),
-    }[tag]
+    tu_box = {"so2_x_so2": ((0.0, TWO_PI), (0.0, TWO_PI)),
+              "hypercylinder_rotational": ((0.0, TWO_PI), (-1.0, 1.0))}[tag]
     domain = ((0.2, 1.4), *tu_box)
     kappa, init = "0.4+0.1*s", (1.5, 0.4, 0.15)
     m = make_family(tag, kappa=kappa, init=init, domain=domain)
     profile = integrate_profile(kappa, catalog._padded(domain[0]), init, 1e-3)
-    return m, _profile_mapping(chart, profile)
+    return m, _profile_mapping(_JET_CHARTS[tag], profile)
 
 
-@pytest.mark.parametrize("name", ["tangent_cone", "tangent_cone c<0", "curve_tube",
-                                  "curve_tube knot", "so2_x_so2 ODE",
+@pytest.mark.parametrize("name", ["tangent_cone", "tangent_cone c<0", "tangent_cone ab",
+                                  "curve_tube", "curve_tube knot", "so2_x_so2 ODE",
                                   "hypercylinder_rotational ODE"])
 def test_stacked_mapping_charts_match_their_per_component_mappings(name):
-    # the stacked charts keep every operation and operand order, so each jet
-    # coefficient agrees bit for bit at orders 1-3, at one point and on a stack
+    # the profile and tube programs keep every operation and operand order of
+    # their mappings, so each jet coefficient agrees bit for bit at orders
+    # 1-3, at one point and on a stack
     m, reference = _mapping_case(name)
-    ref = Immersion.from_mapping(m.name, reference, m.var_names, m.domain)
     points = np.array(sample_points(m, np.random.default_rng(44), 12, margin=0.0))
     for order in (1, 2, 3):
         for p in [*points, points]:
-            got, want = evaluate_jets(m, p, order), evaluate_jets(ref, p, order)
-            assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
+            got, want = evaluate_jets(m, p, order), _on_seeds(reference, p, order)
+            if not name.startswith("tangent_cone"):
+                assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
+                continue
+            # the cone's normal sums its cofactors over shared 2x2 minors, where
+            # the mapping summed the Leibniz terms of a cross product: each
+            # coefficient within 1e-14 of max(1, |coefficient|)
+            for a, b in zip(got, want, strict=True):
+                assert np.all(np.abs(a.c - b.c) <= 1e-14 * np.maximum(1.0, np.abs(b.c)))
 
 
-def test_curve_tube_reads_its_frame_once_per_mapping_call(monkeypatch):
-    # A and B come from one eight-component interpolant, read once per call
-    # at a single point and on a stack
+@pytest.mark.parametrize("name", ["curve_tube", "so2_x_so2 ODE"])
+def test_interpolant_charts_read_their_curve_once_per_evaluation(monkeypatch, name):
+    # the tube's A and B come from one eight-component interpolant, and a
+    # profile's f and g from one two-component one, each read once per
+    # evaluation: at a single point, on a stack, and on float arrays, whose
+    # entries are the jets' values
     dims = []
     evaluate = HermiteCurve.evaluate
 
@@ -715,14 +750,18 @@ def test_curve_tube_reads_its_frame_once_per_mapping_call(monkeypatch):
         return evaluate(curve, x)
 
     monkeypatch.setattr(HermiteCurve, "evaluate", counted)
-    m = curve_tube(samples=201)
+    m = _mapping_case(name)[0]  # compiled with the counting evaluate
+    dim = 8 if name == "curve_tube" else 2
     points = np.array(sample_points(m, np.random.default_rng(45), 6, margin=0.0))
     for order in (1, 2, 3):
         for p in [points[0], points]:
             dims.clear()
-            out = m.mapping([jet_variable(i, p[..., i], 3, order) for i in range(3)])
-            assert len(out) == 4
-            assert dims == [8]
+            assert len(evaluate_jets(m, p, order)) == 4
+            assert dims == [dim]
+    dims.clear()
+    values = m.program(dict(zip(m.var_names, points.T)))
+    assert dims == [dim]
+    assert np.array_equal(values, [x.value for x in evaluate_jets(m, points, 1)])
 
 
 def test_product_cylinder_base_validation():

@@ -313,6 +313,10 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
          "base surface must lie on the unit 3-sphere"),
         ({"family": "curve_tube", "parameters": {"alpha": ["1e200*cos(w)", "sin(w)", "0", "0"]}},
          "curve must lie on the unit 3-sphere"),
+        # an integration that succeeds, and knot data h^2 kappa that overflows
+        ({"family": "so2_x_so2", "parameters": {"kappa": "1e302", "step": 10000.0},
+          "domain": {"s": [0, 1e5], "t": [0, 6], "u": [0, 6]}},
+         "curvature 1e+302 gives knot data outside the float range"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -15,6 +15,7 @@ from gcrkit.expr import (
     ExprSyntaxError,
     Neg,
     Var,
+    _derivative,
     eval_expr,
     eval_real,
     parse_expr,
@@ -22,6 +23,7 @@ from gcrkit.expr import (
     variables_of,
 )
 from fd_oracle import finite_difference_jet
+from gcrkit import expr
 from gcrkit.jet import jet_constant, jet_variable
 
 
@@ -312,3 +314,58 @@ def test_print_parse_fixpoint(e, s, t):
         return
     v2 = eval_real(back, {"s": s, "t": t})
     assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
+
+
+# -- symbolic derivative ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # one rule per node and operator; 0 and 1 fold away
+        ("2.5", "0.0"),
+        ("v", "1.0"),
+        ("w", "0.0"),
+        ("-v", "-1.0"),
+        ("v+w", "1.0"),
+        ("w-v", "-1.0"),
+        ("v*w", "w"),
+        ("v*v", "v+v"),
+        ("w/v", "-(w/v)*(1.0/v)"),
+        ("v/w", "1.0/w"),
+        ("v^3", "3.0*v^(3.0-1.0)"),
+        ("v^w", "w*v^(w-1.0)"),
+        ("w^v", "w^v*log(w)"),
+        ("v^v", "v^v*(log(v)+v*(1.0/v))"),
+        # one rule per function, times the inner derivative unless it is 1
+        ("sin(v)", "cos(v)"),
+        ("cos(v)", "-sin(v)"),
+        ("tan(v)", "1.0+tan(v)*tan(v)"),
+        ("exp(v)", "exp(v)"),
+        ("log(v)", "1.0/v"),
+        ("sqrt(v)", "0.5/sqrt(v)"),
+        ("abs(v)", "v/abs(v)"),
+        ("atan(v)", "1.0/(1.0+v*v)"),
+        ("sin(v*w)", "cos(v*w)*w"),
+        ("exp(2*w)*v", "exp(2.0*w)"),
+    ],
+)
+def test_derivative_rules(text, want):
+    tree = parse_expr(text, ("v", "w"))
+    d = _derivative(tree, "v")
+    assert to_text(d) == want
+    # its value is the v-slot of the tree's order-1 jet, within rounding
+    env = {"v": jet_variable(0, 0.7, 2, 1), "w": jet_variable(1, 1.3, 2, 1)}
+    slope = eval_expr(tree, env).grad[0]
+    assert math.isclose(eval_real(d, {"v": 0.7, "w": 1.3}), slope, rel_tol=1e-15, abs_tol=1e-15)
+
+
+def test_derivative_visits_each_node_once(monkeypatch):
+    # a right-nested power chain, whose rule reads the exponent's derivative
+    # twice, still differentiates each node once
+    calls = []
+    rule = expr._derivative
+    monkeypatch.setattr(expr, "_derivative", lambda node, var: calls.append(node) or rule(node, var))
+    tree = parse_expr("^".join(["(1+v)"] * 20), ("v",))
+    expr._derivative(tree, "v")
+    assert len(calls) == 3 * 20 + 19  # each 1+v is three nodes, and 19 powers join them

@@ -21,7 +21,7 @@ import expr_oracle
 import gcrkit.catalog as catalog
 import gcrkit.expr as expr
 from gcrkit.cli import build_surface, load_spec
-from gcrkit.expr import FUNCTIONS, BinOp, Call, Const, Neg, Program, Var, parse_expr
+from gcrkit.expr import FUNCTIONS, BinOp, Call, Const, Neg, Program, Var, parse_expr, to_text
 from gcrkit.geometry import EvaluationError, Immersion, evaluate_jets
 from gcrkit.jet import Jet, jet_variable
 
@@ -125,28 +125,45 @@ def test_program_on_float_arrays_matches_each_float(roots, rows):
         assert values.tobytes() == np.array([w[k] for w in want]).tobytes()
 
 
-# the trees that families built without components compile for their mappings
-_MAPPED = {
-    "tangent_cone": ("y", catalog._DEFAULT_CONE_BASE, ("v", "w")),
-    "curve_tube": ("alpha", catalog._DEFAULT_TUBE_CURVE, ("w",)),
-    "so2_x_so2": ("kappa", None, ("s",)),
-}
+@settings(max_examples=400, deadline=None)
+@given(tree=_TREES, row=_ROW, var=st.sampled_from(_NAMES), k=st.sampled_from([1, 2, 3]))
+def test_derivative_trees_match_jet_partials(tree, row, var, k):
+    # where the tree's order-(k+1) jet and the derivative tree's order-k jet
+    # both evaluate to finite numbers, the second is the var-partial of the
+    # first: each coefficient within 1e-13 of 1 plus the largest coefficient
+    # that any step of either program holds, the scale of the terms that the
+    # two routes round (near a root of a divisor, such as t/t or abs(t) at
+    # t = 1e-40, those terms dwarf the result)
+    scale = [1.0]
 
+    def run(roots, order):
+        env = {n: jet_variable(i, row[i], 2, order) for i, n in enumerate(_NAMES)}
+        program = Program(roots)
+        out = program(env)[0]
+        slots = program._slots.copy()
+        slots[0] = env
+        for slot, fn, i, j in program._code:  # its loop again, keeping every step
+            slots[slot] = fn(slots[i]) if j is None else fn(slots[i], slots[j])
+        scale.extend(np.abs(v.c).max() for v in slots if isinstance(v, Jet))
+        return out
 
-def _spec_trees(path):
-    spec = load_spec(str(path))
-    m, _ = build_surface(spec)
-    if m.components is not None:
-        return m.components, m.var_names
-    key, default, names = _MAPPED[spec["family"]]
-    texts = spec.get("parameters", {}).get(key, default)
-    texts = (texts,) if isinstance(texts, str) else texts
-    return tuple(parse_expr(t, names) for t in texts), names
+    with np.errstate(all="ignore"):
+        try:
+            whole = run((tree,), k + 1)
+            got = run((expr._derivative(tree, var),), k)
+        except expr.ExprEvalError:
+            return  # outside the domain
+    if np.isfinite(whole.c).all() and np.isfinite(got.c).all():
+        want = whole.partial(_NAMES.index(var))
+        assert np.all(np.abs(got.c - want.c) <= 1e-13 * max(scale)), (to_text(tree), row)
 
 
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
 def test_program_matches_walker_on_bundled_specs(path):
-    roots, names = _spec_trees(path)
+    # every chart, the cone's derivative trees and the interpolant nodes of
+    # the tube and of integrated profiles included
+    m, _ = build_surface(load_spec(str(path)))
+    roots, names = m.components, m.var_names
     rows = np.random.default_rng(7).uniform(-1.0, 3.0, (5, len(names)))
     for order in _ORDERS:
         _assert_matches(roots, _envs(names, rows, order))

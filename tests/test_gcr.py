@@ -405,23 +405,18 @@ def test_classify_workers_do_not_change_results():
     assert first.structural_max == second.structural_max
 
 
-def test_structural_sweep_evaluates_each_point_once_at_order3():
-    # rows evaluated by the mapping, by jet order: either sweep evaluates each
-    # of the block's 8 points once, --full at order 3 and the plain sweep at 2
-    base = tangent_cone()
-    rows = collections.Counter()
-
-    def counting(seeds):
-        rows[seeds[0].order] += len(np.atleast_2d(seeds[0].c))
-        return base.mapping(seeds)
-
-    m = dataclasses.replace(base, mapping=counting)
+def test_structural_sweep_evaluates_each_point_once_at_order3(monkeypatch):
+    # rows evaluated, by jet order: either sweep evaluates each of the block's
+    # 8 points once, --full at order 3 and the plain sweep at 2
+    m = tangent_cone()
+    evaluated = _counting_rows(monkeypatch)
     full = classify_surface(m, GridSpec((2, 2, 2)), include_structural=True)
-    assert rows == {3: 8} and full.jet_order == 3
+    assert collections.Counter(order for order, _ in evaluated) == {3: 8}
+    assert full.jet_order == 3
     assert all(r.structural is not None for r in full.records)
-    rows.clear()
+    evaluated.clear()
     assert classify_surface(m, GridSpec((2, 2, 2))).jet_order == 2
-    assert rows == {2: 8}
+    assert collections.Counter(order for order, _ in evaluated) == {2: 8}
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
@@ -465,18 +460,14 @@ def _spec_surface(name):
 
 
 def _marked_saddle():
-    """The saddle (s, t, s t) on a 3 x 3 grid over [-1, 1]^2: degenerate at
-    the origin, singular at (-1, 1), and lifted by 1e160 at (1, 1), where
-    the position split overflows only after point_geometry succeeded."""
-
-    def mapping(seeds):
-        s, t = seeds
-        at = (float(s.c[0]), float(t.c[0]))
-        if at == (-1.0, 1.0):
-            return [0.0 * s, t, 0.0 * s]
-        return [s, t, s * t + (1e160 if at == (1.0, 1.0) else 0.0)]
-
-    m = Immersion.from_mapping("marked saddle", mapping, ("s", "t"), ((-1.0, 1.0),) * 2)
+    """A saddle on a 3 x 3 grid over [-1, 1]^2: degenerate at the origin,
+    where it passes through 0, singular at (-1, 1), where x_s = 0, and lifted
+    by a bump of height 1e160 at (1, 1), flat there and below 1e-140 at every
+    other grid point, where the position split overflows only after
+    point_geometry succeeded."""
+    bump = "1e160*exp(-700*((s-1)^2+(t-1)^2))"
+    comps = ("s*(1-t)/2", "t", f"(s+1)^2*t/2+{bump}")
+    m = Immersion.from_exprs("marked saddle", comps, ("s", "t"), ((-1.0, 1.0),) * 2)
     return m, GridSpec((3, 3))
 
 
@@ -517,7 +508,7 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     if case == "saddle_raw.json":
         m, grid = _spec_surface(case)
     elif case == "marked saddle":
-        m, grid = _marked_saddle()  # its block falls back to one row at a time
+        m, grid = _marked_saddle()  # its --full block falls back to one row at a time
     else:
         m, grid = make_family(case), GridSpec((3,) * 3)
     calls = _counting_point_geometry(monkeypatch)
@@ -526,8 +517,8 @@ def test_classify_calls_point_geometry_once_per_point(monkeypatch, case, full):
     points = [tuple(p) for p in grid.points(m.domain)]
     # one evaluated row per point at the sweep's order: the plain sweep calls
     # point_geometry per point, --full evaluates each block as one stack (the
-    # marked saddle's mapping takes one point at a time, so its block reruns
-    # point by point)
+    # marked saddle's stacked assembly fails on its singular row, so its block
+    # is assembled point by point, each point from its row)
     assert evaluated == [(rep.jet_order, p) for p in points]
     if not full:
         assert [tuple(p) for p in calls] == points

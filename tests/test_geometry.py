@@ -383,11 +383,11 @@ def test_riemann_symmetries():
     assert np.max(np.abs(r - np.einsum("klij->ijkl", r))) < 1e-10
 
 
-# -- exact third order on mapping-backed charts ---------------------------------------------
+# -- exact third order on the cone and the tube ----------------------------------------------
 
 
 def test_order3_completion_close_to_fd():
-    m = tangent_cone()  # re-seeds its base one order higher: order 3 is exact
+    m = tangent_cone()  # its normal is a tree of the base's derivatives: order 3 is exact
     p = (1.2, 0.7, 1.0)
     jets = evaluate_jets(m, p, order=3)
 
@@ -413,17 +413,18 @@ def test_tangent_cone_order3_jets_match_fd_oracle():
                 assert np.max(np.abs(a.third - b.third)) <= 1e-7 * scale
 
 
-def test_order3_evaluation_calls_mapping_once_per_point():
+def test_order3_evaluation_runs_the_program_once_per_point():
     # no stencil: one order-3 request is one evaluation at the point itself
     rng = np.random.default_rng(34)
-    for base in (tangent_cone(), curve_tube()):
+    for m in (tangent_cone(), curve_tube()):
         seen = []
 
-        def counting(seeds, base=base, seen=seen):
+        def counting(env, program=m.program, seen=seen):
+            seeds = list(env.values())
             seen.append((seeds[0].order, tuple(s.value for s in seeds)))
-            return base.mapping(seeds)
+            return program(env)
 
-        m = dataclasses.replace(base, mapping=counting)
+        object.__setattr__(m, "program", counting)
         points = sample_points(m, rng, 3)
         for p in points:
             evaluate_jets(m, p, order=3)

@@ -22,7 +22,7 @@ from gcrkit.geometry import (
     derivative_bundle, evaluate_jets, point_geometry,
 )
 
-# every catalog builder whose default chart is compiled from expressions
+# every catalog builder whose default chart is compiled from closed-form expressions
 EXPRESSION_FAMILIES = [
     catalog.circular_hypercylinder, catalog.conical_hypercylinder,
     catalog.hypercylinder_rotational, catalog.hyperplane, catalog.product_cylinder,
@@ -32,14 +32,15 @@ EXPRESSION_FAMILIES = [
 
 
 def so2_x_so2_ode() -> Immersion:
-    """so2_x_so2 with an integrated profile: a jet mapping over Hermite data."""
+    """so2_x_so2 with an integrated profile: a program over Hermite data."""
     return catalog.make_family(
         "so2_x_so2", kappa="0.4+0.1*s", init=(1.5, 0.4, 0.15),
         domain=((0.0, 1.6), (0.0, 2 * math.pi), (0.0, 2 * math.pi)))
 
 
-# the charts that evaluate a jet mapping instead of a program
-MAPPING_CHARTS = [catalog.tangent_cone, catalog.curve_tube, so2_x_so2_ode]
+# the charts whose programs read an interpolant (the tube and the integrated
+# profile) or the derivative trees of their base (the cone)
+DERIVED_CHARTS = [catalog.tangent_cone, catalog.curve_tube, so2_x_so2_ode]
 
 # log(t) fails at t <= 0 after s*s has run
 LOG_CHART = Immersion.from_exprs("log", ["s", "t", "log(t)+s*s"], ["s", "t"],
@@ -116,7 +117,7 @@ def steps_run(program):
     return log
 
 
-@pytest.mark.parametrize("family", EXPRESSION_FAMILIES + MAPPING_CHARTS,
+@pytest.mark.parametrize("family", EXPRESSION_FAMILIES + DERIVED_CHARTS,
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_warm_jets_equal_cold_jets_bit_for_bit(monkeypatch, family, order):
