@@ -48,7 +48,7 @@ for spec in "$root"/src/gcrkit/specs/*.json "$root"/bench/specs/so2_x_so2_ode.js
     done
   done
 done
-# a mapping chart and an expression chart across a block boundary
+# the cone (symbolic-derivative trees) and a closed-form chart across a block boundary
 for name in tangent_cone torus_so2_x_so2; do
   for flags in "" "--format csv" "--full" "--full --format csv"; do
     tag=$(echo $name --grid 11 $flags | tr ' ' '_' | tr -d '-')

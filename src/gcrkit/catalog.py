@@ -195,24 +195,12 @@ class HermiteCurve:
         self._coeffs = np.einsum("pb,kbd->kpd", _QUINTIC, data)
         self._h = h[:, 0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
     def _locate(self, x):
         """Interval index of x, or of each entry of an array x, clamped to the ends."""
         i = np.searchsorted(self.knots, x, side="right") - 1
         if isinstance(x, np.ndarray):
             return np.clip(i, 0, self.knots.size - 2)
         return min(max(int(i), 0), self.knots.size - 2)
-
-    def component(self, c: int, x):
-        """Component c of ``evaluate(x)``."""
-        return self.evaluate(x)[c]
 
     def evaluate(self, x) -> list:
         """Every component at x, a float or a Jet, or row by row at a 1-D
@@ -254,10 +242,10 @@ class ProfileCurve:
     curve: HermiteCurve = field(repr=False)
 
     def f_at(self, x):
-        return self.curve.component(0, x)
+        return self.curve.evaluate(x)[0]
 
     def g_at(self, x):
-        return self.curve.component(1, x)
+        return self.curve.evaluate(x)[1]
 
 
 def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:

@@ -43,8 +43,6 @@ __all__ = [
     "FUNCTIONS",
     "parse_expr",
     "Program",
-    "eval_expr",
-    "eval_real",
     "to_text",
     "variables_of",
 ]
@@ -60,6 +58,7 @@ _FUNCTIONS = {
     "atan": _jet.atan,
 }
 FUNCTIONS = tuple(_FUNCTIONS)
+_FUNCTIONS["sign"] = _jet._sign  # d|a|/da in derivative trees, not in the grammar
 
 
 class ExprError(Exception):
@@ -422,21 +421,6 @@ class Program:
         return out
 
 
-def eval_expr(expr: Expr, env: Mapping[str, Jet]) -> Jet:
-    """Evaluate over jets.  ``env`` must bind every variable of the chart,
-    all to single jets or all to stacks of one row count; a constant result
-    is broadcast to that shape."""
-    if not env:
-        raise ExprEvalError("empty environment: jet arity and order are unknown")
-    return Program((expr,))(env)[0]
-
-
-def eval_real(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate over plain floats: the value eval_expr gives at order 0."""
-    values = {name: float(v) for name, v in env.items()}
-    return Program((expr,))(values)[0]
-
-
 # -- symbolic derivative -----------------------------------------------------------------
 
 _ZERO, _ONE = Const(0.0), Const(1.0)
@@ -457,7 +441,8 @@ _CHAIN = {  # f'(a) for each function f
     "exp": lambda a: Call("exp", a),
     "log": lambda a: BinOp("/", _ONE, a),
     "sqrt": lambda a: BinOp("/", Const(0.5), Call("sqrt", a)),
-    "abs": lambda a: BinOp("/", a, Call("abs", a)),
+    "abs": lambda a: Call("sign", a),
+    "sign": lambda a: _ZERO,
     "atan": lambda a: BinOp("/", _ONE, BinOp("+", _ONE, BinOp("*", a, a))),
 }
 

@@ -89,6 +89,9 @@ class EvaluationError(GeometryError):
 
 # -- immersion ---------------------------------------------------------------------
 
+# a chart point this far outside its box, relative to the box's bounds, is inside
+_DOMAIN_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class Immersion:
@@ -144,9 +147,9 @@ class Immersion:
         box = tuple((float(lo), float(hi)) for lo, hi in domain)
         return cls(name, names, box, components=parsed)
 
-    def contains(self, p: Sequence[float], slack: float = 1e-12) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         for value, (lo, hi) in zip(p, self.domain):
-            pad = slack * max(1.0, abs(lo), abs(hi))
+            pad = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
             if not lo - pad <= value <= hi + pad:
                 return False
         return True

@@ -1,12 +1,12 @@
-"""Forward-mode jet arithmetic: truncated Taylor data up to fourth order.
+"""Forward-mode jet arithmetic: truncated Taylor data up to third order.
 
 A Jet carries the Taylor coefficients of a scalar field at a chart point, up
-to ``order`` (at most 4) in ``n`` chart variables (at most 3).  Arithmetic
+to ``order`` (at most 3) in ``n`` chart variables (at most 3).  Arithmetic
 propagates them exactly, so no production code path touches a finite
 difference.  Jets are immutable values; no operation mutates its operands.
 
 Layout: ``Jet.c`` is one flat vector, c[a] = d^a f / a! for each monomial
-x^a of degree <= ``order`` (4, 10, 20 or 35 entries for n = 3).  Monomials
+x^a of degree <= ``order`` (4, 10 or 20 entries for n = 3).  Monomials
 are listed by degree, then by sorted variable-index tuple (1, x0, x1, x2,
 x0^2, x0 x1, ...), so c[0] is the value and c[1:n+1] the gradient.
 
@@ -29,10 +29,9 @@ bit for bit, and an array operand a jet does not take (``arr - stack``,
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
 monomial k, in one ``np.bincount``; a composition f(g) is a polynomial in the
-nilpotent part g - g(p), in Horner form over the same product; ``partial``
-is one gather and ``truncated`` one prefix slice.  ``grad``, ``hess``,
-``third`` and ``fourth`` are derivative tensors gathered from ``c`` and
-scaled by a!, so they are exactly symmetric.  The product also multiplies
+nilpotent part g - g(p), in Horner form over the same product.  ``grad``,
+``hess`` and ``third`` are derivative tensors gathered from ``c`` and scaled
+by a!, so they are exactly symmetric.  The product also multiplies
 stacks of coefficient rows (..., D) row by row, over any leading axes that
 broadcast, in one ``bincount`` over row-offset targets; each row sums the
 same terms in the same order as a single product, so it equals it bit for
@@ -42,8 +41,8 @@ single-jet call.
 
 Prefix rule: the order-k layout and tables are prefixes of the order-(k+1)
 ones, with pairs in row-major order, so every coefficient sums the same
-terms in the same sequence at every order.  The slots an order-4 jet shares
-with an order-3 jet are bit-identical to it, and a jet's value follows the
+terms in the same sequence at every order.  The slots an order-3 jet shares
+with an order-2 jet are bit-identical to it, and a jet's value follows the
 float operations of a plain evaluation exactly.
 
 The independent test oracle, ``finite_difference_jet``, lives with the
@@ -87,11 +86,9 @@ def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return z
 
 
-# _ZEROS[n] = read-only zero (grad, hess, third, fourth) for arity n; every
-# derivative slot above a jet's order is one of these
-_ZEROS = {
-    n: tuple(_frozen_zeros((n,) * rank) for rank in (1, 2, 3, 4)) for n in (1, 2, 3)
-}
+# _ZEROS[n] = read-only zero (grad, hess, third) for arity n; every derivative
+# slot above a jet's order is one of these
+_ZEROS = {n: tuple(_frozen_zeros((n,) * rank) for rank in (1, 2, 3)) for n in (1, 2, 3)}
 
 
 class JetDomainError(ValueError):
@@ -108,10 +105,10 @@ class JetDomainError(ValueError):
 
 @functools.cache
 def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of the monomials of degree <= 4, in layout order."""
+    """Exponent vectors of the monomials of degree <= 3, in layout order."""
     return tuple(
         tuple(axes.count(i) for i in range(n))
-        for degree in range(5)
+        for degree in range(4)
         for axes in itertools.combinations_with_replacement(range(n), degree)
     )
 
@@ -209,10 +206,10 @@ class Jet:
     """Truncated Taylor expansion of a scalar field at a chart point.
 
     ``c`` holds the Taylor coefficients in the layout of the module
-    docstring.  The derivative tensors ``grad``, ``hess``, ``third`` and
-    ``fourth`` (symmetric under every index permutation) are fresh arrays
-    derived from ``c`` up to ``order`` and shared read-only zeros above it;
-    the constructor takes them, symmetric, in the same form.  For a stack,
+    docstring.  The derivative tensors ``grad``, ``hess`` and ``third``
+    (symmetric under every index permutation) are fresh arrays derived from
+    ``c`` up to ``order`` and shared read-only zeros above it; the
+    constructor takes them, symmetric, in the same form.  For a stack,
     ``value`` and every tensor gain a leading axis of one entry per row.
     """
 
@@ -227,16 +224,15 @@ class Jet:
         grad: np.ndarray | None = None,
         hess: np.ndarray | None = None,
         third: np.ndarray | None = None,
-        fourth: np.ndarray | None = None,
     ):
         if n not in (1, 2, 3):
             raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
-        if order not in (0, 1, 2, 3, 4):
-            raise ValueError(f"jet order must be between 0 and 4, got {order}")
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"jet order must be between 0 and 3, got {order}")
         self._t = _table(n, order)
         self.c = np.zeros(self._t.size)
         self.c[0] = float(value)
-        for rank, tensor in enumerate((grad, hess, third, fourth)[:order], start=1):
+        for rank, tensor in enumerate((grad, hess, third)[:order], start=1):
             if tensor is not None:
                 idx, fac = _slot_gather(n, rank)
                 self.c[idx] = np.asarray(tensor, dtype=float) / fac
@@ -249,31 +245,12 @@ class Jet:
     grad = property(lambda self: self._slot(1))
     hess = property(lambda self: self._slot(2))
     third = property(lambda self: self._slot(3))
-    fourth = property(lambda self: self._slot(4))
 
     def _slot(self, rank: int) -> np.ndarray:
         if rank > self._t.order:
             zero = _ZEROS[self._t.n][rank - 1]
             return zero if self.c.ndim == 1 else np.broadcast_to(zero, (len(self.c),) + zero.shape)
         return derivative_tensor(self.c, self._t.n, rank)
-
-    def partial(self, axis: int) -> "Jet":
-        """Jet of the partial derivative along ``axis``, one order lower."""
-        t = self._t
-        if not 0 <= axis < t.n:
-            raise ValueError(f"axis {axis} out of range for arity {t.n}")
-        if t.order < 1:
-            raise ValueError("cannot take a partial of an order-0 jet")
-        src, fac = t.partial_src[axis], t.partial_fac[axis]
-        c = self.c[src] if self.c.ndim == 1 else self.c[:, src]
-        return _make(_table(t.n, t.order - 1), c * fac)
-
-    def truncated(self, order: int) -> "Jet":
-        """Copy of this jet with derivative data above ``order`` dropped."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate a jet of order {self.order} to {order}")
-        t = _table(self.n, order)
-        return _make(t, self.c[..., : t.size].copy())
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -340,9 +317,7 @@ class Jet:
         v, m = _arg(self)
         _guard("reciprocal", v, v == 0.0)
         iv = 1.0 / v
-        return _compose(
-            self, iv, -iv * iv, 2.0 * m.pow(iv, 3), -6.0 * m.pow(iv, 4), 24.0 * m.pow(iv, 5)
-        )
+        return _compose(self, iv, -iv * iv, 2.0 * m.pow(iv, 3), -6.0 * m.pow(iv, 4))
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
@@ -372,8 +347,8 @@ def jet_variable(index: int, value, n: int, order: int) -> Jet:
     """
     if n not in (1, 2, 3):
         raise ValueError(f"jet arity must be 1, 2 or 3, got {n}")
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"variable jets need order 1, 2, 3 or 4, got {order}")
+    if order not in (1, 2, 3):
+        raise ValueError(f"variable jets need order 1, 2 or 3, got {order}")
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range for arity {n}")
     t = _table(n, order)
@@ -442,16 +417,16 @@ def _arg(x: Jet):
     return (float(c[0]), _ONE) if c.ndim == 1 else (c[:, 0], _ROWS)
 
 
-def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float, f4: float) -> Jet:
-    """Univariate chain rule: jet of f(g) from the derivatives f0..f4 of f at
+def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
+    """Univariate chain rule: jet of f(g) from the derivatives f0..f3 of f at
     g.value.  With the nilpotent part h = g - g.value and a_k = f_k / k!,
     f(g) = a_0 + h (a_1 + h (a_2 + ...)) in Horner form; h^k has no terms
     below degree k, so the series stops at the jet order."""
     t = g._t
-    stack = g.c.ndim == 2  # f0..f4 are then arrays with one entry per row
+    stack = g.c.ndim == 2  # f0..f3 are then arrays with one entry per row
     if t.order == 0:
         return _make(t, f0[:, None].copy() if stack else np.array([f0]))
-    a = (f0, f1, 0.5 * f2, f3 / 6.0, f4 / 24.0)
+    a = (f0, f1, 0.5 * f2, f3 / 6.0)
     v0 = _COLUMN0 if stack else 0
     h = g.c.copy()
     h[v0] = 0.0
@@ -492,8 +467,18 @@ def _real_pow(x: Jet, p: float) -> Jet:
         p * m.pow(v, p - 1.0),
         p * (p - 1.0) * m.pow(v, p - 2.0),
         p * (p - 1.0) * (p - 2.0) * m.pow(v, p - 3.0),
-        p * (p - 1.0) * (p - 2.0) * (p - 3.0) * m.pow(v, p - 4.0),
     )
+
+
+def _sign(x: float | Jet) -> float | Jet:
+    """d|x|/dx, the constant -1 or 1, for a float, a 1-D float array, a jet or
+    a stack; like a jet's abs, it refuses 0 on every route."""
+    v = x.value if isinstance(x, Jet) else x
+    _guard("abs", v, v == 0.0)
+    s = np.sign(v)  # a NaN stays NaN
+    if isinstance(x, Jet):
+        return jet_constant(s, x.n, x.order)
+    return s if isinstance(s, np.ndarray) else float(s)
 
 
 # -- elementary functions ------------------------------------------------------
@@ -510,7 +495,7 @@ def sin(x: float | Jet) -> float | Jet:
         return _plain(x).sin(x)
     v, m = _arg(x)
     s, c = m.sin(v), m.cos(v)
-    return _compose(x, s, c, -s, -c, s)
+    return _compose(x, s, c, -s, -c)
 
 
 def cos(x: float | Jet) -> float | Jet:
@@ -518,7 +503,7 @@ def cos(x: float | Jet) -> float | Jet:
         return _plain(x).cos(x)
     v, m = _arg(x)
     s, c = m.sin(v), m.cos(v)
-    return _compose(x, c, -s, -c, s, c)
+    return _compose(x, c, -s, -c, s)
 
 
 def tan(x: float | Jet) -> float | Jet:
@@ -527,9 +512,7 @@ def tan(x: float | Jet) -> float | Jet:
     v, m = _arg(x)
     t = m.tan(v)
     d = 1.0 + t * t
-    return _compose(
-        x, t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t), 8.0 * t * d * (2.0 + 3.0 * t * t)
-    )
+    return _compose(x, t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t))
 
 
 def exp(x: float | Jet) -> float | Jet:
@@ -537,7 +520,7 @@ def exp(x: float | Jet) -> float | Jet:
         return _plain(x).exp(x)
     v, m = _arg(x)
     e = m.exp(v)
-    return _compose(x, e, e, e, e, e)
+    return _compose(x, e, e, e, e)
 
 
 def log(x: float | Jet) -> float | Jet:
@@ -546,9 +529,7 @@ def log(x: float | Jet) -> float | Jet:
         return _plain(x).log(x)
     v, m = _arg(x)
     _guard("log", v, v <= 0.0)
-    return _compose(
-        x, m.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / m.pow(v, 3), -6.0 / m.pow(v, 4)
-    )
+    return _compose(x, m.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / m.pow(v, 3))
 
 
 def sqrt(x: float | Jet) -> float | Jet:
@@ -558,9 +539,7 @@ def sqrt(x: float | Jet) -> float | Jet:
     v, m = _arg(x)
     _guard("sqrt", v, v <= 0.0)
     r = m.sqrt(v)
-    return _compose(
-        x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r), -0.9375 / (m.pow(v, 3) * r)
-    )
+    return _compose(x, r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
 
 
 def atan(x: float | Jet) -> float | Jet:
@@ -574,5 +553,4 @@ def atan(x: float | Jet) -> float | Jet:
         1.0 / d,
         -2.0 * v / (d * d),
         (6.0 * v * v - 2.0) / m.pow(d, 3),
-        24.0 * v * (1.0 - v * v) / m.pow(d, 4),
     )

@@ -39,7 +39,7 @@ from gcrkit.catalog import (
     _seed_pair,
     _transport_steps,
 )
-from gcrkit.expr import ExprError, eval_expr
+from gcrkit.expr import ExprError, Program
 
 
 def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
@@ -95,12 +95,12 @@ def frame_knot_data(alpha, w_range, samples=801):
     evaluating the curve's order-3 jet at each abscissa as the loop reaches
     it and building each step's matrix from those rows; input validation is
     left to production."""
-    alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
+    alpha_program = Program(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"))
     lo, hi = float(w_range[0]), float(w_range[1])
 
     def alpha_data(w):
         env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs])
+        coeffs = np.stack([y.c for y in alpha_program(env)])
         d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
         return coeffs[:, 0], d1, d2, d3
 
@@ -160,12 +160,12 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
     time from the transport rule, then a projection onto the normal space
     and re-orthonormalization per sample; input validation is left to
     production."""
-    alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
+    alpha_program = Program(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"))
     lo, hi = float(w_range[0]), float(w_range[1])
 
     def alpha_data(w):
         env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([eval_expr(e, env).c for e in alpha_exprs])
+        coeffs = np.stack([y.c for y in alpha_program(env)])
         d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
         return coeffs[:, 0], d1, d2, d3
 

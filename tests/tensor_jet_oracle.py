@@ -5,12 +5,18 @@ table-driven product rule.  This module keeps the earlier representation,
 one derivative tensor per order (value, grad, hess, third, fourth), with the
 Leibniz rule written out term by term for products and Faa di Bruno's
 formula for univariate compositions, so the two routes share no arithmetic
-code.  Test use only.
+code.  ``evaluate`` runs an expression tree of ``gcrkit.expr`` over them.
+Test use only.
 """
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
+
+from gcrkit.expr import BinOp, Call, Const, Neg, Var
 
 
 def _sym3(grad, hess):
@@ -177,3 +183,86 @@ def atan(x):
     d = 1.0 + v * v
     return compose(x, math.atan(v), 1.0 / d, -2.0 * v / d**2, (6.0 * v * v - 2.0) / d**3,
                    24.0 * v * (1.0 - v * v) / d**4)
+
+
+# -- expression trees ---------------------------------------------------------------
+
+
+@functools.cache
+def _factorials(n, rank):
+    # a! for the monomial of each entry of a rank-``rank`` tensor in n variables
+    return np.array([math.prod(math.factorial(axes.count(i)) for i in range(n))
+                     for axes in itertools.product(range(n), repeat=rank)]).reshape((n,) * rank)
+
+
+def _largest_coefficient(x):
+    """The largest Taylor coefficient |d^a f / a!| of a tensor jet."""
+    tensors = (x.grad, x.hess, x.third, x.fourth)
+    return max([abs(x.value)] + [float(np.max(np.abs(t) / _factorials(x.n, r)))
+                                 for r, t in enumerate(tensors, start=1)])
+
+
+def _int_pow(x, p):
+    # x^p by square-and-multiply, as the production power rule takes it
+    if p < 0:
+        return 1.0 / _int_pow(x, -p)
+    out, base = 1.0, x
+    while p:
+        if p & 1:
+            out = base * out
+        p >>= 1
+        if p:
+            base = base * base
+    return out
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FUNCTIONS = {f.__name__: f for f in (sin, cos, tan, exp, log, sqrt, atan)}
+
+
+def evaluate(tree, env, steps=None):
+    """A ``gcrkit.expr`` tree over tensor jets and floats, with the
+    production rules for division (a reciprocal-multiply) and powers; a
+    subtree free of jets stays a float, and a constant tree gives a constant
+    jet of the environment's arity and order.  Domain and range failures
+    raise math's ValueError and ArithmeticError.  The largest Taylor
+    coefficient of each jet step is appended to ``steps``, if given."""
+
+    def rec(node):
+        match node:
+            case Const(value):
+                out = value
+            case Var(name):
+                out = env[name]
+            case Neg(a):
+                out = -rec(a)
+            case BinOp("/", a, b):
+                out = rec(a) * (1.0 / rec(b))
+            case BinOp("^", a, b):
+                base, e = rec(a), rec(b)
+                if isinstance(e, TensorJet) and not any(
+                        t.any() for t in (e.grad, e.hess, e.third, e.fourth)):
+                    e = e.value  # a jet exponent that is constant after all
+                if isinstance(e, TensorJet):
+                    out = exp(e * (log(base) if isinstance(base, TensorJet) else math.log(base)))
+                elif float(e).is_integer():
+                    out = _int_pow(base, int(e))
+                else:
+                    out = base**e
+            case BinOp(op, a, b):
+                out = _ARITHMETIC[op](rec(a), rec(b))
+            case Call("abs", a):
+                x = rec(a)
+                out = (-x if x.value < 0.0 else x) if isinstance(x, TensorJet) else abs(x)
+            case Call(fn, a):
+                x = rec(a)
+                out = _FUNCTIONS[fn](x) if isinstance(x, TensorJet) else getattr(math, fn)(x)
+        if steps is not None and isinstance(out, TensorJet):
+            steps.append(_largest_coefficient(out))
+        return out
+
+    out = rec(tree)
+    if isinstance(out, TensorJet):
+        return out
+    probe = next(iter(env.values()))
+    return TensorJet(probe.n, probe.order, out)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tensor_jet_oracle
 from conftest import TWO_PI, sample_points
 from gcrkit.catalog import (
     CatalogError,
@@ -49,8 +50,8 @@ def test_hermite_reproduces_quintics_exactly():
         x, poly(x)[:, None], poly.deriv(1)(x)[:, None], poly.deriv(2)(x)[:, None]
     )
     for xv in np.linspace(-1.0, 2.0, 40):
-        assert math.isclose(curve.component(0, xv), poly(xv), rel_tol=1e-13, abs_tol=1e-13)
-        j = curve.component(0, jet_variable(0, float(xv), 1, 3))
+        assert math.isclose(curve.evaluate(xv)[0], poly(xv), rel_tol=1e-13, abs_tol=1e-13)
+        j = curve.evaluate(jet_variable(0, float(xv), 1, 3))[0]
         assert math.isclose(j.grad[0], poly.deriv(1)(xv), rel_tol=1e-11, abs_tol=1e-11)
         assert math.isclose(j.hess[0, 0], poly.deriv(2)(xv), rel_tol=1e-10, abs_tol=1e-10)
         assert math.isclose(j.third[0, 0, 0], poly.deriv(3)(xv), rel_tol=1e-9, abs_tol=1e-9)
@@ -63,7 +64,7 @@ def test_hermite_interpolation_error_scales():
         x = np.linspace(0.0, 3.0, samples)
         curve = HermiteCurve(x, np.sin(x)[:, None], np.cos(x)[:, None], -np.sin(x)[:, None])
         dense = np.linspace(0.0, 3.0, 400)
-        errs.append(max(abs(curve.component(0, v) - math.sin(v)) for v in dense))
+        errs.append(max(abs(curve.evaluate(v)[0] - math.sin(v)) for v in dense))
     assert errs[0] / errs[1] > 30.0
     assert errs[1] < 1e-8
 
@@ -82,9 +83,8 @@ def test_hermite_multidimensional_and_span():
     vals = np.column_stack([x**2, x**3])
     curve = HermiteCurve(x, vals, np.column_stack([2 * x, 3 * x**2]),
                          np.column_stack([2 * np.ones_like(x), 6 * x]))
-    assert curve.dim == 2
-    assert curve.span == (0.0, 1.0)
     out = curve.evaluate(0.37)
+    assert len(out) == curve.values.shape[1] == 2
     assert math.isclose(out[0], 0.37**2, abs_tol=1e-13)
     assert math.isclose(out[1], 0.37**3, abs_tol=1e-13)
 
@@ -101,12 +101,13 @@ def test_stacked_hermite_rows_match_scalar_calls():
     at = np.r_[x, -0.0, -1.5, -1.0 - 1e-12, 2.0 + 1e-12, 2.5, rng.uniform(-1.0, 2.0, 9)]
     for n, order in ((1, 1), (1, 3), (3, 2), (3, 3)):
         stack = jet_variable(0, at, n, order)
-        for c in range(curve.dim):
-            rows = curve.component(c, stack).c
+        for c in range(curve.values.shape[1]):
+            rows = curve.evaluate(stack)[c].c
             for row, v in zip(rows, at.tolist()):
-                assert row.tobytes() == curve.component(c, jet_variable(0, v, n, order)).c.tobytes()
-            singles = [curve.component(c, v) for v in at.tolist()]
-            assert curve.component(c, at).tobytes() == np.array(singles).tobytes()
+                one = curve.evaluate(jet_variable(0, v, n, order))[c]
+                assert row.tobytes() == one.c.tobytes()
+            singles = [curve.evaluate(v)[c] for v in at.tolist()]
+            assert curve.evaluate(at)[c].tobytes() == np.array(singles).tobytes()
 
 
 # -- profile integration ---------------------------------------------------------------------
@@ -257,9 +258,7 @@ def test_torus_knot_frame_constraints():
     assert frame.gram_error < 1e-9
     for w in np.linspace(0.05, TWO_PI - 0.05, 11):
         env = {"w": jet_variable(0, float(w), 1, 1)}
-        from gcrkit.expr import eval_expr, parse_expr
-
-        js = [eval_expr(parse_expr(e, ("w",)), env) for e in alpha]
+        js = Program(tuple(parse_expr(e, ("w",)) for e in alpha))(env)
         av = np.array([j.value for j in js])
         dv = np.array([j.grad[0] for j in js])
         a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
@@ -595,22 +594,30 @@ def _hermite_component(curve, c, x):
 
 def _tangent_cone_mapping(c, y_exprs):
     """tangent_cone's mapping as it was written on twelve separate jets,
-    kept as the reference for the stacked one."""
-    base = Program(tuple(parse_expr(e, ("v", "w")) for e in y_exprs))
+    kept as the reference for the stacked one.  y and its v- and w-partials
+    come from order-(k+1) tensor jets at each point."""
+    base = tuple(parse_expr(e, ("v", "w")) for e in y_exprs)
+
+    def lifted(v, w, order):
+        # coefficients (component, [y, y_v, y_w], D) at one point
+        seed = tensor_jet_oracle.TensorJet.variable
+        env = {"v": seed(1, v, 3, order + 1), "w": seed(2, w, 3, order + 1)}
+        out = []
+        for e in base:
+            y = tensor_jet_oracle.evaluate(e, env)
+            slots = (y.value, y.grad, y.hess, y.third, y.fourth)
+            out.append([jet.Jet(3, order, *slots[:4]).c] + [
+                jet.Jet(3, order, *(t[axis] for t in slots[1:])).c for axis in (1, 2)])
+        return out
 
     def mapping(seeds):
         s, v, w = seeds
         order = s.order
-        env = {
-            "v": jet.jet_variable(1, v.value, 3, order + 1),
-            "w": jet.jet_variable(2, w.value, 3, order + 1),
-        }
-        y_hi = base(env)
-        y_lo = [comp.truncated(order) for comp in y_hi]
-        y_v = [comp.partial(1) for comp in y_hi]
-        y_w = [comp.partial(2) for comp in y_hi]
-        t = y_lo[0]._t
-        columns = np.array([[x.c for x in col] for col in (y_lo, y_v, y_w)]).swapaxes(0, 1)
+        points = zip(np.atleast_1d(v.value).tolist(), np.atleast_1d(w.value).tolist())
+        rows = np.array([lifted(*vw, order) for vw in points])  # (P, 4, 3, D)
+        columns = np.moveaxis(rows, 0, 2) if s.c.ndim == 2 else rows[0]
+        t = s._t
+        y_lo = [jet._make(t, col[0]) for col in columns]
         raw = [jet._make(t, row) for row in _cross_rows(columns, t.product)]
         norm_sq = raw[0] * raw[0]
         for comp in raw[1:]:
@@ -674,7 +681,7 @@ def test_hermite_evaluate_matches_the_per_component_loop():
         inputs += [jet_variable(0, at, n, order), jet_variable(n - 1, 0.37, n, order)]
     for arg in inputs:
         got = curve.evaluate(arg)
-        assert len(got) == curve.dim
+        assert len(got) == curve.values.shape[1]
         for c, value in enumerate(got):
             want = _hermite_component(curve, c, arg)
             assert type(value) is type(want)
@@ -682,8 +689,6 @@ def test_hermite_evaluate_matches_the_per_component_loop():
                 assert (value.order, value.c.shape) == (want.order, want.c.shape)
                 value, want = value.c, want.c
             assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
-            one = curve.component(c, arg)
-            assert np.asarray(getattr(one, "c", one)).tobytes() == np.asarray(want).tobytes()
 
 
 # a cone base with radii cos(0.3) and sin(0.3) and a phase in w
@@ -746,7 +751,7 @@ def test_interpolant_charts_read_their_curve_once_per_evaluation(monkeypatch, na
     evaluate = HermiteCurve.evaluate
 
     def counted(curve, x):
-        dims.append(curve.dim)
+        dims.append(curve.values.shape[1])
         return evaluate(curve, x)
 
     monkeypatch.setattr(HermiteCurve, "evaluate", counted)

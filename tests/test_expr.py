@@ -15,20 +15,19 @@ from gcrkit.expr import (
     ExprSyntaxError,
     Neg,
     Var,
+    Program,
     _derivative,
-    eval_expr,
-    eval_real,
     parse_expr,
     to_text,
     variables_of,
 )
 from fd_oracle import finite_difference_jet
-from gcrkit import expr
+from gcrkit import expr, jet
 from gcrkit.jet import jet_constant, jet_variable
 
 
 def ev(text, **env):
-    return eval_real(parse_expr(text, tuple(env)), env)
+    return Program((parse_expr(text, tuple(env)),))(env)[0]
 
 
 # -- precedence and associativity ---------------------------------------------------------
@@ -108,7 +107,8 @@ def test_nesting_depth_is_capped(shape):
     e = parse_expr(_DEEP[shape](200), ("s",))
     assert to_text(e) and variables_of(e) == frozenset({"s"})
     assert hash(e) == hash(parse_expr(_DEEP[shape](200), ("s",))) and repr(e)
-    assert ev(_DEEP[shape](200), s=0.5) == eval_expr(e, {"s": jet_variable(0, 0.5, 1, 2)}).value
+    at_jet = Program((e,))({"s": jet_variable(0, 0.5, 1, 2)})[0]
+    assert ev(_DEEP[shape](200), s=0.5) == at_jet.value
     for k in (201, 3000):
         with pytest.raises(ExprSyntaxError, match="nests deeper than 200 levels"):
             parse_expr(_DEEP[shape](k), ("s",))
@@ -162,15 +162,15 @@ def test_jet_and_real_routes_bit_identical(text):
         if abs(s - t) < 1e-3:
             continue
         env_j = {"s": jet_variable(0, s, 2, 2), "t": jet_variable(1, t, 2, 2)}
-        assert eval_expr(e, env_j).value == eval_real(e, {"s": s, "t": t})
+        assert Program((e,))(env_j)[0].value == Program((e,))({"s": s, "t": t})[0]
 
 
 def test_jet_route_derivatives_vs_fd():
     e = parse_expr("(2+cos(s))*sin(t) + s^2/(t+3)", ("s", "t"))
     p = (0.8, 1.1)
     env = {"s": jet_variable(0, p[0], 2, 3), "t": jet_variable(1, p[1], 2, 3)}
-    out = eval_expr(e, env)
-    fd = finite_difference_jet(lambda q: eval_real(e, {"s": q[0], "t": q[1]}), p)
+    out = Program((e,))(env)[0]
+    fd = finite_difference_jet(lambda q: Program((e,))({"s": q[0], "t": q[1]})[0], p)
     assert np.allclose(out.grad, fd.grad, atol=1e-9)
     assert np.allclose(out.hess, fd.hess, atol=1e-6)
     assert np.allclose(out.third, fd.third, atol=2e-5)
@@ -179,12 +179,12 @@ def test_jet_route_derivatives_vs_fd():
 def test_eval_errors():
     e = parse_expr("1/s", ("s",))
     with pytest.raises(ExprEvalError):
-        eval_real(e, {"s": 0.0})
+        Program((e,))({"s": 0.0})[0]
     e2 = parse_expr("log(s)", ("s",))
     with pytest.raises(ExprEvalError):
-        eval_real(e2, {"s": -1.0})
+        Program((e2,))({"s": -1.0})[0]
     with pytest.raises(ExprEvalError):
-        eval_expr(e2, {"s": jet_variable(0, -1.0, 1, 2)})
+        Program((e2,))({"s": jet_variable(0, -1.0, 1, 2)})[0]
 
 
 @pytest.mark.parametrize(
@@ -194,9 +194,9 @@ def test_eval_errors():
 def test_both_routes_raise_one_error_type(text, s):
     e = parse_expr(text, ("s",))
     with pytest.raises(ExprEvalError):
-        eval_real(e, {"s": s})
+        Program((e,))({"s": s})[0]
     with pytest.raises(ExprEvalError):
-        eval_expr(e, {"s": jet_variable(0, s, 1, 2)})
+        Program((e,))({"s": jet_variable(0, s, 1, 2)})[0]
 
 
 def test_stacked_env_evaluates_row_by_row():
@@ -204,20 +204,20 @@ def test_stacked_env_evaluates_row_by_row():
     stack = {"w": jet_variable(0, ws, 1, 3)}
     for text in ("sin(w)*w^2 - 1/(1+w)", "3", "w^0", "(w+1)^1.5 - w^(2+0*w)"):
         e = parse_expr(text, ("w",))
-        out = eval_expr(e, stack)
+        out = Program((e,))(stack)[0]
         assert out.c.shape == (3, 4)  # a constant is broadcast to the rows
         for r, w in enumerate(ws):
-            assert np.array_equal(out.c[r], eval_expr(e, {"w": jet_variable(0, w, 1, 3)}).c)
+            assert np.array_equal(out.c[r], Program((e,))({"w": jet_variable(0, w, 1, 3)})[0].c)
     # a non-integer power names the first row with a base <= 0, as one jet would
     with pytest.raises(ExprEvalError, match="got -0.5"):
-        eval_expr(parse_expr("(w-0.8)^0.5", ("w",)), stack)
+        Program((parse_expr("(w-0.8)^0.5", ("w",)),))(stack)[0]
     # an exponent jet that is constant in each row but differs between rows
     e = parse_expr("w^k", ("w", "k"))
     env = {"w": jet_variable(0, ws, 2, 2), "k": jet_constant(np.array([2.0, 2.0, 3.0]), 2, 2)}
     with pytest.raises(ExprEvalError, match="differs between rows"):
-        eval_expr(e, env)
+        Program((e,))(env)[0]
     env["k"] = jet_constant(np.full(3, 2.0), 2, 2)
-    assert np.array_equal(eval_expr(e, env).value, ws * ws)
+    assert np.array_equal(Program((e,))(env)[0].value, ws * ws)
 
 
 def test_atan_on_every_route():
@@ -229,11 +229,11 @@ def test_atan_on_every_route():
     assert parse_expr(to_text(e), ("s", "t")) == e
     rows = np.random.default_rng(11).uniform(0.2, 2.0, (7, 2)) * [[-1.0, 1.0]]
     stack = {"s": jet_variable(0, rows[:, 0], 2, 3), "t": jet_variable(1, rows[:, 1], 2, 3)}
-    stacked = eval_expr(e, stack)
+    stacked = Program((e,))(stack)[0]
     for i, (s, t) in enumerate(rows.tolist()):
-        one = eval_expr(e, {"s": jet_variable(0, s, 2, 3), "t": jet_variable(1, t, 2, 3)})
+        one = Program((e,))({"s": jet_variable(0, s, 2, 3), "t": jet_variable(1, t, 2, 3)})[0]
         assert one.c.tobytes() == stacked.c[i].tobytes()
-        assert np.float64(eval_real(e, {"s": s, "t": t})).tobytes() == one.c[0].tobytes()
+        assert np.float64(Program((e,))({"s": s, "t": t})[0]).tobytes() == one.c[0].tobytes()
 
 
 def test_function_names_are_not_variable_names():
@@ -245,14 +245,14 @@ def test_function_names_are_not_variable_names():
 def test_missing_variable_in_env():
     e = parse_expr("s+t", ("s", "t"))
     with pytest.raises(ExprEvalError):
-        eval_real(e, {"s": 1.0})
+        Program((e,))({"s": 1.0})[0]
 
 
 def test_integer_exponent_paths_match():
     e = parse_expr("s^4", ("s",))
     s = 1.37
-    j = eval_expr(e, {"s": jet_variable(0, s, 1, 2)})
-    assert j.value == eval_real(e, {"s": s})
+    j = Program((e,))({"s": jet_variable(0, s, 1, 2)})[0]
+    assert j.value == Program((e,))({"s": s})[0]
     # negative bases are fine for integer exponents
     assert ev("s^3", s=-2.0) == -8.0
     # fractional powers of negative bases are not
@@ -275,7 +275,7 @@ def test_to_text_round_trip_preserves_semantics():
         back = parse_expr(to_text(e), ("s", "t"))
         for _ in range(10):
             s, t = rng.uniform(0.3, 1.8, 2)
-            assert eval_real(e, {"s": s, "t": t}) == eval_real(back, {"s": s, "t": t})
+            assert Program((e,))({"s": s, "t": t})[0] == Program((back,))({"s": s, "t": t})[0]
 
 
 # -- property test: random ASTs survive printing and reparsing -----------------------------
@@ -307,12 +307,12 @@ def test_print_parse_fixpoint(e, s, t):
     back = parse_expr(text, ("s", "t"))
     assert to_text(back) == text
     try:
-        v1 = eval_real(e, {"s": s, "t": t})
+        v1 = Program((e,))({"s": s, "t": t})[0]
     except ExprEvalError:  # nested exp of a constant up to 4 can leave the float range
         with pytest.raises(ExprEvalError):
-            eval_real(back, {"s": s, "t": t})
+            Program((back,))({"s": s, "t": t})[0]
         return
-    v2 = eval_real(back, {"s": s, "t": t})
+    v2 = Program((back,))({"s": s, "t": t})[0]
     assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
 
 
@@ -344,7 +344,7 @@ def test_print_parse_fixpoint(e, s, t):
         ("exp(v)", "exp(v)"),
         ("log(v)", "1.0/v"),
         ("sqrt(v)", "0.5/sqrt(v)"),
-        ("abs(v)", "v/abs(v)"),
+        ("abs(v)", "sign(v)"),
         ("atan(v)", "1.0/(1.0+v*v)"),
         ("sin(v*w)", "cos(v*w)*w"),
         ("exp(2*w)*v", "exp(2.0*w)"),
@@ -356,8 +356,35 @@ def test_derivative_rules(text, want):
     assert to_text(d) == want
     # its value is the v-slot of the tree's order-1 jet, within rounding
     env = {"v": jet_variable(0, 0.7, 2, 1), "w": jet_variable(1, 1.3, 2, 1)}
-    slope = eval_expr(tree, env).grad[0]
-    assert math.isclose(eval_real(d, {"v": 0.7, "w": 1.3}), slope, rel_tol=1e-15, abs_tol=1e-15)
+    slope = Program((tree,))(env)[0].grad[0]
+    value = Program((d,))({"v": 0.7, "w": 1.3})[0]
+    assert math.isclose(value, slope, rel_tol=1e-15, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("t", [1e-8, -1e-8, 0.3, -0.3])
+def test_abs_derivative_is_the_exact_sign(t):
+    # d|t|/dt is the constant jet sign(t), with no terms of 1/|t|, on every route
+    tree = parse_expr("abs(t)", ("t",))
+    program = Program((_derivative(tree, "t"),))
+    sign = math.copysign(1.0, t)
+    for order in (1, 2, 3):
+        for seed in (t, np.array([t, -t, 2 * t])):
+            got = program({"t": jet_variable(0, seed, 1, order)})[0]
+            want = jet_constant(np.sign(seed), 1, order)
+            assert got.c.tobytes() == want.c.tobytes()
+    assert program({"t": t})[0] == sign
+    assert np.array_equal(program({"t": np.array([t, -t])})[0], [sign, -sign])
+    # the inner derivative multiplies the sign of the argument
+    d = _derivative(parse_expr("abs(sin(t))", ("t",)), "t")
+    assert to_text(d) == "sign(sin(t))*cos(t)"
+    got = Program((d,))({"t": jet_variable(0, t, 1, 3)})[0]
+    want = jet.cos(jet_variable(0, t, 1, 3)) * sign
+    assert got.c.tobytes() == want.c.tobytes()
+    # like abs of a jet, the sign refuses 0; and it is not in the grammar
+    with pytest.raises(ExprEvalError, match="abs is undefined"):
+        program({"t": 0.0})
+    with pytest.raises(ExprSyntaxError, match="unknown function 'sign'"):
+        parse_expr("sign(t)", ("t",))
 
 
 def test_derivative_visits_each_node_once(monkeypatch):

@@ -131,15 +131,18 @@ def test_order0_cross_product_is_the_determinant(k):
 
 
 def test_normal_jets_follow_the_prefix_rule():
-    # the order-1 normal of order-2-truncated jets is the order-1 prefix of
-    # the order-2 normal of the order-3 jets, bit for bit
+    # the order-1 normal of the jets' order-2 prefix, which derivative_bundle
+    # reads, is the order-1 prefix of the order-2 normal of the order-3 jets,
+    # bit for bit
     rng = np.random.default_rng(16)
     for tag in ("so2_x_so2", "rotational", "curve_tube", "tangent_cone", "special_sqrt2"):
         m = random_family(tag, rng)
+        order2 = _table(m.n, 2)
         for p in sample_points(m, rng, 3):
             jets = evaluate_jets(m, p, order=3)
             full = _normal_jet_rows(jets)
-            low = _normal_jet_rows([x.truncated(2) for x in jets])
+            prefix = np.stack([x.c[..., : order2.size] for x in jets])
+            low = geometry._unit_normal_rows(prefix, order2)[0]
             assert low.shape == (m.n + 1, _table(m.n, 1).size)
             for a, b in zip(low, full):
                 assert np.array_equal(a, b[: a.size])

@@ -32,6 +32,13 @@ def test_variable_seed_validation():
         jet_variable(2, 1.0, 2, 2)
 
 
+def test_jets_stop_at_order_3():
+    with pytest.raises(ValueError):
+        jet_variable(0, 0.5, 1, 4)
+    with pytest.raises(ValueError):
+        Jet(1, 4, 0.0)
+
+
 def test_constant_has_no_derivatives():
     c = jet_constant(4.2, 2, 3)
     assert c.value == 4.2
@@ -157,7 +164,7 @@ def test_domain_errors():
         with pytest.raises(JetDomainError):
             fn(bad)
     with pytest.raises(JetDomainError):
-        jet_variable(0, -2.0, 1, 4) ** 1.5
+        jet_variable(0, -2.0, 1, 3) ** 1.5
     with pytest.raises(JetDomainError):
         (jet_variable(0, 0.0, 1, 1)).__rtruediv__(1.0)
 
@@ -175,21 +182,6 @@ def test_leibniz_third_order():
         + f.value * g.third[0, 0, 0]
     )
     assert math.isclose(prod.third[0, 0, 0], expect, rel_tol=1e-14)
-
-
-def test_truncation_and_partial():
-    x = jet_variable(0, 0.5, 2, 3)
-    y = jet_variable(1, 1.5, 2, 3)
-    full = jet.sin(x) * y
-    t1 = full.truncated(1)
-    assert t1.order == 1 and not t1.hess.any() and not t1.third.any()
-    assert t1.value == full.value and np.array_equal(t1.grad, full.grad)
-    # partial demotes the order and differentiates along the chosen axis
-    dx = full.partial(0)
-    assert dx.order == 2
-    assert math.isclose(dx.value, full.grad[0], rel_tol=1e-15)
-    assert math.isclose(dx.grad[1], full.hess[0, 1], rel_tol=1e-15)
-    assert math.isclose(dx.hess[1, 1], full.third[0, 1, 1], rel_tol=1e-15)
 
 
 def test_division_mirrors_reciprocal_multiply():
@@ -261,69 +253,20 @@ def test_schwarz_symmetry(a, b, x0, y0):
         assert np.array_equal(out.third, np.transpose(out.third, perm))
 
 
-# -- order 4: the fourth slot against differences of the exact third slot -----------------
-
-
-def _inner(v):
-    # quartic with nonzero slots of every order, so each Faa di Bruno term acts
-    return v[0] * v[1] * v[2] + 0.25 * v[0] * v[0] * v[1] * v[1]
-
-
-@pytest.mark.parametrize(
-    "fn",
-    [
-        lambda v: jet.sin(_inner(v)),
-        lambda v: jet.cos(_inner(v)),
-        lambda v: jet.tan(_inner(v)),
-        lambda v: jet.exp(_inner(v)),
-        lambda v: jet.log(_inner(v)),
-        lambda v: jet.sqrt(_inner(v)),
-        lambda v: jet.atan(_inner(v)),
-        lambda v: 1.0 / _inner(v),
-        lambda v: _inner(v) ** 2.5,
-        lambda v: _inner(v) ** -0.7,
-        lambda v: _inner(v) ** 5,
-        lambda v: _inner(v) ** -3,
-        lambda v: jet.sin(v[0]) * jet.exp(v[1]) * v[2] / (v[0] + 2.0),
-    ],
-    ids=["sin", "cos", "tan", "exp", "log", "sqrt", "atan", "reciprocal",
-         "real-pow", "neg-real-pow", "int-pow", "neg-int-pow", "product"],
-)
-def test_fourth_order_vs_fd_of_third(fn):
-    p = np.array([0.7, 0.9, 0.6])
-    h = 1e-4
-
-    def at(q, order):
-        return fn([jet_variable(i, q[i], 3, order) for i in range(3)])
-
-    out, lower = at(p, 4), at(p, 3)
-    # the order-4 rules leave the lower slots bit for bit as order 3 has them
-    assert out.value == lower.value
-    for a, b in ((out.grad, lower.grad), (out.hess, lower.hess), (out.third, lower.third)):
-        assert np.array_equal(a, b)
-    fd = np.stack([(at(p + h * e, 3).third - at(p - h * e, 3).third) / (2.0 * h)
-                   for e in np.eye(3)])
-    scale = max(1.0, float(np.max(np.abs(out.fourth))))
-    assert np.max(np.abs(out.fourth - fd)) <= 1e-6 * scale
-    for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 2, 1, 0)):
-        assert np.allclose(out.fourth, np.transpose(out.fourth, perm), rtol=0, atol=1e-12 * scale)
-
-
 def test_slots_above_order_are_shared_read_only_zeros():
-    x = jet_variable(0, 0.4, 2, 3)
-    y = jet_variable(1, 1.1, 2, 3)
+    x = jet_variable(0, 0.4, 2, 2)
+    y = jet_variable(1, 1.1, 2, 2)
     out = jet.sin(x * y) + 2.0 * jet.sqrt(y) - x / y
-    zero4 = jet_variable(0, 0.0, 2, 2).fourth
-    assert out.fourth is zero4 and not zero4.flags.writeable and not zero4.any()
-    assert out.truncated(2).third is jet_variable(0, 0.0, 2, 2).third
-    assert out.partial(1).third is jet_variable(0, 0.0, 2, 1).third
+    zero3 = jet_variable(0, 0.0, 2, 1).third
+    assert out.third is zero3 and not zero3.flags.writeable and not zero3.any()
+    assert jet_variable(1, 0.0, 2, 1).hess is jet_constant(2.0, 2, 0).hess
     # slots up to the order are fresh tensors derived from the coefficients:
     # all zero on a constant, and writing one leaves the jet as it was
-    const = jet_constant(1.0, 2, 4)
-    slot = const.fourth
+    const = jet_constant(1.0, 2, 3)
+    slot = const.third
     assert not slot.any()
-    slot[0, 0, 0, 0] = 5.0
-    assert not const.fourth.any()
+    slot[0, 0, 0] = 5.0
+    assert not const.third.any()
 
 
 def test_tables_built_twice_are_interchangeable():
@@ -338,7 +281,7 @@ def test_tables_built_twice_are_interchangeable():
 @settings(max_examples=120, deadline=None)
 @given(
     n=st.integers(1, 3),
-    order=st.integers(0, 4),
+    order=st.integers(0, 3),
     rows=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
     broadcast=st.booleans(),
@@ -415,7 +358,7 @@ def _evaluate(tree, ns, seeds):
 @given(
     tree=_trees,
     n=st.integers(1, 3),
-    order=st.integers(1, 4),
+    order=st.integers(1, 3),
     point=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
 )
 def test_coefficient_jets_match_tensor_oracle(tree, n, order, point):
@@ -425,26 +368,27 @@ def test_coefficient_jets_match_tensor_oracle(tree, n, order, point):
         [tensor_jet_oracle.TensorJet.variable(i, point[i], n, order) for i in range(n)],
     )
     assert out.n == n and out.order == order
-    slots = ("value", "grad", "hess", "third", "fourth")
+    slots = ("value", "grad", "hess", "third")
     want = [np.asarray(getattr(ref, name)) for name in slots]
     _assert_slots_close(out, want)
-    for rank, name in ((2, "hess"), (3, "third"), (4, "fourth")):
+    for rank, name in ((2, "hess"), (3, "third")):
         slot = getattr(out, name)
         for perm in itertools.permutations(range(rank)):
             assert np.array_equal(slot, slot.transpose(perm)), name
-    # partials read the oracle's slots one order up; truncation keeps a prefix
+    # the partial tables read the oracle's slots one order up; the order-(k-1)
+    # coefficients are a prefix of the order-k ones
+    t, lower = out._t, jet._table(n, order - 1)
     for axis in range(n):
-        part = out.partial(axis)
-        assert part.order == order - 1
-        _assert_slots_close(part, [w[axis] for w in want[1:order + 1]] + [0.0] * (5 - order))
-    low = out.truncated(order - 1)
+        part = jet._make(lower, out.c[t.partial_src[axis]] * t.partial_fac[axis])
+        _assert_slots_close(part, [w[axis] for w in want[1:order + 1]] + [0.0] * (4 - order))
+    low = jet._make(lower, out.c[: lower.size])
     for name in slots[:order]:
         assert np.array_equal(getattr(low, name), getattr(out, name))
     assert not np.asarray(getattr(low, slots[order])).any()
 
 
 def _assert_slots_close(out, want):
-    for name, w in zip(("value", "grad", "hess", "third", "fourth"), want):
+    for name, w in zip(("value", "grad", "hess", "third"), want):
         got = np.asarray(getattr(out, name))
         scale = max(1.0, float(np.max(np.abs(w))))
         assert np.max(np.abs(got - w)) <= 1e-13 * scale, name
@@ -457,7 +401,7 @@ def _assert_slots_close(out, want):
 @given(
     tree=_trees,
     n=st.integers(1, 3),
-    order=st.integers(1, 4),
+    order=st.integers(1, 3),
     # or more rows than the product multiplies at once, in chunks and a rest
     rows=st.one_of(st.integers(1, 30), st.just(2 * jet._ROW_CHUNK + 3)),
     seed=st.integers(0, 2**32 - 1),
@@ -496,7 +440,8 @@ def test_stack_constant_shift_and_domain_errors():
             pytest.fail("no single row fails")
     # a stack keeps a row per point in every derived view
     assert abs(x).c.shape == x.c.shape and np.array_equal(abs(x).value, [0.5, 2.0, 3.0])
-    assert x.fourth.shape == (3, 2, 2, 2, 2) and not x.fourth.any()
+    low = jet_variable(1, x.value, 2, 2)
+    assert low.third.shape == (3, 2, 2, 2) and not low.third.any()
     assert jet_constant(np.array([1.0, 2.0]), 2, 3).c.shape == (2, 10)
 
 

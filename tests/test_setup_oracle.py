@@ -96,7 +96,7 @@ def test_joint_frame_curve_is_the_two_pair_curves_side_by_side(label):
     alpha, w_range, samples = _CURVES[label]
     joint = build_normal_frame(alpha, w_range, samples).curve
     a_curve, b_curve = setup_oracle.pair_curves(alpha, w_range, samples)
-    assert joint.dim == 8
+    assert joint.values.shape[1] == 8
     want = np.concatenate([a_curve._coeffs, b_curve._coeffs], axis=-1)
     assert joint._coeffs.tobytes() == want.tobytes()
     lo, hi = w_range
