@@ -20,8 +20,12 @@
 # curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json,
 # `eval --point 0.2,1.2,2.0` at a degenerate point of rotational_sphere.json
 # and `eval --point 1,-0.5` at a point of log_t.json that check skips (its
-# stderr and exit status): 122 files with the five specs written into
-# OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent inf or NaN.
+# stderr and exit status), then plain and --full on marked_saddle.json at
+# --grid 3 (a point skipped as singular and one whose classification
+# overflows after its geometry assembled: 2 reports) and `eval --point 1,1`
+# at the second (its stderr and exit status): 126 files with the six specs
+# written into OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent
+# inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -110,3 +114,20 @@ run eval "$root/src/gcrkit/specs/rotational_sphere.json" --point 0.2,1.2,2.0 \
 status=0
 run eval "$out/log_t.json" --point 1,-0.5 > "$out/eval_log_t.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/eval_log_t.out"
+# a saddle singular at (-1, 1) and lifted by a bump of 1e160 at (1, 1), where
+# the position split overflows once the geometry has assembled: check skips
+# both, and eval fails at the second with check's reason and exit 3
+cat > "$out/marked_saddle.json" <<'EOF'
+{
+  "components": ["s*(1-t)/2", "t", "(s+1)^2*t/2+1e160*exp(-700*((s-1)^2+(t-1)^2))"],
+  "variables": ["s", "t"],
+  "domain": {"s": [-1, 1], "t": [-1, 1]}
+}
+EOF
+for flags in "" "--full"; do
+  tag=$(echo marked_saddle --grid 3 $flags | tr ' ' '_' | tr -d '-')
+  run check "$out/marked_saddle.json" --grid 3 $flags > "$out/$tag.out"
+done
+status=0
+run eval "$out/marked_saddle.json" --point 1,1 > "$out/eval_marked_saddle.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/eval_marked_saddle.out"

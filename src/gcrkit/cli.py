@@ -32,8 +32,7 @@ from .gcr import (
     GridSpec,
     SurfaceReport,
     Tolerances,
-    _classify_rows,
-    _geometry_rows,
+    _classify_block,
     classify_surface,
 )
 
@@ -430,9 +429,7 @@ def cmd_eval(args) -> int:
         raise SpecError(f"--point needs {m.n} coordinates for this surface")
     if not m.contains(point):
         raise OutOfDomainError(point, m.domain)
-    pg, (why,) = _geometry_rows(m, np.array([point]), 2, tols.eps_reg, stacked=False)
-    if pg is not None:
-        columns, (why,) = _classify_rows(pg, tols)
+    pg, columns, (why,) = _classify_block(m, np.array([point]), 2, tols, False)
     if why is not None:
         raise GeometryError(why)
     [(_, mu, theta, k, h, _, degenerate, primary, secondary, *_)] = SurfaceReport._rows(columns)

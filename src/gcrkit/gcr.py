@@ -27,7 +27,6 @@ from .geometry import (
     GeometryError,
     Immersion,
     PointGeometry,
-    PrincipalData,
     SingularPointError,
     _evaluate_geometry,
     _fix_direction_signs,
@@ -192,7 +191,7 @@ def _gcr_rows(g, shape, e1, theta_grad) -> tuple[np.ndarray, np.ndarray, np.ndar
     return primary, secondary, comp
 
 
-def gcr_residual(pa: PositionAngles, pd: PrincipalData, pg: PointGeometry) -> GcrResidual:
+def gcr_residual(pa: PositionAngles, pg: PointGeometry) -> GcrResidual:
     """Both position-principal residuals at a nondegenerate point."""
     if pa.degenerate:
         raise DegeneratePointError(
@@ -491,6 +490,16 @@ def _concat(parts: list[dict | None]) -> dict | None:
             for name, column in parts[0].items()} if parts else None
 
 
+def _skip_reason(exc: Exception, det_g: float | None = None) -> str:
+    """Why a point is skipped: a singular metric, whose det g a SingularPointError
+    carries and a LinAlgError is given, or else the text of the failed evaluation."""
+    if isinstance(exc, SingularPointError):
+        det_g = exc.det_g
+    elif not isinstance(exc, np.linalg.LinAlgError):
+        return f"evaluation failed: {exc}"
+    return f"singular metric (det g = {det_g:.3e})"
+
+
 def _classify_rows(pg: PointGeometry, tols: Tolerances,
                    include_structural: bool = False) -> tuple[dict | None, list]:
     """The PointRecord columns of the rows of the geometry block ``pg`` (order
@@ -533,46 +542,48 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances,
         if rows > 1:
             outs = [_classify_rows(_row(pg, [i]), tols, include_structural) for i in range(rows)]
             return _concat([c for c, _ in outs]), [why for _, (why,) in outs]
-        if isinstance(exc, np.linalg.LinAlgError):
-            return None, [f"singular metric (det g = {pg.det_metric[0]:.3e})"]
-        return None, [f"evaluation failed: {exc}"]
+        return None, [_skip_reason(exc, pg.det_metric[0])]
     return columns, [None] * rows
 
 
-def _geometry_rows(m: Immersion, block: np.ndarray, order: int, eps_reg: float,
-                   stacked: bool) -> tuple[PointGeometry | None, list]:
-    """The geometry of the points of ``block`` (P, n) that assemble, as one
-    block (None if no point does), and per point None or why it is skipped.
-    The block's jets come from one stacked evaluation.  Stacked, the block is
-    assembled from it at once; if that raises, or unstacked, point_geometry
-    assembles each point from its row of it (``_rows``), or from its own
-    evaluation if the stacked one raised or the row is not finite, where a
-    division by zero that the stack carried on as inf or NaN fails with its
-    own text; the assembled ones are stacked once."""
-    coeffs = None
+def _classify_block(m: Immersion, block: np.ndarray, order: int, tols: Tolerances,
+                    include_structural: bool) -> tuple[PointGeometry | None, dict | None, list]:
+    """Classify the points of ``block`` (P, n): their geometry as one block
+    (None if no point assembles), the PointRecord columns of the points that
+    classify (None if none does), and per point None or why it is skipped.
+    The jets come from one stacked evaluation.  With include_structural the
+    block is assembled from it at once; if that raises, or without,
+    point_geometry assembles each point from its row (``_rows``), or from its
+    own evaluation if the stacked one raised or the row is not finite, so that
+    a division by zero the stack carried on as inf or NaN fails with its own
+    text.  The assembled rows are classified by _classify_rows."""
+    pg = coeffs = None
     try:
         with np.errstate(all="ignore"):
             coeffs = _jet_rows(m, block, order, False)
-        if stacked:
-            pg = _evaluate_geometry(m, block, order, eps_reg, False, coeffs)[0]
-            return pg, [None] * len(block)
+        # the plain sweep still assembles each point from its row, as bench/run.py
+        # asserts one point_geometry call per point there; once it counts
+        # evaluated rows, this condition goes and every block is assembled at once
+        if include_structural:
+            pg = _evaluate_geometry(m, block, order, tols.eps_reg, False, coeffs)[0]
     # a domain error in any row fails the stacked evaluation, and a singular or
     # overflowing row the stacked assembly
     except (GeometryError, FloatingPointError):
         pass
-    finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
-    found, reasons = [], []
-    for i, p in enumerate(block):
-        reason = None
-        try:
-            found.append(point_geometry(m, p, eps_reg, check_domain=False, order=order,
-                                        _rows=coeffs[i] if finite[i] else None))
-        except SingularPointError as exc:
-            reason = f"singular metric (det g = {exc.det_g:.3e})"
-        except (GeometryError, ExprError, FloatingPointError) as exc:
-            reason = f"evaluation failed: {exc}"
-        reasons.append(reason)
-    return (_stack(found) if found else None), reasons
+    reasons = [None] * len(block)
+    if pg is None:
+        finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
+        found = []
+        for i, p in enumerate(block):
+            try:
+                found.append(point_geometry(m, p, tols.eps_reg, check_domain=False, order=order,
+                                            _rows=coeffs[i] if finite[i] else None))
+            except (GeometryError, ExprError, FloatingPointError) as exc:
+                reasons[i] = _skip_reason(exc)
+        pg = _stack(found) if found else None
+    columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural)
+    why = iter(why)
+    return pg, columns, [r or next(why) for r in reasons]
 
 
 def classify_surface(
@@ -581,11 +592,9 @@ def classify_surface(
     tols: Tolerances = Tolerances(),
     include_structural: bool = False,
 ) -> SurfaceReport:
-    """Sweep a grid, in grid order, and aggregate per-point geometry into
-    classification flags.  Each block's jets come from one stacked
-    evaluation; with include_structural its geometry is assembled from them
-    at once, otherwise point by point; the figures after it run in blocks.
-    Either way every row has the bits of the per-point functions."""
+    """Sweep a grid, in grid order, one block at a time (_classify_block), and
+    aggregate per-point geometry into classification flags.  Every row has the
+    bits of the per-point functions."""
     points = grid.points(m.domain)
     if points.size == 0:
         raise EmptyReportError("empty grid")
@@ -600,20 +609,13 @@ def classify_surface(
     with np.errstate(all="raise", under="ignore"):
         for start in range(0, len(points), _BLOCK):
             block = points[start : start + _BLOCK]
-            # the plain sweep still assembles each point from its row, as bench/run.py
-            # asserts one point_geometry call per point there; once it counts
-            # evaluated rows, stacked=True stacks its assembly too
-            pg, reasons = _geometry_rows(m, block, order, tols.eps_reg, stacked=include_structural)
-            if pg is not None:
-                columns, why = _classify_rows(pg, tols, include_structural)
-                parts.append(columns)
-                why = iter(why)
-                reasons = [r or next(why) for r in reasons]
+            _, columns, reasons = _classify_block(m, block, order, tols, include_structural)
+            parts.append(columns)
             skipped += [(tuple(block[i].tolist()), r) for i, r in enumerate(reasons) if r]
 
     columns = _concat(parts)
     if columns is None:
-        where, reason = skipped[0] if skipped else (tuple(points[0].tolist()), "no points")
+        where, reason = skipped[0]
         raise EmptyReportError(f"no regular grid point: first failure at {list(where)} ({reason})")
 
     n = m.n

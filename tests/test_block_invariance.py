@@ -85,7 +85,7 @@ def _one_row(m, p, tols: Tolerances, full: bool):
             pa = position_angles(pg, tols.eps_tan_rel)
             k = pd.curvatures
             means = curvature_invariants(k).mean
-            res = None if pa.degenerate else gcr_residual(pa, pd, pg)
+            res = None if pa.degenerate else gcr_residual(pa, pg)
             delta2 = None
             if m.n >= 3:
                 delta2 = delta2_ideal_test(k, tols.tol_const_rel * (1.0 + np.abs(k).max()))

@@ -329,9 +329,8 @@ def test_make_family_with_spec_and_kappa_profile():
         domain=((0.0, 1.5), (0.0, TWO_PI), (0.0, TWO_PI)),
     )
     pg = point_geometry(m, (0.7, 1.0, 2.0))
-    pd = principal_data(pg)
     pa = position_angles(pg)
-    res = gcr_residual(pa, pd, pg)
+    res = gcr_residual(pa, pg)
     assert res.primary < 1e-9
 
 
@@ -339,7 +338,7 @@ def test_so2_x_so2_positive_for_arbitrary_profiles():
     m = so2_x_so2(f="2+cos(s)+0.2*s", g="1.1+0.4*sin(s)")
     p = (1.5, 0.9, 2.3)
     pg = point_geometry(m, p)
-    res = gcr_residual(position_angles(pg), principal_data(pg), pg)
+    res = gcr_residual(position_angles(pg), pg)
     assert res.primary < 1e-12 and res.secondary < 1e-10
 
 
@@ -456,7 +455,7 @@ def test_tangent_developable_cylinder_is_position_principal():
     for _ in range(5):
         p = tuple(lo + (hi - lo) * (0.15 + 0.7 * rng.random(3)))
         pg = point_geometry(m, p)
-        res = gcr_residual(position_angles(pg), principal_data(pg), pg)
+        res = gcr_residual(position_angles(pg), pg)
         assert res.primary < 1e-8
     with pytest.raises(CatalogError):
         tangent_developable_cylinder(a=1.2)

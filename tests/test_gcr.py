@@ -123,7 +123,7 @@ def test_degenerate_at_origin_centered_sphere():
     assert pa.degenerate
     assert pa.e1 is None and pa.theta_grad is None
     with pytest.raises(DegeneratePointError):
-        gcr_residual(pa, principal_data(pg), pg)
+        gcr_residual(pa, pg)
     with pytest.raises(DegeneratePointError):
         structural_residuals(m, (0.2, 1.2, 2.0))
 
@@ -147,13 +147,13 @@ def test_positive_and_negative_residuals():
     m_pos = so2_x_so2()
     p = (1.0, 0.7, 1.9)
     pg = point_geometry(m_pos, p)
-    res = gcr_residual(position_angles(pg), principal_data(pg), pg)
+    res = gcr_residual(position_angles(pg), pg)
     assert res.primary < 1e-12 and res.secondary < 1e-10
 
     m_neg = hypercylinder_rotational()  # torus cross line: not position-principal
     q = (1.0, 0.7, 0.6)
     pg = point_geometry(m_neg, q)
-    res = gcr_residual(position_angles(pg), principal_data(pg), pg)
+    res = gcr_residual(position_angles(pg), pg)
     assert res.primary > 1e-3 and res.secondary > 1e-3
 
 
@@ -168,8 +168,8 @@ def test_residual_scale_covariance():
     for p in [(0.9, 1.2, 0.7), (2.1, 4.0, 0.4)]:
         pg1, pg2 = point_geometry(m1, p), point_geometry(m2, p)
         pa1, pa2 = position_angles(pg1), position_angles(pg2)
-        r1 = gcr_residual(pa1, principal_data(pg1), pg1)
-        r2 = gcr_residual(pa2, principal_data(pg2), pg2)
+        r1 = gcr_residual(pa1, pg1)
+        r2 = gcr_residual(pa2, pg2)
         assert math.isclose(pa1.theta, pa2.theta, rel_tol=1e-12)
         assert math.isclose(pa2.mu, 2.0 * pa1.mu, rel_tol=1e-12)
         assert math.isclose(r2.primary, r1.primary / 2.0, rel_tol=1e-9)
@@ -580,7 +580,7 @@ def test_records_do_not_depend_on_the_block_size(monkeypatch, name, full):
             assert (pa.mu, pa.theta, pa.degenerate) == (r.mu, r.theta, r.degenerate)
             assert tuple(pd.curvatures.tolist()) == r.curvatures
             if not r.degenerate:
-                res = gcr_residual(pa, pd, pg)
+                res = gcr_residual(pa, pg)
                 assert (res.primary, res.secondary) == (r.gcr_primary, r.gcr_secondary)
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from gcrkit import catalog, gcr, geometry
 from gcrkit.expr import ExprError
-from gcrkit.gcr import EmptyReportError, GridSpec, classify_surface
+from gcrkit.gcr import EmptyReportError, GridSpec, Tolerances, classify_surface
 from gcrkit.geometry import (
-    EPS_REG, EvaluationError, GeometryError, Immersion, OutOfDomainError, SingularPointError,
+    EvaluationError, GeometryError, Immersion, OutOfDomainError, SingularPointError,
     derivative_bundle, evaluate_jets, point_geometry,
 )
 
@@ -156,7 +156,7 @@ def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
         evaluate_jets(LOG_CHART, block, order=2, check_domain=False)
     given = given_rows(monkeypatch)
     with np.errstate(all="raise", under="ignore"):
-        pg, reasons = gcr._geometry_rows(LOG_CHART, block, 2, EPS_REG, stacked=False)
+        pg, _, reasons = gcr._classify_block(LOG_CHART, block, 2, Tolerances(), False)
     assert [rows for _, rows in given] == [None] * 5
     assert reasons[1] == ("evaluation failed: component evaluation failed at [1.2, -0.5]: "
                           "log is undefined or not differentiable at -0.5")
@@ -178,18 +178,18 @@ def test_a_call_that_raised_partway_publishes_nothing(monkeypatch):
 @given(walk=st.lists(st.tuples(st.sampled_from([0.5, 0.75, 1.5]),
                                st.sampled_from([-1.0, 0.0, 0.25, 1.0])),
                      min_size=1, max_size=12),
-       order=st.integers(2, 3), stacked=st.booleans())
-def test_any_walk_with_failures_matches_cold_calls(walk, order, stacked):
+       order=st.integers(2, 3), full=st.booleans())
+def test_any_walk_with_failures_matches_cold_calls(walk, order, full):
     block = np.array(walk)
     with pytest.MonkeyPatch.context() as patch:
         given = given_rows(patch)
         with np.errstate(all="raise", under="ignore"):
-            pg, reasons = gcr._geometry_rows(LOG_CHART, block, order, EPS_REG, stacked)
+            pg, _, reasons = gcr._classify_block(LOG_CHART, block, order, Tolerances(), full)
     # log(t) at t <= 0 raises in the stack: every point is given None;
     # otherwise the plain path gives each its row and --full assembles at once
     if (block[:, 1] <= 0).any():
         assert [rows for _, rows in given] == [None] * len(block)
-    elif stacked:
+    elif full:
         assert given == []
     else:
         assert [rows.tobytes() for _, rows in given] == [
@@ -318,7 +318,7 @@ def test_errors_leave_as_expr_errors_in_a_sweep(monkeypatch):
 
     monkeypatch.setattr(gcr, "point_geometry", recording)
     with np.errstate(all="raise", under="ignore"):
-        _, reasons = gcr._geometry_rows(LOG_CHART, block, 2, EPS_REG, stacked=False)
+        _, _, reasons = gcr._classify_block(LOG_CHART, block, 2, Tolerances(), False)
     [(rows, err)] = raised
     assert rows is None and isinstance(err, EvaluationError)
     assert isinstance(err.__cause__, ExprError)
