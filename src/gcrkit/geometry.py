@@ -18,8 +18,8 @@ no frame is ever differenced across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
 returning infinities: order 2 checks the figures its callers read, and
 order 3 adds d_k g_ij.  One generalized cross product
-kernel, a few products of stacked coefficient rows, gives the float normal
-and the self-test's unit normal jets.
+kernel, a few products of stacked rows, gives the normal and, for the
+self-test, its derivative from second partials alone.
 A grid sweep passes ``point_geometry`` each point's row of its block's stack.
 """
 
@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet, _make, _table, derivative_tensor, jet_variable
+from .jet import Jet, derivative_tensor, jet_variable
 from .expr import Expr, ExprError, Program, parse_expr
 
 __all__ = [
@@ -208,14 +208,20 @@ def _cross_rows(matrix: np.ndarray, product: Callable) -> np.ndarray:
     return terms.sum(axis=1).reshape(amb, *points, size)
 
 
-def _unit_normal_rows(coeffs: np.ndarray, t) -> tuple:
-    """Coefficient rows of the unit normal and their table, one order below
-    the position rows ``coeffs`` (n+1, D) of jets with table ``t``."""
-    low = _table(t.n, t.order - 1)
-    tangents = coeffs[:, t.partial_src] * t.partial_fac  # (n+1, n, D') matrix
-    v = _cross_rows(tangents, low.product)
-    inv_norm = _make(low, low.product(v, v).sum(axis=0)) ** -0.5
-    return low.product(v, inv_norm.c), low
+def _normal_derivative(jac: np.ndarray, sec: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """dn[i, c] = d_i N_c at one point, from the tangents ``jac`` (n+1, n),
+    the second partials ``sec`` and the unit normal N = v/|v|, v the cross
+    product of the tangents: d_i v = sum_j cross(x_1, ..., x_ji, ..., x_n)
+    and d_i N = (d_i v - N <N, d_i v>)/|v|.  It reads no shape operator, so
+    Codazzi checks it independently of Weingarten's equation."""
+    n = jac.shape[1]
+    # matrix ij = i*n + j is jac with column j replaced by x_ji; the last is jac
+    ij = np.arange(n * n)
+    matrices = np.repeat(jac[:, :, None], n * n + 1, axis=2)
+    matrices[:, ij % n, ij] = sec[:, ij % n, ij // n]
+    crossed = _cross_rows(matrices, np.multiply)
+    v, dv = crossed[:, -1], crossed[:, :-1].reshape(n + 1, n, n).sum(axis=2).T
+    return (dv - np.outer(dv @ normal, normal)) / math.sqrt(v @ v)
 
 
 # -- first/second order data ----------------------------------------------------------
@@ -248,11 +254,15 @@ def _dmetric(jac: np.ndarray, sec: np.ndarray) -> np.ndarray:
     return dg + dg.swapaxes(-1, -2)
 
 
-def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _christoffel(
+    pg: PointGeometry, dg: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """dg[k, i, j] = d_k g_ij, the Christoffel numerator A, g^-1 and
     gamma[l, i, j] = Gamma^l_ij of ``pg``, over any leading point axes: only
-    the covariant derivative of h and the self-test read them."""
-    dg = _dmetric(pg.jac, pg.second)
+    the covariant derivative of h and the self-test read them.  A caller that
+    has d_k g_ij already passes it as ``dg``."""
+    if dg is None:
+        dg = _dmetric(pg.jac, pg.second)
     ginv = np.linalg.inv(pg.metric)
     # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
     a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
@@ -270,15 +280,16 @@ def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np
 def _evaluate_geometry(
     m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool,
     coeffs: np.ndarray | None = None,
-) -> tuple[PointGeometry, np.ndarray]:
+) -> tuple[PointGeometry, np.ndarray | None]:
     """Geometry from one order-``order`` evaluation of ``m`` at ``q``, or from
-    the coefficient rows ``coeffs`` of one (``_jet_rows``), plus those rows.
-    A stack ``q`` (P, n) gives each of them a leading point axis, and each
-    row the bits of its point alone.  Overflow and its NaNs are caught once,
-    here, instead of as numpy warnings: a point whose jets or assembled
-    geometry are not finite raises GeometryError, as does a stack with one
-    such row.  Order 2 checks what its callers read (the rows, g, N and S);
-    order 3 adds d_k g_ij, which only its callers read."""
+    the coefficient rows ``coeffs`` of one (``_jet_rows``), plus d_k g_ij at
+    order 3 (None at order 2).  A stack ``q`` (P, n) gives each of them a
+    leading point axis, and each row the bits of its point alone.  Overflow
+    and its NaNs are caught once, here, instead of as numpy warnings: a point
+    whose jets or assembled geometry are not finite raises GeometryError, as
+    does a stack with one such row.  Order 2 checks what its callers read
+    (the rows, g, N and S); order 3 adds d_k g_ij, which only its callers
+    read."""
     with np.errstate(all="ignore"):
         if coeffs is None:
             coeffs = _jet_rows(m, q, order, check_domain)
@@ -301,7 +312,8 @@ def _evaluate_geometry(
         h = np.einsum("...cij,...c->...ij", sec, normal)
         h = 0.5 * (h + h.swapaxes(-1, -2))
         shape = np.linalg.solve(g, h)
-        checked = (coeffs, g, normal, shape) + ((_dmetric(jac, sec),) if order >= 3 else ())
+        dg = _dmetric(jac, sec) if order >= 3 else None
+        checked = (coeffs, g, normal, shape) + (() if dg is None else (dg,))
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
         raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
     pg = PointGeometry(
@@ -316,7 +328,7 @@ def _evaluate_geometry(
         shape=shape,
         third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
     )
-    return pg, coeffs
+    return pg, dg
 
 
 def point_geometry(
@@ -469,8 +481,9 @@ def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     derivative_bundle's matmuls, its sums give each row the same bits
     whatever rows sit beside it."""
     # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
-    # the self-test's independent normal jets stay in derivative_bundle, where
-    # Codazzi checks them.
+    # the self-test takes d_l N from second partials instead
+    # (_normal_derivative), so that Codazzi checks the two routes against
+    # each other.
     dn = -np.swapaxes(_mm(pg.jac, pg.shape), -1, -2)
     dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
           + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
@@ -486,20 +499,16 @@ def derivative_bundle(
     check_domain: bool = True,
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
-    pg, coeffs = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
-    # only N and dN are read: the order-1 normal of the order-2 prefix, which
-    # by the prefix rule is the order-1 part of the order-2 normal bit for bit
+    pg, dg = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
     n, jac, sec, thr = m.n, pg.jac, pg.second, pg.third
-    order2 = _table(n, 2)
-    nrows = _unit_normal_rows(coeffs[:, : order2.size], order2)[0]
-    dn = derivative_tensor(nrows, n, 1).T
+    dn = _normal_derivative(jac, sec, pg.normal)
 
     # the tensor algebra below is matmuls over flattened index groups, and
     # transposes that put the indices in place
     # dh[i, j, k] = d_i h_jk = <x_ijk, N> + <x_jk, d_i N>
-    dh = (nrows[:, 0] @ thr.reshape(n + 1, -1)
+    dh = (pg.normal @ thr.reshape(n + 1, -1)
           + (dn @ sec.reshape(n + 1, -1)).ravel()).reshape((n,) * 3)
-    dg, a, ginv, gamma = _christoffel(pg)
+    dg, a, ginv, gamma = _christoffel(pg, dg)
     # d2g[k, l, i, j] = <x_kli, x_j> + <x_li, x_kj> + <x_ki, x_lj> + <x_i, x_klj>
     t1 = (thr.reshape(n + 1, -1).T @ jac).reshape((n,) * 4)
     ss = (sec.reshape(n + 1, -1).T @ sec.reshape(n + 1, -1)).reshape((n,) * 4)

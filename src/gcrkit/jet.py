@@ -29,7 +29,10 @@ bit for bit, and an array operand a jet does not take (``arr - stack``,
 Tables, built once per (n, order) on first use, drive all arithmetic: the
 product (f g)[k] sums f[i] g[j] over the pairs whose monomials multiply to
 monomial k, in one ``np.bincount``; a composition f(g) is a polynomial in the
-nilpotent part g - g(p), in Horner form over the same product.  ``grad``,
+nilpotent part g - g(p), in Horner form over the same product, save that a
+function of a chart variable's seed (``jet_variable``, recognized by its
+type) has its coefficients placed on that variable's pure powers, with the
+bits Horner gives them.  ``grad``,
 ``hess`` and ``third`` are derivative tensors gathered from ``c`` and scaled
 by a!, so they are exactly symmetric.  The product also multiplies
 stacks of coefficient rows (..., D) row by row, over any leading axes that
@@ -157,6 +160,12 @@ class _Table:
             dtype=np.intp,
         )
         self.partial_fac = np.array([[a[k] + 1.0 for a in lower] for k in range(n)])
+        # powers[i][d - 1] is the slot of x_i^d, where a function of variable
+        # i's seed keeps its Taylor coefficients
+        self.powers = tuple(
+            tuple(position[tuple(d * (j == i) for j in range(n))] for d in range(1, order + 1))
+            for i in range(n)
+        )
         self._row_targets: dict[int, np.ndarray] = {}
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,6 +348,14 @@ class Jet:
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
 
 
+class _Seed(Jet):
+    """The seed jet of chart variable ``index``: the unit vector of that
+    variable's slot, below a value.  Arithmetic on it gives plain jets
+    (``_make``); ``_compose`` reads the mark."""
+
+    __slots__ = ("index",)
+
+
 def jet_variable(index: int, value, n: int, order: int) -> Jet:
     """Seed jet for chart variable ``index`` at ``value``.
 
@@ -352,9 +369,10 @@ def jet_variable(index: int, value, n: int, order: int) -> Jet:
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range for arity {n}")
     t = _table(n, order)
-    c = _seeded(value, t)
-    c[..., 1 + index] = 1.0
-    return _make(t, c)
+    out = object.__new__(_Seed)
+    out.c, out._t, out.index = _seeded(value, t), t, index
+    out.c[..., 1 + index] = 1.0
+    return out
 
 
 def jet_constant(value, n: int, order: int) -> Jet:
@@ -421,12 +439,28 @@ def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
     """Univariate chain rule: jet of f(g) from the derivatives f0..f3 of f at
     g.value.  With the nilpotent part h = g - g.value and a_k = f_k / k!,
     f(g) = a_0 + h (a_1 + h (a_2 + ...)) in Horner form; h^k has no terms
-    below degree k, so the series stops at the jet order."""
+    below degree k, so the series stops at the jet order.
+
+    Of a seed of variable i, h is x_i, so a_k belongs on the slot of x_i^k
+    and every other slot is 0.  From order 2 on, Horner reaches every slot
+    through products whose bincount sums start from +0.0, so placing
+    a_k + 0.0 there and +0.0 elsewhere gives its bits (a -0.0 coefficient
+    comes out +0.0 both ways).  At order 1 Horner runs no product and its
+    zero slots keep a_1's sign, so a seed takes Horner's route there; so
+    does a non-finite a_k, which the products spread into NaNs (with
+    numpy's warnings)."""
     t = g._t
     stack = g.c.ndim == 2  # f0..f3 are then arrays with one entry per row
     if t.order == 0:
         return _make(t, f0[:, None].copy() if stack else np.array([f0]))
     a = (f0, f1, 0.5 * f2, f3 / 6.0)
+    if type(g) is _Seed and t.order >= 2 and _finite(a[1 : t.order + 1], stack):
+        out = np.zeros(g.c.shape)
+        column = out.T  # column[k] is slot k, of one jet or of every row
+        column[0] = f0
+        for ak, slot in zip(a[1:], t.powers[g.index]):
+            column[slot] = ak + 0.0
+        return _make(t, out)
     v0 = _COLUMN0 if stack else 0
     h = g.c.copy()
     h[v0] = 0.0
@@ -436,6 +470,13 @@ def _compose(g: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
         out = t.product(out, h)
         out[v0] = a[k]
     return _make(t, out)
+
+
+def _finite(values: tuple, stack: bool) -> bool:
+    """Whether every float, or every entry of every array of a stack, is finite."""
+    if stack:
+        return all(np.isfinite(v).all() for v in values)
+    return all(map(math.isfinite, values))
 
 
 def _int_pow(x: float | Jet, p: int) -> float | Jet:

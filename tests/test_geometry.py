@@ -93,11 +93,6 @@ def test_orientation_convention():
         assert np.linalg.det(frame) > 0
 
 
-def _normal_jet_rows(jets):
-    """Coefficient rows (n+1, D') of the unit normal jets, one order below ``jets``."""
-    return geometry._unit_normal_rows(np.stack([x.c for x in jets]), jets[0]._t)[0]
-
-
 def test_cross_jets_orientation_identity():
     # <cross(v_1..v_n), w> = det[v_1 ... v_n w] for jets reduced to floats
     rng = np.random.default_rng(2)
@@ -130,29 +125,11 @@ def test_order0_cross_product_is_the_determinant(k):
         assert np.array_equal(jets[:, 0], v)
 
 
-def test_normal_jets_follow_the_prefix_rule():
-    # the order-1 normal of the jets' order-2 prefix, which derivative_bundle
-    # reads, is the order-1 prefix of the order-2 normal of the order-3 jets,
-    # bit for bit
-    rng = np.random.default_rng(16)
-    for tag in ("so2_x_so2", "rotational", "curve_tube", "tangent_cone", "special_sqrt2"):
-        m = random_family(tag, rng)
-        order2 = _table(m.n, 2)
-        for p in sample_points(m, rng, 3):
-            jets = evaluate_jets(m, p, order=3)
-            full = _normal_jet_rows(jets)
-            prefix = np.stack([x.c[..., : order2.size] for x in jets])
-            low = geometry._unit_normal_rows(prefix, order2)[0]
-            assert low.shape == (m.n + 1, _table(m.n, 1).size)
-            for a, b in zip(low, full):
-                assert np.array_equal(a, b[: a.size])
-
-
 def test_normal_jets_match_fd_of_normal():
+    # the self-test's dN, from second partials, against differences of N
     m = so2_x_so2()
     p = (1.0, 0.9, 1.7)
-    jets = evaluate_jets(m, p, order=2)
-    grads = _normal_jet_rows(jets)[:, 1 : m.n + 1]  # order-1 rows: value, gradient
+    grads = derivative_bundle(m, p).dnormal.T  # [c, i] -> d_i N_c
 
     def normal_component(q, c):
         pg = point_geometry(m, tuple(q), check_domain=False)
@@ -277,21 +254,33 @@ def test_corrupted_second_form_breaks_codazzi():
 
 
 def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
-    # Codazzi checks the independent normal jets: one entry of dN off by 1%
-    # must show, so the self-test cannot pass on a wrong normal derivative
+    # Codazzi checks dN from second partials, independent of the shape
+    # operator: one entry of dN off by 1% must show, so the self-test cannot
+    # pass on a wrong normal derivative
     m, p = so2_x_so2(), (1.1, 0.9, 2.2)
     assert codazzi_residual_from_bundle(derivative_bundle(m, p)) < 1e-10
-    exact = geometry._unit_normal_rows
+    exact = geometry._normal_derivative
 
-    def corrupted(coeffs, t):
-        rows, low = exact(coeffs, t)
-        rows = rows.copy()
-        c, i = np.unravel_index(np.argmax(np.abs(rows[:, 1:])), rows[:, 1:].shape)
-        rows[c, 1 + i] *= 1.01
-        return rows, low
+    def corrupted(jac, sec, normal):
+        dn = exact(jac, sec, normal).copy()
+        dn[np.unravel_index(np.argmax(np.abs(dn)), dn.shape)] *= 1.01
+        return dn
 
-    monkeypatch.setattr(geometry, "_unit_normal_rows", corrupted)
+    monkeypatch.setattr(geometry, "_normal_derivative", corrupted)
     assert codazzi_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_normal_derivative_matches_weingarten(tag):
+    # the self-test's dN comes from second partials, Weingarten's
+    # d_i N = -S^k_i x_k from the shape operator: two routes to one figure
+    rng = np.random.default_rng(46)
+    m = random_family(tag, rng)
+    for p in sample_points(m, rng, 8):
+        b = derivative_bundle(m, p)
+        weingarten = -(b.pg.jac @ b.pg.shape).T
+        assert b.dnormal.shape == weingarten.shape == (m.n, m.n + 1)
+        assert np.max(np.abs(b.dnormal - weingarten)) <= 1e-10 * np.max(np.abs(weingarten))
 
 
 def _einsum_tail(bundle):
@@ -346,7 +335,6 @@ def test_self_test_tail_matches_its_einsum_reference(tag):
         gamma, dh, dgamma, riemann, codazzi, gauss = _einsum_tail(b)
         assert b.christoffel.tobytes() == gamma.tobytes()
         h_size = biggest(b.pg.second_form)
-        # the reference takes the float normal, the bundle the unit normal jets' value
         assert biggest(b.dsecond_form - dh) <= 1e-13 * (
             biggest(b.pg.third) + biggest(b.pg.second) * biggest(b.dnormal))
         assert biggest(b.dchristoffel - dgamma) <= 1e-13 * biggest(dgamma)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tensor_jet_oracle
 from fd_oracle import FiniteDifferenceError, finite_difference_jet
 from gcrkit import jet
+from gcrkit.expr import _FUNCTIONS
 from gcrkit.jet import Jet, JetDomainError, jet_constant, jet_variable
 
 
@@ -414,6 +415,45 @@ def test_stack_rows_match_single_jets(tree, n, order, rows, seed):
     for r, p in enumerate(points):
         single = _evaluate(tree, jet, [jet_variable(i, p[i], n, order) for i in range(n)])
         assert np.array_equal(stack.c[r], single.c)
+
+
+# zeros of both signs, subnormals, and values at the edges of a domain or of
+# the float range: log and sqrt near 0, tan near pi/2, exp near overflow
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-160,
+          1.5707963267948966, -1.5707963267948966, 709.782712893384, 709.7827128933841,
+          -745.1332191019411, 1e154, 1e308, -1e308)
+_SEED_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(-4.0, 4.0))
+
+
+def _outcome(fn, x):
+    """The coefficient bits of fn(x), or the type and text of what it raised."""
+    try:
+        out = fn(x)
+    except Exception as exc:  # any error: the seed must raise the same one
+        return type(exc), str(exc)
+    return out.c.shape, out.c.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    order=st.integers(1, 3),  # order 1 takes Horner's route, which has no products
+    index=st.integers(0, 2),
+    values=st.one_of(_SEED_VALUES, st.lists(_SEED_VALUES, min_size=1, max_size=6)),
+    p=st.one_of(st.sampled_from([0.5, -0.5, 1.5, -2.5, 1e-3, 3.0000001]), st.floats(-5.0, 5.0)),
+    state=st.sampled_from(["ignore", "warn", "raise"]),
+)
+def test_functions_of_a_seed_match_horner(n, order, index, values, p, state):
+    # a function of a seed places its coefficients on the seed variable's
+    # pure powers; a plain jet of the same coefficients runs Horner's
+    # products: the two agree bit for bit, and raise the same error
+    seed = jet_variable(index % n, np.array(values) if isinstance(values, list) else values,
+                        n, order)
+    plain = jet._make(seed._t, seed.c.copy())
+    assert type(seed) is jet._Seed and type(plain) is Jet
+    with np.errstate(all=state):
+        for fn in (*_FUNCTIONS.values(), lambda x: x**p, lambda x: 1.0 / x):
+            assert _outcome(fn, seed) == _outcome(fn, plain)
 
 
 def test_stack_constant_shift_and_domain_errors():
