@@ -23,9 +23,12 @@
 # stderr and exit status), then plain and --full on marked_saddle.json at
 # --grid 3 (a point skipped as singular and one whose classification
 # overflows after its geometry assembled: 2 reports) and `eval --point 1,1`
-# at the second (its stderr and exit status): 126 files with the six specs
-# written into OUT_DIR.  A numpy RuntimeWarning fails the run: it is a silent
-# inf or NaN.
+# at the second (its stderr and exit status), then plain and --full on the 3-D
+# chart steep_metric.json at --grid 5 (jets finite everywhere, g_ss overflows
+# for s above about 0.4976: 2 reports) and `eval --point 0.6,0.5,0.5` at an
+# overflowing point (its stderr and exit status): 130 files with the seven
+# specs written into OUT_DIR.  A numpy RuntimeWarning fails the run: it is a
+# silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -131,3 +134,20 @@ done
 status=0
 run eval "$out/marked_saddle.json" --point 1,1 > "$out/eval_marked_saddle.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/eval_marked_saddle.out"
+# jets finite on the whole grid, but g_ss = 1 + 490000 exp(1400 s) overflows
+# for s above about 0.4976: check skips those points as not finite, and eval
+# fails at one with check's reason and exit 3
+cat > "$out/steep_metric.json" <<'EOF'
+{
+  "components": ["s", "t", "u", "exp(700*s)"],
+  "variables": ["s", "t", "u"],
+  "domain": {"s": [0.3, 0.7], "t": [0, 1], "u": [0, 1]}
+}
+EOF
+for flags in "" "--full"; do
+  tag=$(echo steep_metric --grid 5 $flags | tr ' ' '_' | tr -d '-')
+  run check "$out/steep_metric.json" --grid 5 $flags > "$out/$tag.out"
+done
+status=0
+run eval "$out/steep_metric.json" --point 0.6,0.5,0.5 > "$out/eval_steep_metric.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/eval_steep_metric.out"

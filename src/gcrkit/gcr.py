@@ -253,10 +253,12 @@ STRUCTURAL_KEYS = (
 _TRANSPORT_KEYS = ("k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross")
 
 
-def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
+def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float,
+                     dg: np.ndarray | None = None) -> list:
     """structural_residuals over the point axis of a block of nondegenerate
     rows (of order-3 geometry on 3-dimensional charts), from the block, its
-    principal and position data and the complement basis of e1."""
+    principal and position data, the complement basis of e1 and, if the
+    caller has it, the block's d_k g_ij ``dg``."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     n = g.shape[-1]
     e1, mu, cos_t = pa.e1, pa.mu, pa.cos_theta
@@ -295,7 +297,7 @@ def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
     # omega_12(e3) and omega_13(e2)
     scalars.append(np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2])))
     # dh[:, l, a, b] = (nabla_{e_l} h)(e_a, e_b); h1[:, i] = h(e1, e_i)
-    dh = _mm(ft, _nabla_second_form(pg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
+    dh = _mm(ft, _nabla_second_form(pg, dg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
     dh = _mm(_mm(ft[:, None], dh), frame[:, None])
     h1 = _mv(ft, _mv(h, e1))
     dk1 = dh[:, :, 0, 0] + 2.0 * _mv(cov_g, h1)
@@ -500,14 +502,15 @@ def _skip_reason(exc: Exception, det_g: float | None = None) -> str:
     return f"singular metric (det g = {det_g:.3e})"
 
 
-def _classify_rows(pg: PointGeometry, tols: Tolerances,
-                   include_structural: bool = False) -> tuple[dict | None, list]:
+def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool = False,
+                   dg: np.ndarray | None = None) -> tuple[dict | None, list]:
     """The PointRecord columns of the rows of the geometry block ``pg`` (order
     3 if include_structural on a 3-dimensional chart) that classify, None if
     none does, and per row None or why it is skipped.  With include_structural,
     rows that pass the primary test get structural residuals, the others a
-    note.  If the block raises, its rows rerun one at a time and keep their own
-    reasons."""
+    note; the block's d_k g_ij ``dg``, if the caller has it, serves them
+    sliced.  If the block raises, its rows rerun one at a time and keep their
+    own reasons."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     rows = len(g)
     try:
@@ -532,7 +535,7 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances,
             passed = primary[ok] < tols.tol_gcr
             sel = np.flatnonzero(ok)[passed]
             found = _structural_rows(_row(pg, sel), _row(pd, sel), _row(pa, sel),
-                                     comp[passed], tols.tol_gap)
+                                     comp[passed], tols.tol_gap, None if dg is None else dg[sel])
             structural, notes = np.full((2, rows), None)
             notes[:] = "not position-principal here: structural identities not expected"
             structural[sel], notes[sel] = found, None
@@ -540,7 +543,8 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances,
             columns.update(structural=structural, structural_note=notes)
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
         if rows > 1:
-            outs = [_classify_rows(_row(pg, [i]), tols, include_structural) for i in range(rows)]
+            outs = [_classify_rows(_row(pg, [i]), tols, include_structural,
+                                   None if dg is None else dg[[i]]) for i in range(rows)]
             return _concat([c for c, _ in outs]), [why for _, (why,) in outs]
         return None, [_skip_reason(exc, pg.det_metric[0])]
     return columns, [None] * rows
@@ -556,32 +560,33 @@ def _classify_block(m: Immersion, block: np.ndarray, order: int, tols: Tolerance
     point_geometry assembles each point from its row (``_rows``), or from its
     own evaluation if the stacked one raised or the row is not finite, so that
     a division by zero the stack carried on as inf or NaN fails with its own
-    text.  The assembled rows are classified by _classify_rows."""
-    pg = coeffs = None
-    try:
-        with np.errstate(all="ignore"):
-            coeffs = _jet_rows(m, block, order, False)
-        # the plain sweep still assembles each point from its row, as bench/run.py
-        # asserts one point_geometry call per point there; once it counts
-        # evaluated rows, this condition goes and every block is assembled at once
-        if include_structural:
-            pg = _evaluate_geometry(m, block, order, tols.eps_reg, False, coeffs)[0]
-    # a domain error in any row fails the stacked evaluation, and a singular or
-    # overflowing row the stacked assembly
-    except (GeometryError, FloatingPointError):
-        pass
+    text.  Evaluation and assembly share one errstate(all="ignore"), and the
+    assembled rows are classified by _classify_rows under the caller's."""
+    pg = coeffs = dg = None
     reasons = [None] * len(block)
-    if pg is None:
-        finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
-        found = []
-        for i, p in enumerate(block):
-            try:
-                found.append(point_geometry(m, p, tols.eps_reg, check_domain=False, order=order,
-                                            _rows=coeffs[i] if finite[i] else None))
-            except (GeometryError, ExprError, FloatingPointError) as exc:
-                reasons[i] = _skip_reason(exc)
-        pg = _stack(found) if found else None
-    columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural)
+    with np.errstate(all="ignore"):
+        try:
+            coeffs = _jet_rows(m, block, order, False)
+            # the plain sweep still assembles each point from its row, as bench/run.py
+            # asserts one point_geometry call per point there; once it counts
+            # evaluated rows, this condition goes and every block is assembled at once
+            if include_structural:
+                pg, dg = _evaluate_geometry(m, block, order, tols.eps_reg, False, coeffs)
+        # a domain error in any row fails the stacked evaluation, and a singular or
+        # overflowing row the stacked assembly
+        except GeometryError:
+            pass
+        if pg is None:
+            finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
+            found = []
+            for i, p in enumerate(block):
+                try:
+                    found.append(point_geometry(m, p, tols.eps_reg, check_domain=False,
+                                                order=order, _rows=coeffs[i] if finite[i] else None))
+                except (GeometryError, ExprError) as exc:
+                    reasons[i] = _skip_reason(exc)
+            pg = _stack(found) if found else None
+    columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural, dg)
     why = iter(why)
     return pg, columns, [r or next(why) for r in reasons]
 

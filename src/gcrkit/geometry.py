@@ -17,7 +17,11 @@ closed form, comes from order-3 geometry (``point_geometry(order=3)``), so
 no frame is ever differenced across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
 returning infinities: order 2 checks the figures its callers read, and
-order 3 adds d_k g_ij.  One generalized cross product
+order 3 adds d_k g_ij and the third partials.  The assembly calls numpy's
+LAPACK gufuncs for det, solve and inv directly, without np.linalg's argument
+checks, under one errstate(all="ignore") that its caller enters (once per
+block for a grid sweep): a singular or overflowing metric becomes NaN or inf,
+which that finiteness check reports.  One generalized cross product
 kernel, a few products of stacked rows, gives the normal and, for the
 self-test, its derivative from second partials alone.
 A grid sweep passes ``point_geometry`` each point's row of its block's stack.
@@ -32,8 +36,9 @@ from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .jet import Jet, derivative_tensor, jet_variable
+from .jet import Jet, _slot_gather, derivative_tensor, jet_variable
 from .expr import Expr, ExprError, Program, parse_expr
 
 __all__ = [
@@ -55,6 +60,16 @@ __all__ = [
 ]
 
 EPS_REG = 1e-10
+
+# The LAPACK gufuncs (xGETRF, xGESV) behind np.linalg.det, solve and inv, whose
+# argument checks and error state cost more per call than LAPACK on a 3x3
+# metric.  The assembly's metrics are float64 and square, and it runs under
+# errstate(all="ignore"), where a singular factorization yields NaNs that its
+# finiteness check reports.  The block kernels keep np.linalg: its LinAlgError
+# drives their per-row reruns.
+_det = functools.partial(_umath_linalg.det, signature="d->d")
+_solve = functools.partial(_umath_linalg.solve, signature="dd->d")
+_inv = functools.partial(_umath_linalg.inv, signature="d->d")
 
 
 class GeometryError(Exception):
@@ -260,10 +275,12 @@ def _christoffel(
     """dg[k, i, j] = d_k g_ij, the Christoffel numerator A, g^-1 and
     gamma[l, i, j] = Gamma^l_ij of ``pg``, over any leading point axes: only
     the covariant derivative of h and the self-test read them.  A caller that
-    has d_k g_ij already passes it as ``dg``."""
+    has d_k g_ij already passes it as ``dg``.  Every metric here has passed
+    the assembly's det and finiteness checks, so its inverse needs no
+    singularity check."""
     if dg is None:
         dg = _dmetric(pg.jac, pg.second)
-    ginv = np.linalg.inv(pg.metric)
+    ginv = _inv(pg.metric)
     # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
     a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
     return dg, a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
@@ -284,36 +301,39 @@ def _evaluate_geometry(
     """Geometry from one order-``order`` evaluation of ``m`` at ``q``, or from
     the coefficient rows ``coeffs`` of one (``_jet_rows``), plus d_k g_ij at
     order 3 (None at order 2).  A stack ``q`` (P, n) gives each of them a
-    leading point axis, and each row the bits of its point alone.  Overflow
-    and its NaNs are caught once, here, instead of as numpy warnings: a point
-    whose jets or assembled geometry are not finite raises GeometryError, as
-    does a stack with one such row.  Order 2 checks what its callers read
-    (the rows, g, N and S); order 3 adds d_k g_ij, which only its callers
-    read."""
-    with np.errstate(all="ignore"):
-        if coeffs is None:
-            coeffs = _jet_rows(m, q, order, check_domain)
-        n = m.n
-        pos = coeffs[..., 0].copy()  # a strided view would round differently in products
-        jac = derivative_tensor(coeffs, n, 1)
-        sec = derivative_tensor(coeffs, n, 2)
-        g = jac.swapaxes(-1, -2) @ jac
-        det_g = np.linalg.det(g)
-        singular = det_g <= eps_reg  # a NaN goes on to the finiteness check
-        if singular.any() if q.ndim == 2 else singular:
-            i = np.argmax(singular)
-            raise SingularPointError(q.reshape(-1, n)[i], float(np.ravel(det_g)[i]))
-        # the points go on the cross product's last axis, and the normals come
-        # out contiguous: the length is np.linalg.norm's BLAS dot, row by row,
-        # which a strided row would round differently
-        v = _cross_rows(jac.reshape(-1, n + 1, n).transpose(1, 2, 0), np.multiply)
-        v = np.ascontiguousarray(v.T).reshape(pos.shape)
-        normal = v / np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
-        h = np.einsum("...cij,...c->...ij", sec, normal)
-        h = 0.5 * (h + h.swapaxes(-1, -2))
-        shape = np.linalg.solve(g, h)
-        dg = _dmetric(jac, sec) if order >= 3 else None
-        checked = (coeffs, g, normal, shape) + (() if dg is None else (dg,))
+    leading point axis, and each row the bits of its point alone.  It runs
+    under the caller's errstate(all="ignore"): overflow and its NaNs, and a
+    singular factorization's NaNs, are caught once, here, instead of as numpy
+    warnings or errors.  A point whose jets or assembled geometry are not
+    finite raises GeometryError, as does a stack with one such row.  Order 2
+    checks what its callers read (the rows, g, N and S); order 3 adds d_k g_ij
+    and the third partials, which only its callers read."""
+    if coeffs is None:
+        coeffs = _jet_rows(m, q, order, check_domain)
+    n = m.n
+    pos = coeffs[..., 0].copy()  # a strided view would round differently in products
+    jac = coeffs.take(_slot_gather(n, 1)[0], axis=-1)  # a! is 1 at rank 1
+    sec = derivative_tensor(coeffs, n, 2)
+    g = jac.swapaxes(-1, -2) @ jac
+    det_g = _det(g)
+    singular = det_g <= eps_reg  # a NaN goes on to the finiteness check
+    if singular.any() if q.ndim == 2 else singular:
+        i = np.argmax(singular)
+        raise SingularPointError(q.reshape(-1, n)[i], float(np.ravel(det_g)[i]))
+    # the points go on the cross product's last axis, and the normals come
+    # out contiguous: the length is np.linalg.norm's BLAS dot, row by row,
+    # which a strided row would round differently
+    v = _cross_rows(jac.reshape(-1, n + 1, n).transpose(1, 2, 0), np.multiply)
+    v = np.ascontiguousarray(v.T).reshape(pos.shape)
+    normal = v / np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
+    h = np.einsum("...cij,...c->...ij", sec, normal)
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    shape = _solve(g, h)
+    checked = [coeffs, g, normal, shape]
+    dg = third = None
+    if order >= 3:
+        dg, third = _dmetric(jac, sec), derivative_tensor(coeffs, n, 3)
+        checked += [dg, third]
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
         raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
     pg = PointGeometry(
@@ -326,7 +346,7 @@ def _evaluate_geometry(
         normal=normal,
         second_form=h,
         shape=shape,
-        third=derivative_tensor(coeffs, n, 3) if order >= 3 else None,
+        third=third,
     )
     return pg, dg
 
@@ -344,11 +364,16 @@ def point_geometry(
     jet order 2, or at order 3 with ``third`` filled.  The Christoffel
     symbols are left to the callers that read them (``_christoffel``).
     ``_rows``, a point's rows (n+1, D) of a block's stacked evaluation at this
-    order, which equal its own bit for bit, stands in for its evaluation."""
+    order, which equal its own bit for bit, stands in for its evaluation;
+    the block caller that passes it has entered errstate(all="ignore") once
+    for the whole block."""
     q = np.asarray(p, dtype=float)
-    if _rows is not None and check_domain and not m.contains(q):
-        raise OutOfDomainError(q, m.domain)
-    return _evaluate_geometry(m, q, order, eps_reg, check_domain, _rows)[0]
+    if _rows is not None:
+        if check_domain and not m.contains(q):
+            raise OutOfDomainError(q, m.domain)
+        return _evaluate_geometry(m, q, order, eps_reg, check_domain, _rows)[0]
+    with np.errstate(all="ignore"):
+        return _evaluate_geometry(m, q, order, eps_reg, check_domain)[0]
 
 
 # -- principal curvatures ---------------------------------------------------------------
@@ -475,11 +500,11 @@ class DerivativeBundle:
         return num / (gu * gv - guv * guv)
 
 
-def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
+def _nabla_second_form(pg: PointGeometry, dg: np.ndarray | None = None) -> np.ndarray:
     """[..., l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am
-    over the leading point axes of order-3 geometry ``pg``.  Unlike
-    derivative_bundle's matmuls, its sums give each row the same bits
-    whatever rows sit beside it."""
+    over the leading point axes of order-3 geometry ``pg``, with its d_k g_ij
+    ``dg`` if the caller has it.  Unlike derivative_bundle's matmuls, its sums
+    give each row the same bits whatever rows sit beside it."""
     # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
     # the self-test takes d_l N from second partials instead
     # (_normal_derivative), so that Codazzi checks the two routes against
@@ -488,7 +513,7 @@ def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
           + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
     # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
-    gamma_h = _mm(np.moveaxis(_christoffel(pg)[3], -3, -1), pg.second_form[..., None, :, :])
+    gamma_h = _mm(np.moveaxis(_christoffel(pg, dg)[3], -3, -1), pg.second_form[..., None, :, :])
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
@@ -499,7 +524,8 @@ def derivative_bundle(
     check_domain: bool = True,
 ) -> DerivativeBundle:
     q = np.asarray(p, dtype=float)
-    pg, dg = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
+    with np.errstate(all="ignore"):
+        pg, dg = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
     n, jac, sec, thr = m.n, pg.jac, pg.second, pg.third
     dn = _normal_derivative(jac, sec, pg.normal)
 

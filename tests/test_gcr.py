@@ -552,6 +552,33 @@ def test_christoffel_symbols_are_computed_only_where_read(monkeypatch):
     assert rows == [None]
 
 
+@pytest.mark.parametrize("name", ["so2_x_so2", "tangent_cone", "curve_tube"])
+def test_block_metric_derivative_serves_its_rows_sliced(monkeypatch, name):
+    # a --full block computes d_k g_ij once, in its assembly, and the rows that
+    # pass the primary test read it sliced: a slice has the bits of d_k g_ij
+    # computed on that subset of rows alone
+    m = make_family(name)
+    points = GridSpec((3, 3, 3)).points(m.domain)
+    with np.errstate(all="ignore"):
+        pg, dg = geometry._evaluate_geometry(m, points, 3, geometry.EPS_REG, False)
+    rng = np.random.default_rng(31)
+    for sel in (np.arange(27), np.array([0]), np.array([3, 4, 20]),
+                np.sort(rng.choice(27, 11, replace=False))):
+        sub = geometry._row(pg, sel)
+        assert dg[sel].tobytes() == geometry._dmetric(sub.jac, sub.second).tobytes()
+    calls = []
+    exact = geometry._dmetric
+
+    def counting(jac, sec):
+        calls.append(len(jac))
+        return exact(jac, sec)
+
+    monkeypatch.setattr(geometry, "_dmetric", counting)
+    monkeypatch.setattr(gcr, "_BLOCK", 10)
+    classify_surface(m, GridSpec((3, 3, 3)), include_structural=True)
+    assert calls == [10, 10, 7]
+
+
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize(
     "name", ["so2_x_so2", "tangent_cone", "curve_tube", "saddle_raw.json",

@@ -494,6 +494,61 @@ def test_only_order_3_refuses_a_metric_derivative_that_overflows():
         assert str(err.value) == text
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lapack_gufuncs_match_numpy_linalg(n):
+    # the assembly calls the gufuncs behind np.linalg.det, solve and inv: the
+    # same LAPACK calls, so the same bits and types, on a stack, a one-row
+    # stack and a single matrix
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((64, n, n))
+    g = a @ a.swapaxes(-1, -2) + 0.5 * np.eye(n)  # well-conditioned, like a metric
+    h = rng.standard_normal((64, n, n))
+    for gs, hs in ((g, h), (g[:1], h[:1]), (g[0], h[0]), (a + 3 * np.eye(n), h)):
+        pairs = ((geometry._det(gs), np.linalg.det(gs)),
+                 (geometry._solve(gs, hs), np.linalg.solve(gs, hs)),
+                 (geometry._inv(gs), np.linalg.inv(gs)))
+        for got, want in pairs:
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "component, p",
+    [
+        # the jets of exp(700 s) at s = 0.6 are finite (x_s = 700 e^420), but
+        # g_ss = 1 + 490000 e^840 overflows
+        ("exp(700*s)", (0.6, 0.5, 0.5)),
+        # every coefficient is finite, but the third partial x_sss = 6e308 is not
+        ("1e308*s^3", (1e-160, 0.5, 0.5)),
+    ],
+)
+def test_finite_jets_whose_geometry_overflows_are_not_finite(component, p):
+    # the LAPACK gufuncs run under the assembly's errstate(all="ignore"), so
+    # an overflowing metric ends at the finiteness check: a GeometryError, not
+    # a LinAlgError, and no RuntimeWarning (an error in this suite) under any
+    # caller's error state
+    m = Immersion.from_exprs("steep", ("s", "t", "u", component), ("s", "t", "u"),
+                             ((0.0, 1.0),) * 3)
+    orders = (2, 3) if component.startswith("exp") else (3,)
+    text = f"jets or geometry not finite at {list(p)}"
+    for order in orders:
+        with np.errstate(all="ignore"):
+            rows = geometry._jet_rows(m, np.array(p), order, True)
+        assert np.isfinite(rows).all()
+
+        def from_rows():  # as the block step calls it, inside its error state
+            with np.errstate(all="ignore"):
+                return point_geometry(m, p, order=order, _rows=rows)
+
+        calls = [lambda: point_geometry(m, p, order=order), from_rows]
+        calls += [lambda: derivative_bundle(m, p)] if order == 3 else []
+        for state in ("warn", "raise"):
+            for call in calls:
+                with np.errstate(all=state), pytest.raises(geometry.GeometryError) as err:
+                    call()
+                assert str(err.value) == text
+
+
 def test_out_of_domain_check_and_escape():
     m = unit_sphere()
     with pytest.raises(OutOfDomainError):
