@@ -26,9 +26,12 @@
 # at the second (its stderr and exit status), then plain and --full on the 3-D
 # chart steep_metric.json at --grid 5 (jets finite everywhere, g_ss overflows
 # for s above about 0.4976: 2 reports) and `eval --point 0.6,0.5,0.5` at an
-# overflowing point (its stderr and exit status): 130 files with the seven
-# specs written into OUT_DIR.  A numpy RuntimeWarning fails the run: it is a
-# silent inf or NaN.
+# overflowing point (its stderr and exit status), then plain and --full on
+# sqrt_div.json at --grid 3 (points whose value divides by zero at t = 0.5,
+# and whose first partials alone do at s = 0: 2 reports) and `eval --point
+# 0,0.25` at one of the latter (its stderr and exit status): 134 files with
+# the eight specs written into OUT_DIR.  A numpy RuntimeWarning fails the
+# run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -151,3 +154,20 @@ done
 status=0
 run eval "$out/steep_metric.json" --point 0.6,0.5,0.5 > "$out/eval_steep_metric.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/eval_steep_metric.out"
+# sqrt(s) is defined at s = 0 but its derivative 0.5/sqrt(s) divides by zero
+# there, and 1/(t-0.5) divides by zero at t = 0.5: every skip comes from a
+# derivative or a division, and eval fails at (0, 0.25) with check's reason
+cat > "$out/sqrt_div.json" <<'EOF'
+{
+  "components": ["s", "t", "sqrt(s)+1/(t-0.5)"],
+  "variables": ["s", "t"],
+  "domain": {"s": [0, 1], "t": [0, 1]}
+}
+EOF
+for flags in "" "--full"; do
+  tag=$(echo sqrt_div --grid 3 $flags | tr ' ' '_' | tr -d '-')
+  run check "$out/sqrt_div.json" --grid 3 $flags > "$out/$tag.out"
+done
+status=0
+run eval "$out/sqrt_div.json" --point 0,0.25 > "$out/eval_sqrt_div.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/eval_sqrt_div.out"

@@ -1,15 +1,17 @@
 """Numerical curvature analysis of parametrized hypersurfaces in E^3 and E^4.
 
-The package evaluates immersions through third order with forward-mode jet
-arithmetic, assembles the induced metric, second fundamental form, shape
-operator and curvature tensor at chart points, and tests whether a surface
-is position-principal with constant-ratio tangential/normal decomposition,
-isoparametric, minimal in its top mean curvature, or curvature-ideal.
+The package evaluates immersions' partials through third order from
+derivative trees of their components, assembles the induced metric, second
+fundamental form, shape operator and curvature tensor at chart points, and
+tests whether a surface is position-principal with constant-ratio
+tangential/normal decomposition, isoparametric, minimal in its top mean
+curvature, or curvature-ideal.
 
 The top level holds what a typical script needs (see README's "Python API
-sketch"); the jet algebra, the expression language, the geometry machinery
-and the catalog live in the submodules ``gcrkit.jet``, ``gcrkit.expr``,
-``gcrkit.geometry`` and ``gcrkit.catalog``.
+sketch"); the partials' container, the expression language and its
+derivative trees, the geometry machinery and the catalog live in the
+submodules ``gcrkit.jet``, ``gcrkit.expr``, ``gcrkit.geometry`` and
+``gcrkit.catalog``.
 """
 
 from .catalog import make_family

@@ -5,7 +5,7 @@ surfaces, position-cone and curve-tube constructions, and generic products
 with a line.  Profiles can be closed-form expressions or the output of a
 unit-speed plane-curve integrator; frames with no closed form (the normal
 frame of a spherical curve) are integrated once and then evaluated through
-a C^2 piecewise-quintic Hermite interpolant, whose jets are exact.
+a C^2 piecewise-quintic Hermite interpolant, whose derivatives are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from . import jet
 from .expr import (
     BinOp,
     Call,
@@ -30,6 +29,7 @@ from .expr import (
     Var,
     _CurveAt,
     _derivative,
+    _partials,
     parse_expr,
     to_text,
     variables_of,
@@ -155,8 +155,8 @@ class HermiteCurve:
     """C^2 quintic Hermite interpolant of a sampled R^d curve.
 
     Built from values plus exact first and second derivatives at the knots;
-    inside an interval the interpolant is a polynomial, so jet evaluation
-    returns its derivatives exactly (the third derivative jumps by O(h^3)
+    inside an interval the interpolant is a polynomial, whose derivatives
+    ``evaluate`` returns exactly (the third derivative jumps by O(h^3)
     across knots).
     """
 
@@ -192,8 +192,14 @@ class HermiteCurve:
             axis=1,
         )
         # (intervals, power, dim)
-        self._coeffs = np.einsum("pb,kbd->kpd", _QUINTIC, data)
+        coeffs = np.einsum("pb,kbd->kpd", _QUINTIC, data)
         self._h = h[:, 0]
+        # _derived[k]: the k-th derivative's coefficients in tau, scaled by h^-k
+        self._derived = tuple(
+            coeffs[:, k:] * (np.array([math.perm(j, k) for j in range(k, 6)])[:, None]
+                             / (h**k)[:, :, None])
+            for k in range(4)
+        )
 
     def _locate(self, x):
         """Interval index of x, or of each entry of an array x, clamped to the ends."""
@@ -202,24 +208,22 @@ class HermiteCurve:
             return np.clip(i, 0, self.knots.size - 2)
         return min(max(int(i), 0), self.knots.size - 2)
 
-    def evaluate(self, x) -> list:
-        """Every component at x, a float or a Jet, or row by row at a 1-D
-        array of floats or a stack of jets, from one Horner pass over a stack
-        with one row per component (and per point).  A float goes through it
-        as a jet with its value slot alone, multiplied by ``np.multiply``."""
-        is_jet = isinstance(x, jet.Jet)
-        i = self._locate(x.value if is_jet else x)
+    def evaluate(self, x, k: int = 0) -> list:
+        """Every component of the ``k``-th derivative (k <= 3) at x, a float,
+        or row by row at a 1-D array of floats, from one Horner pass in the
+        interval's coordinate tau: a float gets floats, and each row of an
+        array its float's bits."""
+        i = self._locate(x)
         tau = (x - self.knots[i]) * (1.0 / self._h[i])
-        z, product = ((tau.c, tau._t.product) if is_jet
-                      else (np.asarray(tau)[..., None], np.multiply))
-        # poly[k, c]: tau^k's coefficient in component c, per point of a stack
-        poly = np.moveaxis(self._coeffs[i], (-2, -1), (0, 1))
-        acc = z * poly[5][..., None]
-        acc[..., 0] += poly[4]
-        for k in (3, 2, 1, 0):
-            acc = product(acc, z)
-            acc[..., 0] += poly[k]
-        return [jet._make(tau._t, row) for row in acc] if is_jet else list(acc[..., 0])
+        stack = isinstance(x, np.ndarray)
+        if stack:
+            tau = tau[:, None]
+        # poly[..., j, c]: tau^j's coefficient in component c, per point of a stack
+        poly = self._derived[k][i]
+        acc = poly[..., -1, :]
+        for j in range(poly.shape[-2] - 2, -1, -1):
+            acc = acc * tau + poly[..., j, :]
+        return list(acc.T) if stack else acc.tolist()
 
 
 # -- unit-speed profile curves ---------------------------------------------------------
@@ -340,7 +344,7 @@ def integrate_profile(
             cos_a, sin_a = np.cos(a_arr), np.sin(a_arr)
             curve = HermiteCurve(s_arr, np.column_stack([f_arr, g_arr]), np.column_stack(
                 [cos_a, sin_a]), np.column_stack([-sin_a * k_arr, cos_a * k_arr]))
-            finite = np.isfinite(curve._coeffs).all()
+            finite = all(np.isfinite(c).all() for c in curve._derived)
         except FloatingPointError:
             finite = False
     if not finite:
@@ -388,7 +392,7 @@ def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float
 @dataclass
 class NormalFrame:
     """Sampled orthonormal frame (A, B) of the normal space of a curve on the
-    unit 3-sphere, and one Hermite interpolant of A then B for exact jets."""
+    unit 3-sphere, and one Hermite interpolant of A then B for exact partials."""
 
     w: np.ndarray
     a: np.ndarray
@@ -498,8 +502,9 @@ def build_normal_frame(
     re-orthonormalization (the projection method), so the six
     orthogonality constraints hold to ~1e-15 at every sample.
 
-    The curve is evaluated at every abscissa the transport reads in one
-    stacked jet evaluation.  The transport is linear with rank-one stages, so
+    The curve and its first three derivatives, from derivative trees, are
+    evaluated at every abscissa the transport reads in one program run on
+    the array of abscissae.  The transport is linear with rank-one stages, so
     each step and its projection fold into one 4x4 matrix, built from those
     rows as array expressions; the sequential part is a matrix product and a
     Gram-Schmidt per sample.  The knot data of the frame's Hermite
@@ -518,15 +523,13 @@ def build_normal_frame(
             f"got {samples!r}"
         )
 
-    curve = Program(alpha_exprs)
+    curve = Program(_partials(alpha_exprs, ("w",), 3))
 
     def alpha_data(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """alpha and its first three derivatives at w, a float or an array
         of abscissae (then one row per abscissa)."""
-        coeffs = np.stack([a.c for a in curve({"w": jet.jet_variable(0, w, 1, 3)})], axis=-2)
-        shape = coeffs.shape[:-1]
-        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(shape) for r in (1, 2, 3))
-        return coeffs[..., 0], d1, d2, d3
+        rows = np.array(curve({"w": w})).reshape(4, 4, *np.shape(w))
+        return tuple(np.ascontiguousarray(np.moveaxis(rows, 0, -1)))
 
     def check_left(a0: np.ndarray, d1_0: np.ndarray) -> None:
         # written so that a NaN fails them: every comparison with NaN is false
@@ -562,7 +565,7 @@ def build_normal_frame(
             # a row failed: evaluate one by one, so that the error surfaces
             # after the checks that come before it
             by_row = []
-            for j, wv in enumerate(w_all):
+            for j, wv in enumerate(w_all.tolist()):
                 by_row.append(row := alpha_data(wv))
                 if j == 0:
                     check_left(row[0], row[1])
@@ -715,7 +718,8 @@ def tangent_cone(c=0.25, y: Sequence | None = None, domain=None) -> Immersion:
     # n_a = det[y, y_v, y_w, e_a], so that {y, y_v, y_w, n} is positively
     # oriented: the 3x3 cofactors of (y, y_v, y_w), each expanded along y over
     # the 2x2 minors of (y_v, y_w), which the program runs once
-    y_v, y_w = ([_derivative(e, x) for e in y_exprs] for x in ("v", "w"))
+    memo: dict = {}
+    y_v, y_w = ([_derivative(e, x, memo) for e in y_exprs] for x in ("v", "w"))
     minor = {(i, j): BinOp("-", BinOp("*", y_v[i], y_w[j]), BinOp("*", y_v[j], y_w[i]))
              for i in range(4) for j in range(i + 1, 4)}
     normal = []

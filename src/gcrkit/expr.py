@@ -15,11 +15,17 @@ so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication.
 Identifiers must either be declared chart variables or one of the built-in
 unary functions: sin, cos, tan, exp, log, sqrt, abs, atan.  Text nesting
 deeper than _MAX_DEPTH levels is a syntax error.
+
+A Program runs trees on floats or on 1-D float arrays.  ``_derivative``
+builds the tree of a partial derivative, and ``_partials`` the trees of
+every partial of a chart up to an order, which one Program evaluates: the
+one derivative mechanism of the package.  Deriving and compiling walk on
+explicit stacks, so derivative trees may nest far deeper than parsed ones.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import operator
 import struct
 from dataclasses import dataclass
@@ -27,7 +33,6 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .jet import Jet, jet_constant
 from . import jet as _jet
 
 __all__ = [
@@ -110,13 +115,15 @@ Expr = Const | Var | Neg | BinOp | Call
 
 @dataclass(frozen=True)
 class _CurveAt:
-    """Component ``index`` of ``curve.evaluate`` (a catalog HermiteCurve) at
-    ``var``: not in the spec grammar.  A Program evaluates each curve once
-    per variable."""
+    """Component ``index`` of the ``k``-th derivative of ``curve`` (a
+    catalog HermiteCurve, through ``curve.evaluate(x, k)``) at ``var``: not
+    in the spec grammar.  A Program evaluates each curve once per variable
+    and derivative order."""
 
     curve: object
     var: str
     index: int
+    k: int = 0
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -308,42 +315,61 @@ def variables_of(expr: Expr) -> frozenset[str]:
 
 # -- evaluation -------------------------------------------------------------------
 #
-# One Program serves both routes: a plain float is the order-0 case of a jet,
-# so floats and jets meet the same power, division and error rules, and the
-# jet route's value follows the float route's operations bit for bit.  A 1-D
-# float array takes the float route entry by entry, each entry's bits those
-# of its float; a division by zero follows numpy's error state there.
+# One Program serves both routes: plain floats, and 1-D float arrays, whose
+# entries take the float route's operations, each entry's bits those of its
+# float.  A division by zero raises on floats and follows numpy's error state
+# on an array.
 
 
-def _power(b: float | Jet, e: float | Jet) -> float | Jet:
+def _power(b, e):
     if isinstance(e, np.ndarray):  # a float array exponent: entry by entry
         pairs = zip(*(v.tolist() for v in np.broadcast_arrays(b, e)))
         return np.array([_power(x, y) for x, y in pairs])
-    if isinstance(e, Jet) and not e.c[..., 1:].any():
-        e = e.value  # a jet exponent that is constant after all
-        if isinstance(e, np.ndarray):  # a stack: one exponent for every row
-            if (e != e[0]).any():
-                raise ExprEvalError("'^' with a constant exponent that differs between rows")
-            e = float(e[0])
-    if not isinstance(e, Jet) and float(e).is_integer():
+    if float(e).is_integer():
         return _jet._int_pow(b, int(e))
-    base = b.value if isinstance(b, Jet) else b
-    if isinstance(base, np.ndarray):  # a stack: the first row at fault, if any
+    base = b
+    if isinstance(base, np.ndarray):  # the first entry at fault, if any
         base = float(base[(base <= 0.0).argmax()])
     if base <= 0.0:
-        kind = "non-constant" if isinstance(e, Jet) else "non-integer"
-        raise ExprEvalError(f"'^' with {kind} exponent needs a positive base, got {base!r}")
-    return _jet.exp(e * _jet.log(b)) if isinstance(e, Jet) else _jet._plain(b).pow(b, e)
+        raise ExprEvalError(f"'^' with non-integer exponent needs a positive base, got {base!r}")
+    return _jet._plain(b).pow(b, e)
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _power}
 
 
-def _load(env: Mapping[str, float | Jet], name: str) -> float | Jet:
+def _load(env: Mapping[str, float | np.ndarray], name: str) -> float | np.ndarray:
     try:
         return env[name]
     except KeyError:
         raise ExprEvalError(f"unbound variable {name!r}") from None
+
+
+def _children(node: Expr) -> tuple:
+    match node:
+        case Neg(a) | Call(_, a):
+            return (a,)
+        case BinOp(_, a, b):
+            return (a, b)
+    return ()
+
+
+def _walk(roots: Sequence[Expr], done: dict, visit) -> None:
+    """Call ``visit`` on every node of ``roots`` not yet in ``done`` (keyed by
+    id), operands first and the left one first, each once, on an explicit
+    stack: derivative trees nest far deeper than Python's stack allows.
+    ``visit`` records the node in ``done``."""
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in done:
+                continue
+            if ready:
+                visit(node)
+            else:
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(_children(node)))
 
 
 class Program:
@@ -351,11 +377,10 @@ class Program:
     function and the slots of its operands, are those of a walk of the trees,
     left operand first, except that a repeated subtree runs once (constants
     match by float bits); so the first step to fail is the walk's.  Called
-    with an environment of floats, 1-D float arrays, single jets or stacks,
-    it returns one value per root, a constant broadcast to the first bound
-    array's or jet's shape.  Domain and range failures (math's
-    ValueError and ArithmeticError, and JetDomainError) leave as
-    ExprEvalError."""
+    with an environment of floats or of 1-D float arrays, it returns one
+    value per root, a constant broadcast to the first bound array's shape.
+    Domain and range failures (math's ValueError and ArithmeticError, and
+    JetDomainError) leave as ExprEvalError."""
 
     def __init__(self, roots: Sequence[Expr]):
         index: dict = {}  # float bits, a name or a step (fn, i, j) -> its slot
@@ -372,36 +397,33 @@ class Program:
 
         done: dict[int, int] = {}  # id of a node of the roots -> its slot
 
-        # one frame per level of the tree: a derivative tree (catalog.tangent_cone)
-        # nests up to about three times deeper than the parser's cap
-        def emit(node: Expr) -> int:
-            if id(node) in done:  # a node the trees share is walked once
-                return done[id(node)]
+        def emit(node: Expr) -> None:
+            arg = [done[id(c)] for c in _children(node)]
             match node:
                 case Const(value):
                     k = slot(struct.pack("<d", value), value)
                 case Var(name):
                     k = slot((_load, 0, slot(name, name)))
-                case Neg(arg):
-                    k = slot((operator.neg, emit(arg), None))
-                case BinOp("/", left, right):  # reciprocal-multiply on both routes
-                    a, one = emit(left), slot(struct.pack("<d", 1.0), 1.0)
-                    k = slot((operator.mul, a, slot((operator.truediv, one, emit(right)))))
-                case BinOp(op, left, right):
-                    k = slot((_BINARY[op], emit(left), emit(right)))
-                case Call(fn, arg):
-                    k = slot((_FUNCTIONS[fn], emit(arg), None))
-                case _CurveAt(curve, name, index):
-                    at = slot((curve.evaluate, slot((_load, 0, slot(name, name))), None))
+                case Neg():
+                    k = slot((operator.neg, arg[0], None))
+                case BinOp("/"):  # reciprocal-multiply on both routes
+                    one = slot(struct.pack("<d", 1.0), 1.0)
+                    k = slot((operator.mul, arg[0], slot((operator.truediv, one, arg[1]))))
+                case BinOp(op):
+                    k = slot((_BINARY[op], *arg))
+                case Call(fn):
+                    k = slot((_FUNCTIONS[fn], arg[0], None))
+                case _CurveAt(curve, name, index, order):
+                    at = slot((curve.evaluate, slot((_load, 0, slot(name, name))), slot(order, order)))
                     k = slot((operator.getitem, at, slot(index, index)))
                 case _:
                     raise TypeError(f"not an expression node: {node!r}")
             done[id(node)] = k
-            return k
 
-        self._outputs = [emit(root) for root in roots]
+        _walk(roots, done, emit)
+        self._outputs = [done[id(root)] for root in roots]
 
-    def __call__(self, env: Mapping[str, float | Jet]) -> list[float | Jet]:
+    def __call__(self, env: Mapping[str, float | np.ndarray]) -> list:
         slots = self._slots.copy()
         slots[0] = env
         try:
@@ -411,12 +433,7 @@ class Program:
             raise ExprEvalError(str(exc)) from exc
         out = [slots[k] for k in self._outputs]
         probe = next(iter(env.values()), None)
-        if isinstance(probe, Jet):
-            rows = probe.c.shape[:-1]
-            out = [v if isinstance(v, Jet) else
-                   jet_constant(np.full(rows, v) if rows else v, probe.n, probe.order)
-                   for v in out]
-        elif isinstance(probe, np.ndarray):
+        if isinstance(probe, np.ndarray):
             out = [v if isinstance(v, np.ndarray) else np.full(probe.shape, v) for v in out]
         return out
 
@@ -427,11 +444,39 @@ _ZERO, _ONE = Const(0.0), Const(1.0)
 
 
 def _fold(op: str, a: Expr, b: Expr) -> Expr:
-    """a + b or a * b, with the terms 0 and the factors 0 and 1 folded away."""
+    """a + b or a * b, with the terms 0 and the factors 0 and 1 folded away,
+    a negation moved out of a product and a negated term made a difference.
+    Rounding is symmetric in sign, so (-a) b = -(a b) and a + (-b) = a - b
+    bit for bit (but for the sign of a NaN), in fewer steps."""
     if op == "*" and _ZERO in (a, b):
         return _ZERO
     unit = _ZERO if op == "+" else _ONE
-    return b if a == unit else a if b == unit else BinOp(op, a, b)
+    if a == unit or b == unit:
+        return b if a == unit else a
+    match op, a, b:
+        case "+", _, Neg(y):
+            return BinOp("-", a, y)
+        case "+", Neg(x), _:
+            return BinOp("-", b, x)
+        case "*", Neg(x), _:
+            return _neg(_fold("*", x, b))
+        case "*", _, Neg(y):
+            return _neg(_fold("*", a, y))
+    return BinOp(op, a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    return _ZERO if a == _ZERO else a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _lowered(a: Expr, b: Expr) -> Expr:
+    """a^(b-1), a constant b folded into the exponent, a^1 into a and a^0
+    into 1: an exponent that reaches 0 must not leave a 0*a^-1 behind,
+    which divides by zero at a = 0."""
+    if not isinstance(b, Const):
+        return BinOp("^", a, BinOp("-", b, _ONE))
+    p = b.value - 1.0
+    return a if p == 1.0 else _ONE if p == 0.0 else BinOp("^", a, Const(p))
 
 
 _CHAIN = {  # f'(a) for each function f
@@ -447,32 +492,65 @@ _CHAIN = {  # f'(a) for each function f
 }
 
 
-def _derivative(node: Expr, var: str) -> Expr:
-    """The tree of d(node)/d(var): one rule per operator and per function,
-    folding 0 and 1, so that a factor free of ``var`` adds no terms."""
-    d = functools.partial(_derivative, var=var)
+def _rule(node: Expr, var: str, d) -> Expr:
+    """d(node)/d(var), with ``d`` giving the derivatives of its operands."""
     match node:
         case Const() | Var():
             return _ONE if node == Var(var) else _ZERO
+        case _CurveAt(curve, name, index, k):
+            return _CurveAt(curve, name, index, k + 1) if name == var else _ZERO
         case Neg(a):
-            return _ZERO if (da := d(a)) == _ZERO else Neg(da)
+            return _neg(d(a))
         case BinOp("+", a, b):
             return _fold("+", d(a), d(b))
         case BinOp("-", a, b):
-            return _fold("+", d(a), d(Neg(b)))
+            return _fold("+", d(a), _neg(d(b)))
         case BinOp("*", a, b):
             return _fold("+", _fold("*", d(a), b), _fold("*", a, d(b)))
         case BinOp("/", a, b):  # (a' - (a/b) b') (1/b)
             return _fold("*", _fold("+", d(a), _fold("*", Neg(node), d(b))), BinOp("/", _ONE, b))
         case BinOp("^", a, b):
-            if (db := d(b)) == _ZERO:  # b a^(b-1) a'
-                return _fold("*", _fold("*", b, BinOp("^", a, BinOp("-", b, _ONE))), d(a))
+            if d(b) == _ZERO:  # b a^(b-1) a'
+                return _fold("*", _fold("*", b, _lowered(a, b)), d(a))
             # a^b (b' log a + b a' (1/a))
             rate = _fold("*", _fold("*", b, d(a)), BinOp("/", _ONE, a))
-            return _fold("*", node, _fold("+", _fold("*", db, Call("log", a)), rate))
+            return _fold("*", node, _fold("+", _fold("*", d(b), Call("log", a)), rate))
         case Call(fn, a):
             return _fold("*", _CHAIN[fn](a), d(a))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _derivative(node: Expr, var: str, memo: dict | None = None) -> Expr:
+    """The tree of d(node)/d(var): one rule per operator and per function,
+    folding 0 and 1, so that a factor free of ``var`` adds no terms.  The
+    ``memo`` of a run maps each variable to id of a node -> (the node, its
+    derivative), so that a subtree that trees share has one derivative,
+    found once; it holds the node, so that no other node takes its id."""
+    done = ({} if memo is None else memo).setdefault(var, {})
+
+    def visit(x: Expr) -> None:
+        done[id(x)] = x, _rule(x, var, lambda y: done[id(y)][1])
+
+    _walk((node,), done, visit)
+    return done[id(node)][1]
+
+
+def _partials(roots: Sequence[Expr], names: Sequence[str], order: int,
+              memo: dict | None = None) -> list[Expr]:
+    """The trees of d^a x for each root x and each monomial of degree <=
+    ``order`` in the variables ``names``, in the layout of ``jet.Jet.c``:
+    each is the derivative of the one a degree lower along the last variable
+    of its sorted multi-index.  ``memo`` is _derivative's, shared by them."""
+    memo = {} if memo is None else memo
+    n = len(names)
+    rows = []
+    for root in roots:
+        tree = {(): root}
+        for axes in itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(n), k) for k in range(1, order + 1)):
+            tree[axes] = _derivative(tree[axes[:-1]], names[axes[-1]], memo)
+        rows += tree.values()
+    return rows
 
 
 # -- pretty printer ----------------------------------------------------------------

@@ -2,11 +2,12 @@
 stack of points.
 
 An :class:`Immersion` maps an n-dimensional chart (n = 2 or 3) into
-Euclidean (n+1)-space.  Everything here comes from exact jet evaluations at
-a point, or at a stack of points in one evaluation whose rows each carry the
-bits of their point alone: first fundamental form, oriented unit normal, second
-fundamental form, shape operator, principal curvatures/directions,
-mean-curvature ladder, and the residuals of the Gauss and Codazzi equations
+Euclidean (n+1)-space.  Everything here comes from the chart's exact
+partials (``evaluate_jets``: one program of derivative trees, run on floats
+at a point, or on float arrays at a stack of points, whose rows each carry
+the bits of their point alone): first fundamental form, oriented unit
+normal, second fundamental form, shape operator, principal
+curvatures/directions, mean-curvature ladder, and the residuals of the Gauss and Codazzi equations
 (which hold for every immersion and therefore double as an end-to-end
 self-test of the derivative pipeline).  ``PointGeometry`` holds no
 Christoffel symbols: ``_christoffel`` computes them from it for the two
@@ -33,13 +34,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .jet import Jet, _slot_gather, derivative_tensor, jet_variable
-from .expr import Expr, ExprError, Program, parse_expr
+from .jet import Jet, derivative_tensor
+from .expr import Expr, ExprError, Program, _partials, parse_expr
 
 __all__ = [
     "EPS_REG",
@@ -112,17 +113,20 @@ _DOMAIN_SLACK = 1e-12
 class Immersion:
     """Parametrized hypersurface patch x: chart box -> E^(n+1).
 
-    Its components are expression trees over the chart variables, compiled
-    once into ``program``; a catalog frame with no closed form enters them
-    as interpolant nodes (``expr._CurveAt``).  The jets it returns are exact
-    at the order of the seeds it is given.
+    Its components are expression trees over the chart variables; a catalog
+    frame with no closed form enters them as interpolant nodes
+    (``expr._CurveAt``).  Their partials up to each order come from
+    derivative trees, compiled into one program per order on first use
+    (``_program``), so that building a chart derives nothing.
     """
 
     name: str
     var_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     components: tuple[Expr, ...]
-    program: Program = field(init=False, repr=False, compare=False)
+    # order -> its program, and the derivative memo the orders share
+    _programs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -137,7 +141,6 @@ class Immersion:
             raise ValueError(
                 f"need {n + 1} ambient components, got {len(self.components)}"
             )
-        object.__setattr__(self, "program", Program(self.components))
 
     @property
     def n(self) -> int:
@@ -162,6 +165,15 @@ class Immersion:
         box = tuple((float(lo), float(hi)) for lo, hi in domain)
         return cls(name, names, box, components=parsed)
 
+    def _program(self, order: int) -> Program:
+        """The program of every component's partials up to ``order``, in
+        the layout of ``Jet.c``, component after component."""
+        program = self._programs.get(order)
+        if program is None:
+            rows = _partials(self.components, self.var_names, order, self._memo)
+            program = self._programs[order] = Program(rows)
+        return program
+
     def contains(self, p: Sequence[float]) -> bool:
         for value, (lo, hi) in zip(p, self.domain):
             pad = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
@@ -173,9 +185,9 @@ class Immersion:
 def evaluate_jets(
     m: Immersion, p: Sequence[float], order: int = 3, check_domain: bool = True
 ) -> list[Jet]:
-    """Jets of all ambient components of ``m`` at chart point ``p``, or stacked
-    jets at each row of a stack ``p`` (P, n), from one evaluation of its
-    components at seeds of the requested order."""
+    """Jets of all ambient components of ``m`` at chart point ``p``, from one
+    run of its order-``order`` program on floats, or stacked jets at each
+    row of a stack ``p`` (P, n), from one run on float arrays."""
     if order not in (1, 2, 3):
         raise ValueError(f"evaluation order must be 1, 2 or 3, got {order}")
     q = np.asarray(p, dtype=float)
@@ -185,11 +197,15 @@ def evaluate_jets(
         for row in q.reshape(-1, m.n):
             if not m.contains(row):
                 raise OutOfDomainError(row, m.domain)
-    seeds = tuple(jet_variable(i, q.T[i], m.n, order) for i in range(m.n))
+    at = q.tolist() if q.ndim == 1 else np.ascontiguousarray(q.T)
     try:
-        return m.program(dict(zip(m.var_names, seeds)))
+        rows = m._program(order)(dict(zip(m.var_names, at)))
     except ExprError as exc:
         raise EvaluationError(q, exc) from exc
+    c = np.array(rows)
+    c = (c.T if q.ndim == 2 else c).reshape(*q.shape[:-1], m.n + 1, -1)
+    c.flags.writeable = False
+    return [Jet._view(m.n, order, c[..., i, :]) for i in range(m.n + 1)]
 
 
 # -- generalized cross product -------------------------------------------------------
@@ -206,19 +222,17 @@ def _cross_terms(k: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, sign
 
 
-def _cross_rows(matrix: np.ndarray, product: Callable) -> np.ndarray:
-    """Generalized cross product of the k columns of ``matrix`` (k+1, k, ..., D),
-    whose entries are coefficient rows, over any point axes, multiplied by
-    ``product`` (a jet table's, or ``np.multiply`` for plain numbers, with the
-    points on the last axis): the (k+1)·k! Leibniz terms take k - 1 row
-    products.  Entry a of the result is v_a, with <v, w> = det[columns | w],
-    so (columns..., v) is positively oriented."""
+def _cross_rows(matrix: np.ndarray) -> np.ndarray:
+    """Generalized cross product of the k columns of ``matrix`` (k+1, k, ...,
+    D) over any point axes, the points on the last axis: the (k+1)·k!
+    Leibniz terms take k - 1 products.  Entry a of the result is v_a, with
+    <v, w> = det[columns | w], so (columns..., v) is positively oriented."""
     amb, k, *points, size = matrix.shape
     gather, sign = _cross_terms(k)
     factors = matrix.reshape(amb * k, -1)[gather].reshape(k, -1, size)
     terms = factors[0]
     for f in factors[1:]:
-        terms = product(terms, f)
+        terms = terms * f
     terms = terms.reshape(amb, sign.shape[1], -1) * sign  # points and D share the last axis
     return terms.sum(axis=1).reshape(amb, *points, size)
 
@@ -234,7 +248,7 @@ def _normal_derivative(jac: np.ndarray, sec: np.ndarray, normal: np.ndarray) -> 
     ij = np.arange(n * n)
     matrices = np.repeat(jac[:, :, None], n * n + 1, axis=2)
     matrices[:, ij % n, ij] = sec[:, ij % n, ij // n]
-    crossed = _cross_rows(matrices, np.multiply)
+    crossed = _cross_rows(matrices)
     v, dv = crossed[:, -1], crossed[:, :-1].reshape(n + 1, n, n).sum(axis=2).T
     return (dv - np.outer(dv @ normal, normal)) / math.sqrt(v @ v)
 
@@ -287,7 +301,7 @@ def _christoffel(
 
 
 def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np.ndarray:
-    """The components' coefficient rows (n+1, D) from one order-``order``
+    """The components' partial rows (n+1, D) from one order-``order``
     evaluation of ``m`` at ``q``, or (P, n+1, D) at a stack ``q`` (P, n),
     under the caller's numpy error state."""
     coeffs = np.array([x.c for x in evaluate_jets(m, q, order=order, check_domain=check_domain)])
@@ -299,7 +313,7 @@ def _evaluate_geometry(
     coeffs: np.ndarray | None = None,
 ) -> tuple[PointGeometry, np.ndarray | None]:
     """Geometry from one order-``order`` evaluation of ``m`` at ``q``, or from
-    the coefficient rows ``coeffs`` of one (``_jet_rows``), plus d_k g_ij at
+    the partial rows ``coeffs`` of one (``_jet_rows``), plus d_k g_ij at
     order 3 (None at order 2).  A stack ``q`` (P, n) gives each of them a
     leading point axis, and each row the bits of its point alone.  It runs
     under the caller's errstate(all="ignore"): overflow and its NaNs, and a
@@ -312,8 +326,7 @@ def _evaluate_geometry(
         coeffs = _jet_rows(m, q, order, check_domain)
     n = m.n
     pos = coeffs[..., 0].copy()  # a strided view would round differently in products
-    jac = coeffs.take(_slot_gather(n, 1)[0], axis=-1)  # a! is 1 at rank 1
-    sec = derivative_tensor(coeffs, n, 2)
+    jac, sec = (derivative_tensor(coeffs, n, rank) for rank in (1, 2))
     g = jac.swapaxes(-1, -2) @ jac
     det_g = _det(g)
     singular = det_g <= eps_reg  # a NaN goes on to the finiteness check
@@ -323,7 +336,7 @@ def _evaluate_geometry(
     # the points go on the cross product's last axis, and the normals come
     # out contiguous: the length is np.linalg.norm's BLAS dot, row by row,
     # which a strided row would round differently
-    v = _cross_rows(jac.reshape(-1, n + 1, n).transpose(1, 2, 0), np.multiply)
+    v = _cross_rows(jac.reshape(-1, n + 1, n).transpose(1, 2, 0))
     v = np.ascontiguousarray(v.T).reshape(pos.shape)
     normal = v / np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
     h = np.einsum("...cij,...c->...ij", sec, normal)

@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from gcrkit import jet
 from gcrkit.catalog import (
     _SEED_PAIRS,
     CatalogError,
@@ -39,7 +38,7 @@ from gcrkit.catalog import (
     _seed_pair,
     _transport_steps,
 )
-from gcrkit.expr import ExprError, Program
+from gcrkit.expr import ExprError, Program, _partials
 
 
 def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
@@ -92,17 +91,15 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
 def frame_knot_data(alpha, w_range, samples=801):
     """Knots, frame pairs (A, B), their first and second derivatives and the
     largest Gram error of a spherical curve's normal frame by RK4 transport,
-    evaluating the curve's order-3 jet at each abscissa as the loop reaches
+    evaluating the curve's partials to order 3 at each abscissa as the loop reaches
     it and building each step's matrix from those rows; input validation is
     left to production."""
-    alpha_program = Program(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"))
+    alpha_program = Program(_partials(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"),
+                                      ("w",), 3))
     lo, hi = float(w_range[0]), float(w_range[1])
 
     def alpha_data(w):
-        env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([y.c for y in alpha_program(env)])
-        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
-        return coeffs[:, 0], d1, d2, d3
+        return tuple(np.array(alpha_program({"w": float(w)})).reshape(4, 4).T)
 
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]
@@ -160,14 +157,12 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
     time from the transport rule, then a projection onto the normal space
     and re-orthonormalization per sample; input validation is left to
     production."""
-    alpha_program = Program(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"))
+    alpha_program = Program(_partials(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"),
+                                      ("w",), 3))
     lo, hi = float(w_range[0]), float(w_range[1])
 
     def alpha_data(w):
-        env = {"w": jet.jet_variable(0, w, 1, 3)}
-        coeffs = np.stack([y.c for y in alpha_program(env)])
-        d1, d2, d3 = (jet.derivative_tensor(coeffs, 1, r).reshape(4) for r in (1, 2, 3))
-        return coeffs[:, 0], d1, d2, d3
+        return tuple(np.array(alpha_program({"w": float(w)})).reshape(4, 4).T)
 
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]

@@ -1,12 +1,13 @@
-"""Tensor-slot jets: an independent oracle for the coefficient-vector jets.
+"""Tensor-slot jets: an independent oracle for the chart partials.
 
-``gcrkit.jet`` propagates flat Taylor-coefficient vectors through one
-table-driven product rule.  This module keeps the earlier representation,
-one derivative tensor per order (value, grad, hess, third, fourth), with the
-Leibniz rule written out term by term for products and Faa di Bruno's
-formula for univariate compositions, so the two routes share no arithmetic
-code.  ``evaluate`` runs an expression tree of ``gcrkit.expr`` over them.
-Test use only.
+``gcrkit`` takes a chart's partials from derivative trees (``expr._partials``)
+that one program evaluates on floats.  This module keeps forward-mode
+propagation instead, one derivative tensor per order (value, grad, hess,
+third, fourth), with the Leibniz rule written out term by term for products
+and Faa di Bruno's formula for univariate compositions, so the two routes
+share no differentiation code.  ``evaluate`` runs an expression tree of
+``gcrkit.expr`` over them, and ``partial_rows`` lays a jet's tensors out as
+``gcrkit.jet.Jet.c``.  Test use only.
 """
 
 import functools
@@ -185,6 +186,15 @@ def atan(x):
                    24.0 * v * (1.0 - v * v) / d**4)
 
 
+def partial_rows(x, order):
+    """The partials of ``x`` up to ``order`` in the layout of ``Jet.c``: by
+    degree, then by sorted variable-index tuple."""
+    tensors = (x.grad, x.hess, x.third, x.fourth)
+    return np.array([x.value] + [
+        tensors[degree - 1][axes] for degree in range(1, order + 1)
+        for axes in itertools.combinations_with_replacement(range(x.n), degree)])
+
+
 # -- expression trees ---------------------------------------------------------------
 
 
@@ -244,7 +254,13 @@ def evaluate(tree, env, steps=None):
                         t.any() for t in (e.grad, e.hess, e.third, e.fourth)):
                     e = e.value  # a jet exponent that is constant after all
                 if isinstance(e, TensorJet):
-                    out = exp(e * (log(base) if isinstance(base, TensorJet) else math.log(base)))
+                    # exp(b log a), every derivative of exp at the value a^b,
+                    # taken with ** as a plain evaluation takes it: exp of the
+                    # rounded b log a can be off in the last places, which a
+                    # steep outer function such as tan amplifies
+                    g = e * (log(base) if isinstance(base, TensorJet) else math.log(base))
+                    p = (base.value if isinstance(base, TensorJet) else base) ** e.value
+                    out = compose(g, p, p, p, p, p)
                 elif float(e).is_integer():
                     out = _int_pow(base, int(e))
                 else:

@@ -1,5 +1,6 @@
 """Surface families: interpolants, profile/frame integration, and constructors."""
 
+import itertools
 import math
 import warnings
 
@@ -31,12 +32,9 @@ from gcrkit.catalog import (
     tangent_developable_cylinder,
 )
 from gcrkit import catalog, jet
-from gcrkit.expr import ExprError, Program, parse_expr, to_text
-from gcrkit.geometry import (
-    _cross_rows, evaluate_jets, point_geometry, principal_data,
-)
+from gcrkit.expr import ExprError, Program, _partials, parse_expr, to_text
+from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
 from gcrkit.gcr import gcr_residual, position_angles
-from gcrkit.jet import jet_variable
 
 
 # -- quintic Hermite interpolation ---------------------------------------------------------
@@ -49,12 +47,35 @@ def test_hermite_reproduces_quintics_exactly():
     curve = HermiteCurve(
         x, poly(x)[:, None], poly.deriv(1)(x)[:, None], poly.deriv(2)(x)[:, None]
     )
-    for xv in np.linspace(-1.0, 2.0, 40):
+    for xv in np.linspace(-1.0, 2.0, 40).tolist():
         assert math.isclose(curve.evaluate(xv)[0], poly(xv), rel_tol=1e-13, abs_tol=1e-13)
-        j = curve.evaluate(jet_variable(0, float(xv), 1, 3))[0]
-        assert math.isclose(j.grad[0], poly.deriv(1)(xv), rel_tol=1e-11, abs_tol=1e-11)
-        assert math.isclose(j.hess[0, 0], poly.deriv(2)(xv), rel_tol=1e-10, abs_tol=1e-10)
-        assert math.isclose(j.third[0, 0, 0], poly.deriv(3)(xv), rel_tol=1e-9, abs_tol=1e-9)
+        for k, tol in ((1, 1e-11), (2, 1e-10), (3, 1e-9)):
+            assert math.isclose(curve.evaluate(xv, k)[0], poly.deriv(k)(xv), rel_tol=tol, abs_tol=tol)
+
+
+def test_hermite_derivatives_are_the_interval_polynomials_derivatives():
+    # the k-th derivative is np.polyder of the interval's quintic in tau,
+    # scaled by h^-k; values and the first two derivatives are continuous at
+    # the knots, where they take the knot data
+    rng = np.random.default_rng(47)
+    x = np.cumsum(rng.uniform(0.2, 1.0, 6))
+    data = rng.standard_normal((3, 6, 2))
+    curve = HermiteCurve(x, *data)
+    h = np.diff(x)
+    for i in range(5):
+        for c in range(2):
+            quintic = np.poly1d(curve._derived[0][i, ::-1, c])
+            for k in range(4):
+                d = np.polyder(quintic, k)
+                for tau in (0.0, 0.3, 0.77):
+                    got = curve.evaluate(x[i] + tau * h[i], k)[c]
+                    want = d(tau) / h[i] ** k
+                    assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11 * h[i] ** -k)
+                if 0 < i and k < 3:  # C^2: the left interval's end is the knot's data
+                    left = np.polyder(np.poly1d(curve._derived[0][i - 1, ::-1, c]), k)(1.0)
+                    at = curve.evaluate(float(x[i]), k)[c]
+                    assert math.isclose(left / h[i - 1] ** k, at, rel_tol=1e-12, abs_tol=1e-12)
+                    assert math.isclose(at, data[k, i, c], rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_hermite_interpolation_error_scales():
@@ -99,15 +120,11 @@ def test_stacked_hermite_rows_match_scalar_calls():
     data[:, :3, 1] = 0.0  # zero polynomials, whose products carry signed zeros
     curve = HermiteCurve(x, *data)
     at = np.r_[x, -0.0, -1.5, -1.0 - 1e-12, 2.0 + 1e-12, 2.5, rng.uniform(-1.0, 2.0, 9)]
-    for n, order in ((1, 1), (1, 3), (3, 2), (3, 3)):
-        stack = jet_variable(0, at, n, order)
+    for k in range(4):
         for c in range(curve.values.shape[1]):
-            rows = curve.evaluate(stack)[c].c
-            for row, v in zip(rows, at.tolist()):
-                one = curve.evaluate(jet_variable(0, v, n, order))[c]
-                assert row.tobytes() == one.c.tobytes()
-            singles = [curve.evaluate(v)[c] for v in at.tolist()]
-            assert curve.evaluate(at)[c].tobytes() == np.array(singles).tobytes()
+            singles = [curve.evaluate(v, k)[c] for v in at.tolist()]
+            assert all(type(v) is float for v in singles)
+            assert curve.evaluate(at, k)[c].tobytes() == np.array(singles).tobytes()
 
 
 # -- profile integration ---------------------------------------------------------------------
@@ -126,8 +143,8 @@ def test_interpolant_speed_error_shrinks_with_the_step():
     def midpoint_speed_error(step):
         prof = integrate_profile("sin(s)+0.3*cos(2*s)", (0.0, 3.0), step=step)
         mids = 0.5 * (prof.s[:-1] + prof.s[1:])
-        f, g = prof.curve.evaluate(jet_variable(0, mids, 1, 1))
-        return float(np.max(np.abs(np.hypot(f.grad[:, 0], g.grad[:, 0]) - 1.0)))
+        f, g = prof.curve.evaluate(mids, 1)
+        return float(np.max(np.abs(np.hypot(f, g) - 1.0)))
 
     assert midpoint_speed_error(1e-3) <= 1e-10
     assert midpoint_speed_error(0.5) >= 1e-5
@@ -256,11 +273,10 @@ def test_torus_knot_frame_constraints():
     alpha = (f"{cd}*cos(w)", f"{cd}*sin(w)", f"{sd}*cos(2*w)", f"{sd}*sin(2*w)")
     frame = build_normal_frame(alpha, (0.0, TWO_PI), samples=801)
     assert frame.gram_error < 1e-9
+    program = Program(_partials(tuple(parse_expr(e, ("w",)) for e in alpha), ("w",), 1))
     for w in np.linspace(0.05, TWO_PI - 0.05, 11):
-        env = {"w": jet_variable(0, float(w), 1, 1)}
-        js = Program(tuple(parse_expr(e, ("w",)) for e in alpha))(env)
-        av = np.array([j.value for j in js])
-        dv = np.array([j.grad[0] for j in js])
+        rows = np.array(program({"w": float(w)}))
+        av, dv = rows[0::2], rows[1::2]
         a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
         for vec in (a, b):
             assert abs(vec @ vec - 1.0) < 1e-8
@@ -525,11 +541,34 @@ def test_conical_and_sqrt2_charts_are_their_component_strings():
     assert repr(special_sqrt2().components) == repr(tuple(parse_expr(c, names) for c in want))
 
 
-def _on_seeds(mapping, p, order):
-    """A reference jet mapping of three chart variables, evaluated on the
-    seeds of ``p``: a point, or a stack of points (P, 3)."""
-    q = np.asarray(p, dtype=float)
-    return mapping([jet_variable(i, q.T[i], 3, order) for i in range(3)])
+# The reference mappings below take a namespace of elementary functions:
+# gcrkit.jet's float functions, which also map math over a 1-D array, or the
+# tensor-slot oracle's, on its jets.  On floats they run the operations of a
+# chart's components in the components' order, so every value agrees bit for
+# bit; on tensor jets they differentiate by forward propagation, which
+# shares no code with the derivative trees.
+
+
+def _tensor_seeds(p, order):
+    return [tensor_jet_oracle.TensorJet.variable(i, v, 3, order) for i, v in enumerate(p)]
+
+
+def _assert_matches_reference(m, mapping, points, orders=(1, 2, 3), rtol=1e-13):
+    """Each chart value is the mapping's on floats, bit for bit, at every
+    point and on the stack of them; each partial is the mapping's on tensor
+    jets, within ``rtol`` of max(1, |partial|)."""
+    stack = evaluate_jets(m, points, 1)
+    want = mapping(jet, [np.ascontiguousarray(x) for x in points.T])
+    assert [x.value.tobytes() for x in stack] == [np.asarray(w).tobytes() for w in want]
+    for p in points.tolist():
+        values = mapping(jet, p)
+        for order in orders:
+            got = evaluate_jets(m, p, order)
+            assert [x.value for x in got] == values
+            ref = mapping(tensor_jet_oracle, _tensor_seeds(p, order))
+            for a, b in zip(got, ref, strict=True):
+                b = tensor_jet_oracle.partial_rows(b, order)
+                assert np.all(np.abs(a.c - b) <= rtol * np.maximum(1.0, np.abs(b))), (p, order)
 
 
 def _tangent_developable_mapping(r, a):
@@ -537,12 +576,12 @@ def _tangent_developable_mapping(r, a):
     components were expressions, kept as the reference for them."""
     height = math.sqrt(1.0 - a * a)
 
-    def mapping(seeds):
+    def mapping(ns, seeds):
         s, t, u = seeds
-        rho = jet.sqrt(s * s + r * r)
+        rho = ns.sqrt(s * s + r * r)
         inv_rho = 1.0 / rho
-        ang = jet.atan(s * (1.0 / r)) * (1.0 / a)
-        cos_a, sin_a = jet.cos(ang), jet.sin(ang)
+        ang = ns.atan(s * (1.0 / r)) * (1.0 / a)
+        cos_a, sin_a = ns.cos(ang), ns.sin(ang)
         circle = (cos_a * a, sin_a * a)
         circle_d = (-sin_a, cos_a)
         radial = s * inv_rho
@@ -565,79 +604,97 @@ def _tangent_developable_mapping(r, a):
 
 def test_tangent_developable_cylinder_matches_its_jet_mapping():
     # the compiled components run the mapping's operations in its order, so
-    # every jet coefficient agrees bit for bit, at one point and on a stack
+    # every value agrees bit for bit, at one point and on a stack, and every
+    # partial agrees with the mapping's tensor jets
     rng = np.random.default_rng(36)
     for r, a in ((1.0, 0.8), (0.7, 0.35), (2.5, 0.95)):
         m = tangent_developable_cylinder(r=r, a=a)
-        ref = _tangent_developable_mapping(r, a)
         points = np.array(sample_points(m, rng, 20, margin=0.0))
-        for order in (1, 2, 3):
-            for p in [*points, points]:
-                got, want = evaluate_jets(m, p, order), _on_seeds(ref, p, order)
-                assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
+        _assert_matches_reference(m, _tangent_developable_mapping(r, a), points)
 
 
-def _hermite_component(curve, c, x):
-    """HermiteCurve's Horner loop for one component, as it ran once per
-    component before ``evaluate`` ran all of them in one pass; kept as the
-    reference for it."""
-    xv = x.value if isinstance(x, jet.Jet) else x
+def _hermite_component(curve, c, x, k=0):
+    """HermiteCurve's Horner loop for one component of the k-th derivative,
+    as it ran once per component before ``evaluate`` ran all of them in one
+    pass; kept as the reference for it.  ``x`` is a float, a 1-D array or a
+    tensor jet."""
+    xv = x.value if isinstance(x, tensor_jet_oracle.TensorJet) else x
     i = curve._locate(xv)
     tau = (x - curve.knots[i]) * (1.0 / curve._h[i])
-    poly = curve._coeffs[i, :, c].T
-    acc = tau * poly[5] + poly[4]
-    for k in (3, 2, 1, 0):
-        acc = acc * tau + poly[k]
+    poly = curve._derived[k][i, :, c].T
+    acc = tau * poly[-1] + poly[-2]
+    for j in range(len(poly) - 3, -1, -1):
+        acc = acc * tau + poly[j]
     return acc
+
+
+def _cross(columns):
+    """The generalized cross product of the three columns of a 4x3 nested
+    list, by its Leibniz terms: entry a sums sgn(s) prod_c M[s(c)][c] over
+    the permutations s with s(3) = a."""
+    out = [0.0] * 4
+    for perm in itertools.permutations(range(4)):
+        sign = (-1.0) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = columns[perm[0]][0] * columns[perm[1]][1] * columns[perm[2]][2]
+        out[perm[3]] = out[perm[3]] + term * sign
+    return out
 
 
 def _tangent_cone_mapping(c, y_exprs):
     """tangent_cone's mapping as it was written on twelve separate jets,
     kept as the reference for the stacked one.  y and its v- and w-partials
-    come from order-(k+1) tensor jets at each point."""
+    come from order-(k+1) tensor jets at each point, or from order-1 ones
+    for floats."""
     base = tuple(parse_expr(e, ("v", "w")) for e in y_exprs)
 
     def lifted(v, w, order):
-        # coefficients (component, [y, y_v, y_w], D) at one point
+        # [y, y_v, y_w] of each component, tensor jets of the given order
         seed = tensor_jet_oracle.TensorJet.variable
         env = {"v": seed(1, v, 3, order + 1), "w": seed(2, w, 3, order + 1)}
         out = []
         for e in base:
             y = tensor_jet_oracle.evaluate(e, env)
             slots = (y.value, y.grad, y.hess, y.third, y.fourth)
-            out.append([jet.Jet(3, order, *slots[:4]).c] + [
-                jet.Jet(3, order, *(t[axis] for t in slots[1:])).c for axis in (1, 2)])
+            out.append([tensor_jet_oracle.TensorJet(3, order, *slots[:4])] + [
+                tensor_jet_oracle.TensorJet(3, order, *(t[axis] for t in slots[1:]))
+                for axis in (1, 2)])
         return out
 
-    def mapping(seeds):
+    def mapping(ns, seeds):
         s, v, w = seeds
-        order = s.order
-        points = zip(np.atleast_1d(v.value).tolist(), np.atleast_1d(w.value).tolist())
-        rows = np.array([lifted(*vw, order) for vw in points])  # (P, 4, 3, D)
-        columns = np.moveaxis(rows, 0, 2) if s.c.ndim == 2 else rows[0]
-        t = s._t
-        y_lo = [jet._make(t, col[0]) for col in columns]
-        raw = [jet._make(t, row) for row in _cross_rows(columns, t.product)]
+        if ns is jet:  # the values of the order-1 jets
+            if isinstance(s, np.ndarray):
+                columns = np.array([[[x.value for x in row] for row in lifted(*vw, 1)]
+                                    for vw in zip(v.tolist(), w.tolist())])
+                columns = list(np.moveaxis(columns, 0, -1))
+            else:
+                columns = [[x.value for x in row] for row in lifted(v, w, 1)]
+        else:
+            columns = lifted(v.value, w.value, s.order)
+        raw = _cross(columns)
         norm_sq = raw[0] * raw[0]
         for comp in raw[1:]:
             norm_sq = norm_sq + comp * comp
-        inv_norm = 1.0 / jet.sqrt(norm_sq)
-        return [s * y_lo[k] + c * (raw[k] * inv_norm) for k in range(4)]
+        inv_norm = 1.0 / ns.sqrt(norm_sq)
+        return [s * columns[k][0] + c * (raw[k] * inv_norm) for k in range(4)]
 
     return mapping
 
 
 def _curve_tube_mapping(c, alpha_exprs, frame):
     """curve_tube's mapping as it was written component by component."""
-    curve = Program(tuple(parse_expr(e, ("w",)) for e in alpha_exprs))
+    alpha = tuple(parse_expr(e, ("w",)) for e in alpha_exprs)
 
-    def mapping(seeds):
+    def mapping(ns, seeds):
         s, v, w = seeds
-        a_of_w = curve({"w": w})
+        if ns is jet:
+            a_of_w = Program(alpha)({"w": w})
+        else:
+            a_of_w = [tensor_jet_oracle.evaluate(e, {"w": w}) for e in alpha]
         frame_a = [_hermite_component(frame.curve, k, w) for k in range(4)]
         frame_b = [_hermite_component(frame.curve, k, w) for k in range(4, 8)]
         phase = v * (1.0 / c)
-        cos_p, sin_p = jet.cos(phase), jet.sin(phase)
+        cos_p, sin_p = ns.cos(phase), ns.sin(phase)
         return [
             s * a_of_w[k] + c * (cos_p * frame_a[k] + sin_p * frame_b[k])
             for k in range(4)
@@ -646,48 +703,42 @@ def _curve_tube_mapping(c, alpha_exprs, frame):
     return mapping
 
 
-# the cylinder and so2 x so2 chart formulas on jets
+# the cylinder and so2 x so2 chart formulas
 _JET_CHARTS = {
-    "hypercylinder_rotational": lambda f, g, t, u: [f * jet.cos(t), f * jet.sin(t), g, u],
-    "so2_x_so2": lambda f, g, t, u: [f * jet.cos(t), f * jet.sin(t),
-                                     g * jet.cos(u), g * jet.sin(u)],
+    "hypercylinder_rotational": lambda ns, f, g, t, u: [f * ns.cos(t), f * ns.sin(t), g, u],
+    "so2_x_so2": lambda ns, f, g, t, u: [f * ns.cos(t), f * ns.sin(t),
+                                         g * ns.cos(u), g * ns.sin(u)],
 }
 
 
 def _profile_mapping(chart, profile):
     """An integrated profile's chart with f and g read one component at a time."""
 
-    def mapping(seeds):
+    def mapping(ns, seeds):
         s, t, u = seeds
         f = _hermite_component(profile.curve, 0, s)
         g = _hermite_component(profile.curve, 1, s)
-        return chart(f, g, t, u)
+        return chart(ns, f, g, t, u)
 
     return mapping
 
 
 def test_hermite_evaluate_matches_the_per_component_loop():
-    # one pass over all components gives each component the bits of its own
-    # Horner loop: at floats, arrays of floats, single jets and stacks
+    # one pass over all components gives each component of each derivative
+    # the bits of its own Horner loop: at floats and arrays of floats
     rng = np.random.default_rng(43)
     x = np.linspace(-1.0, 2.0, 7)
     data = rng.standard_normal((3, 7, 4))
     data[:, :3, 1] = 0.0  # signed zeros in the products
     curve = HermiteCurve(x, *data)
     at = np.r_[x, -0.0, -1.5, 2.5, rng.uniform(-1.0, 2.0, 9)]
-    inputs = [*at.tolist(), at]
-    for n, order in ((1, 1), (1, 3), (3, 2), (3, 3)):
-        inputs += [jet_variable(0, at, n, order), jet_variable(n - 1, 0.37, n, order)]
-    for arg in inputs:
-        got = curve.evaluate(arg)
-        assert len(got) == curve.values.shape[1]
-        for c, value in enumerate(got):
-            want = _hermite_component(curve, c, arg)
-            assert type(value) is type(want)
-            if isinstance(want, jet.Jet):
-                assert (value.order, value.c.shape) == (want.order, want.c.shape)
-                value, want = value.c, want.c
-            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+    for k in range(4):
+        for arg in [*at.tolist(), at]:
+            got = curve.evaluate(arg, k)
+            assert len(got) == curve.values.shape[1]
+            for c, value in enumerate(got):
+                want = _hermite_component(curve, c, arg, k)
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
 # a cone base with radii cos(0.3) and sin(0.3) and a phase in w
@@ -723,35 +774,41 @@ def _mapping_case(name):
                                   "hypercylinder_rotational ODE"])
 def test_stacked_mapping_charts_match_their_per_component_mappings(name):
     # the profile and tube programs keep every operation and operand order of
-    # their mappings, so each jet coefficient agrees bit for bit at orders
-    # 1-3, at one point and on a stack
+    # their mappings, so each value agrees bit for bit, at one point and on a
+    # stack, and each partial agrees with the mapping's tensor jets
     m, reference = _mapping_case(name)
     points = np.array(sample_points(m, np.random.default_rng(44), 12, margin=0.0))
-    for order in (1, 2, 3):
-        for p in [*points, points]:
-            got, want = evaluate_jets(m, p, order), _on_seeds(reference, p, order)
-            if not name.startswith("tangent_cone"):
-                assert [x.c.tobytes() for x in got] == [x.c.tobytes() for x in want]
-                continue
-            # the cone's normal sums its cofactors over shared 2x2 minors, where
-            # the mapping summed the Leibniz terms of a cross product: each
-            # coefficient within 1e-14 of max(1, |coefficient|)
-            for a, b in zip(got, want, strict=True):
-                assert np.all(np.abs(a.c - b.c) <= 1e-14 * np.maximum(1.0, np.abs(b.c)))
+    if not name.startswith("tangent_cone"):
+        _assert_matches_reference(m, reference, points)
+        return
+    # the cone's normal sums its cofactors over shared 2x2 minors, where the
+    # mapping summed the Leibniz terms of a cross product: each partial
+    # within 1e-13 of max(1, |partial|)
+    for p in points.tolist():
+        for order in (1, 2, 3):
+            got = evaluate_jets(m, p, order)
+            ref = reference(tensor_jet_oracle, _tensor_seeds(p, order))
+            for a, b in zip(got, ref, strict=True):
+                b = tensor_jet_oracle.partial_rows(b, order)
+                assert np.all(np.abs(a.c - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+        values = reference(jet, p)
+        assert np.allclose([x.value for x in evaluate_jets(m, p, 1)], values,
+                           rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["curve_tube", "so2_x_so2 ODE"])
 def test_interpolant_charts_read_their_curve_once_per_evaluation(monkeypatch, name):
     # the tube's A and B come from one eight-component interpolant, and a
     # profile's f and g from one two-component one, each read once per
-    # evaluation: at a single point, on a stack, and on float arrays, whose
-    # entries are the jets' values
-    dims = []
+    # evaluation and derivative order: at a single point, on a stack, and by
+    # the components' own program on float arrays, whose entries are the
+    # partials' values
+    calls = []
     evaluate = HermiteCurve.evaluate
 
-    def counted(curve, x):
-        dims.append(curve.values.shape[1])
-        return evaluate(curve, x)
+    def counted(curve, x, k=0):
+        calls.append((curve.values.shape[1], k))
+        return evaluate(curve, x, k)
 
     monkeypatch.setattr(HermiteCurve, "evaluate", counted)
     m = _mapping_case(name)[0]  # compiled with the counting evaluate
@@ -759,12 +816,12 @@ def test_interpolant_charts_read_their_curve_once_per_evaluation(monkeypatch, na
     points = np.array(sample_points(m, np.random.default_rng(45), 6, margin=0.0))
     for order in (1, 2, 3):
         for p in [points[0], points]:
-            dims.clear()
+            calls.clear()
             assert len(evaluate_jets(m, p, order)) == 4
-            assert dims == [dim]
-    dims.clear()
-    values = m.program(dict(zip(m.var_names, points.T)))
-    assert dims == [dim]
+            assert sorted(calls) == [(dim, k) for k in range(order + 1)]
+    calls.clear()
+    values = Program(m.components)(dict(zip(m.var_names, points.T)))
+    assert calls == [(dim, 0)]
     assert np.array_equal(values, [x.value for x in evaluate_jets(m, points, 1)])
 
 

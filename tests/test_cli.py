@@ -376,6 +376,27 @@ def test_only_dmetric_overflowing_is_no_plain_skip_in_3d(tmp_path, capfd):
             assert reason == f"evaluation failed: jets or geometry not finite at {where}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_full_on_the_deepest_power_tower_exits_cleanly(tmp_path, capfd):
+    # s^s^...^s at the parser's depth cap: its order-3 derivative trees nest
+    # far deeper still, and neither deriving nor compiling them may exhaust
+    # Python's stack.  check --full exits 0, or 2 with one line, and never
+    # prints a traceback; the tower overflows at s = 1.5, which skips
+    spec = write_spec(tmp_path, "tower.json", {
+        "components": ["s", "t", "u", "^".join(["s"] * 201)],
+        "variables": ["s", "t", "u"],
+        "domain": {"s": [0.5, 1.5], "t": [0, 1], "u": [0, 1]},
+    })
+    code = main(["check", spec, "--full", "--grid", "3"])
+    out, err = capfd.readouterr()
+    assert "Traceback" not in err
+    assert (code, err.count("\n")) in ((EXIT_OK, 0), (EXIT_SPEC, 1))
+    if code == EXIT_OK:
+        doc = json.loads(out)
+        assert doc["summary"]["points_regular"] + doc["summary"]["points_skipped"] == 27
+        assert {entry["point"][0] for entry in doc["skipped"]} <= {1.5}
+
+
 def test_only_christoffel_symbols_overflowing_is_no_plain_skip(tmp_path, capfd):
     # at s = 0, d_s g_ss = 1.6e308 is finite but the Christoffel numerator
     # 2 d_s g_ss is not: a plain check never computes Gamma and classifies the

@@ -1,4 +1,5 @@
-"""Parser, printer, and the two evaluation routes of the expression language."""
+"""Parser, printer, the two evaluation routes of the expression language
+(floats and float arrays), and its derivative trees."""
 
 import math
 
@@ -17,17 +18,25 @@ from gcrkit.expr import (
     Var,
     Program,
     _derivative,
+    _partials,
     parse_expr,
     to_text,
     variables_of,
 )
+import tensor_jet_oracle
 from fd_oracle import finite_difference_jet
-from gcrkit import expr, jet
-from gcrkit.jet import jet_constant, jet_variable
+from gcrkit import expr
+from gcrkit.geometry import Immersion, evaluate_jets
+from gcrkit.jet import Jet
 
 
 def ev(text, **env):
     return Program((parse_expr(text, tuple(env)),))(env)[0]
+
+
+def partials(tree, order, **env):
+    """The partial rows of ``tree`` up to ``order`` in the variables of ``env``."""
+    return Program(_partials((tree,), tuple(env), order))(env)
 
 
 # -- precedence and associativity ---------------------------------------------------------
@@ -107,8 +116,13 @@ def test_nesting_depth_is_capped(shape):
     e = parse_expr(_DEEP[shape](200), ("s",))
     assert to_text(e) and variables_of(e) == frozenset({"s"})
     assert hash(e) == hash(parse_expr(_DEEP[shape](200), ("s",))) and repr(e)
-    at_jet = Program((e,))({"s": jet_variable(0, 0.5, 1, 2)})[0]
-    assert ev(_DEEP[shape](200), s=0.5) == at_jet.value
+    # its derivative trees nest deeper still, and neither deriving nor
+    # compiling them recurses: order 3, as the fourth component of a 3-D chart
+    m = Immersion.from_exprs("deep", ("s", "t", "u", e), ("s", "t", "u"), [(0.0, 1.0)] * 3)
+    at_jet = evaluate_jets(m, (0.5, 0.25, 0.75), order=3)[3]
+    assert ev(_DEEP[shape](200), s=0.5) == at_jet.value and np.isfinite(at_jet.c).all()
+    stack = evaluate_jets(m, [(0.5, 0.25, 0.75), (0.25, 0.5, 0.5)], order=3)[3]
+    assert stack.c[0].tobytes() == at_jet.c.tobytes()
     for k in (201, 3000):
         with pytest.raises(ExprSyntaxError, match="nests deeper than 200 levels"):
             parse_expr(_DEEP[shape](k), ("s",))
@@ -155,21 +169,20 @@ def test_ast_shapes():
     ],
 )
 def test_jet_and_real_routes_bit_identical(text):
+    # the value row of the partials is the plain evaluation, bit for bit
     e = parse_expr(text, ("s", "t"))
     rng = np.random.default_rng(5)
     for _ in range(25):
         s, t = rng.uniform(-1.5, 1.5, 2)
         if abs(s - t) < 1e-3:
             continue
-        env_j = {"s": jet_variable(0, s, 2, 2), "t": jet_variable(1, t, 2, 2)}
-        assert Program((e,))(env_j)[0].value == Program((e,))({"s": s, "t": t})[0]
+        assert partials(e, 2, s=s, t=t)[0] == Program((e,))({"s": s, "t": t})[0]
 
 
 def test_jet_route_derivatives_vs_fd():
     e = parse_expr("(2+cos(s))*sin(t) + s^2/(t+3)", ("s", "t"))
     p = (0.8, 1.1)
-    env = {"s": jet_variable(0, p[0], 2, 3), "t": jet_variable(1, p[1], 2, 3)}
-    out = Program((e,))(env)[0]
+    out = Jet._view(2, 3, np.array(partials(e, 3, s=p[0], t=p[1])))
     fd = finite_difference_jet(lambda q: Program((e,))({"s": q[0], "t": q[1]})[0], p)
     assert np.allclose(out.grad, fd.grad, atol=1e-9)
     assert np.allclose(out.hess, fd.hess, atol=1e-6)
@@ -184,7 +197,7 @@ def test_eval_errors():
     with pytest.raises(ExprEvalError):
         Program((e2,))({"s": -1.0})[0]
     with pytest.raises(ExprEvalError):
-        Program((e2,))({"s": jet_variable(0, -1.0, 1, 2)})[0]
+        partials(e2, 2, s=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -192,48 +205,47 @@ def test_eval_errors():
     [("exp(exp(exp(s)))", 4.0), ("1/s", 0.0), ("s^-1", 0.0), ("log(s)", -1.0)],
 )
 def test_both_routes_raise_one_error_type(text, s):
+    # the value and its partials, on floats and, under numpy's "raise", on arrays
     e = parse_expr(text, ("s",))
     with pytest.raises(ExprEvalError):
         Program((e,))({"s": s})[0]
     with pytest.raises(ExprEvalError):
-        Program((e,))({"s": jet_variable(0, s, 1, 2)})[0]
+        partials(e, 2, s=s)
+    with np.errstate(all="raise"), pytest.raises(ExprEvalError):
+        partials(e, 2, s=np.array([1.0, s]))
 
 
 def test_stacked_env_evaluates_row_by_row():
     ws = np.array([0.3, 1.1, 2.0])
-    stack = {"w": jet_variable(0, ws, 1, 3)}
     for text in ("sin(w)*w^2 - 1/(1+w)", "3", "w^0", "(w+1)^1.5 - w^(2+0*w)"):
         e = parse_expr(text, ("w",))
-        out = Program((e,))(stack)[0]
-        assert out.c.shape == (3, 4)  # a constant is broadcast to the rows
-        for r, w in enumerate(ws):
-            assert np.array_equal(out.c[r], Program((e,))({"w": jet_variable(0, w, 1, 3)})[0].c)
-    # a non-integer power names the first row with a base <= 0, as one jet would
+        out = np.array(partials(e, 3, w=ws))
+        assert out.shape == (4, 3)  # a constant is broadcast to the rows
+        for r, w in enumerate(ws.tolist()):
+            assert out[:, r].tobytes() == np.array(partials(e, 3, w=w)).tobytes()
+    # a non-integer power names the first row with a base <= 0, as one float would
     with pytest.raises(ExprEvalError, match="got -0.5"):
-        Program((parse_expr("(w-0.8)^0.5", ("w",)),))(stack)[0]
-    # an exponent jet that is constant in each row but differs between rows
+        Program((parse_expr("(w-0.8)^0.5", ("w",)),))({"w": ws})[0]
+    # an array exponent takes each row's own power rule
     e = parse_expr("w^k", ("w", "k"))
-    env = {"w": jet_variable(0, ws, 2, 2), "k": jet_constant(np.array([2.0, 2.0, 3.0]), 2, 2)}
-    with pytest.raises(ExprEvalError, match="differs between rows"):
-        Program((e,))(env)[0]
-    env["k"] = jet_constant(np.full(3, 2.0), 2, 2)
-    assert np.array_equal(Program((e,))(env)[0].value, ws * ws)
+    out = Program((e,))({"w": -ws, "k": np.array([2.0, 2.0, 3.0])})[0]
+    assert out.tobytes() == np.array([0.09, 1.1 * 1.1, -8.0]).tobytes()
 
 
 def test_atan_on_every_route():
-    # printed and parsed back unchanged; the float route gives the jet
-    # route's value bit for bit, and each stacked row is the single jet
+    # printed and parsed back unchanged; the partials' value row is the
+    # float route's value bit for bit, and each row of an array run is the
+    # float run at its point
     e = parse_expr("atan(s/t)-2*atan(-s^2)", ("s", "t"))
     assert e.left == Call("atan", BinOp("/", Var("s"), Var("t")))
     assert to_text(e) == "atan(s/t)-2.0*atan(-s^2.0)"
     assert parse_expr(to_text(e), ("s", "t")) == e
     rows = np.random.default_rng(11).uniform(0.2, 2.0, (7, 2)) * [[-1.0, 1.0]]
-    stack = {"s": jet_variable(0, rows[:, 0], 2, 3), "t": jet_variable(1, rows[:, 1], 2, 3)}
-    stacked = Program((e,))(stack)[0]
+    stacked = np.array(partials(e, 3, s=rows[:, 0], t=rows[:, 1])).T
     for i, (s, t) in enumerate(rows.tolist()):
-        one = Program((e,))({"s": jet_variable(0, s, 2, 3), "t": jet_variable(1, t, 2, 3)})[0]
-        assert one.c.tobytes() == stacked.c[i].tobytes()
-        assert np.float64(Program((e,))({"s": s, "t": t})[0]).tobytes() == one.c[0].tobytes()
+        one = np.array(partials(e, 3, s=s, t=t))
+        assert one.tobytes() == stacked[i].tobytes()
+        assert np.float64(Program((e,))({"s": s, "t": t})[0]).tobytes() == one[0].tobytes()
 
 
 def test_function_names_are_not_variable_names():
@@ -251,8 +263,7 @@ def test_missing_variable_in_env():
 def test_integer_exponent_paths_match():
     e = parse_expr("s^4", ("s",))
     s = 1.37
-    j = Program((e,))({"s": jet_variable(0, s, 1, 2)})[0]
-    assert j.value == Program((e,))({"s": s})[0]
+    assert partials(e, 2, s=s)[0] == Program((e,))({"s": s})[0]
     # negative bases are fine for integer exponents
     assert ev("s^3", s=-2.0) == -8.0
     # fractional powers of negative bases are not
@@ -331,9 +342,12 @@ def test_print_parse_fixpoint(e, s, t):
         ("w-v", "-1.0"),
         ("v*w", "w"),
         ("v*v", "v+v"),
-        ("w/v", "-(w/v)*(1.0/v)"),
+        ("w/v", "-(w/v*(1.0/v))"),  # a negation moves out of a product
         ("v/w", "1.0/w"),
-        ("v^3", "3.0*v^(3.0-1.0)"),
+        ("v^3", "3.0*v^2.0"),  # a number exponent folds: a^1 is a, a^0 is 1
+        ("v^2", "2.0*v"),
+        ("v^1", "1.0"),
+        ("v^-2", "-(2.0*v^(-2.0-1.0))"),  # a negated one does not: it never reaches 0
         ("v^w", "w*v^(w-1.0)"),
         ("w^v", "w^v*log(w)"),
         ("v^v", "v^v*(log(v)+v*(1.0/v))"),
@@ -354,33 +368,37 @@ def test_derivative_rules(text, want):
     tree = parse_expr(text, ("v", "w"))
     d = _derivative(tree, "v")
     assert to_text(d) == want
-    # its value is the v-slot of the tree's order-1 jet, within rounding
-    env = {"v": jet_variable(0, 0.7, 2, 1), "w": jet_variable(1, 1.3, 2, 1)}
-    slope = Program((tree,))(env)[0].grad[0]
+    # its value is the v-slot of the tree's order-1 tensor jet, within rounding
+    seeds = {n: tensor_jet_oracle.TensorJet.variable(i, x, 2, 1)
+             for i, (n, x) in enumerate((("v", 0.7), ("w", 1.3)))}
+    slope = tensor_jet_oracle.evaluate(tree, seeds).grad[0]
     value = Program((d,))({"v": 0.7, "w": 1.3})[0]
     assert math.isclose(value, slope, rel_tol=1e-15, abs_tol=1e-15)
 
 
 @pytest.mark.parametrize("t", [1e-8, -1e-8, 0.3, -0.3])
 def test_abs_derivative_is_the_exact_sign(t):
-    # d|t|/dt is the constant jet sign(t), with no terms of 1/|t|, on every route
+    # d|t|/dt is the constant sign(t), whose partials are exact zeros, with
+    # no terms of 1/|t|, on every route
     tree = parse_expr("abs(t)", ("t",))
-    program = Program((_derivative(tree, "t"),))
+    d = _derivative(tree, "t")
+    program = Program((d,))
     sign = math.copysign(1.0, t)
     for order in (1, 2, 3):
         for seed in (t, np.array([t, -t, 2 * t])):
-            got = program({"t": jet_variable(0, seed, 1, order)})[0]
-            want = jet_constant(np.sign(seed), 1, order)
-            assert got.c.tobytes() == want.c.tobytes()
+            got = np.array(partials(d, order, t=seed))
+            want = np.zeros((order + 1,) + np.shape(seed))
+            want[0] = np.sign(seed)
+            assert got.tobytes() == want.tobytes()
     assert program({"t": t})[0] == sign
     assert np.array_equal(program({"t": np.array([t, -t])})[0], [sign, -sign])
     # the inner derivative multiplies the sign of the argument
     d = _derivative(parse_expr("abs(sin(t))", ("t",)), "t")
     assert to_text(d) == "sign(sin(t))*cos(t)"
-    got = Program((d,))({"t": jet_variable(0, t, 1, 3)})[0]
-    want = jet.cos(jet_variable(0, t, 1, 3)) * sign
-    assert got.c.tobytes() == want.c.tobytes()
-    # like abs of a jet, the sign refuses 0; and it is not in the grammar
+    got = partials(d, 3, t=t)
+    want = [sign * x for x in partials(Call("cos", Var("t")), 3, t=t)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # the sign refuses 0, as abs has no derivative there; and it is not in the grammar
     with pytest.raises(ExprEvalError, match="abs is undefined"):
         program({"t": 0.0})
     with pytest.raises(ExprSyntaxError, match="unknown function 'sign'"):
@@ -389,10 +407,13 @@ def test_abs_derivative_is_the_exact_sign(t):
 
 def test_derivative_visits_each_node_once(monkeypatch):
     # a right-nested power chain, whose rule reads the exponent's derivative
-    # twice, still differentiates each node once
+    # twice, still differentiates each node once, and a second derivative
+    # along the same memo reuses every one of them
     calls = []
-    rule = expr._derivative
-    monkeypatch.setattr(expr, "_derivative", lambda node, var: calls.append(node) or rule(node, var))
+    rule = expr._rule
+    monkeypatch.setattr(expr, "_rule", lambda node, var, d: calls.append(node) or rule(node, var, d))
     tree = parse_expr("^".join(["(1+v)"] * 20), ("v",))
-    expr._derivative(tree, "v")
-    assert len(calls) == 3 * 20 + 19  # each 1+v is three nodes, and 19 powers join them
+    memo: dict = {}
+    first = expr._derivative(tree, "v", memo)
+    assert len(calls) == len(memo["v"]) == 3 * 20 + 19  # each 1+v is three nodes, and 19 powers join them
+    assert expr._derivative(tree, "v", memo) is first and len(calls) == 3 * 20 + 19

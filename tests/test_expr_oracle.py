@@ -2,10 +2,12 @@
 
 ``expr.Program`` runs a tuple of trees as one straight-line program with
 shared subtrees.  ``expr_oracle`` walks each tree recursively, one after
-another, evaluating every occurrence again.  On floats, single jets of every
-order and stacks, the two must agree bit for bit, and where the walker fails
-the program must fail with the same error type and text.  On a 1-D float
-array, the program must give each entry its own float's bits.
+another, evaluating every occurrence again.  On floats and on 1-D float
+arrays, for the trees themselves and for their partial trees of every
+order, the two must agree bit for bit, and where the walker fails the
+program must fail with the same error type and text.  On a 1-D float
+array, the program must give each entry its own float's bits.  The partial
+trees' values must match the tensor-slot oracle's derivatives.
 """
 
 import math
@@ -22,9 +24,9 @@ import tensor_jet_oracle
 import gcrkit.catalog as catalog
 import gcrkit.expr as expr
 from gcrkit.cli import build_surface, load_spec
-from gcrkit.expr import FUNCTIONS, BinOp, Call, Const, Neg, Program, Var, parse_expr, to_text
+from gcrkit.expr import (FUNCTIONS, BinOp, Call, Const, Neg, Program, Var, _partials,
+                         parse_expr, to_text)
 from gcrkit.geometry import EvaluationError, Immersion, evaluate_jets
-from gcrkit.jet import Jet, jet_variable
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "src" / "gcrkit" / "specs").glob("*.json")) + sorted(
@@ -33,8 +35,8 @@ SPECS = sorted((ROOT / "src" / "gcrkit" / "specs").glob("*.json")) + sorted(
 
 
 def _bits(v):
-    if isinstance(v, Jet):
-        return "jet", v.n, v.order, v.c.shape, v.c.tobytes()
+    if isinstance(v, np.ndarray):
+        return "array", v.shape, v.tobytes()
     return type(v), struct.pack("<d", v)
 
 
@@ -46,24 +48,25 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def _envs(names, rows, order):
-    """Floats at the first row (order 0), single jets at it, or a stack."""
-    if order == 0:
-        return {name: float(rows[0][k]) for k, name in enumerate(names)}
-    values = rows if order < 0 else rows[0]
-    n, order = len(names), abs(order)
-    return {name: jet_variable(k, np.asarray(values)[..., k], n, order)
-            for k, name in enumerate(names)}
+def _envs(names, rows, stacked):
+    """Floats at the first row, or 1-D arrays of every row."""
+    if stacked:
+        return {name: np.array([row[k] for row in rows]) for k, name in enumerate(names)}
+    return {name: float(rows[0][k]) for k, name in enumerate(names)}
 
 
-def _assert_matches(roots, env):
+def _assert_matches(roots, env, order=0):
+    """The program of the partial trees of ``roots`` up to ``order`` (the
+    trees themselves at 0) against the walk of those trees."""
+    if order:
+        roots = tuple(_partials(roots, tuple(env), order))
     want = _outcome(lambda: expr_oracle.eval_components(roots, env))
     got = _outcome(lambda: Program(roots)(env))
     assert got == want
 
 
-# orders 0 (floats), 1-3 (single jets) and -1..-3 (stacks of the same order)
-_ORDERS = [0, 1, 2, 3, -1, -2, -3]
+# partial orders 0 (the trees) to 3, on floats and on float arrays
+_ORDERS = [(order, stacked) for stacked in (False, True) for order in range(4)]
 
 _CONSTS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.5, 1e-3, 0.25, 1e200])
 _NAMES = ("s", "t")
@@ -100,7 +103,7 @@ _ROWS = st.lists(_ROW, min_size=3, max_size=3)
 )
 def test_program_matches_walker_on_random_trees(roots, rows, order, errors):
     with np.errstate(all=errors):
-        _assert_matches(roots, _envs(_NAMES, rows, order))
+        _assert_matches(roots, _envs(_NAMES, rows, order[1]), order[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,41 +129,54 @@ def test_program_on_float_arrays_matches_each_float(roots, rows):
         assert values.tobytes() == np.array([w[k] for w in want]).tobytes()
 
 
+def _oracle_rows(tree, row, order, steps=None):
+    """The tree's partials at ``row`` up to ``order`` from the tensor-slot
+    oracle, in the layout of the partial rows."""
+    seeds = {n: tensor_jet_oracle.TensorJet.variable(i, row[i], 2, order)
+             for i, n in enumerate(_NAMES)}
+    return tensor_jet_oracle.partial_rows(tensor_jet_oracle.evaluate(tree, seeds, steps), order)
+
+
 @settings(max_examples=400, deadline=None)
-@given(tree=_TREES, row=_ROW, var=st.sampled_from(_NAMES), k=st.sampled_from([1, 2, 3]))
-def test_derivative_trees_match_jet_partials(tree, row, var, k):
-    # where the tree's order-(k+1) tensor jet and the derivative tree's
-    # order-k jet both evaluate to finite numbers, the second is the
-    # var-partial of the first: each coefficient within 1e-13 of 1 plus the
-    # largest coefficient that any step of either route holds, the scale of
-    # the terms that the two routes round (near a root of a divisor, such as
-    # t/t at t = 1e-40, those terms dwarf the result)
+@given(tree=_TREES, row=_ROW, k=st.sampled_from([1, 2, 3]))
+def test_derivative_trees_match_jet_partials(tree, row, k):
+    # where the tree's partial rows up to order k and its order-k tensor jet
+    # both evaluate to finite numbers, each row is the oracle's partial,
+    # within 1e-13 of 1 plus the largest number that any step of either
+    # route holds, the scale of the terms that the two routes round (near a
+    # root of a divisor, such as t/t at t = 1e-40, those terms dwarf the
+    # result)
     scale = [1.0]
-    env = {n: jet_variable(i, row[i], 2, k) for i, n in enumerate(_NAMES)}
+    env = dict(zip(_NAMES, row))
+    program = Program(_partials((tree,), _NAMES, k))
     with np.errstate(all="ignore"):
         try:
-            Program((tree,))(env)  # the tree's own domain
-            program = Program((expr._derivative(tree, var),))
-            got = program(env)[0]
+            got = program(env)
         except expr.ExprEvalError:
-            return  # outside the domain
+            return  # outside the domain of the tree or of a partial
         slots = program._slots.copy()
         slots[0] = env
         for slot, fn, i, j in program._code:  # its loop again, keeping every step
             slots[slot] = fn(slots[i]) if j is None else fn(slots[i], slots[j])
-        scale.extend(np.abs(v.c).max() for v in slots if isinstance(v, Jet))
-        seeds = {n: tensor_jet_oracle.TensorJet.variable(i, row[i], 2, k + 1)
-                 for i, n in enumerate(_NAMES)}
+        scale.extend(abs(v) for v in slots if isinstance(v, float) and math.isfinite(v))
         try:
-            whole = tensor_jet_oracle.evaluate(tree, seeds, scale)
+            want = _oracle_rows(tree, row, k, scale)
         except (ValueError, ArithmeticError):
-            return  # a term of order k + 1 leaves the float range
-    axis = _NAMES.index(var)
-    slots = (whole.grad, whole.hess, whole.third, whole.fourth)
-    # the partial's tensors, converted through the flat jet's constructor
-    want = Jet(2, k, float(slots[0][axis]), *(t[axis] for t in slots[1:]))
-    if np.isfinite(want.c).all() and np.isfinite(got.c).all():
-        assert np.all(np.abs(got.c - want.c) <= 1e-13 * max(scale)), (to_text(tree), row)
+            return  # a term of order k leaves the float range
+    if np.isfinite(want).all() and np.isfinite(got).all():
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-13 * max(scale)), (to_text(tree), row)
+
+
+@pytest.mark.parametrize("text", ["s^2", "s^3", "s^2*t", "s^3*t^2-2*s*t", "(s*t)^2", "s^4/(1+t)"])
+def test_polynomial_partials_at_zero_are_exact(text):
+    # every partial of a polynomial at s = 0, the ones that vanish included,
+    # is the oracle's exactly: a power rule that left 0*s^-1 behind would
+    # divide by zero there
+    tree = parse_expr(text, _NAMES)
+    for order in (1, 2, 3):
+        got = Program(_partials((tree,), _NAMES, order))({"s": 0.0, "t": 0.7})
+        want = _oracle_rows(tree, (0.0, 0.7), order)
+        assert got == want.tolist() and np.isfinite(got).all(), order
 
 
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
@@ -170,8 +186,8 @@ def test_program_matches_walker_on_bundled_specs(path):
     m, _ = build_surface(load_spec(str(path)))
     roots, names = m.components, m.var_names
     rows = np.random.default_rng(7).uniform(-1.0, 3.0, (5, len(names)))
-    for order in _ORDERS:
-        _assert_matches(roots, _envs(names, rows, order))
+    for order, stacked in _ORDERS:
+        _assert_matches(roots, _envs(names, rows, stacked), order)
 
 
 def test_first_failing_component_wins():
@@ -179,9 +195,9 @@ def test_first_failing_component_wins():
     comps = ("s", "u+log(t-2)", "u", "sqrt(t-3)+log(t-2)")
     m = Immersion.from_exprs("two faults", comps, ("s", "t", "u"), ((0, 1), (0, 2), (0, 1)))
     p = (0.5, 1.0, 0.5)
-    env = {n: jet_variable(k, p[k], 3, 2) for k, n in enumerate(m.var_names)}
+    rows = _partials(m.components, m.var_names, 2)
     with pytest.raises(expr.ExprEvalError) as want:
-        expr_oracle.eval_components(m.components, env)
+        expr_oracle.eval_components(rows, dict(zip(m.var_names, p)))
     assert "log" in str(want.value)
     with pytest.raises(EvaluationError) as got:
         evaluate_jets(m, p, order=2)
@@ -209,8 +225,7 @@ def test_shared_subtrees_run_once_per_evaluation(monkeypatch):
         evaluate_jets(m, p, order=order)
         assert len(calls) == 6  # cos s, cos t, sin t, sin s, cos u, sin u
         calls.clear()
-        env = {n: jet_variable(k, p[k], 3, order) for k, n in enumerate(m.var_names)}
-        expr_oracle.eval_components(m.components, env)
+        expr_oracle.eval_components(m.components, dict(zip(m.var_names, p)))
         assert len(calls) == 8  # the walk evaluates cos s and sin s twice
 
 
@@ -225,5 +240,6 @@ def test_constants_with_different_bits_stay_apart():
     out = Program(roots)({"s": -1.0})
     assert [math.copysign(1.0, v) for v in out] == [-1.0, 1.0, 1.0, -1.0]
     _assert_matches(roots, {"s": -1.0})
-    _assert_matches(roots, {"s": jet_variable(0, -1.0, 1, 2)})
+    _assert_matches(roots, {"s": np.array([-1.0, 2.0])})
+    _assert_matches(roots, {"s": -1.0}, 3)
 

@@ -34,7 +34,6 @@ from gcrkit.geometry import (
     point_geometry,
     principal_data,
 )
-from gcrkit.jet import _table
 
 
 def unit_sphere():
@@ -94,35 +93,36 @@ def test_orientation_convention():
 
 
 def test_cross_jets_orientation_identity():
-    # <cross(v_1..v_n), w> = det[v_1 ... v_n w] for jets reduced to floats
+    # <cross(v_1..v_n), w> = det[v_1 ... v_n w] at each of a stack of points
+    # on the last axis, and each point's cross product is its own, bit for bit
     rng = np.random.default_rng(2)
     for dim in (3, 4):
-        cols = rng.standard_normal((dim, dim - 1))
-        w = rng.standard_normal(dim)
-        t = _table(2, 1)  # constant order-1 jets in two variables
-        coeffs = np.zeros((dim, dim - 1, t.size))
-        coeffs[..., 0] = cols
-        crossed = geometry._cross_rows(coeffs, t.product)
-        lhs = sum(crossed[r, 0] * w[r] for r in range(dim))
-        rhs = np.linalg.det(np.column_stack([cols, w]))
-        assert math.isclose(lhs, rhs, rel_tol=1e-12)
+        cols = rng.standard_normal((dim, dim - 1, 5))
+        w = rng.standard_normal((dim, 5))
+        crossed = geometry._cross_rows(cols)
+        for i in range(5):
+            lhs = crossed[:, i] @ w[:, i]
+            rhs = np.linalg.det(np.column_stack([cols[..., i], w[:, i]]))
+            assert math.isclose(lhs, rhs, rel_tol=1e-12)
+            one = geometry._cross_rows(cols[..., i : i + 1].copy())
+            assert one[:, 0].tobytes() == crossed[:, i].tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_order0_cross_product_is_the_determinant(k):
-    # plain numbers are the order-0 case: det[cols | w] = <cross, w>, and the
-    # float path (np.multiply) equals order-0 jets bit for bit
+    # det[cols | w] = <cross, w>; a matrix axis in front of the points
+    # crosses each matrix as if alone, bit for bit
     rng = np.random.default_rng(30 + k)
     for _ in range(20):
         cols = rng.standard_normal((k + 1, k))
         w = rng.standard_normal(k + 1)
-        v = geometry._cross_rows(cols[:, :, None], np.multiply)[:, 0]
+        v = geometry._cross_rows(cols[:, :, None])[:, 0]
         assert math.isclose(v @ w, np.linalg.det(np.column_stack([cols, w])),
                             rel_tol=1e-12, abs_tol=1e-14)
-        t = _table(2, 0)
-        jets = geometry._cross_rows(cols[:, :, None], t.product)
-        assert jets.shape == (k + 1, t.size) == (k + 1, 1)
-        assert np.array_equal(jets[:, 0], v)
+        pair = np.stack([cols, 2.0 * cols], axis=2)[..., None]
+        both = geometry._cross_rows(pair)
+        assert both.shape == (k + 1, 2, 1)
+        assert np.array_equal(both[:, 0, 0], v)
 
 
 def test_normal_jets_match_fd_of_normal():
@@ -410,17 +410,21 @@ def test_order3_evaluation_runs_the_program_once_per_point():
     for m in (tangent_cone(), curve_tube()):
         seen = []
 
-        def counting(env, program=m.program, seen=seen):
-            seeds = list(env.values())
-            seen.append((seeds[0].order, tuple(s.value for s in seeds)))
-            return program(env)
+        def counting(order, compiled=m._program, seen=seen):
+            program = compiled(order)
 
-        object.__setattr__(m, "program", counting)
+            def run(env):
+                seen.append((order, tuple(env.values())))
+                return program(env)
+
+            return run
+
+        object.__setattr__(m, "_program", counting)
         points = sample_points(m, rng, 3)
         for p in points:
             evaluate_jets(m, p, order=3)
             derivative_bundle(m, p)
-        assert seen == [(3, p) for p in points for _ in range(2)]
+        assert seen == [(3, tuple(p)) for p in points for _ in range(2)]
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -518,8 +522,12 @@ def test_lapack_gufuncs_match_numpy_linalg(n):
         # the jets of exp(700 s) at s = 0.6 are finite (x_s = 700 e^420), but
         # g_ss = 1 + 490000 e^840 overflows
         ("exp(700*s)", (0.6, 0.5, 0.5)),
-        # every coefficient is finite, but the third partial x_sss = 6e308 is not
+        # the third partial x_sss = 6e308 overflows (its Taylor coefficient
+        # 1e308 did not), and only order 3 reads it
         ("1e308*s^3", (1e-160, 0.5, 0.5)),
+        # every partial is finite, and so is g_ss = 1 + 1.44e308, but
+        # d_s g_ss = 2.88e308, which only order 3 reads, is not
+        ("0.6e154*s^2", (1.0, 0.5, 0.5)),
     ],
 )
 def test_finite_jets_whose_geometry_overflows_are_not_finite(component, p):
@@ -534,7 +542,10 @@ def test_finite_jets_whose_geometry_overflows_are_not_finite(component, p):
     for order in orders:
         with np.errstate(all="ignore"):
             rows = geometry._jet_rows(m, np.array(p), order, True)
-        assert np.isfinite(rows).all()
+        assert np.isfinite(rows).all() == (component != "1e308*s^3")
+        if order == 3 and not component.startswith("exp"):
+            with np.errstate(all="raise"):  # order 2 assembles the point
+                assert np.isfinite(point_geometry(m, p).shape).all()
 
         def from_rows():  # as the block step calls it, inside its error state
             with np.errstate(all="ignore"):

@@ -1,7 +1,7 @@
 """Stacked set-up integrators against their per-sample references.
 
-``build_normal_frame`` evaluates the spherical curve at every abscissa in one
-stacked jet evaluation and builds the transport's step matrices as array
+``build_normal_frame`` evaluates the spherical curve and its derivatives at
+every abscissa in one program run on the array of abscissae and builds the transport's step matrices as array
 expressions, and ``integrate_profile`` reads the curvature in one stacked run
 and runs the RK4 stages as array expressions.  Both must reproduce the
 per-sample loops of ``setup_oracle`` bit for bit, and fail with the same
@@ -17,7 +17,6 @@ import pytest
 import gcrkit.catalog as catalog
 import gcrkit.expr as expr
 import setup_oracle
-from gcrkit import jet
 from gcrkit.catalog import CatalogError, PartialCurveError, build_normal_frame, integrate_profile
 from gcrkit.expr import ExprEvalError
 
@@ -68,12 +67,14 @@ def test_frame_matches_per_sample_oracle(label, monkeypatch):
     want = setup_oracle.build_normal_frame(alpha, w_range, samples)
     runs = _record_runs(monkeypatch)
     got = build_normal_frame(alpha, w_range, samples)
-    # one stacked run of one program over all four components
+    # one run of one program over all four components and their first three
+    # derivatives, on the array of abscissae
     [(env, out)] = runs
-    assert len(out) == 4 and all(a.c.shape[0] == env["w"].c.shape[0] > 1 for a in out)
+    assert len(out) == 16 and all(a.shape == env["w"].shape and a.size > 1 for a in out)
     for name in ("w", "a", "b"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert np.array_equal(got.curve._coeffs, want.curve._coeffs)
+    for a, b in zip(got.curve._derived, want.curve._derived, strict=True):
+        assert np.array_equal(a, b)
     assert got.gram_error == want.gram_error
 
 
@@ -84,30 +85,30 @@ def test_frame_matches_stage_by_stage_transport(label):
     got = build_normal_frame(alpha, w_range, samples)
     for name in ("a", "b"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-13, name
-    assert np.max(np.abs(got.curve._coeffs - want.curve._coeffs)) <= 1e-13
+    assert np.max(np.abs(got.curve._derived[0] - want.curve._derived[0])) <= 1e-13
     assert got.gram_error <= 1e-14
 
 
 @pytest.mark.parametrize("label", sorted(_CURVES))
 def test_joint_frame_curve_is_the_two_pair_curves_side_by_side(label):
     # one eight-component interpolant holds A's and B's coefficients side by
-    # side, and every jet it gives at orders 1-3 has the bits of the per-pair
-    # interpolants', at single points and on stacks, knots and ends included
+    # side, and every derivative it gives, orders 0-3, has the bits of the
+    # per-pair interpolants', at single points and on arrays, knots and ends
+    # included
     alpha, w_range, samples = _CURVES[label]
     joint = build_normal_frame(alpha, w_range, samples).curve
     a_curve, b_curve = setup_oracle.pair_curves(alpha, w_range, samples)
     assert joint.values.shape[1] == 8
-    want = np.concatenate([a_curve._coeffs, b_curve._coeffs], axis=-1)
-    assert joint._coeffs.tobytes() == want.tobytes()
+    for k, derived in enumerate(joint._derived):
+        want = np.concatenate([a_curve._derived[k], b_curve._derived[k]], axis=-1)
+        assert derived.tobytes() == want.tobytes()
     lo, hi = w_range
     at = np.r_[joint.knots[[0, 1, samples // 2, -1]], lo - 0.05, hi + 0.05,
                np.random.default_rng(18).uniform(lo, hi, 31)]
-    for order in (1, 2, 3):
-        for w in [*(jet.jet_variable(0, v, 1, order) for v in at[:6].tolist()),
-                  jet.jet_variable(0, at, 1, order),
-                  jet.jet_variable(2, at, 3, order)]:
-            got = [x.c.tobytes() for x in joint.evaluate(w)]
-            ref = [x.c.tobytes() for x in a_curve.evaluate(w) + b_curve.evaluate(w)]
+    for k in range(4):
+        for w in [*at[:6].tolist(), at]:
+            got = [np.asarray(x).tobytes() for x in joint.evaluate(w, k)]
+            ref = [np.asarray(x).tobytes() for x in a_curve.evaluate(w, k) + b_curve.evaluate(w, k)]
             assert got == ref
 
 
@@ -158,7 +159,8 @@ def test_profile_matches_stage_by_stage_oracle(kappa, s_range, init, step, monke
     assert 0 < rows.size == np.unique(rows).size <= 3 * (got.s.size - 1) + 1
     for name in ("s", "f", "g", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert np.array_equal(got.curve._coeffs, want.curve._coeffs)
+    for a, b in zip(got.curve._derived, want.curve._derived, strict=True):
+        assert np.array_equal(a, b)
     assert got.kappa_text == want.kappa_text
 
 
@@ -195,7 +197,7 @@ def test_profile_through_a_float_only_root_matches_stage_by_stage_oracle():
     got = integrate_profile("sqrt(s)", (0.0, 1.0))
     for name in ("s", "f", "g", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.curve._coeffs.tobytes() == want.curve._coeffs.tobytes()
+    assert got.curve._derived[0].tobytes() == want.curve._derived[0].tobytes()
 
 
 def test_a_float_only_root_needs_no_stage_by_stage_rerun(monkeypatch):

@@ -210,13 +210,13 @@ def test_sweep_evaluates_each_block_once(monkeypatch):
     for block_size in (gcr._BLOCK, 100):
         monkeypatch.setattr(gcr, "_BLOCK", block_size)
         m = sweep_chart()
-        log = steps_run(m.program)
+        log = steps_run(m._program(2))
         evaluated = counting_evaluations(monkeypatch)
         given.clear()
         report = classify_surface(m, grid)
         assert not report.skipped and len(report.records) == 512
         assert evaluated == [(2, min(block_size, 512 - i)) for i in range(0, 512, block_size)]
-        assert len(log) == len(evaluated) * len(m.program._code)
+        assert len(log) == len(evaluated) * len(m._program(2)._code)
         points = grid.points(m.domain)
         assert [p.tobytes() for p, _ in given] == [p.tobytes() for p in points]
         assert [rows.tobytes() for _, rows in given] == [
