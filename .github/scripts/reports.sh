@@ -29,9 +29,10 @@
 # overflowing point (its stderr and exit status), then plain and --full on
 # sqrt_div.json at --grid 3 (points whose value divides by zero at t = 0.5,
 # and whose first partials alone do at s = 0: 2 reports) and `eval --point
-# 0,0.25` at one of the latter (its stderr and exit status): 134 files with
-# the eight specs written into OUT_DIR.  A numpy RuntimeWarning fails the
-# run: it is a silent inf or NaN.
+# 0,0.25` at one of the latter (its stderr and exit status), then check on
+# sharp_tube.json, a curve_tube whose frame transport overflows (its stderr
+# and exit status): 136 files with the nine specs written into OUT_DIR.  A
+# numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -171,3 +172,14 @@ done
 status=0
 run eval "$out/sqrt_div.json" --point 0,0.25 > "$out/eval_sqrt_div.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/eval_sqrt_div.out"
+# a curve on the unit 3-sphere, regular, with alpha'' about 1e100: the set-up
+# refuses its frame's knot data with exit 2 and one line
+cat > "$out/sharp_tube.json" <<'EOF'
+{
+  "family": "curve_tube",
+  "parameters": {"alpha": ["cos(w)", "sin(w)", "1e-300*sin(1e200*w)", "0"]}
+}
+EOF
+status=0
+run check "$out/sharp_tube.json" > "$out/sharp_tube.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/sharp_tube.out"

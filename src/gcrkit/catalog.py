@@ -584,24 +584,33 @@ def build_normal_frame(
     pairs = np.empty((samples, 2, 4))
     first = np.empty((samples, 2, 4))
     second = np.empty((samples, 2, 4))
-    pairs[0] = _seed_pair(nodes[0][0], nodes[1][0])
     gram_error = 0.0
-    for start in range(0, samples, _FRAME_CHUNK):
-        stop = min(start + _FRAME_CHUNK, samples)
-        s0 = max(start, 1) - 1  # steps s0 .. stop-2 reach samples s0+1 .. stop-1
-        steps = _transport_steps(
-            rows_at(nodes, s0, stop - 1), rows_at(mids, s0, stop - 1),
-            rows_at(nodes, s0 + 1, stop), h,
-        )
-        for i, step in enumerate(steps, s0 + 1):
-            np.matmul(pairs[i - 1], step, out=pairs[i])
-            _orthonormalize(pairs[i])
-        err, first[start:stop], second[start:stop] = _knot_data(
-            rows_at(nodes, start, stop), pairs[start:stop]
-        )
-        gram_error = max(gram_error, err)
-
-    curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
+    # the transport and the knot data run under "raise" too: an overflow
+    # raises, and an inf or NaN that came in quietly fails the finiteness check
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            pairs[0] = _seed_pair(nodes[0][0], nodes[1][0])
+            for start in range(0, samples, _FRAME_CHUNK):
+                stop = min(start + _FRAME_CHUNK, samples)
+                s0 = max(start, 1) - 1  # steps s0 .. stop-2 reach samples s0+1 .. stop-1
+                steps = _transport_steps(
+                    rows_at(nodes, s0, stop - 1), rows_at(mids, s0, stop - 1),
+                    rows_at(nodes, s0 + 1, stop), h,
+                )
+                for i, step in enumerate(steps, s0 + 1):
+                    np.matmul(pairs[i - 1], step, out=pairs[i])
+                    _orthonormalize(pairs[i])
+                err, first[start:stop], second[start:stop] = _knot_data(
+                    rows_at(nodes, start, stop), pairs[start:stop]
+                )
+                gram_error = max(gram_error, err)
+            curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
+            finite = all(np.isfinite(c).all() for c in curve._derived)
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise CatalogError(f"spherical curve gives frame knot data outside the float range "
+                           f"on [{lo}, {hi}]")
     return NormalFrame(
         w=w_arr, a=pairs[:, 0], b=pairs[:, 1], curve=curve, gram_error=gram_error
     )

@@ -430,12 +430,35 @@ class Program:
             for k, fn, i, j in self._code:
                 slots[k] = fn(slots[i]) if j is None else fn(slots[i], slots[j])
         except (ValueError, ArithmeticError) as exc:
-            raise ExprEvalError(str(exc)) from exc
+            text = str(exc)
+            # a reciprocal's divisor, or a negative power's base, was zero
+            if isinstance(exc, ZeroDivisionError) and fn in (operator.truediv, _power):
+                text += f" (the divisor is {self._source(j if fn is operator.truediv else i)})"
+            raise ExprEvalError(text) from exc
         out = [slots[k] for k in self._outputs]
         probe = next(iter(env.values()), None)
         if isinstance(probe, np.ndarray):
             out = [v if isinstance(v, np.ndarray) else np.full(probe.shape, v) for v in out]
         return out
+
+    def _source(self, k: int) -> str:
+        """What produced slot ``k``: a variable, a constant, or the step of a
+        function, an operator or an interpolant."""
+        steps = {slot: (fn, j) for slot, fn, _, j in self._code}
+        if k not in steps:
+            return f"the constant {self._slots[k]!r}"
+        fn, j = steps[k]
+        if fn is _load:
+            return f"the variable {self._slots[j]}"
+        if fn is operator.mul and steps.get(j, (None,))[0] is operator.truediv:
+            fn = operator.truediv  # a quotient a/b runs as a * (1/b)
+        return f"a result of {_STEP_NAMES.get(fn, 'an interpolant')}"
+
+
+# what a step's function computes, by its name in the grammar
+_STEP_NAMES = {fn: name for name, fn in _FUNCTIONS.items()}
+_STEP_NAMES.update({fn: repr(op) for op, fn in _BINARY.items()})
+_STEP_NAMES.update({operator.neg: "'-'", operator.truediv: "'/'"})
 
 
 # -- symbolic derivative -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from .geometry import (
     Immersion,
     PointGeometry,
     SingularPointError,
-    _evaluate_geometry,
+    _assemble,
     _fix_direction_signs,
     _jet_rows,
     _mm,
@@ -253,12 +253,10 @@ STRUCTURAL_KEYS = (
 _TRANSPORT_KEYS = ("k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross")
 
 
-def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float,
-                     dg: np.ndarray | None = None) -> list:
+def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
     """structural_residuals over the point axis of a block of nondegenerate
     rows (of order-3 geometry on 3-dimensional charts), from the block, its
-    principal and position data, the complement basis of e1 and, if the
-    caller has it, the block's d_k g_ij ``dg``."""
+    principal and position data and the complement basis of e1."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     n = g.shape[-1]
     e1, mu, cos_t = pa.e1, pa.mu, pa.cos_theta
@@ -297,7 +295,7 @@ def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float,
     # omega_12(e3) and omega_13(e2)
     scalars.append(np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2])))
     # dh[:, l, a, b] = (nabla_{e_l} h)(e_a, e_b); h1[:, i] = h(e1, e_i)
-    dh = _mm(ft, _nabla_second_form(pg, dg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
+    dh = _mm(ft, _nabla_second_form(pg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
     dh = _mm(_mm(ft[:, None], dh), frame[:, None])
     h1 = _mv(ft, _mv(h, e1))
     dk1 = dh[:, :, 0, 0] + 2.0 * _mv(cov_g, h1)
@@ -502,14 +500,13 @@ def _skip_reason(exc: Exception, det_g: float | None = None) -> str:
     return f"singular metric (det g = {det_g:.3e})"
 
 
-def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool = False,
-                   dg: np.ndarray | None = None) -> tuple[dict | None, list]:
+def _classify_rows(pg: PointGeometry, tols: Tolerances,
+                   include_structural: bool = False) -> tuple[dict | None, list]:
     """The PointRecord columns of the rows of the geometry block ``pg`` (order
     3 if include_structural on a 3-dimensional chart) that classify, None if
     none does, and per row None or why it is skipped.  With include_structural,
     rows that pass the primary test get structural residuals, the others a
-    note; the block's d_k g_ij ``dg``, if the caller has it, serves them
-    sliced.  If the block raises, its rows rerun one at a time and keep their
+    note.  If the block raises, its rows rerun one at a time and keep their
     own reasons."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     rows = len(g)
@@ -535,7 +532,7 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool
             passed = primary[ok] < tols.tol_gcr
             sel = np.flatnonzero(ok)[passed]
             found = _structural_rows(_row(pg, sel), _row(pd, sel), _row(pa, sel),
-                                     comp[passed], tols.tol_gap, None if dg is None else dg[sel])
+                                     comp[passed], tols.tol_gap)
             structural, notes = np.full((2, rows), None)
             notes[:] = "not position-principal here: structural identities not expected"
             structural[sel], notes[sel] = found, None
@@ -543,8 +540,7 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances, include_structural: bool
             columns.update(structural=structural, structural_note=notes)
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
         if rows > 1:
-            outs = [_classify_rows(_row(pg, [i]), tols, include_structural,
-                                   None if dg is None else dg[[i]]) for i in range(rows)]
+            outs = [_classify_rows(_row(pg, [i]), tols, include_structural) for i in range(rows)]
             return _concat([c for c, _ in outs]), [why for _, (why,) in outs]
         return None, [_skip_reason(exc, pg.det_metric[0])]
     return columns, [None] * rows
@@ -562,31 +558,31 @@ def _classify_block(m: Immersion, block: np.ndarray, order: int, tols: Tolerance
     a division by zero the stack carried on as inf or NaN fails with its own
     text.  Evaluation and assembly share one errstate(all="ignore"), and the
     assembled rows are classified by _classify_rows under the caller's."""
-    pg = coeffs = dg = None
+    pg = rows = None
     reasons = [None] * len(block)
     with np.errstate(all="ignore"):
         try:
-            coeffs = _jet_rows(m, block, order, False)
+            rows = _jet_rows(m, block, order, False)
             # the plain sweep still assembles each point from its row, as bench/run.py
             # asserts one point_geometry call per point there; once it counts
             # evaluated rows, this condition goes and every block is assembled at once
             if include_structural:
-                pg, dg = _evaluate_geometry(m, block, order, tols.eps_reg, False, coeffs)
-        # a domain error in any row fails the stacked evaluation, and a singular or
-        # overflowing row the stacked assembly
+                pg = _assemble(block, rows, tols.eps_reg)
+        # an evaluation error in any row fails the stacked evaluation, and a singular
+        # or overflowing row the stacked assembly
         except GeometryError:
             pass
         if pg is None:
-            finite = [False] * len(block) if coeffs is None else np.isfinite(coeffs).all(axis=(1, 2))
+            finite = [False] * len(block) if rows is None else np.isfinite(rows).all(axis=(1, 2))
             found = []
             for i, p in enumerate(block):
                 try:
                     found.append(point_geometry(m, p, tols.eps_reg, check_domain=False,
-                                                order=order, _rows=coeffs[i] if finite[i] else None))
+                                                order=order, _rows=rows[i] if finite[i] else None))
                 except (GeometryError, ExprError) as exc:
                     reasons[i] = _skip_reason(exc)
             pg = _stack(found) if found else None
-    columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural, dg)
+    columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural)
     why = iter(why)
     return pg, columns, [r or next(why) for r in reasons]
 
@@ -601,8 +597,6 @@ def classify_surface(
     aggregate per-point geometry into classification flags.  Every row has the
     bits of the per-point functions."""
     points = grid.points(m.domain)
-    if points.size == 0:
-        raise EmptyReportError("empty grid")
     # 3-D transport checks read third partials: one order-3 evaluation serves both
     order = 3 if include_structural and m.n == 3 else 2
 

@@ -10,12 +10,13 @@ normal, second fundamental form, shape operator, principal
 curvatures/directions, mean-curvature ladder, and the residuals of the Gauss and Codazzi equations
 (which hold for every immersion and therefore double as an end-to-end
 self-test of the derivative pipeline).  ``PointGeometry`` holds no
-Christoffel symbols: ``_christoffel`` computes them from it for the two
-callers that read them, the covariant derivative of h and the self-test.  The
-covariant derivative of the second fundamental form, from which
-``gcr.structural_residuals`` takes the principal frame's derivatives in
-closed form, comes from order-3 geometry (``point_geometry(order=3)``), so
-no frame is ever differenced across neighbouring points.  A point whose jets
+Christoffel symbols: at order 3 it carries d_k g_ij, from which
+``_christoffel`` computes them for the two callers that read them, the
+covariant derivative of h and the self-test.  That covariant derivative of
+the second fundamental form, from which ``gcr.structural_residuals`` takes
+the principal frame's derivatives in closed form, comes from order-3
+geometry (``point_geometry(order=3)``), so no frame is ever differenced
+across neighbouring points.  A point whose jets
 or geometry overflow the float range raises GeometryError instead of
 returning infinities: order 2 checks the figures its callers read, and
 order 3 adds d_k g_ij and the third partials.  The assembly calls numpy's
@@ -24,8 +25,8 @@ checks, under one errstate(all="ignore") that its caller enters (once per
 block for a grid sweep): a singular or overflowing metric becomes NaN or inf,
 which that finiteness check reports.  One generalized cross product
 kernel, a few products of stacked rows, gives the normal and, for the
-self-test, its derivative from second partials alone.
-A grid sweep passes ``point_geometry`` each point's row of its block's stack.
+self-test, its derivative from second partials alone.  A grid sweep assembles
+a block, or each point, from the partial rows of one stacked evaluation.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ class PointGeometry:
     normal: np.ndarray         # oriented unit normal
     second_form: np.ndarray    # h_ij = <x_ij, N>
     shape: np.ndarray          # S = g^{-1} h
-    third: np.ndarray | None = None  # third partials of x, from order-3 jets
+    third: np.ndarray | None = None    # third partials of x, from order-3 jets
+    dmetric: np.ndarray | None = None  # [k, i, j] -> d_k g_ij, with third
 
     @property
     def n(self) -> int:
@@ -283,21 +285,17 @@ def _dmetric(jac: np.ndarray, sec: np.ndarray) -> np.ndarray:
     return dg + dg.swapaxes(-1, -2)
 
 
-def _christoffel(
-    pg: PointGeometry, dg: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """dg[k, i, j] = d_k g_ij, the Christoffel numerator A, g^-1 and
-    gamma[l, i, j] = Gamma^l_ij of ``pg``, over any leading point axes: only
-    the covariant derivative of h and the self-test read them.  A caller that
-    has d_k g_ij already passes it as ``dg``.  Every metric here has passed
-    the assembly's det and finiteness checks, so its inverse needs no
-    singularity check."""
-    if dg is None:
-        dg = _dmetric(pg.jac, pg.second)
+def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Christoffel numerator A, g^-1 and gamma[l, i, j] = Gamma^l_ij of
+    order-3 geometry ``pg``, from its d_k g_ij, over any leading point axes:
+    only the covariant derivative of h and the self-test read them.  Every
+    metric here has passed the assembly's det and finiteness checks, so its
+    inverse needs no singularity check."""
+    dg = pg.dmetric
     ginv = _inv(pg.metric)
     # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
     a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
-    return dg, a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
+    return a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
 
 
 def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np.ndarray:
@@ -308,25 +306,20 @@ def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np
     return coeffs.swapaxes(0, -2) if q.ndim == 2 else coeffs
 
 
-def _evaluate_geometry(
-    m: Immersion, q: np.ndarray, order: int, eps_reg: float, check_domain: bool,
-    coeffs: np.ndarray | None = None,
-) -> tuple[PointGeometry, np.ndarray | None]:
-    """Geometry from one order-``order`` evaluation of ``m`` at ``q``, or from
-    the partial rows ``coeffs`` of one (``_jet_rows``), plus d_k g_ij at
-    order 3 (None at order 2).  A stack ``q`` (P, n) gives each of them a
-    leading point axis, and each row the bits of its point alone.  It runs
+def _assemble(q: np.ndarray, rows: np.ndarray, eps_reg: float) -> PointGeometry:
+    """Geometry at ``q`` from the partial rows of one evaluation there
+    (``_jet_rows``), of order 2, or of order 3, read from their width, with
+    ``third`` and ``dmetric`` filled.  A stack ``q`` (P, n) gives every field
+    a leading point axis, and each row the bits of its point alone.  It runs
     under the caller's errstate(all="ignore"): overflow and its NaNs, and a
     singular factorization's NaNs, are caught once, here, instead of as numpy
-    warnings or errors.  A point whose jets or assembled geometry are not
+    warnings or errors.  A point whose rows or assembled geometry are not
     finite raises GeometryError, as does a stack with one such row.  Order 2
     checks what its callers read (the rows, g, N and S); order 3 adds d_k g_ij
     and the third partials, which only its callers read."""
-    if coeffs is None:
-        coeffs = _jet_rows(m, q, order, check_domain)
-    n = m.n
-    pos = coeffs[..., 0].copy()  # a strided view would round differently in products
-    jac, sec = (derivative_tensor(coeffs, n, rank) for rank in (1, 2))
+    n = q.shape[-1]
+    pos = rows[..., 0].copy()  # a strided view would round differently in products
+    jac, sec = (derivative_tensor(rows, n, rank) for rank in (1, 2))
     g = jac.swapaxes(-1, -2) @ jac
     det_g = _det(g)
     singular = det_g <= eps_reg  # a NaN goes on to the finiteness check
@@ -342,14 +335,14 @@ def _evaluate_geometry(
     h = np.einsum("...cij,...c->...ij", sec, normal)
     h = 0.5 * (h + h.swapaxes(-1, -2))
     shape = _solve(g, h)
-    checked = [coeffs, g, normal, shape]
+    checked = [rows, g, normal, shape]
     dg = third = None
-    if order >= 3:
-        dg, third = _dmetric(jac, sec), derivative_tensor(coeffs, n, 3)
+    if rows.shape[-1] > math.comb(n + 2, 2):  # wider than the order-2 layout
+        dg, third = _dmetric(jac, sec), derivative_tensor(rows, n, 3)
         checked += [dg, third]
     if not np.isfinite(np.concatenate([x.ravel() for x in checked])).all():
         raise GeometryError(f"jets or geometry not finite at {q.tolist()}")
-    pg = PointGeometry(
+    return PointGeometry(
         point=q.copy(),
         position=pos,
         jac=jac,
@@ -360,8 +353,8 @@ def _evaluate_geometry(
         second_form=h,
         shape=shape,
         third=third,
+        dmetric=dg,
     )
-    return pg, dg
 
 
 def point_geometry(
@@ -374,19 +367,18 @@ def point_geometry(
     _rows: np.ndarray | None = None,
 ) -> PointGeometry:
     """Fundamental forms, normal and shape operator from one evaluation at
-    jet order 2, or at order 3 with ``third`` filled.  The Christoffel
-    symbols are left to the callers that read them (``_christoffel``).
-    ``_rows``, a point's rows (n+1, D) of a block's stacked evaluation at this
-    order, which equal its own bit for bit, stands in for its evaluation;
-    the block caller that passes it has entered errstate(all="ignore") once
-    for the whole block."""
+    jet order 2, or at order 3 with ``third`` and ``dmetric`` filled.  The
+    Christoffel symbols are left to the callers that read them
+    (``_christoffel``).  ``_rows``, a point's rows (n+1, D) of a block's
+    stacked evaluation, which equal its own bit for bit, stands in for its
+    evaluation and gives the order; the block caller that passes it has
+    checked the domain, and has entered errstate(all="ignore") once for the
+    whole block."""
     q = np.asarray(p, dtype=float)
     if _rows is not None:
-        if check_domain and not m.contains(q):
-            raise OutOfDomainError(q, m.domain)
-        return _evaluate_geometry(m, q, order, eps_reg, check_domain, _rows)[0]
+        return _assemble(q, _rows, eps_reg)
     with np.errstate(all="ignore"):
-        return _evaluate_geometry(m, q, order, eps_reg, check_domain)[0]
+        return _assemble(q, _jet_rows(m, q, order, check_domain), eps_reg)
 
 
 # -- principal curvatures ---------------------------------------------------------------
@@ -513,11 +505,11 @@ class DerivativeBundle:
         return num / (gu * gv - guv * guv)
 
 
-def _nabla_second_form(pg: PointGeometry, dg: np.ndarray | None = None) -> np.ndarray:
+def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     """[..., l, a, b] -> (nabla_l h)_ab = d_l h_ab - Gamma^m_la h_mb - Gamma^m_lb h_am
-    over the leading point axes of order-3 geometry ``pg``, with its d_k g_ij
-    ``dg`` if the caller has it.  Unlike derivative_bundle's matmuls, its sums
-    give each row the same bits whatever rows sit beside it."""
+    over the leading point axes of order-3 geometry ``pg``.  Unlike
+    derivative_bundle's matmuls, its sums give each row the same bits whatever
+    rows sit beside it."""
     # d_l h_ab = <x_lab, N> + <x_ab, d_l N> with Weingarten's d_l N = -S^k_l x_k;
     # the self-test takes d_l N from second partials instead
     # (_normal_derivative), so that Codazzi checks the two routes against
@@ -526,7 +518,7 @@ def _nabla_second_form(pg: PointGeometry, dg: np.ndarray | None = None) -> np.nd
     dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
           + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
     # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
-    gamma_h = _mm(np.moveaxis(_christoffel(pg, dg)[3], -3, -1), pg.second_form[..., None, :, :])
+    gamma_h = _mm(np.moveaxis(_christoffel(pg)[2], -3, -1), pg.second_form[..., None, :, :])
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
@@ -536,10 +528,8 @@ def derivative_bundle(
     eps_reg: float = EPS_REG,
     check_domain: bool = True,
 ) -> DerivativeBundle:
-    q = np.asarray(p, dtype=float)
-    with np.errstate(all="ignore"):
-        pg, dg = _evaluate_geometry(m, q, 3, eps_reg, check_domain)
-    n, jac, sec, thr = m.n, pg.jac, pg.second, pg.third
+    pg = point_geometry(m, p, eps_reg, check_domain, order=3)
+    n, jac, sec, thr, dg = m.n, pg.jac, pg.second, pg.third, pg.dmetric
     dn = _normal_derivative(jac, sec, pg.normal)
 
     # the tensor algebra below is matmuls over flattened index groups, and
@@ -547,7 +537,7 @@ def derivative_bundle(
     # dh[i, j, k] = d_i h_jk = <x_ijk, N> + <x_jk, d_i N>
     dh = (pg.normal @ thr.reshape(n + 1, -1)
           + (dn @ sec.reshape(n + 1, -1)).ravel()).reshape((n,) * 3)
-    dg, a, ginv, gamma = _christoffel(pg, dg)
+    a, ginv, gamma = _christoffel(pg)
     # d2g[k, l, i, j] = <x_kli, x_j> + <x_li, x_kj> + <x_ki, x_lj> + <x_i, x_klj>
     t1 = (thr.reshape(n + 1, -1).T @ jac).reshape((n,) * 4)
     ss = (sec.reshape(n + 1, -1).T @ sec.reshape(n + 1, -1)).reshape((n,) * 4)

@@ -7,7 +7,8 @@ interpolant node (``_CurveAt``) once per occurrence too.
 ``eval_components`` evaluates a chart's components, or their partial trees,
 one tree after another, on floats or on 1-D float arrays.
 ``test_expr_oracle.py`` requires the compiled program to agree with it bit
-for bit, and to fail with the same error type and text.  The power rule and
+for bit, and to fail with the same error type and text; a division by zero
+names its divisor's node.  The power rule and
 the function table are the production ones, which the program shares with
 the walker.
 """
@@ -47,7 +48,11 @@ def _walk(expr: Expr, env: Mapping):
             case Neg(operand):
                 return -rec(operand)
             case BinOp("^", left, right):
-                return _power(rec(left), rec(right))
+                a, b = rec(left), rec(right)
+                try:
+                    return _power(a, b)
+                except ZeroDivisionError as exc:  # a negative power of 0
+                    raise _zero_divisor(exc, left) from exc
             case BinOp(op, left, right):
                 a, b = rec(left), rec(right)
                 if op == "+":
@@ -56,7 +61,10 @@ def _walk(expr: Expr, env: Mapping):
                     return a - b
                 if op == "*":
                     return a * b
-                return a * (1.0 / b)  # reciprocal-multiply on both routes
+                try:
+                    return a * (1.0 / b)  # reciprocal-multiply on both routes
+                except ZeroDivisionError as exc:
+                    raise _zero_divisor(exc, right) from exc
             case Call(fn, arg):
                 return _FUNCTIONS[fn](rec(arg))
             case _CurveAt(curve, name, index, k):
@@ -67,6 +75,25 @@ def _walk(expr: Expr, env: Mapping):
         return rec(expr)
     except (ValueError, ArithmeticError) as exc:
         raise ExprEvalError(str(exc)) from exc
+
+
+def _zero_divisor(exc: ZeroDivisionError, divisor: Expr) -> ExprEvalError:
+    """The error of a division by the zero value of the node ``divisor``,
+    named by the node's kind."""
+    match divisor:
+        case Var(name):
+            source = f"the variable {name}"
+        case Const(value):
+            source = f"the constant {value!r}"
+        case Neg():
+            source = "a result of '-'"
+        case BinOp(op):
+            source = f"a result of {op!r}"
+        case Call(fn):
+            source = f"a result of {fn}"
+        case _:
+            source = "a result of an interpolant"
+    return ExprEvalError(f"{exc} (the divisor is {source})")
 
 
 def eval_components(exprs: Sequence[Expr], env: Mapping) -> list:

@@ -10,11 +10,12 @@ import sys
 import tempfile
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrkit.catalog import FAMILY_TAGS, family_catalog
+from gcrkit.catalog import FAMILY_TAGS, CatalogError, build_normal_frame, family_catalog
 from gcrkit.cli import (
     EXIT_OK,
     EXIT_SINGULAR,
@@ -317,6 +318,15 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "so2_x_so2", "parameters": {"kappa": "1e302", "step": 10000.0},
           "domain": {"s": [0, 1e5], "t": [0, 6], "u": [0, 6]}},
          "curvature 1e+302 gives knot data outside the float range"),
+        # names a spec does not declare, or cannot declare
+        ({"family": "special_sqrt2",
+          "domain": {"s": [0, 1], "t": [0, 1], "u": [0, 1], "x": [0, 1]}},
+         "domain mentions unknown variables: ['x']"),
+        ({"family": "special_sqrt2", "grid": {"s": 3, "zz": 3}},
+         "grid mentions unknown variables: ['zz']"),
+        ({"family": "special_sqrt2", "tolerances": [1e-7]}, "tolerances must be an object"),
+        ({"components": ["s", "1s", "0"], "variables": ["s", "1s"],
+          "domain": {"s": [0, 1], "1s": [0, 1]}}, "invalid variable name '1s'"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -327,10 +337,33 @@ def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+# on the unit 3-sphere and regular, with alpha'' about 1e100: the frame's
+# transport overflows
+SHARP_TUBE = {"family": "curve_tube",
+              "parameters": {"alpha": ["cos(w)", "sin(w)", "1e-300*sin(1e200*w)", "0"]}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_sharply_curved_tube_is_refused_whatever_the_error_state(tmp_path, capsys, state):
+    spec = write_spec(tmp_path, "tube.json", SHARP_TUBE)
+    with np.errstate(all=state):
+        assert main(["check", spec]) == EXIT_SPEC
+        with pytest.raises(CatalogError) as err:
+            build_normal_frame(SHARP_TUBE["parameters"]["alpha"], (0.0, 1.0))
+    assert capsys.readouterr().err == (
+        "error: spherical curve gives frame knot data outside the float range "
+        "on [-0.37699111843077515, 6.660176425610361]\n")
+    assert str(err.value) == (
+        "spherical curve gives frame knot data outside the float range on [0.0, 1.0]")
+
+
 def test_check_grid_flag_capped(capsys):
     assert main(["check", "special_sqrt2.json", "--grid", "100000"]) == EXIT_SPEC
     err = capsys.readouterr().err
     assert err == "error: grid 100000x100000x100000 exceeds 1000000 points\n"
+    assert main(["check", "special_sqrt2.json", "--grid", "1"]) == EXIT_SPEC
+    assert capsys.readouterr().err == "error: --grid must be at least 2\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -611,6 +644,12 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     arr.write_text("[1, 2]")
     assert main(["check", str(arr)]) == EXIT_SPEC
     capsys.readouterr()
+    # a directory exists but is no file to read
+    assert main(["check", str(tmp_path)]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read spec file: ")
+    assert captured.err.count("\n") == 1
     # bytes that are not UTF-8, an integer past the digit limit in a domain
     # bound (refused as a bound where there is no limit) and arrays nested
     # past the recursion limit: one line each, no traceback

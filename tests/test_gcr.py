@@ -534,9 +534,9 @@ def test_christoffel_symbols_are_computed_only_where_read(monkeypatch):
     rows = []
     exact = geometry._christoffel
 
-    def counting(pg, *dg):
+    def counting(pg):
         rows.append(len(pg.metric) if pg.metric.ndim == 3 else None)
-        return exact(pg, *dg)
+        return exact(pg)
 
     monkeypatch.setattr(geometry, "_christoffel", counting)
     monkeypatch.setattr(gcr, "_BLOCK", 10)
@@ -554,29 +554,54 @@ def test_christoffel_symbols_are_computed_only_where_read(monkeypatch):
 
 @pytest.mark.parametrize("name", ["so2_x_so2", "tangent_cone", "curve_tube"])
 def test_block_metric_derivative_serves_its_rows_sliced(monkeypatch, name):
-    # a --full block computes d_k g_ij once, in its assembly, and the rows that
+    # order-3 geometry carries d_k g_ij from its assembly, and the rows that
     # pass the primary test read it sliced: a slice has the bits of d_k g_ij
-    # computed on that subset of rows alone
+    # computed on that subset of rows alone, and a row those of its point
     m = make_family(name)
     points = GridSpec((3, 3, 3)).points(m.domain)
     with np.errstate(all="ignore"):
-        pg, dg = geometry._evaluate_geometry(m, points, 3, geometry.EPS_REG, False)
+        pg = geometry._assemble(points, geometry._jet_rows(m, points, 3, False),
+                                geometry.EPS_REG)
     rng = np.random.default_rng(31)
     for sel in (np.arange(27), np.array([0]), np.array([3, 4, 20]),
                 np.sort(rng.choice(27, 11, replace=False))):
         sub = geometry._row(pg, sel)
-        assert dg[sel].tobytes() == geometry._dmetric(sub.jac, sub.second).tobytes()
+        assert sub.dmetric.tobytes() == geometry._dmetric(sub.jac, sub.second).tobytes()
+    for i in (0, 13, 26):
+        alone = point_geometry(m, points[i], check_domain=False, order=3)
+        assert pg.dmetric[i].tobytes() == alone.dmetric.tobytes()
+    calls = _counting_dmetric(monkeypatch)
+    monkeypatch.setattr(gcr, "_BLOCK", 10)
+    classify_surface(m, GridSpec((3, 3, 3)), include_structural=True)
+    assert calls == [10, 10, 7]
+
+
+def _counting_dmetric(monkeypatch) -> list:
+    """The rows of every d_k g_ij computation, None for one point alone."""
     calls = []
     exact = geometry._dmetric
 
     def counting(jac, sec):
-        calls.append(len(jac))
+        calls.append(len(jac) if jac.ndim == 3 else None)
         return exact(jac, sec)
 
     monkeypatch.setattr(geometry, "_dmetric", counting)
+    return calls
+
+
+def test_point_by_point_blocks_compute_the_metric_derivative_once_per_row(monkeypatch):
+    # (s cos t, s sin t, s, u) is singular along s = 0, so a --full block with
+    # such a row is assembled point by point: each regular point computes
+    # d_k g_ij once, in its own assembly, and the Christoffel symbols read it
+    m = Immersion.from_exprs("cone_x_line", ("s*cos(t)", "s*sin(t)", "s", "u"),
+                             ("s", "t", "u"), ((-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+    calls = _counting_dmetric(monkeypatch)
     monkeypatch.setattr(gcr, "_BLOCK", 10)
-    classify_surface(m, GridSpec((3, 3, 3)), include_structural=True)
-    assert calls == [10, 10, 7]
+    grid = GridSpec((3, 3, 3))
+    rep = classify_surface(m, grid, include_structural=True)
+    # rows 9-17 are singular: blocks [0, 10) and [10, 20) go point by point
+    assert [p for p, _ in rep.skipped] == [tuple(p) for p in grid.points(m.domain)[9:18].tolist()]
+    assert calls == [None] * 9 + [None] * 2 + [7]
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -680,11 +705,13 @@ def test_block_rows_are_the_per_point_geometry(name, order):
     else:
         m, grid = _spec_surface(name)
     points = grid.points(m.domain)[:9]
-    block = geometry._evaluate_geometry(m, points, order, geometry.EPS_REG, False)[0]
+    block = geometry._assemble(points, geometry._jet_rows(m, points, order, False),
+                               geometry.EPS_REG)
     for i, p in enumerate(points):
         row = geometry._row(block, i)
         alone = point_geometry(m, p, check_domain=False, order=order)
         assert (row.third is None) == (alone.third is None) == (order == 2)
+        assert (row.dmetric is None) == (alone.dmetric is None) == (order == 2)
         for f in dataclasses.fields(alone):
             got, want = getattr(row, f.name), getattr(alone, f.name)
             assert type(got) is type(want), f.name

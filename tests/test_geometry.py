@@ -289,8 +289,8 @@ def _einsum_tail(bundle):
     tensor algebra became matmuls and transposes, kept as the reference for
     them."""
     pg = bundle.pg
-    dg, a, ginv, gamma = geometry._christoffel(pg)
-    jac, sec, thr, g, h = pg.jac, pg.second, pg.third, pg.metric, pg.second_form
+    a, ginv, gamma = geometry._christoffel(pg)
+    dg, jac, sec, thr, g, h = pg.dmetric, pg.jac, pg.second, pg.third, pg.metric, pg.second_form
     d2g = (
         np.einsum("ckli,cj->klij", thr, jac)
         + np.einsum("cli,ckj->klij", sec, sec)
@@ -439,15 +439,17 @@ def test_stacked_jets_and_geometry_match_each_point(tag, order):
                         domain=((0.0, 1.6), (0.0, 2 * math.pi), (0.0, 2 * math.pi)))
     points = np.array(sample_points(m, np.random.default_rng(35), 9, margin=0.0))
     stacked = evaluate_jets(m, points, order=order)
-    pg = geometry._evaluate_geometry(m, points, order, geometry.EPS_REG, True)[0]
+    pg = geometry._assemble(points, geometry._jet_rows(m, points, order, True), geometry.EPS_REG)
     for i, p in enumerate(points):
         single = evaluate_jets(m, p, order=order)
         assert [x.c[i].tobytes() for x in stacked] == [x.c.tobytes() for x in single]
         alone = point_geometry(m, p, order=order)
         for f in dataclasses.fields(alone):
-            if f.name != "third" or order == 3:
-                got, want = getattr(pg, f.name)[i], np.asarray(getattr(alone, f.name))
-                assert got.tobytes() == want.tobytes(), f.name
+            got, want = getattr(pg, f.name), getattr(alone, f.name)
+            if order == 2 and f.name in ("third", "dmetric"):
+                assert got is None and want is None
+            else:
+                assert got[i].tobytes() == np.asarray(want).tobytes(), f.name
 
 
 def test_stacked_evaluation_checks_each_row():
@@ -463,7 +465,7 @@ def test_stacked_evaluation_checks_each_row():
                                 ((-1.0, 1.0), (0.0, 1.0)))
     rows = np.array([[0.5, 0.5], [0.0, 0.25], [0.0, 0.5], [0.7, 0.2]])
     with pytest.raises(SingularPointError) as err:
-        geometry._evaluate_geometry(cone, rows, 2, geometry.EPS_REG, True)
+        geometry._assemble(rows, geometry._jet_rows(cone, rows, 2, True), geometry.EPS_REG)
     assert err.value.point == (0.0, 0.25) and err.value.det_g == 0.0
 
 
@@ -477,6 +479,16 @@ def test_singular_point_raises_with_diagnostics():
     with pytest.raises(SingularPointError) as err:
         point_geometry(m, (0.5, 0.5))
     assert err.value.det_g < 1e-12
+
+
+def test_a_metric_with_no_cholesky_factor_is_singular():
+    # point_geometry never hands one over; principal_data names its det g
+    pg = point_geometry(so2_x_so2(), [0.6, 0.4, 1.1])
+    pg.metric, pg.det_metric = np.diag([1.0, -1.0, 1.0]), -1.0
+    with pytest.raises(SingularPointError) as err:
+        principal_data(pg)
+    assert err.value.point == (0.6, 0.4, 1.1) and err.value.det_g == -1.0
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,7 +18,7 @@ from gcrkit import catalog, gcr, geometry
 from gcrkit.expr import ExprError
 from gcrkit.gcr import EmptyReportError, GridSpec, Tolerances, classify_surface
 from gcrkit.geometry import (
-    EvaluationError, GeometryError, Immersion, OutOfDomainError, SingularPointError,
+    EvaluationError, GeometryError, Immersion, SingularPointError,
     derivative_bundle, evaluate_jets, point_geometry,
 )
 
@@ -246,18 +246,6 @@ def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
         assert runs(lambda: point_geometry(m, p, order=order, _rows=None)) == 1
         assert runs(lambda: point_geometry(m, p, order=order)) == 1
         assert runs(lambda: derivative_bundle(m, p)) == 1
-
-
-def test_given_rows_still_refuse_a_point_outside_the_box(monkeypatch):
-    m = sweep_chart()
-    outside = np.array([(9.0, 0.5, 0.5)])
-    row = geometry._jet_rows(m, outside, 2, False)[0]
-    evaluated = counting_evaluations(monkeypatch)
-    with pytest.raises(OutOfDomainError, match=r"point \[9\.0, 0\.5, 0\.5\]"):
-        point_geometry(m, outside[0], _rows=row)
-    pg = point_geometry(m, outside[0], check_domain=False, _rows=row)
-    assert evaluated == []
-    assert bits(pg) == bits(point_geometry(m, outside[0], check_domain=False))
 
 
 def test_stacked_sweep_keeps_no_state(monkeypatch):
