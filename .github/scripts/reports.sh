@@ -30,8 +30,9 @@
 # sqrt_div.json at --grid 3 (points whose value divides by zero at t = 0.5,
 # and whose first partials alone do at s = 0: 2 reports) and `eval --point
 # 0,0.25` at one of the latter (its stderr and exit status), then check on
-# sharp_tube.json, a curve_tube whose frame transport overflows (its stderr
-# and exit status): 136 files with the nine specs written into OUT_DIR.  A
+# sharp_tube.json, a curve_tube whose frame transport overflows, and on
+# fast_tube.json, one whose curve is regular at speed 1e200 (their stderr
+# and exit status): 138 files with the ten specs written into OUT_DIR.  A
 # numpy RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
@@ -183,3 +184,14 @@ EOF
 status=0
 run check "$out/sharp_tube.json" > "$out/sharp_tube.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/sharp_tube.out"
+# a curve on the unit 3-sphere, regular at speed 1e200: its rows overflow,
+# and the set-up refuses its frame's knot data with exit 2 and one line
+cat > "$out/fast_tube.json" <<'EOF'
+{
+  "family": "curve_tube",
+  "parameters": {"alpha": ["cos(1e200*w)", "sin(1e200*w)", "0", "0"]}
+}
+EOF
+status=0
+run check "$out/fast_tube.json" > "$out/fast_tube.out" 2>&1 || status=$?
+echo "exit status $status" >> "$out/fast_tube.out"

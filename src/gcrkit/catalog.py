@@ -531,19 +531,24 @@ def build_normal_frame(
         rows = np.array(curve({"w": w})).reshape(4, 4, *np.shape(w))
         return tuple(np.ascontiguousarray(np.moveaxis(rows, 0, -1)))
 
+    # The checks are written so that a NaN fails them: every comparison with
+    # NaN is false.  A speed whose square overflows counts as regular: the
+    # transport refuses what overflows.
     def check_left(a0: np.ndarray, d1_0: np.ndarray) -> None:
-        # written so that a NaN fails them: every comparison with NaN is false
         if not _on_sphere(a0):
             raise CatalogError("curve must lie on the unit 3-sphere")
-        if not np.linalg.norm(d1_0) >= 1e-8:
+        with np.errstate(all="ignore"):
+            regular = np.linalg.norm(d1_0) >= 1e-8
+        if not regular:
             raise CatalogError("curve is not regular at the left endpoint")
 
     def check_nodes(vals: np.ndarray, d1: np.ndarray, step: int) -> None:
         """Raise at the first node off the unit 3-sphere or not regular; the
-        rows are the nodes that steps ``step``, ``step + 1``, ... reach.
-        Written so that a NaN fails: every comparison with NaN is false."""
+        rows are the nodes that steps ``step``, ``step + 1``, ... reach."""
         off_sphere = ~_on_sphere(vals)
-        if (bad := off_sphere | ~(_sum(d1 * d1) >= 1e-16)).any():
+        with np.errstate(all="ignore"):
+            regular = _sum(d1 * d1) >= 1e-16
+        if (bad := off_sphere | ~regular).any():
             i = int(bad.argmax())
             what = "leaves the unit 3-sphere" if off_sphere[i] else "is not regular"
             raise CatalogError(f"curve {what} near w = {w_arr[step + i] + h:.6g}")

@@ -14,7 +14,10 @@ Grammar (EBNF, whitespace insignificant):
 so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication.
 Identifiers must either be declared chart variables or one of the built-in
 unary functions: sin, cos, tan, exp, log, sqrt, abs, atan.  Text nesting
-deeper than _MAX_DEPTH levels is a syntax error.
+deeper than _MAX_DEPTH levels is a syntax error.  This module owns those
+functions: ``_FUNCTIONS`` maps each name to ``math``'s function on a float,
+mapped over the entries of a float array, and refused outside its domain
+(log at x <= 0, sqrt at x < 0) with a ValueError.
 
 A Program runs trees on floats or on 1-D float arrays.  ``_derivative``
 builds the tree of a partial derivative, and ``_partials`` the trees of
@@ -26,14 +29,13 @@ explicit stacks, so derivative trees may nest far deeper than parsed ones.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import struct
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-
-from . import jet as _jet
 
 __all__ = [
     "Expr",
@@ -52,18 +54,82 @@ __all__ = [
     "variables_of",
 ]
 
+
+# -- elementary functions ----------------------------------------------------------
+#
+# Each takes a plain float, or a 1-D float array whose entries it maps the
+# same ``math`` call over, so that each entry keeps its float's bits.  An
+# argument needs only to lie in the function's domain: a derivative that
+# divides by zero (sqrt at 0) fails at its own division.
+
+
+def _guard(tag: str, v, bad) -> None:
+    """Raise ValueError if ``bad`` holds: ``v`` and ``bad`` are a float and a
+    bool, or a 1-D array and a mask, whose first bad entry is named."""
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        v = float(v[bad.argmax()])
+    elif not bad:
+        return
+    raise ValueError(f"{tag} is undefined or not differentiable at {v!r}")
+
+
+def _elementary(f, bad=None):
+    """``math``'s one-argument ``f`` for a float or a 1-D float array,
+    refused where ``bad`` of its argument holds."""
+    tag = f.__name__
+
+    def apply(x):
+        if bad is not None:
+            _guard(tag, x, bad(x))
+        if isinstance(x, np.ndarray):
+            return np.array([f(v) for v in x.tolist()])
+        return f(x)
+
+    return apply
+
+
+def _sign(x):
+    """d|x|/dx, the constant -1 or 1, for a float or a 1-D float array; it
+    refuses 0, where |x| has no derivative."""
+    _guard("abs", x, x == 0.0)
+    s = np.sign(x)  # a NaN stays NaN
+    return s if isinstance(s, np.ndarray) else float(s)
+
+
+def _int_pow(x, p: int):
+    """x^p for a float or a float array, by one rule: square-and-multiply
+    keeps the operation count small and deterministic, and a negative power
+    is the reciprocal of the positive one."""
+    if p == 0:
+        return 1.0
+    if p < 0:
+        return 1.0 / _int_pow(x, -p)
+    result = None
+    base = x
+    k = p
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 _FUNCTIONS = {
-    "sin": _jet.sin,
-    "cos": _jet.cos,
-    "tan": _jet.tan,
-    "exp": _jet.exp,
-    "log": _jet.log,
-    "sqrt": _jet.sqrt,
+    "sin": _elementary(math.sin),
+    "cos": _elementary(math.cos),
+    "tan": _elementary(math.tan),
+    "exp": _elementary(math.exp),
+    "log": _elementary(math.log, lambda x: x <= 0.0),
+    "sqrt": _elementary(math.sqrt, lambda x: x < 0.0),
     "abs": abs,
-    "atan": _jet.atan,
+    "atan": _elementary(math.atan),
 }
 FUNCTIONS = tuple(_FUNCTIONS)
-_FUNCTIONS["sign"] = _jet._sign  # d|a|/da in derivative trees, not in the grammar
+_FUNCTIONS["sign"] = _sign  # d|a|/da in derivative trees, not in the grammar
 
 
 class ExprError(Exception):
@@ -326,13 +392,13 @@ def _power(b, e):
         pairs = zip(*(v.tolist() for v in np.broadcast_arrays(b, e)))
         return np.array([_power(x, y) for x, y in pairs])
     if float(e).is_integer():
-        return _jet._int_pow(b, int(e))
+        return _int_pow(b, int(e))
     base = b
     if isinstance(base, np.ndarray):  # the first entry at fault, if any
         base = float(base[(base <= 0.0).argmax()])
     if base <= 0.0:
         raise ExprEvalError(f"'^' with non-integer exponent needs a positive base, got {base!r}")
-    return _jet._plain(b).pow(b, e)
+    return np.array([x**e for x in b.tolist()]) if isinstance(b, np.ndarray) else b**e
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _power}
@@ -379,8 +445,8 @@ class Program:
     match by float bits); so the first step to fail is the walk's.  Called
     with an environment of floats or of 1-D float arrays, it returns one
     value per root, a constant broadcast to the first bound array's shape.
-    Domain and range failures (math's ValueError and ArithmeticError, and
-    JetDomainError) leave as ExprEvalError."""
+    Domain and range failures (the ValueError of math or of an elementary
+    function's guard, and ArithmeticError) leave as ExprEvalError."""
 
     def __init__(self, roots: Sequence[Expr]):
         index: dict = {}  # float bits, a name or a step (fn, i, j) -> its slot

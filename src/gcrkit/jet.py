@@ -1,4 +1,4 @@
-"""Chart partials up to third order, and the float elementary functions.
+"""Chart partials up to third order: their layout, and the read-only Jet view.
 
 A Jet holds the value and the partial derivatives of a scalar field at a
 chart point, up to ``order`` (at most 3) in ``n`` chart variables (at most
@@ -17,13 +17,9 @@ of a multi-index, so they are exactly symmetric.
 Point axis: ``c`` may be a stack (P, D) instead, one row per point, from one
 run of the same program on float arrays.  Each row equals the jet at its
 point alone bit for bit: numpy's float arithmetic rounds as Python's, and
-the elementary functions map ``math`` over the entries of an array, as
-numpy's ufuncs promise no match with ``math``.
-
-The elementary functions take a plain float, or a 1-D float array whose
-entries they map the same calls over.  A float argument needs only to lie
-in the function's domain: a derivative that divides by zero (sqrt at 0)
-fails at its own division.
+the expression language's elementary functions (``gcrkit.expr``) map
+``math`` over the entries of an array, as numpy's ufuncs promise no match
+with ``math``.
 
 The independent test oracle, ``finite_difference_jet``, lives with the
 tests (``tests/fd_oracle.py``): it estimates the derivative slots from
@@ -35,24 +31,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-import types
-from collections.abc import Callable
 
 import numpy as np
 
-__all__ = [
-    "Jet",
-    "JetDomainError",
-    "derivative_tensor",
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "log",
-    "sqrt",
-    "atan",
-]
+__all__ = ["Jet", "derivative_tensor"]
 
 
 def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -64,15 +46,6 @@ def _frozen_zeros(shape: tuple[int, ...]) -> np.ndarray:
 # _ZEROS[n] = read-only zero (grad, hess, third) for arity n; every derivative
 # slot above a jet's order is one of these
 _ZEROS = {n: tuple(_frozen_zeros((n,) * rank) for rank in (1, 2, 3)) for n in (1, 2, 3)}
-
-
-class JetDomainError(ValueError):
-    """An elementary function was evaluated where it is not differentiable."""
-
-    def __init__(self, tag: str, value: float):
-        super().__init__(f"{tag} is undefined or not differentiable at {value!r}")
-        self.tag = tag
-        self.value = value
 
 
 # -- partial layout ------------------------------------------------------------------
@@ -159,93 +132,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
-
-
-# -- float elementary functions --------------------------------------------------------
-
-
-def _guard(tag: str, v, bad) -> None:
-    """Raise JetDomainError if ``bad`` holds: ``v`` and ``bad`` are a float
-    and a bool, or a 1-D array and a mask, whose first bad entry is named."""
-    if isinstance(bad, np.ndarray):
-        if bad.any():
-            raise JetDomainError(tag, float(v[bad.argmax()]))
-    elif bad:
-        raise JetDomainError(tag, v)
-
-
-def _rows(f: Callable) -> Callable:
-    """``f`` applied to each entry of a 1-D array, as a float."""
-    return lambda v, *args: np.array([f(x, *args) for x in v.tolist()])
-
-
-# math's functions and ``**``: for a float, and mapped over the entries of an array
-_ONE = types.SimpleNamespace(
-    **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")},
-    pow=operator.pow,
-)
-_ROWS = types.SimpleNamespace(**{name: _rows(f) for name, f in vars(_ONE).items()})
-
-
-def _plain(x):
-    """The functions for a plain float, ``_ONE``, or mapped over the entries
-    of a 1-D float array, ``_ROWS``."""
-    return _ROWS if isinstance(x, np.ndarray) else _ONE
-
-
-def _int_pow(x, p: int):
-    """x^p for a float or a float array, by one rule: square-and-multiply
-    keeps the operation count small and deterministic, and a negative power
-    is the reciprocal of the positive one."""
-    if p == 0:
-        return 1.0
-    if p < 0:
-        return 1.0 / _int_pow(x, -p)
-    result = None
-    base = x
-    k = p
-    while k:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
-
-
-def _sign(x):
-    """d|x|/dx, the constant -1 or 1, for a float or a 1-D float array; it
-    refuses 0, where |x| has no derivative."""
-    _guard("abs", x, x == 0.0)
-    s = np.sign(x)  # a NaN stays NaN
-    return s if isinstance(s, np.ndarray) else float(s)
-
-
-def sin(x):
-    return _plain(x).sin(x)
-
-
-def cos(x):
-    return _plain(x).cos(x)
-
-
-def tan(x):
-    return _plain(x).tan(x)
-
-
-def exp(x):
-    return _plain(x).exp(x)
-
-
-def log(x):
-    _guard("log", x, x <= 0.0)
-    return _plain(x).log(x)
-
-
-def sqrt(x):
-    _guard("sqrt", x, x < 0.0)
-    return _plain(x).sqrt(x)
-
-
-def atan(x):
-    return _plain(x).atan(x)

@@ -33,8 +33,8 @@ from gcrkit.expr import (
 
 def _walk(expr: Expr, env: Mapping):
     """Evaluate over floats or 1-D float arrays.  Domain and range failures
-    (math's ValueError and ArithmeticError, and JetDomainError) leave as
-    ExprEvalError."""
+    (the ValueError of math or of an elementary function's guard, and
+    ArithmeticError) leave as ExprEvalError."""
 
     def rec(node: Expr):
         match node:

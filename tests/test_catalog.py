@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -31,8 +32,8 @@ from gcrkit.catalog import (
     tangent_cone,
     tangent_developable_cylinder,
 )
-from gcrkit import catalog, jet
-from gcrkit.expr import ExprError, Program, _partials, parse_expr, to_text
+from gcrkit import catalog
+from gcrkit.expr import _FUNCTIONS, ExprError, Program, _partials, parse_expr, to_text
 from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
 from gcrkit.gcr import gcr_residual, position_angles
 
@@ -293,6 +294,8 @@ def test_frame_rejects_off_sphere_and_irregular_curves():
     # a squared norm that overflows is off the sphere, not a numpy error
     with np.errstate(all="raise"), pytest.raises(CatalogError, match="curve must lie on"):
         build_normal_frame(("1e200*cos(w)", "sin(w)", "0", "0"), (0.0, 1.0))
+    with pytest.raises(CatalogError, match=r"^empty frame range \[1\.0, 1\.0\]$"):
+        build_normal_frame(GREAT_CIRCLE, (1.0, 1.0))
     # sample counts must be integers within the cap, checked before allocation
     for samples in (1, True, 801.0, 1e9, 10**9, 100_001):
         with pytest.raises(CatalogError, match="samples"):
@@ -335,6 +338,8 @@ def test_make_family_errors():
         )
     with pytest.raises(CatalogError):
         make_family("special_sqrt2", extra=2.0)
+    with pytest.raises(CatalogError, match="^domain needs 3 intervals$"):
+        so2_x_so2(domain=((0, 1), (0, 1)))
 
 
 def test_make_family_with_spec_and_kappa_profile():
@@ -461,6 +466,8 @@ def test_spherical_and_circular_products():
     assert np.allclose(sorted(np.abs(pd2.curvatures)), [0.0, 0.0, 0.5], atol=1e-10)
     with pytest.raises(CatalogError):
         spherical_hypercylinder(-1.0)
+    with pytest.raises(CatalogError, match="^radius must be positive$"):
+        circular_hypercylinder(r=0)
 
 
 def test_tangent_developable_cylinder_is_position_principal():
@@ -542,11 +549,13 @@ def test_conical_and_sqrt2_charts_are_their_component_strings():
 
 
 # The reference mappings below take a namespace of elementary functions:
-# gcrkit.jet's float functions, which also map math over a 1-D array, or the
-# tensor-slot oracle's, on its jets.  On floats they run the operations of a
-# chart's components in the components' order, so every value agrees bit for
-# bit; on tensor jets they differentiate by forward propagation, which
-# shares no code with the derivative trees.
+# the expression language's (``_FLOATS``), which also map math over a 1-D
+# array, or the tensor-slot oracle's, on its jets.  On floats they run the
+# operations of a chart's components in the components' order, so every
+# value agrees bit for bit; on tensor jets they differentiate by forward
+# propagation, which shares no code with the derivative trees.
+
+_FLOATS = types.SimpleNamespace(**_FUNCTIONS)
 
 
 def _tensor_seeds(p, order):
@@ -558,10 +567,10 @@ def _assert_matches_reference(m, mapping, points, orders=(1, 2, 3), rtol=1e-13):
     point and on the stack of them; each partial is the mapping's on tensor
     jets, within ``rtol`` of max(1, |partial|)."""
     stack = evaluate_jets(m, points, 1)
-    want = mapping(jet, [np.ascontiguousarray(x) for x in points.T])
+    want = mapping(_FLOATS, [np.ascontiguousarray(x) for x in points.T])
     assert [x.value.tobytes() for x in stack] == [np.asarray(w).tobytes() for w in want]
     for p in points.tolist():
-        values = mapping(jet, p)
+        values = mapping(_FLOATS, p)
         for order in orders:
             got = evaluate_jets(m, p, order)
             assert [x.value for x in got] == values
@@ -662,7 +671,7 @@ def _tangent_cone_mapping(c, y_exprs):
 
     def mapping(ns, seeds):
         s, v, w = seeds
-        if ns is jet:  # the values of the order-1 jets
+        if ns is _FLOATS:  # the values of the order-1 jets
             if isinstance(s, np.ndarray):
                 columns = np.array([[[x.value for x in row] for row in lifted(*vw, 1)]
                                     for vw in zip(v.tolist(), w.tolist())])
@@ -687,7 +696,7 @@ def _curve_tube_mapping(c, alpha_exprs, frame):
 
     def mapping(ns, seeds):
         s, v, w = seeds
-        if ns is jet:
+        if ns is _FLOATS:
             a_of_w = Program(alpha)({"w": w})
         else:
             a_of_w = [tensor_jet_oracle.evaluate(e, {"w": w}) for e in alpha]
@@ -791,7 +800,7 @@ def test_stacked_mapping_charts_match_their_per_component_mappings(name):
             for a, b in zip(got, ref, strict=True):
                 b = tensor_jet_oracle.partial_rows(b, order)
                 assert np.all(np.abs(a.c - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
-        values = reference(jet, p)
+        values = reference(_FLOATS, p)
         assert np.allclose([x.value for x in evaluate_jets(m, p, 1)], values,
                            rtol=1e-14, atol=1e-14)
 

@@ -327,6 +327,14 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
         ({"family": "special_sqrt2", "tolerances": [1e-7]}, "tolerances must be an object"),
         ({"components": ["s", "1s", "0"], "variables": ["s", "1s"],
           "domain": {"s": [0, 1], "1s": [0, 1]}}, "invalid variable name '1s'"),
+        # field types, characters and names that each parse or check refuses
+        ({"family": "special_sqrt2", "parameters": []}, "error: parameters must be an object"),
+        ({"family": "special_sqrt2", "grid": [3]},
+         "error: grid must map variable names to sample counts"),
+        ({"components": ["s$t", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [0, 1], "t": [0, 1]}}, "error: unexpected character '$' at offset 1"),
+        ({"components": ["s", "s", "0"], "variables": ["s", "s"], "domain": {"s": [0, 1]}},
+         "error: duplicate variable name 's'"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
@@ -341,21 +349,26 @@ def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):
 # transport overflows
 SHARP_TUBE = {"family": "curve_tube",
               "parameters": {"alpha": ["cos(w)", "sin(w)", "1e-300*sin(1e200*w)", "0"]}}
+# regular with speed 1e200: the curve's rows overflow, and the regularity
+# checks read them one by one
+FAST_TUBE = {"family": "curve_tube",
+             "parameters": {"alpha": ["cos(1e200*w)", "sin(1e200*w)", "0", "0"]}}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
 def test_sharply_curved_tube_is_refused_whatever_the_error_state(tmp_path, capsys, state):
-    spec = write_spec(tmp_path, "tube.json", SHARP_TUBE)
-    with np.errstate(all=state):
-        assert main(["check", spec]) == EXIT_SPEC
-        with pytest.raises(CatalogError) as err:
-            build_normal_frame(SHARP_TUBE["parameters"]["alpha"], (0.0, 1.0))
-    assert capsys.readouterr().err == (
-        "error: spherical curve gives frame knot data outside the float range "
-        "on [-0.37699111843077515, 6.660176425610361]\n")
-    assert str(err.value) == (
-        "spherical curve gives frame knot data outside the float range on [0.0, 1.0]")
+    for tube in (SHARP_TUBE, FAST_TUBE):
+        spec = write_spec(tmp_path, "tube.json", tube)
+        with np.errstate(all=state):
+            assert main(["check", spec]) == EXIT_SPEC
+            with pytest.raises(CatalogError) as err:
+                build_normal_frame(tube["parameters"]["alpha"], (0.0, 1.0))
+        assert capsys.readouterr().err == (
+            "error: spherical curve gives frame knot data outside the float range "
+            "on [-0.37699111843077515, 6.660176425610361]\n")
+        assert str(err.value) == (
+            "spherical curve gives frame knot data outside the float range on [0.0, 1.0]")
 
 
 def test_check_grid_flag_capped(capsys):
