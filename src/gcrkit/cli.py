@@ -312,13 +312,6 @@ def _number(value) -> float:
 # -- report assembly ----------------------------------------------------------------------
 
 
-def _structural_dict(s) -> dict | None:
-    if s is None:
-        return None
-    doc = {key: getattr(s, key) for key in STRUCTURAL_KEYS}
-    return {**doc, "details": dict(s.details), "skipped": list(s.skipped)}
-
-
 def report_to_dict(
     report: SurfaceReport, echo: dict, include_points: bool
 ) -> dict:
@@ -361,7 +354,8 @@ def report_to_dict(
         doc["per_point"] = [
             {"point": p, "degenerate": deg, "mu": mu, "theta": th, "k": kk, "H": hh,
              "distinct_count": d, "gcr_primary": p1, "gcr_secondary": p2, "delta2": d2,
-             "structural": _structural_dict(s), "structural_note": note}
+             "structural": None if s is None else {**vars(s), "skipped": list(s.skipped)},
+             "structural_note": note}
             for p, mu, th, kk, hh, d, deg, p1, p2, d2, s, note in report._rows(report.columns)
         ]
     return doc

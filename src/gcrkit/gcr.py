@@ -124,6 +124,8 @@ def _position_rows(pg: PointGeometry, eps_tan_rel: float) -> PositionAngles:
     return PositionAngles(mu, cos_theta, theta, xT, xT_norm, degenerate, e1, theta_grad, mu_grad)
 
 
+# this and the other one-row functions run under the sweep's error state
+@np.errstate(all="raise", under="ignore")
 def position_angles(pg: PointGeometry, eps_tan_rel: float = 1e-8) -> PositionAngles:
     """Tangential/normal split of the position vector at a regular point.
 
@@ -191,6 +193,7 @@ def _gcr_rows(g, shape, e1, theta_grad) -> tuple[np.ndarray, np.ndarray, np.ndar
     return primary, secondary, comp
 
 
+@np.errstate(all="raise", under="ignore")
 def gcr_residual(pa: PositionAngles, pg: PointGeometry) -> GcrResidual:
     """Both position-principal residuals at a nondegenerate point."""
     if pa.degenerate:
@@ -249,14 +252,19 @@ STRUCTURAL_KEYS = (
 )
 
 
-# the transport checks that follow the complement eigenvectors, in report order
+# the transport checks that follow the complement eigenvectors, then every detail, in report order
 _TRANSPORT_KEYS = ("k2-transport", "k3-transport", "frame-twist", "k3-cross", "k2-cross")
+_DETAIL_KEYS = ("k1-flat-2", "k1-flat-3", *_TRANSPORT_KEYS)
+# why a report row has no structural residuals, by whether it is degenerate
+_NOTES = ("not position-principal here: structural identities not expected",
+          "degenerate point: no tangential direction to adapt a frame to")
 
 
-def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
+def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> np.ndarray:
     """structural_residuals over the point axis of a block of nondegenerate
     rows (of order-3 geometry on 3-dimensional charts), from the block, its
-    principal and position data and the complement basis of e1."""
+    principal and position data and the complement basis of e1: (P, 13)
+    floats, STRUCTURAL_KEYS then _DETAIL_KEYS, NaN for a check not made."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     n = g.shape[-1]
     e1, mu, cos_t = pa.e1, pa.mu, pa.cos_theta
@@ -280,20 +288,16 @@ def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
     w = w - e1[..., None] * _mv(np.swapaxes(w, -1, -2), ge1)[:, None, :]
     cov = np.swapaxes(w, -1, -2) / pa.xT_norm[:, None, None]
     coeff = (1.0 + (mu * cos_t)[:, None] * lams) / (mu * sin_t)[:, None]
-    scalars = [
-        _gnorm(g, cov[:, 0]),
-        r_k1,
-        np.abs(flat).max(axis=-1),
-        _gnorm(g[:, None], cov[:, 1:] - coeff[..., None] * ft[:, 1:]).max(axis=-1),
-    ]
+    out = np.full((len(g), len(STRUCTURAL_KEYS) + len(_DETAIL_KEYS)), np.nan)
+    out[:, :4] = np.stack([_gnorm(g, cov[:, 0]), r_k1, np.abs(flat).max(axis=-1), _gnorm(
+        g[:, None], cov[:, 1:] - coeff[..., None] * ft[:, 1:]).max(axis=-1)], axis=-1)
     if n == 2:
-        skipped = ("curvature transport system (3-dimensional charts only)",)
-        return [StructuralResiduals(*row, 0.0, 0.0, {}, skipped)
-                for row in zip(*(v.tolist() for v in scalars))]
+        out[:, 4:6] = 0.0
+        return out
 
     cov_g = _mm(_mm(cov, g), frame)  # cov_g[:, l, i] = <nabla_{e_l} e1, e_i>
     # omega_12(e3) and omega_13(e2)
-    scalars.append(np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2])))
+    out[:, 4] = np.maximum(np.abs(cov_g[:, 2, 1]), np.abs(cov_g[:, 1, 2]))
     # dh[:, l, a, b] = (nabla_{e_l} h)(e_a, e_b); h1[:, i] = h(e1, e_i)
     dh = _mm(ft, _nabla_second_form(pg).reshape(-1, n, n * n)).reshape(-1, n, n, n)
     dh = _mm(_mm(ft[:, None], dh), frame[:, None])
@@ -302,25 +306,29 @@ def _structural_rows(pg: PointGeometry, pd, pa, comp, tol_gap: float) -> list:
     # dvals[:, l, i] = e_l(k_{i+2}); twist[:, l] = (k2 - k3) omega_23(e_l)
     dvals = dh[:, :, [1, 2], [1, 2]] - 2.0 * cov_g[:, :, 1:] * h1[:, None, 1:]
     twist = dh[:, :, 1, 2] - cov_g[:, :, 1] * h1[:, 2, None] - cov_g[:, :, 2] * h1[:, 1, None]
-    transport = np.abs(np.stack([
+    out[:, 6:8] = np.abs(dk1[:, 1:])
+    coincide = np.abs(lams[:, 1] - lams[:, 0]) < tol_gap
+    out[~coincide, 8:] = np.abs(np.stack([
         dvals[:, 0, 0] - coeff[:, 0] * (k1 - lams[:, 0]),
         dvals[:, 0, 1] - coeff[:, 1] * (k1 - lams[:, 1]),
         twist[:, 0],
         dvals[:, 1, 1] - twist[:, 2],
         dvals[:, 2, 0] - twist[:, 1],
-    ], axis=-1))
-    coincide = np.abs(lams[:, 1] - lams[:, 0]) < tol_gap
-    skipped = tuple(f"{key} (complement curvatures coincide)" for key in _TRANSPORT_KEYS)
-    out = []
-    for row, dk, tr, skip in zip(zip(*(v.tolist() for v in scalars)), np.abs(dk1).tolist(),
-                                 transport.tolist(), coincide.tolist()):
-        details = {"k1-flat-2": dk[1], "k1-flat-3": dk[2]}
-        details.update(() if skip else zip(_TRANSPORT_KEYS, tr))
-        out.append(StructuralResiduals(*row, max(details.values()), details,
-                                       skipped if skip else ()))
+    ], axis=-1))[~coincide]
+    out[:, 5] = np.fmax.reduce(out[:, 6:], axis=-1)
     return out
 
 
+def _structural(row: list[float], n: int) -> StructuralResiduals:
+    """The StructuralResiduals of one row of _structural_rows on an
+    n-dimensional chart: its checks made, and why the others were not."""
+    details = {k: v for k, v in zip(_DETAIL_KEYS, row[6:]) if v == v}
+    skipped = ("curvature transport system (3-dimensional charts only)",) if n == 2 else tuple(
+        f"{key} (complement curvatures coincide)" for key in _TRANSPORT_KEYS if key not in details)
+    return StructuralResiduals(*row[:6], details, skipped)
+
+
+@np.errstate(all="raise", under="ignore")
 def structural_residuals(
     m: Immersion,
     p: Sequence[float],
@@ -330,7 +338,8 @@ def structural_residuals(
     """Residuals of the identities that hold along a position-principal
     surface, in closed form from one jet evaluation at ``p`` (order 3 on a
     3-dimensional chart): the one-row call of the kernel that
-    classify_surface runs over grid blocks when it includes them.
+    classify_surface runs over grid blocks when it includes them, its row
+    decoded as the report's records decode theirs.
 
     In the position-adapted frame {e1, e2, e3}:
 
@@ -355,7 +364,8 @@ def structural_residuals(
     if pa.degenerate[0]:
         raise DegeneratePointError("structural identities are vacuous at this point")
     pd = _principal_rows(pg.metric, pg.second_form, tol_gap)
-    return _structural_rows(pg, pd, pa, g_complement_basis(pg.metric, pa.e1), tol_gap)[0]
+    row = _structural_rows(pg, pd, pa, g_complement_basis(pg.metric, pa.e1), tol_gap)[0]
+    return _structural(row.tolist(), m.n)
 
 
 # -- grid classification ---------------------------------------------------------------
@@ -379,13 +389,8 @@ class GridSpec:
     def axes(self, domain: Sequence[Sequence[float]]) -> list[np.ndarray]:
         if len(self.counts) != len(domain):
             raise ValueError("grid rank does not match the domain")
-        out = []
-        for count, (lo, hi) in zip(self.counts, domain):
-            if count == 1:
-                out.append(np.array([(lo + hi) / 2.0]))
-            else:
-                out.append(np.linspace(lo, hi, count))
-        return out
+        return [np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2.0])
+                for count, (lo, hi) in zip(self.counts, domain)]
 
     def points(self, domain: Sequence[Sequence[float]]) -> np.ndarray:
         axes = self.axes(domain)
@@ -440,10 +445,10 @@ class SurfaceReport:
     n: int
     grid: GridSpec
     tolerances: Tolerances
-    # by PointRecord field, one array over the classified points in grid order
-    # (residuals NaN where degenerate; object arrays for the structural fields),
-    # or None where every record holds None: delta2 on 2-D charts, and the
-    # structural fields unless included
+    # by PointRecord field but structural_note, one array over the classified
+    # points in grid order (residuals NaN where degenerate; structural rows as
+    # _structural_rows gives them, NaN where unchecked), or None where every
+    # record holds None: delta2 on 2-D charts, and structural unless included
     columns: dict[str, np.ndarray | None]
     skipped: list[tuple[tuple[float, ...], str]]
     is_gcr: bool
@@ -461,12 +466,20 @@ class SurfaceReport:
     @staticmethod
     def _rows(columns: dict):
         """Per row of the PointRecord ``columns``, its fields as Python values
-        in field order, with lists for the point, curvatures and means."""
+        in field order: lists for the point, curvatures and means, and the
+        structural row decoded, its note derived."""
         size = len(columns["mu"])
         out = {name: [None] * size if column is None else column.tolist()
                for name, column in columns.items()}
         for name in ("gcr_primary", "gcr_secondary"):
             out[name] = [None if d else v for d, v in zip(out["degenerate"], out[name])]
+        out["structural_note"] = [None] * size
+        if columns["structural"] is not None:
+            n = columns["point"].shape[1]
+            out["structural"] = [None if math.isnan(r[0]) else _structural(r, n)
+                                 for r in out["structural"]]
+            out["structural_note"] = [_NOTES[d] if s is None else None
+                                      for s, d in zip(out["structural"], out["degenerate"])]
         return zip(*(out[f.name] for f in fields(PointRecord)))
 
     @property
@@ -506,7 +519,7 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances,
     3 if include_structural on a 3-dimensional chart) that classify, None if
     none does, and per row None or why it is skipped.  With include_structural,
     rows that pass the primary test get structural residuals, the others a
-    note.  If the block raises, its rows rerun one at a time and keep their
+    row of NaN.  If the block raises, its rows rerun one at a time and keep their
     own reasons."""
     g, h, shape = pg.metric, pg.second_form, pg.shape
     rows = len(g)
@@ -525,19 +538,15 @@ def _classify_rows(pg: PointGeometry, tols: Tolerances,
             point=pg.point, mu=pa.mu, theta=pa.theta, curvatures=k, means=means,
             distinct_count=pd.distinct_count, degenerate=pa.degenerate,
             gcr_primary=primary, gcr_secondary=secondary,
-            delta2=delta2_ideal_test(k, tol_d2) if k.shape[-1] >= 3 else None,
-            structural=None, structural_note=None,
+            delta2=delta2_ideal_test(k, tol_d2) if k.shape[-1] >= 3 else None, structural=None,
         )
         if include_structural:
             passed = primary[ok] < tols.tol_gcr
             sel = np.flatnonzero(ok)[passed]
             found = _structural_rows(_row(pg, sel), _row(pd, sel), _row(pa, sel),
                                      comp[passed], tols.tol_gap)
-            structural, notes = np.full((2, rows), None)
-            notes[:] = "not position-principal here: structural identities not expected"
-            structural[sel], notes[sel] = found, None
-            notes[~ok] = "degenerate point: no tangential direction to adapt a frame to"
-            columns.update(structural=structural, structural_note=notes)
+            columns["structural"] = np.full((rows, found.shape[1]), np.nan)
+            columns["structural"][sel] = found
     except (FloatingPointError, np.linalg.LinAlgError, DegeneratePointError) as exc:
         if rows > 1:
             outs = [_classify_rows(_row(pg, [i]), tols, include_structural) for i in range(rows)]
@@ -621,7 +630,8 @@ def classify_surface(
     k, means = columns["curvatures"], columns["means"]
     nondeg = ~columns["degenerate"]
     primaries, secondaries = columns["gcr_primary"][nondeg], columns["gcr_secondary"][nondeg]
-    structural = [s for s in columns["structural"] if s is not None] if include_structural else []
+    structural = columns["structural"]
+    checked = structural[~np.isnan(structural[:, 0]), :6] if include_structural else []
 
     def nearly_constant(column: np.ndarray) -> bool:
         tol = tols.tol_const_rel * (1.0 + abs(float(np.mean(column))))
@@ -647,7 +657,7 @@ def classify_surface(
         max_gcr_primary=largest(primaries),
         max_gcr_secondary=largest(secondaries),
         fraction_degenerate=1.0 - primaries.size / len(k),
-        structural_max={key: max(0.0, *(getattr(s, key) for s in structural))
-                        for key in STRUCTURAL_KEYS} if structural else {},
+        structural_max=dict(zip(STRUCTURAL_KEYS, np.maximum(checked.max(axis=0), 0.0).tolist()))
+        if len(checked) else {},
         jet_order=order,
     )

@@ -447,6 +447,7 @@ def _principal_rows(g: np.ndarray, h: np.ndarray, tol_gap: float) -> PrincipalDa
     return PrincipalData(curvatures=w, directions=vecs, gaps=gaps, distinct_count=distinct)
 
 
+@np.errstate(all="raise", under="ignore")  # as the sweep runs it
 def principal_data(pg: PointGeometry, tol_gap: float = 1e-4) -> PrincipalData:
     """Solve h v = k g v via Cholesky reduction plus a symmetric eigensolver."""
     try:

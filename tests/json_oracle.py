@@ -3,9 +3,10 @@
 ``canonical_json`` makes one recursive call per value, one ``json.dumps``
 call per key and per string, and chooses each list's layout by scanning its
 finished parts.  ``report_to_csv`` formats every cell through one helper and
-writes each row with ``csv.writer``.  ``test_json_oracle.py`` requires the
-production writers in ``gcrkit.cli`` to return the same bytes, or to raise
-the same exception type.
+writes each row with ``csv.writer``.  ``per_point`` builds the per-point
+table of a JSON report from the records, one field at a time.
+``test_json_oracle.py`` requires the production writers in ``gcrkit.cli`` to
+return the same bytes (the same table), or to raise the same exception type.
 """
 
 import csv
@@ -95,3 +96,21 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
             row += [fmt(getattr(s, c)) if s is not None else "" for c in STRUCTURAL_KEYS]
         writer.writerow(row)
     return out.getvalue()
+
+
+def _structural_dict(s) -> dict | None:
+    if s is None:
+        return None
+    doc = {key: getattr(s, key) for key in STRUCTURAL_KEYS}
+    return {**doc, "details": dict(s.details), "skipped": list(s.skipped)}
+
+
+def per_point(report: SurfaceReport) -> list[dict]:
+    """The ``per_point`` table of ``report_to_dict``, one dict per record."""
+    return [
+        {"point": list(r.point), "degenerate": r.degenerate, "mu": r.mu, "theta": r.theta,
+         "k": list(r.curvatures), "H": list(r.means), "distinct_count": r.distinct_count,
+         "gcr_primary": r.gcr_primary, "gcr_secondary": r.gcr_secondary, "delta2": r.delta2,
+         "structural": _structural_dict(r.structural), "structural_note": r.structural_note}
+        for r in report.records
+    ]

@@ -653,6 +653,62 @@ def test_block_fallback_keeps_each_points_skip_reason(monkeypatch):
         assert len(rep.records) == 7 and origin[0].degenerate and origin[0].gcr_primary is None
 
 
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_one_row_functions_fail_like_the_sweep_whatever_the_error_state(state):
+    # at (1, 1) the marked saddle's position split overflows once its geometry
+    # has assembled.  The one-row functions run under the sweep's error state,
+    # so they fail with its FloatingPointError whatever the caller's state, and
+    # never take an inf position as regular ("metric too degenerate for a
+    # complement basis")
+    m, grid = _marked_saddle()
+    pg = point_geometry(m, (1.0, 1.0))
+    with np.errstate(all="raise", under="ignore"):
+        want = repr(principal_data(pg))
+    with np.errstate(all="ignore"):  # the split that checks nothing
+        pa = gcr._row(gcr._position_rows(geometry._stack([pg]), Tolerances.eps_tan_rel), 0)
+    assert pa.mu == pa.xT_norm == math.inf and not pa.degenerate
+    assert pa.e1.tolist() == [0.0, 0.0]
+    with np.errstate(all=state):
+        for call in (lambda: position_angles(pg), lambda: structural_residuals(m, (1.0, 1.0))):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in matmul$"):
+                call()
+        with pytest.raises(FloatingPointError, match="^invalid value encountered in divide$"):
+            gcr_residual(pa, pg)
+        assert repr(principal_data(pg)) == want
+        skipped = dict(classify_surface(m, grid, include_structural=True).skipped)
+    assert skipped[(1.0, 1.0)] == "evaluation failed: overflow encountered in matmul"
+
+
+@pytest.mark.parametrize(
+    "name", ["spherical_hypercylinder.json", "saddle_raw.json", "torus_hypercylinder.json"]
+)
+def test_report_columns_hold_numbers_and_records_decode_them(name):
+    # the structural rows are one float column, NaN where a point was not
+    # checked, and records decode them: transport checks skipped where the
+    # complement curvatures coincide, the whole transport system on the 2-D
+    # saddle, checked and unchecked rows mixed on the torus hypercylinder
+    m, grid = _spec_surface(name)
+    for full in (False, True):
+        rep = classify_surface(m, grid, include_structural=full)
+        assert all(c is None or c.dtype != object for c in rep.columns.values())
+        checked = [r.structural for r in rep.records if r.structural is not None]
+        assert bool(checked) == full
+        want = {key: max(0.0, *(getattr(s, key) for s in checked))
+                for key in STRUCTURAL_KEYS} if checked else {}
+        assert repr(rep.structural_max) == repr(want)
+    assert rep.columns["structural"].shape == (len(rep.records), 13)
+    skipped = {why for s in checked for why in s.skipped}
+    notes = {r.structural_note for r in rep.records if r.structural is None}
+    if name == "spherical_hypercylinder.json":
+        assert skipped and all(why.endswith("(complement curvatures coincide)") for why in skipped)
+    elif name == "saddle_raw.json":
+        assert skipped == {"curvature transport system (3-dimensional charts only)"}
+        assert all(s.details == {} and s.r_omega == s.r_codazzi_system == 0.0 for s in checked)
+    else:
+        assert "not position-principal here: structural identities not expected" in notes
+    assert None not in notes
+
+
 def test_a_singular_row_reruns_the_stacked_block_point_by_point(monkeypatch):
     # the cone (s cos t, s sin t, s) is singular along s = 0: the stacked
     # assembly refuses the block, and each point then meets its own outcome

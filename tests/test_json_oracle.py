@@ -1,9 +1,10 @@
 """Report writers against their reference implementations.
 
 ``json_oracle`` keeps the serializers as they were first written: one
-recursive call per value and ``csv.writer`` for every row.  The production
-writers must return the same bytes for every document, or raise the same
-exception.
+recursive call per value and ``csv.writer`` for every row, and the per-point
+table of a JSON report built field by field from the records.  The production
+writers must return the same bytes (and table) for every document, or raise
+the same exception.
 """
 
 import math
@@ -129,6 +130,9 @@ def test_reports_match_oracle(path, full):
             == json_oracle.report_to_csv(report, echo, full))
     doc = cli.report_to_dict(report, echo, include_points=full)
     assert cli.canonical_json(doc) == json_oracle.canonical_json(doc)
+    # repr tells -0.0 from 0.0, an int from a float and a tuple from a list
+    table = cli.report_to_dict(report, echo, include_points=True)["per_point"]
+    assert repr(table) == repr(json_oracle.per_point(report))
 
 
 def test_report_rows_cover_empty_cells():
