@@ -24,9 +24,12 @@ LAPACK gufuncs for det, solve and inv directly, without np.linalg's argument
 checks, under one errstate(all="ignore") that its caller enters (once per
 block for a grid sweep): a singular or overflowing metric becomes NaN or inf,
 which that finiteness check reports.  One generalized cross product
-kernel, a few products of stacked rows, gives the normal and, for the
-self-test, its derivative from second partials alone.  A grid sweep assembles
-a block, or each point, from the partial rows of one stacked evaluation.
+kernel, a few products of stacked rows, gives the normal; the self-test takes
+its derivative from second partials alone, all its Leibniz factors in one
+gather, and d_k Gamma^l_ij from the chart partials, by Gamma_m,ij = <x_ij,
+x_m>.  Its Riemann tensor and both residuals are each one antisymmetrization
+in the first two indices.  A grid sweep assembles a block, or each point, from
+the partial rows of one stacked evaluation.
 """
 
 from __future__ import annotations
@@ -238,20 +241,35 @@ def _cross_rows(matrix: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1).reshape(amb, *points, size)
 
 
+@functools.cache
+def _normal_derivative_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions (n, T, n*n + 1) of the Leibniz factors of _normal_derivative's
+    n*n + 1 cross products in a point's flat (jac, sec): _cross_terms's gather,
+    with x_j replaced by x_ji in product i*n + j; then the signs (n+1, T) that
+    sum the terms into components, and the 0/1 rows that sum products i*n + j
+    over j into d_i v, then pick v, the last product's."""
+    gather, sign = _cross_terms(n)
+    row, col = gather[..., None] // n, gather[..., None] % n  # factor c of a term is M[row, c]
+    ij = np.arange(n * n + 1)
+    replaced = (col == ij % n) & (ij < n * n)
+    index = np.where(replaced, (n + 1) * n + row * n * n + col * n + ij // n, gather[..., None])
+    signs = (np.eye(n + 1)[:, :, None] * sign[..., 0]).reshape(n + 1, -1)
+    return index, signs, (ij // n == np.arange(n + 1)[:, None]).astype(float)
+
+
 def _normal_derivative(jac: np.ndarray, sec: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """dn[i, c] = d_i N_c at one point, from the tangents ``jac`` (n+1, n),
     the second partials ``sec`` and the unit normal N = v/|v|, v the cross
     product of the tangents: d_i v = sum_j cross(x_1, ..., x_ji, ..., x_n)
-    and d_i N = (d_i v - N <N, d_i v>)/|v|.  It reads no shape operator, so
-    Codazzi checks it independently of Weingarten's equation."""
+    and d_i N = (d_i v - N <N, d_i v>)/|v|.  The Leibniz factors of all
+    n*n + 1 cross products come from one gather.  It reads no shape
+    operator, so Codazzi checks it independently of Weingarten's equation."""
     n = jac.shape[1]
-    # matrix ij = i*n + j is jac with column j replaced by x_ji; the last is jac
-    ij = np.arange(n * n)
-    matrices = np.repeat(jac[:, :, None], n * n + 1, axis=2)
-    matrices[:, ij % n, ij] = sec[:, ij % n, ij // n]
-    crossed = _cross_rows(matrices)
-    v, dv = crossed[:, -1], crossed[:, :-1].reshape(n + 1, n, n).sum(axis=2).T
-    return (dv - np.outer(dv @ normal, normal)) / math.sqrt(v @ v)
+    index, signs, sums = _normal_derivative_terms(n)
+    factors = np.concatenate((jac.ravel(), sec.ravel()))[index]
+    dv = sums @ (signs @ factors.prod(axis=0)).T  # rows d_1 v, ..., d_n v, then v
+    dv, v = dv[:-1], dv[-1]
+    return (dv - (dv @ normal)[:, None] * normal) / math.sqrt(v @ v)
 
 
 # -- first/second order data ----------------------------------------------------------
@@ -285,17 +303,17 @@ def _dmetric(jac: np.ndarray, sec: np.ndarray) -> np.ndarray:
     return dg + dg.swapaxes(-1, -2)
 
 
-def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Christoffel numerator A, g^-1 and gamma[l, i, j] = Gamma^l_ij of
-    order-3 geometry ``pg``, from its d_k g_ij, over any leading point axes:
-    only the covariant derivative of h and the self-test read them.  Every
-    metric here has passed the assembly's det and finiteness checks, so its
-    inverse needs no singularity check."""
+def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """g^-1 and gamma[l, i, j] = Gamma^l_ij of order-3 geometry ``pg``, from
+    its d_k g_ij, over any leading point axes: only the covariant derivative
+    of h and the self-test read them.  Every metric here has passed the
+    assembly's det and finiteness checks, so its inverse needs no singularity
+    check."""
     dg = pg.dmetric
     ginv = _inv(pg.metric)
     # A[m,i,j] = dg[i,m,j] + dg[j,m,i] - dg[m,i,j]
     a = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
-    return a, ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
+    return ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
 
 
 def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np.ndarray:
@@ -498,12 +516,14 @@ class DerivativeBundle:
     riemann: np.ndarray        # [i, j, k, l] -> <R(d_i, d_j) d_k, d_l>
 
     def sectional_curvature(self, u: np.ndarray, v: np.ndarray) -> float:
+        """<R(u, v) v, u> / (|u|^2 |v|^2 - <u, v>^2) for chart vectors u, v;
+        ValueError if that area is not above 1e-12 |u|^2 |v|^2."""
         g = self.pg.metric
-        num = float(np.einsum("ijkl,i,j,k,l->", self.riemann, u, v, v, u))
-        gu = u @ g @ u
-        gv = v @ g @ v
-        guv = u @ g @ v
-        return num / (gu * gv - guv * guv)
+        gu, gv, guv = u @ g @ u, v @ g @ v, u @ g @ v
+        area = gu * gv - guv * guv
+        if not area > 1e-12 * gu * gv:
+            raise ValueError(f"u = {u} and v = {v} span no plane")
+        return float(np.einsum("ijkl,i,j,k,l->", self.riemann, u, v, v, u)) / area
 
 
 def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
@@ -519,7 +539,7 @@ def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     dh = (_sum(np.moveaxis(pg.third, -4, -1) * pg.normal[..., None, None, None, :])
           + _sum(np.moveaxis(pg.second, -3, -1)[..., None, :, :, :] * dn[..., :, None, None, :]))
     # h is symmetric, so the Gamma^m_lb h_am term is the transpose of the other
-    gamma_h = _mm(np.moveaxis(_christoffel(pg)[2], -3, -1), pg.second_form[..., None, :, :])
+    gamma_h = _mm(np.moveaxis(_christoffel(pg)[1], -3, -1), pg.second_form[..., None, :, :])
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
@@ -534,33 +554,24 @@ def derivative_bundle(
     dn = _normal_derivative(jac, sec, pg.normal)
 
     # the tensor algebra below is matmuls over flattened index groups, and
-    # transposes that put the indices in place
+    # antisymmetrizations that swap two axes
+    sec2 = sec.reshape(n + 1, -1)
     # dh[i, j, k] = d_i h_jk = <x_ijk, N> + <x_jk, d_i N>
-    dh = (pg.normal @ thr.reshape(n + 1, -1)
-          + (dn @ sec.reshape(n + 1, -1)).ravel()).reshape((n,) * 3)
-    a, ginv, gamma = _christoffel(pg)
-    # d2g[k, l, i, j] = <x_kli, x_j> + <x_li, x_kj> + <x_ki, x_lj> + <x_i, x_klj>
-    t1 = (thr.reshape(n + 1, -1).T @ jac).reshape((n,) * 4)
-    ss = (sec.reshape(n + 1, -1).T @ sec.reshape(n + 1, -1)).reshape((n,) * 4)
-    d2g = t1 + ss.transpose(2, 0, 1, 3) + ss.transpose(0, 2, 1, 3) + t1.swapaxes(-1, -2)
-    # dA[k, m, i, j] = d2g[k, i, m, j] + d2g[k, j, m, i] - d2g[k, m, i, j]
-    da = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
-    dginv = -(ginv @ dg @ ginv)
-    dgamma = 0.5 * ((dginv.reshape(n * n, n) @ a.reshape(n, -1)).reshape((n,) * 4)
-                    + (ginv @ da.reshape(n, n, -1)).reshape((n,) * 4))
-    # gg[l, i, j, k] = Gamma^l_im Gamma^m_jk
+    dh = (pg.normal @ thr.reshape(n + 1, -1) + (dn @ sec2).ravel()).reshape((n,) * 3)
+    ginv, gamma = _christoffel(pg)
+    # Gamma^l_ij = g^lm Gamma_m,ij with Gamma_m,ij = <x_ij, x_m>, so
+    # d_k Gamma^l_ij = g^lm (d_k Gamma_m,ij - d_k g_mp Gamma^p_ij), where
+    # d_k Gamma_m,ij = <x_kij, x_m> + <x_ij, x_km>; each [k, m, ij] below
+    dlow = ((jac.T @ thr.reshape(n + 1, -1)).reshape(n, n, -1).swapaxes(0, 1)
+            + (sec2.T @ sec2).reshape(n, n, -1) - dg @ gamma.reshape(n, -1))
+    dgamma = (ginv @ dlow).reshape((n,) * 4)
+    # <R(d_i, d_j) d_k, d_l> = (x - x with i, j swapped) lowered by g, where
+    # x[i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
     gg = (gamma.reshape(n * n, n) @ gamma.reshape(n, -1)).reshape((n,) * 4)
-    rup = (dgamma.transpose(0, 2, 3, 1) - dgamma.transpose(2, 0, 3, 1)
-           + gg.transpose(1, 2, 3, 0) - gg.transpose(2, 1, 3, 0))
+    x = dgamma.transpose(0, 2, 3, 1) + gg.transpose(1, 2, 3, 0)
 
-    return DerivativeBundle(
-        pg=pg,
-        christoffel=gamma,
-        dnormal=dn,
-        dsecond_form=dh,
-        dchristoffel=dgamma,
-        riemann=rup @ pg.metric,
-    )
+    return DerivativeBundle(pg=pg, christoffel=gamma, dnormal=dn, dsecond_form=dh,
+                            dchristoffel=dgamma, riemann=(x - x.swapaxes(0, 1)) @ pg.metric)
 
 
 def codazzi_residual_from_bundle(
@@ -573,14 +584,12 @@ def codazzi_residual_from_bundle(
     """
     h = bundle.pg.second_form if second_form is None else second_form
     gamma, dh = bundle.christoffel, bundle.dsecond_form
-    # hg[j, i, k] = h_jm Gamma^m_ik
-    hg = (h @ gamma.reshape(len(h), -1)).reshape(dh.shape)
-    c = dh - dh.transpose(1, 0, 2) - hg.transpose(1, 0, 2) + hg
-    return float(np.max(np.abs(c)))
+    # y[i, j, k] = d_i h_jk + h_im Gamma^m_jk; the residual is y - y with i, j swapped
+    y = dh + (h @ gamma.reshape(len(h), -1)).reshape(dh.shape)
+    return float(np.abs(y - y.swapaxes(0, 1)).max())
 
 
 def gauss_residual_from_bundle(bundle: DerivativeBundle) -> float:
     h = bundle.pg.second_form
-    hh = np.multiply.outer(h, h)  # hh[a, b, c, d] = h_ab h_cd
-    rhs = hh.transpose(2, 0, 1, 3) - hh.transpose(0, 2, 1, 3)
-    return float(np.max(np.abs(bundle.riemann - rhs)))
+    z = h[None, :, :, None] * h[:, None, None, :]  # z[i, j, k, l] = h_jk h_il
+    return float(np.abs(bundle.riemann - (z - z.swapaxes(0, 1))).max())

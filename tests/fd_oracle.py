@@ -217,7 +217,7 @@ def structural_residuals_fd(m, p, tol_gap=1e-4, step=None):
         step = default_step(m)
     n = pg.n
     g = pg.metric
-    gamma = geometry._christoffel(point_geometry(m, q, check_domain=False, order=3))[2]
+    gamma = geometry._christoffel(point_geometry(m, q, check_domain=False, order=3))[1]
     mu, cos_t = pa.mu, pa.cos_theta
     sin_t = pa.xT_norm / mu
 

@@ -270,6 +270,35 @@ def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
     assert codazzi_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
 
 
+def test_corrupted_second_form_breaks_gauss():
+    m = so2_x_so2()
+    b = derivative_bundle(m, (1.1, 0.9, 2.2))
+    assert gauss_residual_from_bundle(b) < 1e-10
+    bad = b.pg.second_form.copy()
+    bad[0, 0] += 0.1
+    corrupted = dataclasses.replace(b, pg=dataclasses.replace(b.pg, second_form=bad))
+    assert gauss_residual_from_bundle(corrupted) > 1e-3
+
+
+def test_corrupted_metric_derivative_breaks_gauss(monkeypatch):
+    # the Riemann tensor reads d_k g_ij through the Christoffel symbols and
+    # their derivatives: its largest entry off by 1%, kept symmetric in i and
+    # j, must show against h's side of Gauss's equation
+    m, p = so2_x_so2(), (1.1, 0.9, 2.2)
+    assert gauss_residual_from_bundle(derivative_bundle(m, p)) < 1e-10
+    exact = geometry._dmetric
+
+    def corrupted(jac, sec):
+        dg = exact(jac, sec).copy()
+        k, i, j = np.unravel_index(np.argmax(np.abs(dg)), dg.shape)
+        dg[k, i, j] *= 1.01
+        dg[k, j, i] = dg[k, i, j]
+        return dg
+
+    monkeypatch.setattr(geometry, "_dmetric", corrupted)
+    assert gauss_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
+
+
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
 def test_normal_derivative_matches_weingarten(tag):
     # the self-test's dN comes from second partials, Weingarten's
@@ -283,14 +312,39 @@ def test_normal_derivative_matches_weingarten(tag):
         assert np.max(np.abs(b.dnormal - weingarten)) <= 1e-10 * np.max(np.abs(weingarten))
 
 
+def _repeat_normal_derivative(jac, sec, normal):
+    """d_i N by the construction _normal_derivative used before it gathered
+    its Leibniz factors at once, kept as the reference for it: n*n + 1 copies
+    of the tangents, copy i*n + j with column j replaced by x_ji, crossed."""
+    n = jac.shape[1]
+    ij = np.arange(n * n)
+    matrices = np.repeat(jac[:, :, None], n * n + 1, axis=2)
+    matrices[:, ij % n, ij] = sec[:, ij % n, ij // n]
+    crossed = geometry._cross_rows(matrices)
+    v, dv = crossed[:, -1], crossed[:, :-1].reshape(n + 1, n, n).sum(axis=2).T
+    return (dv - np.outer(dv @ normal, normal)) / math.sqrt(v @ v)
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_normal_derivative_matches_its_repeat_reference(tag):
+    m = make_family(tag)
+    for p in sample_points(m, np.random.default_rng(47), 6):
+        pg = point_geometry(m, p, order=3)
+        dn = geometry._normal_derivative(pg.jac, pg.second, pg.normal)
+        ref = _repeat_normal_derivative(pg.jac, pg.second, pg.normal)
+        assert dn.shape == ref.shape == (m.n, m.n + 1)
+        assert np.max(np.abs(dn - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _einsum_tail(bundle):
     """Gamma^l_ij, d_i h_jk, d_k Gamma^l_ij, the Riemann tensor and both
     residuals of ``bundle`` by the einsums derivative_bundle ran before its
     tensor algebra became matmuls and transposes, kept as the reference for
     them."""
     pg = bundle.pg
-    a, ginv, gamma = geometry._christoffel(pg)
+    ginv, gamma = geometry._christoffel(pg)
     dg, jac, sec, thr, g, h = pg.dmetric, pg.jac, pg.second, pg.third, pg.metric, pg.second_form
+    a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
     d2g = (
         np.einsum("ckli,cj->klij", thr, jac)
         + np.einsum("cli,ckj->klij", sec, sec)
@@ -356,6 +410,14 @@ def test_sphere_sectional_curvature_sign_and_value():
         for _ in range(4):
             u, v = rng.standard_normal((2, 3))
             assert math.isclose(b.sectional_curvature(u, v), 1.0 / r**2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+def test_sectional_curvature_refuses_vectors_that_span_no_plane(scale):
+    b = derivative_bundle(so2_x_so2(), (1.0, 0.7, 0.6))
+    u = np.array([0.4, -1.1, 0.7])
+    with pytest.raises(ValueError, match="span no plane"):
+        b.sectional_curvature(u, scale * u)
 
 
 def test_hyperplane_is_flat():
