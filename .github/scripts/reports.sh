@@ -32,8 +32,11 @@
 # 0,0.25` at one of the latter (its stderr and exit status), then check on
 # sharp_tube.json, a curve_tube whose frame transport overflows, and on
 # fast_tube.json, one whose curve is regular at speed 1e200 (their stderr
-# and exit status): 138 files with the ten specs written into OUT_DIR.  A
-# numpy RuntimeWarning fails the run: it is a silent inf or NaN.
+# and exit status), then check on superscript_digit.json and
+# huge_literal.json, raw specs whose components hold a digit that float()
+# refuses and a literal past the float range (their stderr and exit status):
+# 142 files with the twelve specs written into OUT_DIR.  A numpy
+# RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -195,3 +198,25 @@ EOF
 status=0
 run check "$out/fast_tube.json" > "$out/fast_tube.out" 2>&1 || status=$?
 echo "exit status $status" >> "$out/fast_tube.out"
+# "²" is a digit to str.isdigit but not to float(), and 1e400 is past the
+# float range: the parser refuses each with exit 2 and one line that names
+# the offset
+cat > "$out/superscript_digit.json" <<'EOF'
+{
+  "components": ["s", "t", "s*²"],
+  "variables": ["s", "t"],
+  "domain": {"s": [0, 1], "t": [0, 1]}
+}
+EOF
+cat > "$out/huge_literal.json" <<'EOF'
+{
+  "components": ["s", "t", "s*1e400"],
+  "variables": ["s", "t"],
+  "domain": {"s": [0, 1], "t": [0, 1]}
+}
+EOF
+for name in superscript_digit huge_literal; do
+  status=0
+  run check "$out/$name.json" > "$out/$name.out" 2>&1 || status=$?
+  echo "exit status $status" >> "$out/$name.out"
+done

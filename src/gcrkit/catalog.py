@@ -252,11 +252,11 @@ class ProfileCurve:
         return self.curve.evaluate(x)[1]
 
 
-def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
-    """kappa at one abscissa, at each entry of an array of abscissae (one
-    program run on the array, whose entries take each float's bits), and as
-    text.  Both raise ValueError at the first NaN abscissa: float arithmetic
-    gives 0*inf = NaN quietly."""
+def _kappa_callable(kappa) -> tuple[Callable, str]:
+    """kappa as one program run, at a float abscissa or at each entry of an
+    array of them (whose entries take each float's bits), and as text.  It
+    raises ValueError at the first NaN abscissa: float arithmetic gives
+    0*inf = NaN quietly."""
     if isinstance(kappa, (int, float)):  # a bool too, which _finite refuses
         if not _finite(kappa):
             raise CatalogError(
@@ -267,18 +267,14 @@ def _kappa_callable(kappa) -> tuple[Callable, Callable, str]:
         (expr,) = _parse_curve_exprs((kappa,), ("s",), 1, "curvature")
     program, text = Program((expr,)), to_text(expr)
 
-    def no_nan(k, s: list):
+    def kappa_at(s):
+        k = program({"s": s})[0]
         if (nan := np.isnan(k)).any():
-            raise ValueError(f"curvature {text} is NaN at s = {s[int(np.argmax(nan))]!r}")
+            bad = float(np.ravel(s)[int(np.argmax(nan))])
+            raise ValueError(f"curvature {text} is NaN at s = {bad!r}")
         return k
 
-    def kfun(s: float) -> float:
-        return no_nan(program({"s": float(s)})[0], [float(s)])
-
-    def krows(s: np.ndarray) -> np.ndarray:
-        return no_nan(program({"s": s})[0], s.tolist())
-
-    return kfun, krows, text
+    return kappa_at, text
 
 
 def integrate_profile(
@@ -308,7 +304,7 @@ def integrate_profile(
     y0 = [float(v) for v in init if _finite(v)]
     if len(init) != 3 or len(y0) != 3:
         raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
-    kfun, krows, ktext = _kappa_callable(kappa)
+    kappa_at, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
     s_arr = lo + h * np.arange(nsteps + 1)
@@ -322,7 +318,7 @@ def integrate_profile(
     # the caller's numpy error state
     with np.errstate(all="raise", under="ignore"):
         try:
-            k = krows(s_distinct)[where]
+            k = kappa_at(s_distinct)[where]
             k_arr, k_mid, k_end = k[0::3], k[1::3], k[2::3]
 
             def integral(y, d1, d2, d3, d4):  # y plus the RK4 increments
@@ -337,7 +333,7 @@ def integrate_profile(
         except (ExprError, ArithmeticError, ValueError):
             # rerun stage by stage: it meets the failure where a per-step loop
             # does and raises that loop's error
-            f_arr, g_arr, a_arr, k_arr = _rk4_stages(kfun, lo, s_arr, h, y0)
+            f_arr, g_arr, a_arr, k_arr = _rk4_stages(kappa_at, lo, s_arr, h, y0)
         # the knot data too: an overflow raises, and an inf or NaN that came in
         # quietly fails the finiteness check
         try:
@@ -353,7 +349,7 @@ def integrate_profile(
     return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
 
 
-def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float]):
+def _rk4_stages(kappa_at, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float]):
     """The profile RK4 one step and one stage at a time, calling kappa at
     every stage; raises PartialCurveError at the first failing stage."""
     n = s_arr.size
@@ -361,12 +357,12 @@ def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float
     f_arr[0], g_arr[0], a_arr[0] = y0
 
     def rhs(s: float, phi: float) -> np.ndarray:
-        return np.array([math.cos(phi), math.sin(phi), kfun(s)])
+        return np.array([math.cos(phi), math.sin(phi), kappa_at(s)])
 
     state = np.array(y0)
     last_good = lo
     try:
-        k_arr[0] = kfun(float(s_arr[0]))
+        k_arr[0] = kappa_at(float(s_arr[0]))
         for i in range(n - 1):
             s0 = float(s_arr[i])
             k1 = rhs(s0, state[2])
@@ -375,7 +371,7 @@ def _rk4_stages(kfun, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float
             k4 = rhs(s0 + h, state[2] + h * k3[2])
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             f_arr[i + 1], g_arr[i + 1], a_arr[i + 1] = state
-            k_arr[i + 1] = kfun(float(s_arr[i + 1]))
+            k_arr[i + 1] = kappa_at(float(s_arr[i + 1]))
             last_good = float(s_arr[i + 1])
     except (ExprError, ArithmeticError, ValueError) as exc:
         raise PartialCurveError(
@@ -531,35 +527,30 @@ def build_normal_frame(
         rows = np.array(curve({"w": w})).reshape(4, 4, *np.shape(w))
         return tuple(np.ascontiguousarray(np.moveaxis(rows, 0, -1)))
 
-    # The checks are written so that a NaN fails them: every comparison with
-    # NaN is false.  A speed whose square overflows counts as regular: the
+    # The check is written so that a NaN fails it: every comparison with NaN
+    # is false.  A speed whose square overflows counts as regular: the
     # transport refuses what overflows.
-    def check_left(a0: np.ndarray, d1_0: np.ndarray) -> None:
-        if not _on_sphere(a0):
-            raise CatalogError("curve must lie on the unit 3-sphere")
-        with np.errstate(all="ignore"):
-            regular = np.linalg.norm(d1_0) >= 1e-8
-        if not regular:
-            raise CatalogError("curve is not regular at the left endpoint")
-
-    def check_nodes(vals: np.ndarray, d1: np.ndarray, step: int) -> None:
+    def check_nodes(vals: np.ndarray, d1: np.ndarray, first: int) -> None:
         """Raise at the first node off the unit 3-sphere or not regular; the
-        rows are the nodes that steps ``step``, ``step + 1``, ... reach."""
+        rows are nodes ``first``, ``first + 1``, ..., node k at w_all[2k]."""
         off_sphere = ~_on_sphere(vals)
         with np.errstate(all="ignore"):
             regular = _sum(d1 * d1) >= 1e-16
         if (bad := off_sphere | ~regular).any():
             i = int(bad.argmax())
+            if first + i == 0:
+                raise CatalogError("curve must lie on the unit 3-sphere" if off_sphere[i]
+                                   else "curve is not regular at the left endpoint")
             what = "leaves the unit 3-sphere" if off_sphere[i] else "is not regular"
-            raise CatalogError(f"curve {what} near w = {w_arr[step + i] + h:.6g}")
+            raise CatalogError(f"curve {what} near w = {w_all[2 * (first + i)]:.6g}")
 
     w_arr = np.linspace(lo, hi, samples)
     h = w_arr[1] - w_arr[0]
 
     # alpha at every abscissa the transport reads, in its order: lo, then
-    # w_i + h/2 and w_i + h per step.  The checks read these rows alone, in
-    # the order a per-step loop meets them: at each step the midpoint and the
-    # next node are evaluated, then the node is checked.
+    # w_i + h/2 and w_i + h per step.  The node check reads these rows alone,
+    # in the order a per-step loop meets them: at each step the midpoint and
+    # the next node are evaluated, then the node is checked.
     w_all = np.r_[lo, np.column_stack([w_arr[:-1] + h / 2, w_arr[:-1] + h]).ravel()]
     # the row-by-row rerun too runs under "raise", so that a failure does not
     # depend on the caller's numpy error state
@@ -572,14 +563,11 @@ def build_normal_frame(
             by_row = []
             for j, wv in enumerate(w_all.tolist()):
                 by_row.append(row := alpha_data(wv))
-                if j == 0:
-                    check_left(row[0], row[1])
-                elif j % 2 == 0:
-                    check_nodes(row[0][None], row[1][None], j // 2 - 1)
+                if j % 2 == 0:
+                    check_nodes(row[0][None], row[1][None], j // 2)
             rows = tuple(np.array(col) for col in zip(*by_row))
         else:
-            check_left(rows[0][0], rows[1][0])
-            check_nodes(rows[0][2::2], rows[1][2::2], 0)
+            check_nodes(rows[0][0::2], rows[1][0::2], 0)
     nodes = tuple(r[0::2] for r in rows)
     mids = tuple(r[1::2] for r in rows)
 

@@ -10,8 +10,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -22,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .catalog import FAMILY_TAGS, CatalogError, _finite, family_catalog, make_family
+from .catalog import FAMILY_TAGS, CatalogError, _FAMILIES, _finite, family_catalog, make_family
 from .expr import ExprError
 from .geometry import GeometryError, Immersion, OutOfDomainError
 from .gcr import (
@@ -221,10 +219,7 @@ def build_surface(spec: dict) -> tuple[Immersion, dict]:
                 raise SpecError("family surfaces have fixed variable names")
             call_params = dict(params)
             if "domain" in spec:
-                info_vars = next(
-                    f["variables"] for f in family_catalog() if f["tag"] == tag
-                )
-                call_params["domain"] = _domain_list(spec["domain"], tuple(info_vars))
+                call_params["domain"] = _domain_list(spec["domain"], _FAMILIES[tag].variables)
             m = make_family(tag, **call_params)
             construction = {"family": tag, "parameters": params}
         else:
@@ -368,10 +363,9 @@ def report_to_csv(report: SurfaceReport, echo: dict, include_structural: bool) -
               "gcr_primary", "gcr_secondary", "delta2"]
     if include_structural:
         header += STRUCTURAL_KEYS
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(header)
-    # formatted cells hold no comma, quote or newline, so rows need no quoting
-    lines = [out.getvalue()]
+    # variable names are identifiers and formatted cells hold no comma, quote
+    # or newline, so no line needs quoting
+    lines = [",".join(header) + "\n"]
     for p, mu, th, k, h, d, deg, p1, p2, d2, s, _ in report._rows(report.columns):
         row = [*p, mu, th, *k, *h, d, deg, p1, p2, d2]
         if include_structural:

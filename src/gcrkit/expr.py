@@ -9,9 +9,11 @@ Grammar (EBNF, whitespace insignificant):
     atom       = NUMBER | IDENT | IDENT "(" expression ")" | "(" expression ")" ;
     NUMBER     = DIGIT+ ["." DIGIT*] [EXPONENT] | "." DIGIT+ [EXPONENT] ;
     EXPONENT   = ("e" | "E") ["+" | "-"] DIGIT+ ;
+    DIGIT      = "0" | "1" | "2" | "3" | "4" | "5" | "6" | "7" | "8" | "9" ;
 
 "^" binds tighter than unary minus, which binds tighter than "*" and "/",
-so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication.
+so ``-s^2`` parses as ``-(s^2)``.  There is no implicit multiplication, and a
+NUMBER past the float range is a syntax error.
 Identifiers must either be declared chart variables or one of the built-in
 unary functions: sin, cos, tan, exp, log, sqrt, abs, atan.  Text nesting
 deeper than _MAX_DEPTH levels is a syntax error.  This module owns those
@@ -201,26 +203,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     i = 0
     size = len(text)
+
+    def digit(k: int) -> bool:  # DIGIT is ASCII; str.isdigit also takes "²"
+        return k < size and "0" <= text[k] <= "9"
+
     while i < size:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < size and text[i + 1].isdigit()):
+        if digit(i) or (ch == "." and digit(i + 1)):
             start = i
-            while i < size and text[i].isdigit():
+            while digit(i):
                 i += 1
             if i < size and text[i] == ".":
                 i += 1
-                while i < size and text[i].isdigit():
+                while digit(i):
                     i += 1
             if i < size and text[i] in "eE":
                 j = i + 1
                 if j < size and text[j] in "+-":
                     j += 1
-                if j < size and text[j].isdigit():
+                if digit(j):
                     i = j
-                    while i < size and text[i].isdigit():
+                    while digit(i):
                         i += 1
             tokens.append(("number", text[start:i], start))
             continue
@@ -317,7 +323,9 @@ class _Parser:
     def parse_atom(self, level: int) -> tuple[Expr, int]:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Const(float(text)), 0
+            if not math.isfinite(value := float(text)):
+                raise ExprSyntaxError(f"number {text!r} is outside the float range", offset)
+            return Const(value), 0
         if kind == "op" and text == "-":
             # unary minus: tighter than * and /, looser than ^
             node, depth = self.parse_expression(_PREC_POW, level + 1)

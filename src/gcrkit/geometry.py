@@ -28,7 +28,9 @@ kernel, a few products of stacked rows, gives the normal; the self-test takes
 its derivative from second partials alone, all its Leibniz factors in one
 gather, and d_k Gamma^l_ij from the chart partials, by Gamma_m,ij = <x_ij,
 x_m>.  Its Riemann tensor and both residuals are each one antisymmetrization
-in the first two indices.  A grid sweep assembles a block, or each point, from
+in the first two indices, under errstate(all="raise", under="ignore") as the
+sweep's one-row functions run: an overflow raises instead of passing as a
+NaN residual.  A grid sweep assembles a block, or each point, from
 the partial rows of one stacked evaluation.
 """
 
@@ -543,13 +545,9 @@ def _nabla_second_form(pg: PointGeometry) -> np.ndarray:
     return dh - gamma_h - np.swapaxes(gamma_h, -1, -2)
 
 
-def derivative_bundle(
-    m: Immersion,
-    p: Sequence[float],
-    eps_reg: float = EPS_REG,
-    check_domain: bool = True,
-) -> DerivativeBundle:
-    pg = point_geometry(m, p, eps_reg, check_domain, order=3)
+@np.errstate(all="raise", under="ignore")  # as the sweep runs it: no quiet inf or NaN
+def derivative_bundle(m: Immersion, p: Sequence[float]) -> DerivativeBundle:
+    pg = point_geometry(m, p, order=3)
     n, jac, sec, thr, dg = m.n, pg.jac, pg.second, pg.third, pg.dmetric
     dn = _normal_derivative(jac, sec, pg.normal)
 
@@ -574,21 +572,17 @@ def derivative_bundle(
                             dchristoffel=dgamma, riemann=(x - x.swapaxes(0, 1)) @ pg.metric)
 
 
-def codazzi_residual_from_bundle(
-    bundle: DerivativeBundle, second_form: np.ndarray | None = None
-) -> float:
-    """Max norm of the antisymmetrized covariant derivative of h.
-
-    ``second_form`` substitutes for the bundle's h array, which lets tests
-    verify the residual reacts to a corrupted second fundamental form.
-    """
-    h = bundle.pg.second_form if second_form is None else second_form
+@np.errstate(all="raise", under="ignore")
+def codazzi_residual_from_bundle(bundle: DerivativeBundle) -> float:
+    """Max norm of the antisymmetrized covariant derivative of h."""
+    h = bundle.pg.second_form
     gamma, dh = bundle.christoffel, bundle.dsecond_form
     # y[i, j, k] = d_i h_jk + h_im Gamma^m_jk; the residual is y - y with i, j swapped
     y = dh + (h @ gamma.reshape(len(h), -1)).reshape(dh.shape)
     return float(np.abs(y - y.swapaxes(0, 1)).max())
 
 
+@np.errstate(all="raise", under="ignore")
 def gauss_residual_from_bundle(bundle: DerivativeBundle) -> float:
     h = bundle.pg.second_form
     z = h[None, :, :, None] * h[:, None, None, :]  # z[i, j, k, l] = h_jk h_il

@@ -45,7 +45,7 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     """RK4 for angle' = kappa(s), f' = cos(angle), g' = sin(angle), stage by
     stage; input validation is left to production."""
     lo, hi = float(s_range[0]), float(s_range[1])
-    kfun, _, ktext = _kappa_callable(kappa)
+    kappa_at, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
 
@@ -57,12 +57,12 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     f_arr[0], g_arr[0], a_arr[0] = (float(v) for v in init)
 
     def rhs(s, phi):
-        return np.array([math.cos(phi), math.sin(phi), kfun(s)])
+        return np.array([math.cos(phi), math.sin(phi), kappa_at(s)])
 
     state = np.array([f_arr[0], g_arr[0], a_arr[0]])
     last_good = lo
     try:
-        k_arr[0] = kfun(float(s_arr[0]))
+        k_arr[0] = kappa_at(float(s_arr[0]))
         for i in range(nsteps):
             s0 = float(s_arr[i])
             k1 = rhs(s0, state[2])
@@ -71,7 +71,7 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
             k4 = rhs(s0 + h, state[2] + h * k3[2])
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             f_arr[i + 1], g_arr[i + 1], a_arr[i + 1] = state
-            k_arr[i + 1] = kfun(float(s_arr[i + 1]))
+            k_arr[i + 1] = kappa_at(float(s_arr[i + 1]))
             last_good = float(s_arr[i + 1])
     except (ExprError, ArithmeticError, ValueError) as exc:
         raise PartialCurveError(
@@ -109,7 +109,7 @@ def frame_knot_data(alpha, w_range, samples=801):
     # written so that a NaN fails them, as production's are
     if not abs(a0 @ a0 - 1.0) <= 1e-8:
         raise CatalogError("curve must lie on the unit 3-sphere")
-    if not np.linalg.norm(d1_0) >= 1e-8:
+    if not d1_0 @ d1_0 >= 1e-16:
         raise CatalogError("curve is not regular at the left endpoint")
 
     pairs = np.empty((samples, 2, 4))

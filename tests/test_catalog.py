@@ -98,6 +98,8 @@ def test_hermite_validation():
         HermiteCurve(
             np.array([0.0, 0.0, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1))
         )
+    with pytest.raises(ValueError, match="one sample row per knot required"):
+        HermiteCurve(np.array([0.0, 1.0, 2.0]), *(np.zeros((2, 1)) for _ in range(3)))
 
 
 def test_hermite_multidimensional_and_span():

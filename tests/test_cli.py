@@ -335,6 +335,14 @@ def test_check_family_with_parameters_and_domain(tmp_path, capsys):
           "domain": {"s": [0, 1], "t": [0, 1]}}, "error: unexpected character '$' at offset 1"),
         ({"components": ["s", "s", "0"], "variables": ["s", "s"], "domain": {"s": [0, 1]}},
          "error: duplicate variable name 's'"),
+        ({"components": ["s", "t", "0"], "variables": ["s", "t"], "domain": [[0, 1], [0, 1]]},
+         "error: domain must map variable names to [lo, hi] intervals"),
+        # literals that float() refuses, or reads as inf
+        ({"components": ["s*²", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [0, 1], "t": [0, 1]}}, "error: unexpected character '²' at offset 2"),
+        ({"components": ["s*1e400", "t", "0"], "variables": ["s", "t"],
+          "domain": {"s": [0, 1], "t": [0, 1]}},
+         "error: number '1e400' is outside the float range at offset 2"),
     ],
 )
 def test_check_spec_validation_errors(tmp_path, capsys, doc, fragment):

@@ -92,6 +92,9 @@ def test_functions():
         ("foo(s)", 0),       # unknown function
         ("s + * 2", 4),      # operator where a value should be
         ("sin s", 0),        # a bare function name is just an unknown identifier
+        ("s*²", 2),          # a digit to str.isdigit, not to float()
+        ("1e400*s", 0),      # a literal past the float range
+        (".", 0),            # a point with no digit
     ],
 )
 def test_syntax_errors_carry_offsets(text, offset):

@@ -48,6 +48,21 @@ def unit_sphere():
 # -- first fundamental form against hand formulas ------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "components,var_names,domain,message",
+    [
+        (("s", "0"), ("s",), [(0, 1)], "chart dimension must be 2 or 3, got 1"),
+        (("s", "t", "0"), ("s", "t"), [(0, 1)],
+         "domain box must have one interval per chart variable"),
+        (("s", "t", "0"), ("s", "t"), [(0, 1), (1, 1)], "empty domain interval [1.0, 1.0]"),
+    ],
+)
+def test_immersion_refuses_a_malformed_chart(components, var_names, domain, message):
+    with pytest.raises(ValueError) as err:
+        Immersion.from_exprs("bad", components, var_names, domain)
+    assert str(err.value) == message
+
+
 def test_sphere_metric_and_normal():
     m = unit_sphere()
     s, t = 0.4, 1.0
@@ -249,8 +264,9 @@ def test_corrupted_second_form_breaks_codazzi():
     clean = codazzi_residual_from_bundle(b)
     bad = b.pg.second_form.copy()
     bad[0, 0] += 0.1
+    corrupted = dataclasses.replace(b, pg=dataclasses.replace(b.pg, second_form=bad))
     assert clean < 1e-10
-    assert codazzi_residual_from_bundle(b, second_form=bad) > 1e-3
+    assert codazzi_residual_from_bundle(corrupted) > 1e-3
 
 
 def test_corrupted_normal_derivative_breaks_codazzi(monkeypatch):
@@ -297,6 +313,37 @@ def test_corrupted_metric_derivative_breaks_gauss(monkeypatch):
 
     monkeypatch.setattr(geometry, "_dmetric", corrupted)
     assert gauss_residual_from_bundle(derivative_bundle(m, p)) > 1e-6
+
+
+# charts whose geometry assembles at the point but whose self-test overflows:
+# the metric of exp(700 s) near s = 0.5, and a bump of 1e160 on a saddle
+_OVERFLOWING_SELF_TEST = {
+    "steep_metric": (("s", "t", "u", "exp(700*s)"), ((0.3, 0.7), (0.0, 1.0), (0.0, 1.0)),
+                     (0.49, 0.5, 0.5)),
+    "marked_saddle": (("s*(1-t)/2", "t", "(s+1)^2*t/2+1e160*exp(-700*((s-1)^2+(t-1)^2))"),
+                      ((-1.0, 1.0), (-1.0, 1.0)), (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_SELF_TEST))
+def test_self_test_overflow_raises_in_any_error_state(name, state):
+    # under the caller's "ignore", the Codazzi residual read 0.0 and the Gauss
+    # one NaN, and max(0.0, nan) = 0.0 passed as a clean point
+    components, domain, p = _OVERFLOWING_SELF_TEST[name]
+    m = Immersion.from_exprs(name, components, ("s", "t", "u")[: len(p)], domain)
+    with np.errstate(all=state), pytest.raises(FloatingPointError, match="overflow"):
+        derivative_bundle(m, p)
+
+
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_identity_residual_overflow_raises_in_any_error_state(state):
+    b = derivative_bundle(so2_x_so2(), (1.1, 0.9, 2.2))
+    huge = np.full_like(b.pg.second_form, 1e308)
+    b = dataclasses.replace(b, pg=dataclasses.replace(b.pg, second_form=huge))
+    for residual in (codazzi_residual_from_bundle, gauss_residual_from_bundle):
+        with np.errstate(all=state), pytest.raises(FloatingPointError, match="overflow"):
+            residual(b)
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)

@@ -189,6 +189,24 @@ def test_profile_failures_match_stage_by_stage_oracle(label, trap):
     assert type(got.value.__cause__) is type(want.value.__cause__)
 
 
+def test_profile_whose_rerun_succeeds_matches_stage_by_stage_oracle(monkeypatch):
+    # 1e200*s*1e200 overflows in the stacked run, which runs under "raise",
+    # but as a float it is inf quietly and 1/inf is 0: the stages rerun one at
+    # a time, succeed, and give the per-stage loop's result bit for bit
+    kappa = "0.5+1/(1e200*s*1e200*s)"
+    reruns = []
+    stages = catalog._rk4_stages
+    monkeypatch.setattr(catalog, "_rk4_stages", lambda *a: reruns.append(a) or stages(*a))
+    want = setup_oracle.integrate_profile(kappa, (1.0, 2.0))
+    got = integrate_profile(kappa, (1.0, 2.0))
+    assert len(reruns) == 1
+    for name in ("s", "f", "g", "angle"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for a, b in zip(got.curve._derived, want.curve._derived, strict=True):
+        assert np.array_equal(a, b)
+    assert got.kappa_text == want.kappa_text
+
+
 def test_profile_through_a_float_only_root_matches_stage_by_stage_oracle():
     # sqrt(s) at s = 0 is a float but no jet: a jet's sqrt refuses 0 for its
     # derivative, so the curvature must be read as floats.  The result is the
