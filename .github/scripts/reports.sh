@@ -18,6 +18,9 @@
 # over a curve that is not a great circle): 2 reports, then
 # `families --json`, `eval --point 1,1,1` on special_sqrt2.json and
 # curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json,
+# `eval` on special_sqrt2.json at --point 3,1,1, outside its box, and at
+# --point 2.5000000000001,0,0, inside the box's 1e-12 slack (their stderr and
+# exit status),
 # `eval --point 0.2,1.2,2.0` at a degenerate point of rotational_sphere.json
 # and `eval --point 1,-0.5` at a point of log_t.json that check skips (its
 # stderr and exit status), then plain and --full on marked_saddle.json at
@@ -35,7 +38,7 @@
 # and exit status), then check on superscript_digit.json and
 # huge_literal.json, raw specs whose components hold a digit that float()
 # refuses and a literal past the float range (their stderr and exit status):
-# 142 files with the twelve specs written into OUT_DIR.  A numpy
+# 144 files with the twelve specs written into OUT_DIR.  A numpy
 # RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
@@ -119,6 +122,14 @@ for spec in special_sqrt2 curve_tube; do
   run eval "$root/src/gcrkit/specs/$spec.json" --point 1,1,1 > "$out/eval_$spec.out"
 done
 run eval "$root/src/gcrkit/specs/saddle_raw.json" --point 0.3,-0.2 > "$out/eval_saddle_raw.out"
+# the evaluator's domain rule: a point outside the box fails with exit 2, and
+# one within the box's 1e-12 relative slack is evaluated
+for case in outside:3,1,1 slack:2.5000000000001,0,0; do
+  status=0
+  run eval "$root/src/gcrkit/specs/special_sqrt2.json" --point "${case#*:}" \
+    > "$out/eval_special_sqrt2_${case%%:*}.out" 2>&1 || status=$?
+  echo "exit status $status" >> "$out/eval_special_sqrt2_${case%%:*}.out"
+done
 run eval "$root/src/gcrkit/specs/rotational_sphere.json" --point 0.2,1.2,2.0 \
   > "$out/eval_rotational_sphere.out"
 # eval fails where check skips, with check's reason and exit 3

@@ -8,7 +8,7 @@ tangential/normal decomposition, isoparametric, minimal in its top mean
 curvature, or curvature-ideal.
 
 The top level holds what a typical script needs (see README's "Python API
-sketch"); the partials' container, the expression language and its
+sketch"); the partials' layout, the expression language and its
 derivative trees, the geometry machinery and the catalog live in the
 submodules ``gcrkit.jet``, ``gcrkit.expr``, ``gcrkit.geometry`` and
 ``gcrkit.catalog``.

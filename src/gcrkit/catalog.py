@@ -129,6 +129,8 @@ def _number(value, what: str) -> float:
 
 def _bounds(interval, what: str) -> tuple[float, float]:
     """A (lo, hi) pair of family numbers a finite width apart."""
+    if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+        raise CatalogError(f"{what}s must be a pair (lo, hi), got {interval!r}")
     lo, hi = (_number(v, what) for v in interval)
     if not math.isfinite(hi - lo):
         raise CatalogError(f"{what}s {lo!r}, {hi!r} are not a finite width apart")

@@ -30,7 +30,6 @@ explicit stacks, so derivative trees may nest far deeper than parsed ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import struct
@@ -38,6 +37,8 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+
+from .jet import _monomials
 
 __all__ = [
     "Expr",
@@ -635,16 +636,14 @@ def _derivative(node: Expr, var: str, memo: dict | None = None) -> Expr:
 def _partials(roots: Sequence[Expr], names: Sequence[str], order: int,
               memo: dict | None = None) -> list[Expr]:
     """The trees of d^a x for each root x and each monomial of degree <=
-    ``order`` in the variables ``names``, in the layout of ``jet.Jet.c``:
+    ``order`` in the variables ``names``, in the layout of ``gcrkit.jet``:
     each is the derivative of the one a degree lower along the last variable
     of its sorted multi-index.  ``memo`` is _derivative's, shared by them."""
     memo = {} if memo is None else memo
-    n = len(names)
     rows = []
     for root in roots:
         tree = {(): root}
-        for axes in itertools.chain.from_iterable(
-                itertools.combinations_with_replacement(range(n), k) for k in range(1, order + 1)):
+        for axes in _monomials(len(names), order)[1:]:
             tree[axes] = _derivative(tree[axes[:-1]], names[axes[-1]], memo)
         rows += tree.values()
     return rows

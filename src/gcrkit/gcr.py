@@ -22,6 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .expr import ExprError
+from . import geometry
 from .geometry import (
     EPS_REG,
     GeometryError,
@@ -30,7 +31,6 @@ from .geometry import (
     SingularPointError,
     _assemble,
     _fix_direction_signs,
-    _jet_rows,
     _mm,
     _mv,
     _nabla_second_form,
@@ -560,18 +560,19 @@ def _classify_block(m: Immersion, block: np.ndarray, order: int, tols: Tolerance
     """Classify the points of ``block`` (P, n): their geometry as one block
     (None if no point assembles), the PointRecord columns of the points that
     classify (None if none does), and per point None or why it is skipped.
-    The jets come from one stacked evaluation.  With include_structural the
-    block is assembled from it at once; if that raises, or without,
-    point_geometry assembles each point from its row (``_rows``), or from its
-    own evaluation if the stacked one raised or the row is not finite, so that
-    a division by zero the stack carried on as inf or NaN fails with its own
-    text.  Evaluation and assembly share one errstate(all="ignore"), and the
+    The partial rows come from one stacked evaluation.  With
+    include_structural the block is assembled from it at once; if that
+    raises, or without, point_geometry assembles each point from its row
+    (``_rows``), or from its own evaluation if the stacked one raised or the
+    row is not finite, so that a division by zero the stack carried on as inf
+    or NaN fails with its own text.  Evaluation and assembly share one errstate(all="ignore"), and the
     assembled rows are classified by _classify_rows under the caller's."""
     pg = rows = None
     reasons = [None] * len(block)
     with np.errstate(all="ignore"):
         try:
-            rows = _jet_rows(m, block, order, False)
+            # read from the module, so that a wrapper installed there sees this call
+            rows = geometry.evaluate_jets(m, block, order, False)
             # the plain sweep still assembles each point from its row, as bench/run.py
             # asserts one point_geometry call per point there; once it counts
             # evaluated rows, this condition goes and every block is assembled at once

@@ -45,7 +45,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .jet import Jet, derivative_tensor
+from .jet import derivative_tensor
 from .expr import Expr, ExprError, Program, _partials, parse_expr
 
 __all__ = [
@@ -143,6 +143,8 @@ class Immersion:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError(f"empty domain interval [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"domain interval [{lo}, {hi}] needs finite bounds and width")
         if len(self.components) != n + 1:
             raise ValueError(
                 f"need {n + 1} ambient components, got {len(self.components)}"
@@ -173,7 +175,7 @@ class Immersion:
 
     def _program(self, order: int) -> Program:
         """The program of every component's partials up to ``order``, in
-        the layout of ``Jet.c``, component after component."""
+        the layout of ``gcrkit.jet``, component after component."""
         program = self._programs.get(order)
         if program is None:
             rows = _partials(self.components, self.var_names, order, self._memo)
@@ -190,10 +192,11 @@ class Immersion:
 
 def evaluate_jets(
     m: Immersion, p: Sequence[float], order: int = 3, check_domain: bool = True
-) -> list[Jet]:
-    """Jets of all ambient components of ``m`` at chart point ``p``, from one
-    run of its order-``order`` program on floats, or stacked jets at each
-    row of a stack ``p`` (P, n), from one run on float arrays."""
+) -> np.ndarray:
+    """The partial rows of all ambient components of ``m`` at chart point
+    ``p``, (n+1, D) in the layout of ``gcrkit.jet``, from one run of its
+    order-``order`` program on floats, or (P, n+1, D) at the rows of a stack
+    ``p`` (P, n), from one run on float arrays: C-contiguous and read-only."""
     if order not in (1, 2, 3):
         raise ValueError(f"evaluation order must be 1, 2 or 3, got {order}")
     q = np.asarray(p, dtype=float)
@@ -208,10 +211,10 @@ def evaluate_jets(
         rows = m._program(order)(dict(zip(m.var_names, at)))
     except ExprError as exc:
         raise EvaluationError(q, exc) from exc
-    c = np.array(rows)
-    c = (c.T if q.ndim == 2 else c).reshape(*q.shape[:-1], m.n + 1, -1)
+    c = np.array(rows) if q.ndim == 1 else np.stack(rows, axis=-1)  # a row per point
+    c = c.reshape(*q.shape[:-1], m.n + 1, -1)
     c.flags.writeable = False
-    return [Jet._view(m.n, order, c[..., i, :]) for i in range(m.n + 1)]
+    return c
 
 
 # -- generalized cross product -------------------------------------------------------
@@ -318,17 +321,9 @@ def _christoffel(pg: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     return ginv, 0.5 * np.einsum("...lm,...mij->...lij", ginv, a)
 
 
-def _jet_rows(m: Immersion, q: np.ndarray, order: int, check_domain: bool) -> np.ndarray:
-    """The components' partial rows (n+1, D) from one order-``order``
-    evaluation of ``m`` at ``q``, or (P, n+1, D) at a stack ``q`` (P, n),
-    under the caller's numpy error state."""
-    coeffs = np.array([x.c for x in evaluate_jets(m, q, order=order, check_domain=check_domain)])
-    return coeffs.swapaxes(0, -2) if q.ndim == 2 else coeffs
-
-
 def _assemble(q: np.ndarray, rows: np.ndarray, eps_reg: float) -> PointGeometry:
     """Geometry at ``q`` from the partial rows of one evaluation there
-    (``_jet_rows``), of order 2, or of order 3, read from their width, with
+    (``evaluate_jets``), of order 2, or of order 3, read from their width, with
     ``third`` and ``dmetric`` filled.  A stack ``q`` (P, n) gives every field
     a leading point axis, and each row the bits of its point alone.  It runs
     under the caller's errstate(all="ignore"): overflow and its NaNs, and a
@@ -394,11 +389,13 @@ def point_geometry(
     evaluation and gives the order; the block caller that passes it has
     checked the domain, and has entered errstate(all="ignore") once for the
     whole block."""
+    if order not in (2, 3):
+        raise ValueError(f"geometry order must be 2 or 3, got {order}")
     q = np.asarray(p, dtype=float)
     if _rows is not None:
         return _assemble(q, _rows, eps_reg)
     with np.errstate(all="ignore"):
-        return _assemble(q, _jet_rows(m, q, order, check_domain), eps_reg)
+        return _assemble(q, evaluate_jets(m, q, order, check_domain), eps_reg)
 
 
 # -- principal curvatures ---------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Finite-difference oracles for jets and the closed-form third-order data.
+"""Finite-difference oracles for chart partials and the closed-form
+third-order data.
 
-``finite_difference_jet`` estimates a jet's derivative slots from central
-differences of plain evaluations, independently of the jet arithmetic.
+``finite_difference_jet`` estimates a field's derivative tensors from central
+differences of plain evaluations, independently of the derivative trees.
 
 The structural residuals are computed in closed form from third-order jets.
 The other oracles re-estimate them the independent way, the way
@@ -12,6 +13,7 @@ themselves are re-estimated from exact second-order jets at neighbouring
 points.
 """
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 
@@ -25,7 +27,7 @@ from gcrkit.gcr import (
 )
 from gcrkit import geometry
 from gcrkit.geometry import evaluate_jets, point_geometry, principal_data
-from gcrkit.jet import Jet
+from gcrkit.jet import derivative_tensor
 
 _EPS = float(np.finfo(float).eps)
 
@@ -54,8 +56,9 @@ def finite_difference_jet(
     p: Sequence[float],
     h: float | Sequence[float] | None = None,
     order: int = 3,
-) -> Jet:
-    """Estimate a jet of ``f`` at ``p`` from central differences.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate (value, grad, hess, third) of ``f`` at ``p`` from central
+    differences; the tensors above ``order`` stay zero.
 
     O(h^2) truncation error per slot, far too slow and too noisy for
     anything but a check.  ``f`` must be evaluable on the full stencil
@@ -132,7 +135,7 @@ def finite_difference_jet(
                 2, 0, 1
             ] = third[2, 1, 0] = val / (8.0 * h3[0] * h3[1] * h3[2])
 
-    return Jet(n, order, f0, grad, hess, third)
+    return f0, grad, hess, third
 
 
 def default_step(m):
@@ -140,8 +143,9 @@ def default_step(m):
 
 
 def complete_third_order_fd(m, p):
-    """Order-3 jets of the components of ``m`` at ``p``, with the third
-    slots central-differenced from exact Hessians at six shifted points and
+    """Order-3 partial rows (n+1, D) of the components of ``m`` at ``p``,
+    in the layout of ``evaluate_jets``: the order-2 ones exact, and the third
+    partials central-differenced from exact Hessians at six shifted points and
     symmetrized; with steps near cbrt(eps) they are accurate to about 1e-10.
     """
     q = np.asarray(p, dtype=float)
@@ -154,14 +158,16 @@ def complete_third_order_fd(m, p):
         shift[axis] = steps[axis]
         plus = evaluate_jets(m, q + shift, order=2, check_domain=False)
         minus = evaluate_jets(m, q - shift, order=2, check_domain=False)
+        hess_plus, hess_minus = (derivative_tensor(x, n, 2) for x in (plus, minus))
         for c in range(m.ambient_dim):
-            dhess[c, axis] = (plus[c].hess - minus[c].hess) / (2.0 * steps[axis])
+            dhess[c, axis] = (hess_plus[c] - hess_minus[c]) / (2.0 * steps[axis])
     out = []
-    for c, jet2 in enumerate(base):
+    for c, row in enumerate(base):
         d = dhess[c]
         third = (d + d.transpose(1, 0, 2) + d.transpose(2, 1, 0)) / 3.0
-        out.append(Jet(n, 3, jet2.value, jet2.grad, jet2.hess, third))
-    return out
+        cubic = [third[axes] for axes in itertools.combinations_with_replacement(range(n), 3)]
+        out.append(np.concatenate([row, cubic]))
+    return np.array(out)
 
 
 def match_frames(g, ref, cand, values):

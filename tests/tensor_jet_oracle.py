@@ -7,7 +7,8 @@ third, fourth), with the Leibniz rule written out term by term for products
 and Faa di Bruno's formula for univariate compositions, so the two routes
 share no differentiation code.  ``evaluate`` runs an expression tree of
 ``gcrkit.expr`` over them, and ``partial_rows`` lays a jet's tensors out as
-``gcrkit.jet.Jet.c``.  Test use only.
+one row of ``gcrkit.geometry.evaluate_jets`` (the layout of ``gcrkit.jet``).
+Test use only.
 """
 
 import functools
@@ -187,7 +188,7 @@ def atan(x):
 
 
 def partial_rows(x, order):
-    """The partials of ``x`` up to ``order`` in the layout of ``Jet.c``: by
+    """The partials of ``x`` up to ``order`` in the layout of ``gcrkit.jet``: by
     degree, then by sorted variable-index tuple."""
     tensors = (x.grad, x.hess, x.third, x.fourth)
     return np.array([x.value] + [

@@ -27,7 +27,7 @@ import tensor_jet_oracle
 from fd_oracle import finite_difference_jet
 from gcrkit import expr
 from gcrkit.geometry import Immersion, evaluate_jets
-from gcrkit.jet import Jet
+from gcrkit.jet import derivative_tensor
 
 
 def ev(text, **env):
@@ -122,10 +122,10 @@ def test_nesting_depth_is_capped(shape):
     # its derivative trees nest deeper still, and neither deriving nor
     # compiling them recurses: order 3, as the fourth component of a 3-D chart
     m = Immersion.from_exprs("deep", ("s", "t", "u", e), ("s", "t", "u"), [(0.0, 1.0)] * 3)
-    at_jet = evaluate_jets(m, (0.5, 0.25, 0.75), order=3)[3]
-    assert ev(_DEEP[shape](200), s=0.5) == at_jet.value and np.isfinite(at_jet.c).all()
-    stack = evaluate_jets(m, [(0.5, 0.25, 0.75), (0.25, 0.5, 0.5)], order=3)[3]
-    assert stack.c[0].tobytes() == at_jet.c.tobytes()
+    at_point = evaluate_jets(m, (0.5, 0.25, 0.75), order=3)[3]
+    assert ev(_DEEP[shape](200), s=0.5) == at_point[0] and np.isfinite(at_point).all()
+    stack = evaluate_jets(m, [(0.5, 0.25, 0.75), (0.25, 0.5, 0.5)], order=3)[:, 3]
+    assert stack[0].tobytes() == at_point.tobytes()
     for k in (201, 3000):
         with pytest.raises(ExprSyntaxError, match="nests deeper than 200 levels"):
             parse_expr(_DEEP[shape](k), ("s",))
@@ -185,11 +185,10 @@ def test_jet_and_real_routes_bit_identical(text):
 def test_jet_route_derivatives_vs_fd():
     e = parse_expr("(2+cos(s))*sin(t) + s^2/(t+3)", ("s", "t"))
     p = (0.8, 1.1)
-    out = Jet._view(2, 3, np.array(partials(e, 3, s=p[0], t=p[1])))
-    fd = finite_difference_jet(lambda q: Program((e,))({"s": q[0], "t": q[1]})[0], p)
-    assert np.allclose(out.grad, fd.grad, atol=1e-9)
-    assert np.allclose(out.hess, fd.hess, atol=1e-6)
-    assert np.allclose(out.third, fd.third, atol=2e-5)
+    rows = np.array(partials(e, 3, s=p[0], t=p[1]))
+    _, *fd = finite_difference_jet(lambda q: Program((e,))({"s": q[0], "t": q[1]})[0], p)
+    for rank, atol in ((1, 1e-9), (2, 1e-6), (3, 2e-5)):
+        assert np.allclose(derivative_tensor(rows, 2, rank), fd[rank - 1], atol=atol)
 
 
 def test_eval_errors():

@@ -34,6 +34,7 @@ from gcrkit.geometry import (
     point_geometry,
     principal_data,
 )
+from gcrkit.jet import derivative_tensor
 
 
 def unit_sphere():
@@ -55,6 +56,10 @@ def unit_sphere():
         (("s", "t", "0"), ("s", "t"), [(0, 1)],
          "domain box must have one interval per chart variable"),
         (("s", "t", "0"), ("s", "t"), [(0, 1), (1, 1)], "empty domain interval [1.0, 1.0]"),
+        (("s", "t", "s*t"), ("s", "t"), [(0, math.inf), (0, 1)],
+         "domain interval [0.0, inf] needs finite bounds and width"),
+        (("s", "t", "s*t"), ("s", "t"), [(0, 1), (-1e308, 1e308)],
+         "domain interval [-1e+308, 1e+308] needs finite bounds and width"),
     ],
 )
 def test_immersion_refuses_a_malformed_chart(components, var_names, domain, message):
@@ -151,8 +156,9 @@ def test_normal_jets_match_fd_of_normal():
         return pg.normal[c]
 
     for c in range(4):
-        fd = finite_difference_jet(lambda q, c=c: normal_component(q, c), p, order=1)
-        assert np.allclose(grads[c], fd.grad, atol=1e-8)
+        _, fd_grad, _, _ = finite_difference_jet(
+            lambda q, c=c: normal_component(q, c), p, order=1)
+        assert np.allclose(grads[c], fd_grad, atol=1e-8)
 
 
 # -- second fundamental form, shape operator, eigensolver ----------------------------------
@@ -489,14 +495,14 @@ def test_riemann_symmetries():
 def test_order3_completion_close_to_fd():
     m = tangent_cone()  # its normal is a tree of the base's derivatives: order 3 is exact
     p = (1.2, 0.7, 1.0)
-    jets = evaluate_jets(m, p, order=3)
+    third = derivative_tensor(evaluate_jets(m, p, order=3), m.n, 3)
 
     def comp(q, c):
-        return evaluate_jets(m, tuple(q), order=1, check_domain=False)[c].value
+        return evaluate_jets(m, tuple(q), order=1, check_domain=False)[c, 0]
 
     for c in range(4):
-        fd = finite_difference_jet(lambda q, c=c: comp(q, c), p, order=3)
-        assert np.max(np.abs(jets[c].third - fd.third)) < 1e-5
+        _, _, _, fd_third = finite_difference_jet(lambda q, c=c: comp(q, c), p, order=3)
+        assert np.max(np.abs(third[c] - fd_third)) < 1e-5
 
 
 def test_tangent_cone_order3_jets_match_fd_oracle():
@@ -505,12 +511,11 @@ def test_tangent_cone_order3_jets_match_fd_oracle():
         for p in sample_points(m, rng, 4):
             exact = evaluate_jets(m, p, order=3)
             oracle = complete_third_order_fd(m, p)
-            for a, b in zip(exact, oracle):
-                assert a.value == b.value
-                assert np.array_equal(a.grad, b.grad)
-                assert np.array_equal(a.hess, b.hess)
-                scale = max(1.0, float(np.max(np.abs(b.third))))
-                assert np.max(np.abs(a.third - b.third)) <= 1e-7 * scale
+            low = math.comb(m.n + 2, 2)  # the order-2 partials, exact in both
+            assert exact[:, :low].tobytes() == oracle[:, :low].tobytes()
+            for a, b in zip(exact[:, low:], oracle[:, low:]):
+                scale = max(1.0, float(np.max(np.abs(b))))
+                assert np.max(np.abs(a - b)) <= 1e-7 * scale
 
 
 def test_order3_evaluation_runs_the_program_once_per_point():
@@ -548,10 +553,9 @@ def test_stacked_jets_and_geometry_match_each_point(tag, order):
                         domain=((0.0, 1.6), (0.0, 2 * math.pi), (0.0, 2 * math.pi)))
     points = np.array(sample_points(m, np.random.default_rng(35), 9, margin=0.0))
     stacked = evaluate_jets(m, points, order=order)
-    pg = geometry._assemble(points, geometry._jet_rows(m, points, order, True), geometry.EPS_REG)
+    pg = geometry._assemble(points, stacked, geometry.EPS_REG)
     for i, p in enumerate(points):
-        single = evaluate_jets(m, p, order=order)
-        assert [x.c[i].tobytes() for x in stacked] == [x.c.tobytes() for x in single]
+        assert stacked[i].tobytes() == evaluate_jets(m, p, order=order).tobytes()
         alone = point_geometry(m, p, order=order)
         for f in dataclasses.fields(alone):
             got, want = getattr(pg, f.name), getattr(alone, f.name)
@@ -574,7 +578,7 @@ def test_stacked_evaluation_checks_each_row():
                                 ((-1.0, 1.0), (0.0, 1.0)))
     rows = np.array([[0.5, 0.5], [0.0, 0.25], [0.0, 0.5], [0.7, 0.2]])
     with pytest.raises(SingularPointError) as err:
-        geometry._assemble(rows, geometry._jet_rows(cone, rows, 2, True), geometry.EPS_REG)
+        geometry._assemble(rows, evaluate_jets(cone, rows, 2), geometry.EPS_REG)
     assert err.value.point == (0.0, 0.25) and err.value.det_g == 0.0
 
 
@@ -662,7 +666,7 @@ def test_finite_jets_whose_geometry_overflows_are_not_finite(component, p):
     text = f"jets or geometry not finite at {list(p)}"
     for order in orders:
         with np.errstate(all="ignore"):
-            rows = geometry._jet_rows(m, np.array(p), order, True)
+            rows = evaluate_jets(m, p, order)
         assert np.isfinite(rows).all() == (component != "1e308*s^3")
         if order == 3 and not component.startswith("exp"):
             with np.errstate(all="raise"):  # order 2 assembles the point
@@ -679,6 +683,15 @@ def test_finite_jets_whose_geometry_overflows_are_not_finite(component, p):
                 with np.errstate(all=state), pytest.raises(geometry.GeometryError) as err:
                     call()
                 assert str(err.value) == text
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_point_geometry_refuses_an_order_other_than_2_or_3(order):
+    # refused before anything is evaluated
+    m = unit_sphere()
+    object.__setattr__(m, "_program", lambda order: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match=f"^geometry order must be 2 or 3, got {order}$"):
+        point_geometry(m, (0.4, 1.0), order=order)
 
 
 def test_out_of_domain_check_and_escape():

@@ -134,9 +134,9 @@ def test_warm_jets_equal_cold_jets_bit_for_bit(monkeypatch, family, order):
         q[axis] = moved[axis]
         block += [q, base]
     block = np.array(block)
-    rows = geometry._jet_rows(m, block, order, False)
+    rows = geometry.evaluate_jets(m, block, order, False)
     for p, row in zip(block, rows):
-        assert row.tobytes() == geometry._jet_rows(m, p, order, False).tobytes()
+        assert row.tobytes() == geometry.evaluate_jets(m, p, order, False).tobytes()
     if order == 1:
         return  # geometry needs second partials
     want = [cold(m, p, order) for p in block]
@@ -193,7 +193,7 @@ def test_any_walk_with_failures_matches_cold_calls(walk, order, full):
         assert given == []
     else:
         assert [rows.tobytes() for _, rows in given] == [
-            geometry._jet_rows(LOG_CHART, p, order, False).tobytes() for p in block]
+            geometry.evaluate_jets(LOG_CHART, p, order, False).tobytes() for p in block]
     want = [cold(LOG_CHART, p, order) for p in block]
     assert reasons == [w if isinstance(w, str) else None for w in want]
     kept = [w for w in want if not isinstance(w, str)]
@@ -220,7 +220,7 @@ def test_sweep_evaluates_each_block_once(monkeypatch):
         points = grid.points(m.domain)
         assert [p.tobytes() for p, _ in given] == [p.tobytes() for p in points]
         assert [rows.tobytes() for _, rows in given] == [
-            geometry._jet_rows(m, p, 2, False).tobytes() for p in points]
+            geometry.evaluate_jets(m, p, 2, False).tobytes() for p in points]
 
 
 def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
@@ -240,7 +240,7 @@ def test_no_reuse_outside_a_sweep_or_for_stacks(monkeypatch):
     assert runs(lambda: derivative_bundle(m, p)) == 1
     block = np.array([p, (1.2, 0.5, 0.5)])
     for order in (2, 3):
-        rows = geometry._jet_rows(m, block, order, True)
+        rows = geometry.evaluate_jets(m, block, order, True)
         # only a call given its rows does not
         assert runs(lambda: point_geometry(m, p, order=order, _rows=rows[0])) == 0
         assert runs(lambda: point_geometry(m, p, order=order, _rows=None)) == 1
@@ -264,7 +264,7 @@ def test_stacked_sweep_keeps_no_state(monkeypatch):
     points = GridSpec((3, 3)).points(cone.domain)
     assert [p.tobytes() for p, _ in given] == [p.tobytes() for p in points]
     assert [rows.tobytes() for _, rows in given] == [
-        geometry._jet_rows(cone, p, 2, False).tobytes() for p in points]
+        geometry.evaluate_jets(cone, p, 2, False).tobytes() for p in points]
 
 
 def test_reuse_keeps_reports_identical(monkeypatch):
