@@ -15,7 +15,10 @@
 # at the root s = 0 of its curvature sqrt(s): 1 report), --full on
 # cone_ab.json (a tangent_cone over a torus of radii 0.6 and 0.8 with a phase
 # in w, as the self-test draws its bases) and tube_knot.json (a curve_tube
-# over a curve that is not a great circle): 2 reports, then
+# over a curve that is not a great circle): 2 reports, --full at --grid 3 on
+# tube_samples_2.json and tube_samples_257.json (that tube with a frame of 2
+# samples, a single transport step, and of 257, one sample past 256): 2
+# reports, then
 # `families --json`, `eval --point 1,1,1` on special_sqrt2.json and
 # curve_tube.json, `eval --point 0.3,-0.2` on the 2-D chart saddle_raw.json,
 # `eval` on special_sqrt2.json at --point 3,1,1, outside its box, and at
@@ -38,7 +41,7 @@
 # and exit status), then check on superscript_digit.json and
 # huge_literal.json, raw specs whose components hold a digit that float()
 # refuses and a literal past the float range (their stderr and exit status):
-# 144 files with the twelve specs written into OUT_DIR.  A numpy
+# 148 files with the fourteen specs written into OUT_DIR.  A numpy
 # RuntimeWarning fails the run: it is a silent inf or NaN.
 set -euo pipefail
 root=$(cd "$1" && pwd)
@@ -117,6 +120,19 @@ cat > "$out/tube_knot.json" <<'EOF'
 }
 EOF
 run check "$out/tube_knot.json" --full > "$out/tube_knot_full.out"
+# the frame's transport over one step and over 256 steps
+for samples in 2 257; do
+  cat > "$out/tube_samples_$samples.json" <<EOF
+{
+  "family": "curve_tube",
+  "parameters": {"c": 0.4, "samples": $samples,
+                 "alpha": ["cos(0.5)*cos(w)", "cos(0.5)*sin(w)",
+                           "sin(0.5)*cos(2*w)", "sin(0.5)*sin(2*w)"]}
+}
+EOF
+  run check "$out/tube_samples_$samples.json" --full --grid 3 \
+    > "$out/tube_samples_${samples}_full_grid_3.out"
+done
 run families --json > "$out/families.out"
 for spec in special_sqrt2 curve_tube; do
   run eval "$root/src/gcrkit/specs/$spec.json" --point 1,1,1 > "$out/eval_$spec.out"

@@ -4,15 +4,16 @@ Eight named families cover rotational cylinders, cones, doubly-rotational
 surfaces, position-cone and curve-tube constructions, and generic products
 with a line.  Profiles can be closed-form expressions or the output of a
 unit-speed plane-curve integrator; frames with no closed form (the normal
-frame of a spherical curve) are integrated once and then evaluated through
-a C^2 piecewise-quintic Hermite interpolant, whose derivatives are exact.
+frame of a spherical curve) are integrated once.  Each integrator returns
+the C^2 piecewise-quintic Hermite interpolant of its knot data, whose
+derivatives are exact, and a chart reads its components from that curve.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from collections.abc import Callable, Sequence
 
@@ -43,9 +44,7 @@ __all__ = [
     "make_family",
     "family_catalog",
     "HermiteCurve",
-    "ProfileCurve",
     "integrate_profile",
-    "NormalFrame",
     "build_normal_frame",
     "hypercylinder_rotational",
     "conical_hypercylinder",
@@ -231,29 +230,6 @@ class HermiteCurve:
 # -- unit-speed profile curves ---------------------------------------------------------
 
 
-@dataclass
-class ProfileCurve:
-    """Planar unit-speed curve (f, g) integrated from its curvature.
-
-    Stores the sample arrays and a Hermite interpolant whose knot data
-    (f' = cos(angle), g' = sin(angle), second derivatives from the curvature)
-    comes straight from the generating ODE.
-    """
-
-    s: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    angle: np.ndarray
-    kappa_text: str
-    curve: HermiteCurve = field(repr=False)
-
-    def f_at(self, x):
-        return self.curve.evaluate(x)[0]
-
-    def g_at(self, x):
-        return self.curve.evaluate(x)[1]
-
-
 def _kappa_callable(kappa) -> tuple[Callable, str]:
     """kappa as one program run, at a float abscissa or at each entry of an
     array of them (whose entries take each float's bits), and as text.  It
@@ -284,8 +260,11 @@ def integrate_profile(
     s_range: Sequence[float],
     init: Sequence[float] = (0.0, 0.0, 0.0),
     step: float = 1e-3,
-) -> ProfileCurve:
-    """Integrate angle' = kappa(s), f' = cos(angle), g' = sin(angle) with RK4.
+) -> HermiteCurve:
+    """Integrate angle' = kappa(s), f' = cos(angle), g' = sin(angle) with RK4,
+    and return the interpolant of (f, g) on the knots s, whose knot data
+    (f' = cos(angle), g' = sin(angle), second derivatives from the
+    curvature) comes straight from the ODE.
 
     ``kappa`` is a number, an expression string in s, or a parsed expression.
     The classical fixed-step scheme keeps the global error at O(step^4).
@@ -303,9 +282,9 @@ def integrate_profile(
             f"integration step {step!r} over [{lo}, {hi}] exceeds "
             f"{_MAX_PROFILE_STEPS} steps"
         )
-    y0 = [float(v) for v in init if _finite(v)]
-    if len(init) != 3 or len(y0) != 3:
+    if not (isinstance(init, (list, tuple)) and len(init) == 3 and all(map(_finite, init))):
         raise CatalogError(f"init must be three finite numbers (f0, g0, angle0), got {init!r}")
+    y0 = [float(v) for v in init]
     kappa_at, ktext = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
@@ -348,7 +327,7 @@ def integrate_profile(
     if not finite:
         raise CatalogError(f"curvature {ktext} gives knot data outside the float range "
                            f"on [{lo}, {hi}]")
-    return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
+    return curve
 
 
 def _rk4_stages(kappa_at, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[float]):
@@ -387,23 +366,7 @@ def _rk4_stages(kappa_at, lo: float, s_arr: np.ndarray, h: float, y0: Sequence[f
 # -- orthonormal normal frames of spherical curves in E^4 ------------------------------
 
 
-@dataclass
-class NormalFrame:
-    """Sampled orthonormal frame (A, B) of the normal space of a curve on the
-    unit 3-sphere, and one Hermite interpolant of A then B for exact partials."""
-
-    w: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    curve: HermiteCurve = field(repr=False)
-    gram_error: float = 0.0
-
-
 _SEED_PAIRS = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
-
-# The frame's step matrices and knot data are built this many samples at a
-# time, so that no set-up temporary outgrows the stacked curve evaluation.
-_FRAME_CHUNK = 256
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -435,15 +398,12 @@ def _project_out(rows: np.ndarray, val: np.ndarray, d1: np.ndarray) -> np.ndarra
     return rows
 
 
-def _knot_data(node: tuple, pair: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest Gram error of {alpha, T, A, B}, and the first and second
-    derivatives of the pair from the transport rule, at one node or a stack
-    of nodes (``node`` holds alpha and its first three derivatives there,
-    ``pair`` the rows A and B)."""
-    val, d1, d2, d3 = node
+def _knot_data(node: tuple, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second derivatives of the pair from the transport rule,
+    at one node or a stack of nodes (``node`` holds alpha and its first three
+    derivatives there, ``pair`` the rows A and B)."""
+    _, d1, d2, d3 = node
     speed_sq = _sum(d1 * d1)[..., None]
-    basis = np.stack([val, d1 / np.sqrt(speed_sq), pair[..., 0, :], pair[..., 1, :]], axis=-2)
-    gram = _sum(basis[..., :, None, :] * basis[..., None, :, :]) - np.eye(4)
     d1, d2, d3 = d1[..., None, :], d2[..., None, :], d3[..., None, :]
     along = _sum(pair * d2)
     lam = -along / speed_sq
@@ -454,7 +414,7 @@ def _knot_data(node: tuple, pair: np.ndarray) -> tuple[float, np.ndarray, np.nda
         + 2.0 * along * _sum(d1 * d2) / speed_sq**2
     )
     second = dlam[..., None] * d1 + lam[..., None] * d2
-    return float(np.max(np.abs(gram))), first, second
+    return first, second
 
 
 def _seed_pair(a0: np.ndarray, d1_0: np.ndarray) -> np.ndarray:
@@ -490,8 +450,10 @@ def _orthonormalize(pair: np.ndarray) -> None:
 
 def build_normal_frame(
     alpha: Sequence, w_range: Sequence[float], samples: int = 801
-) -> NormalFrame:
-    """Orthonormal (A, B) spanning the normal space of a spherical curve.
+) -> HermiteCurve:
+    """Orthonormal (A, B) spanning the normal space of a spherical curve, as
+    one eight-component interpolant on ``samples`` knots: A's four
+    components, then B's.
 
     The pair is seeded at the left endpoint by Gram-Schmidt of canonical
     basis vectors against span{alpha, alpha'} and carried along Bishop's
@@ -504,10 +466,9 @@ def build_normal_frame(
     evaluated at every abscissa the transport reads in one program run on
     the array of abscissae.  The transport is linear with rank-one stages, so
     each step and its projection fold into one 4x4 matrix, built from those
-    rows as array expressions; the sequential part is a matrix product and a
-    Gram-Schmidt per sample.  The knot data of the frame's Hermite
-    interpolant, A and B side by side, comes from the transport rule, also
-    as array expressions.
+    rows as array expressions in one pass over all steps; the sequential part
+    is a matrix product and a Gram-Schmidt per sample.  The knot data of the
+    interpolant comes from the transport rule, also as array expressions.
     """
     alpha_exprs = _parse_curve_exprs(alpha, ("w",), 4, "spherical curve")
     lo, hi = _bounds(w_range, "frame bound")
@@ -573,32 +534,18 @@ def build_normal_frame(
     nodes = tuple(r[0::2] for r in rows)
     mids = tuple(r[1::2] for r in rows)
 
-    def rows_at(data: tuple, start: int, stop: int) -> tuple:
-        return tuple(x[start:stop] for x in data)
-
     pairs = np.empty((samples, 2, 4))
-    first = np.empty((samples, 2, 4))
-    second = np.empty((samples, 2, 4))
-    gram_error = 0.0
     # the transport and the knot data run under "raise" too: an overflow
     # raises, and an inf or NaN that came in quietly fails the finiteness check
     try:
         with np.errstate(all="raise", under="ignore"):
             pairs[0] = _seed_pair(nodes[0][0], nodes[1][0])
-            for start in range(0, samples, _FRAME_CHUNK):
-                stop = min(start + _FRAME_CHUNK, samples)
-                s0 = max(start, 1) - 1  # steps s0 .. stop-2 reach samples s0+1 .. stop-1
-                steps = _transport_steps(
-                    rows_at(nodes, s0, stop - 1), rows_at(mids, s0, stop - 1),
-                    rows_at(nodes, s0 + 1, stop), h,
-                )
-                for i, step in enumerate(steps, s0 + 1):
-                    np.matmul(pairs[i - 1], step, out=pairs[i])
-                    _orthonormalize(pairs[i])
-                err, first[start:stop], second[start:stop] = _knot_data(
-                    rows_at(nodes, start, stop), pairs[start:stop]
-                )
-                gram_error = max(gram_error, err)
+            steps = _transport_steps(tuple(x[:-1] for x in nodes), mids,
+                                     tuple(x[1:] for x in nodes), h)
+            for i, step in enumerate(steps, 1):
+                np.matmul(pairs[i - 1], step, out=pairs[i])
+                _orthonormalize(pairs[i])
+            first, second = _knot_data(nodes, pairs)
             curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
             finite = all(np.isfinite(c).all() for c in curve._derived)
     except FloatingPointError:
@@ -606,9 +553,7 @@ def build_normal_frame(
     if not finite:
         raise CatalogError(f"spherical curve gives frame knot data outside the float range "
                            f"on [{lo}, {hi}]")
-    return NormalFrame(
-        w=w_arr, a=pairs[:, 0], b=pairs[:, 1], curve=curve, gram_error=gram_error
-    )
+    return curve
 
 
 # -- chart helpers ---------------------------------------------------------------------
@@ -629,18 +574,18 @@ def _so2_chart(f, g, t, u):
 def _profile_chart(name: str, chart: Callable, f, g, box, profile=None) -> Immersion:
     """The immersion (s, t, u) -> ``chart(f(s), g(s), t, u)``, over the trees
     of closed-form f and g or over the two components of an integrated
-    ``profile``."""
+    ``profile`` curve."""
     if profile is None:
         f, g = _parse_curve_exprs((f, g), ("s",), 2, "profile")
     else:
-        f, g = (_CurveAt(profile.curve, "s", k) for k in (0, 1))
+        f, g = (_CurveAt(profile, "s", k) for k in (0, 1))
     return Immersion.from_exprs(name, chart(f, g, Var("t"), Var("u")), ("s", "t", "u"), box)
 
 
 def _box(domain, defaults) -> tuple[tuple[float, float], ...]:
     if domain is None:
         return tuple(defaults)
-    if len(domain) != len(defaults):
+    if not (isinstance(domain, (list, tuple)) and len(domain) == len(defaults)):
         raise CatalogError(f"domain needs {len(defaults)} intervals")
     return tuple(_bounds(interval, "domain bound") for interval in domain)
 
@@ -655,7 +600,7 @@ def _padded(interval: tuple[float, float], rel: float = 0.06) -> tuple[float, fl
 
 
 def hypercylinder_rotational(
-    f="2+cos(s)", g="sin(s)", profile: ProfileCurve | None = None, domain=None
+    f="2+cos(s)", g="sin(s)", profile: HermiteCurve | None = None, domain=None
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s), u): cylinder over a rotational surface."""
     box = _box(domain, ((0.0, _TWO_PI), (0.0, _TWO_PI), (-1.0, 1.0)))
@@ -673,7 +618,7 @@ def conical_hypercylinder(c1=0.6, c2=0.8, domain=None) -> Immersion:
 
 
 def so2_x_so2(
-    f="2+cos(s)", g="sin(s)", profile: ProfileCurve | None = None, domain=None
+    f="2+cos(s)", g="sin(s)", profile: HermiteCurve | None = None, domain=None
 ) -> Immersion:
     """(f(s) cos t, f(s) sin t, g(s) cos u, g(s) sin u): doubly rotational."""
     box = _box(domain, ((0.3, 2.8), (0.0, _TWO_PI), (0.0, _TWO_PI)))
@@ -681,7 +626,7 @@ def so2_x_so2(
 
 
 def rotational(
-    f="sin(s)", g="cos(s)", profile: ProfileCurve | None = None, domain=None
+    f="sin(s)", g="cos(s)", profile: HermiteCurve | None = None, domain=None
 ) -> Immersion:
     """(f(s), g(s) cos t, g(s) sin t sin u, g(s) sin t cos u): rotational."""
     box = _box(domain, ((-0.7, 0.7), (0.35, 2.79), (0.0, _TWO_PI)))
@@ -758,7 +703,7 @@ def curve_tube(
     )
     box = _box(domain, ((0.5, 2.0), (0.0, math.pi), (0.0, _TWO_PI)))
     frame = build_normal_frame(alpha_exprs, _padded(box[2]), samples=samples)
-    ab = [_CurveAt(frame.curve, "w", k) for k in range(8)]  # A, then B
+    ab = [_CurveAt(frame, "w", k) for k in range(8)]  # A, then B
     phase = BinOp("*", Var("v"), Const(1.0 / c))
     cos_p, sin_p = Call("cos", phase), Call("sin", phase)
     comps = [BinOp("+", BinOp("*", Var("s"), alpha_exprs[k]), BinOp("*", Const(c), BinOp(
@@ -957,7 +902,8 @@ def make_family(tag, /, **params) -> Immersion:
             domain = params.get("domain")
             if domain is None:
                 raise CatalogError("profile integration needs an explicit domain")
-            s_range = _bounds(domain[0], "domain bound")
+            # the chart's box, checked before its first interval is integrated
+            s_range = _box(domain, info.variables)[0]
             params["profile"] = integrate_profile(kappa, _padded(s_range), init, step)
         return info.builder(**params)
     except TypeError as exc:

@@ -21,7 +21,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .expr import ExprError
 from . import geometry
 from .geometry import (
     EPS_REG,
@@ -589,7 +588,7 @@ def _classify_block(m: Immersion, block: np.ndarray, order: int, tols: Tolerance
                 try:
                     found.append(point_geometry(m, p, tols.eps_reg, check_domain=False,
                                                 order=order, _rows=rows[i] if finite[i] else None))
-                except (GeometryError, ExprError) as exc:
+                except GeometryError as exc:
                     reasons[i] = _skip_reason(exc)
             pg = _stack(found) if found else None
     columns, why = (None, []) if pg is None else _classify_rows(pg, tols, include_structural)

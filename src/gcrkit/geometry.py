@@ -183,6 +183,8 @@ class Immersion:
         return program
 
     def contains(self, p: Sequence[float]) -> bool:
+        if len(p) != self.n:
+            raise ValueError(f"expected a chart point with {self.n} coordinates, got {len(p)}")
         for value, (lo, hi) in zip(p, self.domain):
             pad = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
             if not lo - pad <= value <= hi + pad:

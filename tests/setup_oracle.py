@@ -13,7 +13,9 @@ included.
 ``build_normal_frame_by_stages`` is the transport loop as it was first
 written: one RK4 stage at a time from the transport rule, with the
 projection as a separate step.  It checks the step matrices' arithmetic to
-rounding.
+rounding.  ``frame_gram_error`` checks a frame's orthonormality at its
+knots against the curve's own program, independently of production's knot
+data.
 
 ``pair_curves`` keeps A and B as two interpolants on the same knots, as the
 frame did before one interpolant carried both; production's joint
@@ -28,9 +30,7 @@ from gcrkit.catalog import (
     _SEED_PAIRS,
     CatalogError,
     HermiteCurve,
-    NormalFrame,
     PartialCurveError,
-    ProfileCurve,
     _kappa_callable,
     _knot_data,
     _orthonormalize,
@@ -43,9 +43,10 @@ from gcrkit.expr import ExprError, Program, _partials
 
 def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     """RK4 for angle' = kappa(s), f' = cos(angle), g' = sin(angle), stage by
-    stage; input validation is left to production."""
+    stage, and the interpolant of (f, g); input validation is left to
+    production."""
     lo, hi = float(s_range[0]), float(s_range[1])
-    kappa_at, ktext = _kappa_callable(kappa)
+    kappa_at, _ = _kappa_callable(kappa)
     nsteps = max(1, math.ceil((hi - lo) / step))
     h = (hi - lo) / nsteps
 
@@ -84,16 +85,15 @@ def integrate_profile(kappa, s_range, init=(0.0, 0.0, 0.0), step=1e-3):
     values = np.column_stack([f_arr, g_arr])
     d1 = np.column_stack([cos_a, sin_a])
     d2 = np.column_stack([-sin_a * k_arr, cos_a * k_arr])
-    curve = HermiteCurve(s_arr, values, d1, d2)
-    return ProfileCurve(s=s_arr, f=f_arr, g=g_arr, angle=a_arr, kappa_text=ktext, curve=curve)
+    return HermiteCurve(s_arr, values, d1, d2)
 
 
 def frame_knot_data(alpha, w_range, samples=801):
-    """Knots, frame pairs (A, B), their first and second derivatives and the
-    largest Gram error of a spherical curve's normal frame by RK4 transport,
-    evaluating the curve's partials to order 3 at each abscissa as the loop reaches
-    it and building each step's matrix from those rows; input validation is
-    left to production."""
+    """Knots, frame pairs (A, B) and their first and second derivatives of a
+    spherical curve's normal frame by RK4 transport, evaluating the curve's
+    partials to order 3 at each abscissa as the loop reaches it and building
+    each step's matrix from those rows; input validation is left to
+    production."""
     alpha_program = Program(_partials(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"),
                                       ("w",), 3))
     lo, hi = float(w_range[0]), float(w_range[1])
@@ -115,12 +115,10 @@ def frame_knot_data(alpha, w_range, samples=801):
     pairs = np.empty((samples, 2, 4))
     first = np.empty((samples, 2, 4))
     second = np.empty((samples, 2, 4))
-    gram_error = 0.0
     pair = _seed_pair(a0, d1_0)
     for i, wv in enumerate(w_arr):
         pairs[i] = pair
-        err, first[i], second[i] = _knot_data(node, pair)
-        gram_error = max(gram_error, err)
+        first[i], second[i] = _knot_data(node, pair)
         if i == samples - 1:
             break
         mid = alpha_data(wv + h / 2)
@@ -133,22 +131,21 @@ def frame_knot_data(alpha, w_range, samples=801):
         _orthonormalize(pair)
         node = nxt
 
-    return w_arr, pairs, first, second, gram_error
+    return w_arr, pairs, first, second
 
 
 def build_normal_frame(alpha, w_range, samples=801):
-    """The frame of ``frame_knot_data``, with A and B read from one
-    eight-component interpolant, A's four components first."""
-    w_arr, pairs, first, second, gram_error = frame_knot_data(alpha, w_range, samples)
-    curve = HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
-    return NormalFrame(w=w_arr, a=pairs[:, 0], b=pairs[:, 1], curve=curve, gram_error=gram_error)
+    """The frame of ``frame_knot_data`` as one eight-component interpolant,
+    A's four components first."""
+    w_arr, pairs, first, second = frame_knot_data(alpha, w_range, samples)
+    return HermiteCurve(w_arr, *(x.reshape(samples, 8) for x in (pairs, first, second)))
 
 
 def pair_curves(alpha, w_range, samples=801):
     """A and B as two four-component interpolants on the same knots, the way
     the frame kept them before it kept one; the reference for the joint
     interpolant."""
-    w_arr, pairs, first, second, _ = frame_knot_data(alpha, w_range, samples)
+    w_arr, pairs, first, second = frame_knot_data(alpha, w_range, samples)
     return tuple(HermiteCurve(w_arr, pairs[:, k], first[:, k], second[:, k]) for k in (0, 1))
 
 
@@ -204,7 +201,6 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
     b_d1 = np.empty((samples, 4))
     a_d2 = np.empty((samples, 4))
     b_d2 = np.empty((samples, 4))
-    gram_error = 0.0
 
     node = alpha_data(lo)
     pair = np.stack([frame_a, frame_b])
@@ -216,9 +212,6 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
         pair[0] /= np.linalg.norm(pair[0])
         pair[1] -= (pair[1] @ pair[0]) * pair[0]
         pair[1] /= np.linalg.norm(pair[1])
-
-        basis = np.vstack([val, that, pair])
-        gram_error = max(gram_error, float(np.max(np.abs(basis @ basis.T - np.eye(4)))))
 
         a_rows[i], b_rows[i] = pair
         deriv = transport_rhs(pair, d1, d2)
@@ -247,6 +240,19 @@ def build_normal_frame_by_stages(alpha, w_range, samples=801):
         if nxt[1] @ nxt[1] < 1e-16:
             raise CatalogError(f"curve is not regular near w = {wv + h:.6g}")
 
-    curve = HermiteCurve(w_arr, *(np.hstack(x) for x in (
+    return HermiteCurve(w_arr, *(np.hstack(x) for x in (
         (a_rows, b_rows), (a_d1, b_d1), (a_d2, b_d2))))
-    return NormalFrame(w=w_arr, a=a_rows, b=b_rows, curve=curve, gram_error=gram_error)
+
+
+def frame_gram_error(alpha, frame):
+    """Largest entry of |G - I| for the Gram matrix G of {alpha, alpha'/|alpha'|,
+    A, B} at the knots of ``frame``, an eight-component frame curve, with
+    alpha and alpha' from the curve's program one knot at a time."""
+    alpha_program = Program(_partials(_parse_curve_exprs(alpha, ("w",), 4, "spherical curve"),
+                                      ("w",), 1))
+    worst = 0.0
+    for wv, ab in zip(frame.knots.tolist(), frame.values):
+        val, d1 = np.array(alpha_program({"w": wv})).reshape(4, 2).T
+        basis = np.vstack([val, d1 / np.linalg.norm(d1), ab.reshape(2, 4)])
+        worst = max(worst, float(np.max(np.abs(basis @ basis.T - np.eye(4)))))
+    return worst

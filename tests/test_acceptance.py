@@ -267,8 +267,8 @@ def test_09_profile_integrator_fourth_order(announce):
         prof = integrate_profile(1.0, (0.0, TWO_PI), init=(1.0, 0.0, math.pi / 2), step=step)
         ss = np.linspace(0.0, TWO_PI, 721)
         return max(
-            max(abs(prof.f_at(s) - math.cos(s)) for s in ss),
-            max(abs(prof.g_at(s) - math.sin(s)) for s in ss),
+            max(abs(prof.evaluate(s)[0] - math.cos(s)) for s in ss),
+            max(abs(prof.evaluate(s)[1] - math.sin(s)) for s in ss),
         )
 
     fine = circle_error(1e-3)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import setup_oracle
 import tensor_jet_oracle
 from conftest import TWO_PI, sample_points
 from gcrkit.catalog import (
@@ -136,8 +137,9 @@ def test_stacked_hermite_rows_match_scalar_calls():
 def test_zero_curvature_is_a_straight_line():
     prof = integrate_profile(0.0, (0.0, 2.0), init=(0.3, 0.4, 0.6), step=1e-2)
     for s in (0.1, 0.9, 1.7):
-        assert math.isclose(prof.f_at(s), 0.3 + s * math.cos(0.6), abs_tol=1e-12)
-        assert math.isclose(prof.g_at(s), 0.4 + s * math.sin(0.6), abs_tol=1e-12)
+        f, g = prof.evaluate(s)
+        assert math.isclose(f, 0.3 + s * math.cos(0.6), abs_tol=1e-12)
+        assert math.isclose(g, 0.4 + s * math.sin(0.6), abs_tol=1e-12)
 
 
 def test_interpolant_speed_error_shrinks_with_the_step():
@@ -145,8 +147,8 @@ def test_interpolant_speed_error_shrinks_with_the_step():
     # interpolant shows between them: ||c'| - 1| at interval midpoints
     def midpoint_speed_error(step):
         prof = integrate_profile("sin(s)+0.3*cos(2*s)", (0.0, 3.0), step=step)
-        mids = 0.5 * (prof.s[:-1] + prof.s[1:])
-        f, g = prof.curve.evaluate(mids, 1)
+        mids = 0.5 * (prof.knots[:-1] + prof.knots[1:])
+        f, g = prof.evaluate(mids, 1)
         return float(np.max(np.abs(np.hypot(f, g) - 1.0)))
 
     assert midpoint_speed_error(1e-3) <= 1e-10
@@ -156,8 +158,9 @@ def test_interpolant_speed_error_shrinks_with_the_step():
 def test_unit_circle_profile():
     prof = integrate_profile(1.0, (0.0, 3.0), step=1e-3)
     for s in np.linspace(0.0, 3.0, 17):
-        assert abs(prof.f_at(float(s)) - math.sin(s)) < 1e-9
-        assert abs(prof.g_at(float(s)) - (1.0 - math.cos(s))) < 1e-9
+        f, g = prof.evaluate(float(s))
+        assert abs(f - math.sin(s)) < 1e-9
+        assert abs(g - (1.0 - math.cos(s))) < 1e-9
 
 
 def test_variable_curvature_against_quadrature():
@@ -171,8 +174,9 @@ def test_variable_curvature_against_quadrature():
 
     f_ref = trapezoid(np.cos(u**2 / 2.0))
     g_ref = trapezoid(np.sin(u**2 / 2.0))
-    assert abs(prof.f_at(1.5) - f_ref) < 1e-6
-    assert abs(prof.g_at(1.5) - g_ref) < 1e-6
+    f, g = prof.evaluate(1.5)
+    assert abs(f - f_ref) < 1e-6
+    assert abs(g - g_ref) < 1e-6
 
 
 def test_partial_curve_error_reports_last_abscissa():
@@ -195,8 +199,10 @@ def test_integrate_profile_validation():
             integrate_profile(1.0, (0.0, 1.0), step=step)
     with pytest.raises(CatalogError, match="exceeds"):
         integrate_profile(1.0, (0.0, 2e6), step=1.0)
-    # initial data must be three finite numbers, and a boolean is no curvature
-    for init in ((math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (True, 0.0, 0.0)):
+    # initial data must be a list or tuple of three finite numbers, and a
+    # boolean is no curvature
+    for init in ((math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (True, 0.0, 0.0), 5, None,
+                 (v for v in (0.0, 0.0, 0.0))):
         with pytest.raises(CatalogError, match="init"):
             integrate_profile(1.0, (0.0, 1.0), init=init)
     with pytest.raises(CatalogError, match="curvature"):
@@ -266,9 +272,9 @@ GREAT_CIRCLE = ("cos(w)", "sin(w)", "0", "0")
 
 def test_great_circle_frame_is_constant():
     frame = build_normal_frame(GREAT_CIRCLE, (0.0, TWO_PI), samples=201)
-    assert frame.gram_error < 1e-9
+    assert setup_oracle.frame_gram_error(GREAT_CIRCLE, frame) < 1e-9
     for w in np.linspace(0.1, TWO_PI - 0.1, 9):
-        a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
+        a, b = np.array(frame.evaluate(float(w))).reshape(2, 4)
         assert np.allclose(a, [0, 0, 1, 0], atol=1e-9)
         assert np.allclose(b, [0, 0, 0, 1], atol=1e-9)
 
@@ -277,12 +283,12 @@ def test_torus_knot_frame_constraints():
     cd, sd = math.cos(0.5), math.sin(0.5)
     alpha = (f"{cd}*cos(w)", f"{cd}*sin(w)", f"{sd}*cos(2*w)", f"{sd}*sin(2*w)")
     frame = build_normal_frame(alpha, (0.0, TWO_PI), samples=801)
-    assert frame.gram_error < 1e-9
+    assert setup_oracle.frame_gram_error(alpha, frame) < 1e-9
     program = Program(_partials(tuple(parse_expr(e, ("w",)) for e in alpha), ("w",), 1))
     for w in np.linspace(0.05, TWO_PI - 0.05, 11):
         rows = np.array(program({"w": float(w)}))
         av, dv = rows[0::2], rows[1::2]
-        a, b = np.array(frame.curve.evaluate(float(w))).reshape(2, 4)
+        a, b = np.array(frame.evaluate(float(w))).reshape(2, 4)
         for vec in (a, b):
             assert abs(vec @ vec - 1.0) < 1e-8
             assert abs(vec @ av) < 1e-8
@@ -344,6 +350,17 @@ def test_make_family_errors():
         make_family("special_sqrt2", extra=2.0)
     with pytest.raises(CatalogError, match="^domain needs 3 intervals$"):
         so2_x_so2(domain=((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("domain", [5, "abc", [], iter([(0, 1)] * 3), {"s": (0, 1)}])
+def test_a_domain_must_be_a_list_or_tuple_of_intervals(domain):
+    # anything but a list or tuple of one interval per chart variable, through
+    # a builder or the registry, with or without an integrated profile
+    for build in (hypercylinder_rotational, hyperplane, curve_tube,
+                  lambda domain: make_family("so2_x_so2", domain=domain),
+                  lambda domain: make_family("so2_x_so2", kappa=1.0, domain=domain)):
+        with pytest.raises(CatalogError, match="^domain needs 3 intervals$"):
+            build(domain=domain)
 
 
 def test_make_family_with_spec_and_kappa_profile():
@@ -704,8 +721,8 @@ def _curve_tube_mapping(c, alpha_exprs, frame):
             a_of_w = Program(alpha)({"w": w})
         else:
             a_of_w = [tensor_jet_oracle.evaluate(e, {"w": w}) for e in alpha]
-        frame_a = [_hermite_component(frame.curve, k, w) for k in range(4)]
-        frame_b = [_hermite_component(frame.curve, k, w) for k in range(4, 8)]
+        frame_a = [_hermite_component(frame, k, w) for k in range(4)]
+        frame_b = [_hermite_component(frame, k, w) for k in range(4, 8)]
         phase = v * (1.0 / c)
         cos_p, sin_p = ns.cos(phase), ns.sin(phase)
         return [
@@ -729,8 +746,8 @@ def _profile_mapping(chart, profile):
 
     def mapping(ns, seeds):
         s, t, u = seeds
-        f = _hermite_component(profile.curve, 0, s)
-        g = _hermite_component(profile.curve, 1, s)
+        f = _hermite_component(profile, 0, s)
+        g = _hermite_component(profile, 1, s)
         return chart(ns, f, g, t, u)
 
     return mapping

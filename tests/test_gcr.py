@@ -391,7 +391,7 @@ def test_classify_empty_report():
         classify_surface(m, GridSpec((3, 3)))
 
 
-def test_classify_workers_do_not_change_results():
+def test_repeated_sweeps_agree():
     # the sweep is serial; repeated runs must agree exactly
     m = so2_x_so2()
     grid = GridSpec((3, 4, 3))

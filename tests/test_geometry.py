@@ -702,6 +702,19 @@ def test_out_of_domain_check_and_escape():
     assert math.isclose(pg.metric[1, 1], math.cos(1.25) ** 2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("point", [[1.0], [1, 1, 1, 99], (), np.zeros(4)])
+def test_contains_refuses_a_point_of_the_wrong_length(point):
+    # a point with fewer or more coordinates than the chart is neither in
+    # its box nor out of it
+    m = special_sqrt2()
+    with pytest.raises(ValueError, match=(f"^expected a chart point with 3 coordinates, "
+                                          f"got {len(point)}$")):
+        m.contains(point)
+    # a point of the right length keeps the 1e-12 relative slack, and NaN is outside
+    assert m.contains((2.5000000000001, 0.0, 0.0)) and not m.contains((3.0, 1.0, 1.0))
+    assert not m.contains((math.nan, 1.0, 1.0))
+
+
 def test_immersion_validation():
     with pytest.raises(ValueError):
         Immersion.from_exprs("bad", ("s", "t"), ("s", "t"), ((0, 1), (0, 1)))
